@@ -1,8 +1,8 @@
 """Reconstructing pi from integer lattice sums alone.
 
 The only analytic inputs here are sums over the integers: the even zeta
-values zeta(2k) = sum 1/n^(2k) evaluated by telescoped Euler-Maclaurin
-acceleration, and the lattice sum f(z) = sum 1/(z - n)^2 whose expansion
+values zeta(2k) = sum 1/n^(2k) evaluated by Euler-Maclaurin summation
+with a first-omitted-term bound, and the lattice sum f(z) = sum 1/(z - n)^2 whose expansion
 coefficient a0 equals 2 zeta(2).  The constant
 
     pi := sqrt(3 a0) = sqrt(6 zeta(2))
@@ -13,9 +13,9 @@ own error radii, and the independent identity 2 zeta(2)^2 = 5 zeta(4)
 (forced by the Laurent algebra) must hold inside its combined ball.
 
 The second half contrasts plain symmetric truncation of f with the
-accelerated evaluation: the naive partial sums gain roughly one digit
-per tenfold increase in N, while the telescoped form reaches full
-precision with a handful of terms.
+corrected evaluation: the naive partial sums gain roughly one digit
+per tenfold increase in N, while eight symmetric pairs plus a correction
+built from a handful of zeta tails reach full precision.
 
 Run:  python3 demos/pi_from_lattice_sums.py
 """
@@ -82,8 +82,8 @@ def main():
         n *= 4
     print()
     print("The tail bound shrinks like 1/N, so plain truncation would need")
-    print("N ~ 1e12 terms for twelve digits; the telescoped form above used")
-    print("a handful of zeta values instead.")
+    print("N ~ 1e12 terms for twelve digits; the evaluation above summed")
+    print("eight symmetric pairs and corrected them with a handful of zeta tails.")
 
 
 if __name__ == "__main__":

@@ -75,7 +75,7 @@ def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
         if got is not None:
             value, radius = got
             if radius <= tol:
-                return _demote(value, radius, ctx)
+                return ctx.adopt(BoundedValue(value, radius))
         prec_eff += 64
     raise ToleranceUnreachableError(
         f"eisenstein_k(k={k}) could not reach tolerance {mp.nstr(tol, 5)}")
@@ -114,12 +114,12 @@ def _corrected_sum(k, u, au, prec_eff, ctx):
     if remainder is None:
         return None
     # direct symmetric part
-    direct = RunningSum(_Eps(mp, eps), ops_per_term=10)
+    direct = RunningSum(mp, ops_per_term=10)
     direct.add(uu ** (-k))
     for n in range(1, N + 1):
         direct.add((uu - n) ** (-k) + (uu + n) ** (-k))
     # tail correction heads
-    heads = RunningSum(_Eps(mp, eps), ops_per_term=J + 14)
+    heads = RunningSum(mp, ops_per_term=J + 14)
     head_bound = mp.mpf(0)
     sign = 2 if k % 2 == 0 else -2
     n_heads = max(1, (J - j0) // 2)
@@ -140,19 +140,6 @@ def _corrected_sum(k, u, au, prec_eff, ctx):
     return value, radius
 
 
-class _Eps:
-    """Adapter giving RunningSum .mp/.eps on a raw MPContext."""
-
-    def __init__(self, mp, eps):
-        self.mp = mp
-        self.eps = eps
-
-
-def _demote(value, radius, ctx: PrecisionContext) -> BoundedValue:
-    """Round a result to the caller's precision, charging the conversion."""
-    return ctx.adopt(BoundedValue(value, radius))
-
-
 def f_deriv(order: int, z, ctx: PrecisionContext) -> BoundedValue:
     """Derivatives of the k=2 sum: order 0 -> f, 1 -> -2 eps_3, 2 -> 6 eps_4."""
     if order == 0:
@@ -165,7 +152,7 @@ def f_deriv(order: int, z, ctx: PrecisionContext) -> BoundedValue:
         raise ValueError(f"f_deriv supports orders 0, 1, 2; got {order!r}")
     sub = ctx.refined(ctx.tolerance / (2 * abs(scale) + 1))
     base = eisenstein_k(2 + order, z, sub)
-    return ctx.bscale(_demote(base.value, base.radius, ctx), scale)
+    return ctx.bscale(ctx.adopt(base), scale)
 
 
 # -- ODE residuals -------------------------------------------------------------
@@ -187,8 +174,8 @@ def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0) -> BoundedVa
     mf = eisenstein_k(2, zp, _coarse(ctx)).upper() + 1
     scale = 1 + 24 * mf + 52
     sub = ctx.refined(ctx.tolerance / (4 * scale))
-    f2 = _demote(*_vr(f_deriv(2, zp, sub)), ctx)
-    f0 = _demote(*_vr(f_deriv(0, zp, sub)), ctx)
+    f2 = ctx.adopt(f_deriv(2, zp, sub))
+    f0 = ctx.adopt(f_deriv(0, zp, sub))
     a0 = _shifted_a0(ctx, sub, a0_shift)
     res = ctx.badd(ctx.badd(f2, ctx.bscale(ctx.bmul(f0, f0), -6)),
                    ctx.bscale(ctx.bmul(a0, f0), 12))
@@ -203,8 +190,8 @@ def first_order_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
     mfp = ctx.bscale(eisenstein_k(3, zp, coarse), -2).upper() + 1
     scale = 1 + 2 * mfp + 24 * mf * mf + 96 * mf
     sub = ctx.refined(ctx.tolerance / (4 * scale))
-    fp = _demote(*_vr(f_deriv(1, zp, sub)), ctx)
-    f0 = _demote(*_vr(f_deriv(0, zp, sub)), ctx)
+    fp = ctx.adopt(f_deriv(1, zp, sub))
+    f0 = ctx.adopt(f_deriv(0, zp, sub))
     a0 = _shifted_a0(ctx, sub, 0)
     f0sq = ctx.bmul(f0, f0)
     res = ctx.badd(ctx.badd(ctx.bmul(fp, fp),
@@ -213,13 +200,8 @@ def first_order_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
     return res
 
 
-def _vr(bv: BoundedValue):
-    return bv.value, bv.radius
-
-
 def _shifted_a0(ctx: PrecisionContext, sub: PrecisionContext, shift) -> BoundedValue:
-    a0 = coeff_a(0, sub)
-    a0 = _demote(a0.value, a0.radius, ctx)
+    a0 = ctx.adopt(coeff_a(0, sub))
     if shift:
         sv = ctx.real(shift)
         a0 = BoundedValue(a0.value + sv, a0.radius + ctx.eps * abs(a0.value + sv))
@@ -347,7 +329,7 @@ def _majorant(y, ctx: PrecisionContext):
     """
     mp = ctx.mp
     y2 = y * y
-    acc = RunningSum(ctx, ops_per_term=3)
+    acc = RunningSum(mp, ops_per_term=3)
     for n in range(_MAJORANT_TERMS, 0, -1):
         acc.add(1 / (n * n + y2))
     base = 3 / y2 + 2 * acc.value
@@ -378,7 +360,7 @@ def naive_symmetric_value(k: int, z, N: int, ctx: PrecisionContext) -> BoundedVa
     u, dist = pole_distance(z, ctx)
     if dist <= POLE_GUARD_ULPS * ctx.eps:
         raise PoleProximityError("point is within the pole guard of an integer")
-    acc = RunningSum(ctx, ops_per_term=10)
+    acc = RunningSum(mp, ops_per_term=10)
     acc.add(u ** (-k))
     for n in range(1, N + 1):
         acc.add((u - n) ** (-k) + (u + n) ** (-k))

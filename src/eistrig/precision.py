@@ -305,14 +305,15 @@ class RunningSum:
     ops_per_term is the (approximate) count of floating operations used to
     build each term; the allowance is count * (1 + ops_per_term) * eps *
     sum(|term|), which dominates both per-term rounding (relative model) and
-    the rounding of each partial-sum addition.
+    the rounding of each partial-sum addition, with eps = 2^(1 - mp.prec)
+    (PrecisionContext.eps at the same precision).
     """
 
-    def __init__(self, ctx: PrecisionContext, ops_per_term: int = 4):
-        self._ctx = ctx
+    def __init__(self, mp: MPContext, ops_per_term: int = 4):
+        self._eps = mp.ldexp(1, 1 - mp.prec)
         self._ops = ops_per_term
-        self._sum = ctx.mp.mpf(0)
-        self._abs = ctx.mp.mpf(0)
+        self._sum = mp.mpf(0)
+        self._abs = mp.mpf(0)
         self._count = 0
 
     def add(self, term) -> None:
@@ -329,7 +330,7 @@ class RunningSum:
         return self._abs
 
     def allowance(self):
-        return self._ctx.eps * self._abs * (self._count * (1 + self._ops) + 1)
+        return self._eps * self._abs * (self._count * (1 + self._ops) + 1)
 
 
 def split_point_string(text: str) -> tuple[str, str]:

@@ -2,7 +2,7 @@
 
 Construction path:
 
-    pi    := sqrt(6 zeta(2))            (zeta(2) from the accelerated series)
+    pi    := sqrt(6 zeta(2))            (zeta(2) by Euler-Maclaurin summation)
     g(z)  := 1/f(z), g(integer) := 0    (f nowhere zero; double zeros of g)
     c(z)  := 1 - 2 pi^2 g(z / 2 pi)
     s(z)  := -pi f'(z / 2 pi) / f(z / 2 pi)^2     (= -c', sign s > 0 just above 0)
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .errors import PoleProximityError
 from .precision import BoundedValue, PrecisionContext
 from .lattice import (POLE_GUARD_ULPS, eisenstein_k, f_deriv, pole_distance,
-                      _coarse, _demote)
+                      _coarse)
 from .zetasums import coeff_a, zeta_even
 
 PI_PROVENANCE = "sqrt(6·ζ(2))"
@@ -51,7 +51,7 @@ def compute_pi(ctx: PrecisionContext) -> PiValue:
     """pi as sqrt(6 zeta(2)), radius <= the context tolerance."""
     sub = ctx.refined(ctx.tolerance / 3)
     z2 = zeta_even(1, sub)
-    six = ctx.bscale(_demote(z2.value, z2.radius, ctx), 6)
+    six = ctx.bscale(ctx.adopt(z2), 6)
     return PiValue(ctx.bsqrt(six))
 
 
@@ -65,10 +65,8 @@ class TrigEvaluator:
         self.ctx = ctx
         sharp = ctx.refined(ctx.tolerance * ctx.mp.ldexp(1, -_PI_SHARPEN))
         pv = compute_pi(sharp)
-        self.pi = PiValue(_demote(pv.value.value, pv.value.radius, ctx),
-                          pv.provenance)
-        a0 = coeff_a(0, sharp)
-        self.a0 = _demote(a0.value, a0.radius, ctx)
+        self.pi = PiValue(ctx.adopt(pv.value), pv.provenance)
+        self.a0 = ctx.adopt(coeff_a(0, sharp))
         self.pi_sq = ctx.bmul(self.pi.value, self.pi.value)
         self.half_inv_pi = ctx.brecip(ctx.bscale(self.pi.value, 2))
 
@@ -129,7 +127,7 @@ def g_eval(z, ctx: PrecisionContext) -> BoundedValue:
     for attempt in range(2):
         sub_tol = _snap(min(tol * lf * lf / 2, lf / 4) * mp.ldexp(1, -6 * attempt), mp)
         fb = eisenstein_k(2, zp, ctx.refined(sub_tol))
-        gb = ctx.brecip(_demote(fb.value, fb.radius, ctx))
+        gb = ctx.brecip(ctx.adopt(fb))
         if gb.radius <= tol:
             return gb
     return gb
@@ -167,8 +165,7 @@ def cosine(z, ctx: PrecisionContext) -> BoundedValue:
     tol = ctx.tolerance
     for attempt in range(2):
         eps_g = tol / 160 * mp.ldexp(1, -6 * attempt)
-        gb = g_eval(w.value, ctx.refined(eps_g))
-        gb = _demote(gb.value, gb.radius, ctx)
+        gb = ctx.adopt(g_eval(w.value, ctx.refined(eps_g)))
         gb = BoundedValue(gb.value, gb.radius + lg * w.radius)
         c = ctx.bsub(ctx.ball(1), ctx.bscale(ctx.bmul(ev.pi_sq, gb), 2))
         if c.radius <= tol:
@@ -227,10 +224,8 @@ def sine(z, ctx: PrecisionContext) -> BoundedValue:
         rho = tol / (64 * qmag) * mp.ldexp(1, -6 * attempt)
         eps_f = _snap(min(rho * lf / 2, lf / 4), mp)
         eps_fp = _snap(rho * (mfp + lf) / 2, mp)
-        fb = eisenstein_k(2, w.value, ctx.refined(eps_f))
-        fb = _demote(fb.value, fb.radius, ctx)
-        fpb = f_deriv(1, w.value, ctx.refined(eps_fp))
-        fpb = _demote(fpb.value, fpb.radius, ctx)
+        fb = ctx.adopt(eisenstein_k(2, w.value, ctx.refined(eps_f)))
+        fpb = ctx.adopt(f_deriv(1, w.value, ctx.refined(eps_fp)))
         q = ctx.bmul(fpb, ctx.brecip(ctx.bmul(fb, fb)))
         q = BoundedValue(q.value, q.radius + lq * w.radius)
         s = ctx.bneg(ctx.bmul(ev.pi.value, q))
@@ -329,7 +324,7 @@ def ivp_initial_data(ctx: PrecisionContext, h=None):
     step = fd_step(ctx, h)
     c0 = cosine(0, ctx)
     sub = ctx.refined(ctx.tolerance * step / 8)
-    cp = _demote_pair(cosine(step, sub), cosine(-step, sub), ctx)
+    cp = (ctx.adopt(cosine(step, sub)), ctx.adopt(cosine(-step, sub)))
     diff = ctx.bsub(cp[0], cp[1])
     inv = ctx.brecip(ctx.ball(2 * step))
     d1 = ctx.bmul(diff, inv)
@@ -350,7 +345,7 @@ def _fd_samples(fn, zp, step, ctx: PrecisionContext):
     out = []
     for k in offsets:
         bv = fn(zp + k * step, sub)
-        out.append(_demote(bv.value, bv.radius, ctx))
+        out.append(ctx.adopt(bv))
     return out
 
 
@@ -369,10 +364,6 @@ def _second_difference(samples, step, ctx: PrecisionContext):
     m4 = 2 * ctx.bmul(d4, ctx.brecip(h4)).upper() + 1
     disc = step * step * m4 / 12
     return d2, mp.mpf(disc)
-
-
-def _demote_pair(a: BoundedValue, b: BoundedValue, ctx):
-    return (_demote(a.value, a.radius, ctx), _demote(b.value, b.radius, ctx))
 
 
 # -- identity checks ---------------------------------------------------------------
@@ -398,10 +389,8 @@ def cosec_identity_check(z, ctx: PrecisionContext) -> BoundedValue:
     tol = ctx.tolerance
     eps_f = _snap(tol / (8 * ms * ms), mp)
     eps_s = _snap(tol / (16 * (mf + 1) * ms), mp)
-    fb = eisenstein_k(2, zp, ctx.refined(eps_f))
-    fb = _demote(fb.value, fb.radius, ctx)
-    sb = sine(s_arg, ctx.refined(eps_s))
-    sb = _demote(sb.value, sb.radius, ctx)
+    fb = ctx.adopt(eisenstein_k(2, zp, ctx.refined(eps_f)))
+    sb = ctx.adopt(sine(s_arg, ctx.refined(eps_s)))
     sb = BoundedValue(sb.value, sb.radius + ls * arg_r)
     return ctx.bsub(ctx.bmul(fb, ctx.bmul(sb, sb)), ev.pi_sq)
 
@@ -412,6 +401,6 @@ def pythagoras_residual(z, ctx: PrecisionContext) -> BoundedValue:
     coarse = _coarse(ctx)
     ms = sine(zp, coarse).upper() + cosine(zp, coarse).upper() + 1
     sub = ctx.refined(_snap(ctx.tolerance / (8 * ms), ctx.mp))
-    sb, cb = _demote_pair(sine(zp, sub), cosine(zp, sub), ctx)
+    sb, cb = ctx.adopt(sine(zp, sub)), ctx.adopt(cosine(zp, sub))
     total = ctx.badd(ctx.bmul(sb, sb), ctx.bmul(cb, cb))
     return ctx.bsub(total, ctx.ball(1))

@@ -1,6 +1,6 @@
-"""Rigorously bounded even zeta values and zeta tails.
+"""Rigorously bounded zeta tails and even zeta values.
 
-Three layers, all with explicit tail bounds:
+Two layers, both exact or with explicit bounds:
 
 * bernoulli_even(2j): exact Fractions via the integer-only tangent-number
   triangle (cached, grown on demand).
@@ -9,20 +9,14 @@ Three layers, all with explicit tail bounds:
   even-order term is bounded by the first omitted term, which is the
   returned bound; the base point is extended automatically when the
   asymptotic floor at N+1 is above the target.
-* zeta_even(m, ctx): sum n^-2m to the context tolerance.  Naive summation
-  with the integral-test bound when that is already cheap; otherwise the
-  telescoping acceleration: starting from A(n)/(n^2m (n+1)...(n+r)) with
-  A = 1, each round peels the exact rational head lead(A)/((p-1)(p-1)!)
-  and raises the tail decay n^-p by one or more powers, with the
-  integral-test bound recomputed per round (sum of |A| coefficients times
-  N^(1-p)/(p-1)).  The first round reproduces zeta(2) = 1 + sum 1/(n^2(n+1)).
 
-coeff_a(d, ctx) wraps the Laurent coefficient a_d = 2(2d+1) zeta(2d+2).
+zeta_even(m, ctx) is the tail beyond N = 0, i.e. zeta(2m), checked against
+the context tolerance; coeff_a(d, ctx) wraps the Laurent coefficient
+a_d = 2(2d+1) zeta(2d+2).
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from fractions import Fraction
 
@@ -71,14 +65,6 @@ def bernoulli_even(two_j: int) -> Fraction:
 _tail_cache: dict[tuple, tuple] = {}
 
 
-class _EpsHolder:
-    """Minimal stand-in exposing .mp and .eps for RunningSum on a bare MPContext."""
-
-    def __init__(self, mp, precision):
-        self.mp = mp
-        self.eps = mp.ldexp(1, 1 - precision)
-
-
 def zeta_tail(s: int, N: int, precision: int, target):
     """(value, bound) for sum_{n>N} n^-s with |true - value| <= bound <= ~target.
 
@@ -95,7 +81,7 @@ def zeta_tail(s: int, N: int, precision: int, target):
     hit = _tail_cache.get(key)
     if hit is not None:
         return hit
-    extra = RunningSum(_EpsHolder(mp, precision), ops_per_term=2)
+    extra = RunningSum(mp, ops_per_term=2)
     base = N
     while True:
         a = mp.mpf(base + 1)
@@ -132,131 +118,20 @@ def zeta_tail(s: int, N: int, precision: int, target):
 
 # -- even zeta values ----------------------------------------------------------
 
-_NAIVE_BUDGET = 4096
-
-_zeta_cache: dict[tuple, BoundedValue] = {}
-
 
 def zeta_even(m: int, ctx: PrecisionContext) -> BoundedValue:
     """sum_{n>=1} n^-2m with error radius <= the context tolerance.
 
-    The tail beyond the summation point is always controlled by the
-    integral test on whatever series is actually summed; acceleration only
-    changes which series that is.
+    This is the whole tail beyond N = 0, summed by zeta_tail to half the
+    tolerance so the rounding allowance fits in the other half.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"zeta_even expects an integer m >= 1, got {m!r}")
-    key = (m, ctx.precision, repr(ctx.tolerance))
-    hit = _zeta_cache.get(key)
-    if hit is not None:
-        return hit
-    mp = ctx.mp
-    tol = ctx.tolerance
-    s = 2 * m
-    # direct summation if the integral-test bound N^(1-s)/(s-1) <= tol/2 is cheap
-    n_naive = _naive_terms(s, tol)
-    if n_naive <= _NAIVE_BUDGET:
-        acc = RunningSum(ctx, ops_per_term=2)
-        for n in range(n_naive, 0, -1):
-            acc.add(mp.mpf(n) ** (-s))
-        tail = mp.mpf(n_naive) ** (1 - s) / (s - 1)
-        result = BoundedValue(acc.value, tail + acc.allowance())
-    else:
-        result = _telescoped(m, ctx)
-    if not result.radius <= tol:
+    value, radius = zeta_tail(2 * m, 0, ctx.precision, ctx.tolerance / 2)
+    if not radius <= ctx.tolerance:
         raise ToleranceUnreachableError(
-            f"zeta_even(m={m}) achieved radius {mp.nstr(result.radius, 5)} > tolerance")
-    _zeta_cache[key] = result
-    return result
-
-
-def _naive_terms(s: int, tol) -> int:
-    """Smallest N with N^(1-s)/(s-1) <= tol/2 (float estimate, then verified)."""
-    try:
-        est = (float(tol) * (s - 1) / 2.0) ** (-1.0 / (s - 1))
-    except (OverflowError, ZeroDivisionError):
-        return _NAIVE_BUDGET + 1
-    if not math.isfinite(est) or est > 1e9:
-        return _NAIVE_BUDGET + 1
-    return max(1, int(math.ceil(est)))
-
-
-def _telescoped(m: int, ctx: PrecisionContext) -> BoundedValue:
-    mp = ctx.mp
-    tol = ctx.tolerance
-    s = 2 * m
-    # Symbolic phase: A(n) over n^s (n+1)...(n+r), exact Fractions throughout.
-    A = [Fraction(1)]
-    r = 0
-    head = Fraction(0)
-    for _ in range(600):
-        N, p = _round_stats(A, r, s, tol)
-        if N <= _NAIVE_BUDGET:
-            break
-        d = len(A) - 1
-        lead = A[d]
-        head += Fraction(lead, (p - 1) * math.factorial(p - 1))
-        # A <- A * prod_{j=r+1}^{p-1} (n+j) - lead * n^(s-1); degree stays <= s-2
-        prod = [Fraction(1)]
-        for j in range(r + 1, p):
-            nxt = [Fraction(0)] * (len(prod) + 1)
-            for i, c in enumerate(prod):
-                nxt[i + 1] += c
-                nxt[i] += c * j
-            prod = nxt
-        ap = [Fraction(0)] * (len(A) + len(prod) - 1)
-        for i, ca in enumerate(A):
-            if ca:
-                for jj, cp in enumerate(prod):
-                    ap[i + jj] += ca * cp
-        while len(ap) < s:
-            ap.append(Fraction(0))
-        ap[s - 1] -= lead
-        while ap and ap[-1] == 0:
-            ap.pop()
-        A = ap
-        r = p - 1
-    else:
-        raise ToleranceUnreachableError(f"telescoping for zeta_even(m={m}) did not converge")
-    N, p = _round_stats(A, r, s, tol)
-    if N > ctx.term_cap:
-        raise ToleranceUnreachableError(
-            f"zeta_even(m={m}) needs {N} terms, above the cap {ctx.term_cap}")
-    # Numeric phase: sum N terms of A(n)/(n^s (n+1)...(n+r)), highest n first.
-    coeffs = [ctx.from_fraction(c) for c in A]
-    acc = RunningSum(ctx, ops_per_term=2 * (len(coeffs) + r + m) + 6)
-    for n in range(N, 0, -1):
-        den = mp.mpf(n) ** s
-        for j in range(1, r + 1):
-            den *= n + j
-        num = mp.mpf(0)
-        for c in reversed(coeffs):
-            num = num * n + c
-        acc.add(num / den)
-    S = sum(abs(c) for c in A)
-    tail = ctx.from_fraction(S) * mp.mpf(N) ** (1 - p) / (p - 1)
-    head_v = ctx.from_fraction(head)
-    value = acc.value + head_v
-    allowance = acc.allowance() + 4 * ctx.eps * (abs(value) + 1)
-    return BoundedValue(value, tail + allowance)
-
-
-def _round_stats(A: list[Fraction], r: int, s: int, tol) -> tuple[int, int]:
-    """(N, p): tail exponent p = s + r - deg(A) and the smallest N with
-    sum|A| * N^(1-p)/(p-1) <= tol/2, clamped to [1, 10^9].
-
-    Worked in logs to dodge float overflow/underflow; steering only — the
-    bound actually claimed is recomputed exactly for the chosen N.
-    """
-    d = len(A) - 1
-    p = s + r - d
-    S = sum(abs(c) for c in A)
-    logS = math.log(S.numerator) - math.log(S.denominator) if S else 0.0
-    log_tol = float(mp_context(64).mag(tol)) * math.log(2.0)  # ~ln(tol) within ln 2
-    log_n = (math.log(2.0) + logS - math.log(p - 1) - log_tol) / (p - 1)
-    if log_n > 21:  # e^21 ~ 1.3e9
-        return 10**9, p
-    return max(1, int(math.ceil(math.exp(log_n)))), p
+            f"zeta_even(m={m}) achieved radius {ctx.mp.nstr(radius, 5)} > tolerance")
+    return BoundedValue(value, radius)
 
 
 def coeff_a(d: int, ctx: PrecisionContext) -> BoundedValue:
@@ -265,7 +140,4 @@ def coeff_a(d: int, ctx: PrecisionContext) -> BoundedValue:
         raise ValueError(f"coeff_a expects an integer d >= 0, got {d!r}")
     factor = 2 * (2 * d + 1)
     z = zeta_even(d + 1, ctx.refined(ctx.tolerance / (2 * factor)))
-    # demote the refined-precision result to this context, charging the rounding
-    value = ctx.mp.mpf(z.value)
-    radius = ctx.mp.mpf(z.radius) + ctx.eps * abs(value)
-    return ctx.bscale(BoundedValue(value, radius), factor)
+    return ctx.bscale(ctx.adopt(z), factor)

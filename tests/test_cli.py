@@ -55,6 +55,18 @@ def test_eval_rejects_garbage_with_exit_2():
     assert run_cli("eval", "nosuch", "1").returncode == 2
 
 
+def test_eval_zeta_four_prints_a_ball_around_zeta_four():
+    proc = run_cli("eval", "zeta", "4", "--tolerance", "1e-20")
+    assert proc.returncode == 0
+    import mpmath
+    with mpmath.workdps(50):
+        value_text, radius_text = proc.stdout.splitlines()[0].split(" = ")[1].split(" +/- ")
+        zeta4 = mpmath.mpf("1.08232323371113819151600369654116790277475095")
+        radius = mpmath.mpf(radius_text)
+        assert radius <= mpmath.mpf("1e-20")
+        assert abs(mpmath.mpf(value_text) - zeta4) <= radius
+
+
 def test_expand_outputs_are_byte_exact():
     assert run_cli("expand", "f", "4").stdout == "z^-2 + a0 + a1 z^2 + a2 z^4\n"
     assert run_cli("expand", "comb2", "6").stdout == \

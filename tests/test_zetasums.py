@@ -7,6 +7,7 @@ them.  Tail-bound validity is checked against brute-force partial sums.
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from eistrig import PrecisionContext, coeff_a, zeta_even
@@ -48,6 +49,18 @@ def test_zeta_even_at_tight_tolerance():
     bv = zeta_even(1, tight)
     assert bv.radius <= tight.tolerance
     check_against(bv, ZETA2, tight, slack="1e-43")
+
+
+@pytest.mark.parametrize("precision, tolerance",
+                         [(128, "1e-12"), (192, "1e-30"), (256, "1e-60"), (400, "1e-100")])
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 20])
+def test_zeta_even_within_radius_of_mpmath_zeta(m, precision, tolerance):
+    ctx = PrecisionContext(precision, tolerance)
+    bv = zeta_even(m, ctx)
+    assert bv.radius <= ctx.tolerance
+    with mpmath.workprec(precision + 64):
+        err = abs(mpmath.mpf(bv.value) - mpmath.zeta(2 * m))
+        assert err <= mpmath.mpf(bv.radius)
 
 
 def test_zeta_tail_direct_brute_force_where_feasible():

@@ -2,8 +2,9 @@
 
 The only analytic inputs here are sums over the integers: the even zeta
 values zeta(2k) = sum 1/n^(2k) evaluated by Euler-Maclaurin summation
-with a first-omitted-term bound, and the lattice sum f(z) = sum 1/(z - n)^2 whose expansion
-coefficient a0 equals 2 zeta(2).  The constant
+with the remainder bound of DLMF 2.10, and the lattice sum
+f(z) = sum 1/(z - n)^2 whose expansion coefficient a0 equals 2 zeta(2).
+The constant
 
     pi := sqrt(3 a0) = sqrt(6 zeta(2))
 
@@ -13,15 +14,16 @@ own error radii, and the independent identity 2 zeta(2)^2 = 5 zeta(4)
 (forced by the Laurent algebra) must hold inside its combined ball.
 
 The second half contrasts plain symmetric truncation of f with the
-corrected evaluation: the naive partial sums gain roughly one digit
-per tenfold increase in N, while eight symmetric pairs plus a correction
-built from a handful of zeta tails reach full precision.
+accelerated evaluation: the naive partial sums gain roughly one digit
+per tenfold increase in N, while eight symmetric pairs plus two
+Euler-Maclaurin tails beyond them reach full precision.
 
 Run:  python3 demos/pi_from_lattice_sums.py
 """
 
 from eistrig import (PrecisionContext, compute_pi, eisenstein_k,
                      naive_symmetric_value, symmetric_tail_bound, zeta_even)
+from eistrig.lattice import pole_distance, truncation_n
 
 
 def main():
@@ -83,7 +85,8 @@ def main():
     print()
     print("The tail bound shrinks like 1/N, so plain truncation would need")
     print("N ~ 1e12 terms for twelve digits; the evaluation above summed")
-    print("eight symmetric pairs and corrected them with a handful of zeta tails.")
+    n = truncation_n(pole_distance(z, ctx)[0], ctx)
+    print(f"{n} symmetric pairs and added the two Euler-Maclaurin tails.")
 
 
 if __name__ == "__main__":

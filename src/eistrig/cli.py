@@ -20,12 +20,11 @@ Exit codes
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .errors import (ConfigurationError, InconclusiveNonvanishingError,
                      PoleProximityError, ToleranceUnreachableError)
-from .lattice import eisenstein_k, pole_distance
+from .lattice import eisenstein_k, pole_distance, truncation_n
 from .laurent import (combination_first_order, combination_second_order,
                       derivative_polynomials, series_f)
 from .precision import PrecisionContext
@@ -60,12 +59,6 @@ def _fmt_value(value, ctx: PrecisionContext) -> str:
     return format_real(value.real if hasattr(value, "imag") else value, ctx)
 
 
-def _truncation_n(zp, ctx: PrecisionContext) -> int:
-    """N used by the lattice sum for this (reduced) argument."""
-    _, au = pole_distance(zp, ctx)
-    return max(8, int(math.ceil(2.5 * float(au))))
-
-
 def _cmd_verify(args) -> int:
     config = RunConfig(
         precision_bits=args.precision,
@@ -83,6 +76,7 @@ def _cmd_verify(args) -> int:
 def _cmd_eval(args) -> int:
     ctx = _context(args)
     name = args.function
+    detail = f"precision = {ctx.precision} bits, tolerance = {args.tolerance}"
     if name == "zeta":
         try:
             s = int(args.point)
@@ -93,22 +87,15 @@ def _cmd_eval(args) -> int:
             raise ConfigurationError(
                 "the series-based zeta covers even integers s >= 2 only")
         bv = zeta_even(s // 2, ctx)
-        detail = f"precision = {ctx.precision} bits, tolerance = {args.tolerance}"
     else:
         zp = ctx.point(args.point)
-        if name == "f":
-            bv = eisenstein_k(2, zp, ctx)
-            detail = (f"N = {_truncation_n(zp, ctx)}, precision = {ctx.precision} bits, "
-                      f"tolerance = {args.tolerance}")
-        elif name == "g":
-            bv = g_eval(zp, ctx)
-            detail = (f"N = {_truncation_n(zp, ctx)}, precision = {ctx.precision} bits, "
-                      f"tolerance = {args.tolerance}")
+        if name in ("f", "g"):
+            bv = eisenstein_k(2, zp, ctx) if name == "f" else g_eval(zp, ctx)
+            lattice_point = zp
         else:
             bv = cosine(zp, ctx) if name == "cos" else sine(zp, ctx)
-            w = evaluator(ctx).w_ball(zp)
-            detail = (f"N = {_truncation_n(w.value, ctx)}, precision = {ctx.precision} bits, "
-                      f"tolerance = {args.tolerance}")
+            lattice_point = evaluator(ctx).w_ball(zp).value
+        detail = f"N = {truncation_n(pole_distance(lattice_point, ctx)[0], ctx)}, {detail}"
     print(f"{name}({args.point}) = {_fmt_value(bv.value, ctx)} +/- {format_real(bv.radius, ctx)}")
     print(f"parameters: {detail}")
     return 0

@@ -9,22 +9,22 @@ Evaluation strategy (all bounds explicit):
    binary floating point), which enforces bit-exact periodicity and keeps
    the summation center small.  Points within 10 ulp of an integer are
    rejected: the double pole makes every bound degenerate there.
-2. Sum the symmetric pairs (u-n)^-k + (u+n)^-k for n <= N with
-   N ~ max(8, 2.5 |u|).
-3. Correct for the rest of the lattice exactly:
-      sum_{|n|>N} (u-n)^-k = 2(-1)^k sum_{j = k mod 2, step 2}
-                             C(k-1+j, j) u^j zeta_{>N}(k+j),
-   truncated at J with the geometric remainder bound derived from
-   C(k-1+j,j) <= C(k-1+J,J) * rho^((j-J)/2), rho = (k+J)(k+J+1)/((J+1)(J+2)),
-   and zeta_{>N}(s) <= N^(1-s)/(s-1); each zeta tail comes from zetasums
-   with its own bound.  Working precision is boosted internally when the
-   answer is much smaller than the summands (e.g. f(iy) for large y), and
-   the result is demoted to the caller's precision with the rounding charged
-   to the radius.
+2. Sum u^-k and the symmetric pairs (u-n)^-k + (u+n)^-k for n <= N,
+   with N from truncation_n: the least N at which the tails' asymptotic
+   floor e^(-2 pi |N+1 -/+ u|) lies well below the tolerance (N = 0 high
+   in the strip).
+3. Add the rest of the lattice as two Euler-Maclaurin tails at the base
+   point N+1,
+      sum_{n>N} (u+n)^-k + (u-n)^-k = T(u) + (-1)^k T(-u),
+      T(c) = sum_{n>N} (n+c)^-k,
+   each from zetasums.shifted_tail with the DLMF 2.10 remainder bound.
+   Working precision is boosted internally when the answer is much smaller
+   than the summands (e.g. f(iy) for large y), and the result is demoted
+   to the caller's precision with the rounding charged to the radius.
 
 The closed-form bound 2 (N-1/2)^(1-k)/(k-1) for plain symmetric truncation
 is kept (symmetric_tail_bound, naive_symmetric_value) for convergence
-tables and tail-validity tests; the corrected route is strictly sharper.
+tables and tail-validity tests; it shares the explicit sum of step 2.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Sequence
 from .errors import (InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError)
 from .precision import BoundedValue, PrecisionContext, RunningSum, mp_context
-from .zetasums import coeff_a, zeta_tail
+from .zetasums import coeff_a, shifted_tail
 
 #: pole guard: reject z within 10 ulp (at working precision) of an integer
 POLE_GUARD_ULPS = 10
@@ -54,6 +54,32 @@ def pole_distance(z, ctx: PrecisionContext):
     return u, abs(u)
 
 
+def truncation_n(u, ctx: PrecisionContext) -> int:
+    """Symmetric pairs that eisenstein_k sums explicitly (any k) at the
+    reduced point u of pole_distance.
+
+    The tails beyond N bottom out near e^(-2 pi r), r = |N+1 -/+ u|.  N is
+    the least N >= 0 with 2 pi r >= 1.5 ln(1/tol) + 10: the 10 covers the
+    floor's prefactor for every k, and the extra half of the tolerance's
+    digits lets the tails close in a few orders.  High in the strip |Im u|
+    alone is far enough, and N = 0.
+    """
+    x, y = abs(float(u.real)), abs(float(u.imag))
+    rho = (-1.5 * math.log(2) * ctx.mp.mag(ctx.tolerance) + 10) / (2 * math.pi)
+    if rho <= y:
+        return 0
+    return max(0, math.ceil(math.sqrt(rho * rho - y * y) + x - 1))
+
+
+def _symmetric_sum(k: int, u, N: int, mp) -> RunningSum:
+    """u^-k + sum_{n=1..N} [(u-n)^-k + (u+n)^-k] in the context of u (mp)."""
+    acc = RunningSum(mp, ops_per_term=10)
+    acc.add(u ** (-k))
+    for n in range(1, N + 1):
+        acc.add((u - n) ** (-k) + (u + n) ** (-k))
+    return acc
+
+
 def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
     """sum_{n in Z} 1/(z-n)^k with radius <= the context tolerance."""
     if not isinstance(k, int) or k < 2:
@@ -66,78 +92,30 @@ def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
             f"z = {mp.nstr(ctx.point(z), 12)} is within the pole guard "
             f"({POLE_GUARD_ULPS} ulp = {mp.nstr(guard, 3)}) of an integer")
     tol = ctx.tolerance
-    au = dist
+    N = truncation_n(u, ctx)
+    if 2 * N + 1 > ctx.term_cap:
+        raise ToleranceUnreachableError(
+            f"symmetric truncation needs {2 * N + 1} terms, above the cap {ctx.term_cap}")
     # working precision: resolve tol below the summand magnitude scale
-    s_bits = max(0, -k * mp.mag(au)) + 4
+    s_bits = max(0, -k * mp.mag(dist)) + 4
     prec_eff = max(ctx.precision, -mp.mag(tol) + s_bits + 40)
     for _ in range(3):
-        got = _corrected_sum(k, u, au, prec_eff, ctx)
-        if got is not None:
-            value, radius = got
+        wp = mp_context(prec_eff)
+        uu = wp.mpc(u) if u.imag != 0 else wp.mpf(u.real)
+        upper = shifted_tail(k, N + 1, uu, wp, tol / 4)
+        lower = shifted_tail(k, N + 1, -uu, wp, tol / 4)
+        if upper is not None and lower is not None:
+            # sum_{n>N} (u+n)^-k + (u-n)^-k = T(u) + (-1)^k T(-u)
+            tail = upper[0] + lower[0] if k % 2 == 0 else upper[0] - lower[0]
+            direct = _symmetric_sum(k, uu, N, wp)
+            value = direct.value + tail
+            radius = upper[1] + lower[1] + direct.allowance() \
+                + wp.ldexp(1, 1 - prec_eff) * (abs(tail) + abs(value))
             if radius <= tol:
                 return ctx.adopt(BoundedValue(value, radius))
         prec_eff += 64
     raise ToleranceUnreachableError(
         f"eisenstein_k(k={k}) could not reach tolerance {mp.nstr(tol, 5)}")
-
-
-def _corrected_sum(k, u, au, prec_eff, ctx):
-    """One evaluation attempt at precision prec_eff; None if J failed to close."""
-    mp = mp_context(prec_eff)
-    eps = mp.ldexp(1, 1 - prec_eff)
-    tol = mp.mpf(ctx.tolerance)
-    uu = mp.mpc(u) if u.imag != 0 else mp.mpf(u.real)
-    N = max(8, int(math.ceil(2.5 * float(au))))
-    if 2 * N + 1 > ctx.term_cap:
-        raise ToleranceUnreachableError(
-            f"symmetric truncation needs {2 * N + 1} terms, above the cap {ctx.term_cap}")
-    auN = mp.mpf(au)
-    theta = auN / N  # < 1 by the choice of N
-    # choose J: remainder of the correction series below tol/4
-    j0 = k & 1
-    J = j0
-    binom = mp.mpf(math.comb(k - 1 + j0, j0))
-    theta_pow = theta ** j0
-    n_pow = mp.mpf(N) ** (1 - k)
-    remainder = None
-    while J <= 6000:
-        rho = mp.mpf((k + J) * (k + J + 1)) / ((J + 1) * (J + 2))
-        geo = rho * theta * theta
-        if geo < 1:
-            cand = 2 * binom * theta_pow * n_pow / (k + J - 1) / (1 - geo)
-            if cand <= tol / 4:
-                remainder = cand * (1 + 16 * eps)
-                break
-        binom = binom * (k + J) * (k + J + 1) / ((J + 1) * (J + 2))
-        theta_pow = theta_pow * theta * theta
-        J += 2
-    if remainder is None:
-        return None
-    # direct symmetric part
-    direct = RunningSum(mp, ops_per_term=10)
-    direct.add(uu ** (-k))
-    for n in range(1, N + 1):
-        direct.add((uu - n) ** (-k) + (uu + n) ** (-k))
-    # tail correction heads
-    heads = RunningSum(mp, ops_per_term=J + 14)
-    head_bound = mp.mpf(0)
-    sign = 2 if k % 2 == 0 else -2
-    n_heads = max(1, (J - j0) // 2)
-    u2 = uu * uu
-    u_pow = uu ** j0
-    comb = math.comb(k - 1 + j0, j0)
-    for j in range(j0, J, 2):
-        coefmag = 2 * comb * abs(u_pow)
-        target = tol / (8 * n_heads * (coefmag + mp.ldexp(1, -prec_eff)))
-        tz, tb = zeta_tail(k + j, N, prec_eff, target)
-        heads.add(sign * comb * u_pow * tz)
-        head_bound += coefmag * tb
-        u_pow = u_pow * u2
-        comb = comb * (k + j) * (k + j + 1) // ((j + 1) * (j + 2))
-    value = direct.value + heads.value
-    radius = remainder + head_bound + direct.allowance() + heads.allowance() \
-        + 2 * eps * abs(value)
-    return value, radius
 
 
 def f_deriv(order: int, z, ctx: PrecisionContext) -> BoundedValue:
@@ -360,10 +338,7 @@ def naive_symmetric_value(k: int, z, N: int, ctx: PrecisionContext) -> BoundedVa
     u, dist = pole_distance(z, ctx)
     if dist <= POLE_GUARD_ULPS * ctx.eps:
         raise PoleProximityError("point is within the pole guard of an integer")
-    acc = RunningSum(mp, ops_per_term=10)
-    acc.add(u ** (-k))
-    for n in range(1, N + 1):
-        acc.add((u - n) ** (-k) + (u + n) ** (-k))
+    acc = _symmetric_sum(k, u, N, mp)
     value = acc.value
     if hasattr(value, "imag") and value.imag == 0:
         value = value.real

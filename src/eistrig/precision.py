@@ -316,9 +316,10 @@ class RunningSum:
         self._abs = mp.mpf(0)
         self._count = 0
 
-    def add(self, term) -> None:
+    def add(self, term, magnitude=None) -> None:
+        """Add a term; a known magnitude spares computing |term|."""
         self._sum = self._sum + term
-        self._abs = self._abs + abs(term)
+        self._abs = self._abs + (abs(term) if magnitude is None else magnitude)
         self._count += 1
 
     @property

@@ -4,11 +4,10 @@ Two layers, both exact or with explicit bounds:
 
 * bernoulli_even(2j): exact Fractions via the integer-only tangent-number
   triangle (cached, grown on demand).
-* zeta_tail(s, N, ...): sum_{n>N} n^-s by Euler-Maclaurin at the base point
-  N+1.  For x^-s (completely monotone) the remainder after stopping at an
-  even-order term is bounded by the first omitted term, which is the
-  returned bound; the base point is extended automatically when the
-  asymptotic floor at N+1 is above the target.
+* shifted_tail(s, a, c, ...): sum_{n>=a} (n+c)^-s by Euler-Maclaurin at the
+  base point a with the DLMF 2.10 remainder bound; the one way a tail is
+  summed.  The lattice sums call it at c = +-u; zeta_tail(s, N, ...) is its
+  c = 0 case, moving the base point up while the floor is above target.
 
 zeta_even(m, ctx) is the tail beyond N = 0, i.e. zeta(2m), checked against
 the context tolerance; coeff_a(d, ctx) wraps the Laurent coefficient
@@ -17,6 +16,7 @@ a_d = 2(2d+1) zeta(2d+2).
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 
@@ -26,7 +26,6 @@ from .precision import BoundedValue, PrecisionContext, RunningSum, mp_context
 # -- Bernoulli numbers --------------------------------------------------------
 
 _TANGENT: list[int] = [0, 1]  # T_1..T_k as they get computed; index 0 unused
-_BERNOULLI: list[Fraction] = [Fraction(1)]  # B_0; B_{2j} appended lazily
 _bern_lock = threading.Lock()
 
 
@@ -53,67 +52,99 @@ def bernoulli_even(two_j: int) -> Fraction:
     with _bern_lock:
         if j >= len(_TANGENT):
             _grow_tangent(max(j, 2 * len(_TANGENT)))
-        while len(_BERNOULLI) <= j:
-            n = len(_BERNOULLI)
-            val = Fraction(2 * n * _TANGENT[n], 4**n * (4**n - 1))
-            _BERNOULLI.append(-val if n % 2 == 0 else val)
-        return _BERNOULLI[j]
+        t = _TANGENT[j]
+    val = Fraction(2 * j * t, 4**j * (4**j - 1))
+    return val if j % 2 else -val
 
 
-# -- zeta tails ----------------------------------------------------------------
+# -- Euler-Maclaurin tails -----------------------------------------------------
 
-_tail_cache: dict[tuple, tuple] = {}
+#: highest Euler-Maclaurin order tried at one base point
+MAX_ORDER = 300
+
+# (precision, (B_2/2!, B_4/4!, ...)): one table at the highest precision asked
+# for so far, rebuilt when a caller needs more bits or orders (concurrent
+# rebuilds only duplicate work)
+_em_coefficients: tuple = (0, ())
+
+
+def _coefficients(precision: int, count: int) -> tuple:
+    """B_2j/(2j)! for j = 1..count (at index j-1), rounded at >= precision bits."""
+    global _em_coefficients
+    prec, table = _em_coefficients
+    if prec < precision or len(table) < count:
+        prec = max(prec, precision)
+        count = min(MAX_ORDER, max(count, 2 * len(table), 16))
+        mp = mp_context(prec)
+        ratios = (bernoulli_even(2 * j) / math.factorial(2 * j) for j in range(1, count + 1))
+        table = tuple(mp.mpf(b.numerator) / b.denominator for b in ratios)
+        _em_coefficients = (prec, table)
+    return table
+
+
+def shifted_tail(s: int, a: int, c, mp, target):
+    """(value, bound) for T(c) = sum_{n>=a} (n+c)^-s, or None at the floor.
+
+    c is an mpf or mpc of the context mp with a + Re c > 0.  DLMF 2.10.1:
+      T(c) = (a+c)^(1-s)/(s-1) + (a+c)^-s/2
+             + sum_{j<m} B_2j/(2j)! (s)_{2j-1} (a+c)^(1-s-2j) + R_m,
+      |R_m| <= 2|B_2m|/(2m)! (s)_{2m} int_a^inf |x+c|^(-s-2m) dx.
+    |x+c| is convex, so above its tangent r0 + (t0/r0)(x-a) at a, r0 = |a+c|,
+    t0 = a + Re c; hence |R_m| <= 2 (r0/t0) |term m|.  m is the first order
+    whose bound (rounding allowance included) is below target; None if the
+    bounds stop decreasing first (the floor, near e^(-2 pi r0), is above it).
+    """
+    base = a + c
+    r0 = abs(base)
+    # 2 r0/t0, widened for the rounding in the magnitudes: r0^(1-s-2j) and
+    # the coefficient pass through fewer than 2s + 4 MAX_ORDER + 16 roundings
+    slope = 2 * r0 / mp.re(base) * (1 + mp.ldexp(2 * s + 4 * MAX_ORDER + 16, 1 - mp.prec))
+    w = 1 / base
+    w2, q2 = w * w, 1 / (r0 * r0)
+    wp = w ** (s - 1)  # runs through (a+c)^(1-s-2j); q = |wp| in real arithmetic
+    q = r0 ** (1 - s)
+    acc = RunningSum(mp, ops_per_term=10)
+    acc.add(wp / (s - 1), q / (s - 1))
+    acc.add(wp * w / 2, q / r0 / 2)
+    wp, q = wp * w2, q * q2
+    coeffs = ()
+    rising = s  # (s)_{2j-1}
+    prev = mp.inf
+    for j in range(1, MAX_ORDER + 1):
+        if j > len(coeffs):
+            coeffs = _coefficients(mp.prec, j)
+        coef = mp.mpf(coeffs[j - 1]) * rising
+        mag = abs(coef) * q
+        bound = slope * mag
+        if bound <= target:
+            return acc.value, bound + acc.allowance()
+        if bound >= prev:
+            return None
+        acc.add(coef * wp, mag)
+        prev = bound
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        wp, q = wp * w2, q * q2
+    return None
 
 
 def zeta_tail(s: int, N: int, precision: int, target):
     """(value, bound) for sum_{n>N} n^-s with |true - value| <= bound <= ~target.
 
-    Euler-Maclaurin at a = N+1:
-      sum_{n>=a} n^-s = a^(1-s)/(s-1) + a^-s/2
-                        + sum_j B_{2j}/(2j)! (s)_{2j-1} a^(-s-2j+1) + R_J,
-    |R_J| <= first omitted term (x^-s is completely monotone).  If the
-    bound floor at a is above target, explicit terms extend the base point.
+    shifted_tail at c = 0 and base point N+1; while its floor is above
+    target, explicit terms move the base point up, 16 at a time.
     """
     if s < 2:
         raise ValueError("zeta_tail expects s >= 2")
     mp = mp_context(precision)
-    key = (s, N, precision, mp.mag(target))
-    hit = _tail_cache.get(key)
-    if hit is not None:
-        return hit
-    extra = RunningSum(mp, ops_per_term=2)
-    base = N
-    while True:
-        a = mp.mpf(base + 1)
-        val = a ** (1 - s) / (s - 1) + a ** (-s) / 2
-        ops = 6
-        rising = mp.mpf(s)  # (s)_{2j-1}, grown incrementally
-        prev = mp.inf
-        bound = None
-        j = 1
-        while j <= 300:
-            B = bernoulli_even(2 * j)
-            term = (mp.mpf(B.numerator) / B.denominator / mp.factorial(2 * j)
-                    * rising * a ** (-s - 2 * j + 1))
-            if abs(term) >= prev:
-                break  # asymptotic series started diverging
-            if abs(term) <= target:
-                bound = abs(term)
-                break
-            val += term
-            ops += 8
-            prev = abs(term)
-            rising *= (s + 2 * j - 1) * (s + 2 * j)
-            j += 1
-        if bound is not None:
-            value = extra.value + val
-            allowance = extra.allowance() + ops * mp.ldexp(1, 1 - precision) * abs(val)
-            result = (value, bound + allowance)
-            _tail_cache[key] = result
-            return result
-        for n in range(base + 1, base + 17):
-            extra.add(mp.mpf(n) ** (-s))
-        base += 16
+    head = RunningSum(mp, ops_per_term=2)
+    a = N + 1
+    while (got := shifted_tail(s, a, mp.zero, mp, target)) is None:
+        for n in range(a, a + 16):
+            head.add(mp.mpf(n) ** (-s))
+        a += 16
+    tail, bound = got
+    value = head.value + tail
+    return value, bound + head.allowance() + mp.ldexp(1, 1 - precision) * abs(value)
 
 
 # -- even zeta values ----------------------------------------------------------

@@ -67,6 +67,19 @@ def test_eval_zeta_four_prints_a_ball_around_zeta_four():
         assert abs(mpmath.mpf(value_text) - zeta4) <= radius
 
 
+@pytest.mark.parametrize("point", ["0.3", "0.5+40i"])
+def test_eval_prints_the_truncation_the_lattice_sum_uses(point):
+    from eistrig import PrecisionContext, pole_distance
+    from eistrig.lattice import truncation_n
+    proc = run_cli("eval", "f", point)
+    assert proc.returncode == 0
+    ctx = PrecisionContext()
+    expected = truncation_n(pole_distance(point, ctx)[0], ctx)
+    assert f"parameters: N = {expected}," in proc.stdout
+    # high in the strip the tails alone reach the tolerance
+    assert (expected == 0) == (point == "0.5+40i")
+
+
 def test_expand_outputs_are_byte_exact():
     assert run_cli("expand", "f", "4").stdout == "z^-2 + a0 + a1 z^2 + a2 z^4\n"
     assert run_cli("expand", "comb2", "6").stdout == \

@@ -160,3 +160,37 @@ def test_tolerance_tracks_refined_contexts(ctx):
     bv = eisenstein_k(2, "0.3", tight)
     assert bv.radius <= tight.tolerance
     assert_matches(bv, F_03, ctx, slack="1e-42")
+
+
+def _table_sizes():
+    """Entries in every module-level container of zetasums and lattice."""
+    from eistrig import lattice, zetasums
+
+    def size(obj):
+        if isinstance(obj, dict):
+            obj = list(obj.values())
+        if isinstance(obj, (list, tuple, set, frozenset)):
+            return len(obj) + sum(size(v) for v in obj)
+        return 0
+
+    return {f"{mod.__name__}.{name}": size(obj)
+            for mod in (zetasums, lattice) for name, obj in vars(mod).items()
+            if not name.startswith("__") and isinstance(obj, (dict, list, tuple, set))}
+
+
+def test_module_tables_do_not_grow_with_the_number_of_points():
+    # the same mix as a long-lived process evaluating at ever new points:
+    # real, near-axis and high-strip, k = 2, 3, 4, at 192 bits
+    import random
+    rng = random.Random(7)
+    ctx = PrecisionContext(192, "1e-30")
+
+    def evaluate(count):
+        for i in range(count):
+            k, y = 2 + (i // 3) % 3, (0, rng.uniform(-2, 2), rng.uniform(2, 30))[i % 3]
+            eisenstein_k(k, complex(rng.uniform(-50, 50), y), ctx)
+
+    evaluate(100)
+    after_100 = _table_sizes()
+    evaluate(200)
+    assert _table_sizes() == after_100

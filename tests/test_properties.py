@@ -7,6 +7,7 @@ and negations are exactly representable and bit-exactness claims are fair.
 from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import assume, given, strategies as st
 
 from eistrig import (PrecisionContext, cosine, eisenstein_k, g_eval,
@@ -36,6 +37,30 @@ def test_tightening_the_tolerance_stays_inside_the_old_ball(x, exponent):
     tight = eisenstein_k(2, x, tight_ctx)
     assert tight.radius <= loose.radius
     assert abs(loose.value - tight.value) <= loose.radius + tight.radius
+
+
+def lattice_closed_form(k: int, z):
+    """eps_k(z) from pi cot(pi z): pi^2/s^2, pi^3 c/s^3, pi^4 (2 + cos 2 pi z)/(3 s^4)."""
+    s, c = mpmath.sin(mpmath.pi * z), mpmath.cos(mpmath.pi * z)
+    if k == 2:
+        return mpmath.pi ** 2 / s ** 2
+    if k == 3:
+        return mpmath.pi ** 3 * c / s ** 3
+    return mpmath.pi ** 4 * (2 + mpmath.cos(2 * mpmath.pi * z)) / (3 * s ** 4)
+
+
+@pytest.mark.parametrize("precision, tolerance",
+                         [(128, "1e-12"), (192, "1e-30"), (256, "1e-60")])
+@given(st.sampled_from([2, 3, 4]), dyadic(-0.5, 0.5), dyadic(-60, 60))
+def test_lattice_ball_contains_the_closed_form(precision, tolerance, k, x, y):
+    assume(x != 0 or y != 0)
+    ctx = PrecisionContext(precision, tolerance)
+    z = ctx.point(DEFAULT.mp.mpc(x, y))
+    bv = eisenstein_k(k, z, ctx)
+    assert bv.radius <= ctx.tolerance
+    with mpmath.workprec(2 * precision + 64):
+        exact = lattice_closed_form(k, mpmath.mpmathify(z))
+        assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius
 
 
 @given(dyadic(-3, 3))

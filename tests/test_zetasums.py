@@ -11,7 +11,8 @@ import mpmath
 import pytest
 
 from eistrig import PrecisionContext, coeff_a, zeta_even
-from eistrig.zetasums import bernoulli_even, zeta_tail
+from eistrig.precision import mp_context
+from eistrig.zetasums import bernoulli_even, shifted_tail, zeta_tail
 
 ZETA2 = "1.6449340668482264364724151666460251892189499"
 ZETA4 = "1.08232323371113819151600369654116790277475095"
@@ -109,3 +110,32 @@ def test_two_zeta_identity_margin(ctx):
     combo = sub.bsub(sub.bscale(sub.bmul(z2, z2), 2), sub.bscale(z4, 5))
     assert combo.consistent_with_zero()
     assert abs(combo.value) <= sub.mp.mpf("1e-20")
+
+
+@pytest.mark.parametrize("k, c, N, target", [
+    (2, (0.3, 0), 8, "1e-12"),
+    (2, (-0.5, 0), 8, "1e-20"),
+    (3, (0.25, 0.75), 6, "1e-15"),
+    (4, (0.1, -12), 0, "1e-30"),
+    (2, (0.5, -2), 14, "1e-40"),
+    (4, (0, 60), 0, "1e-100"),
+])
+def test_shifted_tail_bound_holds_and_is_within_1e3_of_the_true_remainder(k, c, N, target):
+    # the target fixes the order m; at 512 bits the rounding allowance is
+    # negligible, so the returned bound is the remainder bound at that order.
+    # The truth is the Hurwitz zeta value zeta(k, N+1+c).
+    mp = mp_context(512)
+    cc = mp.mpc(*c) if c[1] else mp.mpf(c[0])
+    value, bound = shifted_tail(k, N + 1, cc, mp, mp.mpf(target))
+    with mpmath.workprec(768):
+        exact = mpmath.zeta(k, N + 1 + mpmath.mpmathify(cc))
+        err = abs(mpmath.mpmathify(value) - exact)
+    assert bound <= mp.mpf(target)
+    assert err <= bound <= 1000 * err
+
+
+def test_shifted_tail_reports_a_floor_above_the_target():
+    # at the base point 21 the asymptotic series bottoms out near e^(-2 pi 20.5)
+    mp = mp_context(512)
+    assert shifted_tail(3, 21, mp.mpf(-0.5), mp, mp.mpf("1e-60")) is None
+    assert shifted_tail(3, 21, mp.mpf(-0.5), mp, mp.mpf("1e-50")) is not None

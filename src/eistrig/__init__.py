@@ -11,41 +11,25 @@ construction path calls platform trigonometry, exponentials, or pi.
 from .errors import (ConfigurationError, EistrigError,
                      InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError, TruncationError)
-from .precision import BoundedValue, PrecisionContext, RunningSum
-from .sympoly import SymbolPoly, render_poly
-from .laurent import (LaurentSeries, WPolynomial, combination_first_order,
-                      combination_second_order, derivative_polynomials,
-                      implied_identities, series_f)
-from .zetasums import bernoulli_even, coeff_a, zeta_even
-from .lattice import (NonvanishingReport, StripBoundReport, eisenstein_k,
-                      f_deriv, first_order_ode_residual, naive_symmetric_value,
-                      nonvanishing_scan, pole_distance, second_order_ode_residual,
-                      strip_decay, symmetric_tail_bound)
-from .trig import (PiValue, TrigEvaluator, compute_pi, cosec_identity_check,
-                   cosine, evaluator, fd_step, g_eval, ivp_initial_data,
-                   ivp_residual, pythagoras_residual, reciprocal_ode_residual,
-                   sine, taylor_cosine)
-from .verify import (ReportItem, RunConfig, VerificationReport,
-                     convergence_table, render_json, render_text,
-                     route_error_table, run_verification, strip_decay_table)
+from .precision import BoundedValue, PrecisionContext
+from .sympoly import render_poly
+from .laurent import (combination_first_order, combination_second_order,
+                      derivative_polynomials, implied_identities, series_f)
+from .zetasums import coeff_a, zeta_even
+from .lattice import (eisenstein_k, naive_symmetric_value, strip_decay,
+                      symmetric_tail_bound)
+from .trig import (compute_pi, cosine, evaluator, pythagoras_residual, sine,
+                   taylor_cosine)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundedValue", "ConfigurationError", "EistrigError",
-    "InconclusiveNonvanishingError", "LaurentSeries", "NonvanishingReport",
-    "PiValue", "PoleProximityError", "PrecisionContext", "ReportItem",
-    "RunConfig", "RunningSum", "StripBoundReport", "SymbolPoly",
-    "ToleranceUnreachableError", "TrigEvaluator", "TruncationError",
-    "VerificationReport", "WPolynomial", "bernoulli_even", "coeff_a",
+    "InconclusiveNonvanishingError", "PoleProximityError", "PrecisionContext",
+    "ToleranceUnreachableError", "TruncationError", "coeff_a",
     "combination_first_order", "combination_second_order", "compute_pi",
-    "convergence_table", "cosec_identity_check", "cosine",
-    "derivative_polynomials", "eisenstein_k", "evaluator", "f_deriv",
-    "fd_step", "first_order_ode_residual", "g_eval", "implied_identities",
-    "ivp_initial_data", "ivp_residual", "naive_symmetric_value",
-    "nonvanishing_scan", "pole_distance", "pythagoras_residual",
-    "reciprocal_ode_residual", "render_json", "render_poly", "render_text",
-    "route_error_table", "run_verification", "second_order_ode_residual",
-    "series_f", "sine", "strip_decay", "strip_decay_table",
-    "symmetric_tail_bound", "taylor_cosine", "zeta_even",
+    "cosine", "derivative_polynomials", "eisenstein_k", "evaluator",
+    "implied_identities", "naive_symmetric_value", "pythagoras_residual",
+    "render_poly", "series_f", "sine", "strip_decay", "symmetric_tail_bound",
+    "taylor_cosine", "zeta_even",
 ]

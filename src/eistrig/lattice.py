@@ -35,13 +35,12 @@ from typing import Sequence
 
 from .errors import (InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError)
-from .precision import BoundedValue, PrecisionContext, RunningSum, mp_context
+from .precision import (TERM_CAP, BoundedValue, PrecisionContext, RunningSum,
+                        mp_context)
 from .zetasums import coeff_a, shifted_tail
 
 #: pole guard: reject z within 10 ulp (at working precision) of an integer
 POLE_GUARD_ULPS = 10
-
-_COARSE_TOL = "1e-5"
 
 
 def pole_distance(z, ctx: PrecisionContext):
@@ -93,9 +92,9 @@ def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
             f"({POLE_GUARD_ULPS} ulp = {mp.nstr(guard, 3)}) of an integer")
     tol = ctx.tolerance
     N = truncation_n(u, ctx)
-    if 2 * N + 1 > ctx.term_cap:
+    if 2 * N + 1 > TERM_CAP:
         raise ToleranceUnreachableError(
-            f"symmetric truncation needs {2 * N + 1} terms, above the cap {ctx.term_cap}")
+            f"symmetric truncation needs {2 * N + 1} terms, above the cap {TERM_CAP}")
     # working precision: resolve tol below the summand magnitude scale
     s_bits = max(0, -k * mp.mag(dist)) + 4
     prec_eff = max(ctx.precision, -mp.mag(tol) + s_bits + 40)
@@ -112,7 +111,12 @@ def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
             radius = upper[1] + lower[1] + direct.allowance() \
                 + wp.ldexp(1, 1 - prec_eff) * (abs(tail) + abs(value))
             if radius <= tol:
-                return ctx.adopt(BoundedValue(value, radius))
+                out = ctx.adopt(BoundedValue(value, radius))
+                if out.radius > tol:  # rounding eps*|value|: more bits cannot help
+                    raise ToleranceUnreachableError(
+                        f"eisenstein_k(k={k}) rounds to radius {mp.nstr(out.radius, 3)} "
+                        f"at {ctx.precision} bits, above tolerance {mp.nstr(tol, 5)}")
+                return out
         prec_eff += 64
     raise ToleranceUnreachableError(
         f"eisenstein_k(k={k}) could not reach tolerance {mp.nstr(tol, 5)}")
@@ -133,12 +137,38 @@ def f_deriv(order: int, z, ctx: PrecisionContext) -> BoundedValue:
     return ctx.bscale(ctx.adopt(base), scale)
 
 
+def _resolved_f(z, work: PrecisionContext) -> BoundedValue:
+    """f(z) at the context work, its tolerance tightened by 2^(-60 tries) until
+    the ball excludes zero (f is nowhere zero); InconclusiveNonvanishingError
+    after 8 tightenings."""
+    mp = work.mp
+    bv = eisenstein_k(2, z, work)
+    tol = work.tolerance
+    tries = 0
+    while bv.consistent_with_zero():
+        tries += 1
+        if tries > 8:
+            raise InconclusiveNonvanishingError(
+                f"|f({mp.nstr(z, 8)})| stayed within its radius down to "
+                f"tolerance {mp.nstr(tol, 3)}")
+        tol = tol * mp.ldexp(1, -60 * tries)
+        bv = eisenstein_k(2, z, work.refined(tol))
+    return bv
+
+
+def coarse_bounds(z, ctx: PrecisionContext, order: int = 0) -> list[BoundedValue]:
+    """Balls [f, f', f''][:order + 1] at z in the coarse context of ctx, for
+    steering sub-tolerances; the f ball excludes zero, so lower() may divide."""
+    coarse = ctx.coarse()
+    balls = [_resolved_f(z, coarse)]
+    if order >= 1:
+        balls.append(ctx.bscale(eisenstein_k(3, z, coarse), -2))
+    if order >= 2:
+        balls.append(ctx.bscale(eisenstein_k(4, z, coarse), 6))
+    return balls
+
+
 # -- ODE residuals -------------------------------------------------------------
-
-
-def _coarse(ctx: PrecisionContext) -> PrecisionContext:
-    return ctx.refined(_COARSE_TOL) if ctx.tolerance < ctx.mp.mpf(_COARSE_TOL) \
-        else ctx
 
 
 def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0) -> BoundedValue:
@@ -147,9 +177,8 @@ def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0) -> BoundedVa
     a0_shift adds an exact perturbation to a0 (a test-of-the-test: the
     residual then sits near 12 * shift * f(z) instead of zero).
     """
-    mp = ctx.mp
     zp = ctx.point(z)
-    mf = eisenstein_k(2, zp, _coarse(ctx)).upper() + 1
+    mf = coarse_bounds(zp, ctx)[0].upper() + 1
     scale = 1 + 24 * mf + 52
     sub = ctx.refined(ctx.tolerance / (4 * scale))
     f2 = ctx.adopt(f_deriv(2, zp, sub))
@@ -163,9 +192,9 @@ def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0) -> BoundedVa
 def first_order_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
     """(f'(z))^2 - 4 f(z)^3 + 12 a0 f(z)^2, consistent with zero."""
     zp = ctx.point(z)
-    coarse = _coarse(ctx)
-    mf = eisenstein_k(2, zp, coarse).upper() + 1
-    mfp = ctx.bscale(eisenstein_k(3, zp, coarse), -2).upper() + 1
+    fc, fpc = coarse_bounds(zp, ctx, order=1)
+    mf = fc.upper() + 1
+    mfp = fpc.upper() + 1
     scale = 1 + 2 * mfp + 24 * mf * mf + 96 * mf
     sub = ctx.refined(ctx.tolerance / (4 * scale))
     fp = ctx.adopt(f_deriv(1, zp, sub))
@@ -199,37 +228,16 @@ class NonvanishingReport:
     min_point: object
 
 
-def nonvanishing_scan(grid: Sequence, ctx: PrecisionContext,
-                      max_refinements: int = 6) -> NonvanishingReport:
+def nonvanishing_scan(grid: Sequence, ctx: PrecisionContext) -> NonvanishingReport:
     """Prove |f(z)| > 0 at each grid point by refining until |value| > radius.
 
-    Raises InconclusiveNonvanishingError if some point cannot be resolved
-    within max_refinements tolerance tightenings.
+    Raises InconclusiveNonvanishingError if some point cannot be resolved.
     """
-    mp = ctx.mp
-    values = []
-    best = None
-    best_point = None
-    for z in grid:
-        zp = ctx.point(z)
-        bv = eisenstein_k(2, zp, ctx)
-        tol = ctx.tolerance
-        tries = 0
-        while bv.consistent_with_zero():
-            tries += 1
-            if tries > max_refinements:
-                raise InconclusiveNonvanishingError(
-                    f"|f({mp.nstr(zp, 8)})| stayed within its radius down to "
-                    f"tolerance {mp.nstr(tol, 3)}")
-            mag_bits = mp.mag(bv.value) if bv.value != 0 else mp.mag(bv.radius)
-            tol = mp.ldexp(1, int(mag_bits) - 30 * tries)
-            bv = eisenstein_k(2, zp, ctx.refined(tol))
-        values.append(bv)
-        if best is None or bv.lower() < best.lower():
-            best = bv
-            best_point = zp
-    return NonvanishingReport(tuple(ctx.point(z) for z in grid), tuple(values),
-                              _abs_ball(best, ctx), best_point)
+    points = tuple(ctx.point(z) for z in grid)
+    values = tuple(_resolved_f(zp, ctx) for zp in points)
+    least = min(range(len(points)), key=lambda i: values[i].lower())
+    return NonvanishingReport(points, values, _abs_ball(values[least], ctx),
+                              points[least])
 
 
 def _abs_ball(bv: BoundedValue, ctx) -> BoundedValue:
@@ -278,16 +286,7 @@ def strip_decay(y_values: Sequence, x, ctx: PrecisionContext) -> list[StripBound
             slope = (b2 - b1) / (y2 - y1)
             predicted = b2 + slope * (float(yr) - y2)
             tol = min(tol, mp.ldexp(1, int(predicted) - 24))
-        z = mp.mpc(xr, yr)
-        bv = eisenstein_k(2, z, ctx.refined(tol))
-        tries = 0
-        while bv.consistent_with_zero():
-            tries += 1
-            if tries > 8:
-                raise InconclusiveNonvanishingError(
-                    f"|f| at y={mp.nstr(yr, 6)} unresolved at tolerance {mp.nstr(tol, 3)}")
-            tol = tol * mp.ldexp(1, -60 * tries)
-            bv = eisenstein_k(2, z, ctx.refined(tol))
+        bv = _resolved_f(mp.mpc(xr, yr), ctx.refined(tol))
         mag = _abs_ball(bv, ctx)
         low, high = _majorant(yr, ctx)
         reports.append(StripBoundReport(yr, mag, high, low,

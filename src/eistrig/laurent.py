@@ -121,14 +121,6 @@ class LaurentSeries:
                 out[d - 1] = c * d
         return LaurentSeries(out, lo, hi)
 
-    def truncate(self, max_degree: int) -> "LaurentSeries":
-        """Shrink the known window from above."""
-        if max_degree > self.max_degree:
-            raise TruncationError(
-                f"cannot extend the known order from {self.max_degree} to {max_degree}")
-        return LaurentSeries({d: c for d, c in self.coefficients.items() if d <= max_degree},
-                             self.min_degree, max_degree)
-
     def is_zero(self) -> bool:
         return not self.coefficients
 

@@ -27,11 +27,14 @@ Real = Union[int, float, str, Fraction]
 
 _MP_CACHE: dict[int, MPContext] = {}
 
-#: extra mantissa bits beyond what the tolerance implies (default guard margin)
-DEFAULT_GUARD_BITS = 16
+#: extra mantissa bits beyond what the tolerance implies (the guard margin)
+GUARD_BITS = 16
 
 #: cap on explicit summation terms for any single truncated sum
-DEFAULT_TERM_CAP = 10**8
+TERM_CAP = 10**8
+
+#: tolerance of the coarse evaluations that only steer other tolerances
+_COARSE_TOL = "1e-5"
 
 
 def mp_context(precision: int) -> MPContext:
@@ -80,20 +83,15 @@ class PrecisionContext:
     """Immutable bundle of working precision (bits) and target tolerance.
 
     The working precision must exceed the bits implied by the tolerance by
-    `guard_bits`, so that rounding noise stays below every claimed radius.
+    GUARD_BITS, so that rounding noise stays below every claimed radius.
     Construction fails fast on contradictory settings.
     """
 
-    __slots__ = ("precision", "tolerance", "guard_bits", "term_cap", "_mp", "_eps")
+    __slots__ = ("precision", "tolerance", "_mp", "_eps")
 
-    def __init__(self, precision: int = 128, tolerance: Real = "1e-12",
-                 guard_bits: int = DEFAULT_GUARD_BITS, term_cap: int = DEFAULT_TERM_CAP):
+    def __init__(self, precision: int = 128, tolerance: Real = "1e-12"):
         if not isinstance(precision, int) or precision < 64:
             raise ConfigurationError(f"working precision must be an integer >= 64 bits, got {precision!r}")
-        if not isinstance(guard_bits, int) or guard_bits < 0:
-            raise ConfigurationError(f"guard margin must be a nonnegative integer, got {guard_bits!r}")
-        if not isinstance(term_cap, int) or term_cap < 16:
-            raise ConfigurationError(f"term cap must be an integer >= 16, got {term_cap!r}")
         mp = mp_context(precision)
         try:
             tol = _to_mpf(mp, tolerance)
@@ -102,14 +100,12 @@ class PrecisionContext:
         if not (tol > 0) or not mp.isfinite(tol):
             raise ConfigurationError(f"tolerance must be a positive finite real, got {tolerance!r}")
         implied = -mp.mag(tol)  # bits needed to resolve the tolerance
-        if precision < implied + guard_bits:
+        if precision < implied + GUARD_BITS:
             raise ConfigurationError(
                 f"tolerance {tolerance!r} implies {implied} bits; working precision "
-                f"{precision} leaves less than the {guard_bits}-bit guard margin")
+                f"{precision} leaves less than the {GUARD_BITS}-bit guard margin")
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "tolerance", tol)
-        object.__setattr__(self, "guard_bits", guard_bits)
-        object.__setattr__(self, "term_cap", term_cap)
         object.__setattr__(self, "_mp", mp)
         object.__setattr__(self, "_eps", mp.ldexp(1, 1 - precision))
 
@@ -118,17 +114,15 @@ class PrecisionContext:
 
     def __repr__(self) -> str:
         return (f"PrecisionContext(precision={self.precision}, "
-                f"tolerance={self._mp.nstr(self.tolerance, 8)}, guard_bits={self.guard_bits})")
+                f"tolerance={self._mp.nstr(self.tolerance, 8)})")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PrecisionContext)
                 and self.precision == other.precision
-                and self.tolerance == other.tolerance
-                and self.guard_bits == other.guard_bits
-                and self.term_cap == other.term_cap)
+                and self.tolerance == other.tolerance)
 
     def __hash__(self) -> int:
-        return hash((self.precision, self.tolerance, self.guard_bits, self.term_cap))
+        return hash((self.precision, self.tolerance))
 
     # -- derived contexts ------------------------------------------------
 
@@ -141,10 +135,6 @@ class PrecisionContext:
         """One ulp at unit scale: 2^(1-precision)."""
         return self._eps
 
-    def with_tolerance(self, tolerance: Real) -> "PrecisionContext":
-        """Same precision, different tolerance; validates the guard margin."""
-        return PrecisionContext(self.precision, tolerance, self.guard_bits, self.term_cap)
-
     def refined(self, tolerance) -> "PrecisionContext":
         """Internal-use context for a (usually tighter) tolerance, raising the
         working precision as needed to keep the guard margin."""
@@ -153,13 +143,15 @@ class PrecisionContext:
         if not tol > 0:
             raise ConfigurationError("refined tolerance must be positive")
         implied = -mp.mag(tol)
-        precision = max(self.precision, implied + self.guard_bits + 8)
-        return PrecisionContext(precision, tol, self.guard_bits, self.term_cap)
+        precision = max(self.precision, implied + GUARD_BITS + 8)
+        return PrecisionContext(precision, tol)
 
-    def boosted(self, extra_bits: int) -> "PrecisionContext":
-        """Same tolerance, extra working precision (for cancellation headroom)."""
-        return PrecisionContext(self.precision + extra_bits, self.tolerance,
-                                self.guard_bits, self.term_cap)
+    def coarse(self) -> "PrecisionContext":
+        """Context for the magnitude estimates that steer sub-tolerances:
+        tolerance 1e-5, or this context when it is already looser."""
+        if self.tolerance < self._mp.mpf(_COARSE_TOL):
+            return self.refined(_COARSE_TOL)
+        return self
 
     # -- conversions -----------------------------------------------------
 
@@ -294,10 +286,6 @@ class PrecisionContext:
         r = a.radius / (2 * mp.sqrt(lo))
         return BoundedValue(v, r + self._ulp(v))
 
-    def babs(self, a: BoundedValue) -> BoundedValue:
-        v = abs(a.value)
-        return BoundedValue(v, a.radius + self._ulp(v))
-
 
 class RunningSum:
     """Accumulates a truncated sum plus the documented rounding allowance.
@@ -325,10 +313,6 @@ class RunningSum:
     @property
     def value(self):
         return self._sum
-
-    @property
-    def abs_accum(self):
-        return self._abs
 
     def allowance(self):
         return self._eps * self._abs * (self._count * (1 + self._ops) + 1)

@@ -27,10 +27,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .errors import PoleProximityError
+from .errors import PoleProximityError, ToleranceUnreachableError
 from .precision import BoundedValue, PrecisionContext
-from .lattice import (POLE_GUARD_ULPS, eisenstein_k, f_deriv, pole_distance,
-                      _coarse)
+from .lattice import (POLE_GUARD_ULPS, coarse_bounds, eisenstein_k, f_deriv,
+                      pole_distance)
 from .zetasums import coeff_a, zeta_even
 
 PI_PROVENANCE = "sqrt(6·ζ(2))"
@@ -94,9 +94,10 @@ def _snap(tol, mp):
     """Largest power of 2^8 at or below tol.
 
     Sub-evaluation tolerances derived from coarse magnitudes vary smoothly
-    with the point; snapping them to a small set of values keeps derived
-    contexts identical across points, so the evaluator and zeta-tail caches
-    hit instead of rebuilding.  Snapping only ever tightens a tolerance.
+    with the point; snapping them to a small set of values keeps the derived
+    contexts, and with them the keys of _EVALUATORS and of the per-precision
+    mpmath context cache, few across points.  Snapping only ever tightens a
+    tolerance.
     """
     return mp.ldexp(1, 8 * ((int(mp.mag(tol)) - 1) // 8))
 
@@ -111,7 +112,7 @@ def g_eval(z, ctx: PrecisionContext) -> BoundedValue:
     there |g(z)| <= 1.5 |z - n|^2 (from f(u) = u^-2 (1 + O(u^2)) with an
     explicit series bound), so a zero-centered ball with that radius is
     returned.  Elsewhere f is evaluated tightly enough that the reciprocal
-    ball meets the context tolerance.
+    ball meets the context tolerance, or ToleranceUnreachableError is raised.
     """
     mp = ctx.mp
     zp = ctx.point(z)
@@ -121,7 +122,12 @@ def g_eval(z, ctx: PrecisionContext) -> BoundedValue:
     if dist <= POLE_GUARD_ULPS * ctx.eps:
         near = mp.mpf(1.5) * dist * dist
         return BoundedValue(mp.mpf(0), near + ctx.eps * near)
-    fc = _resolved_f(zp, ctx)
+    return _g_reciprocal(zp, coarse_bounds(zp, ctx)[0], ctx)
+
+
+def _g_reciprocal(zp, fc: BoundedValue, ctx: PrecisionContext) -> BoundedValue:
+    """1/f(z) away from the integers, given a coarse zero-excluded f ball fc."""
+    mp = ctx.mp
     lf = fc.lower()
     tol = ctx.tolerance
     for attempt in range(2):
@@ -130,23 +136,9 @@ def g_eval(z, ctx: PrecisionContext) -> BoundedValue:
         gb = ctx.brecip(ctx.adopt(fb))
         if gb.radius <= tol:
             return gb
-    return gb
-
-
-def _resolved_f(zp, ctx: PrecisionContext, max_refinements: int = 6) -> BoundedValue:
-    """A coarse f(z) ball refined until it excludes zero (f is nowhere zero)."""
-    mp = ctx.mp
-    work = _coarse(ctx)
-    bv = eisenstein_k(2, zp, work)
-    tries = 0
-    while bv.consistent_with_zero():
-        tries += 1
-        if tries > max_refinements:
-            raise PoleProximityError(
-                f"|f({mp.nstr(zp, 8)})| could not be separated from zero")
-        mag_bits = mp.mag(bv.value) if bv.value != 0 else mp.mag(bv.radius)
-        bv = eisenstein_k(2, zp, ctx.refined(mp.ldexp(1, int(mag_bits) - 30 * tries)))
-    return bv
+    raise ToleranceUnreachableError(
+        f"g({mp.nstr(zp, 8)}) = 1/f keeps radius {mp.nstr(gb.radius, 3)} at "
+        f"{ctx.precision} bits, above tolerance {mp.nstr(tol, 5)}")
 
 
 # -- cosine ---------------------------------------------------------------------
@@ -160,33 +152,27 @@ def cosine(z, ctx: PrecisionContext) -> BoundedValue:
         return ctx.ball(1)
     ev = evaluator(ctx)
     w = ev.w_ball(zp)
-    u, au = pole_distance(w.value, ctx)
-    lg = _g_slope_bound(w, u, au, ctx)
+    _, au = pole_distance(w.value, ctx)
+    # lg bounds |g'| = |f'/f^2| near w: near an integer, where f explodes,
+    # by g'(u) = 2u + O(u^3); elsewhere from the coarse f and f' (inflated
+    # 4x), whose f ball then also steers the reciprocal.
+    if au <= mp.mpf("0.05"):
+        fc = None
+        lg = 3 * (au + w.radius) + mp.ldexp(1, -ctx.precision // 2)
+    else:
+        fc, fpc = coarse_bounds(w.value, ctx, order=1)
+        lf = fc.lower()
+        lg = 4 * fpc.upper() / (lf * lf) + mp.mpf(1) / 1024
     tol = ctx.tolerance
     for attempt in range(2):
-        eps_g = tol / 160 * mp.ldexp(1, -6 * attempt)
-        gb = ctx.adopt(g_eval(w.value, ctx.refined(eps_g)))
+        sub = ctx.refined(tol / 160 * mp.ldexp(1, -6 * attempt))
+        gb = g_eval(w.value, sub) if fc is None else _g_reciprocal(w.value, fc, sub)
+        gb = ctx.adopt(gb)
         gb = BoundedValue(gb.value, gb.radius + lg * w.radius)
         c = ctx.bsub(ctx.ball(1), ctx.bscale(ctx.bmul(ev.pi_sq, gb), 2))
         if c.radius <= tol:
             return c
     return c
-
-
-def _g_slope_bound(w: BoundedValue, u, au, ctx: PrecisionContext):
-    """Upper bound for |g'| = |f'/f^2| near w (coarse evaluation, inflated 4x).
-
-    Near an integer g'(u) = 2u + O(u^3), so the coarse route (which would
-    need f at exploding magnitude) is replaced by a direct small bound.
-    """
-    mp = ctx.mp
-    if au <= mp.mpf("0.05"):
-        return 3 * (au + w.radius) + mp.ldexp(1, -ctx.precision // 2)
-    coarse = _coarse(ctx)
-    fc = _resolved_f(w.value, ctx)
-    fpc = ctx.bscale(eisenstein_k(3, w.value, coarse), -2)
-    lf = fc.lower()
-    return 4 * fpc.upper() / (lf * lf) + mp.mpf(1) / 1024
 
 
 # -- sine -----------------------------------------------------------------------
@@ -211,10 +197,7 @@ def sine(z, ctx: PrecisionContext) -> BoundedValue:
         span = (au + w.radius) * (ev.pi.value.value + ev.pi.value.radius) * 2
         span = span * (1 + mp.ldexp(1, -20)) + mp.ldexp(1, -2 * ctx.precision)
         return BoundedValue(mp.mpf(0), span)
-    coarse = _coarse(ctx)
-    fc = _resolved_f(w.value, ctx)
-    fpc = ctx.bscale(eisenstein_k(3, w.value, coarse), -2)
-    f2c = ctx.bscale(eisenstein_k(4, w.value, coarse), 6)
+    fc, fpc, f2c = coarse_bounds(w.value, ctx, order=2)
     lf = fc.lower()
     mfp = fpc.upper()
     qmag = mfp / (lf * lf) + 1
@@ -329,13 +312,9 @@ def ivp_initial_data(ctx: PrecisionContext, h=None):
     inv = ctx.brecip(ctx.ball(2 * step))
     d1 = ctx.bmul(diff, inv)
     # |c'''| <= 1 + |c| near 0; third-derivative bound via the cheap floor
-    m3 = _magnitude_floor(cp[0], cp[1], ctx)
+    m3 = cp[0].upper() + cp[1].upper() + 1
     disc = step * step * m3 / 6
     return c0, BoundedValue(d1.value, d1.radius + disc)
-
-
-def _magnitude_floor(a: BoundedValue, b: BoundedValue, ctx) -> object:
-    return a.upper() + b.upper() + 1
 
 
 def _fd_samples(fn, zp, step, ctx: PrecisionContext):
@@ -379,7 +358,7 @@ def cosec_identity_check(z, ctx: PrecisionContext) -> BoundedValue:
     ev = evaluator(ctx)
     s_arg = ev.pi.value.value * zp
     arg_r = abs(zp) * ev.pi.value.radius + ctx.eps * abs(s_arg)
-    fc = _resolved_f(zp, ctx)
+    fc = coarse_bounds(zp, ctx)[0]
     mf = fc.upper()
     # steering sizes, from the identity itself: |s(pi z)| ~ pi / sqrt|f(z)|
     # and |s'| = |c| <= sqrt(1 + |s|^2); a bad estimate only costs sharpness,
@@ -398,7 +377,7 @@ def cosec_identity_check(z, ctx: PrecisionContext) -> BoundedValue:
 def pythagoras_residual(z, ctx: PrecisionContext) -> BoundedValue:
     """s(z)^2 + c(z)^2 - 1, consistent with zero everywhere."""
     zp = ctx.point(z)
-    coarse = _coarse(ctx)
+    coarse = ctx.coarse()
     ms = sine(zp, coarse).upper() + cosine(zp, coarse).upper() + 1
     sub = ctx.refined(_snap(ctx.tolerance / (8 * ms), ctx.mp))
     sb, cb = ctx.adopt(sine(zp, sub)), ctx.adopt(cosine(zp, sub))

@@ -301,14 +301,18 @@ def _check_ivp(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
         {"h": format_real(fd_step(ctx), ctx)}, labeled, ctx)
 
 
-def _check_route_agreement(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
+def _cosine_routes(config: RunConfig, ctx: PrecisionContext):
+    """(z, lattice-route ball, Taylor-route ball) at config.route_points
+    evenly spaced points of [-1, 1]."""
     n = config.route_points
-    labeled = []
     for i in range(n):
-        t = Fraction(-1) + 2 * Fraction(i, n - 1)
-        zp = ctx.from_fraction(t)
-        lattice_route = cosine(zp, ctx)
-        series_route = taylor_cosine(zp, ctx)
+        zp = ctx.from_fraction(Fraction(-1) + 2 * Fraction(i, n - 1))
+        yield zp, cosine(zp, ctx), taylor_cosine(zp, ctx)
+
+
+def _check_route_agreement(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
+    labeled = []
+    for zp, lattice_route, series_route in _cosine_routes(config, ctx):
         diff = abs(lattice_route.value - series_route.value)
         allowed = lattice_route.radius + series_route.radius
         labeled.append((_fmt_point(zp, ctx), BoundedValue(diff, allowed)))
@@ -473,11 +477,7 @@ def route_error_table(config: RunConfig | None = None) -> str:
     config = config or RunConfig()
     ctx = config.context()
     rows = [("z", "eisenstein_route", "taylor_route", "abs_diff", "summed_bounds")]
-    n = config.route_points
-    for i in range(n):
-        zp = ctx.from_fraction(Fraction(-1) + 2 * Fraction(i, n - 1))
-        lattice_route = cosine(zp, ctx)
-        series_route = taylor_cosine(zp, ctx)
+    for zp, lattice_route, series_route in _cosine_routes(config, ctx):
         rows.append((format_real(zp, ctx),
                      format_real(lattice_route.value, ctx), format_real(series_route.value, ctx),
                      format_real(abs(lattice_route.value - series_route.value), ctx),

@@ -16,14 +16,15 @@ from fractions import Fraction
 
 import mpmath
 
-from eistrig import (PrecisionContext, RunConfig, SymbolPoly, coeff_a,
-                     combination_first_order, combination_second_order,
-                     compute_pi, cosec_identity_check, cosine,
-                     derivative_polynomials, eisenstein_k,
-                     first_order_ode_residual, g_eval, implied_identities,
-                     ivp_residual, reciprocal_ode_residual, render_poly,
-                     second_order_ode_residual, strip_decay, taylor_cosine,
-                     zeta_even)
+from eistrig import (PrecisionContext, coeff_a, combination_first_order,
+                     combination_second_order, compute_pi, cosine,
+                     derivative_polynomials, eisenstein_k, implied_identities,
+                     render_poly, strip_decay, taylor_cosine, zeta_even)
+from eistrig.lattice import first_order_ode_residual, second_order_ode_residual
+from eistrig.sympoly import SymbolPoly
+from eistrig.trig import (cosec_identity_check, g_eval, ivp_residual,
+                          reciprocal_ode_residual)
+from eistrig.verify import RunConfig
 from eistrig.cli import main as cli_main
 
 CONFIG = RunConfig()

@@ -49,6 +49,13 @@ def test_eval_at_a_pole_exits_3():
     assert "pole" in proc.stderr
 
 
+def test_eval_g_out_of_reach_exits_5():
+    # |g(0.5+40i)| ~ 1e109: 128 bits cannot carry it to an absolute 1e-12
+    proc = run_cli("eval", "g", "0.5+40i")
+    assert proc.returncode == 5
+    assert "tolerance" in proc.stderr
+
+
 def test_eval_rejects_garbage_with_exit_2():
     assert run_cli("eval", "f", "spam").returncode == 2
     assert run_cli("eval", "zeta", "3").returncode == 2
@@ -69,8 +76,8 @@ def test_eval_zeta_four_prints_a_ball_around_zeta_four():
 
 @pytest.mark.parametrize("point", ["0.3", "0.5+40i"])
 def test_eval_prints_the_truncation_the_lattice_sum_uses(point):
-    from eistrig import PrecisionContext, pole_distance
-    from eistrig.lattice import truncation_n
+    from eistrig import PrecisionContext
+    from eistrig.lattice import pole_distance, truncation_n
     proc = run_cli("eval", "f", point)
     assert proc.returncode == 0
     ctx = PrecisionContext()

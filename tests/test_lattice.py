@@ -7,13 +7,14 @@ lattice summation.
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from eistrig import (InconclusiveNonvanishingError, PoleProximityError,
-                     PrecisionContext, eisenstein_k, f_deriv,
-                     first_order_ode_residual, naive_symmetric_value,
-                     nonvanishing_scan, pole_distance, second_order_ode_residual,
-                     strip_decay, symmetric_tail_bound)
+                     PrecisionContext, ToleranceUnreachableError, eisenstein_k,
+                     naive_symmetric_value, strip_decay, symmetric_tail_bound)
+from eistrig.lattice import (f_deriv, first_order_ode_residual, nonvanishing_scan,
+                             pole_distance, second_order_ode_residual)
 
 F_HALF = "9.86960440108935861883449099987615113531369941"      # f(1/2) = pi^2
 F_QUARTER = "19.7392088021787172376689819997523022706273988"    # f(1/4) = 2 pi^2
@@ -82,8 +83,11 @@ def test_pole_guard_rejects_near_integer_points(ctx):
         eisenstein_k(2, "1.0", ctx)
     with pytest.raises(PoleProximityError):
         eisenstein_k(2, ctx.mp.mpf(3) + ctx.eps, ctx)
-    # just outside the guard is fine
-    assert eisenstein_k(2, ctx.mp.mpf(3) + 1000 * ctx.eps, ctx).radius > 0
+    # just outside the guard |f| ~ 1e70 outgrows what 128 bits resolve at 1e-12
+    with pytest.raises(ToleranceUnreachableError):
+        eisenstein_k(2, ctx.mp.mpf(3) + 1000 * ctx.eps, ctx)
+    # a little farther out the radius is certified again
+    assert eisenstein_k(2, ctx.mp.mpf(3) + ctx.mp.ldexp(1, -24), ctx).radius <= ctx.tolerance
 
 
 def test_pole_distance_reduces_to_nearest_integer(ctx):
@@ -153,6 +157,16 @@ def test_nonvanishing_scan_reports_the_minimum(ctx):
     assert not report.min_modulus.consistent_with_zero()
     # |f| is smallest at the highest point of the strip
     assert report.min_point == grid[-1]
+
+
+def test_nonvanishing_scan_refines_until_f_excludes_zero(ctx):
+    z = ctx.point("0.5+6i")
+    assert eisenstein_k(2, z, ctx).consistent_with_zero()  # |f| ~ 2e-15 < 1e-12
+    bv = nonvanishing_scan([z], ctx).values[0]
+    assert not bv.consistent_with_zero()
+    with mpmath.workprec(2 * ctx.precision + 64):
+        exact = mpmath.pi ** 2 / mpmath.sin(mpmath.pi * mpmath.mpmathify(z)) ** 2
+        assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius
 
 
 def test_tolerance_tracks_refined_contexts(ctx):

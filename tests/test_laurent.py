@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from eistrig import (SymbolPoly, combination_first_order, combination_second_order,
+from eistrig import (combination_first_order, combination_second_order,
                      derivative_polynomials, implied_identities, render_poly,
                      series_f)
+from eistrig.sympoly import SymbolPoly
 
 
 def sym(i: int) -> SymbolPoly:

@@ -10,9 +10,10 @@ import mpmath
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from eistrig import (PrecisionContext, cosine, eisenstein_k, g_eval,
+from eistrig import (PrecisionContext, cosine, eisenstein_k,
                      naive_symmetric_value, pythagoras_residual, sine,
                      symmetric_tail_bound, taylor_cosine)
+from eistrig.trig import g_eval
 
 DEFAULT = PrecisionContext()
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from eistrig import PrecisionContext, SymbolPoly, render_poly
-from eistrig.sympoly import reduce_modulo
+from eistrig import PrecisionContext, render_poly
+from eistrig.sympoly import SymbolPoly, reduce_modulo
 
 
 def sym(i: int) -> SymbolPoly:

@@ -7,10 +7,11 @@ only; the construction path under test never calls it.
 import mpmath
 import pytest
 
-from eistrig import (PoleProximityError, PrecisionContext, compute_pi,
-                     cosec_identity_check, cosine, evaluator, fd_step, g_eval,
-                     ivp_initial_data, ivp_residual, pythagoras_residual,
-                     reciprocal_ode_residual, sine, taylor_cosine)
+from eistrig import (PoleProximityError, PrecisionContext, compute_pi, cosine,
+                     eisenstein_k, evaluator, pythagoras_residual, sine,
+                     taylor_cosine)
+from eistrig.trig import (cosec_identity_check, fd_step, g_eval, ivp_initial_data,
+                          ivp_residual, reciprocal_ode_residual)
 
 PI50 = "3.1415926535897932384626433832795028841971693993751"
 INV_PISQ = "0.101321183642337771443879463209727638904358775"
@@ -60,6 +61,17 @@ def test_g_inside_the_guard_keeps_an_honest_radius(ctx):
     with mpmath.workprec(300):  # oracle must out-resolve the tiny radius
         true_g = (mpmath.sin(mpmath.pi * mpmath.mpf(z)) / mpmath.pi) ** 2
         assert abs(true_g) <= mpmath.mpf(str(bv.radius))
+
+
+@pytest.mark.parametrize("point", ["0.5+3i", "0.25+4i"])
+def test_g_refines_a_coarse_f_that_does_not_exclude_zero(point, ctx):
+    z = ctx.point(point)
+    assert eisenstein_k(2, z, ctx.coarse()).consistent_with_zero()
+    bv = g_eval(z, ctx)
+    assert bv.radius <= ctx.tolerance
+    with mpmath.workprec(2 * ctx.precision + 64):
+        exact = (mpmath.sin(mpmath.pi * mpmath.mpmathify(z)) / mpmath.pi) ** 2
+        assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius
 
 
 def test_cosine_frozen_values(ctx):

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from eistrig import ConfigurationError, RunConfig, run_verification
-from eistrig.verify import (convergence_table, render_json, render_text,
-                            route_error_table, strip_decay_table)
+from eistrig import ConfigurationError
+from eistrig.verify import (RunConfig, convergence_table, render_json, render_text,
+                            route_error_table, run_verification, strip_decay_table)
 
 SMALL = RunConfig(real_points=6, complex_points=4, route_points=5,
                   y_values=(1, 2, 5))

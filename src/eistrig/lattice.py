@@ -80,7 +80,21 @@ def _symmetric_sum(k: int, u, N: int, mp) -> RunningSum:
 
 
 def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
-    """sum_{n in Z} 1/(z-n)^k with radius <= the context tolerance."""
+    """sum_{n in Z} 1/(z-n)^k with radius <= the context tolerance, or
+    ToleranceUnreachableError (near an integer one ulp of |value| exceeds it)."""
+    out = _lattice_sum(k, z, ctx)
+    if out.radius > ctx.tolerance:
+        mp = ctx.mp
+        raise ToleranceUnreachableError(
+            f"eisenstein_k(k={k}) rounds to radius {mp.nstr(out.radius, 3)} "
+            f"at {ctx.precision} bits, above tolerance {mp.nstr(ctx.tolerance, 5)}")
+    return out
+
+
+def _lattice_sum(k: int, z, ctx: PrecisionContext) -> BoundedValue:
+    """The lattice sum at tolerance ctx.tolerance, demoted to ctx's precision;
+    near an integer the demotion alone may push the radius past the tolerance.
+    f_deriv and the steering and refine paths below take that ball as it is."""
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"eisenstein_k expects an integer k >= 2, got {k!r}")
     mp = ctx.mp
@@ -111,21 +125,17 @@ def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
             radius = upper[1] + lower[1] + direct.allowance() \
                 + wp.ldexp(1, 1 - prec_eff) * (abs(tail) + abs(value))
             if radius <= tol:
-                out = ctx.adopt(BoundedValue(value, radius))
-                if out.radius > tol:  # rounding eps*|value|: more bits cannot help
-                    raise ToleranceUnreachableError(
-                        f"eisenstein_k(k={k}) rounds to radius {mp.nstr(out.radius, 3)} "
-                        f"at {ctx.precision} bits, above tolerance {mp.nstr(tol, 5)}")
-                return out
+                return ctx.adopt(BoundedValue(value, radius))
         prec_eff += 64
     raise ToleranceUnreachableError(
         f"eisenstein_k(k={k}) could not reach tolerance {mp.nstr(tol, 5)}")
 
 
 def f_deriv(order: int, z, ctx: PrecisionContext) -> BoundedValue:
-    """Derivatives of the k=2 sum: order 0 -> f, 1 -> -2 eps_3, 2 -> 6 eps_4."""
+    """Derivatives of the k=2 sum: order 0 -> f, 1 -> -2 eps_3, 2 -> 6 eps_4,
+    each the ball of _lattice_sum (the identity checks carry its radius)."""
     if order == 0:
-        return eisenstein_k(2, z, ctx)
+        return _lattice_sum(2, z, ctx)
     if order == 1:
         scale = -2
     elif order == 2:
@@ -133,7 +143,7 @@ def f_deriv(order: int, z, ctx: PrecisionContext) -> BoundedValue:
     else:
         raise ValueError(f"f_deriv supports orders 0, 1, 2; got {order!r}")
     sub = ctx.refined(ctx.tolerance / (2 * abs(scale) + 1))
-    base = eisenstein_k(2 + order, z, sub)
+    base = _lattice_sum(2 + order, z, sub)
     return ctx.bscale(ctx.adopt(base), scale)
 
 
@@ -142,7 +152,7 @@ def _resolved_f(z, work: PrecisionContext) -> BoundedValue:
     the ball excludes zero (f is nowhere zero); InconclusiveNonvanishingError
     after 8 tightenings."""
     mp = work.mp
-    bv = eisenstein_k(2, z, work)
+    bv = _lattice_sum(2, z, work)
     tol = work.tolerance
     tries = 0
     while bv.consistent_with_zero():
@@ -152,7 +162,7 @@ def _resolved_f(z, work: PrecisionContext) -> BoundedValue:
                 f"|f({mp.nstr(z, 8)})| stayed within its radius down to "
                 f"tolerance {mp.nstr(tol, 3)}")
         tol = tol * mp.ldexp(1, -60 * tries)
-        bv = eisenstein_k(2, z, work.refined(tol))
+        bv = _lattice_sum(2, z, work.refined(tol))
     return bv
 
 
@@ -162,9 +172,9 @@ def coarse_bounds(z, ctx: PrecisionContext, order: int = 0) -> list[BoundedValue
     coarse = ctx.coarse()
     balls = [_resolved_f(z, coarse)]
     if order >= 1:
-        balls.append(ctx.bscale(eisenstein_k(3, z, coarse), -2))
+        balls.append(ctx.bscale(_lattice_sum(3, z, coarse), -2))
     if order >= 2:
-        balls.append(ctx.bscale(eisenstein_k(4, z, coarse), 6))
+        balls.append(ctx.bscale(_lattice_sum(4, z, coarse), 6))
     return balls
 
 
@@ -178,7 +188,7 @@ def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0) -> BoundedVa
     residual then sits near 12 * shift * f(z) instead of zero).
     """
     zp = ctx.point(z)
-    mf = coarse_bounds(zp, ctx)[0].upper() + 1
+    mf = _lattice_sum(2, zp, ctx.coarse()).upper() + 1
     scale = 1 + 24 * mf + 52
     sub = ctx.refined(ctx.tolerance / (4 * scale))
     f2 = ctx.adopt(f_deriv(2, zp, sub))
@@ -192,9 +202,9 @@ def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0) -> BoundedVa
 def first_order_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
     """(f'(z))^2 - 4 f(z)^3 + 12 a0 f(z)^2, consistent with zero."""
     zp = ctx.point(z)
-    fc, fpc = coarse_bounds(zp, ctx, order=1)
-    mf = fc.upper() + 1
-    mfp = fpc.upper() + 1
+    coarse = ctx.coarse()
+    mf = _lattice_sum(2, zp, coarse).upper() + 1
+    mfp = ctx.bscale(_lattice_sum(3, zp, coarse), -2).upper() + 1
     scale = 1 + 2 * mfp + 24 * mf * mf + 96 * mf
     sub = ctx.refined(ctx.tolerance / (4 * scale))
     fp = ctx.adopt(f_deriv(1, zp, sub))

@@ -122,13 +122,7 @@ def g_eval(z, ctx: PrecisionContext) -> BoundedValue:
     if dist <= POLE_GUARD_ULPS * ctx.eps:
         near = mp.mpf(1.5) * dist * dist
         return BoundedValue(mp.mpf(0), near + ctx.eps * near)
-    return _g_reciprocal(zp, coarse_bounds(zp, ctx)[0], ctx)
-
-
-def _g_reciprocal(zp, fc: BoundedValue, ctx: PrecisionContext) -> BoundedValue:
-    """1/f(z) away from the integers, given a coarse zero-excluded f ball fc."""
-    mp = ctx.mp
-    lf = fc.lower()
+    lf = coarse_bounds(zp, ctx)[0].lower()
     tol = ctx.tolerance
     for attempt in range(2):
         sub_tol = _snap(min(tol * lf * lf / 2, lf / 4) * mp.ldexp(1, -6 * attempt), mp)
@@ -154,10 +148,8 @@ def cosine(z, ctx: PrecisionContext) -> BoundedValue:
     w = ev.w_ball(zp)
     _, au = pole_distance(w.value, ctx)
     # lg bounds |g'| = |f'/f^2| near w: near an integer, where f explodes,
-    # by g'(u) = 2u + O(u^3); elsewhere from the coarse f and f' (inflated
-    # 4x), whose f ball then also steers the reciprocal.
+    # by g'(u) = 2u + O(u^3); elsewhere from the coarse f and f' (inflated 4x).
     if au <= mp.mpf("0.05"):
-        fc = None
         lg = 3 * (au + w.radius) + mp.ldexp(1, -ctx.precision // 2)
     else:
         fc, fpc = coarse_bounds(w.value, ctx, order=1)
@@ -165,9 +157,8 @@ def cosine(z, ctx: PrecisionContext) -> BoundedValue:
         lg = 4 * fpc.upper() / (lf * lf) + mp.mpf(1) / 1024
     tol = ctx.tolerance
     for attempt in range(2):
-        sub = ctx.refined(tol / 160 * mp.ldexp(1, -6 * attempt))
-        gb = g_eval(w.value, sub) if fc is None else _g_reciprocal(w.value, fc, sub)
-        gb = ctx.adopt(gb)
+        eps_g = tol / 160 * mp.ldexp(1, -6 * attempt)
+        gb = ctx.adopt(g_eval(w.value, ctx.refined(eps_g)))
         gb = BoundedValue(gb.value, gb.radius + lg * w.radius)
         c = ctx.bsub(ctx.ball(1), ctx.bscale(ctx.bmul(ev.pi_sq, gb), 2))
         if c.radius <= tol:
@@ -368,7 +359,7 @@ def cosec_identity_check(z, ctx: PrecisionContext) -> BoundedValue:
     tol = ctx.tolerance
     eps_f = _snap(tol / (8 * ms * ms), mp)
     eps_s = _snap(tol / (16 * (mf + 1) * ms), mp)
-    fb = ctx.adopt(eisenstein_k(2, zp, ctx.refined(eps_f)))
+    fb = ctx.adopt(f_deriv(0, zp, ctx.refined(eps_f)))
     sb = ctx.adopt(sine(s_arg, ctx.refined(eps_s)))
     sb = BoundedValue(sb.value, sb.radius + ls * arg_r)
     return ctx.bsub(ctx.bmul(fb, ctx.bmul(sb, sb)), ev.pi_sq)

@@ -56,6 +56,14 @@ def test_eval_g_out_of_reach_exits_5():
     assert "tolerance" in proc.stderr
 
 
+def test_eval_cos_high_in_the_strip_exits_5():
+    # cos reaches g(z / 2 pi) at tolerance / 160; at Im z = 70 one ulp of
+    # |g| ~ 6e28 already exceeds it
+    proc = run_cli("eval", "cos", "3+70i")
+    assert proc.returncode == 5
+    assert "tolerance" in proc.stderr
+
+
 def test_eval_rejects_garbage_with_exit_2():
     assert run_cli("eval", "f", "spam").returncode == 2
     assert run_cli("eval", "zeta", "3").returncode == 2

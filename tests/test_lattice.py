@@ -105,6 +105,14 @@ def test_ode_residuals_vanish_on_and_off_axis(ctx):
         assert r1.consistent_with_zero() and r1.radius <= ctx.mp.mpf("1e-9")
 
 
+def test_ode_residuals_near_an_integer_keep_their_tolerance(ctx):
+    # f''(3.0001) ~ 6e16: one ulp of it exceeds the residuals' sub-tolerance,
+    # yet the residual ball still meets the caller's tolerance
+    for residual in (second_order_ode_residual, first_order_ode_residual):
+        r = residual("3.0001", ctx)
+        assert r.consistent_with_zero() and r.radius <= ctx.tolerance
+
+
 def test_ode_residual_detects_a_wrong_constant(ctx):
     # shifting a0 by 1e-6 must move the residual to ~12e-6*f, far off zero
     r = second_order_ode_residual("0.3", ctx, a0_shift=ctx.mp.mpf("1e-6"))

@@ -74,6 +74,26 @@ def test_g_refines_a_coarse_f_that_does_not_exclude_zero(point, ctx):
         assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius
 
 
+@pytest.mark.parametrize("point", ["1e-20", "3.00000000000000000001"])
+def test_trig_within_1e_20_of_an_integer_meets_the_tolerance(point, ctx):
+    # |f| ~ 1e40 there: one ulp of the coarse f exceeds the coarse tolerance,
+    # which must only steer, never fail
+    z = ctx.point(point)
+    with mpmath.workprec(2 * ctx.precision + 64):
+        zm = mpmath.mpmathify(z)
+        exact = {cosine: mpmath.cos(zm), sine: mpmath.sin(zm),
+                 g_eval: (mpmath.sin(mpmath.pi * zm) / mpmath.pi) ** 2}
+        for fn, value in exact.items():
+            bv = fn(z, ctx)
+            assert bv.radius <= ctx.tolerance
+            assert abs(mpmath.mpmathify(bv.value) - value) <= bv.radius
+
+
+def test_cosec_identity_within_1e_20_of_zero(ctx):
+    r = cosec_identity_check("1e-20", ctx)
+    assert r.consistent_with_zero() and r.radius <= ctx.tolerance
+
+
 def test_cosine_frozen_values(ctx):
     assert cosine("0", ctx).value == 1 and cosine("0", ctx).radius == 0
     assert_matches(cosine("1", ctx), COS_1, ctx)

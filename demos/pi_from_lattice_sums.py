@@ -85,7 +85,7 @@ def main():
     print()
     print("The tail bound shrinks like 1/N, so plain truncation would need")
     print("N ~ 1e12 terms for twelve digits; the evaluation above summed")
-    n = truncation_n(pole_distance(z, ctx)[0], ctx)
+    n = truncation_n(pole_distance(z, ctx)[0], ctx.tolerance, ctx.mp)
     print(f"{n} symmetric pairs and added the two Euler-Maclaurin tails.")
 
 

@@ -95,7 +95,8 @@ def _cmd_eval(args) -> int:
         else:
             bv = cosine(zp, ctx) if name == "cos" else sine(zp, ctx)
             lattice_point = evaluator(ctx).w_ball(zp).value
-        detail = f"N = {truncation_n(pole_distance(lattice_point, ctx)[0], ctx)}, {detail}"
+        u = pole_distance(lattice_point, ctx)[0]
+        detail = f"N = {truncation_n(u, ctx.tolerance, ctx.mp)}, {detail}"
     print(f"{name}({args.point}) = {_fmt_value(bv.value, ctx)} +/- {format_real(bv.radius, ctx)}")
     print(f"parameters: {detail}")
     return 0

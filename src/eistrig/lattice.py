@@ -1,29 +1,27 @@
 """Rigorous evaluation of the lattice sums eps_k(z) = sum_{n in Z} 1/(z-n)^k.
 
 The k=2 sum is the function f the whole construction rests on: even,
-period 1, a double pole at each integer, f(z) = z^-2 + a0 + a1 z^2 + ...
-
-Evaluation strategy (all bounds explicit):
+period 1, a double pole at each integer, f(z) = z^-2 + a0 + a1 z^2 + ...,
+and f' = -2 eps_3, f'' = 6 eps_4.  One lattice pass gives eps_k for
+consecutive k at one point, each to its own target (all bounds explicit):
 
 1. Reduce Re z to [-1/2, 1/2] by subtracting the nearest integer (exact in
-   binary floating point), which enforces bit-exact periodicity and keeps
-   the summation center small.  Points within 10 ulp of an integer are
-   rejected: the double pole makes every bound degenerate there.
-2. Sum u^-k and the symmetric pairs (u-n)^-k + (u+n)^-k for n <= N,
-   with N from truncation_n: the least N at which the tails' asymptotic
-   floor e^(-2 pi |N+1 -/+ u|) lies well below the tolerance (N = 0 high
-   in the strip).
-3. Add the rest of the lattice as two Euler-Maclaurin tails at the base
-   point N+1,
+   binary floating point), which enforces bit-exact periodicity.  Points
+   within 10 ulp of an integer are rejected: every bound degenerates there.
+2. Form 1/(u -/+ n) once for n <= N and sum its powers, with N from
+   truncation_n for the tightest target: the tails' floor
+   e^(-2 pi |N+1 -/+ u|) lies well below it (N = 0 high in the strip).
+3. Add the rest as two Euler-Maclaurin tails at the base point N+1,
       sum_{n>N} (u+n)^-k + (u-n)^-k = T(u) + (-1)^k T(-u),
-      T(c) = sum_{n>N} (n+c)^-k,
-   each from zetasums.shifted_tail with the DLMF 2.10 remainder bound.
-   Working precision is boosted internally when the answer is much smaller
-   than the summands (e.g. f(iy) for large y), and the result is demoted
-   to the caller's precision with the rounding charged to the radius.
+   T(c) = sum_{n>N} (n+c)^-k, one zetasums.shifted_tail call per tail for
+   every k, each with its DLMF 2.10 bound.  Working precision is boosted
+   when the answer is much smaller than the summands (f(iy), large y), and
+   each ball is demoted to the caller's precision, rounding charged.
 
-The closed-form bound 2 (N-1/2)^(1-k)/(k-1) for plain symmetric truncation
-is kept (symmetric_tail_bound, naive_symmetric_value) for convergence
+eisenstein_k is the one-exponent pass; f_jet, the pass for [f, f', f''],
+serves the trig evaluators, the steering and the identity checks.  Plain
+symmetric truncation with its closed-form bound 2 (N-1/2)^(1-k)/(k-1)
+(symmetric_tail_bound, naive_symmetric_value) is kept for convergence
 tables and tail-validity tests; it shares the explicit sum of step 2.
 """
 
@@ -53,9 +51,9 @@ def pole_distance(z, ctx: PrecisionContext):
     return u, abs(u)
 
 
-def truncation_n(u, ctx: PrecisionContext) -> int:
-    """Symmetric pairs that eisenstein_k sums explicitly (any k) at the
-    reduced point u of pole_distance.
+def truncation_n(u, tolerance, mp) -> int:
+    """Symmetric pairs that a lattice pass sums explicitly (any k) at the
+    reduced point u of pole_distance, for the tightest target tolerance.
 
     The tails beyond N bottom out near e^(-2 pi r), r = |N+1 -/+ u|.  N is
     the least N >= 0 with 2 pi r >= 1.5 ln(1/tol) + 10: the 10 covers the
@@ -64,25 +62,40 @@ def truncation_n(u, ctx: PrecisionContext) -> int:
     alone is far enough, and N = 0.
     """
     x, y = abs(float(u.real)), abs(float(u.imag))
-    rho = (-1.5 * math.log(2) * ctx.mp.mag(ctx.tolerance) + 10) / (2 * math.pi)
+    rho = (-1.5 * math.log(2) * mp.mag(tolerance) + 10) / (2 * math.pi)
     if rho <= y:
         return 0
     return max(0, math.ceil(math.sqrt(rho * rho - y * y) + x - 1))
 
 
-def _symmetric_sum(k: int, u, N: int, mp) -> RunningSum:
-    """u^-k + sum_{n=1..N} [(u-n)^-k + (u+n)^-k] in the context of u (mp)."""
-    acc = RunningSum(mp, ops_per_term=10)
-    acc.add(u ** (-k))
+def _powers(d, exponents):
+    """d^-k for the consecutive exponents k, from one reciprocal when several."""
+    if len(exponents) == 1:
+        return [d ** -exponents[0]]
+    r = 1 / d
+    out = [r ** exponents[0]]
+    for _ in exponents[1:]:
+        out.append(out[-1] * r)
+    return out
+
+
+def _symmetric_sums(exponents, u, N: int, mp) -> list[RunningSum]:
+    """u^-k + sum_{n=1..N} [(u-n)^-k + (u+n)^-k] for each k, in mp (u's)."""
+    accs = [RunningSum(mp, ops_per_term=10) for _ in exponents]
+    for acc, p in zip(accs, _powers(u, exponents)):
+        acc.add(p)
     for n in range(1, N + 1):
-        acc.add((u - n) ** (-k) + (u + n) ** (-k))
-    return acc
+        for acc, p, q in zip(accs, _powers(u - n, exponents), _powers(u + n, exponents)):
+            acc.add(p + q)
+    return accs
 
 
 def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
     """sum_{n in Z} 1/(z-n)^k with radius <= the context tolerance, or
     ToleranceUnreachableError (near an integer one ulp of |value| exceeds it)."""
-    out = _lattice_sum(k, z, ctx)
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"eisenstein_k expects an integer k >= 2, got {k!r}")
+    out = _lattice_pass((k,), z, ctx, (ctx.tolerance,))[0]
     if out.radius > ctx.tolerance:
         mp = ctx.mp
         raise ToleranceUnreachableError(
@@ -91,12 +104,23 @@ def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
     return out
 
 
-def _lattice_sum(k: int, z, ctx: PrecisionContext) -> BoundedValue:
-    """The lattice sum at tolerance ctx.tolerance, demoted to ctx's precision;
-    near an integer the demotion alone may push the radius past the tolerance.
-    f_deriv and the steering and refine paths below take that ball as it is."""
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"eisenstein_k expects an integer k >= 2, got {k!r}")
+def f_jet(z, ctx: PrecisionContext, tolerances) -> list[BoundedValue]:
+    """[f, f', f''][:n] = [eps_2, -2 eps_3, 6 eps_4][:n] at z from one lattice
+    pass, n = len(tolerances) <= 3, order i to tolerances[i] and demoted to
+    ctx's precision, where near an integer one ulp may exceed it.  An f ball
+    that does not exclude zero is replaced by _resolved_f's, 2^-60 tighter."""
+    scales = (1, -2, 6)[:len(tolerances)]
+    # eps_k to t / (2|c| - 1): the scaled ball keeps room for its rounding
+    eps = _lattice_pass(range(2, 2 + len(scales)), z, ctx,
+                        [t / (2 * abs(c) - 1) for t, c in zip(tolerances, scales)])
+    if eps[0].consistent_with_zero():
+        eps[0] = ctx.adopt(_resolved_f(z, ctx.refined(tolerances[0] * ctx.mp.ldexp(1, -60))))
+    return [bv if c == 1 else ctx.bscale(bv, c) for bv, c in zip(eps, scales)]
+
+
+def _lattice_pass(exponents, z, ctx: PrecisionContext, targets) -> list[BoundedValue]:
+    """eps_k(z) for consecutive k, each to its target, from one reduction, one
+    explicit sum and one Euler-Maclaurin call per tail; demoted to ctx."""
     mp = ctx.mp
     u, dist = pole_distance(z, ctx)
     guard = POLE_GUARD_ULPS * ctx.eps
@@ -104,47 +128,35 @@ def _lattice_sum(k: int, z, ctx: PrecisionContext) -> BoundedValue:
         raise PoleProximityError(
             f"z = {mp.nstr(ctx.point(z), 12)} is within the pole guard "
             f"({POLE_GUARD_ULPS} ulp = {mp.nstr(guard, 3)}) of an integer")
-    tol = ctx.tolerance
-    N = truncation_n(u, ctx)
+    N = truncation_n(u, min(targets), mp)
     if 2 * N + 1 > TERM_CAP:
         raise ToleranceUnreachableError(
             f"symmetric truncation needs {2 * N + 1} terms, above the cap {TERM_CAP}")
-    # working precision: resolve tol below the summand magnitude scale
-    s_bits = max(0, -k * mp.mag(dist)) + 4
-    prec_eff = max(ctx.precision, -mp.mag(tol) + s_bits + 40)
+    # working precision: resolve each target below its summands' magnitude scale
+    prec_eff = max(ctx.precision, *(-mp.mag(t) + max(0, -k * mp.mag(dist)) + 44
+                                    for k, t in zip(exponents, targets)))
     for _ in range(3):
         wp = mp_context(prec_eff)
         uu = wp.mpc(u) if u.imag != 0 else wp.mpf(u.real)
-        upper = shifted_tail(k, N + 1, uu, wp, tol / 4)
-        lower = shifted_tail(k, N + 1, -uu, wp, tol / 4)
+        quarter = [t / 4 for t in targets]
+        upper, lower = (shifted_tail(exponents, N + 1, c, wp, quarter) for c in (uu, -uu))
         if upper is not None and lower is not None:
-            # sum_{n>N} (u+n)^-k + (u-n)^-k = T(u) + (-1)^k T(-u)
-            tail = upper[0] + lower[0] if k % 2 == 0 else upper[0] - lower[0]
-            direct = _symmetric_sum(k, uu, N, wp)
-            value = direct.value + tail
-            radius = upper[1] + lower[1] + direct.allowance() \
-                + wp.ldexp(1, 1 - prec_eff) * (abs(tail) + abs(value))
-            if radius <= tol:
-                return ctx.adopt(BoundedValue(value, radius))
+            out = []
+            for k, t, (tu, bu), (tl, bl), direct in zip(
+                    exponents, targets, upper, lower, _symmetric_sums(exponents, uu, N, wp)):
+                # sum_{n>N} (u+n)^-k + (u-n)^-k = T(u) + (-1)^k T(-u)
+                tail = tu + tl if k % 2 == 0 else tu - tl
+                value = direct.value + tail
+                radius = bu + bl + direct.allowance() \
+                    + wp.ldexp(1, 1 - prec_eff) * (abs(tail) + abs(value))
+                if radius > t:
+                    break
+                out.append(ctx.adopt(BoundedValue(value, radius)))
+            else:
+                return out
         prec_eff += 64
-    raise ToleranceUnreachableError(
-        f"eisenstein_k(k={k}) could not reach tolerance {mp.nstr(tol, 5)}")
-
-
-def f_deriv(order: int, z, ctx: PrecisionContext) -> BoundedValue:
-    """Derivatives of the k=2 sum: order 0 -> f, 1 -> -2 eps_3, 2 -> 6 eps_4,
-    each the ball of _lattice_sum (the identity checks carry its radius)."""
-    if order == 0:
-        return _lattice_sum(2, z, ctx)
-    if order == 1:
-        scale = -2
-    elif order == 2:
-        scale = 6
-    else:
-        raise ValueError(f"f_deriv supports orders 0, 1, 2; got {order!r}")
-    sub = ctx.refined(ctx.tolerance / (2 * abs(scale) + 1))
-    base = _lattice_sum(2 + order, z, sub)
-    return ctx.bscale(ctx.adopt(base), scale)
+    raise ToleranceUnreachableError(f"the lattice sums k = {list(exponents)} could not "
+                                    f"reach tolerances {[mp.nstr(t, 5) for t in targets]}")
 
 
 def _resolved_f(z, work: PrecisionContext) -> BoundedValue:
@@ -152,8 +164,8 @@ def _resolved_f(z, work: PrecisionContext) -> BoundedValue:
     the ball excludes zero (f is nowhere zero); InconclusiveNonvanishingError
     after 8 tightenings."""
     mp = work.mp
-    bv = _lattice_sum(2, z, work)
     tol = work.tolerance
+    bv = _lattice_pass((2,), z, work, (tol,))[0]
     tries = 0
     while bv.consistent_with_zero():
         tries += 1
@@ -162,20 +174,14 @@ def _resolved_f(z, work: PrecisionContext) -> BoundedValue:
                 f"|f({mp.nstr(z, 8)})| stayed within its radius down to "
                 f"tolerance {mp.nstr(tol, 3)}")
         tol = tol * mp.ldexp(1, -60 * tries)
-        bv = _lattice_sum(2, z, work.refined(tol))
+        bv = _lattice_pass((2,), z, work.refined(tol), (tol,))[0]
     return bv
 
 
-def coarse_bounds(z, ctx: PrecisionContext, order: int = 0) -> list[BoundedValue]:
-    """Balls [f, f', f''][:order + 1] at z in the coarse context of ctx, for
-    steering sub-tolerances; the f ball excludes zero, so lower() may divide."""
-    coarse = ctx.coarse()
-    balls = [_resolved_f(z, coarse)]
-    if order >= 1:
-        balls.append(ctx.bscale(_lattice_sum(3, z, coarse), -2))
-    if order >= 2:
-        balls.append(ctx.bscale(_lattice_sum(4, z, coarse), 6))
-    return balls
+def _eps_bound(k: int, dist):
+    """|eps_k(u)| <= dist^-k + 2 sum_{n>=1} (n - 1/2)^-k < dist^-k + 2^(k+2) for
+    |u| = dist, |Re u| <= 1/2: steers without a lattice pass."""
+    return dist ** -k + 2 ** (k + 2)
 
 
 # -- ODE residuals -------------------------------------------------------------
@@ -185,44 +191,34 @@ def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0) -> BoundedVa
     """f''(z) - 6 f(z)^2 + 12 a0 f(z), consistent with zero within its radius.
 
     a0_shift adds an exact perturbation to a0 (a test-of-the-test: the
-    residual then sits near 12 * shift * f(z) instead of zero).
+    residual then sits near 12 * shift * f(z) instead of zero).  f and f''
+    come from one jet pass, at a precision sized from |f''| ~ 6/u^4.
     """
-    zp = ctx.point(z)
-    mf = _lattice_sum(2, zp, ctx.coarse()).upper() + 1
-    scale = 1 + 24 * mf + 52
-    sub = ctx.refined(ctx.tolerance / (4 * scale))
-    f2 = ctx.adopt(f_deriv(2, zp, sub))
-    f0 = ctx.adopt(f_deriv(0, zp, sub))
-    a0 = _shifted_a0(ctx, sub, a0_shift)
-    res = ctx.badd(ctx.badd(f2, ctx.bscale(ctx.bmul(f0, f0), -6)),
-                   ctx.bscale(ctx.bmul(a0, f0), 12))
-    return res
+    _, dist = pole_distance(z, ctx)
+    mf = _eps_bound(2, dist) + 1
+    sub = ctx.refined(ctx.tolerance / (4 * (1 + 24 * mf + 52)),
+                      6 * _eps_bound(4, dist) + mf * mf)
+    f0, _, f2 = f_jet(z, sub, (sub.tolerance,) * 3)
+    a0 = coeff_a(0, sub)
+    if a0_shift:
+        sv = sub.real(a0_shift)
+        a0 = BoundedValue(a0.value + sv, a0.radius + sub.eps * abs(a0.value + sv))
+    return ctx.adopt(sub.badd(sub.badd(f2, sub.bscale(sub.bmul(f0, f0), -6)),
+                              sub.bscale(sub.bmul(a0, f0), 12)))
 
 
 def first_order_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
-    """(f'(z))^2 - 4 f(z)^3 + 12 a0 f(z)^2, consistent with zero."""
-    zp = ctx.point(z)
-    coarse = ctx.coarse()
-    mf = _lattice_sum(2, zp, coarse).upper() + 1
-    mfp = ctx.bscale(_lattice_sum(3, zp, coarse), -2).upper() + 1
-    scale = 1 + 2 * mfp + 24 * mf * mf + 96 * mf
-    sub = ctx.refined(ctx.tolerance / (4 * scale))
-    fp = ctx.adopt(f_deriv(1, zp, sub))
-    f0 = ctx.adopt(f_deriv(0, zp, sub))
-    a0 = _shifted_a0(ctx, sub, 0)
-    f0sq = ctx.bmul(f0, f0)
-    res = ctx.badd(ctx.badd(ctx.bmul(fp, fp),
-                            ctx.bscale(ctx.bmul(f0sq, f0), -4)),
-                   ctx.bscale(ctx.bmul(a0, f0sq), 12))
-    return res
-
-
-def _shifted_a0(ctx: PrecisionContext, sub: PrecisionContext, shift) -> BoundedValue:
-    a0 = ctx.adopt(coeff_a(0, sub))
-    if shift:
-        sv = ctx.real(shift)
-        a0 = BoundedValue(a0.value + sv, a0.radius + ctx.eps * abs(a0.value + sv))
-    return a0
+    """(f'(z))^2 - 4 f(z)^3 + 12 a0 f(z)^2, consistent with zero; f and f'
+    from one jet pass, at a precision sized from |f'|^2 ~ 4/u^6."""
+    _, dist = pole_distance(z, ctx)
+    mf = _eps_bound(2, dist) + 1
+    mfp = 2 * _eps_bound(3, dist) + 1
+    sub = ctx.refined(ctx.tolerance / (4 * (1 + 2 * mfp + 24 * mf * mf + 96 * mf)),
+                      mfp * mfp + 4 * mf ** 3)
+    f0, fp = f_jet(z, sub, (sub.tolerance, sub.tolerance))
+    f0sq = sub.bmul(f0, f0)
+    return ctx.adopt(sub.badd(sub.badd(sub.bmul(fp, fp), sub.bscale(sub.bmul(f0sq, f0), -4)),
+                              sub.bscale(sub.bmul(coeff_a(0, sub), f0sq), 12)))
 
 
 # -- nonvanishing --------------------------------------------------------------
@@ -343,11 +339,10 @@ def naive_symmetric_value(k: int, z, N: int, ctx: PrecisionContext) -> BoundedVa
 
     Kept for convergence tables; the corrected evaluator is sharper.
     """
-    mp = ctx.mp
     u, dist = pole_distance(z, ctx)
     if dist <= POLE_GUARD_ULPS * ctx.eps:
         raise PoleProximityError("point is within the pole guard of an integer")
-    acc = _symmetric_sum(k, u, N, mp)
+    acc = _symmetric_sums((k,), u, N, ctx.mp)[0]
     value = acc.value
     if hasattr(value, "imag") and value.imag == 0:
         value = value.real

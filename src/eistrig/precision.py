@@ -33,9 +33,6 @@ GUARD_BITS = 16
 #: cap on explicit summation terms for any single truncated sum
 TERM_CAP = 10**8
 
-#: tolerance of the coarse evaluations that only steer other tolerances
-_COARSE_TOL = "1e-5"
-
 
 def mp_context(precision: int) -> MPContext:
     """Shared immutable MPContext with the given mantissa precision."""
@@ -135,23 +132,16 @@ class PrecisionContext:
         """One ulp at unit scale: 2^(1-precision)."""
         return self._eps
 
-    def refined(self, tolerance) -> "PrecisionContext":
+    def refined(self, tolerance, scale=1) -> "PrecisionContext":
         """Internal-use context for a (usually tighter) tolerance, raising the
-        working precision as needed to keep the guard margin."""
+        working precision to keep the guard margin below values of size scale."""
         mp = self._mp
         tol = _to_mpf(mp, tolerance)
         if not tol > 0:
             raise ConfigurationError("refined tolerance must be positive")
-        implied = -mp.mag(tol)
+        implied = max(0, mp.mag(scale) - 1) - mp.mag(tol)
         precision = max(self.precision, implied + GUARD_BITS + 8)
         return PrecisionContext(precision, tol)
-
-    def coarse(self) -> "PrecisionContext":
-        """Context for the magnitude estimates that steer sub-tolerances:
-        tolerance 1e-5, or this context when it is already looser."""
-        if self.tolerance < self._mp.mpf(_COARSE_TOL):
-            return self.refined(_COARSE_TOL)
-        return self
 
     # -- conversions -----------------------------------------------------
 

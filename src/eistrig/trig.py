@@ -12,14 +12,15 @@ exponential functions or a platform pi constant; the only primitives are
 field arithmetic, square roots, nearest-integer reduction, and the bounded
 lattice/zeta evaluators.  Platform references appear solely in tests.
 
-Because the evaluation of c and s runs through f, which reduces its argument
-by the nearest integer exactly, both functions inherit exact periodicity in
-the computed period 2 pi-hat.  The division z / (2 pi-hat) carries pi-hat's
-radius into an argument uncertainty; it is transferred into the result radius
-through an explicit local derivative bound (coarse evaluation inflated 4x,
-documented allowance).  For |z| up to ~50 the result radius stays below the
-context tolerance; for huge |z| it grows linearly with |z| (the honest cost
-of a computed period) and the soundness guarantee is unchanged.
+Because c and s run through f, which reduces its argument by the nearest
+integer exactly, both inherit exact periodicity in the computed period
+2 pi-hat.  g, c and s each make one lattice jet pass (f, f', f'') at their
+point, steered by the leading Laurent terms, later passes by their own
+balls.  The division z / (2 pi-hat) carries pi-hat's radius into an
+argument uncertainty, moved into the result radius by a slope from the
+same pass at the centre, inflated 4x: an estimate, not a bound over the
+disc.  For |z| up to ~50 the radius stays below the tolerance; for huge
+|z| it grows linearly with |z| (the cost of a computed period).
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from dataclasses import dataclass
 
 from .errors import PoleProximityError, ToleranceUnreachableError
 from .precision import BoundedValue, PrecisionContext
-from .lattice import (POLE_GUARD_ULPS, coarse_bounds, eisenstein_k, f_deriv,
-                      pole_distance)
+from .lattice import POLE_GUARD_ULPS, f_jet, pole_distance
 from .zetasums import coeff_a, zeta_even
 
 PI_PROVENANCE = "sqrt(6·ζ(2))"
@@ -69,10 +69,17 @@ class TrigEvaluator:
         self.a0 = ctx.adopt(coeff_a(0, sharp))
         self.pi_sq = ctx.bmul(self.pi.value, self.pi.value)
         self.half_inv_pi = ctx.brecip(ctx.bscale(self.pi.value, 2))
+        #: tolerance of the f' and f'' that only estimate slopes
+        self.slope_tol = max(ctx.tolerance, ctx.mp.mpf("1e-5"))
 
     def w_ball(self, zp) -> BoundedValue:
         """z / (2 pi) as a ball; the radius is the argument uncertainty."""
         return self.ctx.bmul(self.ctx.ball(zp), self.half_inv_pi)
+
+    def cosine_from_g(self, gb: BoundedValue, widen) -> BoundedValue:
+        """1 - 2 pi^2 g from the ball gb of g(w), its radius widened by widen."""
+        gb, ctx = BoundedValue(gb.value, gb.radius + widen), self.ctx
+        return ctx.bsub(ctx.ball(1), ctx.bscale(ctx.bmul(self.pi_sq, gb), 2))
 
 
 _EVALUATORS: dict[PrecisionContext, TrigEvaluator] = {}
@@ -93,11 +100,9 @@ def evaluator(ctx: PrecisionContext) -> TrigEvaluator:
 def _snap(tol, mp):
     """Largest power of 2^8 at or below tol.
 
-    Sub-evaluation tolerances derived from coarse magnitudes vary smoothly
-    with the point; snapping them to a small set of values keeps the derived
-    contexts, and with them the keys of _EVALUATORS and of the per-precision
-    mpmath context cache, few across points.  Snapping only ever tightens a
-    tolerance.
+    Sub-tolerances steered from magnitudes vary smoothly with the point;
+    snapping them keeps the derived contexts, the keys of _EVALUATORS and of
+    the mpmath context cache, few.  It only ever tightens a tolerance.
     """
     return mp.ldexp(1, 8 * ((int(mp.mag(tol)) - 1) // 8))
 
@@ -114,56 +119,47 @@ def g_eval(z, ctx: PrecisionContext) -> BoundedValue:
     returned.  Elsewhere f is evaluated tightly enough that the reciprocal
     ball meets the context tolerance, or ToleranceUnreachableError is raised.
     """
-    mp = ctx.mp
-    zp = ctx.point(z)
-    u, dist = pole_distance(zp, ctx)
-    if dist == 0:
-        return ctx.ball(0)
-    if dist <= POLE_GUARD_ULPS * ctx.eps:
-        near = mp.mpf(1.5) * dist * dist
-        return BoundedValue(mp.mpf(0), near + ctx.eps * near)
-    lf = coarse_bounds(zp, ctx)[0].lower()
-    tol = ctx.tolerance
-    for attempt in range(2):
-        sub_tol = _snap(min(tol * lf * lf / 2, lf / 4) * mp.ldexp(1, -6 * attempt), mp)
-        fb = eisenstein_k(2, zp, ctx.refined(sub_tol))
-        gb = ctx.brecip(ctx.adopt(fb))
+    return _reciprocal(ctx.point(z), ctx)[0]
+
+
+def _reciprocal(x, work: PrecisionContext, slope_tols=()):
+    """(g(x) within work.tolerance, the jet of its pass; None in the guard).
+    The first pass steers from the Laurent term |f| ~ |u|^-2, the next from
+    the last f ball, the third 2^-6 tighter; slope_tols adds f' to the pass."""
+    mp = work.mp
+    _, au = pole_distance(x, work)
+    if au <= POLE_GUARD_ULPS * work.eps:
+        near = mp.mpf(1.5) * au * au
+        return BoundedValue(mp.mpf(0), near + work.eps * near), None
+    tol, lf = work.tolerance, au ** -2
+    for attempt in range(3):
+        sub_tol = _snap(min(tol * lf * lf / 2, lf / 4) * mp.ldexp(1, -6 * (attempt // 2)), mp)
+        jet = f_jet(x, work, (sub_tol,) + slope_tols)
+        gb = work.brecip(jet[0])
         if gb.radius <= tol:
-            return gb
+            return gb, jet
+        lf = jet[0].lower()
     raise ToleranceUnreachableError(
-        f"g({mp.nstr(zp, 8)}) = 1/f keeps radius {mp.nstr(gb.radius, 3)} at "
-        f"{ctx.precision} bits, above tolerance {mp.nstr(tol, 5)}")
+        f"g({mp.nstr(x, 8)}) = 1/f keeps radius {mp.nstr(gb.radius, 3)} at "
+        f"{work.precision} bits, above tolerance {mp.nstr(tol, 5)}")
 
 
 # -- cosine ---------------------------------------------------------------------
 
 
 def cosine(z, ctx: PrecisionContext) -> BoundedValue:
-    """c(z) = 1 - 2 pi^2 g(z / 2 pi); c(0) = 1 exactly."""
-    mp = ctx.mp
+    """c(z) = 1 - 2 pi^2 g(z / 2 pi); c(0) = 1 exactly; g to tolerance/160."""
     zp = ctx.point(z)
     if zp == 0:
         return ctx.ball(1)
     ev = evaluator(ctx)
     w = ev.w_ball(zp)
-    _, au = pole_distance(w.value, ctx)
-    # lg bounds |g'| = |f'/f^2| near w: near an integer, where f explodes,
-    # by g'(u) = 2u + O(u^3); elsewhere from the coarse f and f' (inflated 4x).
-    if au <= mp.mpf("0.05"):
-        lg = 3 * (au + w.radius) + mp.ldexp(1, -ctx.precision // 2)
-    else:
-        fc, fpc = coarse_bounds(w.value, ctx, order=1)
-        lf = fc.lower()
-        lg = 4 * fpc.upper() / (lf * lf) + mp.mpf(1) / 1024
-    tol = ctx.tolerance
-    for attempt in range(2):
-        eps_g = tol / 160 * mp.ldexp(1, -6 * attempt)
-        gb = ctx.adopt(g_eval(w.value, ctx.refined(eps_g)))
-        gb = BoundedValue(gb.value, gb.radius + lg * w.radius)
-        c = ctx.bsub(ctx.ball(1), ctx.bscale(ctx.bmul(ev.pi_sq, gb), 2))
-        if c.radius <= tol:
-            return c
-    return c
+    gb, jet = _reciprocal(w.value, ctx.refined(ctx.tolerance / 160), (ev.slope_tol,))
+    # |g'| = |f'/f^2| near w: 2|u| + O(u^3) within the pole guard, else from
+    # the f and f' of g's pass (inflated 4x)
+    lg = (3 * (POLE_GUARD_ULPS * ctx.eps + w.radius) if jet is None
+          else 4 * jet[1].upper() / jet[0].lower() ** 2 + 2.0 ** -10)
+    return ev.cosine_from_g(ctx.adopt(gb), lg * w.radius)
 
 
 # -- sine -----------------------------------------------------------------------
@@ -172,40 +168,45 @@ def cosine(z, ctx: PrecisionContext) -> BoundedValue:
 def sine(z, ctx: PrecisionContext) -> BoundedValue:
     """s(z) = -pi f'(z / 2 pi) / f(z / 2 pi)^2 (= -c'); s(0) = 0 exactly.
 
-    Within a small guard of a period multiple the quotient route degenerates;
-    there |s(z)| = |sin of the offset| <= 2 (pi + r_pi)(|u| + r_w) gives an
-    honest zero-centered ball.
+    Within a small guard of a period multiple, where the quotient route
+    degenerates, |s(z)| <= 2 (pi + r_pi)(|u| + r_w) gives a zero-centered ball.
     """
+    return _sincos(z, ctx)[1]
+
+
+def _sincos(z, ctx: PrecisionContext):
+    """(c(z), s(z)) from one jet pass at w = z / 2 pi, steered as g's (from
+    |f'| ~ 2|u|^-3 too) for s within the tolerance and g within 1/160 of it;
+    s is returned once its slope term alone exceeds the tolerance, or after
+    three passes, whatever its radius."""
     mp = ctx.mp
     zp = ctx.point(z)
     if zp == 0:
-        return ctx.ball(0)
+        return ctx.ball(1), ctx.ball(0)
     ev = evaluator(ctx)
     w = ev.w_ball(zp)
-    u, au = pole_distance(w.value, ctx)
-    guard = max(32 * ctx.eps, 4 * w.radius)
-    if au <= guard:
-        span = (au + w.radius) * (ev.pi.value.value + ev.pi.value.radius) * 2
+    _, au = pole_distance(w.value, ctx)
+    pi = ev.pi.value
+    if au <= max(32 * ctx.eps, 4 * w.radius):
+        span = (au + w.radius) * (pi.value + pi.radius) * 2
         span = span * (1 + mp.ldexp(1, -20)) + mp.ldexp(1, -2 * ctx.precision)
-        return BoundedValue(mp.mpf(0), span)
-    fc, fpc, f2c = coarse_bounds(w.value, ctx, order=2)
-    lf = fc.lower()
-    mfp = fpc.upper()
-    qmag = mfp / (lf * lf) + 1
-    lq = 4 * (f2c.upper() / (lf * lf) + 2 * mfp * mfp / (lf * lf * lf)) + 1
+        return cosine(zp, ctx), BoundedValue(mp.mpf(0), span)
     tol = ctx.tolerance
-    for attempt in range(2):
-        rho = tol / (64 * qmag) * mp.ldexp(1, -6 * attempt)
-        eps_f = _snap(min(rho * lf / 2, lf / 4), mp)
-        eps_fp = _snap(rho * (mfp + lf) / 2, mp)
-        fb = ctx.adopt(eisenstein_k(2, w.value, ctx.refined(eps_f)))
-        fpb = ctx.adopt(f_deriv(1, w.value, ctx.refined(eps_fp)))
+    lf, mfp = au ** -2, 2 * au ** -3
+    for attempt in range(3):
+        rho = tol / (64 * (mfp / (lf * lf) + 1)) * mp.ldexp(1, -6 * (attempt // 2))
+        eps_f = _snap(min(rho * lf / 2, lf / 4, tol * lf * lf / 320), mp)
+        fb, fpb, f2b = f_jet(w.value, ctx, (eps_f, _snap(rho * (mfp + lf) / 2, mp),
+                                           ev.slope_tol))
+        lf, mfp = fb.lower(), fpb.upper()
+        # |q'| for q = f'/f^2 near w, from this pass (inflated 4x); |g'| below
+        lq = 4 * (f2b.upper() / (lf * lf) + 2 * mfp * mfp / (lf * lf * lf)) + 1
         q = ctx.bmul(fpb, ctx.brecip(ctx.bmul(fb, fb)))
-        q = BoundedValue(q.value, q.radius + lq * w.radius)
-        s = ctx.bneg(ctx.bmul(ev.pi.value, q))
-        if s.radius <= tol:
-            return s
-    return s
+        s = ctx.bneg(ctx.bmul(pi, BoundedValue(q.value, q.radius + lq * w.radius)))
+        if s.radius <= tol or pi.value * lq * w.radius > tol:
+            break
+    lg = 4 * mfp / (lf * lf) + 2.0 ** -10
+    return ev.cosine_from_g(ctx.brecip(fb), lg * w.radius), s
 
 
 # -- Taylor route ----------------------------------------------------------------
@@ -340,37 +341,44 @@ def _second_difference(samples, step, ctx: PrecisionContext):
 
 
 def cosec_identity_check(z, ctx: PrecisionContext) -> BoundedValue:
-    """f(z) s(pi z)^2 - pi^2, consistent with zero for noninteger z."""
+    """f(z) s(pi z)^2 - pi^2, consistent with zero for noninteger z.
+
+    Steering sizes come from the identity: |s(pi z)| ~ pi / sqrt|f(z)| and
+    |s'| = |c| <= sqrt(1 + |s|^2); a bad estimate only costs sharpness.  pi z
+    takes the pi of the sine's context, sharp where |f| |s| ~ 1/|u| is large.
+    """
     mp = ctx.mp
     zp = ctx.point(z)
     _, dist = pole_distance(zp, ctx)
     if dist <= POLE_GUARD_ULPS * ctx.eps:
         raise PoleProximityError("the cosec identity degenerates at integers")
-    ev = evaluator(ctx)
-    s_arg = ev.pi.value.value * zp
-    arg_r = abs(zp) * ev.pi.value.radius + ctx.eps * abs(s_arg)
-    fc = coarse_bounds(zp, ctx)[0]
-    mf = fc.upper()
-    # steering sizes, from the identity itself: |s(pi z)| ~ pi / sqrt|f(z)|
-    # and |s'| = |c| <= sqrt(1 + |s|^2); a bad estimate only costs sharpness,
-    # never soundness, since every radius below is carried exactly.
-    ms = 4 / mp.sqrt(fc.lower()) + 1
-    ls = ms + 1
-    tol = ctx.tolerance
-    eps_f = _snap(tol / (8 * ms * ms), mp)
-    eps_s = _snap(tol / (16 * (mf + 1) * ms), mp)
-    fb = ctx.adopt(f_deriv(0, zp, ctx.refined(eps_f)))
-    sb = ctx.adopt(sine(s_arg, ctx.refined(eps_s)))
-    sb = BoundedValue(sb.value, sb.radius + ls * arg_r)
-    return ctx.bsub(ctx.bmul(fb, ctx.bmul(sb, sb)), ev.pi_sq)
+    tol, lf = ctx.tolerance, dist ** -2  # the Laurent term, then f's own ball
+    for _ in range(2):
+        fb = f_jet(zp, ctx, (_snap(tol * lf / (8 * (4 + mp.sqrt(lf)) ** 2), mp),))[0]
+        if fb.lower() >= lf:
+            break
+        lf = fb.lower()
+    ms = 4 / mp.sqrt(fb.lower()) + 1
+    sub = ctx.refined(_snap(tol / (16 * (fb.upper() + 1) * ms), mp))
+    pi = evaluator(sub).pi.value
+    s_arg = pi.value * sub.point(zp)
+    sb = ctx.adopt(sine(s_arg, sub))
+    arg_r = abs(zp) * pi.radius + sub.eps * abs(s_arg)
+    sb = BoundedValue(sb.value, sb.radius + (ms + 1) * arg_r)
+    return ctx.bsub(ctx.bmul(fb, ctx.bmul(sb, sb)), evaluator(ctx).pi_sq)
 
 
 def pythagoras_residual(z, ctx: PrecisionContext) -> BoundedValue:
-    """s(z)^2 + c(z)^2 - 1, consistent with zero everywhere."""
-    zp = ctx.point(z)
-    coarse = ctx.coarse()
-    ms = sine(zp, coarse).upper() + cosine(zp, coarse).upper() + 1
-    sub = ctx.refined(_snap(ctx.tolerance / (8 * ms), ctx.mp))
-    sb, cb = ctx.adopt(sine(zp, sub)), ctx.adopt(cosine(zp, sub))
+    """s(z)^2 + c(z)^2 - 1, consistent with zero everywhere; c and s from
+    _sincos at tolerance/(8 m), m = |c| + |s| + 1 <= 3 on the real axis, and
+    once more where their balls ask for a tighter snapped tolerance."""
+    zp, mp = ctx.point(z), ctx.mp
+    sub_tol = _snap(ctx.tolerance / 24, mp)
+    for _ in range(2):
+        cb, sb = (ctx.adopt(b) for b in _sincos(zp, ctx.refined(sub_tol)))
+        need = _snap(ctx.tolerance / (8 * (cb.upper() + sb.upper() + 1)), mp)
+        if need >= sub_tol:
+            break
+        sub_tol = need
     total = ctx.badd(ctx.bmul(sb, sb), ctx.bmul(cb, cb))
     return ctx.bsub(total, ctx.ball(1))

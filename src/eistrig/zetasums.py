@@ -4,10 +4,10 @@ Two layers, both exact or with explicit bounds:
 
 * bernoulli_even(2j): exact Fractions via the integer-only tangent-number
   triangle (cached, grown on demand).
-* shifted_tail(s, a, c, ...): sum_{n>=a} (n+c)^-s by Euler-Maclaurin at the
-  base point a with the DLMF 2.10 remainder bound; the one way a tail is
-  summed.  The lattice sums call it at c = +-u; zeta_tail(s, N, ...) is its
-  c = 0 case, moving the base point up while the floor is above target.
+* shifted_tail(exponents, a, c, ...): sum_{n>=a} (n+c)^-s for several s by
+  Euler-Maclaurin at the base point a with the DLMF 2.10 remainder bound;
+  the one way a tail is summed.  The lattice pass calls it at c = +-u;
+  zeta_tail(s, N, ...) is its c = 0, one-s case, moving the base point up.
 
 zeta_even(m, ctx) is the tail beyond N = 0, i.e. zeta(2m), checked against
 the context tolerance; coeff_a(d, ctx) wraps the Laurent coefficient
@@ -82,12 +82,13 @@ def _coefficients(precision: int, count: int) -> tuple:
     return table
 
 
-def shifted_tail(s: int, a: int, c, mp, target):
-    """(value, bound) for T(c) = sum_{n>=a} (n+c)^-s, or None at the floor.
+def shifted_tail(exponents, a: int, c, mp, targets):
+    """[(value, bound)] for T_s(c) = sum_{n>=a} (n+c)^-s, one per s in
+    exponents with its own target, or None at the floor.
 
     c is an mpf or mpc of the context mp with a + Re c > 0.  DLMF 2.10.1:
-      T(c) = (a+c)^(1-s)/(s-1) + (a+c)^-s/2
-             + sum_{j<m} B_2j/(2j)! (s)_{2j-1} (a+c)^(1-s-2j) + R_m,
+      T_s(c) = (a+c)^(1-s)/(s-1) + (a+c)^-s/2
+               + sum_{j<m} B_2j/(2j)! (s)_{2j-1} (a+c)^(1-s-2j) + R_m,
       |R_m| <= 2|B_2m|/(2m)! (s)_{2m} int_a^inf |x+c|^(-s-2m) dx.
     |x+c| is convex, so above its tangent r0 + (t0/r0)(x-a) at a, r0 = |a+c|,
     t0 = a + Re c; hence |R_m| <= 2 (r0/t0) |term m|.  m is the first order
@@ -96,35 +97,39 @@ def shifted_tail(s: int, a: int, c, mp, target):
     """
     base = a + c
     r0 = abs(base)
-    # 2 r0/t0, widened for the rounding in the magnitudes: r0^(1-s-2j) and
-    # the coefficient pass through fewer than 2s + 4 MAX_ORDER + 16 roundings
-    slope = 2 * r0 / mp.re(base) * (1 + mp.ldexp(2 * s + 4 * MAX_ORDER + 16, 1 - mp.prec))
     w = 1 / base
     w2, q2 = w * w, 1 / (r0 * r0)
-    wp = w ** (s - 1)  # runs through (a+c)^(1-s-2j); q = |wp| in real arithmetic
-    q = r0 ** (1 - s)
-    acc = RunningSum(mp, ops_per_term=10)
-    acc.add(wp / (s - 1), q / (s - 1))
-    acc.add(wp * w / 2, q / r0 / 2)
-    wp, q = wp * w2, q * q2
     coeffs = ()
-    rising = s  # (s)_{2j-1}
-    prev = mp.inf
-    for j in range(1, MAX_ORDER + 1):
-        if j > len(coeffs):
-            coeffs = _coefficients(mp.prec, j)
-        coef = mp.mpf(coeffs[j - 1]) * rising
-        mag = abs(coef) * q
-        bound = slope * mag
-        if bound <= target:
-            return acc.value, bound + acc.allowance()
-        if bound >= prev:
-            return None
-        acc.add(coef * wp, mag)
-        prev = bound
-        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    out = []
+    for s, target in zip(exponents, targets):
+        # 2 r0/t0, widened for the rounding in the magnitudes: r0^(1-s-2j) and
+        # the coefficient pass through fewer than 2s + 4 MAX_ORDER + 16 roundings
+        slope = 2 * r0 / mp.re(base) * (1 + mp.ldexp(2 * s + 4 * MAX_ORDER + 16, 1 - mp.prec))
+        wp = w ** (s - 1)  # runs through (a+c)^(1-s-2j); q = |wp| in real arithmetic
+        q = r0 ** (1 - s)
+        acc = RunningSum(mp, ops_per_term=10)
+        acc.add(wp / (s - 1), q / (s - 1))
+        acc.add(wp * w / 2, q / r0 / 2)
         wp, q = wp * w2, q * q2
-    return None
+        rising, prev = s, mp.inf  # rising = (s)_{2j-1}
+        for j in range(1, MAX_ORDER + 1):
+            if j > len(coeffs):
+                coeffs = _coefficients(mp.prec, j)
+            coef = mp.mpf(coeffs[j - 1]) * rising
+            mag = abs(coef) * q
+            bound = slope * mag
+            if bound <= target:
+                out.append((acc.value, bound + acc.allowance()))
+                break
+            if bound >= prev:
+                return None
+            acc.add(coef * wp, mag)
+            prev = bound
+            rising *= (s + 2 * j - 1) * (s + 2 * j)
+            wp, q = wp * w2, q * q2
+        else:
+            return None
+    return out
 
 
 def zeta_tail(s: int, N: int, precision: int, target):
@@ -138,11 +143,11 @@ def zeta_tail(s: int, N: int, precision: int, target):
     mp = mp_context(precision)
     head = RunningSum(mp, ops_per_term=2)
     a = N + 1
-    while (got := shifted_tail(s, a, mp.zero, mp, target)) is None:
+    while (got := shifted_tail((s,), a, mp.zero, mp, (target,))) is None:
         for n in range(a, a + 16):
             head.add(mp.mpf(n) ** (-s))
         a += 16
-    tail, bound = got
+    tail, bound = got[0]
     value = head.value + tail
     return value, bound + head.allowance() + mp.ldexp(1, 1 - precision) * abs(value)
 

@@ -89,7 +89,7 @@ def test_eval_prints_the_truncation_the_lattice_sum_uses(point):
     proc = run_cli("eval", "f", point)
     assert proc.returncode == 0
     ctx = PrecisionContext()
-    expected = truncation_n(pole_distance(point, ctx)[0], ctx)
+    expected = truncation_n(pole_distance(point, ctx)[0], ctx.tolerance, ctx.mp)
     assert f"parameters: N = {expected}," in proc.stdout
     # high in the strip the tails alone reach the tolerance
     assert (expected == 0) == (point == "0.5+40i")

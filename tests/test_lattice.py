@@ -13,7 +13,7 @@ import pytest
 from eistrig import (InconclusiveNonvanishingError, PoleProximityError,
                      PrecisionContext, ToleranceUnreachableError, eisenstein_k,
                      naive_symmetric_value, strip_decay, symmetric_tail_bound)
-from eistrig.lattice import (f_deriv, first_order_ode_residual, nonvanishing_scan,
+from eistrig.lattice import (f_jet, first_order_ode_residual, nonvanishing_scan,
                              pole_distance, second_order_ode_residual)
 
 F_HALF = "9.86960440108935861883449099987615113531369941"      # f(1/2) = pi^2
@@ -46,10 +46,10 @@ def test_frozen_complex_value(ctx):
 
 
 def test_third_sum_matches_derivative_route(ctx):
-    # f' = -2 eps_3: check the frozen eps_3(0.3) against f_deriv's scaling
+    # f' = -2 eps_3: check the frozen eps_3(0.3) against the jet's scaling
     bv = eisenstein_k(3, "0.3", ctx)
     assert_matches(bv, E3_03, ctx)
-    fp = f_deriv(1, "0.3", ctx)
+    fp = f_jet("0.3", ctx, (ctx.tolerance, ctx.tolerance))[1]
     diff = abs(fp.value + 2 * bv.value)
     assert diff <= fp.radius + 2 * bv.radius + ctx.eps
 
@@ -111,6 +111,20 @@ def test_ode_residuals_near_an_integer_keep_their_tolerance(ctx):
     for residual in (second_order_ode_residual, first_order_ode_residual):
         r = residual("3.0001", ctx)
         assert r.consistent_with_zero() and r.radius <= ctx.tolerance
+
+
+@pytest.mark.parametrize("point", ["3.00000001", "3.00000000000000000001"])
+def test_second_order_residual_close_to_an_integer_meets_the_tolerance(point, ctx):
+    # f''(3 + 1e-8) ~ 6e32: the residual works at a precision sized from it
+    r = second_order_ode_residual(point, ctx)
+    assert r.consistent_with_zero() and r.radius <= ctx.tolerance
+
+
+@pytest.mark.parametrize("point", ["3.00000001", "3.00000000000000000001"])
+def test_first_order_residual_close_to_an_integer_meets_the_tolerance(point, ctx):
+    # f'(3 + 1e-8)^2 ~ 4e48: the residual works at a precision sized from it
+    r = first_order_ode_residual(point, ctx)
+    assert r.consistent_with_zero() and r.radius <= ctx.tolerance
 
 
 def test_ode_residual_detects_a_wrong_constant(ctx):

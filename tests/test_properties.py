@@ -13,6 +13,8 @@ from hypothesis import assume, given, strategies as st
 from eistrig import (PrecisionContext, cosine, eisenstein_k,
                      naive_symmetric_value, pythagoras_residual, sine,
                      symmetric_tail_bound, taylor_cosine)
+from eistrig import lattice
+from eistrig.lattice import f_jet
 from eistrig.trig import g_eval
 
 DEFAULT = PrecisionContext()
@@ -50,8 +52,10 @@ def lattice_closed_form(k: int, z):
     return mpmath.pi ** 4 * (2 + mpmath.cos(2 * mpmath.pi * z)) / (3 * s ** 4)
 
 
-@pytest.mark.parametrize("precision, tolerance",
-                         [(128, "1e-12"), (192, "1e-30"), (256, "1e-60")])
+CONTEXTS = [(128, "1e-12"), (192, "1e-30"), (256, "1e-60")]
+
+
+@pytest.mark.parametrize("precision, tolerance", CONTEXTS)
 @given(st.sampled_from([2, 3, 4]), dyadic(-0.5, 0.5), dyadic(-60, 60))
 def test_lattice_ball_contains_the_closed_form(precision, tolerance, k, x, y):
     assume(x != 0 or y != 0)
@@ -62,6 +66,41 @@ def test_lattice_ball_contains_the_closed_form(precision, tolerance, k, x, y):
     with mpmath.workprec(2 * precision + 64):
         exact = lattice_closed_form(k, mpmath.mpmathify(z))
         assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius
+
+
+def jet_misses(ctx, z):
+    """Orders i of f_jet(z) whose ball misses f = eps_2, f' = -2 eps_3 or
+    f'' = 6 eps_4 in closed form, or exceeds the tolerance."""
+    jet = f_jet(z, ctx, (ctx.tolerance,) * 3)
+    with mpmath.workprec(2 * ctx.precision + 64):
+        zm = mpmath.mpmathify(z)
+        exact = [scale * lattice_closed_form(k, zm) for k, scale in ((2, 1), (3, -2), (4, 6))]
+        return [i for i, (bv, value) in enumerate(zip(jet, exact))
+                if bv.radius > ctx.tolerance
+                or abs(mpmath.mpmathify(bv.value) - value) > bv.radius]
+
+
+@pytest.mark.parametrize("precision, tolerance", CONTEXTS)
+@given(dyadic(-0.5, 0.5), dyadic(-60, 60))
+def test_jet_balls_contain_the_closed_form(precision, tolerance, x, y):
+    assume(x != 0 or y != 0)
+    ctx = PrecisionContext(precision, tolerance)
+    assert jet_misses(ctx, ctx.point(DEFAULT.mp.mpc(x, y))) == []
+
+
+def test_the_jet_check_catches_a_dropped_euler_maclaurin_term(monkeypatch):
+    # a copy of the s = 3 tail without its j = 1 term, B_2/2! (3)_1 (a+c)^-4
+    real = lattice.shifted_tail
+
+    def short_s3_tail(exponents, a, c, mp, targets):
+        got = real(exponents, a, c, mp, targets)
+        return got and [(value - (a + c) ** -4 / 4, bound) if s == 3 else (value, bound)
+                        for s, (value, bound) in zip(exponents, got)]
+
+    monkeypatch.setattr(lattice, "shifted_tail", short_s3_tail)
+    for precision, tolerance in CONTEXTS:
+        ctx = PrecisionContext(precision, tolerance)
+        assert jet_misses(ctx, ctx.point("0.3+0.1i")) == [1]
 
 
 @given(dyadic(-3, 3))

@@ -7,6 +7,7 @@ only; the construction path under test never calls it.
 import mpmath
 import pytest
 
+from eistrig import lattice
 from eistrig import (PoleProximityError, PrecisionContext, compute_pi, cosine,
                      eisenstein_k, evaluator, pythagoras_residual, sine,
                      taylor_cosine)
@@ -66,7 +67,7 @@ def test_g_inside_the_guard_keeps_an_honest_radius(ctx):
 @pytest.mark.parametrize("point", ["0.5+3i", "0.25+4i"])
 def test_g_refines_a_coarse_f_that_does_not_exclude_zero(point, ctx):
     z = ctx.point(point)
-    assert eisenstein_k(2, z, ctx.coarse()).consistent_with_zero()
+    assert eisenstein_k(2, z, ctx.refined("1e-5")).consistent_with_zero()
     bv = g_eval(z, ctx)
     assert bv.radius <= ctx.tolerance
     with mpmath.workprec(2 * ctx.precision + 64):
@@ -92,6 +93,65 @@ def test_trig_within_1e_20_of_an_integer_meets_the_tolerance(point, ctx):
 def test_cosec_identity_within_1e_20_of_zero(ctx):
     r = cosec_identity_check("1e-20", ctx)
     assert r.consistent_with_zero() and r.radius <= ctx.tolerance
+
+
+@pytest.mark.parametrize("point", ["3.00000001", "3.00000000000000000001"])
+def test_cosec_identity_close_to_an_integer_meets_the_tolerance(point, ctx):
+    # |f(z)| |s(pi z)| ~ 1/|u|: pi z takes a pi sharp enough for that
+    r = cosec_identity_check(point, ctx)
+    assert r.consistent_with_zero() and r.radius <= ctx.tolerance
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Lattice passes and refine loops run since the fixture was set up."""
+    count = {"passes": 0, "refines": 0}
+
+    def counting(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args):
+            count[key] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(lattice, "_lattice_pass", "passes")
+    counting(lattice, "_resolved_f", "refines")
+    return count
+
+
+@pytest.mark.parametrize("point", ["0.37", "-17.5", "0.3+0.2i"])
+@pytest.mark.parametrize("fn", [cosine, sine, g_eval])
+def test_trig_calls_make_one_jet_pass(fn, point, ctx, passes):
+    evaluator(ctx)
+    bv = fn(ctx.point(point), ctx)
+    assert bv.radius <= ctx.tolerance
+    assert passes == {"passes": 1, "refines": 0}
+
+
+@pytest.mark.parametrize("point", ["0.37", "0.4+1.3i"])
+def test_pythagoras_makes_at_most_two_jet_passes(point, ctx, passes):
+    evaluator(ctx)
+    assert pythagoras_residual(ctx.point(point), ctx).consistent_with_zero()
+    assert passes["passes"] <= 2
+
+
+@pytest.mark.parametrize("point", ["0.5+3i", "0.25+4i", "0.5+7i"])
+@pytest.mark.parametrize("fn", [cosine, sine, g_eval])
+def test_trig_in_the_strip_certifies_from_its_own_passes(fn, point, ctx, passes):
+    # high in the strip g's Laurent steer |u|^-2 overshoots |f|, so its next
+    # pass steers from the first one's ball; at 0.5+7i (|f| ~ 3e-18) the
+    # first f ball straddles zero, and the refine loop resolves it
+    z = ctx.point(point)
+    bv = fn(z, ctx)
+    assert bv.radius <= ctx.tolerance
+    with mpmath.workprec(2 * ctx.precision + 64):
+        zm = mpmath.mpmathify(z)
+        exact = {cosine: mpmath.cos(zm), sine: mpmath.sin(zm),
+                 g_eval: (mpmath.sin(mpmath.pi * zm) / mpmath.pi) ** 2}[fn]
+        assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius
+    assert passes["passes"] <= 3
+    assert passes["refines"] == (fn is g_eval and point == "0.5+7i")
 
 
 def test_cosine_frozen_values(ctx):

@@ -126,7 +126,7 @@ def test_shifted_tail_bound_holds_and_is_within_1e3_of_the_true_remainder(k, c, 
     # The truth is the Hurwitz zeta value zeta(k, N+1+c).
     mp = mp_context(512)
     cc = mp.mpc(*c) if c[1] else mp.mpf(c[0])
-    value, bound = shifted_tail(k, N + 1, cc, mp, mp.mpf(target))
+    [(value, bound)] = shifted_tail((k,), N + 1, cc, mp, (mp.mpf(target),))
     with mpmath.workprec(768):
         exact = mpmath.zeta(k, N + 1 + mpmath.mpmathify(cc))
         err = abs(mpmath.mpmathify(value) - exact)
@@ -137,5 +137,5 @@ def test_shifted_tail_bound_holds_and_is_within_1e3_of_the_true_remainder(k, c, 
 def test_shifted_tail_reports_a_floor_above_the_target():
     # at the base point 21 the asymptotic series bottoms out near e^(-2 pi 20.5)
     mp = mp_context(512)
-    assert shifted_tail(3, 21, mp.mpf(-0.5), mp, mp.mpf("1e-60")) is None
-    assert shifted_tail(3, 21, mp.mpf(-0.5), mp, mp.mpf("1e-50")) is not None
+    assert shifted_tail((3,), 21, mp.mpf(-0.5), mp, (mp.mpf("1e-60"),)) is None
+    assert shifted_tail((3,), 21, mp.mpf(-0.5), mp, (mp.mpf("1e-50"),)) is not None

@@ -178,7 +178,7 @@ def _resolved_f(z, work: PrecisionContext) -> BoundedValue:
     return bv
 
 
-def _eps_bound(k: int, dist):
+def eps_bound(k: int, dist):
     """|eps_k(u)| <= dist^-k + 2 sum_{n>=1} (n - 1/2)^-k < dist^-k + 2^(k+2) for
     |u| = dist, |Re u| <= 1/2: steers without a lattice pass."""
     return dist ** -k + 2 ** (k + 2)
@@ -192,13 +192,15 @@ def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0) -> BoundedVa
 
     a0_shift adds an exact perturbation to a0 (a test-of-the-test: the
     residual then sits near 12 * shift * f(z) instead of zero).  f and f''
-    come from one jet pass, at a precision sized from |f''| ~ 6/u^4.
+    come from one jet pass, at a precision sized from |f''| ~ 6/u^4; the
+    unused f' of that pass gets a loose target.
     """
     _, dist = pole_distance(z, ctx)
-    mf = _eps_bound(2, dist) + 1
+    mf = eps_bound(2, dist) + 1
     sub = ctx.refined(ctx.tolerance / (4 * (1 + 24 * mf + 52)),
-                      6 * _eps_bound(4, dist) + mf * mf)
-    f0, _, f2 = f_jet(z, sub, (sub.tolerance,) * 3)
+                      6 * eps_bound(4, dist) + mf * mf)
+    tol = sub.tolerance
+    f0, _, f2 = f_jet(z, sub, (tol, max(tol, sub.mp.mpf("1e-5")), tol))
     a0 = coeff_a(0, sub)
     if a0_shift:
         sv = sub.real(a0_shift)
@@ -211,8 +213,8 @@ def first_order_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
     """(f'(z))^2 - 4 f(z)^3 + 12 a0 f(z)^2, consistent with zero; f and f'
     from one jet pass, at a precision sized from |f'|^2 ~ 4/u^6."""
     _, dist = pole_distance(z, ctx)
-    mf = _eps_bound(2, dist) + 1
-    mfp = 2 * _eps_bound(3, dist) + 1
+    mf = eps_bound(2, dist) + 1
+    mfp = 2 * eps_bound(3, dist) + 1
     sub = ctx.refined(ctx.tolerance / (4 * (1 + 2 * mfp + 24 * mf * mf + 96 * mf)),
                       mfp * mfp + 4 * mf ** 3)
     f0, fp = f_jet(z, sub, (sub.tolerance, sub.tolerance))

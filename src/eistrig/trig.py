@@ -6,6 +6,8 @@ Construction path:
     g(z)  := 1/f(z), g(integer) := 0    (f nowhere zero; double zeros of g)
     c(z)  := 1 - 2 pi^2 g(z / 2 pi)
     s(z)  := -pi f'(z / 2 pi) / f(z / 2 pi)^2     (= -c', sign s > 0 just above 0)
+    g''   := (2 f'^2 - f f'') / f^3     (checks g'' + 12 a0 g = 2 and, with
+             c''(z) = -g''(z / 2 pi) / 2, c'' + c = 0)
 
 Construction purity: nothing in this module calls platform trigonometric or
 exponential functions or a platform pi constant; the only primitives are
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import PoleProximityError, ToleranceUnreachableError
 from .precision import BoundedValue, PrecisionContext
-from .lattice import POLE_GUARD_ULPS, f_jet, pole_distance
+from .lattice import POLE_GUARD_ULPS, eps_bound, f_jet, pole_distance
 from .zetasums import coeff_a, zeta_even
 
 PI_PROVENANCE = "sqrt(6·ζ(2))"
@@ -107,6 +109,11 @@ def _snap(tol, mp):
     return mp.ldexp(1, 8 * ((int(mp.mag(tol)) - 1) // 8))
 
 
+def _g_slope(fb: BoundedValue, fpb: BoundedValue):
+    """|g'| = |f'/f^2| near the centre of a jet pass, inflated 4x: an estimate."""
+    return 4 * fpb.upper() / fb.lower() ** 2 + 2.0 ** -10
+
+
 # -- g = 1/f --------------------------------------------------------------------
 
 
@@ -158,7 +165,7 @@ def cosine(z, ctx: PrecisionContext) -> BoundedValue:
     # |g'| = |f'/f^2| near w: 2|u| + O(u^3) within the pole guard, else from
     # the f and f' of g's pass (inflated 4x)
     lg = (3 * (POLE_GUARD_ULPS * ctx.eps + w.radius) if jet is None
-          else 4 * jet[1].upper() / jet[0].lower() ** 2 + 2.0 ** -10)
+          else _g_slope(*jet))
     return ev.cosine_from_g(ctx.adopt(gb), lg * w.radius)
 
 
@@ -205,8 +212,7 @@ def _sincos(z, ctx: PrecisionContext):
         s = ctx.bneg(ctx.bmul(pi, BoundedValue(q.value, q.radius + lq * w.radius)))
         if s.radius <= tol or pi.value * lq * w.radius > tol:
             break
-    lg = 4 * mfp / (lf * lf) + 2.0 ** -10
-    return ev.cosine_from_g(ctx.brecip(fb), lg * w.radius), s
+    return ev.cosine_from_g(ctx.brecip(fb), _g_slope(fb, fpb) * w.radius), s
 
 
 # -- Taylor route ----------------------------------------------------------------
@@ -249,92 +255,54 @@ def taylor_cosine(z, ctx: PrecisionContext) -> BoundedValue:
     return BoundedValue(value, tail + allowance)
 
 
-# -- finite-difference residuals ---------------------------------------------------
+# -- jet residuals -----------------------------------------------------------------
 
 
-def fd_step(ctx: PrecisionContext, h=None):
-    """Default central-difference step: tolerance^(1/4) clamped to [1e-6, 1e-3]."""
-    mp = ctx.mp
-    if h is not None:
-        step = ctx.real(h)
-        if not step > 0:
-            raise ValueError("finite-difference step must be positive")
-        return step
-    step = mp.sqrt(mp.sqrt(ctx.tolerance))
-    return min(max(step, mp.mpf("1e-6")), mp.mpf("1e-3"))
+def _g_jet(x, ctx: PrecisionContext):
+    """(g, g'', |g'| estimate) at x, adopted to ctx, from one jet pass:
+    g = 1/f and g'' = (2 f'^2 - f f'')/f^3.
 
-
-def reciprocal_ode_residual(z, ctx: PrecisionContext, h=None) -> BoundedValue:
-    """g''(z) + 12 a0 g(z) - 2 with g'' by central differences.
-
-    The radius combines the five g-evaluation balls with the O(h^2)
-    discretization bound h^2 M4 / 12, M4 estimated from the fourth central
-    difference (inflated 2x plus a unit floor).
+    The pass is sized for g within tolerance/160 and g'' within tolerance/4
+    from the upper bounds eps_bound and the Laurent term |f| ~ |u|^-2, a
+    lower bound on the real axis; off the axis, where |f| can fall below
+    it, a bad estimate only costs sharpness.  PoleProximityError within the
+    pole guard of an integer.
     """
-    zp = ctx.point(z)
-    step = fd_step(ctx, h)
+    _, dist = pole_distance(x, ctx)
+    lf, mf = dist ** -2, eps_bound(2, dist) + 1
+    mfp, mf2 = 2 * eps_bound(3, dist) + 1, 6 * eps_bound(4, dist) + 1
+    # g'' moves by k t when f, f' and f'' each move by t (first order)
+    k = (1 + 4 * mfp / lf + (2 * mf * mf2 + 6 * mfp * mfp) / (lf * lf)) / (lf * lf)
+    sub = ctx.refined(ctx.tolerance / (4 * max(k, 40 / (lf * lf))), mf)
+    fb, fpb, f2b = f_jet(x, sub, (sub.tolerance,) * 3)
+    g = sub.brecip(fb)
+    num = sub.bsub(sub.bscale(sub.bmul(fpb, fpb), 2), sub.bmul(fb, f2b))
+    g2 = sub.bmul(num, sub.bmul(g, sub.bmul(g, g)))
+    return ctx.adopt(g), ctx.adopt(g2), _g_slope(fb, fpb)
+
+
+def reciprocal_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
+    """g''(z) + 12 a0 g(z) - 2 with g and g'' from one jet pass at z."""
+    g, g2, _ = _g_jet(ctx.point(z), ctx)
+    res = ctx.badd(g2, ctx.bscale(ctx.bmul(evaluator(ctx).a0, g), 12))
+    return ctx.bsub(res, ctx.ball(2))
+
+
+def ivp_residual(z, ctx: PrecisionContext) -> BoundedValue:
+    """c''(z) + c(z) with c(z) = 1 - 2 pi^2 g(w) and c''(z) = -g''(w)/2 from
+    one jet pass at w = z / 2 pi.  The w-radius moves g by |g'| r_w and g''
+    by |g'''| r_w = 12 a0 |g'| r_w, |g'| estimated as cosine's."""
     ev = evaluator(ctx)
-    samples = _fd_samples(g_eval, zp, step, ctx)
-    d2, disc = _second_difference(samples, step, ctx)
-    res = ctx.badd(d2, ctx.bscale(ctx.bmul(ev.a0, samples[2]), 12))
-    res = ctx.bsub(res, ctx.ball(2))
-    return BoundedValue(res.value, res.radius + disc)
+    w = ev.w_ball(ctx.point(z))
+    g, g2, lg = _g_jet(w.value, ctx)
+    widen = lg * w.radius
+    c2 = BoundedValue(-g2.value / 2, (g2.radius + 12 * ev.a0.upper() * widen) / 2)
+    return ctx.badd(c2, ev.cosine_from_g(g, widen))
 
 
-def ivp_residual(z, ctx: PrecisionContext, h=None) -> BoundedValue:
-    """c''(z) + c(z) with c'' by central differences (same error model)."""
-    zp = ctx.point(z)
-    step = fd_step(ctx, h)
-    samples = _fd_samples(cosine, zp, step, ctx)
-    d2, disc = _second_difference(samples, step, ctx)
-    res = ctx.badd(d2, samples[2])
-    return BoundedValue(res.value, res.radius + disc)
-
-
-def ivp_initial_data(ctx: PrecisionContext, h=None):
-    """(c(0), central-difference c'(0) ball including its discretization bound).
-
-    c(0) is exact; |c'(0)| must vanish within the second ball's radius.
-    """
-    step = fd_step(ctx, h)
-    c0 = cosine(0, ctx)
-    sub = ctx.refined(ctx.tolerance * step / 8)
-    cp = (ctx.adopt(cosine(step, sub)), ctx.adopt(cosine(-step, sub)))
-    diff = ctx.bsub(cp[0], cp[1])
-    inv = ctx.brecip(ctx.ball(2 * step))
-    d1 = ctx.bmul(diff, inv)
-    # |c'''| <= 1 + |c| near 0; third-derivative bound via the cheap floor
-    m3 = cp[0].upper() + cp[1].upper() + 1
-    disc = step * step * m3 / 6
-    return c0, BoundedValue(d1.value, d1.radius + disc)
-
-
-def _fd_samples(fn, zp, step, ctx: PrecisionContext):
-    """fn at z - 2h .. z + 2h, each evaluated at tolerance * h^2 / 16."""
-    sub = ctx.refined(ctx.tolerance * step * step / 16)
-    offsets = (-2, -1, 0, 1, 2)
-    out = []
-    for k in offsets:
-        bv = fn(zp + k * step, sub)
-        out.append(ctx.adopt(bv))
-    return out
-
-
-def _second_difference(samples, step, ctx: PrecisionContext):
-    """((u(z+h) - 2u(z) + u(z-h)) / h^2 ball, discretization bound h^2 M4 / 12)."""
-    mp = ctx.mp
-    um2, um1, u0, up1, up2 = samples
-    hb = ctx.ball(step)
-    h2 = ctx.bmul(hb, hb)
-    num = ctx.badd(ctx.badd(up1, um1), ctx.bscale(u0, -2))
-    d2 = ctx.bmul(num, ctx.brecip(h2))
-    # fourth central difference -> M4 estimate (2x inflation + unit floor)
-    d4 = ctx.badd(ctx.badd(um2, up2),
-                  ctx.badd(ctx.bscale(ctx.badd(um1, up1), -4), ctx.bscale(u0, 6)))
-    h4 = ctx.bmul(h2, h2)
-    m4 = 2 * ctx.bmul(d4, ctx.brecip(h4)).upper() + 1
-    disc = step * step * m4 / 12
-    return d2, mp.mpf(disc)
+def ivp_initial_data(ctx: PrecisionContext):
+    """(c(0), c'(0)) = (cosine(0), -sine(0)): both exact, because f is even."""
+    return cosine(0, ctx), ctx.bneg(sine(0, ctx))
 
 
 # -- identity checks ---------------------------------------------------------------

@@ -40,9 +40,9 @@ from .laurent import (combination_first_order, combination_second_order,
                       implied_identities)
 from .precision import BoundedValue, PrecisionContext
 from .sympoly import SymbolPoly, render_poly
-from .trig import (cosec_identity_check, cosine, evaluator, fd_step,
-                   ivp_initial_data, ivp_residual, pythagoras_residual,
-                   reciprocal_ode_residual, taylor_cosine)
+from .trig import (cosec_identity_check, cosine, evaluator, ivp_initial_data,
+                   ivp_residual, pythagoras_residual, reciprocal_ode_residual,
+                   taylor_cosine)
 from .zetasums import coeff_a
 
 #: decimal digits of pi, kept only for the pi_reference check (clearly
@@ -287,8 +287,7 @@ _IVP_POINTS = ("0.25", "1.0", "1.7", "2.5")
 def _check_reciprocal_ode(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
     labeled = [(p, reciprocal_ode_residual(p, ctx)) for p in _RECIPROCAL_POINTS]
     return _ball_item(
-        "reciprocal_ode", "g'' + 12 a0 g = 2 for g = 1/f (central differences)",
-        {"h": format_real(fd_step(ctx), ctx)}, labeled, ctx)
+        "reciprocal_ode", "g'' + 12 a0 g = 2 for g = 1/f", {}, labeled, ctx)
 
 
 def _check_ivp(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
@@ -297,8 +296,7 @@ def _check_ivp(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
     labeled.append(("c(0) - 1", BoundedValue(c0.value - 1, c0.radius)))
     labeled.append(("c'(0)", cp0))
     return _ball_item(
-        "ivp", "c'' + c = 0 (central differences) with c(0) = 1 and c'(0) = 0",
-        {"h": format_real(fd_step(ctx), ctx)}, labeled, ctx)
+        "ivp", "c'' + c = 0 with c(0) = 1 and c'(0) = 0", {}, labeled, ctx)
 
 
 def _cosine_routes(config: RunConfig, ctx: PrecisionContext):

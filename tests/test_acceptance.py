@@ -158,13 +158,13 @@ def test_a09_ode_residuals_bounded_on_default_grid():
 
 
 def test_a10_finite_difference_residuals_and_exact_initial_values():
-    h = "1e-4"
-    bound = CTX.mp.mpf("1e-6")
+    # g'' and c'' come from one f jet; the test keeps its original name
+    bound = CTX.tolerance
     worst = CTX.mp.mpf(0)
     for x in CONFIG.real_grid():
         z = CTX.from_fraction(x)
-        for res in (reciprocal_ode_residual(z, CTX, h),
-                    ivp_residual(z, CTX, h)):
+        for res in (reciprocal_ode_residual(z, CTX),
+                    ivp_residual(z, CTX)):
             outer = abs(res.value) + res.radius
             assert outer <= bound, f"at z = {z}"
             worst = max(worst, outer)
@@ -172,8 +172,8 @@ def test_a10_finite_difference_residuals_and_exact_initial_values():
     c0 = cosine("0", CTX)
     assert g0.value == 0 and g0.radius == 0
     assert c0.value == 1 and c0.radius == 0
-    print(f"\na10: |g''+12a0 g-2| and |c''+c| at h=1e-4 <= {fmt(worst)}"
-          " <= 1e-6 on the real grid; g(0)=0 and c(0)=1 exact")
+    print(f"\na10: |g''+12a0 g-2| and |c''+c| from the f jet <= {fmt(worst)}"
+          " <= 1e-12 on the real grid; g(0)=0 and c(0)=1 exact")
 
 
 def test_a11_cosine_routes_agree_within_summed_radii():

@@ -11,8 +11,9 @@ from eistrig import lattice
 from eistrig import (PoleProximityError, PrecisionContext, compute_pi, cosine,
                      eisenstein_k, evaluator, pythagoras_residual, sine,
                      taylor_cosine)
-from eistrig.trig import (cosec_identity_check, fd_step, g_eval, ivp_initial_data,
-                          ivp_residual, reciprocal_ode_residual)
+from eistrig import trig
+from eistrig.trig import (cosec_identity_check, g_eval, ivp_initial_data, ivp_residual,
+                          reciprocal_ode_residual)
 
 PI50 = "3.1415926535897932384626433832795028841971693993751"
 INV_PISQ = "0.101321183642337771443879463209727638904358775"
@@ -228,28 +229,34 @@ def test_routes_agree_within_summed_bounds(ctx):
         assert abs(a.value - b.value) <= a.radius + b.radius
 
 
-def test_fd_step_default_and_override(ctx):
-    h = fd_step(ctx)
-    assert ctx.mp.mpf("1e-6") <= h <= ctx.mp.mpf("1e-3")
-    assert fd_step(ctx, ctx.mp.mpf("1e-4")) == ctx.mp.mpf("1e-4")
-    with pytest.raises(ValueError):
-        fd_step(ctx, ctx.mp.mpf("-1e-4"))
-
-
 def test_reciprocal_ode_residual_brackets_zero(ctx):
-    h = ctx.mp.mpf("1e-4")
     for z in ("0.3", "0.62"):
-        r = reciprocal_ode_residual(z, ctx, h=h)
+        r = reciprocal_ode_residual(z, ctx)
         assert r.consistent_with_zero()
-        assert r.radius <= ctx.mp.mpf("1e-6")
+        assert r.radius <= ctx.tolerance
 
 
 def test_ivp_residual_and_initial_data(ctx):
-    r = ivp_residual("0.3", ctx, h=ctx.mp.mpf("1e-4"))
-    assert r.consistent_with_zero() and r.radius <= ctx.mp.mpf("1e-6")
+    r = ivp_residual("0.3", ctx)
+    assert r.consistent_with_zero() and r.radius <= ctx.tolerance
     c0, cp0 = ivp_initial_data(ctx)
     assert c0.value == 1 and c0.radius == 0
-    assert cp0.consistent_with_zero()
+    assert cp0.value == 0 and cp0.radius == 0
+
+
+def test_the_jet_residuals_catch_a_scaled_second_derivative(ctx, monkeypatch):
+    # f'' off by a relative 2^-40 shifts g'' by ~2e-12 at 0.5; the radii stay below 1e-14
+    real = trig.f_jet
+
+    def skewed_jet(z, sub, tolerances):
+        jet = real(z, sub, tolerances)
+        jet[2] = sub.bscale(jet[2], 1 + sub.mp.ldexp(1, -40))
+        return jet
+
+    monkeypatch.setattr(trig, "f_jet", skewed_jet)
+    for z in ("0.3", "0.5"):
+        assert not reciprocal_ode_residual(z, ctx).consistent_with_zero()
+        assert not ivp_residual(z, ctx).consistent_with_zero()
 
 
 def test_cosec_identity_on_and_off_axis(ctx):

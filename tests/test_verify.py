@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from eistrig import ConfigurationError
-from eistrig.verify import (RunConfig, convergence_table, render_json, render_text,
+from eistrig.verify import (RunConfig, _check_ivp, _check_reciprocal_ode,
+                            convergence_table, render_json, render_text,
                             route_error_table, run_verification, strip_decay_table)
 
 SMALL = RunConfig(real_points=6, complex_points=4, route_points=5,
@@ -49,6 +50,16 @@ def test_small_run_produces_a_complete_passing_report():
     for item in report.items:
         assert item.status == "pass"
         assert isinstance(item.residual, str) and isinstance(item.bound, str)
+
+
+def test_default_jet_residual_items_meet_the_tolerance():
+    # both items read only the context, so these are the default report's items
+    cfg = RunConfig()
+    ctx = cfg.context()
+    for item in (_check_reciprocal_ode(cfg, ctx), _check_ivp(cfg, ctx)):
+        assert item.status == "pass"
+        assert "h" not in item.parameters
+        assert ctx.real(item.bound) <= ctx.tolerance
 
 
 def test_self_contained_mode_omits_the_stored_constant_check():

@@ -52,8 +52,8 @@ def main():
     print("classical values through the lattice route alone")
     print("=" * 76)
     # pi^ is itself a ball; evaluating c at a *rounded* multiple of it can
-    # only pin down c to within (slope) * (pi^ radius) * (multiple), so that
-    # width is charged explicitly in the allowance column.
+    # only pin down c to within |c'| <= 1 times the argument's radius, so
+    # that width is charged explicitly in the allowance column.
     pi_hat = evaluator(ctx).pi.value
     cases = (
         ("c(pi^)  ", Fraction(1), mp.mpf(-1), "-1 "),
@@ -74,7 +74,8 @@ def main():
     print()
 
     print("periodicity: shifting by 2 pi^ k displaces the input by at most")
-    print("2k times the pi^ radius, and the returned radius grows with |z|:")
+    print("2k times the pi^ radius, a few ulps of pi^ each, so the allowed")
+    print("drift stays at the returned radii up to k = 10^6:")
     base = ctx.real("0.7")
     c_base = cosine(base, ctx)
     for k in (1, 1000, 10**6):

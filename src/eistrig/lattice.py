@@ -19,7 +19,8 @@ consecutive k at one point, each to its own target (all bounds explicit):
    each ball is demoted to the caller's precision, rounding charged.
 
 eisenstein_k is the one-exponent pass; f_jet, the pass for [f, f', f''],
-serves the trig evaluators, the steering and the identity checks.  Plain
+serves the trig evaluators, the steering and the identity checks, and
+widen_jet holds its balls over a disc about the point.  Plain
 symmetric truncation with its closed-form bound 2 (N-1/2)^(1-k)/(k-1)
 (symmetric_tail_bound, naive_symmetric_value) is kept for convergence
 tables and tail-validity tests; it shares the explicit sum of step 2.
@@ -182,6 +183,22 @@ def eps_bound(k: int, dist):
     """|eps_k(u)| <= dist^-k + 2 sum_{n>=1} (n - 1/2)^-k < dist^-k + 2^(k+2) for
     |u| = dist, |Re u| <= 1/2: steers without a lattice pass."""
     return dist ** -k + 2 ** (k + 2)
+
+
+def widen_jet(jet, z, r, ctx: PrecisionContext) -> list[BoundedValue]:
+    """The jet [f, f', f''][:n] of f_jet at z, widened to hold the jet at every
+    point of the disc |z' - z| <= r: f^(i) = (-1)^i (i+1)! eps_(i+2) moves by at
+    most (i+2)! eps_bound(i+3, |u| - r) r there.  PoleProximityError when the
+    disc reaches an integer."""
+    if not r:
+        return jet
+    _, dist = pole_distance(z, ctx)
+    if dist <= r:
+        raise PoleProximityError(
+            f"the disc of radius {ctx.mp.nstr(r, 3)} about {ctx.mp.nstr(ctx.point(z), 12)} "
+            "reaches an integer")
+    return [BoundedValue(bv.value, bv.radius + math.factorial(i + 2) * eps_bound(i + 3, dist - r) * r)
+            for i, bv in enumerate(jet)]
 
 
 # -- ODE residuals -------------------------------------------------------------

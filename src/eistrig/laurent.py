@@ -323,13 +323,6 @@ class WPolynomial:
     def __hash__(self) -> int:
         return hash(self.coefficients)
 
-    def evaluate(self, w_ball, a_values: Sequence, ctx):
-        """Horner evaluation at a BoundedValue w with BoundedValues for the a_d."""
-        acc = ctx.ball(0)
-        for poly in reversed(self.coefficients):
-            acc = ctx.badd(ctx.bmul(acc, w_ball), poly.substitute(a_values, ctx))
-        return acc
-
     def __str__(self) -> str:
         if not self.coefficients:
             return "0"

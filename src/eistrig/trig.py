@@ -16,29 +16,27 @@ lattice/zeta evaluators.  Platform references appear solely in tests.
 
 Because c and s run through f, which reduces its argument by the nearest
 integer exactly, both inherit exact periodicity in the computed period
-2 pi-hat.  g, c and s each make one lattice jet pass (f, f', f'') at their
-point, steered by the leading Laurent terms, later passes by their own
-balls.  The division z / (2 pi-hat) carries pi-hat's radius into an
-argument uncertainty, moved into the result radius by a slope from the
-same pass at the centre, inflated 4x: an estimate, not a bound over the
-disc.  For |z| up to ~50 the radius stays below the tolerance; for huge
-|z| it grows linearly with |z| (the cost of a computed period).
+2 pi-hat.  g and c each make one lattice pass for f at their point, s one
+for f and f', steered by the leading Laurent terms, later passes by their
+own balls.  pi-hat is computed to a few ulps of the context's precision, so
+w = z / (2 pi-hat) is a ball of a few ulps of |w|; lattice.widen_jet holds
+the jet over that disc with the bound eps_bound on the next derivative, so
+each returned ball holds at every point of it.  Far off the real axis,
+where |f| is tiny and eps_bound is not, that widening outgrows the
+tolerance and the evaluators raise ToleranceUnreachableError.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 
 from .errors import PoleProximityError, ToleranceUnreachableError
 from .precision import BoundedValue, PrecisionContext
-from .lattice import POLE_GUARD_ULPS, eps_bound, f_jet, pole_distance
-from .zetasums import coeff_a, zeta_even
+from .lattice import POLE_GUARD_ULPS, eps_bound, f_jet, pole_distance, widen_jet
+from .zetasums import zeta_even
 
 PI_PROVENANCE = "sqrt(6·ζ(2))"
-
-#: evaluation tolerance for cached pi / a0 relative to the context tolerance
-_PI_SHARPEN = 10  # pi is computed at tolerance * 2**-_PI_SHARPEN
 
 
 @dataclass(frozen=True)
@@ -50,68 +48,53 @@ class PiValue:
 
 
 def compute_pi(ctx: PrecisionContext) -> PiValue:
-    """pi as sqrt(6 zeta(2)), radius <= the context tolerance."""
-    sub = ctx.refined(ctx.tolerance / 3)
-    z2 = zeta_even(1, sub)
-    six = ctx.bscale(ctx.adopt(z2), 6)
-    return PiValue(ctx.bsqrt(six))
+    """pi as sqrt(6 zeta(2)), to a few ulps of the context's precision."""
+    return evaluator(ctx).pi
 
 
 class TrigEvaluator:
-    """Caches pi and a0 for one context so repeated evaluations share them.
+    """pi, a0 and pi^2 for one context, to a few ulps of its precision, from
+    one zeta(2) ball: pi^2 = 6 zeta(2) = 3 a0 exactly.
 
     Immutable after construction; safe for concurrent use.
     """
 
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
-        sharp = ctx.refined(ctx.tolerance * ctx.mp.ldexp(1, -_PI_SHARPEN))
-        pv = compute_pi(sharp)
-        self.pi = PiValue(ctx.adopt(pv.value), pv.provenance)
-        self.a0 = ctx.adopt(coeff_a(0, sharp))
-        self.pi_sq = ctx.bmul(self.pi.value, self.pi.value)
+        z2 = ctx.adopt(zeta_even(1, ctx.refined(ctx.eps)))
+        self.a0 = ctx.bscale(z2, 2)
+        self.pi_sq = ctx.bscale(z2, 6)
+        self.pi = PiValue(ctx.bsqrt(self.pi_sq))
         self.half_inv_pi = ctx.brecip(ctx.bscale(self.pi.value, 2))
-        #: tolerance of the f' and f'' that only estimate slopes
-        self.slope_tol = max(ctx.tolerance, ctx.mp.mpf("1e-5"))
 
     def w_ball(self, zp) -> BoundedValue:
         """z / (2 pi) as a ball; the radius is the argument uncertainty."""
         return self.ctx.bmul(self.ctx.ball(zp), self.half_inv_pi)
 
-    def cosine_from_g(self, gb: BoundedValue, widen) -> BoundedValue:
-        """1 - 2 pi^2 g from the ball gb of g(w), its radius widened by widen."""
-        gb, ctx = BoundedValue(gb.value, gb.radius + widen), self.ctx
+    def cosine_from_g(self, gb: BoundedValue) -> BoundedValue:
+        """1 - 2 pi^2 g from the ball gb of g(w)."""
+        ctx = self.ctx
         return ctx.bsub(ctx.ball(1), ctx.bscale(ctx.bmul(self.pi_sq, gb), 2))
 
 
-_EVALUATORS: dict[PrecisionContext, TrigEvaluator] = {}
-_EV_LOCK = threading.Lock()
+#: the evaluators of the 32 contexts used last
+_cached_evaluator = functools.lru_cache(maxsize=32)(TrigEvaluator)
 
 
 def evaluator(ctx: PrecisionContext) -> TrigEvaluator:
-    ev = _EVALUATORS.get(ctx)
-    if ev is None:
-        with _EV_LOCK:
-            ev = _EVALUATORS.get(ctx)
-            if ev is None:
-                ev = TrigEvaluator(ctx)
-                _EVALUATORS[ctx] = ev
-    return ev
+    """The TrigEvaluator of ctx, from the bounded cache; a plain function, so
+    that profilers which wrap the public functions see its calls."""
+    return _cached_evaluator(ctx)
 
 
 def _snap(tol, mp):
     """Largest power of 2^8 at or below tol.
 
     Sub-tolerances steered from magnitudes vary smoothly with the point;
-    snapping them keeps the derived contexts, the keys of _EVALUATORS and of
-    the mpmath context cache, few.  It only ever tightens a tolerance.
+    snapping them keeps the derived contexts, the keys of the evaluator and
+    mpmath context caches, few.  It only ever tightens a tolerance.
     """
     return mp.ldexp(1, 8 * ((int(mp.mag(tol)) - 1) // 8))
-
-
-def _g_slope(fb: BoundedValue, fpb: BoundedValue):
-    """|g'| = |f'/f^2| near the centre of a jet pass, inflated 4x: an estimate."""
-    return 4 * fpb.upper() / fb.lower() ** 2 + 2.0 ** -10
 
 
 # -- g = 1/f --------------------------------------------------------------------
@@ -126,26 +109,30 @@ def g_eval(z, ctx: PrecisionContext) -> BoundedValue:
     returned.  Elsewhere f is evaluated tightly enough that the reciprocal
     ball meets the context tolerance, or ToleranceUnreachableError is raised.
     """
-    return _reciprocal(ctx.point(z), ctx)[0]
+    return _reciprocal(ctx.point(z), ctx)
 
 
-def _reciprocal(x, work: PrecisionContext, slope_tols=()):
-    """(g(x) within work.tolerance, the jet of its pass; None in the guard).
+def _reciprocal(x, work: PrecisionContext, r=0) -> BoundedValue:
+    """g within work.tolerance at every point of the disc |x' - x| <= r.
     The first pass steers from the Laurent term |f| ~ |u|^-2, the next from
-    the last f ball, the third 2^-6 tighter; slope_tols adds f' to the pass."""
+    the last f ball, the third 2^-6 tighter."""
     mp = work.mp
+    tol = work.tolerance
     _, au = pole_distance(x, work)
-    if au <= POLE_GUARD_ULPS * work.eps:
-        near = mp.mpf(1.5) * au * au
-        return BoundedValue(mp.mpf(0), near + work.eps * near), None
-    tol, lf = work.tolerance, au ** -2
-    for attempt in range(3):
-        sub_tol = _snap(min(tol * lf * lf / 2, lf / 4) * mp.ldexp(1, -6 * (attempt // 2)), mp)
-        jet = f_jet(x, work, (sub_tol,) + slope_tols)
-        gb = work.brecip(jet[0])
+    if au <= max(POLE_GUARD_ULPS * work.eps, 2 * r):
+        near = mp.mpf(1.5) * (au + r) ** 2
+        gb = BoundedValue(mp.mpf(0), near + work.eps * near)
         if gb.radius <= tol:
-            return gb, jet
-        lf = jet[0].lower()
+            return gb
+    else:
+        lf = au ** -2
+        for attempt in range(3):
+            sub_tol = _snap(min(tol * lf * lf / 2, lf / 4) * mp.ldexp(1, -6 * (attempt // 2)), mp)
+            fb = widen_jet(f_jet(x, work, (sub_tol,)), x, r, work)[0]
+            gb = work.brecip(fb)
+            if gb.radius <= tol:
+                return gb
+            lf = fb.lower()
     raise ToleranceUnreachableError(
         f"g({mp.nstr(x, 8)}) = 1/f keeps radius {mp.nstr(gb.radius, 3)} at "
         f"{work.precision} bits, above tolerance {mp.nstr(tol, 5)}")
@@ -155,18 +142,15 @@ def _reciprocal(x, work: PrecisionContext, slope_tols=()):
 
 
 def cosine(z, ctx: PrecisionContext) -> BoundedValue:
-    """c(z) = 1 - 2 pi^2 g(z / 2 pi); c(0) = 1 exactly; g to tolerance/160."""
+    """c(z) = 1 - 2 pi^2 g(z / 2 pi); c(0) = 1 exactly; g to tolerance/160
+    over the disc of z / 2 pi."""
     zp = ctx.point(z)
     if zp == 0:
         return ctx.ball(1)
     ev = evaluator(ctx)
     w = ev.w_ball(zp)
-    gb, jet = _reciprocal(w.value, ctx.refined(ctx.tolerance / 160), (ev.slope_tol,))
-    # |g'| = |f'/f^2| near w: 2|u| + O(u^3) within the pole guard, else from
-    # the f and f' of g's pass (inflated 4x)
-    lg = (3 * (POLE_GUARD_ULPS * ctx.eps + w.radius) if jet is None
-          else _g_slope(*jet))
-    return ev.cosine_from_g(ctx.adopt(gb), lg * w.radius)
+    return ev.cosine_from_g(ctx.adopt(_reciprocal(w.value, ctx.refined(ctx.tolerance / 160),
+                                                  w.radius)))
 
 
 # -- sine -----------------------------------------------------------------------
@@ -177,15 +161,16 @@ def sine(z, ctx: PrecisionContext) -> BoundedValue:
 
     Within a small guard of a period multiple, where the quotient route
     degenerates, |s(z)| <= 2 (pi + r_pi)(|u| + r_w) gives a zero-centered ball.
+    ToleranceUnreachableError where the radius cannot meet the tolerance.
     """
     return _sincos(z, ctx)[1]
 
 
 def _sincos(z, ctx: PrecisionContext):
-    """(c(z), s(z)) from one jet pass at w = z / 2 pi, steered as g's (from
-    |f'| ~ 2|u|^-3 too) for s within the tolerance and g within 1/160 of it;
-    s is returned once its slope term alone exceeds the tolerance, or after
-    three passes, whatever its radius."""
+    """(c(z), s(z)) from one jet pass at w = z / 2 pi, held over w's disc and
+    steered as g's (from |f'| ~ 2|u|^-3 too) for s within the tolerance and g
+    within 1/160 of it; ToleranceUnreachableError when s misses the tolerance
+    after three passes."""
     mp = ctx.mp
     zp = ctx.point(z)
     if zp == 0:
@@ -193,26 +178,26 @@ def _sincos(z, ctx: PrecisionContext):
     ev = evaluator(ctx)
     w = ev.w_ball(zp)
     _, au = pole_distance(w.value, ctx)
-    pi = ev.pi.value
+    pi, tol = ev.pi.value, ctx.tolerance
     if au <= max(32 * ctx.eps, 4 * w.radius):
         span = (au + w.radius) * (pi.value + pi.radius) * 2
-        span = span * (1 + mp.ldexp(1, -20)) + mp.ldexp(1, -2 * ctx.precision)
-        return cosine(zp, ctx), BoundedValue(mp.mpf(0), span)
-    tol = ctx.tolerance
-    lf, mfp = au ** -2, 2 * au ** -3
-    for attempt in range(3):
-        rho = tol / (64 * (mfp / (lf * lf) + 1)) * mp.ldexp(1, -6 * (attempt // 2))
-        eps_f = _snap(min(rho * lf / 2, lf / 4, tol * lf * lf / 320), mp)
-        fb, fpb, f2b = f_jet(w.value, ctx, (eps_f, _snap(rho * (mfp + lf) / 2, mp),
-                                           ev.slope_tol))
-        lf, mfp = fb.lower(), fpb.upper()
-        # |q'| for q = f'/f^2 near w, from this pass (inflated 4x); |g'| below
-        lq = 4 * (f2b.upper() / (lf * lf) + 2 * mfp * mfp / (lf * lf * lf)) + 1
-        q = ctx.bmul(fpb, ctx.brecip(ctx.bmul(fb, fb)))
-        s = ctx.bneg(ctx.bmul(pi, BoundedValue(q.value, q.radius + lq * w.radius)))
-        if s.radius <= tol or pi.value * lq * w.radius > tol:
-            break
-    return ev.cosine_from_g(ctx.brecip(fb), _g_slope(fb, fpb) * w.radius), s
+        s = BoundedValue(mp.mpf(0), span * (1 + mp.ldexp(1, -20)) + mp.ldexp(1, -2 * ctx.precision))
+        if s.radius <= tol:
+            return cosine(zp, ctx), s
+    else:
+        lf, mfp = au ** -2, 2 * au ** -3
+        for attempt in range(3):
+            rho = tol / (64 * (mfp / (lf * lf) + 1)) * mp.ldexp(1, -6 * (attempt // 2))
+            eps_f = _snap(min(rho * lf / 2, lf / 4, tol * lf * lf / 320), mp)
+            fb, fpb = widen_jet(f_jet(w.value, ctx, (eps_f, _snap(rho * (mfp + lf) / 2, mp))),
+                                w.value, w.radius, ctx)
+            lf, mfp = fb.lower(), fpb.upper()
+            s = ctx.bneg(ctx.bmul(pi, ctx.bmul(fpb, ctx.brecip(ctx.bmul(fb, fb)))))
+            if s.radius <= tol:
+                return ev.cosine_from_g(ctx.brecip(fb)), s
+    raise ToleranceUnreachableError(
+        f"sin({mp.nstr(zp, 8)}) keeps radius {mp.nstr(s.radius, 3)} at "
+        f"{ctx.precision} bits, above tolerance {mp.nstr(tol, 5)}")
 
 
 # -- Taylor route ----------------------------------------------------------------
@@ -258,46 +243,47 @@ def taylor_cosine(z, ctx: PrecisionContext) -> BoundedValue:
 # -- jet residuals -----------------------------------------------------------------
 
 
-def _g_jet(x, ctx: PrecisionContext):
-    """(g, g'', |g'| estimate) at x, adopted to ctx, from one jet pass:
-    g = 1/f and g'' = (2 f'^2 - f f'')/f^3.
+def _g_jet(x, ctx: PrecisionContext, r=0):
+    """(g, g'') at every point of the disc |x' - x| <= r, adopted to ctx, from
+    one jet pass: g = 1/f and g'' = (2 f'^2 - f f'')/f^3.
 
     The pass is sized for g within tolerance/160 and g'' within tolerance/4
     from the upper bounds eps_bound and the Laurent term |f| ~ |u|^-2, a
     lower bound on the real axis; off the axis, where |f| can fall below
-    it, a bad estimate only costs sharpness.  PoleProximityError within the
-    pole guard of an integer.
+    it, the pass is made once more, steered from the first one's f ball.
+    PoleProximityError within the pole guard of an integer.
     """
     _, dist = pole_distance(x, ctx)
     lf, mf = dist ** -2, eps_bound(2, dist) + 1
     mfp, mf2 = 2 * eps_bound(3, dist) + 1, 6 * eps_bound(4, dist) + 1
-    # g'' moves by k t when f, f' and f'' each move by t (first order)
-    k = (1 + 4 * mfp / lf + (2 * mf * mf2 + 6 * mfp * mfp) / (lf * lf)) / (lf * lf)
-    sub = ctx.refined(ctx.tolerance / (4 * max(k, 40 / (lf * lf))), mf)
-    fb, fpb, f2b = f_jet(x, sub, (sub.tolerance,) * 3)
-    g = sub.brecip(fb)
+    for _ in range(2):
+        # g'' moves by k t when f, f' and f'' each move by t (first order)
+        k = (1 + 4 * mfp / lf + (2 * mf * mf2 + 6 * mfp * mfp) / (lf * lf)) / (lf * lf)
+        sub = ctx.refined(ctx.tolerance / (4 * max(k, 40 / (lf * lf))), mf)
+        fb, fpb, f2b = widen_jet(f_jet(x, sub, (sub.tolerance,) * 3), x, r, sub)
+        g = sub.brecip(fb)
+        if fb.lower() >= lf:
+            break
+        lf = fb.lower()
     num = sub.bsub(sub.bscale(sub.bmul(fpb, fpb), 2), sub.bmul(fb, f2b))
     g2 = sub.bmul(num, sub.bmul(g, sub.bmul(g, g)))
-    return ctx.adopt(g), ctx.adopt(g2), _g_slope(fb, fpb)
+    return ctx.adopt(g), ctx.adopt(g2)
 
 
 def reciprocal_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
     """g''(z) + 12 a0 g(z) - 2 with g and g'' from one jet pass at z."""
-    g, g2, _ = _g_jet(ctx.point(z), ctx)
+    g, g2 = _g_jet(ctx.point(z), ctx)
     res = ctx.badd(g2, ctx.bscale(ctx.bmul(evaluator(ctx).a0, g), 12))
     return ctx.bsub(res, ctx.ball(2))
 
 
 def ivp_residual(z, ctx: PrecisionContext) -> BoundedValue:
     """c''(z) + c(z) with c(z) = 1 - 2 pi^2 g(w) and c''(z) = -g''(w)/2 from
-    one jet pass at w = z / 2 pi.  The w-radius moves g by |g'| r_w and g''
-    by |g'''| r_w = 12 a0 |g'| r_w, |g'| estimated as cosine's."""
+    one jet pass held over the disc of w = z / 2 pi."""
     ev = evaluator(ctx)
     w = ev.w_ball(ctx.point(z))
-    g, g2, lg = _g_jet(w.value, ctx)
-    widen = lg * w.radius
-    c2 = BoundedValue(-g2.value / 2, (g2.radius + 12 * ev.a0.upper() * widen) / 2)
-    return ctx.badd(c2, ev.cosine_from_g(g, widen))
+    g, g2 = _g_jet(w.value, ctx, w.radius)
+    return ctx.badd(BoundedValue(-g2.value / 2, g2.radius / 2), ev.cosine_from_g(g))
 
 
 def ivp_initial_data(ctx: PrecisionContext):

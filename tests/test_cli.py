@@ -64,6 +64,14 @@ def test_eval_cos_high_in_the_strip_exits_5():
     assert "tolerance" in proc.stderr
 
 
+@pytest.mark.parametrize("function", ["sin", "cos"])
+def test_eval_trig_off_the_axis_exits_5(function):
+    # at Im z = 40 the disc of z / 2 pi moves g = 1/f by more than the tolerance
+    proc = run_cli("eval", function, "3+40i")
+    assert proc.returncode == 5
+    assert "tolerance" in proc.stderr
+
+
 def test_eval_rejects_garbage_with_exit_2():
     assert run_cli("eval", "f", "spam").returncode == 2
     assert run_cli("eval", "zeta", "3").returncode == 2

@@ -14,7 +14,7 @@ from eistrig import (InconclusiveNonvanishingError, PoleProximityError,
                      PrecisionContext, ToleranceUnreachableError, eisenstein_k,
                      naive_symmetric_value, strip_decay, symmetric_tail_bound)
 from eistrig.lattice import (f_jet, first_order_ode_residual, nonvanishing_scan,
-                             pole_distance, second_order_ode_residual)
+                             pole_distance, second_order_ode_residual, widen_jet)
 
 F_HALF = "9.86960440108935861883449099987615113531369941"      # f(1/2) = pi^2
 F_QUARTER = "19.7392088021787172376689819997523022706273988"    # f(1/4) = 2 pi^2
@@ -230,3 +230,25 @@ def test_module_tables_do_not_grow_with_the_number_of_points():
     after_100 = _table_sizes()
     evaluate(200)
     assert _table_sizes() == after_100
+
+
+def test_disc_widening_holds_the_jet_over_the_disc():
+    # the jet at each point of the circle |w' - w| = r lies inside the jet at
+    # w widened by widen_jet, order by order
+    import random
+    rng = random.Random(5)
+    ctx = PrecisionContext(192, "1e-30")
+    mp, r = ctx.mp, ctx.mp.mpf("1e-6")
+    tols = (ctx.tolerance,) * 3
+    for i in range(6):
+        w = ctx.point(complex(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5) if i % 2 else 0))
+        held = widen_jet(f_jet(w, ctx, tols), w, r, ctx)
+        for j in range(8):
+            for inner, outer in zip(f_jet(w + r * mp.expjpi(mp.mpf(j) / 4), ctx, tols), held):
+                assert abs(inner.value - outer.value) + inner.radius <= outer.radius
+
+
+def test_widening_refuses_a_disc_that_reaches_an_integer(ctx):
+    jet = f_jet("0.25", ctx, (ctx.tolerance,))
+    with pytest.raises(PoleProximityError):
+        widen_jet(jet, ctx.point("0.25"), ctx.mp.mpf("0.3"), ctx)

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from eistrig import (PrecisionContext, cosine, eisenstein_k,
+from eistrig import (EistrigError, PrecisionContext, cosine, eisenstein_k,
                      naive_symmetric_value, pythagoras_residual, sine,
                      symmetric_tail_bound, taylor_cosine)
 from eistrig import lattice
@@ -177,3 +177,34 @@ def test_g_times_f_is_one_wherever_g_is_finite(x):
     assume(away_from_integers(x))
     product = DEFAULT.bmul(g_eval(x, DEFAULT), eisenstein_k(2, x, DEFAULT))
     assert abs(product.value - 1) <= product.radius + DEFAULT.eps
+
+
+def contract_value(name, k, z):
+    """The closed form each evaluator of the contract test approximates."""
+    if name == "cosine":
+        return mpmath.cos(z)
+    if name == "sine":
+        return mpmath.sin(z)
+    if name == "g_eval":
+        return (mpmath.sinpi(z) / mpmath.pi) ** 2  # exactly 0 at integers
+    return lattice_closed_form(k, z)
+
+
+CONTRACT = {"cosine": cosine, "sine": sine, "g_eval": g_eval,
+            "eisenstein_k": lambda z, ctx, k: eisenstein_k(k, z, ctx)}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+@given(dyadic(-10**6, 10**6, denominator=64),
+       st.one_of(st.just(0), dyadic(-40, 40, denominator=64)), st.sampled_from([2, 3, 4]))
+def test_evaluators_meet_the_tolerance_or_raise(name, x, y, k):
+    z = DEFAULT.point(DEFAULT.mp.mpc(x, y))
+    fn = CONTRACT[name]
+    try:
+        bv = fn(z, DEFAULT, k) if name == "eisenstein_k" else fn(z, DEFAULT)
+    except EistrigError:
+        return
+    assert bv.radius <= DEFAULT.tolerance
+    with mpmath.workprec(2 * DEFAULT.precision + 64):
+        exact = contract_value(name, k, mpmath.mpmathify(z))
+        assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius

@@ -155,6 +155,14 @@ def test_trig_in_the_strip_certifies_from_its_own_passes(fn, point, ctx, passes)
     assert passes["refines"] == (fn is g_eval and point == "0.5+7i")
 
 
+def test_the_evaluator_table_stays_bounded():
+    limit = trig._cached_evaluator.cache_info().maxsize
+    mp = PrecisionContext().mp
+    for j in range(1, limit + 3):  # distinct snapped tolerances 2^-8 .. 2^-8(limit+2)
+        cosine("0.37", PrecisionContext(320, mp.ldexp(1, -8 * j)))
+    assert trig._cached_evaluator.cache_info().currsize <= limit
+
+
 def test_cosine_frozen_values(ctx):
     assert cosine("0", ctx).value == 1 and cosine("0", ctx).radius == 0
     assert_matches(cosine("1", ctx), COS_1, ctx)
@@ -230,8 +238,10 @@ def test_routes_agree_within_summed_bounds(ctx):
 
 
 def test_reciprocal_ode_residual_brackets_zero(ctx):
-    for z in ("0.3", "0.62"):
-        r = reciprocal_ode_residual(z, ctx)
+    # off the axis |f| falls below the Laurent steer |u|^-2, and the pass is
+    # made once more from the first one's f ball
+    for z in ("0.3", "0.62", "0.9+2i", "0.5+3i", "0.25+4i", "0.5+7i"):
+        r = reciprocal_ode_residual(ctx.point(z), ctx)
         assert r.consistent_with_zero()
         assert r.radius <= ctx.tolerance
 

@@ -8,13 +8,14 @@ operation (for summation loops, count * (1 + ops_per_term) * ulp * the sum
 of term magnitudes).  The allowance is an engineering bound backed by
 soundness property tests, not a formal rounding proof.
 
-mpmath contexts are cached per precision and never mutated afterwards, so
-evaluations at different precisions can run concurrently without touching
-mpmath's global state.
+mpmath contexts are cached per precision (the 64 used last) and never
+mutated afterwards, so evaluations at different precisions can run
+concurrently without touching mpmath's global state.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Union
@@ -25,8 +26,6 @@ from .errors import ConfigurationError, InconclusiveNonvanishingError
 
 Real = Union[int, float, str, Fraction]
 
-_MP_CACHE: dict[int, MPContext] = {}
-
 #: extra mantissa bits beyond what the tolerance implies (the guard margin)
 GUARD_BITS = 16
 
@@ -34,14 +33,21 @@ GUARD_BITS = 16
 TERM_CAP = 10**8
 
 
-def mp_context(precision: int) -> MPContext:
-    """Shared immutable MPContext with the given mantissa precision."""
-    ctx = _MP_CACHE.get(precision)
-    if ctx is None:
-        ctx = MPContext()
-        ctx.prec = precision
-        _MP_CACHE[precision] = ctx
+def _new_mp_context(precision: int) -> MPContext:
+    ctx = MPContext()
+    ctx.prec = precision
     return ctx
+
+
+#: the MPContexts of the 64 precisions used last
+_cached_mp_context = functools.lru_cache(maxsize=64)(_new_mp_context)
+
+
+def mp_context(precision: int) -> MPContext:
+    """Shared immutable MPContext with the given mantissa precision, from the
+    bounded cache; a plain function, so that profilers which wrap the public
+    functions see its calls."""
+    return _cached_mp_context(precision)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ Construction path:
     pi    := sqrt(6 zeta(2))            (zeta(2) by Euler-Maclaurin summation)
     g(z)  := 1/f(z), g(integer) := 0    (f nowhere zero; double zeros of g)
     c(z)  := 1 - 2 pi^2 g(z / 2 pi)
-    s(z)  := -pi f'(z / 2 pi) / f(z / 2 pi)^2     (= -c', sign s > 0 just above 0)
-    g''   := (2 f'^2 - f f'') / f^3     (checks g'' + 12 a0 g = 2 and, with
-             c''(z) = -g''(z / 2 pi) / 2, c'' + c = 0)
+    s(z)  := pi g'(z / 2 pi)            (= -c', sign s > 0 just above 0)
+    g'    := -f' / f^2,  g'' := (2 f'^2 - f f'') / f^3
+             (checks g'' + 12 a0 g = 2 and, with c''(z) = -g''(z / 2 pi) / 2,
+             c'' + c = 0)
 
 Construction purity: nothing in this module calls platform trigonometric or
 exponential functions or a platform pi constant; the only primitives are
@@ -16,14 +17,16 @@ lattice/zeta evaluators.  Platform references appear solely in tests.
 
 Because c and s run through f, which reduces its argument by the nearest
 integer exactly, both inherit exact periodicity in the computed period
-2 pi-hat.  g and c each make one lattice pass for f at their point, s one
-for f and f', steered by the leading Laurent terms, later passes by their
-own balls.  pi-hat is computed to a few ulps of the context's precision, so
-w = z / (2 pi-hat) is a ball of a few ulps of |w|; lattice.widen_jet holds
-the jet over that disc with the bound eps_bound on the next derivative, so
-each returned ball holds at every point of it.  Far off the real axis,
-where |f| is tiny and eps_bound is not, that widening outgrows the
-tolerance and the evaluators raise ToleranceUnreachableError.
+2 pi-hat.  One steered jet serves every evaluator here: _g_jet gives
+[g, g', g''] from one lattice pass for [f, f', f''] per try, each f order
+as tight as the g orders asked for need, steered by the leading Laurent
+terms, later tries by their own balls.  pi-hat is computed to a few ulps of
+the context's precision, so w = z / (2 pi-hat) is a ball of a few ulps of
+|w|; lattice.widen_jet holds the jet over that disc with the bound eps_bound
+on the next derivative, so each returned ball holds at every point of it.
+Far off the real axis, where |f| is tiny and eps_bound is not, that
+widening outgrows the tolerance and the evaluators raise
+ToleranceUnreachableError.
 """
 
 from __future__ import annotations
@@ -97,7 +100,64 @@ def _snap(tol, mp):
     return mp.ldexp(1, 8 * ((int(mp.mag(tol)) - 1) // 8))
 
 
-# -- g = 1/f --------------------------------------------------------------------
+# -- the g jet -------------------------------------------------------------------
+
+
+def _g_jet(x, work: PrecisionContext, r, tols) -> list[BoundedValue]:
+    """[g, g', g''][:n] at every point of the disc |x' - x| <= r, n = len(tols),
+    order i within tols[i] (None: only as tight as the higher orders need),
+    from one f_jet pass per try: g = 1/f, g' = -f' g^2, g'' = (2 f'^2 - f f'') g^3.
+
+    f^(j) goes to min over i >= j of tols[i] / (2 (i+1) S_ij), S_ij the
+    first-order sensitivity of g^(i) to f^(j) at |f| >= lf, |f'| <= mfp and
+    |f''| <= mf2, and f to at most lf/4, which keeps its ball off zero; each
+    target is snapped down to a power of 2^8.  The first try takes the bounds
+    from the Laurent term |u|^-2 and eps_bound, the next from the last try's
+    balls, the third 2^-6 tighter; ToleranceUnreachableError after three.
+    Within the pole guard g and g' are zero-centred balls, |g| <= 1.5 |u|^2
+    and |g'| = |sin(2 pi u)| / pi <= 3 |u| there, and g'' raises
+    PoleProximityError.
+    """
+    mp, n = work.mp, len(tols)
+
+    def fits(jet):
+        return all(t is None or b.radius <= t for b, t in zip(jet, tols))
+
+    _, au = pole_distance(x, work)
+    if au <= max(POLE_GUARD_ULPS * work.eps, 2 * r):
+        if n > 2:
+            raise PoleProximityError(f"g'' at {mp.nstr(x, 8)} is within the pole guard of an integer")
+        near = au + r
+        jet = [BoundedValue(mp.mpf(0), b * (1 + work.eps)) for b in (1.5 * near ** 2, 3 * near)][:n]
+        if fits(jet):
+            return jet
+    else:
+        bounds = [au ** -2, 2 * eps_bound(3, au), 6 * eps_bound(4, au)]
+        for attempt in range(3):
+            lf, mfp, mf2 = bounds
+            G = 1 / lf
+            G2, G3 = G * G, G * G * G
+            sens = ((G2,), (2 * mfp * G3, G2), (6 * mfp * mfp * G2 * G2 + 2 * mf2 * G3, 4 * mfp * G3, G2))
+            ts = [min(tols[i] / (2 * (i + 1) * sens[i][j]) for i in range(j, n) if tols[i] is not None)
+                  for j in range(n)]
+            ts[0] = min(ts[0], lf / 4)
+            shrink = mp.ldexp(1, -6 * (attempt // 2))
+            fj = widen_jet(f_jet(x, work, [_snap(t * shrink, mp) for t in ts]), x, r, work)
+            g = work.brecip(fj[0])
+            jet = [g]
+            if n > 1:
+                gsq = work.bmul(g, g)
+                jet.append(work.bneg(work.bmul(fj[1], gsq)))
+            if n > 2:
+                num = work.bsub(work.bscale(work.bmul(fj[1], fj[1]), 2), work.bmul(fj[0], fj[2]))
+                jet.append(work.bmul(num, work.bmul(gsq, g)))
+            if fits(jet):
+                return jet
+            bounds[:n] = [fj[0].lower()] + [b.upper() for b in fj[1:]]
+    raise ToleranceUnreachableError(
+        f"the g jet at {mp.nstr(x, 8)} keeps radii {', '.join(mp.nstr(b.radius, 3) for b in jet)} "
+        f"at {work.precision} bits, above tolerances "
+        f"{', '.join('-' if t is None else mp.nstr(t, 3) for t in tols)}")
 
 
 def g_eval(z, ctx: PrecisionContext) -> BoundedValue:
@@ -109,95 +169,53 @@ def g_eval(z, ctx: PrecisionContext) -> BoundedValue:
     returned.  Elsewhere f is evaluated tightly enough that the reciprocal
     ball meets the context tolerance, or ToleranceUnreachableError is raised.
     """
-    return _reciprocal(ctx.point(z), ctx)
+    return _g_jet(ctx.point(z), ctx, 0, (ctx.tolerance,))[0]
 
 
-def _reciprocal(x, work: PrecisionContext, r=0) -> BoundedValue:
-    """g within work.tolerance at every point of the disc |x' - x| <= r.
-    The first pass steers from the Laurent term |f| ~ |u|^-2, the next from
-    the last f ball, the third 2^-6 tighter."""
-    mp = work.mp
-    tol = work.tolerance
-    _, au = pole_distance(x, work)
-    if au <= max(POLE_GUARD_ULPS * work.eps, 2 * r):
-        near = mp.mpf(1.5) * (au + r) ** 2
-        gb = BoundedValue(mp.mpf(0), near + work.eps * near)
-        if gb.radius <= tol:
-            return gb
-    else:
-        lf = au ** -2
-        for attempt in range(3):
-            sub_tol = _snap(min(tol * lf * lf / 2, lf / 4) * mp.ldexp(1, -6 * (attempt // 2)), mp)
-            fb = widen_jet(f_jet(x, work, (sub_tol,)), x, r, work)[0]
-            gb = work.brecip(fb)
-            if gb.radius <= tol:
-                return gb
-            lf = fb.lower()
+# -- cosine and sine ---------------------------------------------------------------
+
+
+def _at_w(name, zp, ctx: PrecisionContext, value_at) -> BoundedValue:
+    """value_at(ev, w) for ctx's evaluator ev and the ball w = zp / 2 pi, within
+    the tolerance, or ToleranceUnreachableError naming name(zp), chained from
+    the jet's."""
+    mp, tol, ev = ctx.mp, ctx.tolerance, evaluator(ctx)
+    cause = None
+    try:
+        bv = value_at(ev, ev.w_ball(zp))
+        if bv.radius <= tol:
+            return bv
+    except ToleranceUnreachableError as exc:
+        cause = exc
     raise ToleranceUnreachableError(
-        f"g({mp.nstr(x, 8)}) = 1/f keeps radius {mp.nstr(gb.radius, 3)} at "
-        f"{work.precision} bits, above tolerance {mp.nstr(tol, 5)}")
-
-
-# -- cosine ---------------------------------------------------------------------
+        f"{name}({mp.nstr(zp, 8).strip('()')}) cannot be certified to tolerance {mp.nstr(tol, 5)} "
+        f"at {ctx.precision} bits") from cause
 
 
 def cosine(z, ctx: PrecisionContext) -> BoundedValue:
     """c(z) = 1 - 2 pi^2 g(z / 2 pi); c(0) = 1 exactly; g to tolerance/160
-    over the disc of z / 2 pi."""
+    over the disc of z / 2 pi.  ToleranceUnreachableError where the radius
+    cannot meet the tolerance."""
     zp = ctx.point(z)
     if zp == 0:
         return ctx.ball(1)
-    ev = evaluator(ctx)
-    w = ev.w_ball(zp)
-    return ev.cosine_from_g(ctx.adopt(_reciprocal(w.value, ctx.refined(ctx.tolerance / 160),
-                                                  w.radius)))
-
-
-# -- sine -----------------------------------------------------------------------
+    return _at_w("cos", zp, ctx, lambda ev, w: ev.cosine_from_g(
+        _g_jet(w.value, ctx, w.radius, (ctx.tolerance / 160,))[0]))
 
 
 def sine(z, ctx: PrecisionContext) -> BoundedValue:
-    """s(z) = -pi f'(z / 2 pi) / f(z / 2 pi)^2 (= -c'); s(0) = 0 exactly.
+    """s(z) = pi g'(z / 2 pi) (= -c'); s(0) = 0 exactly; g' to tolerance/4
+    over the disc of z / 2 pi.
 
-    Within a small guard of a period multiple, where the quotient route
-    degenerates, |s(z)| <= 2 (pi + r_pi)(|u| + r_w) gives a zero-centered ball.
+    Within the pole guard of a period multiple, where the quotient route
+    degenerates, |g'(w)| <= 3 (|u| + r_w) gives a zero-centered ball.
     ToleranceUnreachableError where the radius cannot meet the tolerance.
     """
-    return _sincos(z, ctx)[1]
-
-
-def _sincos(z, ctx: PrecisionContext):
-    """(c(z), s(z)) from one jet pass at w = z / 2 pi, held over w's disc and
-    steered as g's (from |f'| ~ 2|u|^-3 too) for s within the tolerance and g
-    within 1/160 of it; ToleranceUnreachableError when s misses the tolerance
-    after three passes."""
-    mp = ctx.mp
     zp = ctx.point(z)
     if zp == 0:
-        return ctx.ball(1), ctx.ball(0)
-    ev = evaluator(ctx)
-    w = ev.w_ball(zp)
-    _, au = pole_distance(w.value, ctx)
-    pi, tol = ev.pi.value, ctx.tolerance
-    if au <= max(32 * ctx.eps, 4 * w.radius):
-        span = (au + w.radius) * (pi.value + pi.radius) * 2
-        s = BoundedValue(mp.mpf(0), span * (1 + mp.ldexp(1, -20)) + mp.ldexp(1, -2 * ctx.precision))
-        if s.radius <= tol:
-            return cosine(zp, ctx), s
-    else:
-        lf, mfp = au ** -2, 2 * au ** -3
-        for attempt in range(3):
-            rho = tol / (64 * (mfp / (lf * lf) + 1)) * mp.ldexp(1, -6 * (attempt // 2))
-            eps_f = _snap(min(rho * lf / 2, lf / 4, tol * lf * lf / 320), mp)
-            fb, fpb = widen_jet(f_jet(w.value, ctx, (eps_f, _snap(rho * (mfp + lf) / 2, mp))),
-                                w.value, w.radius, ctx)
-            lf, mfp = fb.lower(), fpb.upper()
-            s = ctx.bneg(ctx.bmul(pi, ctx.bmul(fpb, ctx.brecip(ctx.bmul(fb, fb)))))
-            if s.radius <= tol:
-                return ev.cosine_from_g(ctx.brecip(fb)), s
-    raise ToleranceUnreachableError(
-        f"sin({mp.nstr(zp, 8)}) keeps radius {mp.nstr(s.radius, 3)} at "
-        f"{ctx.precision} bits, above tolerance {mp.nstr(tol, 5)}")
+        return ctx.ball(0)
+    return _at_w("sin", zp, ctx, lambda ev, w: ctx.bmul(
+        ev.pi.value, _g_jet(w.value, ctx, w.radius, (None, ctx.tolerance / 4))[1]))
 
 
 # -- Taylor route ----------------------------------------------------------------
@@ -243,46 +261,20 @@ def taylor_cosine(z, ctx: PrecisionContext) -> BoundedValue:
 # -- jet residuals -----------------------------------------------------------------
 
 
-def _g_jet(x, ctx: PrecisionContext, r=0):
-    """(g, g'') at every point of the disc |x' - x| <= r, adopted to ctx, from
-    one jet pass: g = 1/f and g'' = (2 f'^2 - f f'')/f^3.
-
-    The pass is sized for g within tolerance/160 and g'' within tolerance/4
-    from the upper bounds eps_bound and the Laurent term |f| ~ |u|^-2, a
-    lower bound on the real axis; off the axis, where |f| can fall below
-    it, the pass is made once more, steered from the first one's f ball.
-    PoleProximityError within the pole guard of an integer.
-    """
-    _, dist = pole_distance(x, ctx)
-    lf, mf = dist ** -2, eps_bound(2, dist) + 1
-    mfp, mf2 = 2 * eps_bound(3, dist) + 1, 6 * eps_bound(4, dist) + 1
-    for _ in range(2):
-        # g'' moves by k t when f, f' and f'' each move by t (first order)
-        k = (1 + 4 * mfp / lf + (2 * mf * mf2 + 6 * mfp * mfp) / (lf * lf)) / (lf * lf)
-        sub = ctx.refined(ctx.tolerance / (4 * max(k, 40 / (lf * lf))), mf)
-        fb, fpb, f2b = widen_jet(f_jet(x, sub, (sub.tolerance,) * 3), x, r, sub)
-        g = sub.brecip(fb)
-        if fb.lower() >= lf:
-            break
-        lf = fb.lower()
-    num = sub.bsub(sub.bscale(sub.bmul(fpb, fpb), 2), sub.bmul(fb, f2b))
-    g2 = sub.bmul(num, sub.bmul(g, sub.bmul(g, g)))
-    return ctx.adopt(g), ctx.adopt(g2)
-
-
 def reciprocal_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
-    """g''(z) + 12 a0 g(z) - 2 with g and g'' from one jet pass at z."""
-    g, g2 = _g_jet(ctx.point(z), ctx)
+    """g''(z) + 12 a0 g(z) - 2 with g to tolerance/160 and g'' to tolerance/4
+    from one jet at z."""
+    g, _, g2 = _g_jet(ctx.point(z), ctx, 0, (ctx.tolerance / 160, None, ctx.tolerance / 4))
     res = ctx.badd(g2, ctx.bscale(ctx.bmul(evaluator(ctx).a0, g), 12))
     return ctx.bsub(res, ctx.ball(2))
 
 
 def ivp_residual(z, ctx: PrecisionContext) -> BoundedValue:
     """c''(z) + c(z) with c(z) = 1 - 2 pi^2 g(w) and c''(z) = -g''(w)/2 from
-    one jet pass held over the disc of w = z / 2 pi."""
+    one jet held over the disc of w = z / 2 pi."""
     ev = evaluator(ctx)
     w = ev.w_ball(ctx.point(z))
-    g, g2 = _g_jet(w.value, ctx, w.radius)
+    g, _, g2 = _g_jet(w.value, ctx, w.radius, (ctx.tolerance / 160, None, ctx.tolerance / 4))
     return ctx.badd(BoundedValue(-g2.value / 2, g2.radius / 2), ev.cosine_from_g(g))
 
 
@@ -323,16 +315,14 @@ def cosec_identity_check(z, ctx: PrecisionContext) -> BoundedValue:
 
 
 def pythagoras_residual(z, ctx: PrecisionContext) -> BoundedValue:
-    """s(z)^2 + c(z)^2 - 1, consistent with zero everywhere; c and s from
-    _sincos at tolerance/(8 m), m = |c| + |s| + 1 <= 3 on the real axis, and
-    once more where their balls ask for a tighter snapped tolerance."""
+    """s(z)^2 + c(z)^2 - 1, consistent with zero everywhere; c = 1 - 2 pi^2 g(w)
+    and s = pi g'(w) from one [g, g'] jet at w = z / 2 pi, g to tolerance/(160 m)
+    and g' to tolerance/(32 m); m = 2^(int(1.45 |Im z|) + 1) > e^|Im z| >= |c|, |s|
+    (1.45 > log2 e), so the radius stays near tolerance/2."""
     zp, mp = ctx.point(z), ctx.mp
-    sub_tol = _snap(ctx.tolerance / 24, mp)
-    for _ in range(2):
-        cb, sb = (ctx.adopt(b) for b in _sincos(zp, ctx.refined(sub_tol)))
-        need = _snap(ctx.tolerance / (8 * (cb.upper() + sb.upper() + 1)), mp)
-        if need >= sub_tol:
-            break
-        sub_tol = need
-    total = ctx.badd(ctx.bmul(sb, sb), ctx.bmul(cb, cb))
-    return ctx.bsub(total, ctx.ball(1))
+    ev, tol = evaluator(ctx), ctx.tolerance
+    m = mp.ldexp(1, int(1.45 * abs(mp.im(zp))) + 1)
+    w = ev.w_ball(zp)
+    g, g1 = _g_jet(w.value, ctx, w.radius, (tol / (160 * m), tol / (32 * m)))
+    cb, sb = ev.cosine_from_g(g), ctx.bmul(ev.pi.value, g1)
+    return ctx.bsub(ctx.badd(ctx.bmul(sb, sb), ctx.bmul(cb, cb)), ctx.ball(1))

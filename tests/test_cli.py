@@ -66,10 +66,12 @@ def test_eval_cos_high_in_the_strip_exits_5():
 
 @pytest.mark.parametrize("function", ["sin", "cos"])
 def test_eval_trig_off_the_axis_exits_5(function):
-    # at Im z = 40 the disc of z / 2 pi moves g = 1/f by more than the tolerance
+    # at Im z = 40 the disc of z / 2 pi moves g = 1/f by more than the
+    # tolerance; the message names the call, its point and its tolerance
     proc = run_cli("eval", function, "3+40i")
     assert proc.returncode == 5
-    assert "tolerance" in proc.stderr
+    assert f"{function}(3.0 + 40.0j)" in proc.stderr
+    assert "tolerance 1.0e-12" in proc.stderr
 
 
 def test_eval_rejects_garbage_with_exit_2():

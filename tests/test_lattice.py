@@ -199,8 +199,8 @@ def test_tolerance_tracks_refined_contexts(ctx):
 
 
 def _table_sizes():
-    """Entries in every module-level container of zetasums and lattice."""
-    from eistrig import lattice, zetasums
+    """Entries in every module-level container of precision, zetasums and lattice."""
+    from eistrig import lattice, precision, zetasums
 
     def size(obj):
         if isinstance(obj, dict):
@@ -210,26 +210,35 @@ def _table_sizes():
         return 0
 
     return {f"{mod.__name__}.{name}": size(obj)
-            for mod in (zetasums, lattice) for name, obj in vars(mod).items()
+            for mod in (precision, zetasums, lattice) for name, obj in vars(mod).items()
             if not name.startswith("__") and isinstance(obj, (dict, list, tuple, set))}
 
 
 def test_module_tables_do_not_grow_with_the_number_of_points():
     # the same mix as a long-lived process evaluating at ever new points:
-    # real, near-axis and high-strip, k = 2, 3, 4, at 192 bits
+    # real, near-axis and high-strip, k = 2, 3, 4, at 192 bits, and points
+    # ever closer to an integer, each summed at a new working precision
+    import itertools
     import random
+    from eistrig import precision
     rng = random.Random(7)
     ctx = PrecisionContext(192, "1e-30")
+    depth = itertools.count(4)
+    contexts = precision._cached_mp_context.cache_info
 
     def evaluate(count):
         for i in range(count):
             k, y = 2 + (i // 3) % 3, (0, rng.uniform(-2, 2), rng.uniform(2, 30))[i % 3]
             eisenstein_k(k, complex(rng.uniform(-50, 50), y), ctx)
+            if i % 3 == 0:
+                f_jet(3 + ctx.mp.ldexp(1, -next(depth)), ctx, (ctx.tolerance,))
 
+    misses = contexts().misses
     evaluate(100)
     after_100 = _table_sizes()
     evaluate(200)
     assert _table_sizes() == after_100
+    assert contexts().misses - misses > contexts().maxsize >= contexts().currsize
 
 
 def test_disc_widening_holds_the_jet_over_the_disc():

@@ -8,9 +8,9 @@ import mpmath
 import pytest
 
 from eistrig import lattice
-from eistrig import (PoleProximityError, PrecisionContext, compute_pi, cosine,
-                     eisenstein_k, evaluator, pythagoras_residual, sine,
-                     taylor_cosine)
+from eistrig import (PoleProximityError, PrecisionContext, ToleranceUnreachableError,
+                     compute_pi, cosine, eisenstein_k, evaluator, pythagoras_residual,
+                     sine, taylor_cosine)
 from eistrig import trig
 from eistrig.trig import (cosec_identity_check, g_eval, ivp_initial_data, ivp_residual,
                           reciprocal_ode_residual)
@@ -155,6 +155,50 @@ def test_trig_in_the_strip_certifies_from_its_own_passes(fn, point, ctx, passes)
     assert passes["refines"] == (fn is g_eval and point == "0.5+7i")
 
 
+def _g_closed_forms(z):
+    """g = sin^2(pi z)/pi^2, g' = sin(2 pi z)/pi and g'' = 2 cos(2 pi z) at
+    2 precision + 64 bits (call inside mpmath.workprec)."""
+    zm, pi = mpmath.mpmathify(z), mpmath.pi
+    return (mpmath.sin(pi * zm) ** 2 / pi ** 2, mpmath.sin(2 * pi * zm) / pi,
+            2 * mpmath.cos(2 * pi * zm))
+
+
+@pytest.mark.parametrize("precision, tolerance", [(128, "1e-12"), (192, "1e-30")])
+def test_the_g_jet_meets_each_order_tolerance_around_the_closed_forms(precision, tolerance,
+                                                                    passes):
+    # sine's shape (g' only) and every order; on the real axis the first
+    # try's steer bounds |f| from below and |f'|, |f''| from above, so one
+    # pass suffices; off it the steer may overshoot |f|
+    import random
+    rng = random.Random(10)
+    ctx = PrecisionContext(precision, tolerance)
+    tol = ctx.tolerance
+    points = [rng.uniform(-6, 6) for _ in range(4)]
+    points += [complex(rng.uniform(-6, 6), rng.uniform(-4, 4)) for _ in range(4)]
+    for z in points:
+        x = ctx.point(z)
+        for tols in ((None, tol), (tol, tol / 16, tol * 4)):
+            passes["passes"] = 0
+            jet = trig._g_jet(x, ctx, 0, tols)
+            assert passes["passes"] <= (1 if isinstance(z, float) else 3)
+            with mpmath.workprec(2 * precision + 64):
+                for bv, t, exact in zip(jet, tols, _g_closed_forms(x)):
+                    assert t is None or bv.radius <= t
+                    assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius
+
+
+def test_the_g_jet_guard_holds_g_prime(ctx):
+    # 3 ulp from an integer the jet returns zero-centred g and g' balls
+    x = ctx.mp.mpf(2) + 3 * ctx.eps
+    jet = trig._g_jet(x, ctx, 0, (ctx.tolerance, ctx.tolerance))
+    assert all(bv.value == 0 and 0 < bv.radius < ctx.mp.mpf("1e-35") for bv in jet)
+    with mpmath.workprec(300):
+        for bv, exact in zip(jet, _g_closed_forms(x)):
+            assert abs(exact) <= mpmath.mpf(str(bv.radius))
+    with pytest.raises(PoleProximityError):
+        trig._g_jet(x, ctx, 0, (ctx.tolerance, None, ctx.tolerance))
+
+
 def test_the_evaluator_table_stays_bounded():
     limit = trig._cached_evaluator.cache_info().maxsize
     mp = PrecisionContext().mp
@@ -252,6 +296,20 @@ def test_ivp_residual_and_initial_data(ctx):
     c0, cp0 = ivp_initial_data(ctx)
     assert c0.value == 1 and c0.radius == 0
     assert cp0.value == 0 and cp0.radius == 0
+
+
+@pytest.mark.parametrize("tolerance, point", [("1e-12", "0.5+10i"), ("1e-12", "0.5+15i"),
+                                              ("1e-12", "0.3+25i"), ("1e-33", "0.5+3i")])
+def test_the_jet_residuals_keep_the_tolerance_contract(tolerance, point):
+    # at 128 bits one ulp of |g(z)| exceeds tolerance/160 here, so the
+    # reciprocal residual raises; ivp_residual takes g at z / 2 pi, far
+    # smaller, and meets the tolerance
+    ctx = PrecisionContext(128, tolerance)
+    z = ctx.point(point)
+    with pytest.raises(ToleranceUnreachableError):
+        reciprocal_ode_residual(z, ctx)
+    r = ivp_residual(z, ctx)
+    assert r.consistent_with_zero() and r.radius <= ctx.tolerance
 
 
 def test_the_jet_residuals_catch_a_scaled_second_derivative(ctx, monkeypatch):

@@ -8,15 +8,21 @@ consecutive k at one point, each to its own target (all bounds explicit):
 1. Reduce Re z to [-1/2, 1/2] by subtracting the nearest integer (exact in
    binary floating point), which enforces bit-exact periodicity.  Points
    within 10 ulp of an integer are rejected: every bound degenerates there.
-2. Form 1/(u -/+ n) once for n <= N and sum its powers, with N from
-   truncation_n for the tightest target: the tails' floor
-   e^(-2 pi |N+1 -/+ u|) lies well below it (N = 0 high in the strip).
+2. Sum u^-k and the pairs (u -/+ n)^-k for n <= N in Python integers at
+   scale 2^-P (fixedpoint): each term is an exact power and one division
+   that truncates toward zero, so the sum errs by less than 2N+1 units of
+   2^-P per component.  N comes from truncation_n for the tightest target:
+   the tails' floor e^(-2 pi |N+1 -/+ u|) lies well below it (N = 0 high in
+   the strip).
 3. Add the rest as two Euler-Maclaurin tails at the base point N+1,
       sum_{n>N} (u+n)^-k + (u-n)^-k = T(u) + (-1)^k T(-u),
-   T(c) = sum_{n>N} (n+c)^-k, one zetasums.shifted_tail call per tail for
-   every k, each with its DLMF 2.10 bound.  Working precision is boosted
-   when the answer is much smaller than the summands (f(iy), large y), and
-   each ball is demoted to the caller's precision, rounding charged.
+   T(c) = sum_{n>N} (n+c)^-k, one zetasums.em_tails call per tail for every
+   k at the same scale, each with its DLMF 2.10 bound and its counted
+   rounding.  P is the tightest target's bits plus KERNEL_GUARD_BITS, raised
+   until u is exact where that costs at most (k+1) log2(1/|u|) + 8 more bits;
+   otherwise u moves by less than 2 units and the move is charged through
+   eps_bound.  The radius is the sum of these counts and bounds, and each
+   ball is demoted to the caller's precision, rounding charged.
 
 eisenstein_k is the one-exponent pass; f_jet, the pass for [f, f', f''],
 serves the trig evaluators, the steering and the identity checks, and
@@ -34,9 +40,9 @@ from typing import Sequence
 
 from .errors import (InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError)
-from .precision import (TERM_CAP, BoundedValue, PrecisionContext, RunningSum,
-                        mp_context)
-from .zetasums import coeff_a, shifted_tail
+from .fixedpoint import cpow, fraction_bits, to_fixed, to_mp, units
+from .precision import TERM_CAP, BoundedValue, PrecisionContext, RunningSum
+from .zetasums import KERNEL_GUARD_BITS, coeff_a, em_tails
 
 #: pole guard: reject z within 10 ulp (at working precision) of an integer
 POLE_GUARD_ULPS = 10
@@ -69,26 +75,36 @@ def truncation_n(u, tolerance, mp) -> int:
     return max(0, math.ceil(math.sqrt(rho * rho - y * y) + x - 1))
 
 
-def _powers(d, exponents):
-    """d^-k for the consecutive exponents k, from one reciprocal when several."""
-    if len(exponents) == 1:
-        return [d ** -exponents[0]]
-    r = 1 / d
-    out = [r ** exponents[0]]
-    for _ in exponents[1:]:
-        out.append(out[-1] * r)
-    return out
-
-
-def _symmetric_sums(exponents, u, N: int, mp) -> list[RunningSum]:
-    """u^-k + sum_{n=1..N} [(u-n)^-k + (u+n)^-k] for each k, in mp (u's)."""
-    accs = [RunningSum(mp, ops_per_term=10) for _ in exponents]
-    for acc, p in zip(accs, _powers(u, exponents)):
-        acc.add(p)
-    for n in range(1, N + 1):
-        for acc, p, q in zip(accs, _powers(u - n, exponents), _powers(u + n, exponents)):
-            acc.add(p + q)
-    return accs
+def _explicit_sums(exponents, ur: int, ui: int, N: int, P: int) -> list[tuple[int, int, int]]:
+    """[(re, im, err)] for u^-k + sum_{n=1..N} [(u-n)^-k + (u+n)^-k], one per
+    k, u = (ur + i ui) 2^-P: (re + i im) 2^-P within err units of 2^-P (l1
+    norm).  Each term is an exact integer power and one division per
+    component, which errs by less than a unit."""
+    one, k0 = 1 << P, exponents[0]
+    shifts = [P * (k + 1) for k in exponents]
+    sums = [[0, 0] for _ in exponents]
+    for n in range(-N, N + 1):
+        dr = ur - n * one
+        if ui:  # conj(d^k) 2^(P(k+1)) / |d|^2k
+            vr, vi = cpow(dr, ui, k0)
+            m = dr * dr + ui * ui
+            d = m ** k0
+            for i, shift in enumerate(shifts):
+                if i:
+                    vr, vi, d = vr * dr - vi * ui, vr * ui + vi * dr, d * m
+                x, y = vr << shift, vi << shift
+                acc = sums[i]
+                acc[0] += x // d if x >= 0 else -(-x // d)
+                acc[1] -= y // d if y >= 0 else -(-y // d)
+        else:
+            v = dr ** k0
+            for i, shift in enumerate(shifts):
+                if i:
+                    v *= dr
+                x = 1 << shift
+                sums[i][0] += x // v if v > 0 else -(x // -v)
+    err = (2 * N + 1) * (2 if ui else 1)
+    return [(re, im, err) for re, im in sums]
 
 
 def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
@@ -133,31 +149,47 @@ def _lattice_pass(exponents, z, ctx: PrecisionContext, targets) -> list[BoundedV
     if 2 * N + 1 > TERM_CAP:
         raise ToleranceUnreachableError(
             f"symmetric truncation needs {2 * N + 1} terms, above the cap {TERM_CAP}")
-    # working precision: resolve each target below its summands' magnitude scale
-    prec_eff = max(ctx.precision, *(-mp.mag(t) + max(0, -k * mp.mag(dist)) + 44
-                                    for k, t in zip(exponents, targets)))
+    # the scale: the rounding count far below the tightest target
+    P = _kernel_scale(u, dist, KERNEL_GUARD_BITS + max(0, -mp.mag(min(targets))),
+                      exponents[-1], mp)
     for _ in range(3):
-        wp = mp_context(prec_eff)
-        uu = wp.mpc(u) if u.imag != 0 else wp.mpf(u.real)
-        quarter = [t / 4 for t in targets]
-        upper, lower = (shifted_tail(exponents, N + 1, c, wp, quarter) for c in (uu, -uu))
+        ur, ui = to_fixed(u, P)
+        quarter = [units(t, P - 2) for t in targets]
+        upper = em_tails(exponents, ((N + 1) << P) + ur, ui, P, quarter)
+        lower = em_tails(exponents, ((N + 1) << P) - ur, -ui, P, quarter)
         if upper is not None and lower is not None:
             out = []
-            for k, t, (tu, bu), (tl, bl), direct in zip(
-                    exponents, targets, upper, lower, _symmetric_sums(exponents, uu, N, wp)):
+            for k, t, (vr, vi, err), (ar, ai, ea, ba, _), (br, bi, eb, bb, _) in zip(
+                    exponents, targets, _explicit_sums(exponents, ur, ui, N, P), upper, lower):
                 # sum_{n>N} (u+n)^-k + (u-n)^-k = T(u) + (-1)^k T(-u)
-                tail = tu + tl if k % 2 == 0 else tu - tl
-                value = direct.value + tail
-                radius = bu + bl + direct.allowance() \
-                    + wp.ldexp(1, 1 - prec_eff) * (abs(tail) + abs(value))
-                if radius > t:
+                sign = 1 if k % 2 == 0 else -1
+                err += ea + ba + eb + bb + _move_charge(k, u, dist, P, ctx)
+                if err > units(t, P):
                     break
-                out.append(ctx.adopt(BoundedValue(value, radius)))
+                value = to_mp(vr + ar + sign * br, vi + ai + sign * bi, P, mp)
+                out.append(ctx.adopt(BoundedValue(value, to_mp(err, 0, P, mp))))
             else:
                 return out
-        prec_eff += 64
+        P += 64
     raise ToleranceUnreachableError(f"the lattice sums k = {list(exponents)} could not "
                                     f"reach tolerances {[mp.nstr(t, 5) for t in targets]}")
+
+
+def _kernel_scale(u, dist, P: int, k: int, mp) -> int:
+    """The scale of a pass at u up to exponent k: at least P, and u exact unless
+    that takes more than the (k+1) log2(1/|u|) + 8 further bits which keep
+    _move_charge small (a tiny Re u or Im u would otherwise set the scale)."""
+    return max(P, min(fraction_bits(u), P + (k + 1) * max(0, 1 - mp.mag(dist)) + 8))
+
+
+def _move_charge(k: int, u, dist, P: int, ctx: PrecisionContext) -> int:
+    """Units of 2^-P that cover eps_k(u) - eps_k(u'), u' = to_fixed(u, P): u' is
+    within 2 units of u, which _kernel_scale keeps below |u|/2, so the segment
+    from u to u' stays |u|/2 from every integer and
+    |eps_k(u) - eps_k(u')| <= 2k eps_bound(k+1, |u|/2) units."""
+    if fraction_bits(u) <= P:
+        return 0
+    return int(2 * k * eps_bound(k + 1, dist / 2) * (1 + 64 * ctx.eps)) + 1
 
 
 def _resolved_f(z, work: PrecisionContext) -> BoundedValue:
@@ -361,8 +393,8 @@ def naive_symmetric_value(k: int, z, N: int, ctx: PrecisionContext) -> BoundedVa
     u, dist = pole_distance(z, ctx)
     if dist <= POLE_GUARD_ULPS * ctx.eps:
         raise PoleProximityError("point is within the pole guard of an integer")
-    acc = _symmetric_sums((k,), u, N, ctx.mp)[0]
-    value = acc.value
-    if hasattr(value, "imag") and value.imag == 0:
-        value = value.real
-    return BoundedValue(value, symmetric_tail_bound(k, N, ctx) + acc.allowance())
+    P = _kernel_scale(u, dist, ctx.precision, k, ctx.mp)
+    (re, im, err), = _explicit_sums((k,), *to_fixed(u, P), N, P)
+    err += _move_charge(k, u, dist, P, ctx)
+    return ctx.adopt(BoundedValue(to_mp(re, im, P, ctx.mp),
+                                  symmetric_tail_bound(k, N, ctx) + to_mp(err, 0, P, ctx.mp)))

@@ -2,11 +2,18 @@
 
 Every numeric result in this package is a BoundedValue: a center computed
 at a fixed binary precision together with a nonnegative radius bounding
-|true - center|.  Radii combine exact truncation-tail bounds with a
-documented rounding allowance of one ulp of the result per floating
-operation (for summation loops, count * (1 + ops_per_term) * ulp * the sum
-of term magnitudes).  The allowance is an engineering bound backed by
-soundness property tests, not a formal rounding proof.
+|true - center|.  Radii combine exact truncation-tail bounds with rounding
+allowances of two kinds:
+
+* the lattice sums and every zeta tail run in Python integers at scale 2^-P
+  (fixedpoint, lattice._explicit_sums, zetasums.em_tails), where each
+  rounding truncates toward zero and errs by less than one unit of 2^-P; the
+  allowance is an exact count of those units, a proved bound;
+* the mpf ball layer here (the ball arithmetic, adopt, RunningSum) charges one
+  ulp of the result per floating operation (for summation loops, count *
+  (1 + ops_per_term) * ulp * the sum of term magnitudes).  That allowance is
+  an engineering bound backed by soundness property tests, not a formal
+  rounding proof.
 
 mpmath contexts are cached per precision (the 64 used last) and never
 mutated afterwards, so evaluations at different precisions can run

@@ -112,8 +112,10 @@ def _g_jet(x, work: PrecisionContext, r, tols) -> list[BoundedValue]:
     first-order sensitivity of g^(i) to f^(j) at |f| >= lf, |f'| <= mfp and
     |f''| <= mf2, and f to at most lf/4, which keeps its ball off zero; each
     target is snapped down to a power of 2^8.  The first try takes the bounds
-    from the Laurent term |u|^-2 and eps_bound, the next from the last try's
-    balls, the third 2^-6 tighter; ToleranceUnreachableError after three.
+    from eps_bound and, for |f|, the smaller of the Laurent term |u|^-2 and
+    39 2^(-int(9.07 |Im u|) - 1) (|f| decays like 4 pi^2 e^(-2 pi |Im u|)),
+    the latter not below eps/4t for the tightest tolerance t, the next from
+    the last try's balls, the third 2^-6 tighter; ToleranceUnreachableError after three.
     Within the pole guard g and g' are zero-centred balls, |g| <= 1.5 |u|^2
     and |g'| = |sin(2 pi u)| / pi <= 3 |u| there, and g'' raises
     PoleProximityError.
@@ -123,7 +125,7 @@ def _g_jet(x, work: PrecisionContext, r, tols) -> list[BoundedValue]:
     def fits(jet):
         return all(t is None or b.radius <= t for b, t in zip(jet, tols))
 
-    _, au = pole_distance(x, work)
+    u, au = pole_distance(x, work)
     if au <= max(POLE_GUARD_ULPS * work.eps, 2 * r):
         if n > 2:
             raise PoleProximityError(f"g'' at {mp.nstr(x, 8)} is within the pole guard of an integer")
@@ -132,7 +134,12 @@ def _g_jet(x, work: PrecisionContext, r, tols) -> list[BoundedValue]:
         if fits(jet):
             return jet
     else:
-        bounds = [au ** -2, 2 * eps_bound(3, au), 6 * eps_bound(4, au)]
+        # |f(u)| = pi^2/|sin(pi u)|^2 ~ 4 pi^2 e^(-2 pi |Im u|) off the axis, and
+        # 2 pi/ln 2 < 9.07: the first steer for |f| takes the smaller estimate,
+        # but not below eps/4t, where one ulp of |g| exceeds the tolerance t
+        decay = max(mp.ldexp(39, -int(9.07 * min(abs(float(mp.im(u))), 1e6)) - 1),
+                    work.eps / (4 * min(t for t in tols if t is not None)))
+        bounds = [min(au ** -2, decay), 2 * eps_bound(3, au), 6 * eps_bound(4, au)]
         for attempt in range(3):
             lf, mfp, mf2 = bounds
             G = 1 / lf

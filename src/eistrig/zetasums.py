@@ -4,10 +4,13 @@ Two layers, both exact or with explicit bounds:
 
 * bernoulli_even(2j): exact Fractions via the integer-only tangent-number
   triangle (cached, grown on demand).
-* shifted_tail(exponents, a, c, ...): sum_{n>=a} (n+c)^-s for several s by
-  Euler-Maclaurin at the base point a with the DLMF 2.10 remainder bound;
-  the one way a tail is summed.  The lattice pass calls it at c = +-u;
-  zeta_tail(s, N, ...) is its c = 0, one-s case, moving the base point up.
+* em_tails(exponents, br, bi, P, limits): sum_{n>=0} (b+n)^-s for several s
+  by Euler-Maclaurin at the base point b with the DLMF 2.10 remainder bound,
+  in Python integers at scale 2^-P with every rounding counted (fixedpoint);
+  the one way a tail is summed.  The lattice pass calls it at b = N+1 +- u;
+  shifted_tail(exponents, a, c, mp, targets) is its mpmath entry, and
+  zeta_tail(s, N, ...) that entry's c = 0, one-s case, moving the base point
+  up.
 
 zeta_even(m, ctx) is the tail beyond N = 0, i.e. zeta(2m), checked against
 the context tolerance; coeff_a(d, ctx) wraps the Laurent coefficient
@@ -16,11 +19,12 @@ a_d = 2(2d+1) zeta(2d+2).
 
 from __future__ import annotations
 
-import math
 import threading
 from fractions import Fraction
+from math import inf, isqrt
 
 from .errors import ToleranceUnreachableError
+from .fixedpoint import cdiv, cmul, cpow, fraction_bits, tdiv, to_fixed, to_mp, units
 from .precision import BoundedValue, PrecisionContext, RunningSum, mp_context
 
 # -- Bernoulli numbers --------------------------------------------------------
@@ -62,74 +66,106 @@ def bernoulli_even(two_j: int) -> Fraction:
 #: highest Euler-Maclaurin order tried at one base point
 MAX_ORDER = 300
 
-# (precision, (B_2/2!, B_4/4!, ...)): one table at the highest precision asked
-# for so far, rebuilt when a caller needs more bits or orders (concurrent
-# rebuilds only duplicate work)
-_em_coefficients: tuple = (0, ())
+#: scale bits beyond the tightest target's, so that the rounding count stays far below it
+KERNEL_GUARD_BITS = 28
+
+# (Q, (R_1, R_2, ...)): R_j = C_{j+1}/C_j, C_j = B_2j/(2j)!, rounded toward zero
+# at scale 2^-Q; one table at the highest scale asked for so far, Q a multiple
+# of 64, rebuilt when a caller needs more bits or orders (concurrent rebuilds
+# only duplicate work)
+_em_ratios: tuple = (0, ())
 
 
-def _coefficients(precision: int, count: int) -> tuple:
-    """B_2j/(2j)! for j = 1..count (at index j-1), rounded at >= precision bits."""
-    global _em_coefficients
-    prec, table = _em_coefficients
-    if prec < precision or len(table) < count:
-        prec = max(prec, precision)
-        count = min(MAX_ORDER, max(count, 2 * len(table), 16))
-        mp = mp_context(prec)
-        ratios = (bernoulli_even(2 * j) / math.factorial(2 * j) for j in range(1, count + 1))
-        table = tuple(mp.mpf(b.numerator) / b.denominator for b in ratios)
-        _em_coefficients = (prec, table)
-    return table
+def _ratios(P: int, count: int) -> tuple:
+    """(Q, R) with Q >= P and R[j-1] = C_{j+1}/C_j at scale 2^-Q for j = 1..count,
+    each off by less than one unit."""
+    global _em_ratios
+    q, table = _em_ratios
+    if q < P or len(table) < count:
+        q = max(q, -(-P // 64) * 64)
+        count = min(MAX_ORDER, max(count, 2 * len(table), 32))
+        ratios = (bernoulli_even(2 * j + 2) / (bernoulli_even(2 * j) * (2 * j + 1) * (2 * j + 2))
+                  for j in range(1, count + 1))
+        table = tuple(tdiv(r.numerator << q, r.denominator) for r in ratios)
+        _em_ratios = (q, table)
+    return q, table
+
+
+def em_tails(exponents, br: int, bi: int, P: int, limits):
+    """[(re, im, err, bound, m)] for T_s(b) = sum_{n>=0} (b+n)^-s at
+    b = (br + i bi) 2^-P, br > 0, one per s in exponents, or None at the floor:
+    (re + i im) 2^-P is the Euler-Maclaurin sum of order m, err counts its
+    rounding and bound its truncation, both in units of 2^-P (l1 norm).
+
+    DLMF 2.10.1 at the base point b:
+      T_s(b) = b^(1-s)/(s-1) + b^-s/2 + sum_{1<=j<m} v_j + R_m,
+      v_j = C_j (s)_{2j-1} b^(1-s-2j),  C_j = B_2j/(2j)!,
+      |R_m| <= 2|C_m| (s)_{2m} int_0^inf |b+x|^(-s-2m) dx <= 2 (|b|/Re b) |v_m|,
+    because |b+x| lies above its tangent |b| + x Re b/|b| at 0.  The two head
+    terms and v_1 take one division each, and v_(j+1) = v_j b^-2 z_j one
+    truncating shift, z_j = (C_(j+1)/C_j)(s+2j-1)(s+2j) from the ratio table;
+    each step adds the propagated error of all three factors and one rounding
+    to the count.  m is the first order whose bound is at most limits[i] units;
+    None if the bounds stop decreasing first (the floor, near e^(-2 pi |b|),
+    is above it).
+    """
+    d1 = br * br + bi * bi
+    root = isqrt(d1)
+    twice_b = 2 * (root + (root * root < d1))  # 2|b| 2^P rounded up
+    ec = 2 if bi else 1  # l1 units of one rounding of a pair
+    b2r, b2i = br * br - bi * bi, 2 * br * bi
+    w2r, w2i = cdiv(1, 0, b2r, b2i, 3 * P)  # b^-2
+    lw = abs(w2r) + abs(w2i)
+    q, ratios = _ratios(P, 1)
+    out = []
+    for s, limit in zip(exponents, limits):
+        vr, vi = cpow(br, bi, s - 1)
+        h0r, h0i = cdiv(1, 0, vr, vi, P * s, s - 1)  # b^(1-s)/(s-1)
+        vr, vi = cmul(vr, vi, br, bi)
+        h1r, h1i = cdiv(1, 0, vr, vi, P * (s + 1), 2)  # b^-s/2
+        vr, vi = cmul(vr, vi, br, bi)
+        tr, ti = cdiv(s, 0, vr, vi, P * (s + 2), 12)  # v_1 = (1/12) s b^(-1-s)
+        accr, acci, acc_err = h0r + h1r, h0i + h1i, 2 * ec
+        err, prev = ec, inf
+        for j in range(1, MAX_ORDER + 1):
+            mag = abs(tr) + abs(ti) + err  # |v_j| 2^P rounded up
+            if twice_b * mag <= limit * br:  # the bound 2 (|b|/Re b) |v_j| fits
+                out.append((accr, acci, acc_err, -(-twice_b * mag // br), j))
+                break
+            if mag >= prev:
+                return None
+            accr, acci, acc_err, prev = accr + tr, acci + ti, acc_err + err, mag
+            if j > len(ratios):
+                q, ratios = _ratios(P, j)
+            k = (s + 2 * j - 1) * (s + 2 * j)
+            z = ratios[j - 1] * k  # off by less than k units of 2^-q
+            az, shift = abs(z), P + q
+            # |v w z - v' w' z'| <= (|v'| + e_v)(|w'| + e_w)(|z'| + e_z) - |v'||w'||z'|
+            err = -(-(mag * (ec * az + (lw + ec) * k) + err * lw * az) >> shift) + ec
+            fr, fi = w2r * z, w2i * z
+            xr, xi = tr * fr - ti * fi, tr * fi + ti * fr
+            tr = xr >> shift if xr >= 0 else -(-xr >> shift)
+            ti = xi >> shift if xi >= 0 else -(-xi >> shift)
+        else:
+            return None
+    return out
 
 
 def shifted_tail(exponents, a: int, c, mp, targets):
     """[(value, bound)] for T_s(c) = sum_{n>=a} (n+c)^-s, one per s in
     exponents with its own target, or None at the floor.
 
-    c is an mpf or mpc of the context mp with a + Re c > 0.  DLMF 2.10.1:
-      T_s(c) = (a+c)^(1-s)/(s-1) + (a+c)^-s/2
-               + sum_{j<m} B_2j/(2j)! (s)_{2j-1} (a+c)^(1-s-2j) + R_m,
-      |R_m| <= 2|B_2m|/(2m)! (s)_{2m} int_a^inf |x+c|^(-s-2m) dx.
-    |x+c| is convex, so above its tangent r0 + (t0/r0)(x-a) at a, r0 = |a+c|,
-    t0 = a + Re c; hence |R_m| <= 2 (r0/t0) |term m|.  m is the first order
-    whose bound (rounding allowance included) is below target; None if the
-    bounds stop decreasing first (the floor, near e^(-2 pi r0), is above it).
+    c is an mpf or mpc of the context mp with a + Re c > 0.  The mp entry to
+    em_tails: the sums run at the scale 2^-P, P = max(the bits of c below the
+    binary point, -mag(tightest target) + KERNEL_GUARD_BITS), so c is exact;
+    value and bound come back as exact mpf/mpc, the bound the truncation bound
+    plus the counted rounding.
     """
-    base = a + c
-    r0 = abs(base)
-    w = 1 / base
-    w2, q2 = w * w, 1 / (r0 * r0)
-    coeffs = ()
-    out = []
-    for s, target in zip(exponents, targets):
-        # 2 r0/t0, widened for the rounding in the magnitudes: r0^(1-s-2j) and
-        # the coefficient pass through fewer than 2s + 4 MAX_ORDER + 16 roundings
-        slope = 2 * r0 / mp.re(base) * (1 + mp.ldexp(2 * s + 4 * MAX_ORDER + 16, 1 - mp.prec))
-        wp = w ** (s - 1)  # runs through (a+c)^(1-s-2j); q = |wp| in real arithmetic
-        q = r0 ** (1 - s)
-        acc = RunningSum(mp, ops_per_term=10)
-        acc.add(wp / (s - 1), q / (s - 1))
-        acc.add(wp * w / 2, q / r0 / 2)
-        wp, q = wp * w2, q * q2
-        rising, prev = s, mp.inf  # rising = (s)_{2j-1}
-        for j in range(1, MAX_ORDER + 1):
-            if j > len(coeffs):
-                coeffs = _coefficients(mp.prec, j)
-            coef = mp.mpf(coeffs[j - 1]) * rising
-            mag = abs(coef) * q
-            bound = slope * mag
-            if bound <= target:
-                out.append((acc.value, bound + acc.allowance()))
-                break
-            if bound >= prev:
-                return None
-            acc.add(coef * wp, mag)
-            prev = bound
-            rising *= (s + 2 * j - 1) * (s + 2 * j)
-            wp, q = wp * w2, q * q2
-        else:
-            return None
-    return out
+    P = max(fraction_bits(c), KERNEL_GUARD_BITS, KERNEL_GUARD_BITS - mp.mag(min(targets)))
+    cr, ci = to_fixed(c, P)
+    got = em_tails(exponents, (a << P) + cr, ci, P, [units(t, P) for t in targets])
+    return got and [(to_mp(re, im, P, mp), to_mp(err + bound, 0, P, mp))
+                    for re, im, err, bound, _ in got]
 
 
 def zeta_tail(s: int, N: int, precision: int, target):

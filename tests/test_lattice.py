@@ -15,6 +15,7 @@ from eistrig import (InconclusiveNonvanishingError, PoleProximityError,
                      naive_symmetric_value, strip_decay, symmetric_tail_bound)
 from eistrig.lattice import (f_jet, first_order_ode_residual, nonvanishing_scan,
                              pole_distance, second_order_ode_residual, widen_jet)
+from test_properties import lattice_closed_form
 
 F_HALF = "9.86960440108935861883449099987615113531369941"      # f(1/2) = pi^2
 F_QUARTER = "19.7392088021787172376689819997523022706273988"    # f(1/4) = 2 pi^2
@@ -216,8 +217,9 @@ def _table_sizes():
 
 def test_module_tables_do_not_grow_with_the_number_of_points():
     # the same mix as a long-lived process evaluating at ever new points:
-    # real, near-axis and high-strip, k = 2, 3, 4, at 192 bits, and points
-    # ever closer to an integer, each summed at a new working precision
+    # real, near-axis and high-strip, k = 2, 3, 4, at 192 bits, and residuals
+    # at points ever closer to an integer, each at a new working precision
+    # (its sub-context's) and a new kernel scale
     import itertools
     import random
     from eistrig import precision
@@ -231,7 +233,7 @@ def test_module_tables_do_not_grow_with_the_number_of_points():
             k, y = 2 + (i // 3) % 3, (0, rng.uniform(-2, 2), rng.uniform(2, 30))[i % 3]
             eisenstein_k(k, complex(rng.uniform(-50, 50), y), ctx)
             if i % 3 == 0:
-                f_jet(3 + ctx.mp.ldexp(1, -next(depth)), ctx, (ctx.tolerance,))
+                second_order_ode_residual(3 + ctx.mp.ldexp(1, -next(depth)), ctx)
 
     misses = contexts().misses
     evaluate(100)
@@ -261,3 +263,52 @@ def test_widening_refuses_a_disc_that_reaches_an_integer(ctx):
     jet = f_jet("0.25", ctx, (ctx.tolerance,))
     with pytest.raises(PoleProximityError):
         widen_jet(jet, ctx.point("0.25"), ctx.mp.mpf("0.3"), ctx)
+
+
+def test_the_ratio_table_is_rebuilt_once_per_64_bits_of_scale(monkeypatch):
+    # 100 jets ever closer to an integer: the Euler-Maclaurin ratio table,
+    # emptied first, is rebuilt only when the kernel scale passes its own
+    from eistrig import lattice, zetasums
+    monkeypatch.setattr(zetasums, "_em_ratios", (0, ()))
+    scales, rebuilds = [], []
+    real_ratios, real_tails = zetasums._ratios, lattice.em_tails
+
+    def ratios(P, count):
+        before = zetasums._em_ratios
+        got = real_ratios(P, count)
+        rebuilds.append(zetasums._em_ratios is not before)
+        return got
+
+    def tails(exponents, br, bi, P, limits):
+        scales.append(P)
+        return real_tails(exponents, br, bi, P, limits)
+
+    monkeypatch.setattr(zetasums, "_ratios", ratios)
+    monkeypatch.setattr(lattice, "em_tails", tails)
+    ctx = PrecisionContext(192, "1e-30")
+    for j in range(4, 104):
+        f_jet(3 + ctx.mp.ldexp(1, -j), ctx, (ctx.tolerance,))
+    assert len(scales) >= 200
+    assert 1 <= sum(rebuilds) <= -(-(max(scales) - min(scales)) // 64) + 1
+
+
+@pytest.mark.parametrize("point", ["0.3+1e-3000i", "1e-3000+0.7i", "-0.41-1e-400i"])
+def test_a_tiny_part_of_the_point_does_not_set_the_kernel_scale(point, ctx, monkeypatch):
+    # u exact would take 10^4 bits; the kernel moves it by 2^-P and charges that
+    from eistrig import lattice
+    scales, real_sums = [], lattice._explicit_sums
+
+    def sums(exponents, ur, ui, N, P):
+        scales.append(P)
+        return real_sums(exponents, ur, ui, N, P)
+
+    monkeypatch.setattr(lattice, "_explicit_sums", sums)
+    z = ctx.point(point)
+    for k in (2, 3, 4):
+        balls = eisenstein_k(k, z, ctx), naive_symmetric_value(k, z, 8, ctx)
+        assert balls[0].radius <= ctx.tolerance
+        with mpmath.workprec(2 * ctx.precision + 64):
+            exact = lattice_closed_form(k, mpmath.mpmathify(z))
+            for bv in balls:
+                assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius
+    assert len(scales) == 6 and max(scales) <= 2 * ctx.precision

@@ -14,6 +14,7 @@ from eistrig import (EistrigError, PrecisionContext, cosine, eisenstein_k,
                      naive_symmetric_value, pythagoras_residual, sine,
                      symmetric_tail_bound, taylor_cosine)
 from eistrig import lattice
+from eistrig.fixedpoint import cdiv, cpow
 from eistrig.lattice import f_jet
 from eistrig.trig import g_eval
 
@@ -89,15 +90,22 @@ def test_jet_balls_contain_the_closed_form(precision, tolerance, x, y):
 
 
 def test_the_jet_check_catches_a_dropped_euler_maclaurin_term(monkeypatch):
-    # a copy of the s = 3 tail without its j = 1 term, B_2/2! (3)_1 (a+c)^-4
-    real = lattice.shifted_tail
+    # the kernel's s = 3 tails without their j = 1 term, B_2/2! (3)_1 b^-4
+    real = lattice.em_tails
 
-    def short_s3_tail(exponents, a, c, mp, targets):
-        got = real(exponents, a, c, mp, targets)
-        return got and [(value - (a + c) ** -4 / 4, bound) if s == 3 else (value, bound)
-                        for s, (value, bound) in zip(exponents, got)]
+    def short_s3_tails(exponents, br, bi, P, limits):
+        got = real(exponents, br, bi, P, limits)
+        if got is None:
+            return None
+        out = []
+        for s, (re, im, err, bound, m) in zip(exponents, got):
+            if s == 3:
+                dr, di = cdiv(1, 0, *cpow(br, bi, 4), 5 * P, 4)  # b^-4/4 at scale 2^-P
+                re, im = re - dr, im - di
+            out.append((re, im, err, bound, m))
+        return out
 
-    monkeypatch.setattr(lattice, "shifted_tail", short_s3_tail)
+    monkeypatch.setattr(lattice, "em_tails", short_s3_tails)
     for precision, tolerance in CONTEXTS:
         ctx = PrecisionContext(precision, tolerance)
         assert jet_misses(ctx, ctx.point("0.3+0.1i")) == [1]
@@ -109,6 +117,22 @@ def test_evenness_is_bit_exact(x):
     a = eisenstein_k(2, x, DEFAULT)
     b = eisenstein_k(2, -x, DEFAULT)
     assert a.value == b.value and a.radius == b.radius
+
+
+@given(dyadic(-3, 3))
+def test_the_third_sum_is_odd_bit_exactly(x):
+    assume(away_from_integers(x))
+    a = eisenstein_k(3, x, DEFAULT)
+    b = eisenstein_k(3, -x, DEFAULT)
+    assert a.value == -b.value and a.radius == b.radius
+
+
+@given(dyadic(0.05, 12))
+def test_f_on_the_imaginary_axis_is_real_bit_exactly(y):
+    # eps_2(iy) = conj(eps_2(-iy)) = conj(eps_2(iy)) holds bit for bit only
+    # if every rounding commutes with negation and conjugation
+    bv = eisenstein_k(2, DEFAULT.mp.mpc(0, y), DEFAULT)
+    assert DEFAULT.mp.mpmathify(bv.value).imag == 0
 
 
 @given(dyadic(-2, 2), dyadic(0.05, 2))

@@ -8,10 +8,11 @@ import mpmath
 import pytest
 
 from eistrig import lattice
-from eistrig import (PoleProximityError, PrecisionContext, ToleranceUnreachableError,
-                     compute_pi, cosine, eisenstein_k, evaluator, pythagoras_residual,
-                     sine, taylor_cosine)
+from eistrig import (EistrigError, PoleProximityError, PrecisionContext,
+                     ToleranceUnreachableError, compute_pi, cosine, eisenstein_k,
+                     evaluator, pythagoras_residual, sine, taylor_cosine)
 from eistrig import trig
+from eistrig.lattice import f_jet
 from eistrig.trig import (cosec_identity_check, g_eval, ivp_initial_data, ivp_residual,
                           reciprocal_ode_residual)
 
@@ -121,9 +122,12 @@ def passes(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("point", ["0.37", "-17.5", "0.3+0.2i"])
+@pytest.mark.parametrize("point", ["0.37", "-17.5", "0.3+0.2i", "0.4+1.3i", "-17.25+0.75i",
+                                   "12.1-1.9i"])
 @pytest.mark.parametrize("fn", [cosine, sine, g_eval])
 def test_trig_calls_make_one_jet_pass(fn, point, ctx, passes):
+    # off the axis g's first steer for |f| decays like e^(-2 pi |Im u|), so
+    # g_eval needs no second pass there either
     evaluator(ctx)
     bv = fn(ctx.point(point), ctx)
     assert bv.radius <= ctx.tolerance
@@ -137,22 +141,38 @@ def test_pythagoras_makes_at_most_two_jet_passes(point, ctx, passes):
     assert passes["passes"] <= 2
 
 
+def f_at_the_tolerance(z, ctx):
+    """f(z) from a jet asked for f to the context tolerance alone."""
+    return f_jet(z, ctx, (ctx.tolerance,))[0]
+
+
 @pytest.mark.parametrize("point", ["0.5+3i", "0.25+4i", "0.5+7i"])
-@pytest.mark.parametrize("fn", [cosine, sine, g_eval])
+@pytest.mark.parametrize("fn", [cosine, sine, g_eval, f_at_the_tolerance])
 def test_trig_in_the_strip_certifies_from_its_own_passes(fn, point, ctx, passes):
-    # high in the strip g's Laurent steer |u|^-2 overshoots |f|, so its next
-    # pass steers from the first one's ball; at 0.5+7i (|f| ~ 3e-18) the
-    # first f ball straddles zero, and the refine loop resolves it
+    # high in the strip g's first steer for |f| follows its e^(-2 pi |Im u|)
+    # decay, so the trig evaluators never meet an f ball that straddles zero;
+    # f to the tolerance alone does at 0.5+7i (|f| ~ 3e-18 < 1e-12), and the
+    # refine loop resolves it
     z = ctx.point(point)
     bv = fn(z, ctx)
     assert bv.radius <= ctx.tolerance
     with mpmath.workprec(2 * ctx.precision + 64):
         zm = mpmath.mpmathify(z)
-        exact = {cosine: mpmath.cos(zm), sine: mpmath.sin(zm),
-                 g_eval: (mpmath.sin(mpmath.pi * zm) / mpmath.pi) ** 2}[fn]
+        g = (mpmath.sin(mpmath.pi * zm) / mpmath.pi) ** 2
+        exact = {cosine: mpmath.cos(zm), sine: mpmath.sin(zm), g_eval: g,
+                 f_at_the_tolerance: 1 / g}[fn]
         assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius
     assert passes["passes"] <= 3
-    assert passes["refines"] == (fn is g_eval and point == "0.5+7i")
+    assert passes["refines"] == (fn is f_at_the_tolerance and point == "0.5+7i")
+
+
+@pytest.mark.parametrize("point", ["0.3+1000i", "0.3-1e400i"])
+@pytest.mark.parametrize("fn", [cosine, sine, g_eval])
+def test_trig_far_off_the_axis_raises_a_documented_error(fn, point, ctx):
+    # the first steer for |f| is floored where no steer can help, and takes
+    # |Im u| beyond the range of a float
+    with pytest.raises(EistrigError):
+        fn(ctx.point(point), ctx)
 
 
 def _g_closed_forms(z):

@@ -1,4 +1,5 @@
-"""Fixed-point arithmetic for the lattice kernel.
+"""Fixed-point arithmetic for every summation loop: the lattice kernel, the
+zeta tails and their heads, and the strip majorant.
 
 A complex number is a pair of Python ints (re, im) at scale 2^-P: the pair
 stands for (re + i im) 2^-P.  Every rounding truncates toward zero, so it errs

@@ -41,7 +41,7 @@ from typing import Sequence
 from .errors import (InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError)
 from .fixedpoint import cpow, fraction_bits, to_fixed, to_mp, units
-from .precision import TERM_CAP, BoundedValue, PrecisionContext, RunningSum
+from .precision import TERM_CAP, BoundedValue, PrecisionContext
 from .zetasums import KERNEL_GUARD_BITS, coeff_a, em_tails
 
 #: pole guard: reject z within 10 ulp (at working precision) of an integer
@@ -309,8 +309,9 @@ class StripBoundReport:
     """|f(x+iy)| against the analytic strip majorant 3/y^2 + 2 sum 1/(n^2+y^2).
 
     decay_bound is a certified upper value for the majorant; decay_bound_low
-    a certified lower value (partial sums bracket the tail).  Domination is
-    asserted on the safe side: |f| upper end vs the majorant's lower end.
+    a certified lower value (a partial sum in fixed point, every truncation
+    counted, and its 1/M tail bound bracket it).  Domination is asserted on
+    the safe side: |f| upper end vs the majorant's lower end.
     """
 
     y: object
@@ -356,21 +357,22 @@ _MAJORANT_TERMS = 4096
 
 
 def _majorant(y, ctx: PrecisionContext):
-    """Certified bracket [low, high] for 3/y^2 + 2 sum_{n>=1} 1/(n^2 + y^2).
+    """Certified bracket [low, high] for 3/y^2 + 2 sum_{n>=1} 1/(n^2 + y^2),
+    as exact mpf.
 
-    The partial sum is a lower value; sum_{n>N} 1/(n^2+y^2) <= 1/N gives the
-    upper end.  Rounding is charged at count * eps * value scale.
+    The terms n <= M are summed in Python integers at scale 2^-P, P =
+    max(ctx.precision, the bits of y below the binary point), so y is exact;
+    3/y^2 and each term take one division that truncates toward zero, so low
+    lies below the partial sum n <= M by less than 2M + 1 units of 2^-P, and
+    sum_{n>M} 1/(n^2+y^2) <= 1/M gives the upper end.
     """
-    mp = ctx.mp
-    y2 = y * y
-    acc = RunningSum(mp, ops_per_term=3)
-    for n in range(_MAJORANT_TERMS, 0, -1):
-        acc.add(1 / (n * n + y2))
-    base = 3 / y2 + 2 * acc.value
-    slack = 2 * acc.allowance() + 4 * ctx.eps * abs(base)
-    low = base - slack
-    high = base + mp.mpf(2) / _MAJORANT_TERMS + slack
-    return low, high
+    P = max(ctx.precision, fraction_bits(y))
+    y2 = to_fixed(y, P)[0] ** 2  # y^2 at scale 2^-2P
+    one = 1 << 3 * P  # 2^P units over a denominator at scale 2^-2P
+    M = _MAJORANT_TERMS
+    low = 3 * one // y2 + 2 * sum(one // ((n * n << 2 * P) + y2) for n in range(1, M + 1))
+    high = low + 2 * M + 1 + -(-(2 << P) // M)  # the truncations, then 2/M rounded up
+    return to_mp(low, 0, P, ctx.mp), to_mp(high, 0, P, ctx.mp)
 
 
 # -- naive truncation (tables and tail-validity tests) --------------------------

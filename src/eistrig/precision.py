@@ -5,15 +5,13 @@ at a fixed binary precision together with a nonnegative radius bounding
 |true - center|.  Radii combine exact truncation-tail bounds with rounding
 allowances of two kinds:
 
-* the lattice sums and every zeta tail run in Python integers at scale 2^-P
-  (fixedpoint, lattice._explicit_sums, zetasums.em_tails), where each
-  rounding truncates toward zero and errs by less than one unit of 2^-P; the
-  allowance is an exact count of those units, a proved bound;
-* the mpf ball layer here (the ball arithmetic, adopt, RunningSum) charges one
-  ulp of the result per floating operation (for summation loops, count *
-  (1 + ops_per_term) * ulp * the sum of term magnitudes).  That allowance is
-  an engineering bound backed by soundness property tests, not a formal
-  rounding proof.
+* every summation loop (the lattice sums, the zeta tails and their heads,
+  the strip majorant) runs in Python integers at scale 2^-P (fixedpoint),
+  where each rounding truncates toward zero and errs by less than one unit
+  of 2^-P; the allowance is an exact count of those units, a proved bound;
+* the mpf ball layer here (the ball arithmetic, adopt) charges one ulp of
+  the result per floating operation.  That allowance is an engineering bound
+  backed by soundness property tests, not a formal rounding proof.
 
 mpmath contexts are cached per precision (the 64 used last) and never
 mutated afterwards, so evaluations at different precisions can run
@@ -288,37 +286,6 @@ class PrecisionContext:
         # |sqrt(x) - sqrt(v)| <= r / (2 sqrt(lo)) for x in [v - r, v + r]
         r = a.radius / (2 * mp.sqrt(lo))
         return BoundedValue(v, r + self._ulp(v))
-
-
-class RunningSum:
-    """Accumulates a truncated sum plus the documented rounding allowance.
-
-    ops_per_term is the (approximate) count of floating operations used to
-    build each term; the allowance is count * (1 + ops_per_term) * eps *
-    sum(|term|), which dominates both per-term rounding (relative model) and
-    the rounding of each partial-sum addition, with eps = 2^(1 - mp.prec)
-    (PrecisionContext.eps at the same precision).
-    """
-
-    def __init__(self, mp: MPContext, ops_per_term: int = 4):
-        self._eps = mp.ldexp(1, 1 - mp.prec)
-        self._ops = ops_per_term
-        self._sum = mp.mpf(0)
-        self._abs = mp.mpf(0)
-        self._count = 0
-
-    def add(self, term, magnitude=None) -> None:
-        """Add a term; a known magnitude spares computing |term|."""
-        self._sum = self._sum + term
-        self._abs = self._abs + (abs(term) if magnitude is None else magnitude)
-        self._count += 1
-
-    @property
-    def value(self):
-        return self._sum
-
-    def allowance(self):
-        return self._eps * self._abs * (self._count * (1 + self._ops) + 1)
 
 
 def split_point_string(text: str) -> tuple[str, str]:

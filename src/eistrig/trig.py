@@ -232,7 +232,9 @@ def taylor_cosine(z, ctx: PrecisionContext) -> BoundedValue:
     """Partial sums of sum (-1)^m z^(2m) / (2m)! with a geometric tail bound.
 
     Enforced domain |z| <= 4: terms must enter steady decay (ratio <= 1/2)
-    before the truncation bound applies.
+    before the truncation bound applies, and they decay factorially, so the
+    loop ends.  ToleranceUnreachableError when the radius (tail plus
+    rounding allowance) exceeds the tolerance.
     """
     mp = ctx.mp
     zp = ctx.point(z)
@@ -255,14 +257,15 @@ def taylor_cosine(z, ctx: PrecisionContext) -> BoundedValue:
             break
         total += term
         abs_total += abs(term)
-        if m > 200:
-            break
-    tail = 2 * abs(term)
-    allowance = ctx.eps * abs_total * (m * 5 + 1)
+    radius = 2 * abs(term) + ctx.eps * abs_total * (m * 5 + 1)
+    if radius > tol:
+        raise ToleranceUnreachableError(
+            f"taylor_cosine({mp.nstr(zp, 8)}) keeps radius {mp.nstr(radius, 3)} "
+            f"at {ctx.precision} bits, above tolerance {mp.nstr(tol, 5)}")
     value = total
     if hasattr(value, "imag") and value.imag == 0:
         value = value.real
-    return BoundedValue(value, tail + allowance)
+    return BoundedValue(value, radius)
 
 
 # -- jet residuals -----------------------------------------------------------------

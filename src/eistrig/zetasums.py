@@ -7,10 +7,9 @@ Two layers, both exact or with explicit bounds:
 * em_tails(exponents, br, bi, P, limits): sum_{n>=0} (b+n)^-s for several s
   by Euler-Maclaurin at the base point b with the DLMF 2.10 remainder bound,
   in Python integers at scale 2^-P with every rounding counted (fixedpoint);
-  the one way a tail is summed.  The lattice pass calls it at b = N+1 +- u;
-  shifted_tail(exponents, a, c, mp, targets) is its mpmath entry, and
-  zeta_tail(s, N, ...) that entry's c = 0, one-s case, moving the base point
-  up.
+  the one way a tail is summed.  The lattice pass calls it at b = N+1 +- u,
+  and zeta_tail(s, N, ...) at b = N+1, moving the base point up with head
+  terms summed at the same scale, one counted truncation each.
 
 zeta_even(m, ctx) is the tail beyond N = 0, i.e. zeta(2m), checked against
 the context tolerance; coeff_a(d, ctx) wraps the Laurent coefficient
@@ -24,8 +23,8 @@ from fractions import Fraction
 from math import inf, isqrt
 
 from .errors import ToleranceUnreachableError
-from .fixedpoint import cdiv, cmul, cpow, fraction_bits, tdiv, to_fixed, to_mp, units
-from .precision import BoundedValue, PrecisionContext, RunningSum, mp_context
+from .fixedpoint import cdiv, cmul, cpow, tdiv, to_mp, units
+from .precision import BoundedValue, PrecisionContext, mp_context
 
 # -- Bernoulli numbers --------------------------------------------------------
 
@@ -151,41 +150,27 @@ def em_tails(exponents, br: int, bi: int, P: int, limits):
     return out
 
 
-def shifted_tail(exponents, a: int, c, mp, targets):
-    """[(value, bound)] for T_s(c) = sum_{n>=a} (n+c)^-s, one per s in
-    exponents with its own target, or None at the floor.
-
-    c is an mpf or mpc of the context mp with a + Re c > 0.  The mp entry to
-    em_tails: the sums run at the scale 2^-P, P = max(the bits of c below the
-    binary point, -mag(tightest target) + KERNEL_GUARD_BITS), so c is exact;
-    value and bound come back as exact mpf/mpc, the bound the truncation bound
-    plus the counted rounding.
-    """
-    P = max(fraction_bits(c), KERNEL_GUARD_BITS, KERNEL_GUARD_BITS - mp.mag(min(targets)))
-    cr, ci = to_fixed(c, P)
-    got = em_tails(exponents, (a << P) + cr, ci, P, [units(t, P) for t in targets])
-    return got and [(to_mp(re, im, P, mp), to_mp(err + bound, 0, P, mp))
-                    for re, im, err, bound, _ in got]
-
-
 def zeta_tail(s: int, N: int, precision: int, target):
     """(value, bound) for sum_{n>N} n^-s with |true - value| <= bound <= ~target.
 
-    shifted_tail at c = 0 and base point N+1; while its floor is above
-    target, explicit terms move the base point up, 16 at a time.
+    em_tails at the base point N+1, at the scale 2^-P, P = -mag(target) +
+    KERNEL_GUARD_BITS (at least KERNEL_GUARD_BITS); while its floor is above
+    target, head terms n^-s, each one truncating division, move the base
+    point up, 16 at a time.  value and bound come back as exact mpf, the bound
+    the truncation bound plus every counted rounding.
     """
     if s < 2:
         raise ValueError("zeta_tail expects s >= 2")
     mp = mp_context(precision)
-    head = RunningSum(mp, ops_per_term=2)
-    a = N + 1
-    while (got := shifted_tail((s,), a, mp.zero, mp, (target,))) is None:
-        for n in range(a, a + 16):
-            head.add(mp.mpf(n) ** (-s))
+    P = max(KERNEL_GUARD_BITS, KERNEL_GUARD_BITS - mp.mag(target))
+    limit = units(target, P)
+    head, a = 0, N + 1
+    while (got := em_tails((s,), a << P, 0, P, (limit,))) is None:
+        head += sum((1 << P) // n ** s for n in range(a, a + 16))
         a += 16
-    tail, bound = got[0]
-    value = head.value + tail
-    return value, bound + head.allowance() + mp.ldexp(1, 1 - precision) * abs(value)
+    (re, _, err, bound, _), = got
+    # each head term errs by less than one unit
+    return to_mp(head + re, 0, P, mp), to_mp(err + bound + a - N - 1, 0, P, mp)
 
 
 # -- even zeta values ----------------------------------------------------------
@@ -195,7 +180,7 @@ def zeta_even(m: int, ctx: PrecisionContext) -> BoundedValue:
     """sum_{n>=1} n^-2m with error radius <= the context tolerance.
 
     This is the whole tail beyond N = 0, summed by zeta_tail to half the
-    tolerance so the rounding allowance fits in the other half.
+    tolerance so the counted rounding fits in the other half.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"zeta_even expects an integer m >= 1, got {m!r}")

@@ -10,6 +10,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from eistrig import lattice
 from eistrig import (InconclusiveNonvanishingError, PoleProximityError,
                      PrecisionContext, ToleranceUnreachableError, eisenstein_k,
                      naive_symmetric_value, strip_decay, symmetric_tail_bound)
@@ -170,6 +171,41 @@ def test_strip_decay_validates_inputs(ctx):
         strip_decay((0.5,), Fraction(1, 2), ctx)  # height below 1
     with pytest.raises(ValueError):
         strip_decay((2,), Fraction(3, 2), ctx)  # |x| > 1
+
+
+MAJORANT_HEIGHTS = (1, 2.5, Fraction(7, 3), 100)
+
+
+def exact(x) -> Fraction:
+    """The mpf x as an exact Fraction."""
+    return Fraction(int(x.man)) * Fraction(2) ** int(x.exp) if x else Fraction(0)
+
+
+def test_majorant_brackets_the_exact_partial_sum(ctx, monkeypatch):
+    # with M = 16 the partial sum 3/y^2 + 2 sum_{n<=16} 1/(n^2+y^2) is an exact
+    # Fraction; [low, high] holds it and its 2/M tail, and is no wider than the
+    # 2M + 1 counted truncations
+    M = 16
+    monkeypatch.setattr(lattice, "_MAJORANT_TERMS", M)
+    for h in MAJORANT_HEIGHTS:
+        y = ctx.real(h)
+        y2 = exact(y) ** 2
+        partial = 3 / y2 + 2 * sum(1 / (n * n + y2) for n in range(1, M + 1))
+        low, high = (exact(v) for v in lattice._majorant(y, ctx))
+        assert low <= partial
+        assert partial + Fraction(2, M) <= high
+        assert high - low <= Fraction(2, M) + Fraction(2 * M + 2, 2 ** ctx.precision)
+
+
+def test_majorant_brackets_the_closed_form(ctx):
+    # sum_{n>=1} 1/(n^2+y^2) = (pi y coth(pi y) - 1)/(2 y^2); platform pi here only
+    for h in MAJORANT_HEIGHTS:
+        y = ctx.real(h)
+        low, high = lattice._majorant(y, ctx)
+        with mpmath.workprec(4 * ctx.precision):
+            yy = mpmath.mpmathify(y)
+            closed = 3 / yy ** 2 + (mpmath.pi * yy * mpmath.coth(mpmath.pi * yy) - 1) / yy ** 2
+            assert mpmath.mpmathify(low) <= closed <= mpmath.mpmathify(high)
 
 
 def test_nonvanishing_scan_reports_the_minimum(ctx):

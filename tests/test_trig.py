@@ -292,6 +292,12 @@ def test_taylor_route_values_and_domain(ctx):
     assert_matches(taylor_cosine(ctx.point("0+2i"), ctx), COSH_2, ctx)
     with pytest.raises(ValueError):
         taylor_cosine("4.5", ctx)
+    # deep tolerances need far more than 200 terms at |z| = 4
+    deep = PrecisionContext(3000, "1e-700")
+    b = taylor_cosine(4, deep)
+    assert b.radius <= deep.tolerance
+    oracle = deep.mp.cos(4)
+    assert abs(b.value - oracle) <= b.radius + deep.eps * 4
 
 
 def test_routes_agree_within_summed_bounds(ctx):

@@ -11,8 +11,9 @@ import mpmath
 import pytest
 
 from eistrig import PrecisionContext, coeff_a, zeta_even
+from eistrig.fixedpoint import fraction_bits, to_fixed, to_mp, units
 from eistrig.precision import mp_context
-from eistrig.zetasums import bernoulli_even, shifted_tail, zeta_tail
+from eistrig.zetasums import KERNEL_GUARD_BITS, bernoulli_even, em_tails, zeta_tail
 
 ZETA2 = "1.6449340668482264364724151666460251892189499"
 ZETA4 = "1.08232323371113819151600369654116790277475095"
@@ -112,6 +113,20 @@ def test_two_zeta_identity_margin(ctx):
     assert abs(combo.value) <= sub.mp.mpf("1e-20")
 
 
+def shifted_tail(k, a, c, mp, target):
+    """(value, bound) for the shifted tail T_k(c) = sum_{n>=a} (n+c)^-k from
+    em_tails, or None at the floor: the sum runs at the scale 2^-P that makes c exact and leaves
+    KERNEL_GUARD_BITS below the target; value and bound come back as exact
+    mpf/mpc, the bound the truncation bound plus the counted rounding."""
+    P = max(fraction_bits(c), KERNEL_GUARD_BITS, KERNEL_GUARD_BITS - mp.mag(target))
+    cr, ci = to_fixed(c, P)
+    got = em_tails((k,), (a << P) + cr, ci, P, (units(target, P),))
+    if got is None:
+        return None
+    (re, im, err, bound, _), = got
+    return to_mp(re, im, P, mp), to_mp(err + bound, 0, P, mp)
+
+
 @pytest.mark.parametrize("k, c, N, target", [
     (2, (0.3, 0), 8, "1e-12"),
     (2, (-0.5, 0), 8, "1e-20"),
@@ -121,12 +136,12 @@ def test_two_zeta_identity_margin(ctx):
     (4, (0, 60), 0, "1e-100"),
 ])
 def test_shifted_tail_bound_holds_and_is_within_1e3_of_the_true_remainder(k, c, N, target):
-    # the target fixes the order m; at 512 bits the rounding allowance is
+    # the target fixes the order m; at these scales the counted rounding is
     # negligible, so the returned bound is the remainder bound at that order.
     # The truth is the Hurwitz zeta value zeta(k, N+1+c).
     mp = mp_context(512)
     cc = mp.mpc(*c) if c[1] else mp.mpf(c[0])
-    [(value, bound)] = shifted_tail((k,), N + 1, cc, mp, (mp.mpf(target),))
+    value, bound = shifted_tail(k, N + 1, cc, mp, mp.mpf(target))
     with mpmath.workprec(768):
         exact = mpmath.zeta(k, N + 1 + mpmath.mpmathify(cc))
         err = abs(mpmath.mpmathify(value) - exact)
@@ -137,5 +152,5 @@ def test_shifted_tail_bound_holds_and_is_within_1e3_of_the_true_remainder(k, c, 
 def test_shifted_tail_reports_a_floor_above_the_target():
     # at the base point 21 the asymptotic series bottoms out near e^(-2 pi 20.5)
     mp = mp_context(512)
-    assert shifted_tail((3,), 21, mp.mpf(-0.5), mp, (mp.mpf("1e-60"),)) is None
-    assert shifted_tail((3,), 21, mp.mpf(-0.5), mp, (mp.mpf("1e-50"),)) is not None
+    assert shifted_tail(3, 21, mp.mpf(-0.5), mp, mp.mpf("1e-60")) is None
+    assert shifted_tail(3, 21, mp.mpf(-0.5), mp, mp.mpf("1e-50")) is not None

@@ -1,5 +1,6 @@
-"""Fixed-point arithmetic for every summation loop: the lattice kernel, the
-zeta tails and their heads, and the strip majorant.
+"""Fixed-point arithmetic for every summation loop and for the g jet: the
+lattice kernel, the zeta tails and their heads, the strip majorant, and the
+ball products, quotients and final rounding that form g, g' and g''.
 
 A complex number is a pair of Python ints (re, im) at scale 2^-P: the pair
 stands for (re + i im) 2^-P.  Every rounding truncates toward zero, so it errs
@@ -8,18 +9,30 @@ and conjugation: a sum at u and at -u, or at u and at conj(u), comes out exactly
 negated or conjugated.  Error counts are kept in units of the l1 norm
 |re| + |im|, which bounds the modulus and is submultiplicative, so a product of
 x' = x + dx and y' = y + dy errs by at most |x'| |dy| + |y'| |dx| + |dx| |dy|
-before it is rounded.
+before it is rounded.  A ball is a triple (re, im, err) whose err bounds the
+modulus of its error in units; every l1 count does.  A ball is rounded to a
+context's precision once, by to_ball, when it leaves the kernel.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+
 from mpmath.libmp import from_man_exp
+
+from .errors import InconclusiveNonvanishingError
+from .precision import BoundedValue
 
 
 def tdiv(x: int, y: int) -> int:
     """x / y rounded toward zero (y != 0)."""
     q = abs(x) // abs(y)
     return q if (x < 0) == (y < 0) else -q
+
+
+def floor_abs(re: int, im: int) -> int:
+    """floor |re + i im|."""
+    return isqrt(re * re + im * im) if im else abs(re)
 
 
 def cmul(ar: int, ai: int, br: int, bi: int) -> tuple[int, int]:
@@ -73,3 +86,51 @@ def units(t, P: int) -> int:
     sign, man, exp, _ = t._mpf_
     exp += P
     return man << exp if exp >= 0 else man >> -exp
+
+
+# -- balls (re, im, err) -----------------------------------------------------
+
+
+def ball_mul(a, b):
+    """The exact product of the balls a and b, at the sum of their scales: its
+    error is at most |a| e_b + |b| e_a + e_a e_b (|.| <= the l1 norm)."""
+    ar, ai, ea = a
+    br, bi, eb = b
+    return (ar * br - ai * bi, ar * bi + ai * br,
+            (abs(ar) + abs(ai)) * eb + (abs(br) + abs(bi)) * ea + ea * eb)
+
+
+def ball_quotient(a, f, k: int, shift: int):
+    """The ball (a / f^k) 2^shift, k >= 1, one division per component rounded
+    toward zero, or InconclusiveNonvanishingError when f does not exclude
+    zero.  a at scale 2^-Pa and f at 2^-P give a ball at 2^-(Pa - kP + shift).
+
+    With L = floor|f| and M = L + 1 >= |f| in units, every x within e_f of f
+    has |x| >= L - e_f and |x^k - f^k| <= (M + e_f)^k - M^k, so for every y
+    within e_a of a, |y/x^k - a/f^k| is at most
+    2^shift (e_a L^k + |a| ((M + e_f)^k - M^k)) / ((L - e_f)^k L^k) units.
+    """
+    ar, ai, ea = a
+    fr, fi, ef = f
+    L = floor_abs(fr, fi)
+    if L <= ef:
+        raise InconclusiveNonvanishingError(
+            "cannot take a reciprocal: |value| does not exceed the error radius")
+    Lk, M = L ** k, L + 1
+    qr, qi = cdiv(ar, ai, *cpow(fr, fi, k), shift)
+    num = (ea * Lk + (abs(ar) + abs(ai)) * ((M + ef) ** k - M ** k)) << shift
+    return qr, qi, -(-num // ((L - ef) ** k * Lk)) + (2 if ai or fi else 1)
+
+
+def to_ball(re: int, im: int, err: int, P: int, mp) -> BoundedValue:
+    """The ball (re + i im) 2^-P within err units as a BoundedValue of mp, each
+    component rounded once toward zero to mp's precision p, which errs by
+    less than (|re| + |im|) 2^(1-p) units in all, and the radius rounded up;
+    an mpf when im == 0."""
+    prec = mp.prec
+    err += ((abs(re) + abs(im)) >> (prec - 1)) + 1
+    radius = mp.make_mpf(from_man_exp(err, -P, prec, "u"))
+    if not im:
+        return BoundedValue(mp.make_mpf(from_man_exp(re, -P, prec, "d")), radius)
+    return BoundedValue(mp.make_mpc((from_man_exp(re, -P, prec, "d"),
+                                     from_man_exp(im, -P, prec, "d"))), radius)

@@ -6,8 +6,9 @@ and f' = -2 eps_3, f'' = 6 eps_4.  One lattice pass gives eps_k for
 consecutive k at one point, each to its own target (all bounds explicit):
 
 1. Reduce Re z to [-1/2, 1/2] by subtracting the nearest integer (exact in
-   binary floating point), which enforces bit-exact periodicity.  Points
-   within 10 ulp of an integer are rejected: every bound degenerates there.
+   binary floating point), once per pass, which enforces bit-exact
+   periodicity.  Points with both components within 10 ulp of an integer
+   are rejected: every bound degenerates there.
 2. Sum u^-k and the pairs (u -/+ n)^-k for n <= N in Python integers at
    scale 2^-P (fixedpoint): each term is an exact power and one division
    that truncates toward zero, so the sum errs by less than 2N+1 units of
@@ -20,13 +21,14 @@ consecutive k at one point, each to its own target (all bounds explicit):
    k at the same scale, each with its DLMF 2.10 bound and its counted
    rounding.  P is the tightest target's bits plus KERNEL_GUARD_BITS, raised
    until u is exact where that costs at most (k+1) log2(1/|u|) + 8 more bits;
-   otherwise u moves by less than 2 units and the move is charged through
-   eps_bound.  The radius is the sum of these counts and bounds, and each
-   ball is demoted to the caller's precision, rounding charged.
+   otherwise u moves by less than 2 units and the move is charged as an
+   integer count.  The pass returns P and, per k, the integer sum with its
+   error count, the counts and bounds added up; each caller rounds a ball
+   to its context's precision once (fixedpoint.to_ball).
 
-eisenstein_k is the one-exponent pass; f_jet, the pass for [f, f', f''],
-serves the trig evaluators, the steering and the identity checks, and
-widen_jet holds its balls over a disc about the point.  Plain
+eisenstein_k is the one-exponent pass; fixed_jet, the pass for [f, f', f'']
+in integers, holds its balls over a disc about the point and serves the g
+jet of the trig evaluators; f_jet rounds it for the identity checks.  Plain
 symmetric truncation with its closed-form bound 2 (N-1/2)^(1-k)/(k-1)
 (symmetric_tail_bound, naive_symmetric_value) is kept for convergence
 tables and tail-validity tests; it shares the explicit sum of step 2.
@@ -40,7 +42,7 @@ from typing import Sequence
 
 from .errors import (InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError)
-from .fixedpoint import cpow, fraction_bits, to_fixed, to_mp, units
+from .fixedpoint import cpow, floor_abs, fraction_bits, to_ball, to_fixed, to_mp, units
 from .precision import TERM_CAP, BoundedValue, PrecisionContext
 from .zetasums import KERNEL_GUARD_BITS, coeff_a, em_tails
 
@@ -48,14 +50,37 @@ from .zetasums import KERNEL_GUARD_BITS, coeff_a, em_tails
 POLE_GUARD_ULPS = 10
 
 
+def reduce_point(z, ctx: PrecisionContext):
+    """z minus its nearest integer, exact in binary floating point; an mpf or
+    mpc of ctx is taken as it is."""
+    mp = ctx.mp
+    zp = z if isinstance(z, (mp.mpf, mp.mpc)) and mp.isfinite(z) else ctx.point(z)
+    re = zp.real if isinstance(zp, mp.mpc) else zp
+    return zp - int(mp.nint(re))
+
+
 def pole_distance(z, ctx: PrecisionContext):
     """(reduced point u, |u|): distance from z to the nearest integer."""
-    mp = ctx.mp
-    zp = ctx.point(z)
-    re = zp.real if isinstance(zp, mp.mpc) else zp
-    m = int(mp.nint(re))
-    u = zp - m
+    u = reduce_point(z, ctx)
     return u, abs(u)
+
+
+def guarded_distance(z, ctx: PrecisionContext):
+    """|u| for the reduced point u of z, or PoleProximityError within the pole
+    guard."""
+    u = reduce_point(z, ctx)
+    if within(u, POLE_GUARD_ULPS * ctx.eps):
+        raise PoleProximityError(f"z = {ctx.mp.nstr(ctx.point(z), 12)} is within the pole guard "
+                                 f"({POLE_GUARD_ULPS} ulp) of an integer")
+    return abs(u)
+
+
+def within(u, bound) -> bool:
+    """Both components of u at most bound in size (then |u| <= 1.5 bound): the
+    pole guard's test, which needs no square root."""
+    if hasattr(u, "imag") and u.imag:
+        return abs(u.real) <= bound and abs(u.imag) <= bound
+    return abs(u) <= bound
 
 
 def truncation_n(u, tolerance, mp) -> int:
@@ -112,7 +137,8 @@ def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
     ToleranceUnreachableError (near an integer one ulp of |value| exceeds it)."""
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"eisenstein_k expects an integer k >= 2, got {k!r}")
-    out = _lattice_pass((k,), z, ctx, (ctx.tolerance,))[0]
+    P, (sums,) = _lattice_pass((k,), reduce_point(z, ctx), ctx, (ctx.tolerance,))
+    out = to_ball(*sums, P, ctx.mp)
     if out.radius > ctx.tolerance:
         mp = ctx.mp
         raise ToleranceUnreachableError(
@@ -121,39 +147,76 @@ def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
     return out
 
 
+#: f^(i) = (-1)^i (i+1)! eps_(i+2)
+_JET_FACTORS = (1, -2, 6)
+
+
 def f_jet(z, ctx: PrecisionContext, tolerances) -> list[BoundedValue]:
     """[f, f', f''][:n] = [eps_2, -2 eps_3, 6 eps_4][:n] at z from one lattice
-    pass, n = len(tolerances) <= 3, order i to tolerances[i] and demoted to
-    ctx's precision, where near an integer one ulp may exceed it.  An f ball
-    that does not exclude zero is replaced by _resolved_f's, 2^-60 tighter."""
-    scales = (1, -2, 6)[:len(tolerances)]
+    pass, n = len(tolerances) <= 3, order i to tolerances[i] and rounded once
+    to ctx's precision, where near an integer one ulp may exceed it."""
     # eps_k to t / (2|c| - 1): the scaled ball keeps room for its rounding
-    eps = _lattice_pass(range(2, 2 + len(scales)), z, ctx,
-                        [t / (2 * abs(c) - 1) for t, c in zip(tolerances, scales)])
-    if eps[0].consistent_with_zero():
-        eps[0] = ctx.adopt(_resolved_f(z, ctx.refined(tolerances[0] * ctx.mp.ldexp(1, -60))))
-    return [bv if c == 1 else ctx.bscale(bv, c) for bv, c in zip(eps, scales)]
+    P, jet = fixed_jet(reduce_point(z, ctx), ctx,
+                       [t / (2 * abs(c) - 1) for t, c in zip(tolerances, _JET_FACTORS)], 0)
+    return [to_ball(*b, P, ctx.mp) for b in jet]
 
 
-def _lattice_pass(exponents, z, ctx: PrecisionContext, targets) -> list[BoundedValue]:
-    """eps_k(z) for consecutive k, each to its target, from one reduction, one
-    explicit sum and one Euler-Maclaurin call per tail; demoted to ctx."""
-    mp = ctx.mp
-    u, dist = pole_distance(z, ctx)
-    guard = POLE_GUARD_ULPS * ctx.eps
-    if dist <= guard:
+def fixed_jet(u, ctx: PrecisionContext, targets, r):
+    """(P, [f, f', f''][:n]) at the reduced point u from one lattice pass,
+    n = len(targets) <= 3, eps_(i+2) to targets[i]: order i is the ball
+    (re, im, err), (re + i im) 2^-P within err units of 2^-P.
+
+    An f ball that does not exclude zero is replaced by _resolved_f's, 2^-60
+    tighter, at a scale where it is exact.  For r > 0 each order holds at
+    every point of the disc |u' - u| <= r: there f^(i) moves by at most
+    (i+2)! eps_bound(i+3, D) r, D a lower bound of |u| - r; the widening is
+    counted in units, and PoleProximityError is raised when the disc reaches
+    an integer.
+    """
+    P, sums = _lattice_pass(range(2, 2 + len(targets)), u, ctx, targets)
+    jet = [(c * re, c * im, abs(c) * err) for c, (re, im, err) in zip(_JET_FACTORS, sums)]
+    fr, fi, ef = jet[0]
+    if floor_abs(fr, fi) <= ef:
+        bv = _resolved_f(u, ctx.refined(targets[0] * ctx.mp.ldexp(1, -60)))
+        S = max(P, fraction_bits(bv.value))
+        jet = [(re << S - P, im << S - P, err << S - P) for re, im, err in jet]
+        jet[0] = (*to_fixed(bv.value, S), units(bv.radius, S) + 1)
+        P = S
+    if not r:
+        return P, jet
+    R = units(r, P) + 1
+    D = floor_abs(*to_fixed(u, P)) - 2 - R  # u is within 2 units of to_fixed(u, P)
+    if D <= 0:
+        mp = ctx.mp
         raise PoleProximityError(
-            f"z = {mp.nstr(ctx.point(z), 12)} is within the pole guard "
+            f"the disc of radius {mp.nstr(r, 3)} about {mp.nstr(u, 12)} reaches an integer")
+    out = []
+    for i, (re, im, err) in enumerate(jet):
+        k, c = i + 3, math.factorial(i + 2) * R
+        # c (2^(Pk) / D^k + 2^(k+2)) units: (i+2)! eps_bound(k, D 2^-P) r 2^P, rounded up
+        out.append((re, im, err - (-(c << P * k) // D ** k) + (c << k + 2)))
+    return P, out
+
+
+def _lattice_pass(exponents, u, ctx: PrecisionContext, targets):
+    """(P, [(re, im, err)]): eps_k at the reduced point u for consecutive k,
+    each to its target, (re + i im) 2^-P within err units of 2^-P, from one
+    explicit sum and one Euler-Maclaurin call per tail."""
+    mp = ctx.mp
+    guard = POLE_GUARD_ULPS * ctx.eps
+    if within(u, guard):
+        raise PoleProximityError(
+            f"the reduced point {mp.nstr(u, 12)} is within the pole guard "
             f"({POLE_GUARD_ULPS} ulp = {mp.nstr(guard, 3)}) of an integer")
     N = truncation_n(u, min(targets), mp)
     if 2 * N + 1 > TERM_CAP:
         raise ToleranceUnreachableError(
             f"symmetric truncation needs {2 * N + 1} terms, above the cap {TERM_CAP}")
     # the scale: the rounding count far below the tightest target
-    P = _kernel_scale(u, dist, KERNEL_GUARD_BITS + max(0, -mp.mag(min(targets))),
-                      exponents[-1], mp)
+    P = _kernel_scale(u, KERNEL_GUARD_BITS + max(0, -mp.mag(min(targets))), exponents[-1], mp)
     for _ in range(3):
         ur, ui = to_fixed(u, P)
+        moved = fraction_bits(u) > P
         quarter = [units(t, P - 2) for t in targets]
         upper = em_tails(exponents, ((N + 1) << P) + ur, ui, P, quarter)
         lower = em_tails(exponents, ((N + 1) << P) - ur, -ui, P, quarter)
@@ -163,74 +226,60 @@ def _lattice_pass(exponents, z, ctx: PrecisionContext, targets) -> list[BoundedV
                     exponents, targets, _explicit_sums(exponents, ur, ui, N, P), upper, lower):
                 # sum_{n>N} (u+n)^-k + (u-n)^-k = T(u) + (-1)^k T(-u)
                 sign = 1 if k % 2 == 0 else -1
-                err += ea + ba + eb + bb + _move_charge(k, u, dist, P, ctx)
+                err += ea + ba + eb + bb + (_move_charge(k, ur, ui, P) if moved else 0)
                 if err > units(t, P):
                     break
-                value = to_mp(vr + ar + sign * br, vi + ai + sign * bi, P, mp)
-                out.append(ctx.adopt(BoundedValue(value, to_mp(err, 0, P, mp))))
+                out.append((vr + ar + sign * br, vi + ai + sign * bi, err))
             else:
-                return out
+                return P, out
         P += 64
     raise ToleranceUnreachableError(f"the lattice sums k = {list(exponents)} could not "
                                     f"reach tolerances {[mp.nstr(t, 5) for t in targets]}")
 
 
-def _kernel_scale(u, dist, P: int, k: int, mp) -> int:
+def _kernel_scale(u, P: int, k: int, mp) -> int:
     """The scale of a pass at u up to exponent k: at least P, and u exact unless
     that takes more than the (k+1) log2(1/|u|) + 8 further bits which keep
-    _move_charge small (a tiny Re u or Im u would otherwise set the scale)."""
-    return max(P, min(fraction_bits(u), P + (k + 1) * max(0, 1 - mp.mag(dist)) + 8))
+    _move_charge small (a tiny Re u or Im u would otherwise set the scale);
+    |u| < 2^mag(u)."""
+    return max(P, min(fraction_bits(u), P + (k + 1) * max(0, 1 - mp.mag(u)) + 8))
 
 
-def _move_charge(k: int, u, dist, P: int, ctx: PrecisionContext) -> int:
-    """Units of 2^-P that cover eps_k(u) - eps_k(u'), u' = to_fixed(u, P): u' is
-    within 2 units of u, which _kernel_scale keeps below |u|/2, so the segment
-    from u to u' stays |u|/2 from every integer and
-    |eps_k(u) - eps_k(u')| <= 2k eps_bound(k+1, |u|/2) units."""
-    if fraction_bits(u) <= P:
-        return 0
-    return int(2 * k * eps_bound(k + 1, dist / 2) * (1 + 64 * ctx.eps)) + 1
+def _move_charge(k: int, ur: int, ui: int, P: int) -> int:
+    """Units of 2^-P that cover eps_k(u) - eps_k(u'), u' = (ur + i ui) 2^-P =
+    to_fixed(u, P): u is within 2 units of u', so every point of the segment
+    from u to u' lies D = floor|u'| - 4 units or more from 0 (and, with
+    |Re u| <= 1/2, from every integer; _kernel_scale keeps D near |u|), and
+    |eps_k(u) - eps_k(u')| <= 2k eps_bound(k+1, D 2^-P) units."""
+    D = floor_abs(ur, ui) - 4
+    return -(-(2 * k << P * (k + 1)) // D ** (k + 1)) + (2 * k << k + 3)
 
 
 def _resolved_f(z, work: PrecisionContext) -> BoundedValue:
     """f(z) at the context work, its tolerance tightened by 2^(-60 tries) until
     the ball excludes zero (f is nowhere zero); InconclusiveNonvanishingError
     after 8 tightenings."""
-    mp = work.mp
-    tol = work.tolerance
-    bv = _lattice_pass((2,), z, work, (tol,))[0]
-    tries = 0
-    while bv.consistent_with_zero():
+    mp, u = work.mp, reduce_point(z, work)
+    tol, ctx, tries = work.tolerance, work, 0
+    while True:
+        P, (sums,) = _lattice_pass((2,), u, ctx, (tol,))
+        bv = to_ball(*sums, P, ctx.mp)
+        if not bv.consistent_with_zero():
+            return bv
         tries += 1
         if tries > 8:
             raise InconclusiveNonvanishingError(
                 f"|f({mp.nstr(z, 8)})| stayed within its radius down to "
                 f"tolerance {mp.nstr(tol, 3)}")
         tol = tol * mp.ldexp(1, -60 * tries)
-        bv = _lattice_pass((2,), z, work.refined(tol), (tol,))[0]
-    return bv
+        ctx = work.refined(tol)
 
 
 def eps_bound(k: int, dist):
     """|eps_k(u)| <= dist^-k + 2 sum_{n>=1} (n - 1/2)^-k < dist^-k + 2^(k+2) for
-    |u| = dist, |Re u| <= 1/2: steers without a lattice pass."""
+    |u| = dist, |Re u| <= 1/2: sizes the residuals' precision without a
+    lattice pass."""
     return dist ** -k + 2 ** (k + 2)
-
-
-def widen_jet(jet, z, r, ctx: PrecisionContext) -> list[BoundedValue]:
-    """The jet [f, f', f''][:n] of f_jet at z, widened to hold the jet at every
-    point of the disc |z' - z| <= r: f^(i) = (-1)^i (i+1)! eps_(i+2) moves by at
-    most (i+2)! eps_bound(i+3, |u| - r) r there.  PoleProximityError when the
-    disc reaches an integer."""
-    if not r:
-        return jet
-    _, dist = pole_distance(z, ctx)
-    if dist <= r:
-        raise PoleProximityError(
-            f"the disc of radius {ctx.mp.nstr(r, 3)} about {ctx.mp.nstr(ctx.point(z), 12)} "
-            "reaches an integer")
-    return [BoundedValue(bv.value, bv.radius + math.factorial(i + 2) * eps_bound(i + 3, dist - r) * r)
-            for i, bv in enumerate(jet)]
 
 
 # -- ODE residuals -------------------------------------------------------------
@@ -244,7 +293,7 @@ def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0) -> BoundedVa
     come from one jet pass, at a precision sized from |f''| ~ 6/u^4; the
     unused f' of that pass gets a loose target.
     """
-    _, dist = pole_distance(z, ctx)
+    dist = guarded_distance(z, ctx)
     mf = eps_bound(2, dist) + 1
     sub = ctx.refined(ctx.tolerance / (4 * (1 + 24 * mf + 52)),
                       6 * eps_bound(4, dist) + mf * mf)
@@ -261,7 +310,7 @@ def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0) -> BoundedVa
 def first_order_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
     """(f'(z))^2 - 4 f(z)^3 + 12 a0 f(z)^2, consistent with zero; f and f'
     from one jet pass, at a precision sized from |f'|^2 ~ 4/u^6."""
-    _, dist = pole_distance(z, ctx)
+    dist = guarded_distance(z, ctx)
     mf = eps_bound(2, dist) + 1
     mfp = 2 * eps_bound(3, dist) + 1
     sub = ctx.refined(ctx.tolerance / (4 * (1 + 2 * mfp + 24 * mf * mf + 96 * mf)),
@@ -392,11 +441,12 @@ def naive_symmetric_value(k: int, z, N: int, ctx: PrecisionContext) -> BoundedVa
 
     Kept for convergence tables; the corrected evaluator is sharper.
     """
-    u, dist = pole_distance(z, ctx)
-    if dist <= POLE_GUARD_ULPS * ctx.eps:
+    u, mp = reduce_point(z, ctx), ctx.mp
+    if within(u, POLE_GUARD_ULPS * ctx.eps):
         raise PoleProximityError("point is within the pole guard of an integer")
-    P = _kernel_scale(u, dist, ctx.precision, k, ctx.mp)
-    (re, im, err), = _explicit_sums((k,), *to_fixed(u, P), N, P)
-    err += _move_charge(k, u, dist, P, ctx)
-    return ctx.adopt(BoundedValue(to_mp(re, im, P, ctx.mp),
-                                  symmetric_tail_bound(k, N, ctx) + to_mp(err, 0, P, ctx.mp)))
+    P = _kernel_scale(u, ctx.precision, k, mp)
+    ur, ui = to_fixed(u, P)
+    (re, im, err), = _explicit_sums((k,), ur, ui, N, P)
+    if fraction_bits(u) > P:
+        err += _move_charge(k, ur, ui, P)
+    return to_ball(re, im, err + units(symmetric_tail_bound(k, N, ctx), P) + 1, P, mp)

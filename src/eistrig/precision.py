@@ -6,12 +6,16 @@ at a fixed binary precision together with a nonnegative radius bounding
 allowances of two kinds:
 
 * every summation loop (the lattice sums, the zeta tails and their heads,
-  the strip majorant) runs in Python integers at scale 2^-P (fixedpoint),
-  where each rounding truncates toward zero and errs by less than one unit
-  of 2^-P; the allowance is an exact count of those units, a proved bound;
+  the strip majorant) and the g jet behind g, cos and sin run in Python
+  integers at scale 2^-P (fixedpoint), where each rounding truncates toward
+  zero and errs by less than one unit of 2^-P; the allowance is an exact
+  count of those units, a proved bound, and a ball leaves that layer
+  rounded once to its context's precision (fixedpoint.to_ball);
 * the mpf ball layer here (the ball arithmetic, adopt) charges one ulp of
-  the result per floating operation.  That allowance is an engineering bound
-  backed by soundness property tests, not a formal rounding proof.
+  the result per floating operation.  It serves the few operations after
+  the kernel (w = z / 2 pi, cos from g, sin's pi product) and the residual
+  and identity checks.  That allowance is an engineering bound backed by
+  soundness property tests, not a formal rounding proof.
 
 mpmath contexts are cached per precision (the 64 used last) and never
 mutated afterwards, so evaluations at different precisions can run

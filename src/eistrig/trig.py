@@ -19,13 +19,17 @@ Because c and s run through f, which reduces its argument by the nearest
 integer exactly, both inherit exact periodicity in the computed period
 2 pi-hat.  One steered jet serves every evaluator here: _g_jet gives
 [g, g', g''] from one lattice pass for [f, f', f''] per try, each f order
-as tight as the g orders asked for need, steered by the leading Laurent
-terms, later tries by their own balls.  pi-hat is computed to a few ulps of
-the context's precision, so w = z / (2 pi-hat) is a ball of a few ulps of
-|w|; lattice.widen_jet holds the jet over that disc with the bound eps_bound
-on the next derivative, so each returned ball holds at every point of it.
-Far off the real axis, where |f| is tiny and eps_bound is not, that
-widening outgrows the tolerance and the evaluators raise
+as tight as the g orders asked for need, steered in integer binary
+exponents by the leading Laurent terms, later tries by their own balls.
+The jet stays in the fixed-point kernel from the reduced point to the
+returned balls: g, g' and g'' are formed from the pass's integer balls in
+units of 2^-Q with every rounding counted, and each is rounded to the
+context's precision once.  pi-hat is computed to a few ulps of the
+context's precision, so w = z / (2 pi-hat) is a ball of a few ulps of
+|w|; lattice.fixed_jet holds the jet over that disc with the bound
+eps_bound on the next derivative, so each returned ball holds at every
+point of it.  Far off the real axis, where |f| is tiny and eps_bound is
+not, that widening outgrows the tolerance and the evaluators raise
 ToleranceUnreachableError.
 """
 
@@ -35,9 +39,11 @@ import functools
 from dataclasses import dataclass
 
 from .errors import PoleProximityError, ToleranceUnreachableError
+from .fixedpoint import ball_mul, ball_quotient, floor_abs, to_ball
 from .precision import BoundedValue, PrecisionContext
-from .lattice import POLE_GUARD_ULPS, eps_bound, f_jet, pole_distance, widen_jet
-from .zetasums import zeta_even
+from .lattice import (POLE_GUARD_ULPS, f_jet, fixed_jet, guarded_distance, reduce_point,
+                      within)
+from .zetasums import KERNEL_GUARD_BITS, zeta_even
 
 PI_PROVENANCE = "sqrt(6·ζ(2))"
 
@@ -106,16 +112,23 @@ def _snap(tol, mp):
 def _g_jet(x, work: PrecisionContext, r, tols) -> list[BoundedValue]:
     """[g, g', g''][:n] at every point of the disc |x' - x| <= r, n = len(tols),
     order i within tols[i] (None: only as tight as the higher orders need),
-    from one f_jet pass per try: g = 1/f, g' = -f' g^2, g'' = (2 f'^2 - f f'') g^3.
+    from one lattice.fixed_jet pass per try.  g = 1/f, g' = -f'/f^2 and
+    g'' = (2 f'^2 - f f'')/f^3 are formed from the pass's integer balls at
+    scale 2^-Q, Q the tightest tolerance's bits plus KERNEL_GUARD_BITS, each
+    by exact products and one division charged over the whole f ball
+    (fixedpoint.ball_quotient), and each order is rounded to work's
+    precision once.
 
+    The steering only picks the pass's targets, in integer binary exponents.
     f^(j) goes to min over i >= j of tols[i] / (2 (i+1) S_ij), S_ij the
     first-order sensitivity of g^(i) to f^(j) at |f| >= lf, |f'| <= mfp and
     |f''| <= mf2, and f to at most lf/4, which keeps its ball off zero; each
-    target is snapped down to a power of 2^8.  The first try takes the bounds
-    from eps_bound and, for |f|, the smaller of the Laurent term |u|^-2 and
-    39 2^(-int(9.07 |Im u|) - 1) (|f| decays like 4 pi^2 e^(-2 pi |Im u|)),
-    the latter not below eps/4t for the tightest tolerance t, the next from
-    the last try's balls, the third 2^-6 tighter; ToleranceUnreachableError after three.
+    target is snapped down to a power of 2^8.  The first try takes lf from
+    the smaller of the Laurent term |u|^-2 and 2^(4 - int(9.07 |Im u|))
+    (|f| decays like 4 pi^2 e^(-2 pi |Im u|)), the latter not below eps/4t
+    for the tightest tolerance t, and mfp and mf2 from eps_bound; the next
+    try takes them from the last try's balls, the third 2^-6 tighter;
+    ToleranceUnreachableError after three.
     Within the pole guard g and g' are zero-centred balls, |g| <= 1.5 |u|^2
     and |g'| = |sin(2 pi u)| / pi <= 3 |u| there, and g'' raises
     PoleProximityError.
@@ -125,42 +138,53 @@ def _g_jet(x, work: PrecisionContext, r, tols) -> list[BoundedValue]:
     def fits(jet):
         return all(t is None or b.radius <= t for b, t in zip(jet, tols))
 
-    u, au = pole_distance(x, work)
-    if au <= max(POLE_GUARD_ULPS * work.eps, 2 * r):
+    u = reduce_point(x, work)
+    if within(u, max(POLE_GUARD_ULPS * work.eps, 2 * r)):
         if n > 2:
             raise PoleProximityError(f"g'' at {mp.nstr(x, 8)} is within the pole guard of an integer")
-        near = au + r
+        near = r + (mp.ldexp(1, mp.mag(u)) if u else 0)  # |u| < 2^mag(u)
         jet = [BoundedValue(mp.mpf(0), b * (1 + work.eps)) for b in (1.5 * near ** 2, 3 * near)][:n]
         if fits(jet):
             return jet
     else:
+        # binary exponents: 2^te[i] <= tols[i], |u| < 2^m, |u| >= 2^lo
+        te = [None if t is None else mp.mag(t) - 1 for t in tols]
+        tmin = min(e for e in te if e is not None)
+        m = mp.mag(u)
+        lo = m - (2 if mp.im(u) else 1)
         # |f(u)| = pi^2/|sin(pi u)|^2 ~ 4 pi^2 e^(-2 pi |Im u|) off the axis, and
         # 2 pi/ln 2 < 9.07: the first steer for |f| takes the smaller estimate,
         # but not below eps/4t, where one ulp of |g| exceeds the tolerance t
-        decay = max(mp.ldexp(39, -int(9.07 * min(abs(float(mp.im(u))), 1e6)) - 1),
-                    work.eps / (4 * min(t for t in tols if t is not None)))
-        bounds = [min(au ** -2, decay), 2 * eps_bound(3, au), 6 * eps_bound(4, au)]
+        decay = max(4 - int(9.07 * min(abs(float(mp.im(u))), 1e6)), -work.precision - 2 - tmin)
+        # log2 of lf and of the eps_bound estimates 2 eps_bound(3) and 6 eps_bound(4)
+        bounds = [min(-2 * m, decay), max(-3 * lo, 5) + 2, max(-4 * lo, 6) + 4]
+        Q = KERNEL_GUARD_BITS - min(0, tmin)
         for attempt in range(3):
             lf, mfp, mf2 = bounds
-            G = 1 / lf
-            G2, G3 = G * G, G * G * G
-            sens = ((G2,), (2 * mfp * G3, G2), (6 * mfp * mfp * G2 * G2 + 2 * mf2 * G3, 4 * mfp * G3, G2))
-            ts = [min(tols[i] / (2 * (i + 1) * sens[i][j]) for i in range(j, n) if tols[i] is not None)
+            sens = ((-2 * lf,),
+                    (1 + mfp - 3 * lf, -2 * lf),
+                    (1 + max(3 + 2 * mfp - 4 * lf, 1 + mf2 - 3 * lf), 2 + mfp - 3 * lf, -2 * lf))
+            ts = [min(te[i] - (1, 2, 3)[i] - sens[i][j] for i in range(j, n) if te[i] is not None)
                   for j in range(n)]
-            ts[0] = min(ts[0], lf / 4)
-            shrink = mp.ldexp(1, -6 * (attempt // 2))
-            fj = widen_jet(f_jet(x, work, [_snap(t * shrink, mp) for t in ts]), x, r, work)
-            g = work.brecip(fj[0])
-            jet = [g]
+            ts[0] = min(ts[0], lf - 2)
+            # snapped to a power of 2^8, then over |c| <= 2^(0, 1, 3) for eps_(j+2)
+            targets = [mp.ldexp(1, 8 * ((t - 6 * (attempt // 2)) // 8) - (0, 1, 3)[j])
+                       for j, t in enumerate(ts)]
+            S, (f, *fd) = fixed_jet(u, work, targets, r)
+            # g^(i) = p_i / f^(i+1): p_0 = 1, p_1 = -f', p_2 = 2 f'^2 - f f''
+            numerators = [(1, 0, 0)]
             if n > 1:
-                gsq = work.bmul(g, g)
-                jet.append(work.bneg(work.bmul(fj[1], gsq)))
+                fr, fi, ef = fd[0]
+                numerators.append((-fr, -fi, ef))
             if n > 2:
-                num = work.bsub(work.bscale(work.bmul(fj[1], fj[1]), 2), work.bmul(fj[0], fj[2]))
-                jet.append(work.bmul(num, work.bmul(gsq, g)))
+                (ar, ai, ea), (br, bi, eb) = ball_mul(fd[0], fd[0]), ball_mul(f, fd[1])
+                numerators.append((2 * ar - br, 2 * ai - bi, 2 * ea + eb))
+            fixed = [ball_quotient(p, f, i + 1, S + Q) for i, p in enumerate(numerators)]
+            jet = [to_ball(*b, Q, mp) for b in fixed]
             if fits(jet):
                 return jet
-            bounds[:n] = [fj[0].lower()] + [b.upper() for b in fj[1:]]
+            bounds[0] = (floor_abs(*f[:2]) - f[2]).bit_length() - 1 - S
+            bounds[1:n] = [(abs(re) + abs(im) + err).bit_length() - S for re, im, err in fd]
     raise ToleranceUnreachableError(
         f"the g jet at {mp.nstr(x, 8)} keeps radii {', '.join(mp.nstr(b.radius, 3) for b in jet)} "
         f"at {work.precision} bits, above tolerances "
@@ -305,10 +329,7 @@ def cosec_identity_check(z, ctx: PrecisionContext) -> BoundedValue:
     """
     mp = ctx.mp
     zp = ctx.point(z)
-    _, dist = pole_distance(zp, ctx)
-    if dist <= POLE_GUARD_ULPS * ctx.eps:
-        raise PoleProximityError("the cosec identity degenerates at integers")
-    tol, lf = ctx.tolerance, dist ** -2  # the Laurent term, then f's own ball
+    tol, lf = ctx.tolerance, guarded_distance(zp, ctx) ** -2  # the Laurent term, then f's own ball
     for _ in range(2):
         fb = f_jet(zp, ctx, (_snap(tol * lf / (8 * (4 + mp.sqrt(lf)) ** 2), mp),))[0]
         if fb.lower() >= lf:

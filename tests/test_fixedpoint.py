@@ -1,18 +1,24 @@
-"""The fixed-point lattice kernel against exact rational arithmetic.
+"""The fixed-point kernel against exact rational arithmetic.
 
 At a small scale (P = 24..40 bits) rounding dominates every error, so the
 kernel's counted units are checked against the exact Fraction value of the
 same finite sum: the explicit sum of a lattice pass, and an Euler-Maclaurin
 tail up to the order the kernel stopped at (its truncation bound is tested
-against the Hurwitz zeta values in test_zetasums).
+against the Hurwitz zeta values in test_zetasums).  The ball helpers of the g
+jet are checked the same way: a product, a quotient and the final rounding
+must hold the exact result at every point of their input balls.
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from eistrig import InconclusiveNonvanishingError
+from eistrig.fixedpoint import ball_mul, ball_quotient, to_ball
 from eistrig.lattice import _explicit_sums
+from eistrig.precision import mp_context
 from eistrig.zetasums import bernoulli_even, em_tails
 
 
@@ -92,3 +98,85 @@ def test_a_tail_is_within_its_count_of_the_exact_euler_maclaurin_sum(point, N, s
             term = cpow(b, 1 - s - 2 * j)
             exact = [exact[0] + coef * term[0], exact[1] + coef * term[1]]
         assert l1_units(exact, re, im, P) <= err
+
+
+# -- the ball helpers of the g jet ----------------------------------------------
+
+@st.composite
+def balls(draw, P, floor=0):
+    """(re, im, err) at scale 2^-P, real or complex, |center| above floor err."""
+    bits = P + draw(st.integers(-8, 8))
+    re = draw(st.integers(-(1 << bits), 1 << bits))
+    im = draw(st.sampled_from([0, draw(st.integers(-(1 << bits), 1 << bits))]))
+    err = draw(st.integers(0, 1 << draw(st.integers(0, P // 4 if floor else P // 2))))
+    if floor:
+        assume(math.isqrt(re * re + im * im) > floor * err)
+    return re, im, err
+
+
+@st.composite
+def offsets(draw, err):
+    """An exact complex offset of modulus at most err: a rational point of the
+    circle of radius err (m, n a Pythagorean pair), scaled by s in [0, 1]."""
+    m, n = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    assume(m or n)
+    s = Fraction(draw(st.integers(0, 8)), 8) * err / (m * m + n * n)
+    return s * (m * m - n * n) * draw(st.sampled_from([1, -1])), s * 2 * m * n * draw(st.sampled_from([1, -1]))
+
+
+def within_units(exact, re, im, err, P):
+    """|exact - (re + i im) 2^-P| <= err units of 2^-P."""
+    dr, di = exact[0] * 2 ** P - re, exact[1] * 2 ** P - im
+    return dr * dr + di * di <= err * err
+
+
+def point_in(ball, offset, P):
+    return Fraction(ball[0] + offset[0], 2 ** P), Fraction(ball[1] + offset[1], 2 ** P)
+
+
+@settings(max_examples=300)
+@given(st.data(), st.integers(24, 40))
+def test_the_ball_product_holds_every_product_of_its_factors(data, P):
+    a, b = data.draw(balls(P)), data.draw(balls(P))
+    x = point_in(a, data.draw(offsets(a[2])), P)
+    y = point_in(b, data.draw(offsets(b[2])), P)
+    assert within_units(cmul(x, y), *ball_mul(a, b), 2 * P)
+
+
+@settings(max_examples=300)
+@given(st.data(), st.integers(24, 40), st.integers(1, 3))
+def test_the_ball_quotient_holds_every_quotient_in_its_balls(data, P, k):
+    # g = 1/f, g' = -f'/f^2 and g'' = (2 f'^2 - f f'')/f^3 at scale 2^-Q, the
+    # numerator at scale 2^-(P (k-1))
+    Q = P + data.draw(st.integers(-8, 8))
+    f = data.draw(balls(P, floor=data.draw(st.sampled_from([1, 2, 1 << 6]))))
+    a = (1, 0, 0) if k == 1 else data.draw(balls(P * (k - 1)))
+    x = point_in(f, data.draw(offsets(f[2])), P)
+    y = point_in(a, data.draw(offsets(a[2])), P * (k - 1))
+    assert within_units(cmul(y, cpow(x, -k)), *ball_quotient(a, f, k, P + Q), Q)
+
+
+@given(st.integers(24, 40), st.integers(1, 3))
+def test_the_ball_quotient_refuses_a_ball_about_zero(P, k):
+    with pytest.raises(InconclusiveNonvanishingError):
+        ball_quotient((1, 0, 0), (3 << P, 4 << P, 5 << P), k, P)
+
+
+def exact(x):
+    """The mpf x as a Fraction."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+@settings(max_examples=300)
+@given(st.data(), st.integers(24, 40), st.sampled_from([53, 64, 128]))
+def test_rounding_once_holds_the_ball_and_truncates_toward_zero(data, P, prec):
+    re, im, err = data.draw(balls(P + prec))
+    bv = to_ball(re, im, err, P, mp_context(prec))
+    got = [exact(bv.value.real), exact(bv.value.imag)] if im else [exact(bv.value), 0]
+    center = Fraction(re, 2 ** P), Fraction(im, 2 ** P)
+    for c, v in zip(center, got):
+        assert abs(v) <= abs(c) and v * c >= 0
+    # the ball about the rounded value holds the whole ball about the center
+    slack = exact(bv.radius) - Fraction(err, 2 ** P)
+    assert slack >= 0 and slack ** 2 >= (got[0] - center[0]) ** 2 + (got[1] - center[1]) ** 2

@@ -14,8 +14,9 @@ from eistrig import lattice
 from eistrig import (InconclusiveNonvanishingError, PoleProximityError,
                      PrecisionContext, ToleranceUnreachableError, eisenstein_k,
                      naive_symmetric_value, strip_decay, symmetric_tail_bound)
-from eistrig.lattice import (f_jet, first_order_ode_residual, nonvanishing_scan,
-                             pole_distance, second_order_ode_residual, widen_jet)
+from eistrig.fixedpoint import to_ball
+from eistrig.lattice import (f_jet, first_order_ode_residual, fixed_jet, nonvanishing_scan,
+                             pole_distance, reduce_point, second_order_ode_residual)
 from test_properties import lattice_closed_form
 
 F_HALF = "9.86960440108935861883449099987615113531369941"      # f(1/2) = pi^2
@@ -127,6 +128,14 @@ def test_first_order_residual_close_to_an_integer_meets_the_tolerance(point, ctx
     # f'(3 + 1e-8)^2 ~ 4e48: the residual works at a precision sized from it
     r = first_order_ode_residual(point, ctx)
     assert r.consistent_with_zero() and r.radius <= ctx.tolerance
+
+
+@pytest.mark.parametrize("point", [3, "0", "2+0i"])
+@pytest.mark.parametrize("residual", [second_order_ode_residual, first_order_ode_residual])
+def test_ode_residuals_at_an_integer_raise_the_pole_guard_error(residual, point, ctx):
+    # the precision sizing divides by |u|; the guard must come first
+    with pytest.raises(PoleProximityError):
+        residual(point, ctx)
 
 
 def test_ode_residual_detects_a_wrong_constant(ctx):
@@ -281,7 +290,7 @@ def test_module_tables_do_not_grow_with_the_number_of_points():
 
 def test_disc_widening_holds_the_jet_over_the_disc():
     # the jet at each point of the circle |w' - w| = r lies inside the jet at
-    # w widened by widen_jet, order by order
+    # w widened by fixed_jet, order by order
     import random
     rng = random.Random(5)
     ctx = PrecisionContext(192, "1e-30")
@@ -289,16 +298,16 @@ def test_disc_widening_holds_the_jet_over_the_disc():
     tols = (ctx.tolerance,) * 3
     for i in range(6):
         w = ctx.point(complex(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5) if i % 2 else 0))
-        held = widen_jet(f_jet(w, ctx, tols), w, r, ctx)
+        P, fixed = fixed_jet(reduce_point(w, ctx), ctx, tols, r)
+        held = [to_ball(*b, P, mp) for b in fixed]
         for j in range(8):
             for inner, outer in zip(f_jet(w + r * mp.expjpi(mp.mpf(j) / 4), ctx, tols), held):
                 assert abs(inner.value - outer.value) + inner.radius <= outer.radius
 
 
 def test_widening_refuses_a_disc_that_reaches_an_integer(ctx):
-    jet = f_jet("0.25", ctx, (ctx.tolerance,))
     with pytest.raises(PoleProximityError):
-        widen_jet(jet, ctx.point("0.25"), ctx.mp.mpf("0.3"), ctx)
+        fixed_jet(reduce_point("0.25", ctx), ctx, (ctx.tolerance,), ctx.mp.mpf("0.3"))
 
 
 def test_the_ratio_table_is_rebuilt_once_per_64_bits_of_scale(monkeypatch):

@@ -340,14 +340,15 @@ def test_the_jet_residuals_keep_the_tolerance_contract(tolerance, point):
 
 def test_the_jet_residuals_catch_a_scaled_second_derivative(ctx, monkeypatch):
     # f'' off by a relative 2^-40 shifts g'' by ~2e-12 at 0.5; the radii stay below 1e-14
-    real = trig.f_jet
+    real = trig.fixed_jet
 
-    def skewed_jet(z, sub, tolerances):
-        jet = real(z, sub, tolerances)
-        jet[2] = sub.bscale(jet[2], 1 + sub.mp.ldexp(1, -40))
-        return jet
+    def skewed_jet(u, sub, targets, r):
+        P, jet = real(u, sub, targets, r)
+        re, im, err = jet[2]
+        jet[2] = (re + (re >> 40), im + (im >> 40), err)
+        return P, jet
 
-    monkeypatch.setattr(trig, "f_jet", skewed_jet)
+    monkeypatch.setattr(trig, "fixed_jet", skewed_jet)
     for z in ("0.3", "0.5"):
         assert not reciprocal_ode_residual(z, ctx).consistent_with_zero()
         assert not ivp_residual(z, ctx).consistent_with_zero()

@@ -23,7 +23,7 @@ Run:  python3 demos/pi_from_lattice_sums.py
 
 from eistrig import (PrecisionContext, compute_pi, eisenstein_k,
                      naive_symmetric_value, symmetric_tail_bound, zeta_even)
-from eistrig.lattice import pole_distance, truncation_n
+from eistrig.lattice import reduce_point, truncation_n
 
 
 def main():
@@ -85,7 +85,7 @@ def main():
     print()
     print("The tail bound shrinks like 1/N, so plain truncation would need")
     print("N ~ 1e12 terms for twelve digits; the evaluation above summed")
-    n = truncation_n(pole_distance(z, ctx)[0], ctx.tolerance, ctx.mp)
+    n = truncation_n(reduce_point(z, ctx), ctx.tolerance, ctx.mp)
     print(f"{n} symmetric pairs and added the two Euler-Maclaurin tails.")
 
 

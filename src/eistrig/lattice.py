@@ -28,8 +28,9 @@ consecutive k at one point, each to its own target (all bounds explicit):
 
 eisenstein_k is the one-exponent pass; fixed_jet, the pass for [f, f', f'']
 in integers, holds its balls over a disc about the point and serves the g
-jet of the trig evaluators; f_jet rounds it for the identity checks.  Plain
-symmetric truncation with its closed-form bound 2 (N-1/2)^(1-k)/(k-1)
+jet of the trig evaluators and the ODE residuals, which form their
+polynomials from its integer balls; f_jet rounds it for the cosec check.
+Plain symmetric truncation with its closed-form bound 2 (N-1/2)^(1-k)/(k-1)
 (symmetric_tail_bound, naive_symmetric_value) is kept for convergence
 tables and tail-validity tests; it shares the explicit sum of step 2.
 """
@@ -42,27 +43,20 @@ from typing import Sequence
 
 from .errors import (InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError)
-from .fixedpoint import cpow, floor_abs, fraction_bits, to_ball, to_fixed, to_mp, units
+from .fixedpoint import ball_mul, cpow, floor_abs, fraction_bits, to_ball, to_fixed, to_mp, units
 from .precision import TERM_CAP, BoundedValue, PrecisionContext
-from .zetasums import KERNEL_GUARD_BITS, coeff_a, em_tails
+from .zetasums import KERNEL_GUARD_BITS, em_tails, zeta_tail
 
 #: pole guard: reject z within 10 ulp (at working precision) of an integer
 POLE_GUARD_ULPS = 10
 
 
 def reduce_point(z, ctx: PrecisionContext):
-    """z minus its nearest integer, exact in binary floating point; an mpf or
-    mpc of ctx is taken as it is."""
+    """z minus its nearest integer, exact in binary floating point."""
     mp = ctx.mp
-    zp = z if isinstance(z, (mp.mpf, mp.mpc)) and mp.isfinite(z) else ctx.point(z)
+    zp = ctx.point(z)
     re = zp.real if isinstance(zp, mp.mpc) else zp
     return zp - int(mp.nint(re))
-
-
-def pole_distance(z, ctx: PrecisionContext):
-    """(reduced point u, |u|): distance from z to the nearest integer."""
-    u = reduce_point(z, ctx)
-    return u, abs(u)
 
 
 def guarded_distance(z, ctx: PrecisionContext):
@@ -85,7 +79,7 @@ def within(u, bound) -> bool:
 
 def truncation_n(u, tolerance, mp) -> int:
     """Symmetric pairs that a lattice pass sums explicitly (any k) at the
-    reduced point u of pole_distance, for the tightest target tolerance.
+    reduced point u of reduce_point, for the tightest target tolerance.
 
     The tails beyond N bottom out near e^(-2 pi r), r = |N+1 -/+ u|.  N is
     the least N >= 0 with 2 pi r >= 1.5 ln(1/tol) + 10: the 10 covers the
@@ -289,36 +283,51 @@ def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0) -> BoundedVa
     """f''(z) - 6 f(z)^2 + 12 a0 f(z), consistent with zero within its radius.
 
     a0_shift adds an exact perturbation to a0 (a test-of-the-test: the
-    residual then sits near 12 * shift * f(z) instead of zero).  f and f''
-    come from one jet pass, at a precision sized from |f''| ~ 6/u^4; the
-    unused f' of that pass gets a loose target.
+    residual then sits near 12 * shift * f(z) instead of zero).  f, f'' and
+    a0 go to tolerance / (4 (24 |f| + 53)), f and f'' from one fixed_jet pass
+    (f' loose); exact products at scale 2^-2P, rounded once.
     """
-    dist = guarded_distance(z, ctx)
-    mf = eps_bound(2, dist) + 1
-    sub = ctx.refined(ctx.tolerance / (4 * (1 + 24 * mf + 52)),
-                      6 * eps_bound(4, dist) + mf * mf)
-    tol = sub.tolerance
-    f0, _, f2 = f_jet(z, sub, (tol, max(tol, sub.mp.mpf("1e-5")), tol))
-    a0 = coeff_a(0, sub)
-    if a0_shift:
-        sv = sub.real(a0_shift)
-        a0 = BoundedValue(a0.value + sv, a0.radius + sub.eps * abs(a0.value + sv))
-    return ctx.adopt(sub.badd(sub.badd(f2, sub.bscale(sub.bmul(f0, f0), -6)),
-                              sub.bscale(sub.bmul(a0, f0), 12)))
+    mf = eps_bound(2, guarded_distance(z, ctx)) + 1
+    t = ctx.tolerance / (4 * (24 * mf + 53))
+    P, (f, _, f2) = fixed_jet(reduce_point(z, ctx), ctx,
+                              (t, max(t, ctx.mp.mpf("1e-5")), t / 6), 0)
+    a0 = _a0_fixed(P, t / 2, ctx.real(a0_shift) if a0_shift else 0)
+    return to_ball(*_combination(2 * P, ((1, f2, P), (-6, ball_mul(f, f), 2 * P),
+                                         (12, ball_mul(a0, f), 2 * P))), 2 * P, ctx.mp)
 
 
 def first_order_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
-    """(f'(z))^2 - 4 f(z)^3 + 12 a0 f(z)^2, consistent with zero; f and f'
-    from one jet pass, at a precision sized from |f'|^2 ~ 4/u^6."""
+    """(f'(z))^2 - 4 f(z)^3 + 12 a0 f(z)^2, consistent with zero, as above:
+    f, f' and a0 to tolerance / (4 (2 |f'| + 24 |f|^2 + 96 |f| + 1)), 2^-3P."""
     dist = guarded_distance(z, ctx)
     mf = eps_bound(2, dist) + 1
     mfp = 2 * eps_bound(3, dist) + 1
-    sub = ctx.refined(ctx.tolerance / (4 * (1 + 2 * mfp + 24 * mf * mf + 96 * mf)),
-                      mfp * mfp + 4 * mf ** 3)
-    f0, fp = f_jet(z, sub, (sub.tolerance, sub.tolerance))
-    f0sq = sub.bmul(f0, f0)
-    return ctx.adopt(sub.badd(sub.badd(sub.bmul(fp, fp), sub.bscale(sub.bmul(f0sq, f0), -4)),
-                              sub.bscale(sub.bmul(coeff_a(0, sub), f0sq), 12)))
+    t = ctx.tolerance / (4 * (1 + 2 * mfp + 24 * mf * mf + 96 * mf))
+    P, (f, fp) = fixed_jet(reduce_point(z, ctx), ctx, (t, t / 2), 0)
+    f_sq = ball_mul(f, f)
+    return to_ball(*_combination(3 * P, (
+        (1, ball_mul(fp, fp), 2 * P), (-4, ball_mul(f_sq, f), 3 * P),
+        (12, ball_mul(_a0_fixed(P, t / 2), f_sq), 3 * P))), 3 * P, ctx.mp)
+
+
+def _a0_fixed(P: int, target, shift=0):
+    """The ball a0 + shift at scale 2^-P: a0 = 2 zeta(2), zeta(2) to target,
+    whose zeta_tail scale is at most P (target no tighter than the pass's
+    tightest); the mpf shift truncated at 2^-P, within one unit."""
+    S, value, err = zeta_tail(2, 0, target)
+    re, err = 2 * value << P - S, 2 * err << P - S
+    return (re + to_fixed(shift, P)[0], 0, err + 1) if shift else (re, 0, err)
+
+
+def _combination(S: int, terms):
+    """sum c x over the terms (c, x, Px), x a ball at scale 2^-Px, Px <= S,
+    as the ball (re, im, err) at scale 2^-S, exactly."""
+    re = im = err = 0
+    for c, (xr, xi, ex), Px in terms:
+        re += c * xr << S - Px
+        im += c * xi << S - Px
+        err += abs(c) * ex << S - Px
+    return re, im, err
 
 
 # -- nonvanishing --------------------------------------------------------------

@@ -6,16 +6,18 @@ at a fixed binary precision together with a nonnegative radius bounding
 allowances of two kinds:
 
 * every summation loop (the lattice sums, the zeta tails and their heads,
-  the strip majorant) and the g jet behind g, cos and sin run in Python
-  integers at scale 2^-P (fixedpoint), where each rounding truncates toward
-  zero and errs by less than one unit of 2^-P; the allowance is an exact
-  count of those units, a proved bound, and a ball leaves that layer
-  rounded once to its context's precision (fixedpoint.to_ball);
-* the mpf ball layer here (the ball arithmetic, adopt) charges one ulp of
-  the result per floating operation.  It serves the few operations after
-  the kernel (w = z / 2 pi, cos from g, sin's pi product) and the residual
-  and identity checks.  That allowance is an engineering bound backed by
-  soundness property tests, not a formal rounding proof.
+  the strip majorant), the zeta constants, the g jet behind g, cos and sin,
+  and the lattice ODE residuals run in Python integers at scale 2^-P
+  (fixedpoint), where each rounding truncates toward zero and errs by less
+  than one unit of 2^-P; the allowance is an exact count of those units, a
+  proved bound, and a ball leaves that layer rounded once to its context's
+  precision (fixedpoint.to_ball), the one way a ball is demoted;
+* the mpf ball layer here charges one ulp of the result per floating
+  operation, an mpc's in the l1 norm |Re v| + |Im v|.  It serves the few
+  operations after the kernel (w = z / 2 pi, cos from g, sin's pi product,
+  the last products of the jet residuals and the identity checks).  That
+  allowance is an engineering bound backed by soundness property tests,
+  not a formal rounding proof.
 
 mpmath contexts are cached per precision (the 64 used last) and never
 mutated afterwards, so evaluations at different precisions can run
@@ -147,15 +149,14 @@ class PrecisionContext:
         """One ulp at unit scale: 2^(1-precision)."""
         return self._eps
 
-    def refined(self, tolerance, scale=1) -> "PrecisionContext":
+    def refined(self, tolerance) -> "PrecisionContext":
         """Internal-use context for a (usually tighter) tolerance, raising the
-        working precision to keep the guard margin below values of size scale."""
+        working precision to keep the guard margin."""
         mp = self._mp
         tol = _to_mpf(mp, tolerance)
         if not tol > 0:
             raise ConfigurationError("refined tolerance must be positive")
-        implied = max(0, mp.mag(scale) - 1) - mp.mag(tol)
-        precision = max(self.precision, implied + GUARD_BITS + 8)
+        precision = max(self.precision, GUARD_BITS + 8 - mp.mag(tol))
         return PrecisionContext(precision, tol)
 
     # -- conversions -----------------------------------------------------
@@ -171,9 +172,12 @@ class PrecisionContext:
         """Convert a point (real-like, complex, mpc, or 're+imi' string) to mpf/mpc.
 
         Real inputs stay real mpf; complex inputs with exactly zero imaginary
-        part are demoted to mpf.
+        part are demoted to mpf.  A finite mpf of this context, and a finite
+        mpc of it with a nonzero imaginary part, come back unchanged.
         """
         mp = self._mp
+        if (isinstance(z, mp.mpf) or isinstance(z, mp.mpc) and z.imag) and mp.isfinite(z):
+            return z
         if isinstance(z, str):
             re_s, im_s = split_point_string(z)
             re, im = mp.mpf(re_s), mp.mpf(im_s)
@@ -196,23 +200,12 @@ class PrecisionContext:
         """mpf nearest to an exact Fraction (two roundings at most)."""
         return self._mp.mpf(q.numerator) / q.denominator
 
-    def adopt(self, bv: "BoundedValue") -> "BoundedValue":
-        """Round a bounded value (possibly from another precision) into this
-        context, charging the conversion to the radius."""
-        mp = self._mp
-        value = bv.value
-        if hasattr(value, "imag") and value.imag != 0:
-            v = mp.mpc(value)
-        else:
-            v = mp.mpf(value.real if hasattr(value, "imag") else value)
-        r = mp.mpf(bv.radius) * (1 + 8 * self._eps) + self._eps * abs(v)
-        return BoundedValue(v, r)
-
     # -- ball arithmetic -------------------------------------------------
     # Each op adds one ulp of its result to the radius as rounding allowance.
 
     def _ulp(self, v):
-        return abs(v) * self._eps
+        # an mpc in the l1 norm |Re v| + |Im v| >= |v|, which needs no square root
+        return (abs(v.real) + abs(v.imag) if hasattr(v, "_mpc_") else abs(v)) * self._eps
 
     def ball(self, value, radius=0) -> BoundedValue:
         mp = self._mp
@@ -299,6 +292,8 @@ def split_point_string(text: str) -> tuple[str, str]:
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty point")
+    if "inf" in s.lower() or "nan" in s.lower():
+        raise ValueError(f"non-finite point: {text!r}")
     norm = s.replace("j", "i").replace("I", "i")
     if "i" not in norm:
         return norm, "0"

@@ -24,13 +24,13 @@ exponents by the leading Laurent terms, later tries by their own balls.
 The jet stays in the fixed-point kernel from the reduced point to the
 returned balls: g, g' and g'' are formed from the pass's integer balls in
 units of 2^-Q with every rounding counted, and each is rounded to the
-context's precision once.  pi-hat is computed to a few ulps of the
-context's precision, so w = z / (2 pi-hat) is a ball of a few ulps of
-|w|; lattice.fixed_jet holds the jet over that disc with the bound
-eps_bound on the next derivative, so each returned ball holds at every
-point of it.  Far off the real axis, where |f| is tiny and eps_bound is
-not, that widening outgrows the tolerance and the evaluators raise
-ToleranceUnreachableError.
+context's precision once, as are a0 and pi^2, one integer zeta(2) ball
+times 2 and 6.  pi-hat is computed to a few ulps of the context's
+precision, so w = z / (2 pi-hat) is a ball of a few ulps of |w|;
+lattice.fixed_jet holds the jet over that disc with the bound eps_bound on
+the next derivative, so each returned ball holds at every point of it.  Far
+off the real axis, where |f| is tiny and eps_bound is not, that widening
+outgrows the tolerance and cos and sin raise ToleranceUnreachableError.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .fixedpoint import ball_mul, ball_quotient, floor_abs, to_ball
 from .precision import BoundedValue, PrecisionContext
 from .lattice import (POLE_GUARD_ULPS, f_jet, fixed_jet, guarded_distance, reduce_point,
                       within)
-from .zetasums import KERNEL_GUARD_BITS, zeta_even
+from .zetasums import KERNEL_GUARD_BITS, zeta_tail
 
 PI_PROVENANCE = "sqrt(6·ζ(2))"
 
@@ -63,16 +63,16 @@ def compute_pi(ctx: PrecisionContext) -> PiValue:
 
 class TrigEvaluator:
     """pi, a0 and pi^2 for one context, to a few ulps of its precision, from
-    one zeta(2) ball: pi^2 = 6 zeta(2) = 3 a0 exactly.
+    one integer zeta(2) ball times 2 and 6: pi^2 = 6 zeta(2) = 3 a0 exactly.
 
     Immutable after construction; safe for concurrent use.
     """
 
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
-        z2 = ctx.adopt(zeta_even(1, ctx.refined(ctx.eps)))
-        self.a0 = ctx.bscale(z2, 2)
-        self.pi_sq = ctx.bscale(z2, 6)
+        P, z2, err = zeta_tail(2, 0, ctx.eps / 2)
+        self.a0 = to_ball(2 * z2, 0, 2 * err, P, ctx.mp)
+        self.pi_sq = to_ball(6 * z2, 0, 6 * err, P, ctx.mp)
         self.pi = PiValue(ctx.bsqrt(self.pi_sq))
         self.half_inv_pi = ctx.brecip(ctx.bscale(self.pi.value, 2))
 
@@ -94,16 +94,6 @@ def evaluator(ctx: PrecisionContext) -> TrigEvaluator:
     """The TrigEvaluator of ctx, from the bounded cache; a plain function, so
     that profilers which wrap the public functions see its calls."""
     return _cached_evaluator(ctx)
-
-
-def _snap(tol, mp):
-    """Largest power of 2^8 at or below tol.
-
-    Sub-tolerances steered from magnitudes vary smoothly with the point;
-    snapping them keeps the derived contexts, the keys of the evaluator and
-    mpmath context caches, few.  It only ever tightens a tolerance.
-    """
-    return mp.ldexp(1, 8 * ((int(mp.mag(tol)) - 1) // 8))
 
 
 # -- the g jet -------------------------------------------------------------------
@@ -323,26 +313,24 @@ def ivp_initial_data(ctx: PrecisionContext):
 def cosec_identity_check(z, ctx: PrecisionContext) -> BoundedValue:
     """f(z) s(pi z)^2 - pi^2, consistent with zero for noninteger z.
 
-    Steering sizes come from the identity: |s(pi z)| ~ pi / sqrt|f(z)| and
-    |s'| = |c| <= sqrt(1 + |s|^2); a bad estimate only costs sharpness.  pi z
-    takes the pi of the sine's context, sharp where |f| |s| ~ 1/|u| is large.
+    s(pi z) = pi g'(z / 2), from one g jet at the exact point z / 2 (no disc).
+    |s(pi z)| = pi / sqrt|f(z)| <= ms = 4 / sqrt(lf) + 1 for |f| >= lf (the
+    Laurent term, then f's own ball), so f goes to tolerance / (8 ms^2) and
+    g' to tolerance / (64 |f| ms); a bad estimate only costs sharpness.
     """
     mp = ctx.mp
     zp = ctx.point(z)
-    tol, lf = ctx.tolerance, guarded_distance(zp, ctx) ** -2  # the Laurent term, then f's own ball
+    tol, lf = ctx.tolerance, guarded_distance(zp, ctx) ** -2
     for _ in range(2):
-        fb = f_jet(zp, ctx, (_snap(tol * lf / (8 * (4 + mp.sqrt(lf)) ** 2), mp),))[0]
+        fb = f_jet(zp, ctx, (tol * lf / (8 * (4 + mp.sqrt(lf)) ** 2),))[0]
         if fb.lower() >= lf:
             break
         lf = fb.lower()
     ms = 4 / mp.sqrt(fb.lower()) + 1
-    sub = ctx.refined(_snap(tol / (16 * (fb.upper() + 1) * ms), mp))
-    pi = evaluator(sub).pi.value
-    s_arg = pi.value * sub.point(zp)
-    sb = ctx.adopt(sine(s_arg, sub))
-    arg_r = abs(zp) * pi.radius + sub.eps * abs(s_arg)
-    sb = BoundedValue(sb.value, sb.radius + (ms + 1) * arg_r)
-    return ctx.bsub(ctx.bmul(fb, ctx.bmul(sb, sb)), evaluator(ctx).pi_sq)
+    g1 = _g_jet(zp / 2, ctx, 0, (None, tol / (64 * fb.upper() * ms)))[1]
+    ev = evaluator(ctx)
+    sb = ctx.bmul(ev.pi.value, g1)
+    return ctx.bsub(ctx.bmul(fb, ctx.bmul(sb, sb)), ev.pi_sq)
 
 
 def pythagoras_residual(z, ctx: PrecisionContext) -> BoundedValue:

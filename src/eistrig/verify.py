@@ -223,7 +223,7 @@ def _check_implied_identities(config: RunConfig, ctx: PrecisionContext) -> Repor
     relations = implied_identities(config.symbolic_order)
     max_symbol = max(r.max_symbol() for r in relations)
     sub = ctx.refined(ctx.tolerance / 4096)
-    a_values = [ctx.adopt(coeff_a(d, sub)) for d in range(max_symbol + 1)]
+    a_values = [coeff_a(d, sub) for d in range(max_symbol + 1)]
     labeled = [(render_poly(r), r.substitute(a_values, ctx)) for r in relations]
     return _ball_item(
         "implied_identities",

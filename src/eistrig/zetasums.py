@@ -8,12 +8,12 @@ Two layers, both exact or with explicit bounds:
   by Euler-Maclaurin at the base point b with the DLMF 2.10 remainder bound,
   in Python integers at scale 2^-P with every rounding counted (fixedpoint);
   the one way a tail is summed.  The lattice pass calls it at b = N+1 +- u,
-  and zeta_tail(s, N, ...) at b = N+1, moving the base point up with head
+  and zeta_tail(s, N, target) at b = N+1, moving the base point up with head
   terms summed at the same scale, one counted truncation each.
 
 zeta_even(m, ctx) is the tail beyond N = 0, i.e. zeta(2m), checked against
-the context tolerance; coeff_a(d, ctx) wraps the Laurent coefficient
-a_d = 2(2d+1) zeta(2d+2).
+the context tolerance; coeff_a(d, ctx), a_d = 2(2d+1) zeta(2d+2), is its
+integer ball times 2(2d+1); each is rounded once (fixedpoint.to_ball).
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import inf, isqrt
 
 from .errors import ToleranceUnreachableError
-from .fixedpoint import cdiv, cmul, cpow, tdiv, to_mp, units
-from .precision import BoundedValue, PrecisionContext, mp_context
+from .fixedpoint import cdiv, cmul, cpow, tdiv, to_ball, units
+from .precision import BoundedValue, PrecisionContext
 
 # -- Bernoulli numbers --------------------------------------------------------
 
@@ -150,19 +150,19 @@ def em_tails(exponents, br: int, bi: int, P: int, limits):
     return out
 
 
-def zeta_tail(s: int, N: int, precision: int, target):
-    """(value, bound) for sum_{n>N} n^-s with |true - value| <= bound <= ~target.
+def zeta_tail(s: int, N: int, target):
+    """(P, value, err): sum_{n>N} n^-s is within err units of value 2^-P, err
+    at most target 2^P plus the counted rounding, for the mpf target > 0.
 
     em_tails at the base point N+1, at the scale 2^-P, P = -mag(target) +
     KERNEL_GUARD_BITS (at least KERNEL_GUARD_BITS); while its floor is above
     target, head terms n^-s, each one truncating division, move the base
-    point up, 16 at a time.  value and bound come back as exact mpf, the bound
-    the truncation bound plus every counted rounding.
+    point up, 16 at a time.  err is the truncation bound plus every counted
+    rounding.
     """
     if s < 2:
         raise ValueError("zeta_tail expects s >= 2")
-    mp = mp_context(precision)
-    P = max(KERNEL_GUARD_BITS, KERNEL_GUARD_BITS - mp.mag(target))
+    P = max(KERNEL_GUARD_BITS, KERNEL_GUARD_BITS - target.context.mag(target))
     limit = units(target, P)
     head, a = 0, N + 1
     while (got := em_tails((s,), a << P, 0, P, (limit,))) is None:
@@ -170,7 +170,7 @@ def zeta_tail(s: int, N: int, precision: int, target):
         a += 16
     (re, _, err, bound, _), = got
     # each head term errs by less than one unit
-    return to_mp(head + re, 0, P, mp), to_mp(err + bound + a - N - 1, 0, P, mp)
+    return P, head + re, err + bound + a - N - 1
 
 
 # -- even zeta values ----------------------------------------------------------
@@ -180,15 +180,16 @@ def zeta_even(m: int, ctx: PrecisionContext) -> BoundedValue:
     """sum_{n>=1} n^-2m with error radius <= the context tolerance.
 
     This is the whole tail beyond N = 0, summed by zeta_tail to half the
-    tolerance so the counted rounding fits in the other half.
+    tolerance so that its roundings fit in the other half.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"zeta_even expects an integer m >= 1, got {m!r}")
-    value, radius = zeta_tail(2 * m, 0, ctx.precision, ctx.tolerance / 2)
-    if not radius <= ctx.tolerance:
+    P, value, err = zeta_tail(2 * m, 0, ctx.tolerance / 2)
+    bv = to_ball(value, 0, err, P, ctx.mp)
+    if not bv.radius <= ctx.tolerance:
         raise ToleranceUnreachableError(
-            f"zeta_even(m={m}) achieved radius {ctx.mp.nstr(radius, 5)} > tolerance")
-    return BoundedValue(value, radius)
+            f"zeta_even(m={m}) achieved radius {ctx.mp.nstr(bv.radius, 5)} > tolerance")
+    return bv
 
 
 def coeff_a(d: int, ctx: PrecisionContext) -> BoundedValue:
@@ -196,5 +197,5 @@ def coeff_a(d: int, ctx: PrecisionContext) -> BoundedValue:
     if not isinstance(d, int) or d < 0:
         raise ValueError(f"coeff_a expects an integer d >= 0, got {d!r}")
     factor = 2 * (2 * d + 1)
-    z = zeta_even(d + 1, ctx.refined(ctx.tolerance / (2 * factor)))
-    return ctx.bscale(ctx.adopt(z), factor)
+    P, value, err = zeta_tail(2 * d + 2, 0, ctx.tolerance / (4 * factor))
+    return to_ball(factor * value, 0, factor * err, P, ctx.mp)

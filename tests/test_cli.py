@@ -80,6 +80,13 @@ def test_eval_rejects_garbage_with_exit_2():
     assert run_cli("eval", "nosuch", "1").returncode == 2
 
 
+@pytest.mark.parametrize("point", ["inf", "Infinity", "1+nani"])
+def test_eval_rejects_a_non_finite_point_with_exit_2(point):
+    proc = run_cli("eval", "f", point)
+    assert proc.returncode == 2
+    assert "non-finite point" in proc.stderr
+
+
 def test_eval_zeta_four_prints_a_ball_around_zeta_four():
     proc = run_cli("eval", "zeta", "4", "--tolerance", "1e-20")
     assert proc.returncode == 0
@@ -95,11 +102,11 @@ def test_eval_zeta_four_prints_a_ball_around_zeta_four():
 @pytest.mark.parametrize("point", ["0.3", "0.5+40i"])
 def test_eval_prints_the_truncation_the_lattice_sum_uses(point):
     from eistrig import PrecisionContext
-    from eistrig.lattice import pole_distance, truncation_n
+    from eistrig.lattice import reduce_point, truncation_n
     proc = run_cli("eval", "f", point)
     assert proc.returncode == 0
     ctx = PrecisionContext()
-    expected = truncation_n(pole_distance(point, ctx)[0], ctx.tolerance, ctx.mp)
+    expected = truncation_n(reduce_point(point, ctx), ctx.tolerance, ctx.mp)
     assert f"parameters: N = {expected}," in proc.stdout
     # high in the strip the tails alone reach the tolerance
     assert (expected == 0) == (point == "0.5+40i")

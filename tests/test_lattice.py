@@ -16,7 +16,7 @@ from eistrig import (InconclusiveNonvanishingError, PoleProximityError,
                      naive_symmetric_value, strip_decay, symmetric_tail_bound)
 from eistrig.fixedpoint import to_ball
 from eistrig.lattice import (f_jet, first_order_ode_residual, fixed_jet, nonvanishing_scan,
-                             pole_distance, reduce_point, second_order_ode_residual)
+                             reduce_point, second_order_ode_residual)
 from test_properties import lattice_closed_form
 
 F_HALF = "9.86960440108935861883449099987615113531369941"      # f(1/2) = pi^2
@@ -93,11 +93,9 @@ def test_pole_guard_rejects_near_integer_points(ctx):
     assert eisenstein_k(2, ctx.mp.mpf(3) + ctx.mp.ldexp(1, -24), ctx).radius <= ctx.tolerance
 
 
-def test_pole_distance_reduces_to_nearest_integer(ctx):
-    u, au = pole_distance(ctx.point("7.25"), ctx)
-    assert u == ctx.mp.mpf("0.25") and au == ctx.mp.mpf("0.25")
-    u, au = pole_distance(ctx.point("-2.875"), ctx)
-    assert u == ctx.mp.mpf("0.125")
+def test_reduce_point_subtracts_the_nearest_integer(ctx):
+    assert reduce_point(ctx.point("7.25"), ctx) == ctx.mp.mpf("0.25")
+    assert reduce_point(ctx.point("-2.875"), ctx) == ctx.mp.mpf("0.125")
 
 
 def test_ode_residuals_vanish_on_and_off_axis(ctx):
@@ -262,23 +260,24 @@ def _table_sizes():
 
 def test_module_tables_do_not_grow_with_the_number_of_points():
     # the same mix as a long-lived process evaluating at ever new points:
-    # real, near-axis and high-strip, k = 2, 3, 4, at 192 bits, and residuals
-    # at points ever closer to an integer, each at a new working precision
-    # (its sub-context's) and a new kernel scale
-    import itertools
+    # real, near-axis and high-strip, k = 2, 3, 4, at 192 bits, and the strip
+    # decay at rising heights, where |f| falls below the tolerance and each
+    # height from the third on opens a new working precision (its steered
+    # sub-context's) and a new kernel scale: 78 of them, more than the
+    # context cache holds, once per 100 points
     import random
     from eistrig import precision
     rng = random.Random(7)
     ctx = PrecisionContext(192, "1e-30")
-    depth = itertools.count(4)
+    heights = [Fraction(q, 4) for q in range(68, 148)]
     contexts = precision._cached_mp_context.cache_info
 
     def evaluate(count):
         for i in range(count):
             k, y = 2 + (i // 3) % 3, (0, rng.uniform(-2, 2), rng.uniform(2, 30))[i % 3]
             eisenstein_k(k, complex(rng.uniform(-50, 50), y), ctx)
-            if i % 3 == 0:
-                second_order_ode_residual(3 + ctx.mp.ldexp(1, -next(depth)), ctx)
+            if i % 100 == 0:
+                strip_decay(heights, Fraction(1, 2), ctx)
 
     misses = contexts().misses
     evaluate(100)

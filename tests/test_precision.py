@@ -48,6 +48,20 @@ def test_point_parsing():
         ctx.point("inf")
 
 
+def test_point_returns_finite_values_of_its_context_unchanged():
+    ctx = PrecisionContext()
+    mp = ctx.mp
+    x = mp.mpf(1) / 3
+    z = mp.mpc(x, -2)
+    assert ctx.point(x) is x and ctx.point(z) is z
+    demoted = ctx.point(mp.mpc(x, 0))  # a zero imaginary part still demotes
+    assert isinstance(demoted, mp.mpf) and demoted == x
+    with pytest.raises(ValueError):
+        ctx.point(mp.mpf("inf"))
+    with pytest.raises(ValueError):
+        ctx.point(mp.mpc(1, mp.nan))
+
+
 def test_from_fraction_is_correctly_rounded_to_one_ulp():
     ctx = PrecisionContext()
     q = Fraction(1, 3)
@@ -91,17 +105,6 @@ def test_consistent_with_zero_is_the_only_zero_test():
     ctx = PrecisionContext()
     assert BoundedValue(ctx.mp.mpf("1e-30"), ctx.mp.mpf("1e-29")).consistent_with_zero()
     assert not BoundedValue(ctx.mp.mpf("1e-10"), ctx.mp.mpf("1e-29")).consistent_with_zero()
-
-
-def test_adopt_charges_the_conversion():
-    ctx = PrecisionContext()
-    hi = ctx.refined(ctx.mp.mpf("1e-60"))
-    v = hi.mp.mpf(1) / 3
-    out = ctx.adopt(BoundedValue(v, hi.mp.mpf("1e-70")))
-    assert isinstance(out.value, ctx.mp.mpf)
-    # the demoted center differs from the wide one by < its charged radius
-    assert abs(ctx.mp.mpf(v) - out.value) == 0
-    assert out.radius > ctx.eps / 4
 
 
 def test_exactness_of_dyadic_inputs_survives_parsing():

@@ -11,8 +11,8 @@ from eistrig import lattice
 from eistrig import (EistrigError, PoleProximityError, PrecisionContext,
                      ToleranceUnreachableError, compute_pi, cosine, eisenstein_k,
                      evaluator, pythagoras_residual, sine, taylor_cosine)
-from eistrig import trig
-from eistrig.lattice import f_jet
+from eistrig import precision, trig
+from eistrig.lattice import f_jet, first_order_ode_residual, second_order_ode_residual
 from eistrig.trig import (cosec_identity_check, g_eval, ivp_initial_data, ivp_residual,
                           reciprocal_ode_residual)
 
@@ -361,6 +361,28 @@ def test_cosec_identity_on_and_off_axis(ctx):
         assert r.radius <= ctx.mp.mpf("1e-9")
     with pytest.raises(PoleProximityError):
         cosec_identity_check("2", ctx)
+
+
+@pytest.mark.parametrize("precision_bits, tolerance", [(128, "1e-12"), (192, "1e-30")])
+@pytest.mark.parametrize("point", ["0.3+6i", "0.3+20i", "0.5+8i", "0.25+12i", "2.00000001"])
+def test_cosec_identity_meets_the_tolerance_far_off_the_axis(point, precision_bits, tolerance):
+    # s(pi z) = pi g'(z / 2) from the g jet at the exact point z / 2: no disc
+    # about pi z to hold the jet over, where |Im pi z| is 19 to 63
+    ctx = PrecisionContext(precision_bits, tolerance)
+    r = cosec_identity_check(point, ctx)
+    assert r.consistent_with_zero() and r.radius <= ctx.tolerance
+
+
+def test_the_identity_checks_open_no_new_precision_near_an_integer(ctx):
+    # each check works in integers at its own kernel scale and rounds once to
+    # ctx's precision, however close to 3 the point and however large |f|
+    contexts = precision._cached_mp_context.cache_info
+    misses = contexts().misses
+    for j in range(4, 41, 4):
+        z = 3 + ctx.mp.ldexp(1, -j)
+        for check in (second_order_ode_residual, first_order_ode_residual, cosec_identity_check):
+            assert check(z, ctx).consistent_with_zero()
+    assert contexts().misses == misses
 
 
 def test_pythagoras_everywhere(ctx):

@@ -70,7 +70,8 @@ def test_zeta_tail_direct_brute_force_where_feasible():
     # ~1e-38, well below the claimed bound
     wide = PrecisionContext(256, "1e-40")
     target = wide.mp.mpf("1e-30")
-    tail, bound = zeta_tail(12, 4, 256, target)
+    P, value, err = zeta_tail(12, 4, target)
+    tail, bound = to_mp(value, 0, P, wide.mp), to_mp(err, 0, P, wide.mp)
     brute = sum(wide.mp.mpf(k) ** -12 for k in range(5, 2000))
     assert bound <= target
     assert abs(tail - brute) <= bound + wide.mp.mpf("1e-37")
@@ -80,9 +81,15 @@ def test_zeta_tail_two_bases_are_consistent():
     # tail(N) - tail(10N) must equal the exact finite sum over (N, 10N]
     wide = PrecisionContext(256, "1e-40")
     target = wide.mp.mpf("1e-30")
+    mp = wide.mp
+
+    def tail(s, n):
+        P, value, err = zeta_tail(s, n, target)
+        return to_mp(value, 0, P, mp), to_mp(err, 0, P, mp)
+
     for s, n in ((2, 8), (4, 8), (6, 16)):
-        near, near_bound = zeta_tail(s, n, 256, target)
-        far, far_bound = zeta_tail(s, 10 * n, 256, target)
+        near, near_bound = tail(s, n)
+        far, far_bound = tail(s, 10 * n)
         mid = sum(wide.mp.mpf(k) ** -s for k in range(n + 1, 10 * n + 1))
         slack = wide.mp.mpf("1e-70")  # mid-sum rounding at 256 bits
         assert abs(near - (mid + far)) <= near_bound + far_bound + slack
@@ -106,8 +113,8 @@ def test_zeta_even_rejects_bad_arguments(ctx):
 def test_two_zeta_identity_margin(ctx):
     # 2 zeta(2)^2 = 5 zeta(4), evaluated through the package's own balls
     sub = ctx.refined(ctx.mp.mpf("1e-21"))
-    z2 = sub.adopt(zeta_even(1, sub))
-    z4 = sub.adopt(zeta_even(2, sub))
+    z2 = zeta_even(1, sub)
+    z4 = zeta_even(2, sub)
     combo = sub.bsub(sub.bscale(sub.bmul(z2, z2), 2), sub.bscale(z4, 5))
     assert combo.consistent_with_zero()
     assert abs(combo.value) <= sub.mp.mpf("1e-20")

@@ -15,15 +15,17 @@ own error radii, and the independent identity 2 zeta(2)^2 = 5 zeta(4)
 
 The second half contrasts plain symmetric truncation of f with the
 accelerated evaluation: the naive partial sums gain roughly one digit
-per tenfold increase in N, while eight symmetric pairs plus two
-Euler-Maclaurin tails beyond them reach full precision.
+per tenfold increase in N, while the evaluator reaches full precision
+from the Laurent series f(u) = u^-2 + sum a_d u^(2d), a_d = 2(2d+1)
+zeta(2d+2), near the origin (|u| <= 5/8, as at z = 0.3), and from a few
+symmetric pairs plus two Euler-Maclaurin tails beyond them elsewhere.
 
 Run:  python3 demos/pi_from_lattice_sums.py
 """
 
 from eistrig import (PrecisionContext, compute_pi, eisenstein_k,
                      naive_symmetric_value, symmetric_tail_bound, zeta_even)
-from eistrig.lattice import reduce_point, truncation_n
+from eistrig.lattice import pass_size, reduce_point
 
 
 def main():
@@ -85,8 +87,11 @@ def main():
     print()
     print("The tail bound shrinks like 1/N, so plain truncation would need")
     print("N ~ 1e12 terms for twelve digits; the evaluation above summed")
-    n = truncation_n(reduce_point(z, ctx), ctx.tolerance, ctx.mp)
-    print(f"{n} symmetric pairs and added the two Euler-Maclaurin tails.")
+    route, size = pass_size(reduce_point(z, ctx), ctx.tolerance, ctx.mp)
+    if route == "Laurent":
+        print(f"{size} terms of the Laurent series and bounded its tail.")
+    else:
+        print(f"{size} symmetric pairs and added the two Euler-Maclaurin tails.")
 
 
 if __name__ == "__main__":

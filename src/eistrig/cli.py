@@ -24,7 +24,7 @@ import sys
 
 from .errors import (ConfigurationError, InconclusiveNonvanishingError,
                      PoleProximityError, ToleranceUnreachableError)
-from .lattice import eisenstein_k, reduce_point, truncation_n
+from .lattice import eisenstein_k, pass_size, reduce_point
 from .laurent import (combination_first_order, combination_second_order,
                       derivative_polynomials, series_f)
 from .precision import PrecisionContext
@@ -95,8 +95,8 @@ def _cmd_eval(args) -> int:
         else:
             bv = cosine(zp, ctx) if name == "cos" else sine(zp, ctx)
             lattice_point = evaluator(ctx).w_ball(zp).value
-        u = reduce_point(lattice_point, ctx)
-        detail = f"N = {truncation_n(u, ctx.tolerance, ctx.mp)}, {detail}"
+        route, size = pass_size(reduce_point(lattice_point, ctx), ctx.tolerance, ctx.mp)
+        detail = f"{route} route, {'D' if route == 'Laurent' else 'N'} = {size}, {detail}"
     print(f"{name}({args.point}) = {_fmt_value(bv.value, ctx)} +/- {format_real(bv.radius, ctx)}")
     print(f"parameters: {detail}")
     return 0

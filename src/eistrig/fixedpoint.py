@@ -42,6 +42,8 @@ def cmul(ar: int, ai: int, br: int, bi: int) -> tuple[int, int]:
 
 def cpow(br: int, bi: int, k: int) -> tuple[int, int]:
     """The exact power (br + i bi)^k, k >= 1."""
+    if not bi:
+        return br**k, 0
     vr, vi = br, bi
     for _ in range(k - 1):
         vr, vi = cmul(vr, vi, br, bi)

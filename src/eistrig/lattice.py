@@ -9,43 +9,65 @@ consecutive k at one point, each to its own target (all bounds explicit):
    binary floating point), once per pass, which enforces bit-exact
    periodicity.  Points with both components within 10 ulp of an integer
    are rejected: every bound degenerates there.
-2. Sum u^-k and the pairs (u -/+ n)^-k for n <= N in Python integers at
-   scale 2^-P (fixedpoint): each term is an exact power and one division
-   that truncates toward zero, so the sum errs by less than 2N+1 units of
-   2^-P per component.  N comes from truncation_n for the tightest target:
-   the tails' floor e^(-2 pi |N+1 -/+ u|) lies well below it (N = 0 high in
-   the strip).
-3. Add the rest as two Euler-Maclaurin tails at the base point N+1,
+2. Pick the route from the reduced point u alone (_route): the Laurent
+   series where |u| <= rho = 5/8 (_laurent_bound, which bounds |u| from
+   above in integers), else the symmetric sum with two tails.  rho is a
+   constant: every trig point reduces to |u| <= 0.6, and near rho the
+   series needs about twice the terms it needs at |u| = 1/4.
+3. Both routes sum in Python integers at scale 2^-P (fixedpoint), every
+   rounding truncating toward zero and counted.  P is the tightest target's
+   bits plus KERNEL_GUARD_BITS, raised until u is exact where that costs at
+   most (k+1) log2(1/|u|) + 8 more bits; otherwise u moves by less than 2
+   units and the move is charged as an integer count (_move_charge).  The
+   pass returns P and, per k, the integer sum with its error count; each
+   caller rounds a ball to its context's precision once
+   (fixedpoint.to_ball).
+4. Laurent route (_laurent_sums):
+      eps_k(u) = u^-k + 2 (-1)^k sum_{j = k mod 2} C(k+j-1, j) zeta(k+j) u^j,
+   D terms by Horner in v = u^2, exact at the scale of the zeta(2m) table
+   (zetasums.zeta_table, one table for every k), times u once for odd k;
+   each step truncates once and counts one unit, and |v| < 1 keeps every
+   error from growing.  The tail, with zeta <= 2, is at most
+   T_J / (1 - r_J) from the first omitted power J on, because the term
+   ratio r_j = (k+j+1)(k+j) |u|^2 / ((j+1)(j+2)) decreases in j;
+   _laurent_terms picks D so that this, in integers, is at most a quarter
+   of the target.
+5. Lattice route (_lattice_sums): u^-k and the pairs (u -/+ n)^-k for
+   n <= N, each an exact power and one truncating division, so the sum errs
+   by less than 2N+1 units per component; N comes from truncation_n for
+   the tightest target: the tails' floor e^(-2 pi |N+1 -/+ u|) lies well
+   below it (N = 0 high in the strip).  The rest is two Euler-Maclaurin
+   tails at the base point N+1,
       sum_{n>N} (u+n)^-k + (u-n)^-k = T(u) + (-1)^k T(-u),
    T(c) = sum_{n>N} (n+c)^-k, one zetasums.em_tails call per tail for every
    k at the same scale, each with its DLMF 2.10 bound and its counted
-   rounding.  P is the tightest target's bits plus KERNEL_GUARD_BITS, raised
-   until u is exact where that costs at most (k+1) log2(1/|u|) + 8 more bits;
-   otherwise u moves by less than 2 units and the move is charged as an
-   integer count.  The pass returns P and, per k, the integer sum with its
-   error count, the counts and bounds added up; each caller rounds a ball
-   to its context's precision once (fixedpoint.to_ball).
+   rounding.  This route is also the test oracle of the Laurent route.
 
 eisenstein_k is the one-exponent pass; fixed_jet, the pass for [f, f', f'']
 in integers, holds its balls over a disc about the point and serves the g
 jet of the trig evaluators and the ODE residuals, which form their
 polynomials from its integer balls; f_jet rounds it for the cosec check.
-Plain symmetric truncation with its closed-form bound 2 (N-1/2)^(1-k)/(k-1)
-(symmetric_tail_bound, naive_symmetric_value) is kept for convergence
-tables and tail-validity tests; it shares the explicit sum of step 2.
+pass_size reports the route and its size (D or N), as eistrig eval prints
+it.  Plain symmetric truncation with its closed-form bound
+2 (N-1/2)^(1-k)/(k-1) (symmetric_tail_bound, naive_symmetric_value) is kept
+for convergence tables and tail-validity tests; it shares the explicit sum
+of step 5.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from math import comb, isqrt
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError)
-from .fixedpoint import ball_mul, cpow, floor_abs, fraction_bits, to_ball, to_fixed, to_mp, units
+from .fixedpoint import (ball_mul, cdiv, cpow, floor_abs, fraction_bits, to_ball, to_fixed, to_mp,
+                         units)
 from .precision import TERM_CAP, BoundedValue, PrecisionContext
-from .zetasums import KERNEL_GUARD_BITS, em_tails, zeta_tail
+from .zetasums import KERNEL_GUARD_BITS, em_tails, zeta_table, zeta_tail
 
 #: pole guard: reject z within 10 ulp (at working precision) of an integer
 POLE_GUARD_ULPS = 10
@@ -194,41 +216,168 @@ def fixed_jet(u, ctx: PrecisionContext, targets, r):
 
 def _lattice_pass(exponents, u, ctx: PrecisionContext, targets):
     """(P, [(re, im, err)]): eps_k at the reduced point u for consecutive k,
-    each to its target, (re + i im) 2^-P within err units of 2^-P, from one
-    explicit sum and one Euler-Maclaurin call per tail."""
+    each to its target, (re + i im) 2^-P within err units of 2^-P: the
+    Laurent series where |u| <= rho = 5/8, else one explicit sum and one
+    Euler-Maclaurin call per tail."""
     mp = ctx.mp
-    guard = POLE_GUARD_ULPS * ctx.eps
-    if within(u, guard):
-        raise PoleProximityError(
-            f"the reduced point {mp.nstr(u, 12)} is within the pole guard "
-            f"({POLE_GUARD_ULPS} ulp = {mp.nstr(guard, 3)}) of an integer")
-    N = truncation_n(u, min(targets), mp)
-    if 2 * N + 1 > TERM_CAP:
+    # within the guard (10 ulp < 2^-59, as precision >= 64) u truncates to 0 at 2^-32
+    if not any(to_fixed(u, 32)):
+        guard = POLE_GUARD_ULPS * ctx.eps
+        if within(u, guard):
+            raise PoleProximityError(
+                f"the reduced point {mp.nstr(u, 12)} is within the pole guard "
+                f"({POLE_GUARD_ULPS} ulp = {mp.nstr(guard, 3)}) of an integer")
+    U, sizes, tails = _route(u, exponents, targets, mp)
+    if U is None and 2 * sizes + 1 > TERM_CAP:
         raise ToleranceUnreachableError(
-            f"symmetric truncation needs {2 * N + 1} terms, above the cap {TERM_CAP}")
+            f"symmetric truncation needs {2 * sizes + 1} terms, above the cap {TERM_CAP}")
     # the scale: the rounding count far below the tightest target
     P = _kernel_scale(u, KERNEL_GUARD_BITS + max(0, -mp.mag(min(targets))), exponents[-1], mp)
     for _ in range(3):
         ur, ui = to_fixed(u, P)
-        moved = fraction_bits(u) > P
-        quarter = [units(t, P - 2) for t in targets]
-        upper = em_tails(exponents, ((N + 1) << P) + ur, ui, P, quarter)
-        lower = em_tails(exponents, ((N + 1) << P) - ur, -ui, P, quarter)
-        if upper is not None and lower is not None:
+        if U is None:
+            sums = _lattice_sums(exponents, ur, ui, sizes, P, [units(t, P - 2) for t in targets])
+        else:
+            sums = _laurent_sums(exponents, ur, ui, P, sizes, tails)
+        if sums is not None:
+            moved = fraction_bits(u) > P
             out = []
-            for k, t, (vr, vi, err), (ar, ai, ea, ba, _), (br, bi, eb, bb, _) in zip(
-                    exponents, targets, _explicit_sums(exponents, ur, ui, N, P), upper, lower):
-                # sum_{n>N} (u+n)^-k + (u-n)^-k = T(u) + (-1)^k T(-u)
-                sign = 1 if k % 2 == 0 else -1
-                err += ea + ba + eb + bb + (_move_charge(k, ur, ui, P) if moved else 0)
+            for k, t, (re, im, err) in zip(exponents, targets, sums):
+                err += _move_charge(k, ur, ui, P) if moved else 0
                 if err > units(t, P):
                     break
-                out.append((vr + ar + sign * br, vi + ai + sign * bi, err))
+                out.append((re, im, err))
             else:
                 return P, out
         P += 64
     raise ToleranceUnreachableError(f"the lattice sums k = {list(exponents)} could not "
                                     f"reach tolerances {[mp.nstr(t, 5) for t in targets]}")
+
+
+def pass_size(u, target, mp) -> tuple[str, int]:
+    """The route of a pass for f = eps_2 at the reduced point u to target, and
+    its size: ("Laurent", D terms of the series) where |u| <= rho, else
+    ("lattice", N symmetric pairs summed explicitly)."""
+    U, size, _ = _route(u, (2,), (target,), mp)
+    return ("lattice", size) if U is None else ("Laurent", size[0])
+
+
+def _route(u, exponents, targets, mp):
+    """(U, sizes, tails): where |u| <= rho, the Laurent route's bound U of
+    _laurent_bound, its terms per exponent and the tail bounds 2^e <= t/4 in
+    binary exponents; beyond rho (None, N, None) for the lattice route."""
+    U = _laurent_bound(u)
+    if U is None:
+        return None, truncation_n(u, min(targets), mp), None
+    tails = [mp.mag(t) - 3 for t in targets]
+    return U, [_laurent_terms(k, U, e) for k, e in zip(exponents, tails)], tails
+
+
+def _lattice_sums(exponents, ur: int, ui: int, N: int, P: int, limits):
+    """[(re, im, err)] for eps_k at u = (ur + i ui) 2^-P, one per k: the
+    explicit sum over |n| <= N and the two Euler-Maclaurin tails beyond it,
+    each tail bound at most limits[i] units; None at the tails' floor."""
+    upper = em_tails(exponents, ((N + 1) << P) + ur, ui, P, limits)
+    lower = em_tails(exponents, ((N + 1) << P) - ur, -ui, P, limits)
+    if upper is None or lower is None:
+        return None
+    out = []
+    for k, (vr, vi, err), (ar, ai, ea, ba, _), (br, bi, eb, bb, _) in zip(
+            exponents, _explicit_sums(exponents, ur, ui, N, P), upper, lower):
+        # sum_{n>N} (u+n)^-k + (u-n)^-k = T(u) + (-1)^k T(-u)
+        sign = 1 if k % 2 == 0 else -1
+        out.append((vr + ar + sign * br, vi + ai + sign * bi, err + ea + ba + eb + bb))
+    return out
+
+
+#: the Laurent route's radius rho = 5/8 at scale 2^-32: it serves |u| <= rho
+_LAURENT_RADIUS = 5 << 29
+
+
+def _laurent_bound(u):
+    """U >= |u| 2^32, also >= |to_fixed(u, P)| 2^32 for every P, when that is at
+    most rho = 5/8: the Laurent route's selection; None beyond rho."""
+    ur, ui = to_fixed(u, 32)
+    ur, ui = abs(ur) + 1, abs(ui) + 1
+    if ur > _LAURENT_RADIUS or ui > _LAURENT_RADIUS:
+        return None
+    U = isqrt(ur * ur + ui * ui) + 1
+    return U if U <= _LAURENT_RADIUS else None
+
+
+def _laurent_terms(k: int, U: int, e: int) -> int:
+    """D: the terms of the Laurent series of eps_k (powers u^j, j = k mod 2 up
+    to k mod 2 + 2D - 2) that bring its tail to at most 2^e at |u| <= U 2^-32.
+
+    The tail from the first omitted power J on is, with zeta <= 2, at most
+    T_J / (1 - r_J), T_J = 4 C(k+J-1, J) |u|^J and r_J = (k+J+1)(k+J) |u|^2 /
+    ((J+1)(J+2)) the ratio of T_(J+2) to T_J, which decreases in j.  J starts
+    from a float estimate and moves up by 2 until the test holds in integers
+    at |u| <= m 2^-x, m <= 2^8.
+    """
+    shift = max(0, U.bit_length() - 8)
+    m, x = (U >> shift) + 1, 32 - shift
+    lu = x - math.log2(m)  # about log2(1/|u|)
+    J = (2 - e) / lu
+    J = (2 - e + math.log2(comb(k + max(0, int(J)), k - 1))) / lu
+    J = max(k & 1, math.ceil(J))
+    J += (J - k) & 1
+    while True:
+        num, den = (k + J + 1) * (k + J) * m * m, (J + 1) * (J + 2) << 2 * x
+        if den > num:
+            lhs, rhs, s = 4 * comb(k + J - 1, J) * den * m**J, den - num, e + x * J
+            if (lhs <= rhs << s) if s >= 0 else (lhs << -s <= rhs):
+                return (J - (k & 1)) // 2
+        J += 2
+
+
+@functools.lru_cache(maxsize=256)
+def _rho_terms(k: int, e: int) -> int:
+    """_laurent_terms at |u| = rho: the most that any pass of the route sums."""
+    return _laurent_terms(k, _LAURENT_RADIUS, e)
+
+
+def _laurent_sums(exponents, ur: int, ui: int, P: int, degrees, tails):
+    """[(re, im, err)] for eps_k at u = (ur + i ui) 2^-P, one per k, from
+      eps_k(u) = u^-k + 2 (-1)^k sum_{j = k mod 2} C(k+j-1, j) zeta(k+j) u^j:
+    degrees[i] terms of the sum S by Horner in v = u^2 (exact at 2^-2P) at the
+    scale 2^-Q of zetasums.zeta_table, each coefficient the exact product
+    C zeta, then 2 S (times -u for odd k) truncated to 2^-P, and the tail bound
+    2^tails[i].  Each Horner step truncates toward zero once and adds one unit
+    of 2^-Q; with |v| < 1 every error reaches S at most once.  Table entries
+    within e units of 2^-Q add to S at most e sum_j C(k+j-1, j) rho^(j - k mod 2)
+    <= e (1 - rho)^-k = e (8/3)^k units (the sum over even or odd j of the
+    series of (1 - x)^-k, over x for odd k, increases with x)."""
+    # the table is asked for what any point within rho needs: its size then
+    # depends on the scales and targets alone, never on the points
+    q, zetas, zerr = zeta_table(P, max((k + 1) // 2 + _rho_terms(k, e) - 1
+                                       for k, e in zip(exponents, tails)))
+    d, shift = q - P, 2 * P
+    vr, vi = ur * ur - ui * ui, 2 * ur * ui
+    ec = 2 if ui else 1
+    out = []
+    for k, D, e in zip(exponents, degrees, tails):
+        sr = si = 0
+        terms = range(k % 2 + 2 * D - 2, -1, -2)
+        if ui:
+            for j in terms:
+                c = comb(k + j - 1, j) * zetas[(k + j) // 2 - 1]
+                xr, xi = sr * vr - si * vi, sr * vi + si * vr
+                sr = (xr >> shift if xr >= 0 else -(-xr >> shift)) + c
+                si = xi >> shift if xi >= 0 else -(-xi >> shift)
+        else:  # every term is positive
+            for j in terms:
+                sr = (sr * vr >> shift) + comb(k + j - 1, j) * zetas[(k + j) // 2 - 1]
+        # 2 S within 2 (D ec + zerr (8/3)^k) units of 2^-Q, one more truncation
+        err = -(-(2 * D * ec * 3**k + 2 * zerr * 8**k) // (3**k << d)) + 2 * ec + (1 << P + e)
+        if k % 2:  # -2 S u at 2^-(Q+P)
+            xr, xi, s = -2 * (sr * ur - si * ui), -2 * (sr * ui + si * ur), q
+        else:
+            xr, xi, s = 2 * sr, 2 * si, d
+        hr, hi = cdiv(1, 0, *cpow(ur, ui, k), P * (k + 1))
+        out.append(((xr >> s if xr >= 0 else -(-xr >> s)) + hr,
+                    (xi >> s if xi >= 0 else -(-xi >> s)) + hi, err))
+    return out
 
 
 def _kernel_scale(u, P: int, k: int, mp) -> int:

@@ -314,13 +314,19 @@ def cosec_identity_check(z, ctx: PrecisionContext) -> BoundedValue:
     """f(z) s(pi z)^2 - pi^2, consistent with zero for noninteger z.
 
     s(pi z) = pi g'(z / 2), from one g jet at the exact point z / 2 (no disc).
-    |s(pi z)| = pi / sqrt|f(z)| <= ms = 4 / sqrt(lf) + 1 for |f| >= lf (the
-    Laurent term, then f's own ball), so f goes to tolerance / (8 ms^2) and
-    g' to tolerance / (64 |f| ms); a bad estimate only costs sharpness.
+    |s(pi z)| = pi / sqrt|f(z)| <= ms = 4 / sqrt(lf) + 1 for |f| >= lf (first
+    _g_jet's first steer, the smaller of the Laurent term |u|^-2 and
+    2^(4 - int(9.07 |Im u|)), then f's own ball), so f goes to tolerance /
+    (8 ms^2) and g' to tolerance / (64 |f| ms); a bad estimate only costs
+    sharpness or a pass.
     """
     mp = ctx.mp
     zp = ctx.point(z)
-    tol, lf = ctx.tolerance, guarded_distance(zp, ctx) ** -2
+    tol = ctx.tolerance
+    # the decay steer floored at 2^(-4 precision): farther off the axis f goes
+    # through the refine loop rather than one pass at an unbounded scale
+    decay = max(4 - int(9.07 * min(abs(float(mp.im(zp))), 1e6)), -4 * ctx.precision)
+    lf = min(guarded_distance(zp, ctx) ** -2, mp.ldexp(1, decay))
     for _ in range(2):
         fb = f_jet(zp, ctx, (tol * lf / (8 * (4 + mp.sqrt(lf)) ** 2),))[0]
         if fb.lower() >= lf:

@@ -1,15 +1,26 @@
 """Rigorously bounded zeta tails and even zeta values.
 
-Two layers, both exact or with explicit bounds:
+Three layers, all exact or with explicit bounds:
 
 * bernoulli_even(2j): exact Fractions via the integer-only tangent-number
   triangle (cached, grown on demand).
 * em_tails(exponents, br, bi, P, limits): sum_{n>=0} (b+n)^-s for several s
   by Euler-Maclaurin at the base point b with the DLMF 2.10 remainder bound,
   in Python integers at scale 2^-P with every rounding counted (fixedpoint);
-  the one way a tail is summed.  The lattice pass calls it at b = N+1 +- u,
-  and zeta_tail(s, N, target) at b = N+1, moving the base point up with head
-  terms summed at the same scale, one counted truncation each.
+  the one way a tail is summed.  Its ratio table C_(j+1)/C_j, one integer
+  division of tangent numbers each, sits at a multiple of 64 bits.  The
+  lattice route calls it at b = N+1 +- u, and zeta_tail(s, N, target) at
+  b = N+1, moving the base point up with head terms summed at the same
+  scale, one counted truncation each.
+* zeta_table(P, count): zeta(2m), m = 1..count, for the Laurent route of
+  the lattice pass: one table beside the ratio table, at the highest scale
+  Q asked for so far (a multiple of 64), grown by degree and shared by every
+  exponent.  Each growth sums one head n < a, a ~ (Q+8) ln 2 / 2 pi + 2, so
+  that the Euler-Maclaurin floor near e^(-2 pi a) is below 2^-(Q+8), and
+  makes one multi-exponent em_tails call at a for the s whose tail
+  a^-s (1 + a/(s-1)) is above one unit; below it that bound is the tail.
+  It never calls zeta_tail once per m, whose base point would climb 16 terms
+  at a time.
 
 zeta_even(m, ctx) is the tail beyond N = 0, i.e. zeta(2m), checked against
 the context tolerance; coeff_a(d, ctx), a_d = 2(2d+1) zeta(2d+2), is its
@@ -28,21 +39,24 @@ from .precision import BoundedValue, PrecisionContext
 
 # -- Bernoulli numbers --------------------------------------------------------
 
-_TANGENT: list[int] = [0, 1]  # T_1..T_k as they get computed; index 0 unused
+_TANGENT: list[int] = [0, 1]  # T_0..T_n as they get computed; T_0 unused
 _bern_lock = threading.Lock()
 
 
-def _grow_tangent(upto: int) -> None:
-    """Extend the tangent-number table T_1..T_upto (Seidel triangle, integers)."""
-    n = upto
-    T = [0] * (n + 1)
-    T[1] = 1
-    for k in range(2, n + 1):
-        T[k] = (k - 1) * T[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-    _TANGENT[:] = T
+def _tangents(upto: int) -> list[int]:
+    """The tangent numbers T_0..T_n, n >= upto (Seidel triangle, integers),
+    rebuilt to exactly upto when the table is shorter."""
+    with _bern_lock:
+        if upto >= len(_TANGENT):
+            T = [0] * (upto + 1)
+            T[1] = 1
+            for k in range(2, upto + 1):
+                T[k] = (k - 1) * T[k - 1]
+            for k in range(2, upto + 1):
+                for j in range(k, upto + 1):
+                    T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+            _TANGENT[:] = T
+        return _TANGENT
 
 
 def bernoulli_even(two_j: int) -> Fraction:
@@ -52,11 +66,7 @@ def bernoulli_even(two_j: int) -> Fraction:
     if two_j == 0:
         return Fraction(1)
     j = two_j // 2
-    with _bern_lock:
-        if j >= len(_TANGENT):
-            _grow_tangent(max(j, 2 * len(_TANGENT)))
-        t = _TANGENT[j]
-    val = Fraction(2 * j * t, 4**j * (4**j - 1))
+    val = Fraction(2 * j * _tangents(j)[j], 4**j * (4**j - 1))
     return val if j % 2 else -val
 
 
@@ -77,15 +87,22 @@ _em_ratios: tuple = (0, ())
 
 def _ratios(P: int, count: int) -> tuple:
     """(Q, R) with Q >= P and R[j-1] = C_{j+1}/C_j at scale 2^-Q for j = 1..count,
-    each off by less than one unit."""
+    each off by less than one unit.  A scale rise keeps the count; a longer
+    table at least doubles it.  From B_2j = (-1)^(j+1) 2j T_j / (4^j (4^j - 1)),
+      C_{j+1}/C_j = -T_{j+1} (4^j - 1) / (8j (2j+1) T_j (4^(j+1) - 1)),
+    one integer division per ratio."""
     global _em_ratios
     q, table = _em_ratios
     if q < P or len(table) < count:
+        if len(table) < count:
+            count = min(MAX_ORDER, max(count, 2 * len(table), 32))
+        else:
+            count = len(table)
         q = max(q, -(-P // 64) * 64)
-        count = min(MAX_ORDER, max(count, 2 * len(table), 32))
-        ratios = (bernoulli_even(2 * j + 2) / (bernoulli_even(2 * j) * (2 * j + 1) * (2 * j + 2))
-                  for j in range(1, count + 1))
-        table = tuple(tdiv(r.numerator << q, r.denominator) for r in ratios)
+        T = _tangents(count + 1)
+        table = tuple(tdiv(-T[j + 1] * (4**j - 1) << q,
+                           8 * j * (2 * j + 1) * T[j] * (4**(j + 1) - 1))
+                      for j in range(1, count + 1))
         _em_ratios = (q, table)
     return q, table
 
@@ -171,6 +188,66 @@ def zeta_tail(s: int, N: int, target):
     (re, _, err, bound, _), = got
     # each head term errs by less than one unit
     return P, head + re, err + bound + a - N - 1
+
+
+# (Q, values, err): values[m-1] = zeta(2m) at scale 2^-Q for m = 1..len(values),
+# each within err units; one table at the highest scale asked for so far, Q a
+# multiple of 64, grown by degree and rebuilt, with its count, when a caller
+# needs more bits (concurrent growth only duplicates work)
+_zeta_table: tuple = (0, (), 0)
+
+#: ln 2 / 2 pi: the base point a = (Q + 8) _LN2_2PI + 2 puts the
+#: Euler-Maclaurin floor e^(-2 pi a) below 2^-(Q+8)
+_LN2_2PI = 0.11031780007
+
+
+def zeta_table(P: int, count: int) -> tuple:
+    """(Q, values, err) with Q >= P and values[m-1] = zeta(2m) 2^Q within err
+    units for m = 1..count at least: the coefficients of the Laurent route."""
+    global _zeta_table
+    q, values, err = _zeta_table
+    if q < P or len(values) < count:
+        if q < P:
+            count, q, values, err = max(count, len(values)), -(-P // 64) * 64, (), 0
+        more, e = _zeta_values(q, len(values) + 1, count)
+        _zeta_table = (q, values + more, max(err, e))
+    return _zeta_table
+
+
+def _zeta_values(q: int, first: int, last: int) -> tuple:
+    """(values, err): zeta(2m) at scale 2^-q for m = first..last, each within err
+    units, from one head sum n < a and one em_tails call at the base point a
+    for the s = 2m whose tail a^-s (1 + a/(s-1)) is above one unit (each to 64
+    units); below it that bound is the whole tail.  Each head term n >= 2
+    truncates once; a moves up by 8 if em_tails meets its floor."""
+    exponents = range(2 * first, 2 * last + 1, 2)
+    a = int((q + 8) * _LN2_2PI) + 2
+    while True:
+        tails = {s: -(-((s - 1 + a) << q) // ((s - 1) * a**s)) for s in exponents}
+        far = [s for s in exponents if tails[s] > 1]
+        got = em_tails(far, a << q, 0, q, (64,) * len(far)) if far else []
+        if got is not None:
+            break
+        a += 8
+    summed = dict(zip(far, got))
+    values, err = [], 0
+    for s in exponents:
+        re, _, e, bound, _ = summed.get(s, (0, 0, 0, tails[s], 0))
+        values.append(_head(s, a, q) + re)
+        err = max(err, e + bound + a - 2)
+    return tuple(values), err
+
+
+def _head(s: int, a: int, q: int) -> int:
+    """sum_{n<a} n^-s at scale 2^-q, each term n >= 2 truncated (to zero from
+    the first n^s above 2^q on)."""
+    one, total = 1 << q, 1 << q
+    for n in range(2, a):
+        power = n**s
+        if power > one:
+            break
+        total += one // power
+    return total
 
 
 # -- even zeta values ----------------------------------------------------------

@@ -26,7 +26,7 @@ def test_eval_f_prints_value_radius_and_parameters():
     proc = run_cli("eval", "f", "0.5")
     assert proc.returncode == 0
     assert proc.stdout.startswith("f(0.5) = 9.869604401089")
-    assert "N = 8" in proc.stdout and "precision = 128 bits" in proc.stdout
+    assert "Laurent route, D = 26" in proc.stdout and "precision = 128 bits" in proc.stdout
     # printed center must sit within the printed radius of pi^2, radius <= 1e-12
     import mpmath
     with mpmath.workdps(50):
@@ -100,16 +100,33 @@ def test_eval_zeta_four_prints_a_ball_around_zeta_four():
 
 
 @pytest.mark.parametrize("point", ["0.3", "0.5+40i"])
-def test_eval_prints_the_truncation_the_lattice_sum_uses(point):
-    from eistrig import PrecisionContext
-    from eistrig.lattice import reduce_point, truncation_n
-    proc = run_cli("eval", "f", point)
-    assert proc.returncode == 0
+def test_eval_prints_the_truncation_the_lattice_sum_uses(point, capsys, monkeypatch):
+    # the printed route and size are the ones the pass ran with
+    from eistrig import PrecisionContext, lattice
+    from eistrig.lattice import pass_size, reduce_point
+    ran = []
+    real_laurent, real_lattice = lattice._laurent_sums, lattice._lattice_sums
+
+    def laurent(exponents, ur, ui, P, degrees, tails):
+        ran.append(("Laurent", degrees[0]))
+        return real_laurent(exponents, ur, ui, P, degrees, tails)
+
+    def lattice_sums(exponents, ur, ui, N, P, limits):
+        ran.append(("lattice", N))
+        return real_lattice(exponents, ur, ui, N, P, limits)
+
+    monkeypatch.setattr(lattice, "_laurent_sums", laurent)
+    monkeypatch.setattr(lattice, "_lattice_sums", lattice_sums)
+    assert main(["eval", "f", point]) == 0
     ctx = PrecisionContext()
-    expected = truncation_n(reduce_point(point, ctx), ctx.tolerance, ctx.mp)
-    assert f"parameters: N = {expected}," in proc.stdout
-    # high in the strip the tails alone reach the tolerance
-    assert (expected == 0) == (point == "0.5+40i")
+    route, size = pass_size(reduce_point(point, ctx), ctx.tolerance, ctx.mp)
+    assert ran == [(route, size)]
+    label = "D" if route == "Laurent" else "N"
+    assert f"parameters: {route} route, {label} = {size}," in capsys.readouterr().out
+    if point == "0.5+40i":  # high in the strip the tails alone reach the tolerance
+        assert (route, size) == ("lattice", 0)
+    else:
+        assert route == "Laurent"
 
 
 def test_expand_outputs_are_byte_exact():

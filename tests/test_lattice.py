@@ -264,7 +264,9 @@ def test_module_tables_do_not_grow_with_the_number_of_points():
     # decay at rising heights, where |f| falls below the tolerance and each
     # height from the third on opens a new working precision (its steered
     # sub-context's) and a new kernel scale: 78 of them, more than the
-    # context cache holds, once per 100 points
+    # context cache holds, once per 100 points; the points within rho of an
+    # integer take the Laurent route and its zeta table, whose size depends on
+    # the scales and targets alone
     import random
     from eistrig import precision
     rng = random.Random(7)
@@ -281,9 +283,10 @@ def test_module_tables_do_not_grow_with_the_number_of_points():
 
     misses = contexts().misses
     evaluate(100)
-    after_100 = _table_sizes()
+    after_100 = _table_sizes(), lattice._rho_terms.cache_info().currsize
+    assert after_100[0]["eistrig.zetasums._zeta_table"] > 3
     evaluate(200)
-    assert _table_sizes() == after_100
+    assert (_table_sizes(), lattice._rho_terms.cache_info().currsize) == after_100
     assert contexts().misses - misses > contexts().maxsize >= contexts().currsize
 
 
@@ -310,8 +313,9 @@ def test_widening_refuses_a_disc_that_reaches_an_integer(ctx):
 
 
 def test_the_ratio_table_is_rebuilt_once_per_64_bits_of_scale(monkeypatch):
-    # 100 jets ever closer to an integer: the Euler-Maclaurin ratio table,
-    # emptied first, is rebuilt only when the kernel scale passes its own
+    # 100 jets beyond rho (the lattice route) at ever tighter targets: the
+    # Euler-Maclaurin ratio table, emptied first, is rebuilt only when the
+    # kernel scale passes its own
     from eistrig import lattice, zetasums
     monkeypatch.setattr(zetasums, "_em_ratios", (0, ()))
     scales, rebuilds = [], []
@@ -330,23 +334,55 @@ def test_the_ratio_table_is_rebuilt_once_per_64_bits_of_scale(monkeypatch):
     monkeypatch.setattr(zetasums, "_ratios", ratios)
     monkeypatch.setattr(lattice, "em_tails", tails)
     ctx = PrecisionContext(192, "1e-30")
+    z = ctx.point("3.3+0.6i")
     for j in range(4, 104):
-        f_jet(3 + ctx.mp.ldexp(1, -j), ctx, (ctx.tolerance,))
+        f_jet(z, ctx, (ctx.mp.ldexp(ctx.tolerance, -3 * j),))
     assert len(scales) >= 200
     assert 1 <= sum(rebuilds) <= -(-(max(scales) - min(scales)) // 64) + 1
 
 
-@pytest.mark.parametrize("point", ["0.3+1e-3000i", "1e-3000+0.7i", "-0.41-1e-400i"])
+def test_the_zeta_table_is_rebuilt_once_per_64_bits_of_scale(monkeypatch):
+    # the Laurent twin: 100 jets within rho at ever tighter targets; the zeta
+    # table, emptied first, takes a new scale only when the kernel scale
+    # passes its own
+    from eistrig import lattice, zetasums
+    monkeypatch.setattr(zetasums, "_zeta_table", (0, (), 0))
+    scales, table_scales = [], []
+    real = lattice.zeta_table
+
+    def table(P, count):
+        scales.append(P)
+        got = real(P, count)
+        table_scales.append(got[0])
+        return got
+
+    monkeypatch.setattr(lattice, "zeta_table", table)
+    ctx = PrecisionContext(192, "1e-30")
+    z = ctx.point("3.3")
+    for j in range(4, 104):
+        f_jet(z, ctx, (ctx.mp.ldexp(ctx.tolerance, -3 * j),))
+    assert len(scales) == 100
+    assert 1 <= len(set(table_scales)) <= -(-(max(scales) - min(scales)) // 64) + 1
+
+
+@pytest.mark.parametrize("point", ["0.3+1e-3000i", "1e-3000+0.7i", "-0.41-1e-400i",
+                                   "1e-400-0.9i"])
 def test_a_tiny_part_of_the_point_does_not_set_the_kernel_scale(point, ctx, monkeypatch):
-    # u exact would take 10^4 bits; the kernel moves it by 2^-P and charges that
+    # u exact would take 10^4 bits; the kernel moves it by 2^-P and charges
+    # that, on either route (beyond rho only with a tiny real part)
     from eistrig import lattice
-    scales, real_sums = [], lattice._explicit_sums
+    scales, real_sums, real_laurent = [], lattice._explicit_sums, lattice._laurent_sums
 
     def sums(exponents, ur, ui, N, P):
         scales.append(P)
         return real_sums(exponents, ur, ui, N, P)
 
+    def laurent(exponents, ur, ui, P, degrees, tails):
+        scales.append(P)
+        return real_laurent(exponents, ur, ui, P, degrees, tails)
+
     monkeypatch.setattr(lattice, "_explicit_sums", sums)
+    monkeypatch.setattr(lattice, "_laurent_sums", laurent)
     z = ctx.point(point)
     for k in (2, 3, 4):
         balls = eisenstein_k(k, z, ctx), naive_symmetric_value(k, z, 8, ctx)

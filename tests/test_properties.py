@@ -5,6 +5,7 @@ and negations are exactly representable and bit-exactness claims are fair.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -108,7 +109,41 @@ def test_the_jet_check_catches_a_dropped_euler_maclaurin_term(monkeypatch):
     monkeypatch.setattr(lattice, "em_tails", short_s3_tails)
     for precision, tolerance in CONTEXTS:
         ctx = PrecisionContext(precision, tolerance)
-        assert jet_misses(ctx, ctx.point("0.3+0.1i")) == [1]
+        assert jet_misses(ctx, ctx.point("0.45+0.5i")) == [1]  # |u| > rho: the lattice route
+
+
+def test_the_jet_check_catches_a_dropped_zeta_coefficient(monkeypatch):
+    # the Laurent route's zeta(2) entry 2^-40 too large: only f uses it
+    real = lattice.zeta_table
+
+    def skewed_table(P, count):
+        q, values, err = real(P, count)
+        return q, (values[0] + (values[0] >> 40),) + values[1:], err
+
+    monkeypatch.setattr(lattice, "zeta_table", skewed_table)
+    for precision, tolerance in CONTEXTS:
+        ctx = PrecisionContext(precision, tolerance)
+        assert jet_misses(ctx, ctx.point("0.3+0.1i")) == [0]
+
+
+@pytest.mark.parametrize("precision, tolerance", CONTEXTS)
+@given(st.sampled_from([2, 3, 4]), dyadic(-0.5, 0.5), dyadic(-0.625, 0.625))
+def test_the_laurent_ball_and_the_lattice_ball_agree_near_the_origin(precision, tolerance,
+                                                                     k, x, y):
+    assume(x != 0 or y != 0)
+    ctx = PrecisionContext(precision, tolerance)
+    z = ctx.point(DEFAULT.mp.mpc(x, y))
+    assume(lattice.pass_size(z, ctx.tolerance, ctx.mp)[0] == "Laurent")
+    laurent = eisenstein_k(k, z, ctx)
+    with mock.patch.object(lattice, "_LAURENT_RADIUS", 0):  # the lattice route as the oracle
+        oracle = eisenstein_k(k, z, ctx)
+    with mpmath.workprec(2 * precision + 64):
+        exact = lattice_closed_form(k, mpmath.mpmathify(z))
+        for bv in (laurent, oracle):
+            assert bv.radius <= ctx.tolerance
+            assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius
+        gap = abs(mpmath.mpmathify(laurent.value) - mpmath.mpmathify(oracle.value))
+        assert gap <= mpmath.mpmathify(laurent.radius) + mpmath.mpmathify(oracle.radius)
 
 
 @given(dyadic(-3, 3))

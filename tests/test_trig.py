@@ -104,6 +104,43 @@ def test_cosec_identity_close_to_an_integer_meets_the_tolerance(point, ctx):
     assert r.consistent_with_zero() and r.radius <= ctx.tolerance
 
 
+def test_cosec_identity_makes_one_f_pass_per_grid_point(ctx, monkeypatch):
+    # the first steer for |f| follows its e^(-2 pi |Im z|) decay off the axis,
+    # so f's ball clears its lower estimate at once and never straddles zero
+    from eistrig.verify import RunConfig
+    config = RunConfig()
+    grid = [ctx.from_fraction(q) for q in config.real_grid()]
+    grid += [ctx.mp.mpc(ctx.from_fraction(re), ctx.from_fraction(im))
+             for re, im in config.complex_grid()]
+    f_passes, refines, inside = [], [], []
+    real_pass, real_f_jet, real_resolved = lattice._lattice_pass, trig.f_jet, lattice._resolved_f
+
+    def counted_pass(*args):
+        if inside:
+            f_passes[-1] += 1
+        return real_pass(*args)
+
+    def counted_f_jet(*args):
+        f_passes.append(0)
+        inside.append(True)
+        try:
+            return real_f_jet(*args)
+        finally:
+            inside.pop()
+
+    def counted_resolved(*args):
+        refines.append(args[0])
+        return real_resolved(*args)
+
+    monkeypatch.setattr(lattice, "_lattice_pass", counted_pass)
+    monkeypatch.setattr(lattice, "_resolved_f", counted_resolved)
+    monkeypatch.setattr(trig, "f_jet", counted_f_jet)
+    for z in grid + [ctx.point("0.3+20i"), ctx.point("0.3+40i")]:
+        assert cosec_identity_check(z, ctx).consistent_with_zero()
+    assert f_passes == [1] * (len(grid) + 2)
+    assert refines == []
+
+
 @pytest.fixture
 def passes(monkeypatch):
     """Lattice passes and refine loops run since the fixture was set up."""

@@ -87,7 +87,7 @@ def main():
     print()
     print("The tail bound shrinks like 1/N, so plain truncation would need")
     print("N ~ 1e12 terms for twelve digits; the evaluation above summed")
-    route, size = pass_size(reduce_point(z, ctx), ctx.tolerance, ctx.mp)
+    route, size = pass_size(reduce_point(z, ctx), ctx.mp.mag(ctx.tolerance) - 1)
     if route == "Laurent":
         print(f"{size} terms of the Laurent series and bounded its tail.")
     else:

@@ -91,11 +91,11 @@ def _cmd_eval(args) -> int:
         zp = ctx.point(args.point)
         if name in ("f", "g"):
             bv = eisenstein_k(2, zp, ctx) if name == "f" else g_eval(zp, ctx)
-            lattice_point = zp
+            u = reduce_point(zp, ctx)
         else:
             bv = cosine(zp, ctx) if name == "cos" else sine(zp, ctx)
-            lattice_point = evaluator(ctx).w_ball(zp).value
-        route, size = pass_size(reduce_point(lattice_point, ctx), ctx.tolerance, ctx.mp)
+            u = evaluator(ctx).reduced_w(zp)[0]
+        route, size = pass_size(u, ctx.mp.mag(ctx.tolerance) - 1)
         detail = f"{route} route, {'D' if route == 'Laurent' else 'N'} = {size}, {detail}"
     print(f"{name}({args.point}) = {_fmt_value(bv.value, ctx)} +/- {format_real(bv.radius, ctx)}")
     print(f"parameters: {detail}")

@@ -30,6 +30,19 @@ def tdiv(x: int, y: int) -> int:
     return q if (x < 0) == (y < 0) else -q
 
 
+def tshift(x: int, s: int) -> int:
+    """x 2^s rounded toward zero."""
+    if s >= 0:
+        return x << s
+    return x >> -s if x >= 0 else -(-x >> -s)
+
+
+def nearest(x: int, W: int) -> int:
+    """The integer nearest to x 2^-W, ties to even (as mpmath's nint)."""
+    n, rem = divmod(x, 1 << W)
+    return n + 1 if 2 * rem > 1 << W or (2 * rem == 1 << W and n & 1) else n
+
+
 def floor_abs(re: int, im: int) -> int:
     """floor |re + i im|."""
     return isqrt(re * re + im * im) if im else abs(re)
@@ -127,10 +140,10 @@ def ball_quotient(a, f, k: int, shift: int):
 def to_ball(re: int, im: int, err: int, P: int, mp) -> BoundedValue:
     """The ball (re + i im) 2^-P within err units as a BoundedValue of mp, each
     component rounded once toward zero to mp's precision p, which errs by
-    less than (|re| + |im|) 2^(1-p) units in all, and the radius rounded up;
-    an mpf when im == 0."""
+    less than (|re| + |im|) 2^(1-p) units in all (charged rounded up, so an
+    exact zero stays exact), and the radius rounded up; an mpf when im == 0."""
     prec = mp.prec
-    err += ((abs(re) + abs(im)) >> (prec - 1)) + 1
+    err -= -(abs(re) + abs(im)) >> (prec - 1)
     radius = mp.make_mpf(from_man_exp(err, -P, prec, "u"))
     if not im:
         return BoundedValue(mp.make_mpf(from_man_exp(re, -P, prec, "d")), radius)

@@ -5,23 +5,28 @@ period 1, a double pole at each integer, f(z) = z^-2 + a0 + a1 z^2 + ...,
 and f' = -2 eps_3, f'' = 6 eps_4.  One lattice pass gives eps_k for
 consecutive k at one point, each to its own target (all bounds explicit):
 
-1. Reduce Re z to [-1/2, 1/2] by subtracting the nearest integer (exact in
-   binary floating point), once per pass, which enforces bit-exact
-   periodicity.  Points with both components within 10 ulp of an integer
-   are rejected: every bound degenerates there.
+1. Reduce Re z to [-1/2, 1/2] by subtracting the nearest integer, exactly,
+   in integers (reduce_point), which enforces bit-exact periodicity.
+   Points with both components within 10 ulp of an integer are rejected:
+   every bound degenerates there.
 2. Pick the route from the reduced point u alone (_route): the Laurent
    series where |u| <= rho = 5/8 (_laurent_bound, which bounds |u| from
    above in integers), else the symmetric sum with two tails.  rho is a
    constant: every trig point reduces to |u| <= 0.6, and near rho the
    series needs about twice the terms it needs at |u| = 1/4.
 3. Both routes sum in Python integers at scale 2^-P (fixedpoint), every
-   rounding truncating toward zero and counted.  P is the tightest target's
-   bits plus KERNEL_GUARD_BITS, raised until u is exact where that costs at
-   most (k+1) log2(1/|u|) + 8 more bits; otherwise u moves by less than 2
-   units and the move is charged as an integer count (_move_charge).  The
-   pass returns P and, per k, the integer sum with its error count; each
-   caller rounds a ball to its context's precision once
-   (fixedpoint.to_ball).
+   rounding truncating toward zero and counted.  The pass has one entry,
+   in integers: the reduced point u as the pair (ur, ui, W), (ur + i ui)
+   2^-W, exact for a point given in binary floating point (reduce_point)
+   and at the trig evaluator's scale for w = z / 2 pi, and each target as
+   a binary exponent e, 2^e; eisenstein_k, f_jet and the ODE residuals
+   convert a tolerance t once, to 2^(mag t - 1) <= t.  P is the tightest
+   target's bits plus KERNEL_GUARD_BITS, raised until u is exact where that
+   costs at most (k+1) log2(1/|u|) + 8 more bits; otherwise u is truncated
+   to 2^-P, moves by less than 2 units, and the move is charged as an
+   integer count (_move_charge).  The pass returns P and, per k, the
+   integer sum with its error count; each caller rounds a ball to its
+   context's precision once (fixedpoint.to_ball).
 4. Laurent route (_laurent_sums):
       eps_k(u) = u^-k + 2 (-1)^k sum_{j = k mod 2} C(k+j-1, j) zeta(k+j) u^j,
    D terms by Horner in v = u^2, exact at the scale of the zeta(2m) table
@@ -44,9 +49,12 @@ consecutive k at one point, each to its own target (all bounds explicit):
    rounding.  This route is also the test oracle of the Laurent route.
 
 eisenstein_k is the one-exponent pass; fixed_jet, the pass for [f, f', f'']
-in integers, holds its balls over a disc about the point and serves the g
-jet of the trig evaluators and the ODE residuals, which form their
-polynomials from its integer balls; f_jet rounds it for the cosec check.
+in integers, holds its balls over a disc about the point (its radius a
+count of units of 2^-W) and serves the g jet of the trig evaluators, the
+cosec check and the ODE residuals, which form their polynomials from its
+integer balls; f_jet rounds it.  Where f must exclude zero, _resolved_f is
+the one refine-until-nonzero loop: integer passes at ever tighter targets
+that return their integer ball.
 pass_size reports the route and its size (D or N), as eistrig eval prints
 it.  Plain symmetric truncation with its closed-form bound
 2 (N-1/2)^(1-k)/(k-1) (symmetric_tail_bound, naive_symmetric_value) is kept
@@ -64,8 +72,8 @@ from typing import Sequence
 
 from .errors import (InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError)
-from .fixedpoint import (ball_mul, cdiv, cpow, floor_abs, fraction_bits, to_ball, to_fixed, to_mp,
-                         units)
+from .fixedpoint import (ball_mul, cdiv, cpow, floor_abs, fraction_bits, nearest, to_ball,
+                         to_fixed, to_mp, tshift, units)
 from .precision import TERM_CAP, BoundedValue, PrecisionContext
 from .zetasums import KERNEL_GUARD_BITS, em_tails, zeta_table, zeta_tail
 
@@ -73,44 +81,63 @@ from .zetasums import KERNEL_GUARD_BITS, em_tails, zeta_table, zeta_tail
 POLE_GUARD_ULPS = 10
 
 
+def reduced(re: int, im: int, W: int):
+    """(re + i im) 2^-W minus its nearest integer (ties to even), exactly."""
+    return re - (nearest(re, W) << W), im, W
+
+
 def reduce_point(z, ctx: PrecisionContext):
-    """z minus its nearest integer, exact in binary floating point."""
-    mp = ctx.mp
+    """z minus its nearest integer as the exact pair (ur, ui, W): the reduced
+    point u = (ur + i ui) 2^-W that a lattice pass takes."""
     zp = ctx.point(z)
-    re = zp.real if isinstance(zp, mp.mpc) else zp
-    return zp - int(mp.nint(re))
+    W = fraction_bits(zp)
+    return reduced(*to_fixed(zp, W), W)
+
+
+def magnitude(ur: int, ui: int, W: int) -> int:
+    """mpmath's mag of the nonzero pair (ur + i ui) 2^-W: its modulus is below
+    2^magnitude (one more for a complex point with both parts nonzero)."""
+    m = max(abs(ur).bit_length(), abs(ui).bit_length()) - W
+    return m + 1 if ur and ui else m
+
+
+def to_float(x: int, W: int) -> float:
+    """|x| 2^-W as a float, from its 64 leading bits; at most 2^1000."""
+    s = max(0, abs(x).bit_length() - 64)
+    return math.ldexp(abs(x) >> s, min(s - W, 936))
+
+
+def in_pole_guard(u, precision: int, R: int = 0) -> bool:
+    """Both components of the reduced point u = (ur, ui, W) at most 10 ulp at
+    the precision, or at most 2R units of 2^-W (then |u| <= 1.5 times that):
+    the pole guard's test, in integers."""
+    ur, ui, W = u
+    m = max(abs(ur), abs(ui))
+    return m <= 2 * R or m << precision - 1 <= POLE_GUARD_ULPS << W
 
 
 def guarded_distance(z, ctx: PrecisionContext):
     """|u| for the reduced point u of z, or PoleProximityError within the pole
     guard."""
     u = reduce_point(z, ctx)
-    if within(u, POLE_GUARD_ULPS * ctx.eps):
+    if in_pole_guard(u, ctx.precision):
         raise PoleProximityError(f"z = {ctx.mp.nstr(ctx.point(z), 12)} is within the pole guard "
                                  f"({POLE_GUARD_ULPS} ulp) of an integer")
-    return abs(u)
+    return abs(to_mp(*u, ctx.mp))
 
 
-def within(u, bound) -> bool:
-    """Both components of u at most bound in size (then |u| <= 1.5 bound): the
-    pole guard's test, which needs no square root."""
-    if hasattr(u, "imag") and u.imag:
-        return abs(u.real) <= bound and abs(u.imag) <= bound
-    return abs(u) <= bound
-
-
-def truncation_n(u, tolerance, mp) -> int:
+def truncation_n(u, e: int) -> int:
     """Symmetric pairs that a lattice pass sums explicitly (any k) at the
-    reduced point u of reduce_point, for the tightest target tolerance.
+    reduced point u = (ur, ui, W), for the tightest target 2^e.
 
     The tails beyond N bottom out near e^(-2 pi r), r = |N+1 -/+ u|.  N is
-    the least N >= 0 with 2 pi r >= 1.5 ln(1/tol) + 10: the 10 covers the
-    floor's prefactor for every k, and the extra half of the tolerance's
+    the least N >= 0 with 2 pi r >= 1.5 ln(2^-e/2) + 10: the 10 covers the
+    floor's prefactor for every k, and the extra half of the target's
     digits lets the tails close in a few orders.  High in the strip |Im u|
     alone is far enough, and N = 0.
     """
-    x, y = abs(float(u.real)), abs(float(u.imag))
-    rho = (-1.5 * math.log(2) * mp.mag(tolerance) + 10) / (2 * math.pi)
+    x, y = to_float(u[0], u[2]), to_float(u[1], u[2])
+    rho = (-1.5 * math.log(2) * (e + 1) + 10) / (2 * math.pi)
     if rho <= y:
         return 0
     return max(0, math.ceil(math.sqrt(rho * rho - y * y) + x - 1))
@@ -153,10 +180,10 @@ def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
     ToleranceUnreachableError (near an integer one ulp of |value| exceeds it)."""
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"eisenstein_k expects an integer k >= 2, got {k!r}")
-    P, (sums,) = _lattice_pass((k,), reduce_point(z, ctx), ctx, (ctx.tolerance,))
-    out = to_ball(*sums, P, ctx.mp)
+    mp = ctx.mp
+    P, (sums,) = _lattice_pass((k,), reduce_point(z, ctx), ctx, (mp.mag(ctx.tolerance) - 1,))
+    out = to_ball(*sums, P, mp)
     if out.radius > ctx.tolerance:
-        mp = ctx.mp
         raise ToleranceUnreachableError(
             f"eisenstein_k(k={k}) rounds to radius {mp.nstr(out.radius, 3)} "
             f"at {ctx.precision} bits, above tolerance {mp.nstr(ctx.tolerance, 5)}")
@@ -171,41 +198,44 @@ def f_jet(z, ctx: PrecisionContext, tolerances) -> list[BoundedValue]:
     """[f, f', f''][:n] = [eps_2, -2 eps_3, 6 eps_4][:n] at z from one lattice
     pass, n = len(tolerances) <= 3, order i to tolerances[i] and rounded once
     to ctx's precision, where near an integer one ulp may exceed it."""
+    mp = ctx.mp
     # eps_k to t / (2|c| - 1): the scaled ball keeps room for its rounding
     P, jet = fixed_jet(reduce_point(z, ctx), ctx,
-                       [t / (2 * abs(c) - 1) for t, c in zip(tolerances, _JET_FACTORS)], 0)
-    return [to_ball(*b, P, ctx.mp) for b in jet]
+                       [mp.mag(t / (2 * abs(c) - 1)) - 1 for t, c in zip(tolerances, _JET_FACTORS)])
+    return [to_ball(*b, P, mp) for b in jet]
 
 
-def fixed_jet(u, ctx: PrecisionContext, targets, r):
-    """(P, [f, f', f''][:n]) at the reduced point u from one lattice pass,
-    n = len(targets) <= 3, eps_(i+2) to targets[i]: order i is the ball
-    (re, im, err), (re + i im) 2^-P within err units of 2^-P.
+def fixed_jet(u, ctx: PrecisionContext, targets, R: int = 0):
+    """(P, [f, f', f''][:n]) at the reduced point u = (ur, ui, W) from one
+    lattice pass, n = len(targets) <= 3, eps_(i+2) to 2^targets[i]: order i is
+    the ball (re, im, err), (re + i im) 2^-P within err units of 2^-P.
 
-    An f ball that does not exclude zero is replaced by _resolved_f's, 2^-60
-    tighter, at a scale where it is exact.  For r > 0 each order holds at
-    every point of the disc |u' - u| <= r: there f^(i) moves by at most
-    (i+2)! eps_bound(i+3, D) r, D a lower bound of |u| - r; the widening is
-    counted in units, and PoleProximityError is raised when the disc reaches
-    an integer.
+    An f ball that does not exclude zero is replaced by _resolved_f's, from
+    2^-60 tighter on, at the larger of the two scales.  For R > 0 each order
+    holds at every point of the disc of radius R units of 2^-W about u: there
+    f^(i) moves by at most (i+2)! eps_bound(i+3, D) r, D a lower bound of
+    |u| - r; the widening is counted in units, and PoleProximityError is
+    raised when the disc reaches an integer.
     """
     P, sums = _lattice_pass(range(2, 2 + len(targets)), u, ctx, targets)
     jet = [(c * re, c * im, abs(c) * err) for c, (re, im, err) in zip(_JET_FACTORS, sums)]
     fr, fi, ef = jet[0]
     if floor_abs(fr, fi) <= ef:
-        bv = _resolved_f(u, ctx.refined(targets[0] * ctx.mp.ldexp(1, -60)))
-        S = max(P, fraction_bits(bv.value))
-        jet = [(re << S - P, im << S - P, err << S - P) for re, im, err in jet]
-        jet[0] = (*to_fixed(bv.value, S), units(bv.radius, S) + 1)
-        P = S
-    if not r:
+        *f, S = _resolved_f(u, ctx, targets[0] - 60)
+        T = max(P, S)
+        jet = [(re << T - P, im << T - P, err << T - P) for re, im, err in jet]
+        jet[0] = tuple(x << T - S for x in f)
+        P = T
+    if not R:
         return P, jet
-    R = units(r, P) + 1
-    D = floor_abs(*to_fixed(u, P)) - 2 - R  # u is within 2 units of to_fixed(u, P)
+    ur, ui, W = u
+    # the radius rounded up to units of 2^-P; u is within 2 units of its truncation
+    R = R << P - W if P >= W else -(-R >> W - P)
+    D = floor_abs(tshift(ur, P - W), tshift(ui, P - W)) - 2 - R
     if D <= 0:
         mp = ctx.mp
-        raise PoleProximityError(
-            f"the disc of radius {mp.nstr(r, 3)} about {mp.nstr(u, 12)} reaches an integer")
+        raise PoleProximityError(f"the disc of radius {mp.nstr(to_mp(R, 0, P, mp), 3)} about "
+                                 f"{mp.nstr(to_mp(*u, mp), 12)} reaches an integer")
     out = []
     for i, (re, im, err) in enumerate(jet):
         k, c = i + 3, math.factorial(i + 2) * R
@@ -215,61 +245,67 @@ def fixed_jet(u, ctx: PrecisionContext, targets, r):
 
 
 def _lattice_pass(exponents, u, ctx: PrecisionContext, targets):
-    """(P, [(re, im, err)]): eps_k at the reduced point u for consecutive k,
-    each to its target, (re + i im) 2^-P within err units of 2^-P: the
-    Laurent series where |u| <= rho = 5/8, else one explicit sum and one
-    Euler-Maclaurin call per tail."""
-    mp = ctx.mp
+    """(P, [(re, im, err)]): eps_k at the reduced point u = (ur, ui, W) for
+    consecutive k, each to its target 2^e (e in targets, a binary exponent),
+    (re + i im) 2^-P within err units of 2^-P: the Laurent series where |u| <=
+    rho = 5/8, else one explicit sum and one Euler-Maclaurin call per tail."""
+    ur0, ui0, W = u
     # within the guard (10 ulp < 2^-59, as precision >= 64) u truncates to 0 at 2^-32
-    if not any(to_fixed(u, 32)):
-        guard = POLE_GUARD_ULPS * ctx.eps
-        if within(u, guard):
-            raise PoleProximityError(
-                f"the reduced point {mp.nstr(u, 12)} is within the pole guard "
-                f"({POLE_GUARD_ULPS} ulp = {mp.nstr(guard, 3)}) of an integer")
-    U, sizes, tails = _route(u, exponents, targets, mp)
+    if not (tshift(ur0, 32 - W) or tshift(ui0, 32 - W)) and in_pole_guard(u, ctx.precision):
+        mp = ctx.mp
+        raise PoleProximityError(
+            f"the reduced point {mp.nstr(to_mp(*u, mp), 12)} is within the pole guard "
+            f"({POLE_GUARD_ULPS} ulp = {mp.nstr(POLE_GUARD_ULPS * ctx.eps, 3)}) of an integer")
+    U, sizes, tails = _route(u, exponents, targets)
     if U is None and 2 * sizes + 1 > TERM_CAP:
         raise ToleranceUnreachableError(
             f"symmetric truncation needs {2 * sizes + 1} terms, above the cap {TERM_CAP}")
-    # the scale: the rounding count far below the tightest target
-    P = _kernel_scale(u, KERNEL_GUARD_BITS + max(0, -mp.mag(min(targets))), exponents[-1], mp)
+    # the scale: the rounding count far below the tightest target, so e + P >= 27
+    F = _fraction_bits(u)
+    P = _kernel_scale(u, F, KERNEL_GUARD_BITS + max(0, -1 - min(targets)), exponents[-1])
     for _ in range(3):
-        ur, ui = to_fixed(u, P)
+        ur, ui = tshift(ur0, P - W), tshift(ui0, P - W)
         if U is None:
-            sums = _lattice_sums(exponents, ur, ui, sizes, P, [units(t, P - 2) for t in targets])
+            sums = _lattice_sums(exponents, ur, ui, sizes, P, [1 << e + P - 2 for e in targets])
         else:
             sums = _laurent_sums(exponents, ur, ui, P, sizes, tails)
         if sums is not None:
-            moved = fraction_bits(u) > P
             out = []
-            for k, t, (re, im, err) in zip(exponents, targets, sums):
-                err += _move_charge(k, ur, ui, P) if moved else 0
-                if err > units(t, P):
+            for k, e, (re, im, err) in zip(exponents, targets, sums):
+                err += _move_charge(k, ur, ui, P) if F > P else 0
+                if err > 1 << e + P:
                     break
                 out.append((re, im, err))
             else:
                 return P, out
         P += 64
     raise ToleranceUnreachableError(f"the lattice sums k = {list(exponents)} could not "
-                                    f"reach tolerances {[mp.nstr(t, 5) for t in targets]}")
+                                    f"reach targets {[f'2^{e}' for e in targets]}")
 
 
-def pass_size(u, target, mp) -> tuple[str, int]:
-    """The route of a pass for f = eps_2 at the reduced point u to target, and
-    its size: ("Laurent", D terms of the series) where |u| <= rho, else
-    ("lattice", N symmetric pairs summed explicitly)."""
-    U, size, _ = _route(u, (2,), (target,), mp)
+def _fraction_bits(u) -> int:
+    """The least scale at which the pair u = (ur, ui, W) is exact."""
+    ur, ui, W = u
+    low = ur | ui
+    return max(0, W - (low & -low).bit_length() + 1) if low else 0
+
+
+def pass_size(u, e: int) -> tuple[str, int]:
+    """The route of a pass for f = eps_2 at the reduced point u to the target
+    2^e, and its size: ("Laurent", D terms of the series) where |u| <= rho,
+    else ("lattice", N symmetric pairs summed explicitly)."""
+    U, size, _ = _route(u, (2,), (e,))
     return ("lattice", size) if U is None else ("Laurent", size[0])
 
 
-def _route(u, exponents, targets, mp):
+def _route(u, exponents, targets):
     """(U, sizes, tails): where |u| <= rho, the Laurent route's bound U of
-    _laurent_bound, its terms per exponent and the tail bounds 2^e <= t/4 in
-    binary exponents; beyond rho (None, N, None) for the lattice route."""
+    _laurent_bound, its terms per exponent and the tail bounds 2^(e-2) for the
+    targets 2^e; beyond rho (None, N, None) for the lattice route."""
     U = _laurent_bound(u)
     if U is None:
-        return None, truncation_n(u, min(targets), mp), None
-    tails = [mp.mag(t) - 3 for t in targets]
+        return None, truncation_n(u, min(targets)), None
+    tails = [e - 2 for e in targets]
     return U, [_laurent_terms(k, U, e) for k, e in zip(exponents, tails)], tails
 
 
@@ -295,9 +331,10 @@ _LAURENT_RADIUS = 5 << 29
 
 
 def _laurent_bound(u):
-    """U >= |u| 2^32, also >= |to_fixed(u, P)| 2^32 for every P, when that is at
-    most rho = 5/8: the Laurent route's selection; None beyond rho."""
-    ur, ui = to_fixed(u, 32)
+    """U >= |u| 2^32, also >= |u truncated at 2^-P| 2^32 for every P, when that
+    is at most rho = 5/8: the Laurent route's selection; None beyond rho."""
+    ur, ui, W = u
+    ur, ui = tshift(ur, 32 - W), tshift(ui, 32 - W)
     ur, ui = abs(ur) + 1, abs(ui) + 1
     if ur > _LAURENT_RADIUS or ui > _LAURENT_RADIUS:
         return None
@@ -380,17 +417,17 @@ def _laurent_sums(exponents, ur: int, ui: int, P: int, degrees, tails):
     return out
 
 
-def _kernel_scale(u, P: int, k: int, mp) -> int:
-    """The scale of a pass at u up to exponent k: at least P, and u exact unless
-    that takes more than the (k+1) log2(1/|u|) + 8 further bits which keep
-    _move_charge small (a tiny Re u or Im u would otherwise set the scale);
-    |u| < 2^mag(u)."""
-    return max(P, min(fraction_bits(u), P + (k + 1) * max(0, 1 - mp.mag(u)) + 8))
+def _kernel_scale(u, F: int, P: int, k: int) -> int:
+    """The scale of a pass at u up to exponent k: at least P, and u exact (at
+    its F fraction bits) unless that takes more than the (k+1) log2(1/|u|) + 8
+    further bits which keep _move_charge small (a tiny Re u or Im u would
+    otherwise set the scale); |u| < 2^magnitude(u)."""
+    return max(P, min(F, P + (k + 1) * max(0, 1 - magnitude(*u)) + 8))
 
 
 def _move_charge(k: int, ur: int, ui: int, P: int) -> int:
-    """Units of 2^-P that cover eps_k(u) - eps_k(u'), u' = (ur + i ui) 2^-P =
-    to_fixed(u, P): u is within 2 units of u', so every point of the segment
+    """Units of 2^-P that cover eps_k(u) - eps_k(u'), u' = (ur + i ui) 2^-P, u
+    truncated at 2^-P: u is within 2 units of u', so every point of the segment
     from u to u' lies D = floor|u'| - 4 units or more from 0 (and, with
     |Re u| <= 1/2, from every integer; _kernel_scale keeps D near |u|), and
     |eps_k(u) - eps_k(u')| <= 2k eps_bound(k+1, D 2^-P) units."""
@@ -398,24 +435,19 @@ def _move_charge(k: int, ur: int, ui: int, P: int) -> int:
     return -(-(2 * k << P * (k + 1)) // D ** (k + 1)) + (2 * k << k + 3)
 
 
-def _resolved_f(z, work: PrecisionContext) -> BoundedValue:
-    """f(z) at the context work, its tolerance tightened by 2^(-60 tries) until
-    the ball excludes zero (f is nowhere zero); InconclusiveNonvanishingError
-    after 8 tightenings."""
-    mp, u = work.mp, reduce_point(z, work)
-    tol, ctx, tries = work.tolerance, work, 0
-    while True:
-        P, (sums,) = _lattice_pass((2,), u, ctx, (tol,))
-        bv = to_ball(*sums, P, ctx.mp)
-        if not bv.consistent_with_zero():
-            return bv
-        tries += 1
-        if tries > 8:
-            raise InconclusiveNonvanishingError(
-                f"|f({mp.nstr(z, 8)})| stayed within its radius down to "
-                f"tolerance {mp.nstr(tol, 3)}")
-        tol = tol * mp.ldexp(1, -60 * tries)
-        ctx = work.refined(tol)
+def _resolved_f(u, ctx: PrecisionContext, e: int):
+    """(re, im, err, P): f at the reduced point u from a pass to the target
+    2^e, tightened by 2^(-60 tries) at the tries-th retry, until the ball
+    excludes zero (f is nowhere zero); InconclusiveNonvanishingError after 8
+    tightenings."""
+    for tries in range(9):
+        e -= 60 * tries
+        P, ((re, im, err),) = _lattice_pass((2,), u, ctx, (e,))
+        if floor_abs(re, im) > err:
+            return re, im, err, P
+    raise InconclusiveNonvanishingError(
+        f"|f({ctx.mp.nstr(to_mp(*u, ctx.mp), 8)})| stayed within its radius down to "
+        f"target 2^{e}")
 
 
 def eps_bound(k: int, dist):
@@ -436,10 +468,11 @@ def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0) -> BoundedVa
     a0 go to tolerance / (4 (24 |f| + 53)), f and f'' from one fixed_jet pass
     (f' loose); exact products at scale 2^-2P, rounded once.
     """
+    mp = ctx.mp
     mf = eps_bound(2, guarded_distance(z, ctx)) + 1
     t = ctx.tolerance / (4 * (24 * mf + 53))
     P, (f, _, f2) = fixed_jet(reduce_point(z, ctx), ctx,
-                              (t, max(t, ctx.mp.mpf("1e-5")), t / 6), 0)
+                              [mp.mag(x) - 1 for x in (t, max(t, mp.mpf("1e-5")), t / 6)])
     a0 = _a0_fixed(P, t / 2, ctx.real(a0_shift) if a0_shift else 0)
     return to_ball(*_combination(2 * P, ((1, f2, P), (-6, ball_mul(f, f), 2 * P),
                                          (12, ball_mul(a0, f), 2 * P))), 2 * P, ctx.mp)
@@ -452,7 +485,7 @@ def first_order_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
     mf = eps_bound(2, dist) + 1
     mfp = 2 * eps_bound(3, dist) + 1
     t = ctx.tolerance / (4 * (1 + 2 * mfp + 24 * mf * mf + 96 * mf))
-    P, (f, fp) = fixed_jet(reduce_point(z, ctx), ctx, (t, t / 2), 0)
+    P, (f, fp) = fixed_jet(reduce_point(z, ctx), ctx, (ctx.mp.mag(t) - 1, ctx.mp.mag(t / 2) - 1))
     f_sq = ball_mul(f, f)
     return to_ball(*_combination(3 * P, (
         (1, ball_mul(fp, fp), 2 * P), (-4, ball_mul(f_sq, f), 3 * P),
@@ -498,7 +531,8 @@ def nonvanishing_scan(grid: Sequence, ctx: PrecisionContext) -> NonvanishingRepo
     Raises InconclusiveNonvanishingError if some point cannot be resolved.
     """
     points = tuple(ctx.point(z) for z in grid)
-    values = tuple(_resolved_f(zp, ctx) for zp in points)
+    e = ctx.mp.mag(ctx.tolerance) - 1
+    values = tuple(to_ball(*_resolved_f(reduce_point(zp, ctx), ctx, e), ctx.mp) for zp in points)
     least = min(range(len(points)), key=lambda i: values[i].lower())
     return NonvanishingReport(points, values, _abs_ball(values[least], ctx),
                               points[least])
@@ -545,13 +579,13 @@ def strip_decay(y_values: Sequence, x, ctx: PrecisionContext) -> list[StripBound
         yr = ctx.real(y)
         if abs(yr) < 1:
             raise ValueError(f"strip requires |y| >= 1, got {mp.nstr(yr, 8)}")
-        tol = ctx.tolerance
+        e = mp.mag(ctx.tolerance) - 1
         if len(resolved) >= 2:
             (y1, b1), (y2, b2) = resolved[-2], resolved[-1]
             slope = (b2 - b1) / (y2 - y1)
             predicted = b2 + slope * (float(yr) - y2)
-            tol = min(tol, mp.ldexp(1, int(predicted) - 24))
-        bv = _resolved_f(mp.mpc(xr, yr), ctx.refined(tol))
+            e = min(e, int(predicted) - 24)
+        bv = to_ball(*_resolved_f(reduce_point(mp.mpc(xr, yr), ctx), ctx, e), mp)
         mag = _abs_ball(bv, ctx)
         low, high = _majorant(yr, ctx)
         reports.append(StripBoundReport(yr, mag, high, low,
@@ -600,11 +634,12 @@ def naive_symmetric_value(k: int, z, N: int, ctx: PrecisionContext) -> BoundedVa
     Kept for convergence tables; the corrected evaluator is sharper.
     """
     u, mp = reduce_point(z, ctx), ctx.mp
-    if within(u, POLE_GUARD_ULPS * ctx.eps):
+    if in_pole_guard(u, ctx.precision):
         raise PoleProximityError("point is within the pole guard of an integer")
-    P = _kernel_scale(u, ctx.precision, k, mp)
-    ur, ui = to_fixed(u, P)
+    F = _fraction_bits(u)
+    P = _kernel_scale(u, F, ctx.precision, k)
+    ur, ui = tshift(u[0], P - u[2]), tshift(u[1], P - u[2])
     (re, im, err), = _explicit_sums((k,), ur, ui, N, P)
-    if fraction_bits(u) > P:
+    if F > P:
         err += _move_charge(k, ur, ui, P)
     return to_ball(re, im, err + units(symmetric_tail_bound(k, N, ctx), P) + 1, P, mp)

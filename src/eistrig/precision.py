@@ -6,16 +6,18 @@ at a fixed binary precision together with a nonnegative radius bounding
 allowances of two kinds:
 
 * every summation loop (the lattice sums, the zeta tails and their heads,
-  the strip majorant), the zeta constants, the g jet behind g, cos and sin,
-  and the lattice ODE residuals run in Python integers at scale 2^-P
-  (fixedpoint), where each rounding truncates toward zero and errs by less
-  than one unit of 2^-P; the allowance is an exact count of those units, a
-  proved bound, and a ball leaves that layer rounded once to its context's
-  precision (fixedpoint.to_ball), the one way a ball is demoted;
+  the strip majorant), the zeta constants, pi-hat and (2 pi-hat)^-1, the
+  point w = z / 2 pi, the g jet behind g, cos and sin, the jet residuals,
+  the identity checks and the lattice ODE residuals run in Python integers
+  at scale 2^-P (fixedpoint), where each rounding truncates toward zero and
+  errs by less than one unit of 2^-P; the allowance is an exact count of
+  those units, a proved bound, and a ball leaves that layer rounded once to
+  its context's precision (fixedpoint.to_ball), the one way a ball is
+  demoted;
 * the mpf ball layer here charges one ulp of the result per floating
-  operation, an mpc's in the l1 norm |Re v| + |Im v|.  It serves the few
-  operations after the kernel (w = z / 2 pi, cos from g, sin's pi product,
-  the last products of the jet residuals and the identity checks).  That
+  operation, an mpc's in the l1 norm |Re v| + |Im v|.  Its callers are
+  SymbolPoly.substitute (the implied_identities check), and the tests and
+  demos; taylor_cosine sums in raw mpf with an asserted allowance.  That
   allowance is an engineering bound backed by soundness property tests,
   not a formal rounding proof.
 
@@ -33,7 +35,7 @@ from typing import Any, Union
 
 from mpmath.ctx_mp import MPContext
 
-from .errors import ConfigurationError, InconclusiveNonvanishingError
+from .errors import ConfigurationError
 
 Real = Union[int, float, str, Fraction]
 
@@ -228,9 +230,6 @@ class PrecisionContext:
         v = a.value - b.value
         return BoundedValue(v, a.radius + b.radius + self._ulp(v))
 
-    def bneg(self, a: BoundedValue) -> BoundedValue:
-        return BoundedValue(-a.value, a.radius)
-
     def bmul(self, a: BoundedValue, b: BoundedValue) -> BoundedValue:
         v = a.value * b.value
         r = abs(a.value) * b.radius + abs(b.value) * a.radius + a.radius * b.radius
@@ -249,16 +248,6 @@ class PrecisionContext:
             r = r + self._ulp(v)
         return BoundedValue(v, r)
 
-    def brecip(self, a: BoundedValue) -> BoundedValue:
-        """1/a; requires the ball to exclude zero."""
-        lo = abs(a.value) - a.radius
-        if not lo > 0:
-            raise InconclusiveNonvanishingError(
-                "cannot take a reciprocal: |value| does not exceed the error radius")
-        v = 1 / a.value
-        r = a.radius / (abs(a.value) * lo)
-        return BoundedValue(v, r + self._ulp(v))
-
     def bpow(self, a: BoundedValue, n: int) -> BoundedValue:
         if n < 0:
             raise ValueError("bpow expects a nonnegative integer exponent")
@@ -271,18 +260,6 @@ class PrecisionContext:
             if n:
                 base = self.bmul(base, base)
         return out
-
-    def bsqrt(self, a: BoundedValue) -> BoundedValue:
-        """Square root of a positive real ball."""
-        mp = self._mp
-        lo = a.value - a.radius
-        if not lo > 0:
-            raise InconclusiveNonvanishingError(
-                "cannot take a square root: the ball is not strictly positive")
-        v = mp.sqrt(a.value)
-        # |sqrt(x) - sqrt(v)| <= r / (2 sqrt(lo)) for x in [v - r, v + r]
-        r = a.radius / (2 * mp.sqrt(lo))
-        return BoundedValue(v, r + self._ulp(v))
 
 
 def split_point_string(text: str) -> tuple[str, str]:

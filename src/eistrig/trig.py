@@ -18,31 +18,34 @@ lattice/zeta evaluators.  Platform references appear solely in tests.
 Because c and s run through f, which reduces its argument by the nearest
 integer exactly, both inherit exact periodicity in the computed period
 2 pi-hat.  One steered jet serves every evaluator here: _g_jet gives
-[g, g', g''] from one lattice pass for [f, f', f''] per try, each f order
-as tight as the g orders asked for need, steered in integer binary
-exponents by the leading Laurent terms, later tries by their own balls.
-The jet stays in the fixed-point kernel from the reduced point to the
-returned balls: g, g' and g'' are formed from the pass's integer balls in
-units of 2^-Q with every rounding counted, and each is rounded to the
-context's precision once, as are a0 and pi^2, one integer zeta(2) ball
-times 2 and 6.  pi-hat is computed to a few ulps of the context's
-precision, so w = z / (2 pi-hat) is a ball of a few ulps of |w|;
-lattice.fixed_jet holds the jet over that disc with the bound eps_bound on
-the next derivative, so each returned ball holds at every point of it.  Far
-off the real axis, where |f| is tiny and eps_bound is not, that widening
-outgrows the tolerance and cos and sin raise ToleranceUnreachableError.
+[g, g', g''] from one lattice pass for [f, f', f''] per try, steered in
+integer binary exponents.
+
+A call runs in integers from the point to the returned ball.  Each
+context's evaluator keeps pi^2, pi-hat and (2 pi-hat)^-1 as integer balls
+at one scale 2^-P, about 128 bits below the context's ulp, so w = z (2
+pi-hat)^-1 is one integer product, reduced by its nearest integer, with
+its radius a count of units of 2^-P.  lattice.fixed_jet holds the f jet
+over that disc; g, g', g'', c = 1 - 2 pi^2 g, s = pi-hat g', the residuals
+and the identity checks are exact products and counted divisions of
+integer balls, and each returned ball is rounded once (fixedpoint.to_ball).
+With so small a disc, cos and sin raise ToleranceUnreachableError off the
+axis only near the rounding limit, where one ulp of |c| or |s| reaches the
+tolerance.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import PoleProximityError, ToleranceUnreachableError
-from .fixedpoint import ball_mul, ball_quotient, floor_abs, to_ball
+from .fixedpoint import (ball_mul, ball_quotient, floor_abs, fraction_bits, to_ball, to_fixed,
+                         to_mp, tshift, units)
 from .precision import BoundedValue, PrecisionContext
-from .lattice import (POLE_GUARD_ULPS, f_jet, fixed_jet, guarded_distance, reduce_point,
-                      within)
+from .lattice import (fixed_jet, guarded_distance, in_pole_guard, magnitude, reduce_point,
+                      reduced, to_float)
 from .zetasums import KERNEL_GUARD_BITS, zeta_tail
 
 PI_PROVENANCE = "sqrt(6·ζ(2))"
@@ -62,28 +65,38 @@ def compute_pi(ctx: PrecisionContext) -> PiValue:
 
 
 class TrigEvaluator:
-    """pi, a0 and pi^2 for one context, to a few ulps of its precision, from
-    one integer zeta(2) ball times 2 and 6: pi^2 = 6 zeta(2) = 3 a0 exactly.
+    """pi^2, pi-hat and (2 pi-hat)^-1 for one context as integer balls
+    (re, im, err) at one scale 2^-P, from one zeta(2) ball to eps 2^-129:
+    pi^2 = 6 zeta(2) = 3 a0 exactly, pi-hat = sqrt(pi^2) by isqrt and
+    (2 pi-hat)^-1 by one counted division, each within eps 2^-128 or less.
+    pi, a0 and pi^2 are also kept rounded once to the context's precision.
 
     Immutable after construction; safe for concurrent use.
     """
 
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
-        P, z2, err = zeta_tail(2, 0, ctx.eps / 2)
-        self.a0 = to_ball(2 * z2, 0, 2 * err, P, ctx.mp)
-        self.pi_sq = to_ball(6 * z2, 0, 6 * err, P, ctx.mp)
-        self.pi = PiValue(ctx.bsqrt(self.pi_sq))
-        self.half_inv_pi = ctx.brecip(ctx.bscale(self.pi.value, 2))
+        mp, tol = ctx.mp, ctx.tolerance
+        P, z2, err = zeta_tail(2, 0, mp.ldexp(1, -ctx.precision - 128))
+        self.scale = P
+        self.pi_sq_fixed = (6 * z2, 0, 6 * err)
+        # pi^2 > 9 within its error: |sqrt(x) - sqrt(x')| <= |x - x'| / 6, plus the isqrt floor
+        self.pi_fixed = (isqrt(6 * z2 << P), 0, err + 1)
+        self.half_inv_pi = ball_quotient((1, 0, 0), tuple(2 * x for x in self.pi_fixed), 1, 2 * P)
+        self.a0 = to_ball(2 * z2, 0, 2 * err, P, mp)
+        self.pi_sq = to_ball(*self.pi_sq_fixed, P, mp)
+        self.pi = PiValue(to_ball(*self.pi_fixed, P, mp))
+        self.cos_tols, self.sin_tols = (tol / 160,), (None, tol / 4)
 
-    def w_ball(self, zp) -> BoundedValue:
-        """z / (2 pi) as a ball; the radius is the argument uncertainty."""
-        return self.ctx.bmul(self.ctx.ball(zp), self.half_inv_pi)
-
-    def cosine_from_g(self, gb: BoundedValue) -> BoundedValue:
-        """1 - 2 pi^2 g from the ball gb of g(w)."""
-        ctx = self.ctx
-        return ctx.bsub(ctx.ball(1), ctx.bscale(ctx.bmul(self.pi_sq, gb), 2))
+    def reduced_w(self, zp):
+        """(u, R) for the point zp: w = zp (2 pi-hat)^-1, one product truncated
+        to 2^-P, minus its nearest integer, is the reduced point u = (ur, ui, P),
+        and the true z / 2 pi lies within R units of 2^-P of it."""
+        Z = fraction_bits(zp)
+        zr, zi = to_fixed(zp, Z)
+        h, _, eh = self.half_inv_pi
+        R = -(-(abs(zr) + abs(zi)) * eh >> Z) + (2 if zi else 1)
+        return reduced(tshift(zr * h, -Z), tshift(zi * h, -Z), self.scale), R
 
 
 #: the evaluators of the 32 contexts used last
@@ -99,15 +112,16 @@ def evaluator(ctx: PrecisionContext) -> TrigEvaluator:
 # -- the g jet -------------------------------------------------------------------
 
 
-def _g_jet(x, work: PrecisionContext, r, tols) -> list[BoundedValue]:
-    """[g, g', g''][:n] at every point of the disc |x' - x| <= r, n = len(tols),
-    order i within tols[i] (None: only as tight as the higher orders need),
-    from one lattice.fixed_jet pass per try.  g = 1/f, g' = -f'/f^2 and
-    g'' = (2 f'^2 - f f'')/f^3 are formed from the pass's integer balls at
-    scale 2^-Q, Q the tightest tolerance's bits plus KERNEL_GUARD_BITS, each
-    by exact products and one division charged over the whole f ball
-    (fixedpoint.ball_quotient), and each order is rounded to work's
-    precision once.
+def _g_jet(u, work: PrecisionContext, R: int, tols, rounded: bool = False):
+    """(Q, [g, g', g''][:n]) at every point of the disc of radius R units of
+    2^-W about the reduced point u = (ur, ui, W), n = len(tols): order i is the
+    ball (re, im, err) at scale 2^-Q, within tols[i] (None: only as tight as
+    the higher orders need), and with rounded, also once rounded to work's
+    precision; from one lattice.fixed_jet pass per try.  g = 1/f,
+    g' = -f'/f^2 and g'' = (2 f'^2 - f f'')/f^3 are formed from the pass's
+    integer balls, Q the tightest tolerance's bits plus KERNEL_GUARD_BITS,
+    each by exact products and one division charged over the whole f ball
+    (fixedpoint.ball_quotient).
 
     The steering only picks the pass's targets, in integer binary exponents.
     f^(j) goes to min over i >= j of tols[i] / (2 (i+1) S_ij), S_ij the
@@ -119,33 +133,42 @@ def _g_jet(x, work: PrecisionContext, r, tols) -> list[BoundedValue]:
     for the tightest tolerance t, and mfp and mf2 from eps_bound; the next
     try takes them from the last try's balls, the third 2^-6 tighter;
     ToleranceUnreachableError after three.
-    Within the pole guard g and g' are zero-centred balls, |g| <= 1.5 |u|^2
-    and |g'| = |sin(2 pi u)| / pi <= 3 |u| there, and g'' raises
-    PoleProximityError.
+    Within the pole guard g and g' are zero-centred balls at Q = 2W,
+    |g| <= 1.5 |u|^2 and |g'| = |sin(2 pi u)| / pi <= 3 |u| there (|u| at
+    most |ur| + |ui| + R units), and g'' raises PoleProximityError.
     """
-    mp, n = work.mp, len(tols)
+    mp, n, prec = work.mp, len(tols), work.precision
+    ur, ui, W = u
 
     def fits(jet):
-        return all(t is None or b.radius <= t for b, t in zip(jet, tols))
+        for (re, im, err), t in zip(jet, tols):
+            if t is None:
+                continue
+            if rounded:  # the allowance of to_ball, then the radius rounded up
+                err -= -(abs(re) + abs(im)) >> prec - 1
+                err -= -err >> prec - 1
+            if err > units(t, Q):
+                return False
+        return True
 
-    u = reduce_point(x, work)
-    if within(u, max(POLE_GUARD_ULPS * work.eps, 2 * r)):
+    if in_pole_guard(u, prec, R):
         if n > 2:
-            raise PoleProximityError(f"g'' at {mp.nstr(x, 8)} is within the pole guard of an integer")
-        near = r + (mp.ldexp(1, mp.mag(u)) if u else 0)  # |u| < 2^mag(u)
-        jet = [BoundedValue(mp.mpf(0), b * (1 + work.eps)) for b in (1.5 * near ** 2, 3 * near)][:n]
+            raise PoleProximityError(
+                f"g'' at {mp.nstr(to_mp(*u, mp), 8)} is within the pole guard of an integer")
+        near, Q = R + abs(ur) + abs(ui), 2 * W
+        jet = [(0, 0, (3 * near * near + 1) // 2), (0, 0, 3 * near << W)][:n]
         if fits(jet):
-            return jet
+            return Q, jet
     else:
         # binary exponents: 2^te[i] <= tols[i], |u| < 2^m, |u| >= 2^lo
         te = [None if t is None else mp.mag(t) - 1 for t in tols]
         tmin = min(e for e in te if e is not None)
-        m = mp.mag(u)
-        lo = m - (2 if mp.im(u) else 1)
+        m = magnitude(ur, ui, W)
+        lo = m - (2 if ui else 1)
         # |f(u)| = pi^2/|sin(pi u)|^2 ~ 4 pi^2 e^(-2 pi |Im u|) off the axis, and
         # 2 pi/ln 2 < 9.07: the first steer for |f| takes the smaller estimate,
         # but not below eps/4t, where one ulp of |g| exceeds the tolerance t
-        decay = max(4 - int(9.07 * min(abs(float(mp.im(u))), 1e6)), -work.precision - 2 - tmin)
+        decay = max(4 - int(9.07 * min(to_float(ui, W), 1e6)), -prec - 2 - tmin)
         # log2 of lf and of the eps_bound estimates 2 eps_bound(3) and 6 eps_bound(4)
         bounds = [min(-2 * m, decay), max(-3 * lo, 5) + 2, max(-4 * lo, 6) + 4]
         Q = KERNEL_GUARD_BITS - min(0, tmin)
@@ -158,9 +181,8 @@ def _g_jet(x, work: PrecisionContext, r, tols) -> list[BoundedValue]:
                   for j in range(n)]
             ts[0] = min(ts[0], lf - 2)
             # snapped to a power of 2^8, then over |c| <= 2^(0, 1, 3) for eps_(j+2)
-            targets = [mp.ldexp(1, 8 * ((t - 6 * (attempt // 2)) // 8) - (0, 1, 3)[j])
-                       for j, t in enumerate(ts)]
-            S, (f, *fd) = fixed_jet(u, work, targets, r)
+            targets = [8 * ((t - 6 * (attempt // 2)) // 8) - (0, 1, 3)[j] for j, t in enumerate(ts)]
+            S, (f, *fd) = fixed_jet(u, work, targets, R)
             # g^(i) = p_i / f^(i+1): p_0 = 1, p_1 = -f', p_2 = 2 f'^2 - f f''
             numerators = [(1, 0, 0)]
             if n > 1:
@@ -169,14 +191,14 @@ def _g_jet(x, work: PrecisionContext, r, tols) -> list[BoundedValue]:
             if n > 2:
                 (ar, ai, ea), (br, bi, eb) = ball_mul(fd[0], fd[0]), ball_mul(f, fd[1])
                 numerators.append((2 * ar - br, 2 * ai - bi, 2 * ea + eb))
-            fixed = [ball_quotient(p, f, i + 1, S + Q) for i, p in enumerate(numerators)]
-            jet = [to_ball(*b, Q, mp) for b in fixed]
+            jet = [ball_quotient(p, f, i + 1, S + Q) for i, p in enumerate(numerators)]
             if fits(jet):
-                return jet
+                return Q, jet
             bounds[0] = (floor_abs(*f[:2]) - f[2]).bit_length() - 1 - S
             bounds[1:n] = [(abs(re) + abs(im) + err).bit_length() - S for re, im, err in fd]
+    radii = (mp.nstr(to_mp(err, 0, Q, mp), 3) for _, _, err in jet)
     raise ToleranceUnreachableError(
-        f"the g jet at {mp.nstr(x, 8)} keeps radii {', '.join(mp.nstr(b.radius, 3) for b in jet)} "
+        f"the g jet at {mp.nstr(to_mp(*u, mp), 8)} keeps radii {', '.join(radii)} "
         f"at {work.precision} bits, above tolerances "
         f"{', '.join('-' if t is None else mp.nstr(t, 3) for t in tols)}")
 
@@ -188,22 +210,38 @@ def g_eval(z, ctx: PrecisionContext) -> BoundedValue:
     there |g(z)| <= 1.5 |z - n|^2 (from f(u) = u^-2 (1 + O(u^2)) with an
     explicit series bound), so a zero-centered ball with that radius is
     returned.  Elsewhere f is evaluated tightly enough that the reciprocal
-    ball meets the context tolerance, or ToleranceUnreachableError is raised.
+    ball, rounded, meets the context tolerance, or ToleranceUnreachableError
+    is raised.
     """
-    return _g_jet(ctx.point(z), ctx, 0, (ctx.tolerance,))[0]
+    Q, (g,) = _g_jet(reduce_point(z, ctx), ctx, 0, (ctx.tolerance,), rounded=True)
+    return to_ball(*g, Q, ctx.mp)
 
 
 # -- cosine and sine ---------------------------------------------------------------
 
 
-def _at_w(name, zp, ctx: PrecisionContext, value_at) -> BoundedValue:
-    """value_at(ev, w) for ctx's evaluator ev and the ball w = zp / 2 pi, within
-    the tolerance, or ToleranceUnreachableError naming name(zp), chained from
-    the jet's."""
+def _cos_fixed(ev: TrigEvaluator, g, Q: int):
+    """(re, im, err, S): 1 - 2 pi^2 g for the ball g at 2^-Q, exact at 2^-S."""
+    re, im, err = ball_mul(ev.pi_sq_fixed, g)
+    S = ev.scale + Q
+    return (1 << S) - 2 * re, -2 * im, 2 * err, S
+
+
+def _sin_fixed(ev: TrigEvaluator, g1, Q: int):
+    """(re, im, err, S): pi-hat g' for the ball g1 of g' at 2^-Q, exact at 2^-S."""
+    return (*ball_mul(ev.pi_fixed, g1), ev.scale + Q)
+
+
+def _at_w(name, zp, ctx: PrecisionContext, tols, form) -> BoundedValue:
+    """form(ev, the jet's highest order, Q) rounded once, the g jet to tols
+    over the disc of w = zp / 2 pi (ev.reduced_w), within the tolerance, or
+    ToleranceUnreachableError naming name(zp), chained from the jet's."""
     mp, tol, ev = ctx.mp, ctx.tolerance, evaluator(ctx)
     cause = None
     try:
-        bv = value_at(ev, ev.w_ball(zp))
+        u, R = ev.reduced_w(zp)
+        Q, jet = _g_jet(u, ctx, R, tols)
+        bv = to_ball(*form(ev, jet[-1], Q), mp)
         if bv.radius <= tol:
             return bv
     except ToleranceUnreachableError as exc:
@@ -220,8 +258,7 @@ def cosine(z, ctx: PrecisionContext) -> BoundedValue:
     zp = ctx.point(z)
     if zp == 0:
         return ctx.ball(1)
-    return _at_w("cos", zp, ctx, lambda ev, w: ev.cosine_from_g(
-        _g_jet(w.value, ctx, w.radius, (ctx.tolerance / 160,))[0]))
+    return _at_w("cos", zp, ctx, evaluator(ctx).cos_tols, _cos_fixed)
 
 
 def sine(z, ctx: PrecisionContext) -> BoundedValue:
@@ -235,8 +272,7 @@ def sine(z, ctx: PrecisionContext) -> BoundedValue:
     zp = ctx.point(z)
     if zp == 0:
         return ctx.ball(0)
-    return _at_w("sin", zp, ctx, lambda ev, w: ctx.bmul(
-        ev.pi.value, _g_jet(w.value, ctx, w.radius, (None, ctx.tolerance / 4))[1]))
+    return _at_w("sin", zp, ctx, evaluator(ctx).sin_tols, _sin_fixed)
 
 
 # -- Taylor route ----------------------------------------------------------------
@@ -287,24 +323,39 @@ def taylor_cosine(z, ctx: PrecisionContext) -> BoundedValue:
 
 def reciprocal_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
     """g''(z) + 12 a0 g(z) - 2 with g to tolerance/160 and g'' to tolerance/4
-    from one jet at z."""
-    g, _, g2 = _g_jet(ctx.point(z), ctx, 0, (ctx.tolerance / 160, None, ctx.tolerance / 4))
-    res = ctx.badd(g2, ctx.bscale(ctx.bmul(evaluator(ctx).a0, g), 12))
-    return ctx.bsub(res, ctx.ball(2))
+    from one jet at z; 12 a0 = 4 pi^2, exact products at 2^-(P+Q), rounded
+    once.  ToleranceUnreachableError where the error of pi^2 times |g| alone
+    exceeds the tolerance (far off the axis, where |g| grows like
+    e^(2 pi |Im z|))."""
+    ev, mp, tol = evaluator(ctx), ctx.mp, ctx.tolerance
+    Q, (g, _, g2) = _g_jet(reduce_point(z, ctx), ctx, 0, (tol / 160, None, tol / 4))
+    P = ev.scale
+    re, im, err = ball_mul(ev.pi_sq_fixed, g)
+    bv = to_ball((g2[0] << P) + 4 * re - (2 << P + Q), (g2[1] << P) + 4 * im,
+                 (g2[2] << P) + 4 * err, P + Q, mp)
+    if bv.radius > tol:
+        raise ToleranceUnreachableError(
+            f"the reciprocal ODE residual at {mp.nstr(ctx.point(z), 8)} keeps radius "
+            f"{mp.nstr(bv.radius, 3)}, above tolerance {mp.nstr(tol, 5)}")
+    return bv
 
 
 def ivp_residual(z, ctx: PrecisionContext) -> BoundedValue:
     """c''(z) + c(z) with c(z) = 1 - 2 pi^2 g(w) and c''(z) = -g''(w)/2 from
-    one jet held over the disc of w = z / 2 pi."""
+    one jet held over the disc of w = z / 2 pi; exact at 2^-(P+Q+1)."""
     ev = evaluator(ctx)
-    w = ev.w_ball(ctx.point(z))
-    g, _, g2 = _g_jet(w.value, ctx, w.radius, (ctx.tolerance / 160, None, ctx.tolerance / 4))
-    return ctx.badd(BoundedValue(-g2.value / 2, g2.radius / 2), ev.cosine_from_g(g))
+    u, R = ev.reduced_w(ctx.point(z))
+    Q, (g, _, g2) = _g_jet(u, ctx, R, (ctx.tolerance / 160, None, ctx.tolerance / 4))
+    cr, ci, ec, S = _cos_fixed(ev, g, Q)
+    P = ev.scale
+    return to_ball(2 * cr - (g2[0] << P), 2 * ci - (g2[1] << P), 2 * ec + (g2[2] << P),
+                   S + 1, ctx.mp)
 
 
 def ivp_initial_data(ctx: PrecisionContext):
     """(c(0), c'(0)) = (cosine(0), -sine(0)): both exact, because f is even."""
-    return cosine(0, ctx), ctx.bneg(sine(0, ctx))
+    s = sine(0, ctx)
+    return cosine(0, ctx), BoundedValue(-s.value, s.radius)
 
 
 # -- identity checks ---------------------------------------------------------------
@@ -318,7 +369,8 @@ def cosec_identity_check(z, ctx: PrecisionContext) -> BoundedValue:
     _g_jet's first steer, the smaller of the Laurent term |u|^-2 and
     2^(4 - int(9.07 |Im u|)), then f's own ball), so f goes to tolerance /
     (8 ms^2) and g' to tolerance / (64 |f| ms); a bad estimate only costs
-    sharpness or a pass.
+    sharpness or a pass.  The identity is one exact product of the integer
+    balls, rounded once.
     """
     mp = ctx.mp
     zp = ctx.point(z)
@@ -327,27 +379,36 @@ def cosec_identity_check(z, ctx: PrecisionContext) -> BoundedValue:
     # through the refine loop rather than one pass at an unbounded scale
     decay = max(4 - int(9.07 * min(abs(float(mp.im(zp))), 1e6)), -4 * ctx.precision)
     lf = min(guarded_distance(zp, ctx) ** -2, mp.ldexp(1, decay))
+    u = reduce_point(zp, ctx)
     for _ in range(2):
-        fb = f_jet(zp, ctx, (tol * lf / (8 * (4 + mp.sqrt(lf)) ** 2),))[0]
-        if fb.lower() >= lf:
+        P, (f,) = fixed_jet(u, ctx, (mp.mag(tol * lf / (8 * (4 + mp.sqrt(lf)) ** 2)) - 1,))
+        low = to_mp(floor_abs(f[0], f[1]) - f[2], 0, P, mp)
+        if low >= lf:
             break
-        lf = fb.lower()
-    ms = 4 / mp.sqrt(fb.lower()) + 1
-    g1 = _g_jet(zp / 2, ctx, 0, (None, tol / (64 * fb.upper() * ms)))[1]
+        lf = low
+    ms = 4 / mp.sqrt(low) + 1
+    high = to_mp(floor_abs(f[0], f[1]) + 1 + f[2], 0, P, mp)
+    Q, (_, g1) = _g_jet(reduce_point(zp / 2, ctx), ctx, 0, (None, tol / (64 * high * ms)))
     ev = evaluator(ctx)
-    sb = ctx.bmul(ev.pi.value, g1)
-    return ctx.bsub(ctx.bmul(fb, ctx.bmul(sb, sb)), ev.pi_sq)
+    *s, S = _sin_fixed(ev, g1, Q)
+    re, im, err = ball_mul(f, ball_mul(s, s))
+    T = P + 2 * S
+    pr, _, ep = ev.pi_sq_fixed
+    return to_ball(re - (pr << T - ev.scale), im, err + (ep << T - ev.scale), T, mp)
 
 
 def pythagoras_residual(z, ctx: PrecisionContext) -> BoundedValue:
     """s(z)^2 + c(z)^2 - 1, consistent with zero everywhere; c = 1 - 2 pi^2 g(w)
     and s = pi g'(w) from one [g, g'] jet at w = z / 2 pi, g to tolerance/(160 m)
     and g' to tolerance/(32 m); m = 2^(int(1.45 |Im z|) + 1) > e^|Im z| >= |c|, |s|
-    (1.45 > log2 e), so the radius stays near tolerance/2."""
+    (1.45 > log2 e), so the radius stays near tolerance/2.  Exact at 2^-2S,
+    rounded once."""
     zp, mp = ctx.point(z), ctx.mp
     ev, tol = evaluator(ctx), ctx.tolerance
     m = mp.ldexp(1, int(1.45 * abs(mp.im(zp))) + 1)
-    w = ev.w_ball(zp)
-    g, g1 = _g_jet(w.value, ctx, w.radius, (tol / (160 * m), tol / (32 * m)))
-    cb, sb = ev.cosine_from_g(g), ctx.bmul(ev.pi.value, g1)
-    return ctx.bsub(ctx.badd(ctx.bmul(sb, sb), ctx.bmul(cb, cb)), ctx.ball(1))
+    u, R = ev.reduced_w(zp)
+    Q, (g, g1) = _g_jet(u, ctx, R, (tol / (160 * m), tol / (32 * m)))
+    *c, S = _cos_fixed(ev, g, Q)
+    *s, _ = _sin_fixed(ev, g1, Q)
+    (ar, ai, ea), (br, bi, eb) = ball_mul(s, s), ball_mul(c, c)
+    return to_ball(ar + br - (1 << 2 * S), ai + bi, ea + eb, 2 * S, mp)

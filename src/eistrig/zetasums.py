@@ -40,22 +40,27 @@ from .precision import BoundedValue, PrecisionContext
 # -- Bernoulli numbers --------------------------------------------------------
 
 _TANGENT: list[int] = [0, 1]  # T_0..T_n as they get computed; T_0 unused
+# column n of the Seidel triangle after each of its passes 1..n (pass 1 the
+# initial value (n-1)!), from which column n+1 follows
+_COLUMN: list[int] = [1]
 _bern_lock = threading.Lock()
 
 
 def _tangents(upto: int) -> list[int]:
-    """The tangent numbers T_0..T_n, n >= upto (Seidel triangle, integers),
-    rebuilt to exactly upto when the table is shorter."""
+    """The tangent numbers T_0..T_n, n >= upto, extended in place one column
+    of the Seidel triangle at a time (integers): after pass k, column j holds
+    (j-k) c_(j-1) + (j-k+2) c_j, so each new T costs one pass over the last
+    column and none is computed twice."""
+    global _COLUMN
     with _bern_lock:
-        if upto >= len(_TANGENT):
-            T = [0] * (upto + 1)
-            T[1] = 1
-            for k in range(2, upto + 1):
-                T[k] = (k - 1) * T[k - 1]
-            for k in range(2, upto + 1):
-                for j in range(k, upto + 1):
-                    T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-            _TANGENT[:] = T
+        col = _COLUMN
+        for j in range(len(_TANGENT), upto + 1):
+            new = [(j - 1) * col[0]]
+            for k in range(2, j + 1):
+                new.append((j - k) * (col[k - 1] if k < j else 0) + (j - k + 2) * new[-1])
+            col = new
+            _TANGENT.append(col[-1])
+        _COLUMN = col
         return _TANGENT
 
 
@@ -78,32 +83,38 @@ MAX_ORDER = 300
 #: scale bits beyond the tightest target's, so that the rounding count stays far below it
 KERNEL_GUARD_BITS = 28
 
-# (Q, (R_1, R_2, ...)): R_j = C_{j+1}/C_j, C_j = B_2j/(2j)!, rounded toward zero
-# at scale 2^-Q; one table at the highest scale asked for so far, Q a multiple
-# of 64, rebuilt when a caller needs more bits or orders (concurrent rebuilds
-# only duplicate work)
-_em_ratios: tuple = (0, ())
+# (Q, [R_1, R_2, ...]): R_j = C_{j+1}/C_j, C_j = B_2j/(2j)!, rounded toward
+# zero at scale 2^-Q; one table at the highest scale asked for so far, Q a
+# multiple of 64, replaced when a caller needs more bits and extended in place,
+# under _ratio_lock, when it needs more orders
+_em_ratios: tuple = (0, [])
+_ratio_lock = threading.Lock()
 
 
 def _ratios(P: int, count: int) -> tuple:
     """(Q, R) with Q >= P and R[j-1] = C_{j+1}/C_j at scale 2^-Q for j = 1..count,
-    each off by less than one unit.  A scale rise keeps the count; a longer
-    table at least doubles it.  From B_2j = (-1)^(j+1) 2j T_j / (4^j (4^j - 1)),
+    each off by less than one unit.  A scale rise computes the table anew at
+    the new scale with its count; a longer table is extended in place to
+    count (32 at least), so no ratio is computed twice at one scale.  From
+    B_2j = (-1)^(j+1) 2j T_j / (4^j (4^j - 1)),
       C_{j+1}/C_j = -T_{j+1} (4^j - 1) / (8j (2j+1) T_j (4^(j+1) - 1)),
     one integer division per ratio."""
     global _em_ratios
     q, table = _em_ratios
     if q < P or len(table) < count:
-        if len(table) < count:
-            count = min(MAX_ORDER, max(count, 2 * len(table), 32))
-        else:
-            count = len(table)
-        q = max(q, -(-P // 64) * 64)
-        T = _tangents(count + 1)
-        table = tuple(tdiv(-T[j + 1] * (4**j - 1) << q,
-                           8 * j * (2 * j + 1) * T[j] * (4**(j + 1) - 1))
-                      for j in range(1, count + 1))
-        _em_ratios = (q, table)
+        with _ratio_lock:
+            q, table = _em_ratios
+            fresh = q < P
+            if fresh:
+                count, q, table = max(count, len(table)), -(-P // 64) * 64, []
+            if len(table) < count:
+                count = min(MAX_ORDER, max(count, 32))
+                T = _tangents(count + 1)
+                table.extend(tdiv(-T[j + 1] * (4**j - 1) << q,
+                                  8 * j * (2 * j + 1) * T[j] * (4**(j + 1) - 1))
+                             for j in range(len(table) + 1, count + 1))
+            if fresh:
+                _em_ratios = (q, table)
     return q, table
 
 

@@ -57,8 +57,8 @@ def test_eval_g_out_of_reach_exits_5():
 
 
 def test_eval_cos_high_in_the_strip_exits_5():
-    # cos reaches g(z / 2 pi) at tolerance / 160; at Im z = 70 one ulp of
-    # |g| ~ 6e28 already exceeds it
+    # at Im z = 70 one ulp of |cos z| ~ 1e30 at 128 bits already exceeds the
+    # tolerance
     proc = run_cli("eval", "cos", "3+70i")
     assert proc.returncode == 5
     assert "tolerance" in proc.stderr
@@ -66,11 +66,11 @@ def test_eval_cos_high_in_the_strip_exits_5():
 
 @pytest.mark.parametrize("function", ["sin", "cos"])
 def test_eval_trig_off_the_axis_exits_5(function):
-    # at Im z = 40 the disc of z / 2 pi moves g = 1/f by more than the
-    # tolerance; the message names the call, its point and its tolerance
-    proc = run_cli("eval", function, "3+40i")
+    # at Im z = 70, past the rounding limit of 128 bits, the call cannot meet
+    # the tolerance; the message names the call, its point and its tolerance
+    proc = run_cli("eval", function, "3+70i")
     assert proc.returncode == 5
-    assert f"{function}(3.0 + 40.0j)" in proc.stderr
+    assert f"{function}(3.0 + 70.0j)" in proc.stderr
     assert "tolerance 1.0e-12" in proc.stderr
 
 
@@ -119,7 +119,7 @@ def test_eval_prints_the_truncation_the_lattice_sum_uses(point, capsys, monkeypa
     monkeypatch.setattr(lattice, "_lattice_sums", lattice_sums)
     assert main(["eval", "f", point]) == 0
     ctx = PrecisionContext()
-    route, size = pass_size(reduce_point(point, ctx), ctx.tolerance, ctx.mp)
+    route, size = pass_size(reduce_point(point, ctx), ctx.mp.mag(ctx.tolerance) - 1)
     assert ran == [(route, size)]
     label = "D" if route == "Laurent" else "N"
     assert f"parameters: {route} route, {label} = {size}," in capsys.readouterr().out

@@ -133,7 +133,8 @@ def test_the_laurent_ball_and_the_lattice_ball_agree_near_the_origin(precision, 
     assume(x != 0 or y != 0)
     ctx = PrecisionContext(precision, tolerance)
     z = ctx.point(DEFAULT.mp.mpc(x, y))
-    assume(lattice.pass_size(z, ctx.tolerance, ctx.mp)[0] == "Laurent")
+    u = lattice.reduce_point(z, ctx)
+    assume(lattice.pass_size(u, ctx.mp.mag(ctx.tolerance) - 1)[0] == "Laurent")
     laurent = eisenstein_k(k, z, ctx)
     with mock.patch.object(lattice, "_LAURENT_RADIUS", 0):  # the lattice route as the oracle
         oracle = eisenstein_k(k, z, ctx)
@@ -255,7 +256,7 @@ CONTRACT = {"cosine": cosine, "sine": sine, "g_eval": g_eval,
 
 @pytest.mark.parametrize("name", sorted(CONTRACT))
 @given(dyadic(-10**6, 10**6, denominator=64),
-       st.one_of(st.just(0), dyadic(-40, 40, denominator=64)), st.sampled_from([2, 3, 4]))
+       st.one_of(st.just(0), dyadic(-72, 72, denominator=64)), st.sampled_from([2, 3, 4]))
 def test_evaluators_meet_the_tolerance_or_raise(name, x, y, k):
     z = DEFAULT.point(DEFAULT.mp.mpc(x, y))
     fn = CONTRACT[name]

@@ -6,13 +6,16 @@ only; the construction path under test never calls it.
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eistrig import lattice
 from eistrig import (EistrigError, PoleProximityError, PrecisionContext,
                      ToleranceUnreachableError, compute_pi, cosine, eisenstein_k,
                      evaluator, pythagoras_residual, sine, taylor_cosine)
 from eistrig import precision, trig
-from eistrig.lattice import f_jet, first_order_ode_residual, second_order_ode_residual
+from eistrig.fixedpoint import to_ball
+from eistrig.lattice import (f_jet, first_order_ode_residual, reduce_point,
+                             second_order_ode_residual)
 from eistrig.trig import (cosec_identity_check, g_eval, ivp_initial_data, ivp_residual,
                           reciprocal_ode_residual)
 
@@ -113,18 +116,20 @@ def test_cosec_identity_makes_one_f_pass_per_grid_point(ctx, monkeypatch):
     grid += [ctx.mp.mpc(ctx.from_fraction(re), ctx.from_fraction(im))
              for re, im in config.complex_grid()]
     f_passes, refines, inside = [], [], []
-    real_pass, real_f_jet, real_resolved = lattice._lattice_pass, trig.f_jet, lattice._resolved_f
+    real_pass, real_jet, real_resolved = lattice._lattice_pass, trig.fixed_jet, lattice._resolved_f
 
     def counted_pass(*args):
         if inside:
             f_passes[-1] += 1
         return real_pass(*args)
 
-    def counted_f_jet(*args):
+    def counted_f_jet(u, ctx, targets, R=0):
+        if len(targets) > 1:  # the g' jet at z / 2
+            return real_jet(u, ctx, targets, R)
         f_passes.append(0)
         inside.append(True)
         try:
-            return real_f_jet(*args)
+            return real_jet(u, ctx, targets, R)
         finally:
             inside.pop()
 
@@ -134,7 +139,7 @@ def test_cosec_identity_makes_one_f_pass_per_grid_point(ctx, monkeypatch):
 
     monkeypatch.setattr(lattice, "_lattice_pass", counted_pass)
     monkeypatch.setattr(lattice, "_resolved_f", counted_resolved)
-    monkeypatch.setattr(trig, "f_jet", counted_f_jet)
+    monkeypatch.setattr(trig, "fixed_jet", counted_f_jet)
     for z in grid + [ctx.point("0.3+20i"), ctx.point("0.3+40i")]:
         assert cosec_identity_check(z, ctx).consistent_with_zero()
     assert f_passes == [1] * (len(grid) + 2)
@@ -236,7 +241,8 @@ def test_the_g_jet_meets_each_order_tolerance_around_the_closed_forms(precision,
         x = ctx.point(z)
         for tols in ((None, tol), (tol, tol / 16, tol * 4)):
             passes["passes"] = 0
-            jet = trig._g_jet(x, ctx, 0, tols)
+            Q, jet = trig._g_jet(reduce_point(x, ctx), ctx, 0, tols)
+            jet = [to_ball(*b, Q, ctx.mp) for b in jet]
             assert passes["passes"] <= (1 if isinstance(z, float) else 3)
             with mpmath.workprec(2 * precision + 64):
                 for bv, t, exact in zip(jet, tols, _g_closed_forms(x)):
@@ -247,13 +253,14 @@ def test_the_g_jet_meets_each_order_tolerance_around_the_closed_forms(precision,
 def test_the_g_jet_guard_holds_g_prime(ctx):
     # 3 ulp from an integer the jet returns zero-centred g and g' balls
     x = ctx.mp.mpf(2) + 3 * ctx.eps
-    jet = trig._g_jet(x, ctx, 0, (ctx.tolerance, ctx.tolerance))
+    Q, jet = trig._g_jet(reduce_point(x, ctx), ctx, 0, (ctx.tolerance, ctx.tolerance))
+    jet = [to_ball(*b, Q, ctx.mp) for b in jet]
     assert all(bv.value == 0 and 0 < bv.radius < ctx.mp.mpf("1e-35") for bv in jet)
     with mpmath.workprec(300):
         for bv, exact in zip(jet, _g_closed_forms(x)):
             assert abs(exact) <= mpmath.mpf(str(bv.radius))
     with pytest.raises(PoleProximityError):
-        trig._g_jet(x, ctx, 0, (ctx.tolerance, None, ctx.tolerance))
+        trig._g_jet(reduce_point(x, ctx), ctx, 0, (ctx.tolerance, None, ctx.tolerance))
 
 
 def test_the_evaluator_table_stays_bounded():
@@ -364,13 +371,18 @@ def test_ivp_residual_and_initial_data(ctx):
 @pytest.mark.parametrize("tolerance, point", [("1e-12", "0.5+10i"), ("1e-12", "0.5+15i"),
                                               ("1e-12", "0.3+25i"), ("1e-33", "0.5+3i")])
 def test_the_jet_residuals_keep_the_tolerance_contract(tolerance, point):
-    # at 128 bits one ulp of |g(z)| exceeds tolerance/160 here, so the
-    # reciprocal residual raises; ivp_residual takes g at z / 2 pi, far
-    # smaller, and meets the tolerance
+    # the reciprocal residual is one exact combination of the integer g jet,
+    # rounded once, so a large |g| costs no ulp of it; at 0.3+25i the error of
+    # pi^2 times |g| ~ 4e66 alone exceeds the tolerance, and it raises;
+    # ivp_residual takes g at z / 2 pi, far smaller, and meets the tolerance
     ctx = PrecisionContext(128, tolerance)
     z = ctx.point(point)
-    with pytest.raises(ToleranceUnreachableError):
-        reciprocal_ode_residual(z, ctx)
+    if point != "0.3+25i":
+        r = reciprocal_ode_residual(z, ctx)
+        assert r.consistent_with_zero() and r.radius <= ctx.tolerance
+    else:
+        with pytest.raises(ToleranceUnreachableError):
+            reciprocal_ode_residual(z, ctx)
     r = ivp_residual(z, ctx)
     assert r.consistent_with_zero() and r.radius <= ctx.tolerance
 
@@ -379,8 +391,8 @@ def test_the_jet_residuals_catch_a_scaled_second_derivative(ctx, monkeypatch):
     # f'' off by a relative 2^-40 shifts g'' by ~2e-12 at 0.5; the radii stay below 1e-14
     real = trig.fixed_jet
 
-    def skewed_jet(u, sub, targets, r):
-        P, jet = real(u, sub, targets, r)
+    def skewed_jet(u, sub, targets, R=0):
+        P, jet = real(u, sub, targets, R)
         re, im, err = jet[2]
         jet[2] = (re + (re >> 40), im + (im >> 40), err)
         return P, jet
@@ -443,3 +455,69 @@ def test_construction_needs_no_platform_trigonometry():
             assert not re.search(rf"mp\.{fn}\(", source), (module.__name__, fn)
         assert not re.search(r"mp\.pi\b", source), module.__name__
         assert "import math" not in source or module is not eistrig.trig
+
+# -- the integer path from the point to the returned ball --------------------------
+
+
+@pytest.mark.parametrize("precision, tolerance", [(128, "1e-12"), (192, "1e-30"),
+                                                  (400, "1e-100")])
+def test_the_evaluator_constants_hold_pi_at_600_bits(precision, tolerance):
+    # pi^2, pi-hat and (2 pi-hat)^-1 as integer balls at the evaluator's scale
+    ctx = PrecisionContext(precision, tolerance)
+    ev = evaluator(ctx)
+    P = ev.scale
+    with mpmath.workprec(600):
+        pi = +mpmath.pi
+        for (re, im, err), exact in ((ev.pi_sq_fixed, pi ** 2), (ev.pi_fixed, pi),
+                                     (ev.half_inv_pi, 1 / (2 * pi))):
+            assert im == 0
+            radius = mpmath.ldexp(err, -P)
+            assert abs(mpmath.ldexp(re, -P) - exact) <= radius
+            assert radius <= mpmath.ldexp(1, -precision - 126)  # eps 2^-127
+    assert P >= precision + 128
+
+
+@given(st.integers(min_value=-10**6 * 64, max_value=10**6 * 64),
+       st.integers(min_value=-72 * 64, max_value=72 * 64))
+@settings(max_examples=60, deadline=None)
+def test_the_reduced_w_ball_holds_z_over_2_pi(re64, im64):
+    ctx = PrecisionContext()
+    z = ctx.point(complex(re64 / 64, im64 / 64))
+    (ur, ui, W), R = evaluator(ctx).reduced_w(z)
+    assert W == evaluator(ctx).scale and abs(ur) <= 1 << W - 1
+    with mpmath.workprec(600):
+        gap = mpmath.mpmathify(z) / (2 * mpmath.pi) - mpmath.mpc(ur, ui) * mpmath.ldexp(1, -W)
+        assert abs(gap - mpmath.nint(gap.real)) <= mpmath.ldexp(R, -W)
+
+
+@pytest.mark.parametrize("k", [2, -2, 6, -6])
+def test_trig_within_the_guard_of_a_period_multiple(k, ctx, passes):
+    # w = k pi-hat / 2 pi lies within the pole guard of k / 2: sine and g' take
+    # the zero-centred ball 3 (|u| + r_w), cosine 1 - 2 pi^2 g with g's
+    z = k * evaluator(ctx).pi.value.value
+    s, c = sine(z, ctx), cosine(z, ctx)
+    assert s.value == 0 and 0 < s.radius <= ctx.tolerance
+    assert c.value == 1 and 0 < c.radius <= ctx.tolerance
+    assert passes["passes"] == 0
+    with mpmath.workprec(600):
+        zm = mpmath.mpf(z)
+        assert abs(mpmath.sin(zm)) <= s.radius
+        assert abs(mpmath.cos(zm) - 1) <= c.radius
+    with pytest.raises(PoleProximityError):  # g'' has no guard ball
+        ivp_residual(z, ctx)
+
+
+@pytest.mark.parametrize("n", [-3, 7])
+@pytest.mark.parametrize("offset", ["3 ulp", "-3 ulp", "2^-80", "-2^-80"])
+def test_g_next_to_an_integer_holds_g(n, offset, ctx):
+    # 3 ulp off n takes the pole guard's zero-centred ball 1.5 |u|^2, 2^-80 off
+    # it the quotient route
+    guard = offset.endswith("ulp")
+    step = 3 * ctx.eps if guard else ctx.mp.ldexp(1, -80)
+    z = ctx.mp.mpf(n) + (-step if offset.startswith("-") else step)
+    bv = g_eval(z, ctx)
+    assert 0 < bv.radius <= (ctx.mp.mpf("1e-70") if guard else ctx.tolerance)
+    assert bv.value == 0 or not guard
+    with mpmath.workprec(600):
+        exact = (mpmath.sin(mpmath.pi * mpmath.mpf(z)) / mpmath.pi) ** 2
+        assert abs(exact - mpmath.mpf(bv.value)) <= bv.radius

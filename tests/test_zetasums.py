@@ -39,6 +39,25 @@ def test_bernoulli_numbers_match_the_table():
         assert bernoulli_even(two_j) == value
 
 
+def test_the_tables_grow_in_place_and_match_bernoulli(monkeypatch):
+    # a longer ratio table extends the one in use: the same list, its earlier
+    # ratios untouched, each ratio C_(j+1)/C_j within one unit of the exact
+    # Bernoulli quotient; the tangent numbers extend one column at a time
+    from math import factorial
+    from eistrig import zetasums
+    monkeypatch.setattr(zetasums, "_em_ratios", (0, ()))
+    q, table = zetasums._ratios(100, 40)
+    head = list(table)
+    assert zetasums._ratios(100, 70)[1] is table and table[:len(head)] == head
+    assert len(table) >= 70 and q == 128
+    bern = [Fraction(*mpmath.bernfrac(2 * j)) for j in range(72)]  # an independent table
+    for j in range(1, 71):
+        ratio = bern[j + 1] / factorial(2 * j + 2) * factorial(2 * j) / bern[j]
+        assert abs(table[j - 1] - ratio * 2 ** q) < 1
+    T = zetasums._tangents(71)
+    assert all(T[j] == abs(bern[j]) * 4**j * (4**j - 1) / (2 * j) for j in range(1, 72))
+
+
 def test_zeta_even_matches_frozen_values(ctx):
     for m, literal in ((1, ZETA2), (2, ZETA4), (3, ZETA6), (20, ZETA40)):
         bv = zeta_even(m, ctx)

@@ -87,9 +87,12 @@ def main():
     print()
     print("The tail bound shrinks like 1/N, so plain truncation would need")
     print("N ~ 1e12 terms for twelve digits; the evaluation above summed")
-    route, size = pass_size(reduce_point(z, ctx), ctx.mp.mag(ctx.tolerance) - 1)
+    route, pairs, size = pass_size(reduce_point(z, ctx), ctx.mp.mag(ctx.tolerance) - 1)
     if route == "Laurent":
-        print(f"{size} terms of the Laurent series and bounded its tail.")
+        after = f" after {pairs} exact pairs" if pairs else ""
+        print(f"{size} terms of the Laurent series{after} and bounded its tail.")
+    elif route == "strip":
+        print(f"nothing: the Euler-Maclaurin remainder of order {size} bounds it.")
     else:
         print(f"{size} symmetric pairs and added the two Euler-Maclaurin tails.")
 

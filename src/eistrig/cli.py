@@ -95,8 +95,10 @@ def _cmd_eval(args) -> int:
         else:
             bv = cosine(zp, ctx) if name == "cos" else sine(zp, ctx)
             u = evaluator(ctx).reduced_w(zp)[0]
-        route, size = pass_size(u, ctx.mp.mag(ctx.tolerance) - 1)
-        detail = f"{route} route, {'D' if route == 'Laurent' else 'N'} = {size}, {detail}"
+        route, pairs, size = pass_size(u, ctx.mp.mag(ctx.tolerance) - 1)
+        detail = {"Laurent": f"Laurent route, {pairs} exact pairs, D = {size}",
+                  "strip": f"strip remainder, m = {size}",
+                  "lattice": f"lattice route, N = {size}"}[route] + f", {detail}"
     print(f"{name}({args.point}) = {_fmt_value(bv.value, ctx)} +/- {format_real(bv.radius, ctx)}")
     print(f"parameters: {detail}")
     return 0

@@ -9,12 +9,14 @@ consecutive k at one point, each to its own target (all bounds explicit):
    in integers (reduce_point), which enforces bit-exact periodicity.
    Points with both components within 10 ulp of an integer are rejected:
    every bound degenerates there.
-2. Pick the route from the reduced point u alone (_route): the Laurent
-   series where |u| <= rho = 5/8 (_laurent_bound, which bounds |u| from
-   above in integers), else the symmetric sum with two tails.  rho is a
-   constant: every trig point reduces to |u| <= 0.6, and near rho the
-   series needs about twice the terms it needs at |u| = 1/4.
-3. Both routes sum in Python integers at scale 2^-P (fixedpoint), every
+2. Pick the route from u and the targets alone (_route), the first that
+   applies: the strip remainder where |Im u| >= y*(k, e) for every k
+   (_strip_order); the Laurent route of the least i <= 2 with |u| <= rho 2^i,
+   rho = 5/8 (_laurent_bound, which bounds |u| from above in integers); else
+   the lattice route.  rho and the cap i <= 2 are constants: every trig point
+   reduces to |u| <= 0.6, near rho 2^i the series needs about twice the
+   terms it needs at 2^i / 4, and i = 3 is no faster.
+3. The sums run in Python integers at scale 2^-P (fixedpoint), every
    rounding truncating toward zero and counted.  The pass has one entry,
    in integers: the reduced point u as the pair (ur, ui, W), (ur + i ui)
    2^-W, exact for a point given in binary floating point (reduce_point)
@@ -27,26 +29,32 @@ consecutive k at one point, each to its own target (all bounds explicit):
    integer count (_move_charge).  The pass returns P and, per k, the
    integer sum with its error count; each caller rounds a ball to its
    context's precision once (fixedpoint.to_ball).
-4. Laurent route (_laurent_sums):
-      eps_k(u) = u^-k + 2 (-1)^k sum_{j = k mod 2} C(k+j-1, j) zeta(k+j) u^j,
-   D terms by Horner in v = u^2, exact at the scale of the zeta(2m) table
-   (zetasums.zeta_table, one table for every k), times u once for odd k;
-   each step truncates once and counts one unit, and |v| < 1 keeps every
-   error from growing.  The tail, with zeta <= 2, is at most
-   T_J / (1 - r_J) from the first omitted power J on, because the term
-   ratio r_j = (k+j+1)(k+j) |u|^2 / ((j+1)(j+2)) decreases in j;
-   _laurent_terms picks D so that this, in integers, is at most a quarter
-   of the target.
-5. Lattice route (_lattice_sums): u^-k and the pairs (u -/+ n)^-k for
-   n <= N, each an exact power and one truncating division, so the sum errs
-   by less than 2N+1 units per component; N comes from truncation_n for
-   the tightest target: the tails' floor e^(-2 pi |N+1 -/+ u|) lies well
-   below it (N = 0 high in the strip).  The rest is two Euler-Maclaurin
-   tails at the base point N+1,
+4. Laurent route (_laurent_sums), L = 2^i, w = u / L:
+      eps_k(u) = sum_{|n| < L} (u - n)^-k
+                 + L^-k 2 (-1)^k sum_{j = k mod 2} C(k+j-1, j) Z_i(k+j) w^j,
+   Z_i(s) = sum_{n >= L} (L/n)^s (Z_0 = zeta): the pairs by _explicit_sums,
+   then D terms by Horner in v = w^2, exact at the scale of the Z_i(2m)
+   table (zetasums.zeta_table, one table per i for every k), times w once
+   for odd k; w and L^-k are shifts.  Each step truncates once and counts
+   one unit, and |v| < 1 keeps every error from growing.  The tail, with
+   Z_i <= 2L, is at most L^(1-k) T_J / (1 - r_J) from the first omitted
+   power J on, because the term ratio r_j = (k+j+1)(k+j) |w|^2 /
+   ((j+1)(j+2)) decreases in j; _laurent_terms picks D so that this, in
+   integers, is at most a quarter of the target.
+5. Lattice route (_lattice_sums), for |u| > 4 rho below y*: u^-k and the
+   pairs (u -/+ n)^-k for n <= N, each an exact power and one truncating
+   division, so the sum errs by less than 2N+1 units per component; N comes
+   from truncation_n for the tightest target: the tails' floor
+   e^(-2 pi |N+1 -/+ u|) lies well below it.  The rest is two
+   Euler-Maclaurin tails at the base point N+1,
       sum_{n>N} (u+n)^-k + (u-n)^-k = T(u) + (-1)^k T(-u),
    T(c) = sum_{n>N} (n+c)^-k, one zetasums.em_tails call per tail for every
    k at the same scale, each with its DLMF 2.10 bound and its counted
-   rounding.  This route is also the test oracle of the Laurent route.
+   rounding.  This route is also the test oracle of the other two.
+6. Strip remainder (_strip_sums): Euler-Maclaurin over the whole line
+   leaves eps_k(x+iy) = R_m, |R_m| <= 8 |B_2m| / (2m)! (k)_2m |y|^(1-k-2m);
+   from y* on the pass returns the zero ball with that radius at the
+   point's own height, rounded up in units.
 
 eisenstein_k is the one-exponent pass; fixed_jet, the pass for [f, f', f'']
 in integers, holds its balls over a disc about the point (its radius a
@@ -55,8 +63,8 @@ cosec check and the ODE residuals, which form their polynomials from its
 integer balls; f_jet rounds it.  Where f must exclude zero, _resolved_f is
 the one refine-until-nonzero loop: integer passes at ever tighter targets
 that return their integer ball.
-pass_size reports the route and its size (D or N), as eistrig eval prints
-it.  Plain symmetric truncation with its closed-form bound
+pass_size reports the route, its exact pairs and its size (D, m or N), as
+eistrig eval prints them.  Plain symmetric truncation with its closed-form bound
 2 (N-1/2)^(1-k)/(k-1) (symmetric_tail_bound, naive_symmetric_value) is kept
 for convergence tables and tail-validity tests; it shares the explicit sum
 of step 5.
@@ -72,10 +80,11 @@ from typing import Sequence
 
 from .errors import (InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError)
-from .fixedpoint import (ball_mul, cdiv, cpow, floor_abs, fraction_bits, nearest, to_ball,
+from .fixedpoint import (ball_mul, cpow, floor_abs, fraction_bits, nearest, to_ball,
                          to_fixed, to_mp, tshift, units)
 from .precision import TERM_CAP, BoundedValue, PrecisionContext
-from .zetasums import KERNEL_GUARD_BITS, em_tails, zeta_table, zeta_tail
+from .zetasums import (KERNEL_GUARD_BITS, MAX_ORDER, bernoulli_even, em_tails, zeta_table,
+                       zeta_tail)
 
 #: pole guard: reject z within 10 ulp (at working precision) of an integer
 POLE_GUARD_ULPS = 10
@@ -247,8 +256,7 @@ def fixed_jet(u, ctx: PrecisionContext, targets, R: int = 0):
 def _lattice_pass(exponents, u, ctx: PrecisionContext, targets):
     """(P, [(re, im, err)]): eps_k at the reduced point u = (ur, ui, W) for
     consecutive k, each to its target 2^e (e in targets, a binary exponent),
-    (re + i im) 2^-P within err units of 2^-P: the Laurent series where |u| <=
-    rho = 5/8, else one explicit sum and one Euler-Maclaurin call per tail."""
+    (re + i im) 2^-P within err units of 2^-P, by the route _route picks."""
     ur0, ui0, W = u
     # within the guard (10 ulp < 2^-59, as precision >= 64) u truncates to 0 at 2^-32
     if not (tshift(ur0, 32 - W) or tshift(ui0, 32 - W)) and in_pole_guard(u, ctx.precision):
@@ -256,19 +264,21 @@ def _lattice_pass(exponents, u, ctx: PrecisionContext, targets):
         raise PoleProximityError(
             f"the reduced point {mp.nstr(to_mp(*u, mp), 12)} is within the pole guard "
             f"({POLE_GUARD_ULPS} ulp = {mp.nstr(POLE_GUARD_ULPS * ctx.eps, 3)}) of an integer")
-    U, sizes, tails = _route(u, exponents, targets)
-    if U is None and 2 * sizes + 1 > TERM_CAP:
+    route, size, plan = _route(u, exponents, targets)
+    if route == "lattice" and 2 * size + 1 > TERM_CAP:
         raise ToleranceUnreachableError(
-            f"symmetric truncation needs {2 * sizes + 1} terms, above the cap {TERM_CAP}")
+            f"symmetric truncation needs {2 * size + 1} terms, above the cap {TERM_CAP}")
     # the scale: the rounding count far below the tightest target, so e + P >= 27
     F = _fraction_bits(u)
     P = _kernel_scale(u, F, KERNEL_GUARD_BITS + max(0, -1 - min(targets)), exponents[-1])
+    if route == "strip":
+        return P, _strip_sums(exponents, u, P, plan)
     for _ in range(3):
         ur, ui = tshift(ur0, P - W), tshift(ui0, P - W)
-        if U is None:
-            sums = _lattice_sums(exponents, ur, ui, sizes, P, [1 << e + P - 2 for e in targets])
+        if route == "lattice":
+            sums = _lattice_sums(exponents, ur, ui, size, P, [1 << e + P - 2 for e in targets])
         else:
-            sums = _laurent_sums(exponents, ur, ui, P, sizes, tails)
+            sums = _laurent_sums(exponents, ur, ui, P, *plan)
         if sums is not None:
             out = []
             for k, e, (re, im, err) in zip(exponents, targets, sums):
@@ -290,23 +300,39 @@ def _fraction_bits(u) -> int:
     return max(0, W - (low & -low).bit_length() + 1) if low else 0
 
 
-def pass_size(u, e: int) -> tuple[str, int]:
+def pass_size(u, e: int) -> tuple[str, int, int]:
     """The route of a pass for f = eps_2 at the reduced point u to the target
-    2^e, and its size: ("Laurent", D terms of the series) where |u| <= rho,
-    else ("lattice", N symmetric pairs summed explicitly)."""
-    U, size, _ = _route(u, (2,), (e,))
-    return ("lattice", size) if U is None else ("Laurent", size[0])
+    2^e, the pairs it sums exactly and its size: ("Laurent", 2^i - 1, D terms
+    of the series), ("strip", 0, the order m) or ("lattice", N, N)."""
+    route, size, plan = _route(u, (2,), (e,))
+    if route == "Laurent":
+        return route, (1 << plan[0]) - 1, size
+    return route, 0 if route == "strip" else size, size
 
 
 def _route(u, exponents, targets):
-    """(U, sizes, tails): where |u| <= rho, the Laurent route's bound U of
-    _laurent_bound, its terms per exponent and the tail bounds 2^(e-2) for the
-    targets 2^e; beyond rho (None, N, None) for the lattice route."""
-    U = _laurent_bound(u)
-    if U is None:
-        return None, truncation_n(u, min(targets)), None
-    tails = [e - 2 for e in targets]
-    return U, [_laurent_terms(k, U, e) for k, e in zip(exponents, tails)], tails
+    """(route, size, plan), from u and the targets 2^e alone:
+    ("strip", m, orders) where |Im u| >= y*(k, e) (_strip_order) for every k;
+    else ("Laurent", D, (i, degrees, tails)) where |u| <= rho 2^i (the least i
+    <= 2, _laurent_bound), with the terms per exponent that bring the tail
+    below 2^(e-2), and those bounds; else ("lattice", N, None), N pairs and
+    two Euler-Maclaurin tails.  The strip test is skipped at once where
+    e^(-2 pi |Im u|) is above 2^(e+8) for some target: |eps_k|, about
+    (2 pi)^k e^(-2 pi |Im u|), and so its bound are above 2^e there."""
+    ur, ui, W = u
+    if ui and all(9.07 * to_float(ui, W) + 8 > -e for e in targets):
+        orders = [_strip_order(k, e) for k, e in zip(exponents, targets)]
+        y, S = _height(ui, W)
+        if None not in orders and tshift(y, 8 - S) >= max(Y for Y, *_ in orders):
+            return "strip", orders[0][1], orders
+    bound = _laurent_bound(u)
+    if bound is None:
+        return "lattice", truncation_n(u, min(targets)), None
+    i, U = bound
+    # Z_i(s) <= 1 + L/(s-1) <= 2 L, and the factor L^-k: the series needs 2^((k-1) i) less
+    tails = [e - 2 + (k - 1) * i for k, e in zip(exponents, targets)]
+    degrees = [_laurent_terms(k, U, e) for k, e in zip(exponents, tails)]
+    return "Laurent", degrees[0], (i, degrees, tails)
 
 
 def _lattice_sums(exponents, ur: int, ui: int, N: int, P: int, limits):
@@ -326,20 +352,85 @@ def _lattice_sums(exponents, ur: int, ui: int, N: int, P: int, limits):
     return out
 
 
-#: the Laurent route's radius rho = 5/8 at scale 2^-32: it serves |u| <= rho
+@functools.lru_cache(maxsize=256)
+def _strip_order(k: int, e: int):
+    """(Y, m, num, den): the least height y* = Y 2^-8 at which the strip
+    remainder of order m, num y^(1-k-2m) / den, is at most 2^e, m the order
+    (at most MAX_ORDER) that minimises that height, found in floats and
+    checked in integers; None above 2^40.
+
+    Euler-Maclaurin (DLMF 2.10.1) over the whole line for F(t) = (u - t)^-k,
+    k >= 2, leaves eps_k(x + iy) = R_m: the boundary terms vanish, and so does
+    the integral of F.  With |B~_2m(t) - B_2m| <= 2 |B_2m| and the integral of
+    |u - t|^(-k-2m) at most pi |y|^(1-k-2m) ((1 + s^2)^-a <= (1 + s^2)^-1),
+    |eps_k| <= 8 |C_m| (k)_2m |y|^(1-k-2m), C_m = B_2m / (2m)!, B_2m exact
+    from the tangent numbers (zetasums.bernoulli_even): num / den is that
+    coefficient in lowest terms.
+    """
+    # log2 of the height where order m reaches 2^e, |C_m| ~ 2 / (2 pi)^2m
+    best = None
+    for m in range(1, MAX_ORDER + 1):
+        n = k + 2 * m - 1
+        size = 4 - 2 * m * math.log2(2 * math.pi) + (math.lgamma(n + 1) - math.lgamma(k)) / math.log(2)
+        height = (size - e) / n
+        if best is not None and height > best[0]:
+            break
+        best = height, m
+    if best[0] > 40:  # a target no pass at a sane scale asks for
+        return None
+    m = best[1]
+    n = k + 2 * m - 1
+    c = 8 * abs(bernoulli_even(2 * m)) * math.perm(n, 2 * m) / math.factorial(2 * m)
+    num, den = c.numerator, c.denominator
+    Y = max(1, int(2 ** (best[0] + 8)) - 1)
+    # num (Y 2^-8)^-n <= 2^e, in integers
+    while num << max(0, 8 * n - e) > den * Y**n << max(0, e - 8 * n):
+        Y += 1
+    return Y, m, num, den
+
+
+def _height(ui: int, W: int):
+    """(y, S): |ui| 2^-W >= y 2^-S, y its 32 leading bits."""
+    shift = max(0, abs(ui).bit_length() - 32)
+    return abs(ui) >> shift, W - shift
+
+
+def _strip_sums(exponents, u, P: int, orders):
+    """[(0, 0, err)] for eps_k at u, one per k: the zero ball whose radius is
+    the strip remainder num |Im u|^(1-k-2m) / den of _strip_order, at a lower
+    bound of |Im u| of 32 bits, rounded up to units of 2^-P."""
+    y, S = _height(u[1], u[2])
+    out = []
+    for k, (_, m, num, den) in zip(exponents, orders):
+        n = k + 2 * m - 1
+        x, den = P + S * n, den * y**n
+        out.append((0, 0, -(-(num << max(0, x)) // (den << max(0, -x)))))
+    return out
+
+
+#: the Laurent route's radius rho = 5/8 at scale 2^-32: it serves |u| <= rho 2^i
 _LAURENT_RADIUS = 5 << 29
+
+#: i <= _MAX_SHIFT: a route with i = 3 ran no faster at 192 bits, and it
+#: would add a fourth table with a longer head to build
+_MAX_SHIFT = 2
 
 
 def _laurent_bound(u):
-    """U >= |u| 2^32, also >= |u truncated at 2^-P| 2^32 for every P, when that
-    is at most rho = 5/8: the Laurent route's selection; None beyond rho."""
+    """(i, U) for the least i <= _MAX_SHIFT with |u| <= rho 2^i, rho = 5/8,
+    and U >= |u / 2^i| 2^32, also >= |u truncated at 2^-P| 2^(32-i) for every
+    P, with U at most rho 2^32: the Laurent route's selection; None beyond."""
     ur, ui, W = u
     ur, ui = tshift(ur, 32 - W), tshift(ui, 32 - W)
     ur, ui = abs(ur) + 1, abs(ui) + 1
-    if ur > _LAURENT_RADIUS or ui > _LAURENT_RADIUS:
+    top = _LAURENT_RADIUS << _MAX_SHIFT
+    if ur > top or ui > top:
         return None
     U = isqrt(ur * ur + ui * ui) + 1
-    return U if U <= _LAURENT_RADIUS else None
+    for i in range(_MAX_SHIFT + 1):
+        if U <= _LAURENT_RADIUS << i:
+            return i, -(-U >> i)
+    return None
 
 
 def _laurent_terms(k: int, U: int, e: int) -> int:
@@ -374,26 +465,30 @@ def _rho_terms(k: int, e: int) -> int:
     return _laurent_terms(k, _LAURENT_RADIUS, e)
 
 
-def _laurent_sums(exponents, ur: int, ui: int, P: int, degrees, tails):
+def _laurent_sums(exponents, ur: int, ui: int, P: int, i: int, degrees, tails):
     """[(re, im, err)] for eps_k at u = (ur + i ui) 2^-P, one per k, from
-      eps_k(u) = u^-k + 2 (-1)^k sum_{j = k mod 2} C(k+j-1, j) zeta(k+j) u^j:
-    degrees[i] terms of the sum S by Horner in v = u^2 (exact at 2^-2P) at the
-    scale 2^-Q of zetasums.zeta_table, each coefficient the exact product
-    C zeta, then 2 S (times -u for odd k) truncated to 2^-P, and the tail bound
-    2^tails[i].  Each Horner step truncates toward zero once and adds one unit
-    of 2^-Q; with |v| < 1 every error reaches S at most once.  Table entries
-    within e units of 2^-Q add to S at most e sum_j C(k+j-1, j) rho^(j - k mod 2)
-    <= e (1 - rho)^-k = e (8/3)^k units (the sum over even or odd j of the
-    series of (1 - x)^-k, over x for odd k, increases with x)."""
-    # the table is asked for what any point within rho needs: its size then
+      eps_k(u) = sum_{|n| < L} (u - n)^-k
+                 + L^-k 2 (-1)^k sum_{j = k mod 2} C(k+j-1, j) Z_i(k+j) w^j,
+    L = 2^i, w = u / L (the same integers at scale 2^-(P+i)), |w| <= rho: the
+    pairs by _explicit_sums; degrees[i] terms of the sum S by Horner in v = w^2
+    (exact at 2^-2(P+i)) at the scale 2^-Q of zetasums.zeta_table, each
+    coefficient the exact product C Z_i, then 2 S L^-k (times -w for odd k)
+    truncated to 2^-P, and the tail bound 2^tails[i] L^(1-k).  Each Horner step
+    truncates toward zero once and adds one unit of 2^-Q; with |v| < 1 every
+    error reaches S at most once.  Table entries within e units of 2^-Q add to
+    S at most e sum_j C(k+j-1, j) rho^(j - k mod 2) <= e (1 - rho)^-k = e
+    (8/3)^k units (the sum over even or odd j of the series of (1 - x)^-k,
+    over x for odd k, increases with x)."""
+    # the table is asked for what any point within rho 2^i needs: its size then
     # depends on the scales and targets alone, never on the points
     q, zetas, zerr = zeta_table(P, max((k + 1) // 2 + _rho_terms(k, e) - 1
-                                       for k, e in zip(exponents, tails)))
-    d, shift = q - P, 2 * P
+                                       for k, e in zip(exponents, tails)), i)
+    d, shift = q - P, 2 * (P + i)
     vr, vi = ur * ur - ui * ui, 2 * ur * ui
     ec = 2 if ui else 1
     out = []
-    for k, D, e in zip(exponents, degrees, tails):
+    for k, D, e, (hr, hi, herr) in zip(exponents, degrees, tails,
+                                       _explicit_sums(exponents, ur, ui, (1 << i) - 1, P)):
         sr = si = 0
         terms = range(k % 2 + 2 * D - 2, -1, -2)
         if ui:
@@ -405,13 +500,13 @@ def _laurent_sums(exponents, ur: int, ui: int, P: int, degrees, tails):
         else:  # every term is positive
             for j in terms:
                 sr = (sr * vr >> shift) + comb(k + j - 1, j) * zetas[(k + j) // 2 - 1]
-        # 2 S within 2 (D ec + zerr (8/3)^k) units of 2^-Q, one more truncation
-        err = -(-(2 * D * ec * 3**k + 2 * zerr * 8**k) // (3**k << d)) + 2 * ec + (1 << P + e)
-        if k % 2:  # -2 S u at 2^-(Q+P)
-            xr, xi, s = -2 * (sr * ur - si * ui), -2 * (sr * ui + si * ur), q
+        # 2 S L^-k within 2 (D ec + zerr (8/3)^k) L^-k units of 2^-Q, one more truncation
+        err = (-(-(2 * D * ec * 3**k + 2 * zerr * 8**k) // (3**k << d + k * i)) + ec + herr
+               + (1 << P + e - (k - 1) * i))
+        if k % 2:  # -2 S w L^-k at 2^-(Q+P+i+ki)
+            xr, xi, s = -2 * (sr * ur - si * ui), -2 * (sr * ui + si * ur), q + i + k * i
         else:
-            xr, xi, s = 2 * sr, 2 * si, d
-        hr, hi = cdiv(1, 0, *cpow(ur, ui, k), P * (k + 1))
+            xr, xi, s = 2 * sr, 2 * si, d + k * i
         out.append(((xr >> s if xr >= 0 else -(-xr >> s)) + hr,
                     (xi >> s if xi >= 0 else -(-xi >> s)) + hi, err))
     return out

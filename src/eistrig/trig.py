@@ -140,16 +140,14 @@ def _g_jet(u, work: PrecisionContext, R: int, tols, rounded: bool = False):
     mp, n, prec = work.mp, len(tols), work.precision
     ur, ui, W = u
 
+    def charged(re, im, err):
+        if rounded:  # the allowance of to_ball, then the radius rounded up
+            err -= -(abs(re) + abs(im)) >> prec - 1
+            err -= -err >> prec - 1
+        return err
+
     def fits(jet):
-        for (re, im, err), t in zip(jet, tols):
-            if t is None:
-                continue
-            if rounded:  # the allowance of to_ball, then the radius rounded up
-                err -= -(abs(re) + abs(im)) >> prec - 1
-                err -= -err >> prec - 1
-            if err > units(t, Q):
-                return False
-        return True
+        return all(t is None or charged(*b) <= units(t, Q) for b, t in zip(jet, tols))
 
     if in_pole_guard(u, prec, R):
         if n > 2:
@@ -196,7 +194,7 @@ def _g_jet(u, work: PrecisionContext, R: int, tols, rounded: bool = False):
                 return Q, jet
             bounds[0] = (floor_abs(*f[:2]) - f[2]).bit_length() - 1 - S
             bounds[1:n] = [(abs(re) + abs(im) + err).bit_length() - S for re, im, err in fd]
-    radii = (mp.nstr(to_mp(err, 0, Q, mp), 3) for _, _, err in jet)
+    radii = (mp.nstr(to_mp(charged(*b), 0, Q, mp), 3) for b in jet)
     raise ToleranceUnreachableError(
         f"the g jet at {mp.nstr(to_mp(*u, mp), 8)} keeps radii {', '.join(radii)} "
         f"at {work.precision} bits, above tolerances "

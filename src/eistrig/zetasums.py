@@ -12,15 +12,16 @@ Three layers, all exact or with explicit bounds:
   lattice route calls it at b = N+1 +- u, and zeta_tail(s, N, target) at
   b = N+1, moving the base point up with head terms summed at the same
   scale, one counted truncation each.
-* zeta_table(P, count): zeta(2m), m = 1..count, for the Laurent route of
-  the lattice pass: one table beside the ratio table, at the highest scale
+* zeta_table(P, count, i): Z_i(2m) = sum_{n>=L} (L/n)^2m, L = 2^i, i <= 2,
+  m = 1..count (Z_0 = zeta), for the Laurent routes of the lattice pass:
+  one builder, one table per i beside the ratio table, at the highest scale
   Q asked for so far (a multiple of 64), grown by degree and shared by every
-  exponent.  Each growth sums one head n < a, a ~ (Q+8) ln 2 / 2 pi + 2, so
-  that the Euler-Maclaurin floor near e^(-2 pi a) is below 2^-(Q+8), and
-  makes one multi-exponent em_tails call at a for the s whose tail
-  a^-s (1 + a/(s-1)) is above one unit; below it that bound is the tail.
-  It never calls zeta_tail once per m, whose base point would climb 16 terms
-  at a time.
+  exponent.  Each growth sums one head n = L..a-1 and makes one
+  multi-exponent em_tails call at a (_base_point: about 2 L (Q+8) ln 2 /
+  2 pi, so that the call ends within MAX_ORDER orders on its first try) for
+  the s whose tail L^s a^-s (1 + a/(s-1)) is above one unit, at the scale
+  where L^s is a shift; below it that bound is the tail.  It never calls
+  zeta_tail once per m, whose base point would climb 16 terms at a time.
 
 zeta_even(m, ctx) is the tail beyond N = 0, i.e. zeta(2m), checked against
 the context tolerance; coeff_a(d, ctx), a_d = 2(2d+1) zeta(2d+2), is its
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import inf, isqrt
+from math import ceil, inf, isqrt, lgamma, log, pi
 
 from .errors import ToleranceUnreachableError
 from .fixedpoint import cdiv, cmul, cpow, tdiv, to_ball, units
@@ -201,64 +202,79 @@ def zeta_tail(s: int, N: int, target):
     return P, head + re, err + bound + a - N - 1
 
 
-# (Q, values, err): values[m-1] = zeta(2m) at scale 2^-Q for m = 1..len(values),
-# each within err units; one table at the highest scale asked for so far, Q a
-# multiple of 64, grown by degree and rebuilt, with its count, when a caller
-# needs more bits (concurrent growth only duplicates work)
-_zeta_table: tuple = (0, (), 0)
+# _zeta_tables[i] = (Q, values, err): values[m-1] = Z_i(2m) at scale 2^-Q for
+# m = 1..len(values), each within err units; per i one table at the highest
+# scale asked for so far, Q a multiple of 64, grown by degree and rebuilt, with
+# its count, when a caller needs more bits (concurrent growth only duplicates work)
+_zeta_tables: list = [(0, (), 0)] * 3
 
-#: ln 2 / 2 pi: the base point a = (Q + 8) _LN2_2PI + 2 puts the
-#: Euler-Maclaurin floor e^(-2 pi a) below 2^-(Q+8)
+#: ln 2 / 2 pi: a0 = (Q + 8) _LN2_2PI + 2 puts the Euler-Maclaurin floor
+#: e^(-2 pi a0) below 2^-(Q+8)
 _LN2_2PI = 0.11031780007
 
 
-def zeta_table(P: int, count: int) -> tuple:
-    """(Q, values, err) with Q >= P and values[m-1] = zeta(2m) 2^Q within err
-    units for m = 1..count at least: the coefficients of the Laurent route."""
-    global _zeta_table
-    q, values, err = _zeta_table
+def zeta_table(P: int, count: int, i: int) -> tuple:
+    """(Q, values, err) with Q >= P and values[m-1] = Z_i(2m) 2^Q within err
+    units for m = 1..count at least, Z_i(s) = sum_{n>=L} (L/n)^s, L = 2^i
+    (Z_0 = zeta): the coefficients of the Laurent routes."""
+    q, values, err = _zeta_tables[i]
     if q < P or len(values) < count:
         if q < P:
             count, q, values, err = max(count, len(values)), -(-P // 64) * 64, (), 0
-        more, e = _zeta_values(q, len(values) + 1, count)
-        _zeta_table = (q, values + more, max(err, e))
-    return _zeta_table
+        more, e = _zeta_values(q, len(values) + 1, count, i)
+        _zeta_tables[i] = (q, values + more, max(err, e))
+    return _zeta_tables[i]
 
 
-def _zeta_values(q: int, first: int, last: int) -> tuple:
-    """(values, err): zeta(2m) at scale 2^-q for m = first..last, each within err
-    units, from one head sum n < a and one em_tails call at the base point a
-    for the s = 2m whose tail a^-s (1 + a/(s-1)) is above one unit (each to 64
-    units); below it that bound is the whole tail.  Each head term n >= 2
-    truncates once; a moves up by 8 if em_tails meets its floor."""
+def _base_point(q: int, i: int) -> int:
+    """a for the Z_i table at scale 2^-q: 2^i times twice the a0 whose floor
+    e^(-2 pi a0) is below 2^-(q+8), where em_tails reaches 2^-(q+8) in about
+    0.6 a orders; and far enough that the s = 2 term of order J = MAX_ORDER -
+    40, about (2J)! / (2 pi a)^(2J), is below 2^-(q+2i+8) (the larger a above
+    850 bits or so): em_tails then ends on its first call."""
+    J = MAX_ORDER - 40
+    return max(2 * int((q + 8) * _LN2_2PI) + 4 << i,
+               ceil(2 ** ((lgamma(2 * J + 1) / log(2) + q + 2 * i + 8) / (2 * J)) / (2 * pi)))
+
+
+def _zeta_values(q: int, first: int, last: int, i: int) -> tuple:
+    """(values, err): Z_i(s) at scale 2^-q for s = 2 first..2 last, each within
+    err units, from one head n = L..a-1 and one em_tails call at the base point
+    a = _base_point(q, i) for the s whose tail L^s a^-s (1 + a/(s-1)) is above
+    one unit; below it that bound is the whole tail.
+
+    The head term n = L is 1.  For n > L the first term (L/n)^s takes one
+    truncating division and each next (L/n)^(s+2) one more, of the last by
+    (n/L)^2; an error e becomes at most e (L/n)^2 + 1, below 1/(1 - (4/5)^2) <
+    3 for L <= 4.  The tails are summed at the scale 2^-(q + i s_max), s_max
+    the largest such s, where L^s T_s(a) is a shift; each to 64 units of
+    2^-q, one more truncation."""
+    L, a = 1 << i, _base_point(q, i)
     exponents = range(2 * first, 2 * last + 1, 2)
-    a = int((q + 8) * _LN2_2PI) + 2
-    while True:
-        tails = {s: -(-((s - 1 + a) << q) // ((s - 1) * a**s)) for s in exponents}
-        far = [s for s in exponents if tails[s] > 1]
-        got = em_tails(far, a << q, 0, q, (64,) * len(far)) if far else []
-        if got is not None:
-            break
-        a += 8
-    summed = dict(zip(far, got))
-    values, err = [], 0
+    sums = dict.fromkeys(exponents, 1 << q)
+    for n in range(L + 1, a):
+        n2, t = n * n, (1 << q + exponents[0] * i) // n ** exponents[0]
+        for s in exponents:
+            if not t:
+                break
+            sums[s] += t
+            t = (t << 2 * i) // n2
+    far = []  # the s whose tail bound is above one unit; it decreases in s
     for s in exponents:
-        re, _, e, bound, _ = summed.get(s, (0, 0, 0, tails[s], 0))
-        values.append(_head(s, a, q) + re)
-        err = max(err, e + bound + a - 2)
-    return tuple(values), err
-
-
-def _head(s: int, a: int, q: int) -> int:
-    """sum_{n<a} n^-s at scale 2^-q, each term n >= 2 truncated (to zero from
-    the first n^s above 2^q on)."""
-    one, total = 1 << q, 1 << q
-    for n in range(2, a):
-        power = n**s
-        if power > one:
+        bound = -(-((s - 1 + a) << q + s * i) // ((s - 1) * a**s))
+        if bound <= 1:
             break
-        total += one // power
-    return total
+        far.append(s)
+    top = far[-1] * i if far else 0
+    got = em_tails(far, a << q + top, 0, q + top, [64 << top - s * i for s in far]) if far else []
+    if got is None:  # not reached: _base_point leaves em_tails room
+        raise ToleranceUnreachableError(f"the Z_{i} table at 2^-{q} met the Euler-Maclaurin floor")
+    err, head = 1, 3 * (a - L - 1)
+    for s, (re, _, e, bound, _) in zip(far, got):
+        drop = top - s * i
+        sums[s] += re >> drop
+        err = max(err, -(-(e + bound) >> drop) + 1)
+    return tuple(sums.values()), err + head
 
 
 # -- even zeta values ----------------------------------------------------------

@@ -26,7 +26,7 @@ def test_eval_f_prints_value_radius_and_parameters():
     proc = run_cli("eval", "f", "0.5")
     assert proc.returncode == 0
     assert proc.stdout.startswith("f(0.5) = 9.869604401089")
-    assert "Laurent route, D = 26" in proc.stdout and "precision = 128 bits" in proc.stdout
+    assert "Laurent route, 0 exact pairs, D = 26" in proc.stdout and "precision = 128 bits" in proc.stdout
     # printed center must sit within the printed radius of pi^2, radius <= 1e-12
     import mpmath
     with mpmath.workdps(50):
@@ -99,34 +99,59 @@ def test_eval_zeta_four_prints_a_ball_around_zeta_four():
         assert abs(mpmath.mpf(value_text) - zeta4) <= radius
 
 
-@pytest.mark.parametrize("point", ["0.3", "0.5+40i"])
-def test_eval_prints_the_truncation_the_lattice_sum_uses(point, capsys, monkeypatch):
+@pytest.mark.parametrize("point, expected", [
+    pytest.param(point, expected, id=point) for point, expected in (
+        ("0.3", "Laurent route, 0 exact pairs"), ("0.3+1.8i", "Laurent route, 3 exact pairs"),
+        ("0.3+4i", "lattice route"), ("0.5+40i", "strip remainder"))])
+def test_eval_prints_the_truncation_the_lattice_sum_uses(point, expected, capsys, monkeypatch):
     # the printed route and size are the ones the pass ran with
     from eistrig import PrecisionContext, lattice
     from eistrig.lattice import pass_size, reduce_point
     ran = []
-    real_laurent, real_lattice = lattice._laurent_sums, lattice._lattice_sums
+    real_laurent, real_lattice, real_strip = (lattice._laurent_sums, lattice._lattice_sums,
+                                              lattice._strip_sums)
 
-    def laurent(exponents, ur, ui, P, degrees, tails):
-        ran.append(("Laurent", degrees[0]))
-        return real_laurent(exponents, ur, ui, P, degrees, tails)
+    def laurent(exponents, ur, ui, P, i, degrees, tails):
+        ran.append(("Laurent", (1 << i) - 1, degrees[0]))
+        return real_laurent(exponents, ur, ui, P, i, degrees, tails)
 
     def lattice_sums(exponents, ur, ui, N, P, limits):
-        ran.append(("lattice", N))
+        ran.append(("lattice", N, N))
         return real_lattice(exponents, ur, ui, N, P, limits)
+
+    def strip(exponents, u, P, orders):
+        ran.append(("strip", 0, orders[0][1]))
+        return real_strip(exponents, u, P, orders)
 
     monkeypatch.setattr(lattice, "_laurent_sums", laurent)
     monkeypatch.setattr(lattice, "_lattice_sums", lattice_sums)
+    monkeypatch.setattr(lattice, "_strip_sums", strip)
     assert main(["eval", "f", point]) == 0
     ctx = PrecisionContext()
-    route, size = pass_size(reduce_point(point, ctx), ctx.mp.mag(ctx.tolerance) - 1)
-    assert ran == [(route, size)]
-    label = "D" if route == "Laurent" else "N"
-    assert f"parameters: {route} route, {label} = {size}," in capsys.readouterr().out
-    if point == "0.5+40i":  # high in the strip the tails alone reach the tolerance
-        assert (route, size) == ("lattice", 0)
-    else:
-        assert route == "Laurent"
+    route, pairs, size = pass_size(reduce_point(point, ctx), ctx.mp.mag(ctx.tolerance) - 1)
+    assert ran == [(route, pairs, size)]
+    out = capsys.readouterr().out
+    assert f"parameters: {expected}" in out
+    label = {"Laurent": "D", "strip": "m", "lattice": "N"}[route]
+    assert f"{label} = {size}," in out
+
+
+def test_eval_f_far_up_the_strip_returns_the_zero_ball():
+    # the strip remainder bounds f at 1e400i far below any tolerance
+    proc = run_cli("eval", "f", "0.5+1e400i")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("f(0.5+1e400i) = 0.0 +/- ")
+    assert "strip remainder" in proc.stdout
+
+
+def test_eval_g_names_the_radius_it_compared():
+    # |g| ~ 1.4e31 at 0.5+12i: one ulp at 128 bits exceeds the tolerance, and
+    # the message prints the radius with that rounding allowance
+    import mpmath
+    proc = run_cli("eval", "g", "0.5+12i")
+    assert proc.returncode == 5
+    radius = proc.stderr.split("keeps radii ")[1].split(" at ")[0]
+    assert mpmath.mpf(radius) > mpmath.mpf("1e-12")
 
 
 def test_expand_outputs_are_byte_exact():

@@ -173,6 +173,34 @@ def test_strip_decay_reaches_extreme_heights(ctx):
     assert rep.f_magnitude.lower() > 0  # resolved, not just bounded
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("e", [-41, -101])
+def test_the_strip_remainder_is_within_a_thousand_of_eps(k, e):
+    # 8 |C_m| (k)_2m y^(1-k-2m), C_m = B_2m / (2m)!, at its best order m holds
+    # |eps_k(x+iy)| from above and stays within 10^3 of it for y* <= y <= 4 y*;
+    # the cached order's coefficient is that formula, and it meets 2^e at y*
+    import math
+    from eistrig.zetasums import bernoulli_even
+    Y, order, num, den = lattice._strip_order(k, e)
+
+    def coefficient(m):
+        return (8 * abs(bernoulli_even(2 * m)) / math.factorial(2 * m)
+                * math.perm(k + 2 * m - 1, 2 * m))
+
+    assert Fraction(num, den) == coefficient(order)
+    assert coefficient(order) * Fraction(256, Y) ** (k + 2 * order - 1) <= Fraction(2) ** e
+    for t in (1, 2, 3, 4):
+        y = Fraction(Y * t, 256)
+        bound = min(coefficient(m) / y ** (k + 2 * m - 1) for m in range(1, 4 * int(y) + 2))
+        with mpmath.workprec(320):
+            bound = mpmath.mpf(bound.numerator) / bound.denominator
+            for x in (0, Fraction(3, 10), Fraction(1, 2)):
+                z = mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator if x else 0,
+                               mpmath.mpf(y.numerator) / y.denominator)
+                exact = abs(lattice_closed_form(k, z))
+                assert exact <= bound <= 1000 * exact
+
+
 def test_strip_decay_validates_inputs(ctx):
     with pytest.raises(ValueError):
         strip_decay((0.5,), Fraction(1, 2), ctx)  # height below 1
@@ -264,8 +292,9 @@ def test_module_tables_do_not_grow_with_the_number_of_points():
     # decay at rising heights, where |f| falls below the tolerance and each
     # height from the third on takes a new target and kernel scale (78 of
     # them) but opens no new working precision, once per 100 points; the
-    # points within rho of an integer take the Laurent route and its zeta
-    # table, whose size depends on the scales and targets alone
+    # points within 4 rho of an integer take the Laurent routes and their
+    # Z_0, Z_1 and Z_2 tables, whose sizes depend on the scales and targets
+    # alone, and the strip remainder caches one order per exponent and target
     import random
     from eistrig import precision
     rng = random.Random(7)
@@ -282,10 +311,12 @@ def test_module_tables_do_not_grow_with_the_number_of_points():
 
     misses = contexts().misses
     evaluate(100)
-    after_100 = _table_sizes(), lattice._rho_terms.cache_info().currsize
-    assert after_100[0]["eistrig.zetasums._zeta_table"] > 3
+    caches = (lattice._rho_terms, lattice._strip_order)
+    after_100 = _table_sizes(), [c.cache_info().currsize for c in caches]
+    from eistrig import zetasums
+    assert all(len(values) > 3 for _, values, _ in zetasums._zeta_tables)
     evaluate(200)
-    assert (_table_sizes(), lattice._rho_terms.cache_info().currsize) == after_100
+    assert (_table_sizes(), [c.cache_info().currsize for c in caches]) == after_100
     assert contexts().misses == misses
 
 
@@ -314,7 +345,7 @@ def test_widening_refuses_a_disc_that_reaches_an_integer(ctx):
 
 
 def test_the_ratio_table_is_rebuilt_once_per_64_bits_of_scale(monkeypatch):
-    # 100 jets beyond rho (the lattice route) at ever tighter targets: the
+    # 100 jets beyond 4 rho (the lattice route) at ever tighter targets: the
     # Euler-Maclaurin ratio table, emptied first, is rebuilt only when the
     # kernel scale passes its own
     from eistrig import lattice, zetasums
@@ -335,7 +366,7 @@ def test_the_ratio_table_is_rebuilt_once_per_64_bits_of_scale(monkeypatch):
     monkeypatch.setattr(zetasums, "_ratios", ratios)
     monkeypatch.setattr(lattice, "em_tails", tails)
     ctx = PrecisionContext(192, "1e-30")
-    z = ctx.point("3.3+0.6i")
+    z = ctx.point("3.3+3.5i")
     for j in range(4, 104):
         f_jet(z, ctx, (ctx.mp.ldexp(ctx.tolerance, -3 * j),))
     assert len(scales) >= 200
@@ -347,13 +378,14 @@ def test_the_zeta_table_is_rebuilt_once_per_64_bits_of_scale(monkeypatch):
     # table, emptied first, takes a new scale only when the kernel scale
     # passes its own
     from eistrig import lattice, zetasums
-    monkeypatch.setattr(zetasums, "_zeta_table", (0, (), 0))
+    monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
     scales, table_scales = [], []
     real = lattice.zeta_table
 
-    def table(P, count):
+    def table(P, count, i):
+        assert i == 0
         scales.append(P)
-        got = real(P, count)
+        got = real(P, count, i)
         table_scales.append(got[0])
         return got
 
@@ -367,23 +399,20 @@ def test_the_zeta_table_is_rebuilt_once_per_64_bits_of_scale(monkeypatch):
 
 
 @pytest.mark.parametrize("point", ["0.3+1e-3000i", "1e-3000+0.7i", "-0.41-1e-400i",
-                                   "1e-400-0.9i"])
+                                   "1e-400-0.9i", "1e-3000+2.7i", "1e-400-2.9i"])
 def test_a_tiny_part_of_the_point_does_not_set_the_kernel_scale(point, ctx, monkeypatch):
     # u exact would take 10^4 bits; the kernel moves it by 2^-P and charges
-    # that, on either route (beyond rho only with a tiny real part)
+    # that, on the Laurent routes (i = 0 and 1) and on the lattice route
+    # (beyond 4 rho only with a tiny real part); both
+    # sum their nearest terms with _explicit_sums, as does the naive sum
     from eistrig import lattice
-    scales, real_sums, real_laurent = [], lattice._explicit_sums, lattice._laurent_sums
+    scales, real_sums = [], lattice._explicit_sums
 
     def sums(exponents, ur, ui, N, P):
         scales.append(P)
         return real_sums(exponents, ur, ui, N, P)
 
-    def laurent(exponents, ur, ui, P, degrees, tails):
-        scales.append(P)
-        return real_laurent(exponents, ur, ui, P, degrees, tails)
-
     monkeypatch.setattr(lattice, "_explicit_sums", sums)
-    monkeypatch.setattr(lattice, "_laurent_sums", laurent)
     z = ctx.point(point)
     for k in (2, 3, 4):
         balls = eisenstein_k(k, z, ctx), naive_symmetric_value(k, z, 8, ctx)

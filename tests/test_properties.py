@@ -109,21 +109,83 @@ def test_the_jet_check_catches_a_dropped_euler_maclaurin_term(monkeypatch):
     monkeypatch.setattr(lattice, "em_tails", short_s3_tails)
     for precision, tolerance in CONTEXTS:
         ctx = PrecisionContext(precision, tolerance)
-        assert jet_misses(ctx, ctx.point("0.45+0.5i")) == [1]  # |u| > rho: the lattice route
+        assert jet_misses(ctx, ctx.point("0.45+2.6i")) == [1]  # |u| > 4 rho: the lattice route
 
 
 def test_the_jet_check_catches_a_dropped_zeta_coefficient(monkeypatch):
     # the Laurent route's zeta(2) entry 2^-40 too large: only f uses it
     real = lattice.zeta_table
 
-    def skewed_table(P, count):
-        q, values, err = real(P, count)
+    def skewed_table(P, count, i):
+        assert i == 0
+        q, values, err = real(P, count, i)
         return q, (values[0] + (values[0] >> 40),) + values[1:], err
 
     monkeypatch.setattr(lattice, "zeta_table", skewed_table)
     for precision, tolerance in CONTEXTS:
         ctx = PrecisionContext(precision, tolerance)
         assert jet_misses(ctx, ctx.point("0.3+0.1i")) == [0]
+
+
+def assert_ball_holds_the_closed_form(k, z, ctx):
+    bv = eisenstein_k(k, z, ctx)
+    assert bv.radius <= ctx.tolerance
+    with mpmath.workprec(2 * ctx.precision + 64):
+        exact = lattice_closed_form(k, mpmath.mpmathify(z))
+        assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius
+
+
+@pytest.mark.parametrize("precision, tolerance", CONTEXTS)
+@given(st.sampled_from([2, 3, 4]), dyadic(-0.5, 0.5), st.sampled_from([0, 1, 2]),
+       st.sampled_from([-1, 1]))
+def test_balls_at_the_laurent_band_edges_contain_the_closed_form(precision, tolerance, k, x,
+                                                                  i, side):
+    # |u| = (5/8) 2^i -/+ 2^-40, where a pass takes the Laurent route of i or
+    # the next route out
+    with mpmath.workprec(256):
+        r = mpmath.ldexp(5, i - 3) + side * mpmath.ldexp(1, -40)
+        y = mpmath.ldexp(mpmath.nint(mpmath.ldexp(mpmath.sqrt(r * r - x * x), 64)), -64)
+    ctx = PrecisionContext(precision, tolerance)
+    assert_ball_holds_the_closed_form(k, ctx.point(DEFAULT.mp.mpc(x, y)), ctx)
+
+
+@pytest.mark.parametrize("precision, tolerance", CONTEXTS)
+@given(st.sampled_from([2, 3, 4]), dyadic(-0.5, 0.5), st.sampled_from([-1, 0, 1]),
+       st.sampled_from([-1, 1]))
+def test_balls_at_the_strip_threshold_contain_the_closed_form(precision, tolerance, k, x,
+                                                              step, sign):
+    # |Im u| = y* + step 2^-8: the strip remainder from y* on, below it the
+    # lattice route
+    ctx = PrecisionContext(precision, tolerance)
+    e = ctx.mp.mag(ctx.tolerance) - 1
+    Y = lattice._strip_order(k, e)[0]
+    z = ctx.point(DEFAULT.mp.mpc(x, sign * DEFAULT.mp.ldexp(Y + step, -8)))
+    route = lattice._route(lattice.reduce_point(z, ctx), (k,), (e,))[0]
+    assert route == ("lattice" if step < 0 else "strip")
+    assert_ball_holds_the_closed_form(k, z, ctx)
+
+
+@pytest.mark.parametrize("point, i", [("0.3+0.9i", 1), ("0.3+1.8i", 2)])
+def test_the_jet_check_catches_a_scaled_table_without_a_head_term(point, i, monkeypatch):
+    # Z_i without its term n = L + 1, (L/(L+1))^s: the route of i misses
+    real = lattice.zeta_table
+
+    def short_table(P, count, j):
+        q, values, err = real(P, count, j)
+        if j == i:
+            L = 1 << j
+            values = tuple(v - (L ** (2 * m) << q) // (L + 1) ** (2 * m)
+                           for m, v in enumerate(values, start=1))
+        return q, values, err
+
+    monkeypatch.setattr(lattice, "zeta_table", short_table)
+    for precision, tolerance in CONTEXTS:
+        ctx = PrecisionContext(precision, tolerance)
+        z = ctx.point(point)
+        route, pairs, _ = lattice.pass_size(lattice.reduce_point(z, ctx),
+                                            ctx.mp.mag(ctx.tolerance) - 1)
+        assert (route, pairs) == ("Laurent", (1 << i) - 1)
+        assert jet_misses(ctx, z) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("precision, tolerance", CONTEXTS)

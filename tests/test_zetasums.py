@@ -180,3 +180,40 @@ def test_shifted_tail_reports_a_floor_above_the_target():
     mp = mp_context(512)
     assert shifted_tail(3, 21, mp.mpf(-0.5), mp, mp.mpf("1e-60")) is None
     assert shifted_tail(3, 21, mp.mpf(-0.5), mp, mp.mpf("1e-50")) is not None
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_scaled_zeta_tables_hold_the_exact_partial_sum_and_its_tail(i, monkeypatch):
+    # Z_i(s) = sum_{n>=L} (L/n)^s, L = 2^i, lies within the table's error count
+    # of the exact sum over n = L..M plus the integral bounds of the rest:
+    # int_(M+1)^inf (L/t)^s dt <= sum_{n>M} (L/n)^s <= int_M^inf (L/t)^s dt
+    from eistrig import zetasums
+    monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+    q, values, err = zetasums.zeta_table(128, 24, i)
+    L, M = 1 << i, 256
+    for m, value in enumerate(values, start=1):
+        s = 2 * m
+        partial = sum(Fraction(L, n) ** s for n in range(L, M + 1))
+        low = partial + Fraction(L ** s, (s - 1) * (M + 1) ** (s - 1))
+        high = partial + Fraction(L ** s, (s - 1) * M ** (s - 1))
+        assert low - Fraction(err, 1 << q) <= Fraction(value, 1 << q) <= high + Fraction(err, 1 << q)
+
+
+def test_every_zeta_table_ends_on_one_euler_maclaurin_call(monkeypatch):
+    # the base point leaves em_tails room, up to 1,100 bits and 1e-300
+    from eistrig import zetasums
+    calls = []
+    real = zetasums.em_tails
+
+    def tails(exponents, br, bi, P, limits):
+        got = real(exponents, br, bi, P, limits)
+        calls.append(got is not None)
+        return got
+
+    monkeypatch.setattr(zetasums, "em_tails", tails)
+    for i in range(3):
+        for P, count in ((128, 40), (384, 260), (1088, 757)):
+            monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+            calls.clear()
+            zetasums.zeta_table(P, count, i)
+            assert calls == [True]

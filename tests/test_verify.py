@@ -2,13 +2,18 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from eistrig import ConfigurationError
 from eistrig.verify import (RunConfig, _check_ivp, _check_reciprocal_ode,
-                            convergence_table, render_json, render_text,
+                            convergence_table, render_json, render_text, report_to_dict,
                             route_error_table, run_verification, strip_decay_table)
+
+#: the default reports without generated_at, committed so that a change that
+#: moves a report digit shows it in the diff of these files
+GOLDEN = Path(__file__).parent / "data"
 
 SMALL = RunConfig(real_points=6, complex_points=4, route_points=5,
                   y_values=(1, 2, 5))
@@ -89,6 +94,14 @@ def test_json_rendering_is_deterministic_apart_from_timestamp():
     assert len(first) == len(second)
     diff = [(a, b) for a, b in zip(first, second) if a != b]
     assert all("generated_at" in a for a, _ in diff)
+
+
+@pytest.mark.parametrize("precision, tolerance", [(128, "1e-12"), (192, "1e-30")])
+def test_default_report_matches_its_golden_file(precision, tolerance):
+    data = report_to_dict(run_verification(RunConfig(precision, tolerance)))
+    del data["generated_at"]
+    golden = (GOLDEN / f"verify_{precision}_{tolerance}.json").read_text()
+    assert (json.dumps(data, indent=2) + "\n").splitlines() == golden.splitlines()
 
 
 def test_json_schema_shape():

@@ -9,7 +9,7 @@ Route 2 (series):   the even Taylor series of the solution of the
 initial value problem  c'' + c = 0, c(0) = 1, c'(0) = 0,  summed with
 an explicit remainder bound.  Valid on a bounded window around 0.
 
-The two routes share no code beyond basic ball arithmetic, so agreement
+The two routes share no code beyond the integer ball kernel, so agreement
 within the summed radii is a genuine cross-check of both.  The table
 compares them on [-1, 1]; afterwards a few classical values are shown
 through the lattice route alone, including c at the reconstructed pi
@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from eistrig import (PrecisionContext, cosine, evaluator, pythagoras_residual,
                      sine, taylor_cosine)
+from eistrig.sympoly import SymbolPoly
 
 
 def main():
@@ -61,7 +62,7 @@ def main():
         ("c(pi^/3)", Fraction(1, 3), mp.mpf("0.5"), "1/2"),
     )
     for label, scale, target, target_label in cases:
-        arg = ctx.bscale(pi_hat, scale)
+        arg = (SymbolPoly.symbol(0) * scale).substitute([pi_hat], ctx)
         c = cosine(arg.value, ctx)
         residual = abs(c.value - target)
         allowed = c.radius + arg.radius

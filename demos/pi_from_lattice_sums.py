@@ -26,6 +26,7 @@ Run:  python3 demos/pi_from_lattice_sums.py
 from eistrig import (PrecisionContext, compute_pi, eisenstein_k,
                      naive_symmetric_value, symmetric_tail_bound, zeta_even)
 from eistrig.lattice import pass_size, reduce_point
+from eistrig.sympoly import SymbolPoly
 
 
 def main():
@@ -59,7 +60,8 @@ def main():
     ctx = PrecisionContext(tolerance="1e-21")
     z2 = zeta_even(1, ctx)
     z4 = zeta_even(2, ctx)
-    combo = ctx.bsub(ctx.bscale(ctx.bmul(z2, z2), 2), ctx.bscale(z4, 5))
+    a0, a1 = SymbolPoly.symbol(0), SymbolPoly.symbol(1)
+    combo = (a0 * a0 * 2 - a1 * 5).substitute([z2, z4], ctx)
     print(f"  zeta(2) = {ctx.mp.nstr(z2.value, 25)} +/- {ctx.mp.nstr(z2.radius, 3)}")
     print(f"  zeta(4) = {ctx.mp.nstr(z4.value, 25)} +/- {ctx.mp.nstr(z4.radius, 3)}")
     print(f"  residual {ctx.mp.nstr(combo.value, 3)}"

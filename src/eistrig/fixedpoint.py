@@ -89,6 +89,13 @@ def to_fixed(x, P: int) -> tuple[int, int]:
     return out[0], out[1]
 
 
+def fixed_balls(values) -> tuple[int, list]:
+    """(P, [(re, im, err), ...]): the BoundedValues at the least scale 2^-P at
+    which every centre and radius (dyadic mpf) is exact, converted exactly."""
+    P = max((fraction_bits(x) for bv in values for x in (bv.value, bv.radius)), default=0)
+    return P, [(*to_fixed(bv.value, P), to_fixed(bv.radius, P)[0]) for bv in values]
+
+
 def to_mp(re: int, im: int, P: int, mp):
     """The pair at scale 2^-P as an exact mpf (im == 0) or mpc of mp."""
     if not im:

@@ -627,14 +627,16 @@ def nonvanishing_scan(grid: Sequence, ctx: PrecisionContext) -> NonvanishingRepo
     """
     points = tuple(ctx.point(z) for z in grid)
     e = ctx.mp.mag(ctx.tolerance) - 1
-    values = tuple(to_ball(*_resolved_f(reduce_point(zp, ctx), ctx, e), ctx.mp) for zp in points)
+    balls = [_resolved_f(reduce_point(zp, ctx), ctx, e) for zp in points]
+    values = tuple(to_ball(*b, ctx.mp) for b in balls)
     least = min(range(len(points)), key=lambda i: values[i].lower())
-    return NonvanishingReport(points, values, _abs_ball(values[least], ctx),
-                              points[least])
+    return NonvanishingReport(points, values, _modulus(*balls[least], ctx.mp), points[least])
 
 
-def _abs_ball(bv: BoundedValue, ctx) -> BoundedValue:
-    return BoundedValue(abs(bv.value), bv.radius + ctx.eps * abs(bv.value))
+def _modulus(re: int, im: int, err: int, P: int, mp) -> BoundedValue:
+    """|f| for the ball (re, im, err) at 2^-P: floor|re + i im| within
+    err + 1 units (err when im == 0, where it is exact), rounded once."""
+    return to_ball(floor_abs(re, im), 0, err + (1 if im else 0), P, mp)
 
 
 # -- strip decay ---------------------------------------------------------------
@@ -680,8 +682,7 @@ def strip_decay(y_values: Sequence, x, ctx: PrecisionContext) -> list[StripBound
             slope = (b2 - b1) / (y2 - y1)
             predicted = b2 + slope * (float(yr) - y2)
             e = min(e, int(predicted) - 24)
-        bv = to_ball(*_resolved_f(reduce_point(mp.mpc(xr, yr), ctx), ctx, e), mp)
-        mag = _abs_ball(bv, ctx)
+        mag = _modulus(*_resolved_f(reduce_point(mp.mpc(xr, yr), ctx), ctx, e), mp)
         low, high = _majorant(yr, ctx)
         reports.append(StripBoundReport(yr, mag, high, low,
                                         dominated=bool(mag.upper() <= low)))

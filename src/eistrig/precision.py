@@ -2,24 +2,18 @@
 
 Every numeric result in this package is a BoundedValue: a center computed
 at a fixed binary precision together with a nonnegative radius bounding
-|true - center|.  Radii combine exact truncation-tail bounds with rounding
-allowances of two kinds:
-
-* every summation loop (the lattice sums, the zeta tails and their heads,
-  the strip majorant), the zeta constants, pi-hat and (2 pi-hat)^-1, the
-  point w = z / 2 pi, the g jet behind g, cos and sin, the jet residuals,
-  the identity checks and the lattice ODE residuals run in Python integers
-  at scale 2^-P (fixedpoint), where each rounding truncates toward zero and
-  errs by less than one unit of 2^-P; the allowance is an exact count of
-  those units, a proved bound, and a ball leaves that layer rounded once to
-  its context's precision (fixedpoint.to_ball), the one way a ball is
-  demoted;
-* the mpf ball layer here charges one ulp of the result per floating
-  operation, an mpc's in the l1 norm |Re v| + |Im v|.  Its callers are
-  SymbolPoly.substitute (the implied_identities check), and the tests and
-  demos; taylor_cosine sums in raw mpf with an asserted allowance.  That
-  allowance is an engineering bound backed by soundness property tests,
-  not a formal rounding proof.
+|true - center|.  Radii combine exact truncation-tail bounds with one
+rounding model.  Every summation loop (the lattice sums, the zeta tails and
+their heads, the strip majorant), the zeta constants, pi-hat and
+(2 pi-hat)^-1, the point w = z / 2 pi, the g jet behind g, cos and sin, the
+Taylor route to cos, the jet residuals, the identity checks, the lattice ODE
+residuals, substitution into the coefficient polynomials and the verify
+margins run in Python integers at scale 2^-P (fixedpoint).  Each rounding
+there truncates toward zero and errs by less than one unit of 2^-P per
+component; the allowance is an exact count of those units, a proved bound
+checked against exact Fraction arithmetic in the tests.  A ball leaves that
+layer rounded once to its context's precision (fixedpoint.to_ball), the one
+way a ball is demoted.
 
 mpmath contexts are cached per precision (the 64 used last) and never
 mutated afterwards, so evaluations at different precisions can run
@@ -202,64 +196,13 @@ class PrecisionContext:
         """mpf nearest to an exact Fraction (two roundings at most)."""
         return self._mp.mpf(q.numerator) / q.denominator
 
-    # -- ball arithmetic -------------------------------------------------
-    # Each op adds one ulp of its result to the radius as rounding allowance.
-
-    def _ulp(self, v):
-        # an mpc in the l1 norm |Re v| + |Im v| >= |v|, which needs no square root
-        return (abs(v.real) + abs(v.imag) if hasattr(v, "_mpc_") else abs(v)) * self._eps
-
     def ball(self, value, radius=0) -> BoundedValue:
+        """The exact value (an int, or an mpf or mpc of this context) within
+        radius; TypeError for anything that would need a rounding."""
         mp = self._mp
-        r = _to_mpf(mp, radius)
-        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-            if isinstance(value, Fraction) and value.denominator != 1:
-                v = self.from_fraction(value)
-                r = r + self._ulp(v)
-            else:
-                v = mp.mpf(int(value))
-        else:
-            v = value if isinstance(value, (mp.mpf, mp.mpc)) else self.point(value)
-        return BoundedValue(v, r)
-
-    def badd(self, a: BoundedValue, b: BoundedValue) -> BoundedValue:
-        v = a.value + b.value
-        return BoundedValue(v, a.radius + b.radius + self._ulp(v))
-
-    def bsub(self, a: BoundedValue, b: BoundedValue) -> BoundedValue:
-        v = a.value - b.value
-        return BoundedValue(v, a.radius + b.radius + self._ulp(v))
-
-    def bmul(self, a: BoundedValue, b: BoundedValue) -> BoundedValue:
-        v = a.value * b.value
-        r = abs(a.value) * b.radius + abs(b.value) * a.radius + a.radius * b.radius
-        return BoundedValue(v, r + self._ulp(v))
-
-    def bscale(self, a: BoundedValue, c) -> BoundedValue:
-        """Multiply by an exact scalar (int or Fraction): radius scales exactly,
-        plus rounding allowance when the scalar is not a dyadic integer."""
-        if isinstance(c, Fraction):
-            cv = self.from_fraction(c)
-        else:
-            cv = self._mp.mpf(c)
-        v = a.value * cv
-        r = abs(cv) * a.radius + self._ulp(v)
-        if isinstance(c, Fraction) and c.denominator != 1:
-            r = r + self._ulp(v)
-        return BoundedValue(v, r)
-
-    def bpow(self, a: BoundedValue, n: int) -> BoundedValue:
-        if n < 0:
-            raise ValueError("bpow expects a nonnegative integer exponent")
-        out = self.ball(1)
-        base = a
-        while n:
-            if n & 1:
-                out = self.bmul(out, base)
-            n >>= 1
-            if n:
-                base = self.bmul(base, base)
-        return out
+        if not isinstance(value, (int, mp.mpf, mp.mpc)):
+            raise TypeError(f"ball takes an exact int, mpf or mpc, got {type(value).__name__}")
+        return BoundedValue(mp.mpf(value) if isinstance(value, int) else value, _to_mpf(mp, radius))
 
 
 def split_point_string(text: str) -> tuple[str, str]:

@@ -14,7 +14,11 @@ Monomials are stored as exponent tuples with trailing zeros trimmed, so
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
+
+from .fixedpoint import ball_mul, fixed_balls, tdiv, to_ball
+from .precision import BoundedValue
 
 Monomial = tuple
 
@@ -180,22 +184,40 @@ class SymbolPoly:
 
     # -- numeric substitution ------------------------------------------------
 
-    def substitute(self, values: Sequence, ctx) -> "object":
-        """Evaluate with BoundedValue entries for a0, a1, ... via ball arithmetic.
-
-        `values[i]` supplies a_i; every symbol appearing must be covered.
-        """
+    def substitute(self, values: Sequence, ctx) -> BoundedValue:
+        """The value at the BoundedValues a_i = values[i] (every symbol appearing
+        must be covered): substitute_fixed at their exact centres and radii
+        (fixedpoint.fixed_balls), rounded once to ctx's precision."""
         need = self.max_symbol()
         if need >= len(values):
             raise ValueError(f"substitution needs a{need} but only {len(values)} values given")
-        acc = ctx.ball(0)
-        for mono, coef in sorted(self.terms.items()):
-            term = ctx.ball(1)
+        P, balls = fixed_balls(values[:need + 1])
+        return to_ball(*self.substitute_fixed(balls, P), ctx.mp)
+
+    def substitute_fixed(self, balls: Sequence, P: int) -> tuple:
+        """(re, im, err, S): the value at the balls a_i = (re, im, err) at
+        scale 2^-P, as a ball at 2^-S, S = P times the total degree.
+
+        Each monomial is an exact product of balls (fixedpoint.ball_mul), and
+        each is multiplied by its coefficient's numerator over the least
+        common denominator D and shifted to 2^-S, exactly.  The one rounding
+        is the division of the sum by D, truncating toward zero: the error is
+        the propagated count over D, rounded up, plus 1 unit (2 if complex)
+        when D > 1.
+        """
+        D = lcm(*(c.denominator for c in self.terms.values()))
+        S = P * self.total_degree()
+        re = im = err = 0
+        for mono, coef in self.terms.items():
+            term = (1, 0, 0)
             for i, e in enumerate(mono):
-                if e:
-                    term = ctx.bmul(term, ctx.bpow(values[i], e))
-            acc = ctx.badd(acc, ctx.bscale(term, coef))
-        return acc
+                for _ in range(e):
+                    term = ball_mul(term, balls[i])
+            n, shift = coef.numerator * (D // coef.denominator), S - P * sum(mono)
+            re += n * term[0] << shift
+            im += n * term[1] << shift
+            err += abs(n) * term[2] << shift
+        return tdiv(re, D), tdiv(im, D), -(-err // D) + (0 if D == 1 else 2 if im else 1), S
 
     # -- rendering -------------------------------------------------------------
 

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import PoleProximityError, ToleranceUnreachableError
-from .fixedpoint import (ball_mul, ball_quotient, floor_abs, fraction_bits, to_ball, to_fixed,
-                         to_mp, tshift, units)
+from .fixedpoint import (ball_mul, ball_quotient, floor_abs, fraction_bits, tdiv, to_ball,
+                         to_fixed, to_mp, tshift, units)
 from .precision import BoundedValue, PrecisionContext
 from .lattice import (fixed_jet, guarded_distance, in_pole_guard, magnitude, reduce_point,
                       reduced, to_float)
@@ -276,44 +276,54 @@ def sine(z, ctx: PrecisionContext) -> BoundedValue:
 # -- Taylor route ----------------------------------------------------------------
 
 
-def taylor_cosine(z, ctx: PrecisionContext) -> BoundedValue:
-    """Partial sums of sum (-1)^m z^(2m) / (2m)! with a geometric tail bound.
+def _cos_terms(zr: int, zi: int, Z: int, W: int):
+    """The balls (re, im, err) at scale 2^-W of the terms (-1)^m z^(2m)/(2m)!,
+    m = 1, 2, ..., for z = (zr + i zi) 2^-Z.  z^2 is shifted to 2^-W exactly
+    or truncated, 1 unit per component; each term is the last one times z^2
+    (fixedpoint.ball_mul), negated and divided once by (2m-1)(2m) 2^W,
+    truncating toward zero: the propagated count over that divisor, rounded
+    up, plus 1 unit (2 if complex)."""
+    z2r, z2i = tshift(zr * zr - zi * zi, W - 2 * Z), tshift(2 * zr * zi, W - 2 * Z)
+    unit = 2 if z2i else 1
+    z2 = (z2r, z2i, unit if 2 * Z > W else 0)
+    term, m = (1 << W, 0, 0), 0
+    while True:
+        m += 1
+        d = (2 * m - 1) * (2 * m) << W
+        re, im, err = ball_mul(term, z2)
+        term = (tdiv(-re, d), tdiv(-im, d), -(-err // d) + unit)
+        yield term
 
-    Enforced domain |z| <= 4: terms must enter steady decay (ratio <= 1/2)
-    before the truncation bound applies, and they decay factorially, so the
-    loop ends.  ToleranceUnreachableError when the radius (tail plus
-    rounding allowance) exceeds the tolerance.
+
+def taylor_cosine(z, ctx: PrecisionContext) -> BoundedValue:
+    """Partial sums of sum (-1)^m z^(2m) / (2m)! with a geometric tail bound,
+    the terms t_m within e_m units of 2^-W (_cos_terms), W = precision + 32,
+    rounded once.  The sum stops before the first t_m with |t_m|_1 <=
+    tolerance/4 and |z|^2 <= (2m+1)(2m+2)/2, where each later term is at most
+    half the last: the tail is at most 2 (|t_m|_1 + e_m) units.  Enforced
+    domain |z| <= 4, where the terms decay factorially, so the loop ends.
+    ToleranceUnreachableError when the radius exceeds the tolerance.
     """
     mp = ctx.mp
     zp = ctx.point(z)
-    az = abs(zp)
-    if az > 4:
-        raise ValueError(f"taylor_cosine is restricted to |z| <= 4, got |z| = {mp.nstr(az, 6)}")
+    if abs(zp) > 4:
+        raise ValueError(f"taylor_cosine is restricted to |z| <= 4, got |z| = {mp.nstr(abs(zp), 6)}")
     if zp == 0:
         return ctx.ball(1)
-    tol = ctx.tolerance
-    z2 = zp * zp
-    term = mp.mpf(1)
-    total = mp.mpf(1)
-    abs_total = mp.mpf(1)
-    m = 0
-    while True:
-        m += 1
-        term = -term * z2 / ((2 * m - 1) * (2 * m))
-        ratio = az * az / ((2 * m + 1) * (2 * m + 2))
-        if abs(term) <= tol / 4 and ratio <= mp.mpf(1) / 2:
+    tol, W, Z = ctx.tolerance, ctx.precision + 32, fraction_bits(zp)
+    zr, zi = to_fixed(zp, Z)
+    az2, quarter = zr * zr + zi * zi, units(tol, W) >> 2
+    re, im, err = 1 << W, 0, 0
+    for m, (tr, ti, e) in enumerate(_cos_terms(zr, zi, Z, W), 1):
+        if abs(tr) + abs(ti) <= quarter and 2 * az2 <= (2 * m + 1) * (2 * m + 2) << 2 * Z:
             break
-        total += term
-        abs_total += abs(term)
-    radius = 2 * abs(term) + ctx.eps * abs_total * (m * 5 + 1)
-    if radius > tol:
+        re, im, err = re + tr, im + ti, err + e
+    bv = to_ball(re, im, err + 2 * (abs(tr) + abs(ti) + e), W, mp)
+    if bv.radius > tol:
         raise ToleranceUnreachableError(
-            f"taylor_cosine({mp.nstr(zp, 8)}) keeps radius {mp.nstr(radius, 3)} "
+            f"taylor_cosine({mp.nstr(zp, 8)}) keeps radius {mp.nstr(bv.radius, 3)} "
             f"at {ctx.precision} bits, above tolerance {mp.nstr(tol, 5)}")
-    value = total
-    if hasattr(value, "imag") and value.imag == 0:
-        value = value.real
-    return BoundedValue(value, radius)
+    return bv
 
 
 # -- jet residuals -----------------------------------------------------------------

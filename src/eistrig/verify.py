@@ -33,6 +33,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigurationError, EistrigError
+from .fixedpoint import fixed_balls, to_ball
 from .lattice import (eisenstein_k, first_order_ode_residual, naive_symmetric_value,
                       nonvanishing_scan, second_order_ode_residual, strip_decay,
                       symmetric_tail_bound)
@@ -308,12 +309,16 @@ def _cosine_routes(config: RunConfig, ctx: PrecisionContext):
         yield zp, cosine(zp, ctx), taylor_cosine(zp, ctx)
 
 
+def _gap(a: BoundedValue, b: BoundedValue, ctx: PrecisionContext) -> BoundedValue:
+    """a - b within r_a + r_b, from the exact dyadic centres and radii,
+    rounded once (fixedpoint.to_ball)."""
+    P, ((ar, ai, ea), (br, bi, eb)) = fixed_balls((a, b))
+    return to_ball(ar - br, ai - bi, ea + eb, P, ctx.mp)
+
+
 def _check_route_agreement(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
-    labeled = []
-    for zp, lattice_route, series_route in _cosine_routes(config, ctx):
-        diff = abs(lattice_route.value - series_route.value)
-        allowed = lattice_route.radius + series_route.radius
-        labeled.append((_fmt_point(zp, ctx), BoundedValue(diff, allowed)))
+    labeled = [(_fmt_point(zp, ctx), _gap(lattice_route, series_route, ctx))
+               for zp, lattice_route, series_route in _cosine_routes(config, ctx)]
     return _ball_item(
         "route_agreement",
         "cosine via the lattice sums agrees with its power series within summed bounds",
@@ -476,8 +481,8 @@ def route_error_table(config: RunConfig | None = None) -> str:
     ctx = config.context()
     rows = [("z", "eisenstein_route", "taylor_route", "abs_diff", "summed_bounds")]
     for zp, lattice_route, series_route in _cosine_routes(config, ctx):
+        gap = _gap(lattice_route, series_route, ctx)
         rows.append((format_real(zp, ctx),
                      format_real(lattice_route.value, ctx), format_real(series_route.value, ctx),
-                     format_real(abs(lattice_route.value - series_route.value), ctx),
-                     format_real(lattice_route.radius + series_route.radius, ctx)))
+                     format_real(gap.magnitude(), ctx), format_real(gap.radius, ctx)))
     return _csv(rows)

@@ -205,8 +205,10 @@ def zeta_tail(s: int, N: int, target):
 # _zeta_tables[i] = (Q, values, err): values[m-1] = Z_i(2m) at scale 2^-Q for
 # m = 1..len(values), each within err units; per i one table at the highest
 # scale asked for so far, Q a multiple of 64, grown by degree and rebuilt, with
-# its count, when a caller needs more bits (concurrent growth only duplicates work)
+# its count, when a caller needs more bits.  Under _table_lock, a table replaces
+# only one of lower scale or, at its scale, fewer values
 _zeta_tables: list = [(0, (), 0)] * 3
+_table_lock = threading.Lock()
 
 #: ln 2 / 2 pi: a0 = (Q + 8) _LN2_2PI + 2 puts the Euler-Maclaurin floor
 #: e^(-2 pi a0) below 2^-(Q+8)
@@ -217,13 +219,17 @@ def zeta_table(P: int, count: int, i: int) -> tuple:
     """(Q, values, err) with Q >= P and values[m-1] = Z_i(2m) 2^Q within err
     units for m = 1..count at least, Z_i(s) = sum_{n>=L} (L/n)^s, L = 2^i
     (Z_0 = zeta): the coefficients of the Laurent routes."""
-    q, values, err = _zeta_tables[i]
+    q, values, err = table = _zeta_tables[i]
     if q < P or len(values) < count:
         if q < P:
             count, q, values, err = max(count, len(values)), -(-P // 64) * 64, (), 0
         more, e = _zeta_values(q, len(values) + 1, count, i)
-        _zeta_tables[i] = (q, values + more, max(err, e))
-    return _zeta_tables[i]
+        table = (q, values + more, max(err, e))
+        with _table_lock:
+            held = _zeta_tables[i]
+            if (held[0], len(held[1])) < (q, len(table[1])):
+                _zeta_tables[i] = table
+    return table
 
 
 def _base_point(q: int, i: int) -> int:

@@ -84,7 +84,8 @@ def test_a04_zeta_two_four_identity_fast():
     ctx = PrecisionContext(tolerance="1e-21")
     z2 = zeta_even(1, ctx)
     z4 = zeta_even(2, ctx)
-    residual = ctx.bsub(ctx.bscale(ctx.bmul(z2, z2), 2), ctx.bscale(z4, 5))
+    a0, a1 = SymbolPoly.symbol(0), SymbolPoly.symbol(1)
+    residual = (a0 * a0 * 2 - a1 * 5).substitute([z2, z4], ctx)
     elapsed = time.perf_counter() - start
     assert residual.consistent_with_zero()
     assert abs(residual.value) <= ctx.mp.mpf("1e-20")

@@ -4,9 +4,11 @@ At a small scale (P = 24..40 bits) rounding dominates every error, so the
 kernel's counted units are checked against the exact Fraction value of the
 same finite sum: the explicit sum of a lattice pass, and an Euler-Maclaurin
 tail up to the order the kernel stopped at (its truncation bound is tested
-against the Hurwitz zeta values in test_zetasums).  The ball helpers of the g
-jet are checked the same way: a product, a quotient and the final rounding
-must hold the exact result at every point of their input balls.
+against the Hurwitz zeta values in test_zetasums), each term of the Taylor
+route to cos, and a polynomial in the a_d substituted at balls.  The ball
+helpers of the g jet are checked the same way: a product, a quotient and the
+final rounding must hold the exact result at every point of their input
+balls.
 """
 
 import math
@@ -19,6 +21,8 @@ from eistrig import InconclusiveNonvanishingError
 from eistrig.fixedpoint import ball_mul, ball_quotient, to_ball
 from eistrig.lattice import _explicit_sums
 from eistrig.precision import mp_context
+from eistrig.sympoly import SymbolPoly
+from eistrig.trig import _cos_terms
 from eistrig.zetasums import bernoulli_even, em_tails
 
 
@@ -180,3 +184,67 @@ def test_rounding_once_holds_the_ball_and_truncates_toward_zero(data, P, prec):
     # the ball about the rounded value holds the whole ball about the center
     slack = exact(bv.radius) - Fraction(err, 2 ** P)
     assert slack >= 0 and slack ** 2 >= (got[0] - center[0]) ** 2 + (got[1] - center[1]) ** 2
+
+
+# -- the Taylor route and substitution --------------------------------------------
+
+@settings(max_examples=300)
+@given(st.data(), st.integers(24, 40), st.sampled_from(["real", "imaginary", "complex"]))
+def test_each_taylor_term_is_within_its_count_of_the_exact_term(data, W, kind):
+    # z = (zr + i zi) 2^-Z, |Re z|, |Im z| <= 4, exact at Z bits: z^2 is exact at 2^-W
+    # when 2Z <= W and truncated otherwise
+    Z = data.draw(st.integers(1, W + 8))
+    reach = 4 << Z
+    zr = 0 if kind == "imaginary" else data.draw(st.integers(-reach, reach))
+    zi = 0 if kind == "real" else data.draw(st.integers(-reach, reach))
+    z2 = cmul((Fraction(zr, 2 ** Z), Fraction(zi, 2 ** Z)), (Fraction(zr, 2 ** Z), Fraction(zi, 2 ** Z)))
+    term = (Fraction(1), Fraction(0))
+    for m, (re, im, err) in zip(range(1, 16), _cos_terms(zr, zi, Z, W)):
+        term = cmul(term, z2)
+        term = (-term[0] / ((2 * m - 1) * 2 * m), -term[1] / ((2 * m - 1) * 2 * m))
+        assert l1_units(term, re, im, W) <= err
+
+
+@st.composite
+def polynomials(draw):
+    """A polynomial in a0 and a1 of degree at most 3 with up to four terms,
+    its coefficients over assorted denominators."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        d0 = draw(st.integers(0, 3))
+        terms[d0, draw(st.integers(0, 3 - d0))] = Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 30)))
+    poly = SymbolPoly(terms)
+    assume(not poly.is_zero())
+    return poly
+
+
+@st.composite
+def l1_offsets(draw, err):
+    """An integer offset (dr, di) with |dr| + |di| <= err, often a corner."""
+    dr = draw(st.sampled_from([-err, 0, err, draw(st.integers(-err, err))]))
+    rest = err - abs(dr)
+    return dr, draw(st.sampled_from([-rest, rest, draw(st.integers(-rest, rest))]))
+
+
+@settings(max_examples=300)
+@given(st.data(), st.integers(24, 40), polynomials())
+def test_substitution_is_within_its_count_of_the_exact_value(data, P, poly):
+    # the inputs exact (err 0) or not, real or complex; the value at every
+    # point of the input balls lies within the count of the one division
+    bs, points = [], []
+    for _ in range(2):
+        re, im, _ = data.draw(balls(P))
+        err = data.draw(st.sampled_from([0, 1, data.draw(st.integers(0, 1 << P // 2))]))
+        dr, di = data.draw(l1_offsets(err))
+        bs.append((re, im, err))
+        points.append((Fraction(re + dr, 2 ** P), Fraction(im + di, 2 ** P)))
+    value = (Fraction(0), Fraction(0))
+    for mono, coef in poly.terms.items():
+        term = (coef, Fraction(0))
+        for x, e in zip(points, mono):
+            for _ in range(e):
+                term = cmul(term, x)
+        value = (value[0] + term[0], value[1] + term[1])
+    re, im, err, S = poly.substitute_fixed(bs, P)
+    assert S == P * poly.total_degree()
+    assert l1_units(value, re, im, S) <= err

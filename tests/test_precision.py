@@ -1,10 +1,13 @@
-"""Precision contexts, bounded values, and ball arithmetic."""
+"""Precision contexts, bounded values, and balls carried through substitution."""
 
 from fractions import Fraction
 
 import pytest
 
 from eistrig import BoundedValue, ConfigurationError, PrecisionContext
+from eistrig.sympoly import SymbolPoly
+
+A, B = SymbolPoly.symbol(0), SymbolPoly.symbol(1)
 
 
 def test_context_validation():
@@ -74,16 +77,16 @@ def test_ball_ops_carry_enclosures():
     mp = ctx.mp
     a = BoundedValue(mp.mpf(2), mp.mpf("1e-20"))
     b = BoundedValue(mp.mpf(3), mp.mpf("1e-20"))
-    s = ctx.badd(a, b)
+    s = (A + B).substitute([a, b], ctx)
     assert s.value == 5 and s.radius >= mp.mpf("2e-20")
-    p = ctx.bmul(a, b)
+    p = (A * B).substitute([a, b], ctx)
     assert p.value == 6 and p.radius >= mp.mpf("5e-20")
 
 
-def test_bscale_by_integers_is_exact():
+def test_substitute_scales_by_integers_exactly():
     ctx = PrecisionContext()
     a = BoundedValue(ctx.mp.mpf("0.375"), ctx.mp.mpf("1e-18"))
-    out = ctx.bscale(a, 6)
+    out = (A * 6).substitute([a], ctx)
     assert out.value == ctx.mp.mpf("2.25")
     assert out.radius >= 6 * a.radius
 

@@ -11,12 +11,13 @@ import mpmath
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from eistrig import (EistrigError, PrecisionContext, cosine, eisenstein_k,
-                     naive_symmetric_value, pythagoras_residual, sine,
+from eistrig import (EistrigError, PrecisionContext, coeff_a, cosine, eisenstein_k,
+                     implied_identities, naive_symmetric_value, pythagoras_residual, sine,
                      symmetric_tail_bound, taylor_cosine)
 from eistrig import lattice
 from eistrig.fixedpoint import cdiv, cpow
 from eistrig.lattice import f_jet
+from eistrig.sympoly import SymbolPoly
 from eistrig.trig import g_eval
 
 DEFAULT = PrecisionContext()
@@ -278,6 +279,31 @@ def test_pythagoras_holds_within_allowance(x):
     assert abs(r.value) <= 2 * r.radius
 
 
+@pytest.mark.parametrize("precision, tolerance", [(128, "1e-12"), (192, "1e-30"), (400, "1e-100")])
+def test_taylor_cosine_balls_contain_the_closed_form(precision, tolerance):
+    # the route_agreement grid, both ends of the domain, complex points and a tiny one
+    ctx = PrecisionContext(precision, tolerance)
+    points = [ctx.from_fraction(Fraction(i - 20, 20)) for i in range(41)]
+    points += [ctx.point(p) for p in ("4", "-4", "0.5+2i", "2i", "2.5-1.5i", "1e-30")]
+    with mpmath.workprec(2 * precision + 64):
+        for z in points:
+            bv = taylor_cosine(z, ctx)
+            assert bv.radius <= ctx.tolerance
+            exact = mpmath.cos(mpmath.mpmathify(z))
+            assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius, z
+
+
+@pytest.mark.parametrize("precision, tolerance", [(128, "1e-12"), (192, "1e-30"), (400, "1e-100")])
+def test_substituted_relations_contain_zero(precision, tolerance):
+    # the implied_identities check: each relation vanishes at the true a_d
+    ctx = PrecisionContext(precision, tolerance)
+    relations = implied_identities(8)
+    sub = ctx.refined(ctx.tolerance / 4096)
+    values = [coeff_a(d, sub) for d in range(max(r.max_symbol() for r in relations) + 1)]
+    for relation in relations:
+        assert relation.substitute(values, ctx).consistent_with_zero(), relation
+
+
 @given(dyadic(-1, 1))
 def test_the_two_cosine_routes_always_overlap(x):
     a = cosine(x, DEFAULT)
@@ -297,7 +323,8 @@ def test_symmetric_truncation_bound_is_never_violated(x, n):
 @given(dyadic(-2, 2, denominator=64))
 def test_g_times_f_is_one_wherever_g_is_finite(x):
     assume(away_from_integers(x))
-    product = DEFAULT.bmul(g_eval(x, DEFAULT), eisenstein_k(2, x, DEFAULT))
+    g_f = SymbolPoly.symbol(0) * SymbolPoly.symbol(1)
+    product = g_f.substitute([g_eval(x, DEFAULT), eisenstein_k(2, x, DEFAULT)], DEFAULT)
     assert abs(product.value - 1) <= product.radius + DEFAULT.eps
 
 

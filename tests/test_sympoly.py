@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from eistrig import PrecisionContext, render_poly
+from eistrig import BoundedValue, PrecisionContext, render_poly
 from eistrig.sympoly import SymbolPoly, reduce_modulo
 
 
@@ -57,7 +57,12 @@ def test_substitute_evaluates_with_carried_bounds():
     ctx = PrecisionContext()
     p = sym(0) * sym(0) * 6 - sym(1) * 10
     a0 = ctx.ball(3)
-    a1 = ctx.ball(Fraction(27, 5))  # 6*9 - 10*27/5 = 0
+    # 27/5 rounded, within an exact Fraction bound on that rounding: 6*9 - 10*27/5 = 0
+    q = Fraction(27, 5)
+    v = ctx.from_fraction(q)
+    a1 = BoundedValue(v, ctx.eps)
+    man, exp = v.man_exp
+    assert abs(Fraction(man) * Fraction(2) ** exp - q) <= Fraction(2) ** (1 - ctx.precision)
     out = p.substitute([a0, a1], ctx)
     assert out.consistent_with_zero()
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import pytest
 from eistrig import PrecisionContext, coeff_a, zeta_even
 from eistrig.fixedpoint import fraction_bits, to_fixed, to_mp, units
 from eistrig.precision import mp_context
+from eistrig.sympoly import SymbolPoly
 from eistrig.zetasums import KERNEL_GUARD_BITS, bernoulli_even, em_tails, zeta_tail
 
 ZETA2 = "1.6449340668482264364724151666460251892189499"
@@ -134,7 +135,8 @@ def test_two_zeta_identity_margin(ctx):
     sub = ctx.refined(ctx.mp.mpf("1e-21"))
     z2 = zeta_even(1, sub)
     z4 = zeta_even(2, sub)
-    combo = sub.bsub(sub.bscale(sub.bmul(z2, z2), 2), sub.bscale(z4, 5))
+    a0, a1 = SymbolPoly.symbol(0), SymbolPoly.symbol(1)
+    combo = (a0 * a0 * 2 - a1 * 5).substitute([z2, z4], sub)
     assert combo.consistent_with_zero()
     assert abs(combo.value) <= sub.mp.mpf("1e-20")
 
@@ -197,6 +199,39 @@ def test_scaled_zeta_tables_hold_the_exact_partial_sum_and_its_tail(i, monkeypat
         low = partial + Fraction(L ** s, (s - 1) * (M + 1) ** (s - 1))
         high = partial + Fraction(L ** s, (s - 1) * M ** (s - 1))
         assert low - Fraction(err, 1 << q) <= Fraction(value, 1 << q) <= high + Fraction(err, 1 << q)
+
+
+def test_a_concurrent_store_does_not_change_the_table_a_caller_gets(monkeypatch):
+    # another caller's 128-bit store lands right after this caller's 1,088-bit one
+    from eistrig import zetasums
+    monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+    low = zetasums.zeta_table(128, 50, 0)
+
+    class Interleaved(list):
+        def __setitem__(self, i, table):
+            super().__setitem__(i, table)
+            super().__setitem__(i, low)
+
+    monkeypatch.setattr(zetasums, "_zeta_tables", Interleaved([(0, (), 0)] * 3))
+    q, values, _ = zetasums.zeta_table(1088, 50, 0)
+    assert q >= 1088 and len(values) >= 50
+
+
+def test_a_table_never_replaces_one_of_higher_scale(monkeypatch):
+    # another caller stores a 1,088-bit table while this one builds at 128 bits
+    from eistrig import zetasums
+    monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+    high = zetasums.zeta_table(1088, 8, 0)
+    monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+    real = zetasums._zeta_values
+
+    def values(*args):
+        zetasums._zeta_tables[0] = high
+        return real(*args)
+
+    monkeypatch.setattr(zetasums, "_zeta_values", values)
+    q, _, _ = zetasums.zeta_table(128, 8, 0)
+    assert q == 128 and zetasums._zeta_tables[0] is high
 
 
 def test_every_zeta_table_ends_on_one_euler_maclaurin_call(monkeypatch):

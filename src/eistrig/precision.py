@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Any, Union
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_int
 
 from .errors import ConfigurationError
 
@@ -202,7 +203,8 @@ class PrecisionContext:
         mp = self._mp
         if not isinstance(value, (int, mp.mpf, mp.mpc)):
             raise TypeError(f"ball takes an exact int, mpf or mpc, got {type(value).__name__}")
-        return BoundedValue(mp.mpf(value) if isinstance(value, int) else value, _to_mpf(mp, radius))
+        return BoundedValue(mp.make_mpf(from_int(value)) if isinstance(value, int) else value,
+                            _to_mpf(mp, radius))
 
 
 def split_point_string(text: str) -> tuple[str, str]:

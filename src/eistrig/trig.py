@@ -307,7 +307,8 @@ def taylor_cosine(z, ctx: PrecisionContext) -> BoundedValue:
     mp = ctx.mp
     zp = ctx.point(z)
     if abs(zp) > 4:
-        raise ValueError(f"taylor_cosine is restricted to |z| <= 4, got |z| = {mp.nstr(abs(zp), 6)}")
+        raise ValueError(f"taylor_cosine is restricted to |z| <= 4, got |z| = "
+                         f"{mp.nstr(abs(zp), 6)}")
     if zp == 0:
         return ctx.ball(1)
     tol, W, Z = ctx.tolerance, ctx.precision + 32, fraction_bits(zp)

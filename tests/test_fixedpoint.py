@@ -197,7 +197,8 @@ def test_each_taylor_term_is_within_its_count_of_the_exact_term(data, W, kind):
     reach = 4 << Z
     zr = 0 if kind == "imaginary" else data.draw(st.integers(-reach, reach))
     zi = 0 if kind == "real" else data.draw(st.integers(-reach, reach))
-    z2 = cmul((Fraction(zr, 2 ** Z), Fraction(zi, 2 ** Z)), (Fraction(zr, 2 ** Z), Fraction(zi, 2 ** Z)))
+    z = (Fraction(zr, 2 ** Z), Fraction(zi, 2 ** Z))
+    z2 = cmul(z, z)
     term = (Fraction(1), Fraction(0))
     for m, (re, im, err) in zip(range(1, 16), _cos_terms(zr, zi, Z, W)):
         term = cmul(term, z2)
@@ -212,7 +213,8 @@ def polynomials(draw):
     terms = {}
     for _ in range(draw(st.integers(1, 4))):
         d0 = draw(st.integers(0, 3))
-        terms[d0, draw(st.integers(0, 3 - d0))] = Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 30)))
+        coef = Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 30)))
+        terms[d0, draw(st.integers(0, 3 - d0))] = coef
     poly = SymbolPoly(terms)
     assume(not poly.is_zero())
     return poly

@@ -103,3 +103,7 @@ def test_exactness_of_dyadic_inputs_survives_parsing():
     assert zp == ctx.mp.mpf(3) / 8
     ball = ctx.ball(zp)
     assert ball.radius == 0
+    wide = ctx.ball(2**200 + 1)  # an int wider than the precision stays exact
+    assert int(wide.value) == 2**200 + 1 and wide.radius == 0
+    with pytest.raises(TypeError):
+        ctx.ball(Fraction(27, 5))  # would need a rounding

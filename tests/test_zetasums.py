@@ -234,6 +234,46 @@ def test_a_table_never_replaces_one_of_higher_scale(monkeypatch):
     assert q == 128 and zetasums._zeta_tables[0] is high
 
 
+def test_threads_at_different_scales_each_get_a_table_of_their_own_scale(monkeypatch):
+    # 4 threads ask for tables at three scales with a short switch interval;
+    # every table holds at least what its caller asked for, and its values are
+    # those of a serial build at its scale
+    import sys
+    import threading
+    from eistrig import zetasums
+    scales = (128, 256, 384)
+    serial = {}
+    for P in scales:
+        monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+        q, values, _ = zetasums.zeta_table(P, 40, 0)
+        serial[q] = values
+    monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+    problems = []
+
+    def work(offset):
+        try:
+            for j in range(30):
+                P, count = scales[(j + offset) % 3], 10 + j
+                q, values, _ = zetasums.zeta_table(P, count, 0)
+                if q < P or len(values) < count or values[:count] != serial[q][:count]:
+                    problems.append((P, count, q, len(values)))
+        except Exception as exc:  # a thread's exception would otherwise go unseen
+            problems.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert problems == []
+
+
 def test_every_zeta_table_ends_on_one_euler_maclaurin_call(monkeypatch):
     # the base point leaves em_tails room, up to 1,100 bits and 1e-300
     from eistrig import zetasums

@@ -7,13 +7,13 @@ rounding model.  Every summation loop (the lattice sums, the zeta tails and
 their heads, the strip majorant), the zeta constants, pi-hat and
 (2 pi-hat)^-1, the point w = z / 2 pi, the g jet behind g, cos and sin, the
 Taylor route to cos, the jet residuals, the identity checks, the lattice ODE
-residuals, substitution into the coefficient polynomials and the verify
-margins run in Python integers at scale 2^-P (fixedpoint).  Each rounding
-there truncates toward zero and errs by less than one unit of 2^-P per
-component; the allowance is an exact count of those units, a proved bound
-checked against exact Fraction arithmetic in the tests.  A ball leaves that
-layer rounded once to its context's precision (fixedpoint.to_ball), the one
-way a ball is demoted.
+residuals, substitution into the coefficient polynomials, |f| in the
+nonvanishing scan and the strip decay, and the route-agreement margin run in
+Python integers at scale 2^-P (fixedpoint).  Each rounding there truncates
+toward zero and errs by less than one unit of 2^-P per component; the
+allowance is an exact count of those units, a proved bound.  A ball leaves
+that layer rounded once to its context's precision (fixedpoint.to_ball), the
+one way a ball is demoted.
 
 mpmath contexts are cached per precision (the 64 used last) and never
 mutated afterwards, so evaluations at different precisions can run

@@ -42,8 +42,12 @@ consecutive k at one point, each to its own target (all bounds explicit):
    ((j+1)(j+2)) decreases in j; _laurent_terms picks D so that this, in
    integers, is at most a quarter of the target.
 5. Lattice route (_lattice_sums), for |u| > 4 rho below y*: u^-k and the
-   pairs (u -/+ n)^-k for n <= N, each an exact power and one truncating
-   division, so the sum errs by less than 2N+1 units per component; N comes
+   pairs (u -/+ n)^-k for n <= N (_explicit_sums), each from the reciprocal
+   r = 1/(u - n) truncated once at 2^-P.  Its powers are exact and summed
+   exactly, then truncated once, so the count is one constant per pass:
+   (2N+1) ec k M^(k-1) units of 2^-kP, with M >= 2^P/|u| bounding every
+   |r| (|u - n| >= |u|), plus one unit for the truncation (ec = 1 real,
+   2 complex).  N comes
    from truncation_n for the tightest target: the tails' floor
    e^(-2 pi |N+1 -/+ u|) lies well below it.  The rest is two
    Euler-Maclaurin tails at the base point N+1,
@@ -63,17 +67,18 @@ cosec check and the ODE residuals, which form their polynomials from its
 integer balls; f_jet rounds it.  Where f must exclude zero, _resolved_f is
 the one refine-until-nonzero loop: integer passes at ever tighter targets
 that return their integer ball.
-pass_size reports the route, its exact pairs and its size (D, m or N), as
-eistrig eval prints them.  Plain symmetric truncation with its closed-form bound
-2 (N-1/2)^(1-k)/(k-1) (symmetric_tail_bound, naive_symmetric_value) is kept
-for convergence tables and tail-validity tests; it shares the explicit sum
-of step 5.
+pass_size reports the route, its pairs summed term by term and its size (D,
+m or N), as eistrig eval prints them.  Plain symmetric truncation with its
+closed-form bound 2 (N-1/2)^(1-k)/(k-1) (symmetric_tail_bound,
+naive_symmetric_value) is kept for convergence tables and tail-validity
+tests; it shares the explicit sum of step 5.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import chain
 from math import comb, isqrt
 from dataclasses import dataclass
 from typing import Sequence
@@ -154,34 +159,83 @@ def truncation_n(u, e: int) -> int:
 
 def _explicit_sums(exponents, ur: int, ui: int, N: int, P: int) -> list[tuple[int, int, int]]:
     """[(re, im, err)] for u^-k + sum_{n=1..N} [(u-n)^-k + (u+n)^-k], one per
-    k, u = (ur + i ui) 2^-P: (re + i im) 2^-P within err units of 2^-P (l1
-    norm).  Each term is an exact integer power and one division per
-    component, which errs by less than a unit."""
+    k, u = (ur + i ui) 2^-P, |Re u| <= 1/2: (re + i im) 2^-P within err units
+    of 2^-P (l1 norm).
+
+    Every n != 0, and n = 0 from |u| >= 5/2 on (the lattice route; inside it,
+    where |u| can be tiny, n = 0 is the exact power and one division per
+    component, which errs by less than a unit each), takes r = 1/(u - n)
+    truncated once at 2^-P, which errs by less than e = 1 unit (real) or
+    sqrt 2 (complex).  Its powers r^k are exact, summed exactly at 2^-kP and
+    truncated once to 2^-P.  As |u - n| >= |u| for n != 0, the nearest such
+    term bounds every |r| by M units, and |x^k - y^k| <= k M^(k-1) |x - y| for
+    |x|, |y| <= M; the l1 norm is at most sqrt 2 times the modulus, so each
+    term errs by less than ec k M^(k-1) units of 2^-kP, ec = 1 (real) or 2
+    (complex).  The count is that times the number of terms, rounded up at
+    2^-P, plus ec for the one truncation."""
     one, k0 = 1 << P, exponents[0]
-    shifts = [P * (k + 1) for k in exponents]
-    sums = [[0, 0] for _ in exponents]
-    for n in range(-N, N + 1):
-        dr = ur - n * one
-        if ui:  # conj(d^k) 2^(P(k+1)) / |d|^2k
-            vr, vi = cpow(dr, ui, k0)
-            m = dr * dr + ui * ui
-            d = m ** k0
-            for i, shift in enumerate(shifts):
-                if i:
-                    vr, vi, d = vr * dr - vi * ui, vr * ui + vi * dr, d * m
-                x, y = vr << shift, vi << shift
-                acc = sums[i]
-                acc[0] += x // d if x >= 0 else -(-x // d)
-                acc[1] -= y // d if y >= 0 else -(-y // d)
-        else:
-            v = dr ** k0
-            for i, shift in enumerate(shifts):
-                if i:
-                    v *= dr
-                x = 1 << shift
-                sums[i][0] += x // v if v > 0 else -(x // -v)
-    err = (2 * N + 1) * (2 if ui else 1)
-    return [(re, im, err) for re, im in sums]
+    ec = 2 if ui else 1
+    beyond = 4 * (ur * ur + ui * ui) >= 25 << 2 * P  # |u| >= 5/2
+    out = []
+    if beyond:
+        out = [(0, 0, 0)] * len(exponents)
+    elif ui:  # n = 0: conj(u^k) 2^(P(k+1)) / |u|^2k
+        vr, vi = cpow(ur, ui, k0)
+        m = ur * ur + ui * ui
+        d = m ** k0
+        for i, k in enumerate(exponents):
+            if i:
+                vr, vi, d = vr * ur - vi * ui, vr * ui + vi * ur, d * m
+            x, y = vr << P * (k + 1), vi << P * (k + 1)
+            out.append((x // d if x >= 0 else -(-x // d), -(y // d) if y >= 0 else -y // d, ec))
+    else:
+        v = ur ** k0
+        for i, k in enumerate(exponents):
+            if i:
+                v *= ur
+            x = 1 << P * (k + 1)
+            out.append((x // v if v > 0 else -(x // -v), 0, ec))
+    T = 2 * N + beyond  # the terms from r, n = N..1, 0 if beyond, -1..-N
+    if not T:
+        return out
+    drs = chain(range(ur - N * one, ur, one), (ur,) if beyond else (),
+                range(ur + one, ur + N * one + 1, one))  # u - n at 2^-P
+    more = [[0, 0] for _ in exponents[1:]]
+    sr = si = 0
+    if ui:  # conj(r) 2^P = (u - n) 2^(2P) / |u - n|^2 for ui > 0, r 2^P for ui < 0
+        two_p, ui2 = 2 * P, ui * ui
+        y = abs(ui) << two_p
+        for dr in drs:
+            m = dr * dr + ui2
+            rr, ri = (dr << two_p) // m if dr >= 0 else -((-dr << two_p) // m), y // m
+            pr, pi = (rr - ri) * (rr + ri), 2 * rr * ri
+            if k0 > 2:
+                if k0 == 4:
+                    pr, pi = (pr - pi) * (pr + pi), 2 * pr * pi
+                else:
+                    for _ in range(k0 - 2):
+                        pr, pi = pr * rr - pi * ri, pr * ri + pi * rr
+            sr += pr
+            si += pi
+            for acc in more:
+                pr, pi = pr * rr - pi * ri, pr * ri + pi * rr
+                acc[0] += pr
+                acc[1] += pi
+    else:
+        for dr in drs:
+            r = (1 << 2 * P) // dr if dr > 0 else -((1 << 2 * P) // -dr)
+            p = r ** k0
+            sr += p
+            for acc in more:
+                p *= r
+                acc[0] += p
+    M = -(-(1 << 2 * P) // floor_abs(ur if beyond else abs(ur) - one, ui))
+    for i, (k, (sr, si)) in enumerate(zip(exponents, [[sr, si]] + more)):
+        s, (re, im, err) = (k - 1) * P, out[i]
+        si = -si if ui > 0 else si
+        out[i] = (re + tshift(sr, -s), im + tshift(si, -s),
+                  err - (-T * ec * k * M ** (k - 1) >> s) + ec)
+    return out
 
 
 def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
@@ -302,7 +356,7 @@ def _fraction_bits(u) -> int:
 
 def pass_size(u, e: int) -> tuple[str, int, int]:
     """The route of a pass for f = eps_2 at the reduced point u to the target
-    2^e, the pairs it sums exactly and its size: ("Laurent", 2^i - 1, D terms
+    2^e, the pairs it sums term by term and its size: ("Laurent", 2^i - 1, D terms
     of the series), ("strip", 0, the order m) or ("lattice", N, N)."""
     route, size, plan = _route(u, (2,), (e,))
     if route == "Laurent":

@@ -8,10 +8,11 @@ their heads, the strip majorant), the zeta constants, pi-hat and
 (2 pi-hat)^-1, the point w = z / 2 pi, the g jet behind g, cos and sin, the
 Taylor route to cos, the jet residuals, the identity checks, the lattice ODE
 residuals, substitution into the coefficient polynomials, |f| in the
-nonvanishing scan and the strip decay, and the route-agreement margin run in
-Python integers at scale 2^-P (fixedpoint).  Each rounding there truncates
-toward zero and errs by less than one unit of 2^-P per component; the
-allowance is an exact count of those units, a proved bound.  A ball leaves
+nonvanishing scan and the strip decay, the verify margins and the zero test
+(BoundedValue.consistent_with_zero) run in Python integers at scale 2^-P
+(fixedpoint).  Each rounding there truncates toward zero and errs by less
+than one unit of 2^-P per component; the allowance is an exact count of
+those units, a proved bound.  A ball leaves
 that layer rounded once to its context's precision (fixedpoint.to_ball), the
 one way a ball is demoted.
 
@@ -83,8 +84,11 @@ class BoundedValue:
         return lo if lo > 0 else lo * 0
 
     def consistent_with_zero(self) -> bool:
-        """The only honest zero test a bounded value supports: |value| <= radius."""
-        return abs(self.value) <= self.radius
+        """The only honest zero test a bounded value supports: |value| <= radius,
+        decided exactly from the dyadic centre and radius."""
+        from .fixedpoint import fixed_balls  # fixedpoint builds on this module
+        _, ((re, im, err),) = fixed_balls((self,))
+        return re * re + im * im <= err * err
 
     def __str__(self) -> str:
         return f"{self.value} +/- {self.radius}"

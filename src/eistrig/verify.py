@@ -32,8 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
+from mpmath.libmp import from_man_exp
+
 from .errors import ConfigurationError, EistrigError
-from .fixedpoint import fixed_balls, to_ball
+from .fixedpoint import fixed_balls, fraction_bits, to_ball, to_fixed
 from .lattice import (eisenstein_k, first_order_ode_residual, naive_symmetric_value,
                       nonvanishing_scan, second_order_ode_residual, strip_decay,
                       symmetric_tail_bound)
@@ -232,15 +234,30 @@ def _check_implied_identities(config: RunConfig, ctx: PrecisionContext) -> Repor
         {"order": config.symbolic_order}, labeled, ctx)
 
 
+def _exact(values) -> tuple[int, list[int]]:
+    """(P, [x 2^P]): the real mpf values at the least scale 2^-P at which
+    each is exact, converted exactly."""
+    P = max(fraction_bits(x) for x in values)
+    return P, [to_fixed(x, P)[0] for x in values]
+
+
+def _rounded(x: int, P: int, ctx: PrecisionContext, rnd: str):
+    """x 2^-P rounded once to ctx's precision, up ("c") or down ("f")."""
+    return ctx.mp.make_mpf(from_man_exp(x, -P, ctx.precision, rnd))
+
+
 def _check_strip_decay(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
     reports = strip_decay(config.y_values, Fraction(1, 2), ctx)
-    labeled = []
-    for rep in reports:
-        labeled.append((f"domination at y={rep.y}",
-                        rep.f_magnitude.upper() - rep.decay_bound_low))
-    for lofty, lower in zip(reports[1:], reports):
-        labeled.append((f"decrease y={lower.y} -> y={lofty.y}",
-                        lofty.f_magnitude.upper() - lower.f_magnitude.lower()))
+    # each margin exact from the dyadic |f| balls and majorant ends, rounded up once
+    P, xs = _exact([x for rep in reports for x in (rep.f_magnitude.value, rep.f_magnitude.radius,
+                                                    rep.decay_bound_low)])
+    upper = [v + r for v, r in zip(xs[0::3], xs[1::3])]
+    lower = [max(v - r, 0) for v, r in zip(xs[0::3], xs[1::3])]
+    margins = [(f"domination at y={rep.y}", up - low)
+               for rep, up, low in zip(reports, upper, xs[2::3])]
+    margins += [(f"decrease y={low_rep.y} -> y={rep.y}", up - low)
+                for rep, low_rep, up, low in zip(reports[1:], reports, upper[1:], lower)]
+    labeled = [(label, _rounded(m, P, ctx, "c")) for label, m in margins]
     return _margin_item(
         "strip_decay",
         "|f(1/2 + iy)| is dominated by the explicit lattice majorant and decreasing in y",
@@ -341,15 +358,17 @@ def _check_cosec_identity(config: RunConfig, ctx: PrecisionContext,
 
 def _check_pi_reference(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
     pi = evaluator(ctx).pi.value
-    reference = ctx.mp.mpf(PI_REFERENCE_DECIMAL)
-    residual = abs(pi.value - reference)
-    bound = pi.radius + 4 * ctx.eps
+    # |pi-hat - reference| and its bound exact, each rounded once, outward
+    P, (centre, radius, reference, eps) = _exact(
+        [pi.value, pi.radius, ctx.mp.mpf(PI_REFERENCE_DECIMAL), ctx.eps])
+    residual, bound = abs(centre - reference), radius + 4 * eps
     return ReportItem(
         "pi_reference",
         "computed pi matches a stored platform-derived constant "
         "(the only check that consults one)",
         {"computed": format_real(pi.value, ctx), "provenance": evaluator(ctx).pi.provenance},
-        residual=format_real(residual, ctx), bound=format_real(bound, ctx),
+        residual=format_real(_rounded(residual, P, ctx, "c"), ctx),
+        bound=format_real(_rounded(bound, P, ctx, "f"), ctx),
         status="pass" if residual <= bound else "fail")
 
 

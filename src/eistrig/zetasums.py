@@ -8,7 +8,8 @@ Three layers, all exact or with explicit bounds:
   by Euler-Maclaurin at the base point b with the DLMF 2.10 remainder bound,
   in Python integers at scale 2^-P with every rounding counted (fixedpoint);
   the one way a tail is summed.  Its ratio table C_(j+1)/C_j, one integer
-  division of tangent numbers each, sits at a multiple of 64 bits.  The
+  division of tangent numbers each, sits at a multiple of 64 bits; each call
+  reads it truncated to the multiple of 64 that its own scale sets.  The
   lattice route calls it at b = N+1 +- u, and zeta_tail(s, N, target) at
   b = N+1, moving the base point up with head terms summed at the same
   scale, one counted truncation each.
@@ -16,12 +17,14 @@ Three layers, all exact or with explicit bounds:
   m = 1..count (Z_0 = zeta), for the Laurent routes of the lattice pass:
   one builder, one table per i beside the ratio table, at the highest scale
   Q asked for so far (a multiple of 64), grown by degree and shared by every
-  exponent.  Each growth sums one head n = L..a-1 and makes one
-  multi-exponent em_tails call at a (_base_point: about 2 L (Q+8) ln 2 /
+  exponent.  The first build at a scale sums one head n = L..a-1 and makes
+  one multi-exponent em_tails call at a (_base_point: about 2 L (Q+8) ln 2 /
   2 pi, so that the call ends within MAX_ORDER orders on its first try) for
-  the s whose tail L^s a^-s (1 + a/(s-1)) is above one unit, at the scale
-  where L^s is a shift; below it that bound is the tail.  It never calls
-  zeta_tail once per m, whose base point would climb 16 terms at a time.
+  every s whose tail L^s a^-s (1 + a/(s-1)) is above one unit, at the scale
+  where L^s is a shift; below it that bound is the tail.  Later growth adds
+  heads alone, each chain from s = 2, so a value and the err depend on (Q,
+  i, m) alone, never on how the table grew.  It never calls zeta_tail once
+  per m, whose base point would climb 16 terms at a time.
 
 zeta_even(m, ctx) is the tail beyond N = 0, i.e. zeta(2m), checked against
 the context tolerance; coeff_a(d, ctx), a_d = 2(2d+1) zeta(2d+2), is its
@@ -35,7 +38,7 @@ from fractions import Fraction
 from math import ceil, inf, isqrt, lgamma, log, pi
 
 from .errors import ToleranceUnreachableError
-from .fixedpoint import cdiv, cmul, cpow, tdiv, to_ball, units
+from .fixedpoint import cpow, tdiv, to_ball, units
 from .precision import BoundedValue, PrecisionContext
 
 # -- Bernoulli numbers --------------------------------------------------------
@@ -129,10 +132,20 @@ def em_tails(exponents, br: int, bi: int, P: int, limits):
       T_s(b) = b^(1-s)/(s-1) + b^-s/2 + sum_{1<=j<m} v_j + R_m,
       v_j = C_j (s)_{2j-1} b^(1-s-2j),  C_j = B_2j/(2j)!,
       |R_m| <= 2|C_m| (s)_{2m} int_0^inf |b+x|^(-s-2m) dx <= 2 (|b|/Re b) |v_m|,
-    because |b+x| lies above its tangent |b| + x Re b/|b| at 0.  The two head
-    terms and v_1 take one division each, and v_(j+1) = v_j b^-2 z_j one
-    truncating shift, z_j = (C_(j+1)/C_j)(s+2j-1)(s+2j) from the ratio table;
-    each step adds the propagated error of all three factors and one rounding
+    because |b+x| lies above its tangent |b| + x Re b/|b| at 0.  For a
+    complex b the two head terms and v_1 come from the exact powers of
+    w = 1/b truncated once at 2^-P (off by less than sqrt 2 units): with
+    M >= |1/b| in units, w^j errs by less than ec j M^(j-1) units of 2^-jP
+    (as the pairs of lattice._explicit_sums), charged divided by what the
+    power is divided by; the two heads are summed exactly and truncated
+    once, and v_1 once.  For a real b = a 2^t they are exact quotients of
+    powers of the integer a, 2^t folded into the shifts, one truncating
+    division each.
+    v_(j+1) = v_j b^-2 z_j takes one truncating shift, z_j =
+    (C_(j+1)/C_j)(s+2j-1)(s+2j) from the ratio table read at 2^-Q, Q the
+    multiple of 64 that P sets (truncating a table at a higher scale gives
+    the same integers, so no result depends on the table's scale); each
+    step adds the propagated error of all three factors and one rounding
     to the count.  m is the first order whose bound is at most limits[i] units;
     None if the bounds stop decreasing first (the floor, near e^(-2 pi |b|),
     is above it).
@@ -141,37 +154,69 @@ def em_tails(exponents, br: int, bi: int, P: int, limits):
     root = isqrt(d1)
     twice_b = 2 * (root + (root * root < d1))  # 2|b| 2^P rounded up
     ec = 2 if bi else 1  # l1 units of one rounding of a pair
-    b2r, b2i = br * br - bi * bi, 2 * br * bi
-    w2r, w2i = cdiv(1, 0, b2r, b2i, 3 * P)  # b^-2
+    if bi:
+        # 1/b = conj(b) 2^(2P) / |b|^2, within sqrt 2 units, and b^-2 =
+        # conj(b^2) 2^(3P) / |b|^4, each component truncated once (br > 0)
+        y, d2 = abs(bi) << 2 * P, d1 * d1
+        wr, wi = (br << 2 * P) // d1, -(y // d1) if bi > 0 else y // d1
+        x, y = (br * br - bi * bi) << 3 * P, (2 * br * bi) << 3 * P
+        w2r = x // d2 if x >= 0 else -(-x // d2)
+        w2i = -(y // d2) if y >= 0 else -y // d2
+        M = -(-(1 << 2 * P) // root)  # >= |1/b| in units
+    else:  # b = a 2^t: the powers of the integer a, 2^t folded into the shifts
+        t = min(P, (br & -br).bit_length() - 1)
+        a = br >> t
+        w2r, w2i = (1 << 3 * P - 2 * t) // (a * a), 0
     lw = abs(w2r) + abs(w2i)
+    Q = -(-P // 64) * 64  # the ratios' scale, whatever scale the table holds
     q, ratios = _ratios(P, 1)
+    shift, lwe = P + Q, lw + ec
     out = []
     for s, limit in zip(exponents, limits):
-        vr, vi = cpow(br, bi, s - 1)
-        h0r, h0i = cdiv(1, 0, vr, vi, P * s, s - 1)  # b^(1-s)/(s-1)
-        vr, vi = cmul(vr, vi, br, bi)
-        h1r, h1i = cdiv(1, 0, vr, vi, P * (s + 1), 2)  # b^-s/2
-        vr, vi = cmul(vr, vi, br, bi)
-        tr, ti = cdiv(s, 0, vr, vi, P * (s + 2), 12)  # v_1 = (1/12) s b^(-1-s)
-        accr, acci, acc_err = h0r + h1r, h0i + h1i, 2 * ec
-        err, prev = ec, inf
+        if bi:
+            # w^(s-1), w^s and w^(s+1) exact at 2^-jP; the two heads
+            # b^(1-s)/(s-1) + b^-s/2 = (2 w^(s-1) 2^P + (s-1) w^s) / (2 (s-1) 2^((s-1)P))
+            # summed exactly and truncated once, v_1 = s w^(s+1) / 12 once
+            pr, pi = cpow(wr, wi, s - 1)
+            qr, qi = pr * wr - pi * wi, pr * wi + pi * wr
+            sh = (s - 1) * P
+            x, y, d = (2 * pr << P) + (s - 1) * qr, (2 * pi << P) + (s - 1) * qi, 2 * (s - 1) << sh
+            accr = x // d if x >= 0 else -(-x // d)
+            acci = y // d if y >= 0 else -(-y // d)
+            x, y, d = s * (qr * wr - qi * wi), s * (qr * wi + qi * wr), 12 << sh + P
+            tr = x // d if x >= 0 else -(-x // d)
+            ti = y // d if y >= 0 else -(-y // d)
+            Ms = M ** (s - 2)
+            acc_err = -(-ec * ((2 * Ms << P) + s * Ms * M) >> sh + 1) + ec
+            err = -(-s * (s + 1) * ec * Ms * M * M // (12 << sh + P)) + ec
+        else:
+            v = a ** (s - 1)
+            accr = ((1 << P * s - t * (s - 1)) // (v * (s - 1))  # b^(1-s)/(s-1)
+                    + (1 << P * (s + 1) - t * s) // (2 * v * a))  # + b^-s/2
+            tr = (s << P * (s + 2) - t * (s + 1)) // (12 * v * a * a)  # v_1 = (1/12) s b^(-1-s)
+            acci = ti = 0
+            acc_err, err = 2 * ec, ec
+        prev, fits, nr = inf, limit * br, len(ratios)
+        d, c = q - Q, s + 2  # k = (s + 2j - 1)(s + 2j) = (c - 1) c
         for j in range(1, MAX_ORDER + 1):
             mag = abs(tr) + abs(ti) + err  # |v_j| 2^P rounded up
-            if twice_b * mag <= limit * br:  # the bound 2 (|b|/Re b) |v_j| fits
+            if twice_b * mag <= fits:  # the bound 2 (|b|/Re b) |v_j| fits
                 out.append((accr, acci, acc_err, -(-twice_b * mag // br), j))
                 break
             if mag >= prev:
                 return None
             accr, acci, acc_err, prev = accr + tr, acci + ti, acc_err + err, mag
-            if j > len(ratios):
+            if j > nr:
                 q, ratios = _ratios(P, j)
-            k = (s + 2 * j - 1) * (s + 2 * j)
-            z = ratios[j - 1] * k  # off by less than k units of 2^-q
-            az, shift = abs(z), P + q
+                d, nr = q - Q, len(ratios)
+            k = (c - 1) * c
+            c += 2
+            # the ratios are negative: -z >= 0, off by less than k units of 2^-Q
+            az = (-ratios[j - 1] >> d) * k
             # |v w z - v' w' z'| <= (|v'| + e_v)(|w'| + e_w)(|z'| + e_z) - |v'||w'||z'|
-            err = -(-(mag * (ec * az + (lw + ec) * k) + err * lw * az) >> shift) + ec
-            fr, fi = w2r * z, w2i * z
-            xr, xi = tr * fr - ti * fi, tr * fi + ti * fr
+            err = -(-(mag * (ec * az + lwe * k) + err * lw * az) >> shift) + ec
+            fr, fi = w2r * az, w2i * az
+            xr, xi = ti * fi - tr * fr, -tr * fi - ti * fr
             tr = xr >> shift if xr >= 0 else -(-xr >> shift)
             ti = xi >> shift if xi >= 0 else -(-xi >> shift)
         else:
@@ -247,30 +292,34 @@ def _zeta_values(q: int, first: int, last: int, i: int) -> tuple:
     """(values, err): Z_i(s) at scale 2^-q for s = 2 first..2 last, each within
     err units, from one head n = L..a-1 and one em_tails call at the base point
     a = _base_point(q, i) for the s whose tail L^s a^-s (1 + a/(s-1)) is above
-    one unit; below it that bound is the whole tail.
+    one unit; below it that bound is the whole tail.  Every value and err
+    depend on (q, i, s) alone, never on how the table grew: the first batch
+    (first = 1) runs at least to the last such s, so later batches are heads
+    alone, and every head chain starts at s = 2.
 
-    The head term n = L is 1.  For n > L the first term (L/n)^s takes one
+    The head term n = L is 1.  For n > L the first term (L/n)^2 takes one
     truncating division and each next (L/n)^(s+2) one more, of the last by
     (n/L)^2; an error e becomes at most e (L/n)^2 + 1, below 1/(1 - (4/5)^2) <
     3 for L <= 4.  The tails are summed at the scale 2^-(q + i s_max), s_max
     the largest such s, where L^s T_s(a) is a shift; each to 64 units of
     2^-q, one more truncation."""
     L, a = 1 << i, _base_point(q, i)
-    exponents = range(2 * first, 2 * last + 1, 2)
-    sums = dict.fromkeys(exponents, 1 << q)
+    far = []  # in the first batch: the s whose tail bound is above one unit
+    if first == 1:
+        s = 2
+        while -(-((s - 1 + a) << q + s * i) // ((s - 1) * a**s)) > 1:  # it decreases in s
+            far.append(s)
+            s += 2
+        last = max(last, len(far))
+    sums = [1 << q] * last  # Z_i(2m), m = 1..last
     for n in range(L + 1, a):
-        n2, t = n * n, (1 << q + exponents[0] * i) // n ** exponents[0]
-        for s in exponents:
+        n2 = n * n
+        t = (1 << q + 2 * i) // n2
+        for m in range(last):
             if not t:
                 break
-            sums[s] += t
+            sums[m] += t
             t = (t << 2 * i) // n2
-    far = []  # the s whose tail bound is above one unit; it decreases in s
-    for s in exponents:
-        bound = -(-((s - 1 + a) << q + s * i) // ((s - 1) * a**s))
-        if bound <= 1:
-            break
-        far.append(s)
     top = far[-1] * i if far else 0
     got = em_tails(far, a << q + top, 0, q + top, [64 << top - s * i for s in far]) if far else []
     if got is None:  # not reached: _base_point leaves em_tails room
@@ -278,9 +327,9 @@ def _zeta_values(q: int, first: int, last: int, i: int) -> tuple:
     err, head = 1, 3 * (a - L - 1)
     for s, (re, _, e, bound, _) in zip(far, got):
         drop = top - s * i
-        sums[s] += re >> drop
+        sums[s // 2 - 1] += re >> drop
         err = max(err, -(-(e + bound) >> drop) + 1)
-    return tuple(sums.values()), err + head
+    return tuple(sums[first - 1:]), err + head
 
 
 # -- even zeta values ----------------------------------------------------------

@@ -12,6 +12,7 @@ balls.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -51,13 +52,21 @@ def l1_units(exact, re, im, P):
 @st.composite
 def kernel_points(draw):
     """(P, ur, ui): u = (ur + i ui) 2^-P, |Re u| <= 1/2, real, complex, near an
-    integer or high in the strip."""
+    integer, near Re u = +-1/2 (|u -/+ 1| about 1/2, where 1/(u -/+ 1) is
+    largest), just beyond |u| = 5/2 (the lattice route) or high in the strip."""
     P = draw(st.integers(24, 40))
-    kind = draw(st.sampled_from(["real", "complex", "near", "strip"]))
+    kind = draw(st.sampled_from(["real", "complex", "near", "half", "beyond", "strip"]))
     half = 1 << (P - 1)
     if kind == "near":
         reach = 1 << draw(st.integers(2, P // 2))
         ur, ui = draw(st.integers(-reach, reach)), draw(st.sampled_from([0, 1, -3, reach]))
+    elif kind == "half":
+        reach = 1 << draw(st.integers(2, P // 2))
+        ur = draw(st.sampled_from([1, -1])) * (half - draw(st.integers(0, reach)))
+        ui = draw(st.sampled_from([0, draw(st.integers(-reach, reach))]))
+    elif kind == "beyond":
+        ur = draw(st.integers(-half, half))
+        ui = draw(st.sampled_from([1, -1])) * draw(st.integers(5 * half, 8 * half))
     else:
         ur = draw(st.integers(-half, half))
         top = {"real": 0, "complex": 4 * half, "strip": 60 * half}[kind]
@@ -79,6 +88,21 @@ def test_the_explicit_sum_is_within_its_count_of_the_exact_sum(point, N, k0, cou
             term = cpow((u[0] - n, u[1]), -k)
             exact = [exact[0] + term[0], exact[1] + term[1]]
         assert l1_units(exact, re, im, P) <= err
+
+
+def test_the_pairs_where_their_count_is_tightest_are_within_it():
+    # Re u just below 1/2 and N = 1: the pair n = 1, where 1/(u - 1) is near
+    # -2, attains the bound M on |r| that every term of the pass is charged
+    # at, and its propagated error 2k |r|^(k-1) e nears the count, in 1,000
+    # real points at P = 24..40
+    rng = random.Random(2)
+    for _ in range(1000):
+        P = rng.randint(24, 40)
+        ur = (1 << P - 1) - rng.randint(1, 1 << P // 2)
+        u = Fraction(ur, 2 ** P)
+        for k, (re, im, err) in zip((2, 3, 4), _explicit_sums((2, 3, 4), ur, 0, 1, P)):
+            exact = sum(Fraction(1) / (u - n) ** k for n in (-1, 0, 1))
+            assert abs(exact * 2 ** P - re) <= err
 
 
 @settings(max_examples=300)

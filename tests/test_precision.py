@@ -21,6 +21,21 @@ def test_context_validation():
         PrecisionContext(precision=64, tolerance="1e-300")  # guard margin gone
 
 
+def test_a_complex_ball_whose_modulus_equals_its_radius_is_consistent_with_zero():
+    mp = PrecisionContext().mp
+    unit = mp.ldexp(1, -200)
+    assert BoundedValue(mp.mpc(3 * unit, 4 * unit), 5 * unit).consistent_with_zero()
+
+
+def test_a_complex_ball_whose_modulus_exceeds_its_radius_by_one_unit_is_not():
+    # |2^70 + i|^2 = 2^140 + 1 exceeds the squared radius 2^140 by one unit; a
+    # modulus rounded to 128 bits comes out as the radius itself
+    mp = PrecisionContext().mp
+    value = mp.mpc(mp.ldexp(1, -200), mp.ldexp(1, -270))
+    assert abs(value) == mp.ldexp(1, -200)
+    assert not BoundedValue(value, mp.ldexp(1, -200)).consistent_with_zero()
+
+
 def test_context_is_immutable_and_hashable():
     ctx = PrecisionContext()
     with pytest.raises(AttributeError):

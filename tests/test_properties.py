@@ -58,7 +58,7 @@ def lattice_closed_form(k: int, z):
 CONTEXTS = [(128, "1e-12"), (192, "1e-30"), (256, "1e-60")]
 
 
-@pytest.mark.parametrize("precision, tolerance", CONTEXTS)
+@pytest.mark.parametrize("precision, tolerance", CONTEXTS + [(400, "1e-100")])
 @given(st.sampled_from([2, 3, 4]), dyadic(-0.5, 0.5), dyadic(-60, 60))
 def test_lattice_ball_contains_the_closed_form(precision, tolerance, k, x, y):
     assume(x != 0 or y != 0)
@@ -69,6 +69,20 @@ def test_lattice_ball_contains_the_closed_form(precision, tolerance, k, x, y):
     with mpmath.workprec(2 * precision + 64):
         exact = lattice_closed_form(k, mpmath.mpmathify(z))
         assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius
+
+
+@pytest.mark.parametrize("z", ["0.3+4i", "0.45+6i", "0.3+9i"])
+def test_lattice_route_balls_at_1100_bits_contain_the_closed_form(z):
+    # the top of the ladder, 1,100 bits and 1e-300: all three points take the
+    # lattice route, with its pairs and both tails at about 1,000 bits
+    ctx = PrecisionContext(1100, "1e-300")
+    zp = ctx.point(z)
+    for k in (2, 3, 4):
+        bv = eisenstein_k(k, zp, ctx)
+        assert bv.radius <= ctx.tolerance
+        with mpmath.workprec(2 * ctx.precision + 64):
+            exact = lattice_closed_form(k, mpmath.mpmathify(zp))
+            assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius
 
 
 def jet_misses(ctx, z):

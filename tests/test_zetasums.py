@@ -235,28 +235,30 @@ def test_a_table_never_replaces_one_of_higher_scale(monkeypatch):
 
 
 def test_threads_at_different_scales_each_get_a_table_of_their_own_scale(monkeypatch):
-    # 4 threads ask for tables at three scales with a short switch interval;
-    # every table holds at least what its caller asked for, and its values are
-    # those of a serial build at its scale
+    # for each table i, 4 threads ask for tables at three scales with a short
+    # switch interval; every table holds at least what its caller asked for,
+    # and its values and err are those of a serial build at its scale
     import sys
     import threading
     from eistrig import zetasums
     scales = (128, 256, 384)
     serial = {}
-    for P in scales:
-        monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
-        q, values, _ = zetasums.zeta_table(P, 40, 0)
-        serial[q] = values
+    for i in range(3):
+        for P in scales:
+            monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+            q, values, err = zetasums.zeta_table(P, 40, i)
+            serial[i, q] = values, err
     monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
     problems = []
 
     def work(offset):
         try:
             for j in range(30):
-                P, count = scales[(j + offset) % 3], 10 + j
-                q, values, _ = zetasums.zeta_table(P, count, 0)
-                if q < P or len(values) < count or values[:count] != serial[q][:count]:
-                    problems.append((P, count, q, len(values)))
+                i, P, count = j % 3, scales[(j + offset) % 3], 10 + j
+                q, values, err = zetasums.zeta_table(P, count, i)
+                want, want_err = serial[i, q]
+                if q < P or len(values) < count or values[:count] != want[:count] or err != want_err:
+                    problems.append((i, P, count, q, len(values)))
         except Exception as exc:  # a thread's exception would otherwise go unseen
             problems.append(exc)
 
@@ -272,6 +274,21 @@ def test_threads_at_different_scales_each_get_a_table_of_their_own_scale(monkeyp
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert problems == []
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_a_grown_table_equals_a_table_built_in_one_step(i, monkeypatch):
+    # every value and the err depend on the scale, i and m alone: a table
+    # grown one entry at a time from 10 to 40 equals one built at 40 at once
+    from eistrig import zetasums
+    for q in (384, 1088):
+        monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+        for count in range(10, 41):
+            grown = zetasums.zeta_table(q, count, i)
+        monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+        once = zetasums.zeta_table(q, 40, i)
+        assert grown[0] == once[0] and grown[2] == once[2]
+        assert grown[1][:40] == once[1][:40]
 
 
 def test_every_zeta_table_ends_on_one_euler_maclaurin_call(monkeypatch):

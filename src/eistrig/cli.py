@@ -94,9 +94,9 @@ def _cmd_eval(args) -> int:
             u = reduce_point(zp, ctx)
         else:
             bv = cosine(zp, ctx) if name == "cos" else sine(zp, ctx)
-            u = evaluator(ctx).reduced_w(zp)[0]
-        route, pairs, size = pass_size(u, ctx.mp.mag(ctx.tolerance) - 1)
-        detail = {"Laurent": f"Laurent route, {pairs} exact pairs, D = {size}",
+            u = evaluator(ctx).reduced_w(ctx.exact(zp))[0]
+        route, pairs, size = pass_size(u, ctx.tolerance_exponent)
+        detail = {"Laurent": f"Laurent route, {pairs} explicit pairs, D = {size}",
                   "strip": f"strip remainder, m = {size}",
                   "lattice": f"lattice route, N = {size}"}[route] + f", {detail}"
     print(f"{name}({args.point}) = {_fmt_value(bv.value, ctx)} +/- {format_real(bv.radius, ctx)}")

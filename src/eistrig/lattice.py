@@ -19,10 +19,11 @@ consecutive k at one point, each to its own target (all bounds explicit):
 3. The sums run in Python integers at scale 2^-P (fixedpoint), every
    rounding truncating toward zero and counted.  The pass has one entry,
    in integers: the reduced point u as the pair (ur, ui, W), (ur + i ui)
-   2^-W, exact for a point given in binary floating point (reduce_point)
-   and at the trig evaluator's scale for w = z / 2 pi, and each target as
-   a binary exponent e, 2^e; eisenstein_k, f_jet and the ODE residuals
-   convert a tolerance t once, to 2^(mag t - 1) <= t.  P is the tightest
+   2^-W, exact for a point given in binary floating point (reduce_point,
+   from PrecisionContext.exact, which builds no mpf for a float, complex,
+   int or mpf) and at the trig evaluator's scale for w = z / 2 pi, and each
+   target as a binary exponent e, 2^e <= t (ctx.tolerance_exponent for the
+   context's tolerance, computed once per context).  P is the tightest
    target's bits plus KERNEL_GUARD_BITS, raised until u is exact where that
    costs at most (k+1) log2(1/|u|) + 8 more bits; otherwise u is truncated
    to 2^-P, moves by less than 2 units, and the move is charged as an
@@ -33,14 +34,14 @@ consecutive k at one point, each to its own target (all bounds explicit):
       eps_k(u) = sum_{|n| < L} (u - n)^-k
                  + L^-k 2 (-1)^k sum_{j = k mod 2} C(k+j-1, j) Z_i(k+j) w^j,
    Z_i(s) = sum_{n >= L} (L/n)^s (Z_0 = zeta): the pairs by _explicit_sums,
-   then D terms by Horner in v = w^2, exact at the scale of the Z_i(2m)
-   table (zetasums.zeta_table, one table per i for every k), times w once
-   for odd k; w and L^-k are shifts.  Each step truncates once and counts
-   one unit, and |v| < 1 keeps every error from growing.  The tail, with
-   Z_i <= 2L, is at most L^(1-k) T_J / (1 - r_J) from the first omitted
-   power J on, because the term ratio r_j = (k+j+1)(k+j) |w|^2 /
-   ((j+1)(j+2)) decreases in j; _laurent_terms picks D so that this, in
-   integers, is at most a quarter of the target.
+   then D terms by Horner in v = w^2, exact at the scale of the Z_i(2m) table
+   (zetasums.zeta_table, one per i for every k; _horner_row forms each C Z_i
+   once per table), times w once for odd k; w and L^-k are shifts.  Each
+   step truncates once and counts one unit, and |v| < 1 keeps every error
+   from growing.  The tail, with Z_i <= 2L, is at most L^(1-k) T_J /
+   (1 - r_J) from the first omitted power J on, because the term ratio r_j
+   = (k+j+1)(k+j) |w|^2 / ((j+1)(j+2)) decreases in j; _laurent_terms picks
+   D so that this, in integers, is at most a quarter of the target.
 5. Lattice route (_lattice_sums), for |u| > 4 rho below y*: u^-k and the
    pairs (u -/+ n)^-k for n <= N (_explicit_sums), each from the reciprocal
    r = 1/(u - n) truncated once at 2^-P.  Its powers are exact and summed
@@ -102,10 +103,8 @@ def reduced(re: int, im: int, W: int):
 
 def reduce_point(z, ctx: PrecisionContext):
     """z minus its nearest integer as the exact pair (ur, ui, W): the reduced
-    point u = (ur + i ui) 2^-W that a lattice pass takes."""
-    zp = ctx.point(z)
-    W = fraction_bits(zp)
-    return reduced(*to_fixed(zp, W), W)
+    point u = (ur + i ui) 2^-W that a lattice pass takes, from ctx.exact."""
+    return reduced(*ctx.exact(z))
 
 
 def magnitude(ur: int, ui: int, W: int) -> int:
@@ -244,7 +243,7 @@ def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"eisenstein_k expects an integer k >= 2, got {k!r}")
     mp = ctx.mp
-    P, (sums,) = _lattice_pass((k,), reduce_point(z, ctx), ctx, (mp.mag(ctx.tolerance) - 1,))
+    P, (sums,) = _lattice_pass((k,), reduce_point(z, ctx), ctx, (ctx.tolerance_exponent,))
     out = to_ball(*sums, P, mp)
     if out.radius > ctx.tolerance:
         raise ToleranceUnreachableError(
@@ -382,10 +381,10 @@ def _route(u, exponents, targets):
     bound = _laurent_bound(u)
     if bound is None:
         return "lattice", truncation_n(u, min(targets)), None
-    i, U = bound
+    i, m, x = bound
     # Z_i(s) <= 1 + L/(s-1) <= 2 L, and the factor L^-k: the series needs 2^((k-1) i) less
-    tails = [e - 2 + (k - 1) * i for k, e in zip(exponents, targets)]
-    degrees = [_laurent_terms(k, U, e) for k, e in zip(exponents, tails)]
+    tails = tuple(e - 2 + (k - 1) * i for k, e in zip(exponents, targets))
+    degrees = [_laurent_terms(k, m, x, e) for k, e in zip(exponents, tails)]
     return "Laurent", degrees[0], (i, degrees, tails)
 
 
@@ -471,9 +470,10 @@ _MAX_SHIFT = 2
 
 
 def _laurent_bound(u):
-    """(i, U) for the least i <= _MAX_SHIFT with |u| <= rho 2^i, rho = 5/8,
-    and U >= |u / 2^i| 2^32, also >= |u truncated at 2^-P| 2^(32-i) for every
-    P, with U at most rho 2^32: the Laurent route's selection; None beyond."""
+    """(i, m, x) for the least i <= _MAX_SHIFT with |u| <= rho 2^i, rho = 5/8,
+    and m 2^-x >= U 2^-32 >= |u / 2^i|, m <= 2^8, U also >= |u truncated at
+    2^-P| 2^(32-i) for every P and at most rho 2^32: the Laurent route's
+    selection; None beyond."""
     ur, ui, W = u
     ur, ui = tshift(ur, 32 - W), tshift(ui, 32 - W)
     ur, ui = abs(ur) + 1, abs(ui) + 1
@@ -483,22 +483,23 @@ def _laurent_bound(u):
     U = isqrt(ur * ur + ui * ui) + 1
     for i in range(_MAX_SHIFT + 1):
         if U <= _LAURENT_RADIUS << i:
-            return i, -(-U >> i)
+            U = -(-U >> i)
+            shift = max(0, U.bit_length() - 8)
+            return i, (U >> shift) + 1, 32 - shift
     return None
 
 
-def _laurent_terms(k: int, U: int, e: int) -> int:
+#: the D of the 4096 (k, m, x, e) used last; lru_cache is thread-safe
+@functools.lru_cache(maxsize=4096)
+def _laurent_terms(k: int, m: int, x: int, e: int) -> int:
     """D: the terms of the Laurent series of eps_k (powers u^j, j = k mod 2 up
-    to k mod 2 + 2D - 2) that bring its tail to at most 2^e at |u| <= U 2^-32.
+    to k mod 2 + 2D - 2) that bring its tail to at most 2^e at |u| <= m 2^-x.
 
     The tail from the first omitted power J on is, with zeta <= 2, at most
     T_J / (1 - r_J), T_J = 4 C(k+J-1, J) |u|^J and r_J = (k+J+1)(k+J) |u|^2 /
     ((J+1)(J+2)) the ratio of T_(J+2) to T_J, which decreases in j.  J starts
-    from a float estimate and moves up by 2 until the test holds in integers
-    at |u| <= m 2^-x, m <= 2^8.
+    from a float estimate and moves up by 2 until the test holds in integers.
     """
-    shift = max(0, U.bit_length() - 8)
-    m, x = (U >> shift) + 1, 32 - shift
     lu = x - math.log2(m)  # about log2(1/|u|)
     J = (2 - e) / lu
     J = (2 - e + math.log2(comb(k + max(0, int(J)), k - 1))) / lu
@@ -514,9 +515,10 @@ def _laurent_terms(k: int, U: int, e: int) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _rho_terms(k: int, e: int) -> int:
-    """_laurent_terms at |u| = rho: the most that any pass of the route sums."""
-    return _laurent_terms(k, _LAURENT_RADIUS, e)
+def _table_count(exponents, tails) -> int:
+    """The Z_i(2m) that a Laurent pass asks for: D at |u / 2^i| <= 161 2^-8, the bound of
+    _laurent_bound at rho, so the table's size depends on scales and targets alone."""
+    return max((k + 1) // 2 + _laurent_terms(k, 161, 8, e) - 1 for k, e in zip(exponents, tails))
 
 
 def _laurent_sums(exponents, ur: int, ui: int, P: int, i: int, degrees, tails):
@@ -533,10 +535,7 @@ def _laurent_sums(exponents, ur: int, ui: int, P: int, i: int, degrees, tails):
     S at most e sum_j C(k+j-1, j) rho^(j - k mod 2) <= e (1 - rho)^-k = e
     (8/3)^k units (the sum over even or odd j of the series of (1 - x)^-k,
     over x for odd k, increases with x)."""
-    # the table is asked for what any point within rho 2^i needs: its size then
-    # depends on the scales and targets alone, never on the points
-    q, zetas, zerr = zeta_table(P, max((k + 1) // 2 + _rho_terms(k, e) - 1
-                                       for k, e in zip(exponents, tails)), i)
+    q, zetas, zerr = zeta_table(P, _table_count(exponents, tails), i)
     d, shift = q - P, 2 * (P + i)
     vr, vi = ur * ur - ui * ui, 2 * ur * ui
     ec = 2 if ui else 1
@@ -544,16 +543,15 @@ def _laurent_sums(exponents, ur: int, ui: int, P: int, i: int, degrees, tails):
     for k, D, e, (hr, hi, herr) in zip(exponents, degrees, tails,
                                        _explicit_sums(exponents, ur, ui, (1 << i) - 1, P)):
         sr = si = 0
-        terms = range(k % 2 + 2 * D - 2, -1, -2)
+        terms = _horner_row(i, k, zetas)[D - 1::-1]
         if ui:
-            for j in terms:
-                c = comb(k + j - 1, j) * zetas[(k + j) // 2 - 1]
+            for c in terms:
                 xr, xi = sr * vr - si * vi, sr * vi + si * vr
                 sr = (xr >> shift if xr >= 0 else -(-xr >> shift)) + c
                 si = xi >> shift if xi >= 0 else -(-xi >> shift)
         else:  # every term is positive
-            for j in terms:
-                sr = (sr * vr >> shift) + comb(k + j - 1, j) * zetas[(k + j) // 2 - 1]
+            for c in terms:
+                sr = (sr * vr >> shift) + c
         # 2 S L^-k within 2 (D ec + zerr (8/3)^k) L^-k units of 2^-Q, one more truncation
         err = (-(-(2 * D * ec * 3**k + 2 * zerr * 8**k) // (3**k << d + k * i)) + ec + herr
                + (1 << P + e - (k - 1) * i))
@@ -564,6 +562,24 @@ def _laurent_sums(exponents, ur: int, ui: int, P: int, i: int, degrees, tails):
         out.append(((xr >> s if xr >= 0 else -(-xr >> s)) + hr,
                     (xi >> s if xi >= 0 else -(-xi >> s)) + hi, err))
     return out
+
+
+#: (i, k) -> (values, row), about _ROWS_HELD at most: a get, a set and a clear are
+#: each atomic under the GIL, and a row serves only the tuple it was built from
+_rows: dict = {}
+_ROWS_HELD = 32
+
+
+def _horner_row(i: int, k: int, zetas: tuple) -> list:
+    """[C(k+j-1, j) Z_i(k+j) for j = k mod 2, k mod 2 + 2, ...] from the values zetas."""
+    held = _rows.get((i, k))
+    if held is not None and held[0] is zetas:
+        return held[1]
+    row = [comb(k + j - 1, j) * zetas[(k + j) // 2 - 1] for j in range(k % 2, 2 * len(zetas) - k + 1, 2)]
+    if len(_rows) >= _ROWS_HELD:
+        _rows.clear()
+    _rows[i, k] = zetas, row
+    return row
 
 
 def _kernel_scale(u, F: int, P: int, k: int) -> int:
@@ -680,7 +696,7 @@ def nonvanishing_scan(grid: Sequence, ctx: PrecisionContext) -> NonvanishingRepo
     Raises InconclusiveNonvanishingError if some point cannot be resolved.
     """
     points = tuple(ctx.point(z) for z in grid)
-    e = ctx.mp.mag(ctx.tolerance) - 1
+    e = ctx.tolerance_exponent
     balls = [_resolved_f(reduce_point(zp, ctx), ctx, e) for zp in points]
     values = tuple(to_ball(*b, ctx.mp) for b in balls)
     least = min(range(len(points)), key=lambda i: values[i].lower())
@@ -730,7 +746,7 @@ def strip_decay(y_values: Sequence, x, ctx: PrecisionContext) -> list[StripBound
         yr = ctx.real(y)
         if abs(yr) < 1:
             raise ValueError(f"strip requires |y| >= 1, got {mp.nstr(yr, 8)}")
-        e = mp.mag(ctx.tolerance) - 1
+        e = ctx.tolerance_exponent
         if len(resolved) >= 2:
             (y1, b1), (y2, b2) = resolved[-2], resolved[-1]
             slope = (b2 - b1) / (y2 - y1)

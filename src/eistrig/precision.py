@@ -12,9 +12,9 @@ nonvanishing scan and the strip decay, the verify margins and the zero test
 (BoundedValue.consistent_with_zero) run in Python integers at scale 2^-P
 (fixedpoint).  Each rounding there truncates toward zero and errs by less
 than one unit of 2^-P per component; the allowance is an exact count of
-those units, a proved bound.  A ball leaves
-that layer rounded once to its context's precision (fixedpoint.to_ball), the
-one way a ball is demoted.
+those units, a proved bound.  A point enters that layer exactly, as an
+integer pair (PrecisionContext.exact), and a ball leaves it rounded once to
+its context's precision (fixedpoint.to_ball), the one way a ball is demoted.
 
 mpmath contexts are cached per precision (the 64 used last) and never
 mutated afterwards, so evaluations at different precisions can run
@@ -24,6 +24,7 @@ concurrently without touching mpmath's global state.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Union
@@ -99,10 +100,12 @@ class PrecisionContext:
 
     The working precision must exceed the bits implied by the tolerance by
     GUARD_BITS, so that rounding noise stays below every claimed radius.
-    Construction fails fast on contradictory settings.
+    Construction fails fast on contradictory settings, and computes once the
+    hash and tolerance_exponent, e = mag(tolerance) - 1 (2^e <= tolerance),
+    the target of a lattice pass to the tolerance.
     """
 
-    __slots__ = ("precision", "tolerance", "_mp", "_eps")
+    __slots__ = ("precision", "tolerance", "tolerance_exponent", "_mp", "_eps", "_hash")
 
     def __init__(self, precision: int = 128, tolerance: Real = "1e-12"):
         if not isinstance(precision, int) or precision < 64:
@@ -123,6 +126,8 @@ class PrecisionContext:
         object.__setattr__(self, "tolerance", tol)
         object.__setattr__(self, "_mp", mp)
         object.__setattr__(self, "_eps", mp.ldexp(1, 1 - precision))
+        object.__setattr__(self, "tolerance_exponent", mp.mag(tol) - 1)
+        object.__setattr__(self, "_hash", hash((precision, tol)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PrecisionContext is immutable")
@@ -137,7 +142,7 @@ class PrecisionContext:
                 and self.tolerance == other.tolerance)
 
     def __hash__(self) -> int:
-        return hash((self.precision, self.tolerance))
+        return self._hash
 
     # -- derived contexts ------------------------------------------------
 
@@ -185,9 +190,7 @@ class PrecisionContext:
             if not (mp.isfinite(re) and mp.isfinite(im)):
                 raise ValueError(f"non-finite point: {z!r}")
             return re if im == 0 else mp.mpc(re, im)
-        if isinstance(z, complex):
-            re, im = mp.mpf(z.real), mp.mpf(z.imag)
-        elif hasattr(z, "imag") and not isinstance(z, (int, float, Fraction)):
+        if hasattr(z, "imag") and not isinstance(z, (int, float, Fraction)):
             re, im = mp.mpf(z.real) if not isinstance(z.real, Fraction) else self.real(z.real), mp.mpf(z.imag)
         else:
             return self.real(z)
@@ -196,6 +199,27 @@ class PrecisionContext:
         if im == 0:
             return re
         return mp.mpc(re, im)
+
+    def exact(self, z) -> tuple[int, int, int]:
+        """The point z as the exact pair (re, im, W): (re + i im) 2^-W, W the
+        least scale >= 0 at which it is exact; no mpf is built for a float, a
+        complex (read by float.as_integer_ratio), an int (taken as it is) or
+        an mpf or mpc of this context (its own mantissa and exponent).  Any
+        other input is read by point first."""
+        if isinstance(z, (float, complex)):
+            re, im = (z, 0.0) if isinstance(z, float) else (z.real, z.imag)
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ValueError(f"non-finite {'real input' if re is z else 'point'}: {z!r}")
+            (a, b), (c, d) = re.as_integer_ratio(), im.as_integer_ratio()
+            m = max(b, d)  # b and d are powers of 2
+            return a * (m // b), c * (m // d), m.bit_length() - 1
+        if isinstance(z, int):
+            return z, 0, 0
+        zp = self.point(z)  # its parts read here: fixedpoint builds on this module
+        parts = zp._mpc_ if hasattr(zp, "_mpc_") else (zp._mpf_, (0, 0, 0, 0))
+        W = max([0] + [-exp for _, man, exp, _ in parts if man])
+        re, im = ((-man if sign else man) << exp + W for sign, man, exp, _ in parts)
+        return re, im, W
 
     def from_fraction(self, q: Fraction):
         """mpf nearest to an exact Fraction (two roundings at most)."""

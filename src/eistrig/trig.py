@@ -41,8 +41,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import PoleProximityError, ToleranceUnreachableError
-from .fixedpoint import (ball_mul, ball_quotient, floor_abs, fraction_bits, tdiv, to_ball,
-                         to_fixed, to_mp, tshift, units)
+from .fixedpoint import ball_mul, ball_quotient, floor_abs, tdiv, to_ball, to_mp, tshift, units
 from .precision import BoundedValue, PrecisionContext
 from .lattice import (fixed_jet, guarded_distance, in_pole_guard, magnitude, reduce_point,
                       reduced, to_float)
@@ -88,18 +87,18 @@ class TrigEvaluator:
         self.pi = PiValue(to_ball(*self.pi_fixed, P, mp))
         self.cos_tols, self.sin_tols = (tol / 160,), (None, tol / 4)
 
-    def reduced_w(self, zp):
-        """(u, R) for the point zp: w = zp (2 pi-hat)^-1, one product truncated
-        to 2^-P, minus its nearest integer, is the reduced point u = (ur, ui, P),
-        and the true z / 2 pi lies within R units of 2^-P of it."""
-        Z = fraction_bits(zp)
-        zr, zi = to_fixed(zp, Z)
+    def reduced_w(self, z):
+        """(u, R) for the exact pair z = (zr, zi, Z) (ctx.exact): w = z (2 pi-hat)^-1,
+        one product truncated to 2^-P, minus its nearest integer, is the reduced
+        point u = (ur, ui, P), and the true z / 2 pi lies within R units of it."""
+        zr, zi, Z = z
         h, _, eh = self.half_inv_pi
         R = -(-(abs(zr) + abs(zi)) * eh >> Z) + (2 if zi else 1)
         return reduced(tshift(zr * h, -Z), tshift(zi * h, -Z), self.scale), R
 
 
-#: the evaluators of the 32 contexts used last
+#: the evaluators of the 32 contexts used last; lru_cache is thread-safe, and two
+#: threads that build one context's evaluator at once get two equal ones
 _cached_evaluator = functools.lru_cache(maxsize=32)(TrigEvaluator)
 
 
@@ -230,14 +229,14 @@ def _sin_fixed(ev: TrigEvaluator, g1, Q: int):
     return (*ball_mul(ev.pi_fixed, g1), ev.scale + Q)
 
 
-def _at_w(name, zp, ctx: PrecisionContext, tols, form) -> BoundedValue:
+def _at_w(name, z, ctx: PrecisionContext, tols, form) -> BoundedValue:
     """form(ev, the jet's highest order, Q) rounded once, the g jet to tols
-    over the disc of w = zp / 2 pi (ev.reduced_w), within the tolerance, or
-    ToleranceUnreachableError naming name(zp), chained from the jet's."""
+    over the disc of w = z / 2 pi (ev.reduced_w, z an exact pair), within the
+    tolerance, or ToleranceUnreachableError naming name(z), chained from it."""
     mp, tol, ev = ctx.mp, ctx.tolerance, evaluator(ctx)
     cause = None
     try:
-        u, R = ev.reduced_w(zp)
+        u, R = ev.reduced_w(z)
         Q, jet = _g_jet(u, ctx, R, tols)
         bv = to_ball(*form(ev, jet[-1], Q), mp)
         if bv.radius <= tol:
@@ -245,7 +244,7 @@ def _at_w(name, zp, ctx: PrecisionContext, tols, form) -> BoundedValue:
     except ToleranceUnreachableError as exc:
         cause = exc
     raise ToleranceUnreachableError(
-        f"{name}({mp.nstr(zp, 8).strip('()')}) cannot be certified to tolerance {mp.nstr(tol, 5)} "
+        f"{name}({mp.nstr(to_mp(*z, mp), 8).strip('()')}) cannot be certified to tolerance {mp.nstr(tol, 5)} "
         f"at {ctx.precision} bits") from cause
 
 
@@ -253,10 +252,10 @@ def cosine(z, ctx: PrecisionContext) -> BoundedValue:
     """c(z) = 1 - 2 pi^2 g(z / 2 pi); c(0) = 1 exactly; g to tolerance/160
     over the disc of z / 2 pi.  ToleranceUnreachableError where the radius
     cannot meet the tolerance."""
-    zp = ctx.point(z)
-    if zp == 0:
+    z = ctx.exact(z)
+    if not (z[0] or z[1]):
         return ctx.ball(1)
-    return _at_w("cos", zp, ctx, evaluator(ctx).cos_tols, _cos_fixed)
+    return _at_w("cos", z, ctx, evaluator(ctx).cos_tols, _cos_fixed)
 
 
 def sine(z, ctx: PrecisionContext) -> BoundedValue:
@@ -267,10 +266,10 @@ def sine(z, ctx: PrecisionContext) -> BoundedValue:
     degenerates, |g'(w)| <= 3 (|u| + r_w) gives a zero-centered ball.
     ToleranceUnreachableError where the radius cannot meet the tolerance.
     """
-    zp = ctx.point(z)
-    if zp == 0:
+    z = ctx.exact(z)
+    if not (z[0] or z[1]):
         return ctx.ball(0)
-    return _at_w("sin", zp, ctx, evaluator(ctx).sin_tols, _sin_fixed)
+    return _at_w("sin", z, ctx, evaluator(ctx).sin_tols, _sin_fixed)
 
 
 # -- Taylor route ----------------------------------------------------------------
@@ -311,8 +310,7 @@ def taylor_cosine(z, ctx: PrecisionContext) -> BoundedValue:
                          f"{mp.nstr(abs(zp), 6)}")
     if zp == 0:
         return ctx.ball(1)
-    tol, W, Z = ctx.tolerance, ctx.precision + 32, fraction_bits(zp)
-    zr, zi = to_fixed(zp, Z)
+    tol, W, (zr, zi, Z) = ctx.tolerance, ctx.precision + 32, ctx.exact(zp)
     az2, quarter = zr * zr + zi * zi, units(tol, W) >> 2
     re, im, err = 1 << W, 0, 0
     for m, (tr, ti, e) in enumerate(_cos_terms(zr, zi, Z, W), 1):
@@ -353,7 +351,7 @@ def ivp_residual(z, ctx: PrecisionContext) -> BoundedValue:
     """c''(z) + c(z) with c(z) = 1 - 2 pi^2 g(w) and c''(z) = -g''(w)/2 from
     one jet held over the disc of w = z / 2 pi; exact at 2^-(P+Q+1)."""
     ev = evaluator(ctx)
-    u, R = ev.reduced_w(ctx.point(z))
+    u, R = ev.reduced_w(ctx.exact(z))
     Q, (g, _, g2) = _g_jet(u, ctx, R, (ctx.tolerance / 160, None, ctx.tolerance / 4))
     cr, ci, ec, S = _cos_fixed(ev, g, Q)
     P = ev.scale
@@ -415,7 +413,7 @@ def pythagoras_residual(z, ctx: PrecisionContext) -> BoundedValue:
     zp, mp = ctx.point(z), ctx.mp
     ev, tol = evaluator(ctx), ctx.tolerance
     m = mp.ldexp(1, int(1.45 * abs(mp.im(zp))) + 1)
-    u, R = ev.reduced_w(zp)
+    u, R = ev.reduced_w(ctx.exact(zp))
     Q, (g, g1) = _g_jet(u, ctx, R, (tol / (160 * m), tol / (32 * m)))
     *c, S = _cos_fixed(ev, g, Q)
     *s, _ = _sin_fixed(ev, g1, Q)

@@ -45,7 +45,8 @@ from .precision import BoundedValue, PrecisionContext
 
 _TANGENT: list[int] = [0, 1]  # T_0..T_n as they get computed; T_0 unused
 # column n of the Seidel triangle after each of its passes 1..n (pass 1 the
-# initial value (n-1)!), from which column n+1 follows
+# initial value (n-1)!), from which column n+1 follows; both change only under
+# _bern_lock, and a T once appended never changes
 _COLUMN: list[int] = [1]
 _bern_lock = threading.Lock()
 
@@ -90,7 +91,8 @@ KERNEL_GUARD_BITS = 28
 # (Q, [R_1, R_2, ...]): R_j = C_{j+1}/C_j, C_j = B_2j/(2j)!, rounded toward
 # zero at scale 2^-Q; one table at the highest scale asked for so far, Q a
 # multiple of 64, replaced when a caller needs more bits and extended in place,
-# under _ratio_lock, when it needs more orders
+# under _ratio_lock, when it needs more orders.  Readers take no lock: the tuple
+# is rebound whole and entries are only appended, each atomically under the GIL
 _em_ratios: tuple = (0, [])
 _ratio_lock = threading.Lock()
 

@@ -41,6 +41,16 @@ MUTANTS = {
         "lattice.py",
         "err = (-(-(2 * D * ec * 3**k + 2 * zerr * 8**k) // (3**k << d + k * i)) + ec + herr",
         "err = (-(-(D * ec * 3**k + zerr * 8**k) // (3**k << d + k * i)) + herr")],
+    # every Horner row coefficient read one table entry off: Z_i(k+j+2) for Z_i(k+j)
+    "horner_row_one_entry_off": [(
+        "lattice.py",
+        "zetas[(k + j) // 2 - 1] for j in range(k % 2, 2 * len(zetas) - k + 1, 2)]",
+        "zetas[(k + j) // 2] for j in range(k % 2, 2 * len(zetas) - k - 1, 2)]")],
+    # a Horner row kept for its (i, k) after its table was regrown or replaced
+    "horner_row_kept_across_tables": [(
+        "lattice.py",
+        "if held is not None and held[0] is zetas:",
+        "if held is not None:")],
     "laurent_tail_bound_dropped": [(
         "lattice.py",
         "               + (1 << P + e - (k - 1) * i))",

@@ -26,7 +26,7 @@ def test_eval_f_prints_value_radius_and_parameters():
     proc = run_cli("eval", "f", "0.5")
     assert proc.returncode == 0
     assert proc.stdout.startswith("f(0.5) = 9.869604401089")
-    assert "Laurent route, 0 exact pairs, D = 26" in proc.stdout and "precision = 128 bits" in proc.stdout
+    assert "Laurent route, 0 explicit pairs, D = 26" in proc.stdout and "precision = 128 bits" in proc.stdout
     # printed center must sit within the printed radius of pi^2, radius <= 1e-12
     import mpmath
     with mpmath.workdps(50):
@@ -101,7 +101,7 @@ def test_eval_zeta_four_prints_a_ball_around_zeta_four():
 
 @pytest.mark.parametrize("point, expected", [
     pytest.param(point, expected, id=point) for point, expected in (
-        ("0.3", "Laurent route, 0 exact pairs"), ("0.3+1.8i", "Laurent route, 3 exact pairs"),
+        ("0.3", "Laurent route, 0 explicit pairs"), ("0.3+1.8i", "Laurent route, 3 explicit pairs"),
         ("0.3+4i", "lattice route"), ("0.5+40i", "strip remainder"))])
 def test_eval_prints_the_truncation_the_lattice_sum_uses(point, expected, capsys, monkeypatch):
     # the printed route and size are the ones the pass ran with

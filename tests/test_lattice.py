@@ -286,7 +286,7 @@ def _table_sizes():
             if not name.startswith("__") and isinstance(obj, (dict, list, tuple, set))}
 
 
-def test_module_tables_do_not_grow_with_the_number_of_points():
+def test_module_tables_do_not_grow_with_the_number_of_points(monkeypatch):
     # the same mix as a long-lived process evaluating at ever new points:
     # real, near-axis and high-strip, k = 2, 3, 4, at 192 bits, and the strip
     # decay at rising heights, where |f| falls below the tolerance and each
@@ -294,7 +294,9 @@ def test_module_tables_do_not_grow_with_the_number_of_points():
     # them) but opens no new working precision, once per 100 points; the
     # points within 4 rho of an integer take the Laurent routes and their
     # Z_0, Z_1 and Z_2 tables, whose sizes depend on the scales and targets
-    # alone, and the strip remainder caches one order per exponent and target
+    # alone, and the strip remainder caches one order per exponent and target;
+    # the Horner rows (in _table_sizes, each with the values tuple it serves)
+    # stay one per table and exponent, and the D memo within its lru bound
     import random
     from eistrig import precision
     rng = random.Random(7)
@@ -309,14 +311,19 @@ def test_module_tables_do_not_grow_with_the_number_of_points():
             if i % 100 == 0:
                 strip_decay(heights, Fraction(1, 2), ctx)
 
+    monkeypatch.setattr(lattice, "_rows", {})  # no rows of other tests' exponents
     misses = contexts().misses
     evaluate(100)
-    caches = (lattice._rho_terms, lattice._strip_order)
+    caches = (lattice._strip_order, lattice._table_count)
     after_100 = _table_sizes(), [c.cache_info().currsize for c in caches]
     from eistrig import zetasums
     assert all(len(values) > 3 for _, values, _ in zetasums._zeta_tables)
+    assert sorted(lattice._rows) == [(i, k) for i in range(3) for k in (2, 3, 4)]
     evaluate(200)
     assert (_table_sizes(), [c.cache_info().currsize for c in caches]) == after_100
+    assert all(values is zetasums._zeta_tables[i][1] for (i, _), (values, _) in lattice._rows.items())
+    terms = lattice._laurent_terms.cache_info()
+    assert terms.maxsize == 4096 and terms.currsize <= terms.maxsize
     assert contexts().misses == misses
 
 

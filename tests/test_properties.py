@@ -4,18 +4,20 @@ Points are drawn dyadic (small mantissa over a power of two) so that shifts
 and negations are exactly representable and bit-exactness claims are fair.
 """
 
+import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eistrig import (EistrigError, PrecisionContext, coeff_a, cosine, eisenstein_k,
                      implied_identities, naive_symmetric_value, pythagoras_residual, sine,
                      symmetric_tail_bound, taylor_cosine)
 from eistrig import lattice
-from eistrig.fixedpoint import cdiv, cpow
+from eistrig.fixedpoint import cdiv, cpow, fraction_bits, to_fixed
 from eistrig.lattice import f_jet
 from eistrig.sympoly import SymbolPoly
 from eistrig.trig import g_eval
@@ -371,3 +373,65 @@ def test_evaluators_meet_the_tolerance_or_raise(name, x, y, k):
     with mpmath.workprec(2 * DEFAULT.precision + 64):
         exact = contract_value(name, k, mpmath.mpmathify(z))
         assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius
+
+
+def _float_points():
+    """Floats where reading the bits is easy to get wrong: signed zeros,
+    subnormals down to 2^-1074, the largest magnitudes, integral values, the
+    neighbours of half-integers (where the nearest integer flips), and any."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    subnormal = st.integers(1, 2**52 - 1).map(lambda m: math.ldexp(m, -1074))
+    half = st.integers(-10**6, 10**6).map(lambda n: n + 0.5)
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e308, -1e308, sys.float_info.max]),
+        subnormal, subnormal.map(lambda x: -x), st.integers(-2**62, 2**62).map(float),
+        half, half.map(lambda x: math.nextafter(x, math.inf)),
+        half.map(lambda x: math.nextafter(x, -math.inf)), finite)
+
+
+def _complex_points():
+    zero = st.sampled_from([0.0, -0.0])
+    return st.one_of(st.builds(complex, _float_points(), zero),
+                     st.builds(complex, zero, _float_points()),
+                     st.builds(complex, _float_points(), _float_points()))
+
+
+EXACT_ENTRY = {"eps2": lambda z, ctx: eisenstein_k(2, z, ctx),
+               "eps3": lambda z, ctx: eisenstein_k(3, z, ctx),
+               "eps4": lambda z, ctx: eisenstein_k(4, z, ctx),
+               "f_jet": lambda z, ctx: f_jet(z, ctx, (ctx.tolerance,) * 3),
+               "g_eval": g_eval, "cosine": cosine, "sine": sine}
+
+
+def _outcome(fn, z, ctx):
+    """The repr of every ball fn returns at z, or the error it raises."""
+    try:
+        out = fn(z, ctx)
+    except EistrigError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr([(b.value, b.radius) for b in (out if isinstance(out, list) else [out])])
+
+
+@settings(max_examples=60)
+@given(st.one_of(_float_points(), _complex_points()))
+def test_the_exact_entry_reads_a_float_as_the_mpf_path_does(z):
+    # the pair of ctx.exact equals the mpf's own, and every evaluator returns
+    # the same balls, or raises the same error, for z and for its mpf or mpc
+    ctx = DEFAULT
+    zp = ctx.point(z)
+    W = fraction_bits(zp)
+    assert ctx.exact(z) == (*to_fixed(zp, W), W)
+    mp_z = ctx.mp.mpf(z) if isinstance(z, float) else ctx.mp.mpc(z)
+    assert ctx.exact(mp_z) == ctx.exact(z)
+    for name, fn in EXACT_ENTRY.items():
+        assert _outcome(fn, z, ctx) == _outcome(fn, mp_z, ctx), name
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(math.inf, 0),
+                               complex(0, -math.inf), complex(1, math.nan), "inf", "nan+1i"])
+def test_the_exact_entry_refuses_non_finite_points(z):
+    with pytest.raises(ValueError):
+        DEFAULT.exact(z)
+    for name, fn in EXACT_ENTRY.items():
+        with pytest.raises(ValueError):
+            fn(z, DEFAULT)

@@ -484,7 +484,7 @@ def test_the_evaluator_constants_hold_pi_at_600_bits(precision, tolerance):
 def test_the_reduced_w_ball_holds_z_over_2_pi(re64, im64):
     ctx = PrecisionContext()
     z = ctx.point(complex(re64 / 64, im64 / 64))
-    (ur, ui, W), R = evaluator(ctx).reduced_w(z)
+    (ur, ui, W), R = evaluator(ctx).reduced_w(ctx.exact(z))
     assert W == evaluator(ctx).scale and abs(ur) <= 1 << W - 1
     with mpmath.workprec(600):
         gap = mpmath.mpmathify(z) / (2 * mpmath.pi) - mpmath.mpc(ur, ui) * mpmath.ldexp(1, -W)

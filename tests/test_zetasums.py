@@ -237,10 +237,15 @@ def test_a_table_never_replaces_one_of_higher_scale(monkeypatch):
 def test_threads_at_different_scales_each_get_a_table_of_their_own_scale(monkeypatch):
     # for each table i, 4 threads ask for tables at three scales with a short
     # switch interval; every table holds at least what its caller asked for,
-    # and its values and err are those of a serial build at its scale
+    # and its values and err are those of a serial build at its scale.  The
+    # threads also take the Horner rows of those tables and evaluate eps_k on
+    # the Laurent routes at two contexts, which build rows from the tables as
+    # they grow: every row is that of its own tuple, every ball holds the value
     import sys
     import threading
-    from eistrig import zetasums
+    from math import comb
+    from eistrig import lattice, zetasums
+    from eistrig.lattice import eisenstein_k
     scales = (128, 256, 384)
     serial = {}
     for i in range(3):
@@ -248,7 +253,11 @@ def test_threads_at_different_scales_each_get_a_table_of_their_own_scale(monkeyp
             monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
             q, values, err = zetasums.zeta_table(P, 40, i)
             serial[i, q] = values, err
+    contexts = (PrecisionContext(128, "1e-12"), PrecisionContext(192, "1e-30"))
+    points = (0.3, complex(0.2, 0.9), complex(-0.4, 1.8))  # i = 0, 1, 2
+    alone = {(k, z, ctx): eisenstein_k(k, z, ctx) for k in (2, 3) for z in points for ctx in contexts}
     monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+    monkeypatch.setattr(lattice, "_rows", {})
     problems = []
 
     def work(offset):
@@ -259,6 +268,14 @@ def test_threads_at_different_scales_each_get_a_table_of_their_own_scale(monkeyp
                 want, want_err = serial[i, q]
                 if q < P or len(values) < count or values[:count] != want[:count] or err != want_err:
                     problems.append((i, P, count, q, len(values)))
+                k = 2 + j % 2
+                row = lattice._horner_row(i, k, values)
+                if row[:5] != [comb(k + t - 1, t) * want[(k + t) // 2 - 1] for t in range(k % 2, 10, 2)]:
+                    problems.append(("row", i, k, q))
+                ctx, z = contexts[(j + offset) % 2], points[i]
+                bv, ref = eisenstein_k(k, z, ctx), alone[k, z, ctx]
+                if abs(bv.value - ref.value) > bv.radius + ref.radius:  # two balls of one value
+                    problems.append(("ball", k, z, ctx.precision))
         except Exception as exc:  # a thread's exception would otherwise go unseen
             problems.append(exc)
 

@@ -6,7 +6,8 @@ A complex number is a pair of Python ints (re, im) at scale 2^-P: the pair
 stands for (re + i im) 2^-P.  Every rounding truncates toward zero, so it errs
 by less than one unit (2^-P) in each component, and it commutes with negation
 and conjugation: a sum at u and at -u, or at u and at conj(u), comes out exactly
-negated or conjugated.  Error counts are kept in units of the l1 norm
+negated or conjugated (inside series the real recurrence floors, which keeps
+that, see there).  Error counts are kept in units of the l1 norm
 |re| + |im|, which bounds the modulus and is submultiplicative, so a product of
 x' = x + dx and y' = y + dy errs by at most |x'| |dy| + |y'| |dx| + |dx| |dy|
 before it is rounded.  A ball is a triple (re, im, err) whose err bounds the
@@ -70,6 +71,58 @@ def cdiv(nr: int, ni: int, dr: int, di: int, shift: int, divisor: int = 1) -> tu
         return tdiv(nr << shift, d), tdiv(ni << shift, d)
     d = (dr * dr + di * di) * divisor
     return tdiv((nr * dr + ni * di) << shift, d), tdiv((ni * dr - nr * di) << shift, d)
+
+
+def geometric(num: int, den: int, k: int) -> int:
+    """An integer >= sum_{j<k} (num/den)^j, num >= 0, den > 0: 2 when num/den
+    <= 1/2 (k >= 2), else the sum rounded up term by term in Horner's order."""
+    if k > 1 and 2 * num <= den:
+        return 2
+    acc = min(k, 1)
+    for _ in range(k - 1):
+        acc = 1 - (-acc * num // den)
+    return acc
+
+
+def series(coeffs, n: int, xr: int, xi: int, shift: int, div: int = 1) -> tuple[int, int, int]:
+    """(re, im, err): sum_{j<n} coeffs[j] x^j, x = (xr + i xi) 2^-shift / div
+    (div > 1 only for a real x), n >= 1, at the scale of the integer
+    coefficients and within err units of it (l1 norm), the coefficients
+    taken as exact.
+
+    A real x takes Horner's rule, s <- c_j + x s, one rounding per term.  A
+    complex x takes the second-order recurrence (Knuth, TAOCP vol. 2, 4.6.4)
+      b_j = c_j + r b_(j+1) - q b_(j+2),  r = 2 Re x,  q = |x|^2,
+    r and q exact at 2^-2shift, so every b_j stays real: two real products
+    and one rounding per term; then S = c_0 + x b_1 - q b_2 (= b_0 -
+    conj(x) b_1), one truncation per component.  Inside the loop the
+    rounding is a floor, which also errs by less than one unit: the b_j are
+    the same at x and conj(x), so S still comes out exactly conjugated.  A
+    rounding d_j of b_j (or of Horner's s_j) is the same as adding d_j to
+    c_j, the rest being exact, so it reaches S as d_j x^j, j <= n - 2: with
+    G = geometric(|x|, n - 1) >= sum_{j<n-1} |x|^j, err is G (real) or
+    2 G >= sqrt 2 (G - 1) + 2 (complex), that is 2 or 4 for |x| <= 1/2."""
+    if not xi:
+        s = 0
+        if div == 1:
+            for c in coeffs[n - 1::-1]:
+                s = c + (s * xr >> shift)
+        else:
+            d = div << shift
+            for c in coeffs[n - 1::-1]:
+                s = c + s * xr // d
+        return s, 0, geometric(abs(xr), div << shift, n - 1)
+    two = 2 * shift
+    r, q = xr << shift + 1, xr * xr + xi * xi
+    b1 = b2 = 0
+    for c in coeffs[n - 1:0:-1]:
+        b1, b2 = c + (r * b1 - q * b2 >> two), b1
+    y, z = (xr * b1 << shift) - q * b2, xi * b1
+    re = coeffs[0] + (y >> two if y >= 0 else -(-y >> two))
+    # |x| 2^shift <= isqrt(q) + 1, needed only above 1/2
+    top = 1 << shift
+    G = 2 if q << 2 <= top * top or n < 3 else geometric(isqrt(q) + 1, top, n - 1)
+    return re, z >> shift if z >= 0 else -(-z >> shift), 2 * G
 
 
 def fraction_bits(x) -> int:

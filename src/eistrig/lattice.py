@@ -34,11 +34,14 @@ consecutive k at one point, each to its own target (all bounds explicit):
       eps_k(u) = sum_{|n| < L} (u - n)^-k
                  + L^-k 2 (-1)^k sum_{j = k mod 2} C(k+j-1, j) Z_i(k+j) w^j,
    Z_i(s) = sum_{n >= L} (L/n)^s (Z_0 = zeta): the pairs by _explicit_sums,
-   then D terms by Horner in v = w^2, exact at the scale of the Z_i(2m) table
-   (zetasums.zeta_table, one per i for every k; _horner_row forms each C Z_i
-   once per table), times w once for odd k; w and L^-k are shifts.  Each
-   step truncates once and counts one unit, and |v| < 1 keeps every error
-   from growing.  The tail, with Z_i <= 2L, is at most L^(1-k) T_J /
+   then D terms as a polynomial in v = w^2, exact, at the scale of the
+   Z_i(2m) table (zetasums.zeta_table, one per i and scale for every k;
+   _horner_row forms each C Z_i once per table), by fixedpoint.series:
+   Horner's rule for a real u, for a complex u the real recurrence of two
+   products and one rounding per term; then times w once for odd k; w and
+   L^-k are shifts.  A rounding at step j reaches the sum times |v|^j, and
+   |v| <= rho^2 < 1/2, so the kernel counts 2 units (real) or 4 (complex)
+   in all.  The tail, with Z_i <= 2L, is at most L^(1-k) T_J /
    (1 - r_J) from the first omitted power J on, because the term ratio r_j
    = (k+j+1)(k+j) |w|^2 / ((j+1)(j+2)) decreases in j; _laurent_terms picks
    D so that this, in integers, is at most a quarter of the target.
@@ -55,7 +58,11 @@ consecutive k at one point, each to its own target (all bounds explicit):
       sum_{n>N} (u+n)^-k + (u-n)^-k = T(u) + (-1)^k T(-u),
    T(c) = sum_{n>N} (n+c)^-k, one zetasums.em_tails call per tail for every
    k at the same scale, each with its DLMF 2.10 bound and its counted
-   rounding.  This route is also the test oracle of the other two.
+   rounding: its order m chosen before summing, and its terms one
+   polynomial in x = (N+1 +- u)^-2 (truncated once) with real coefficients
+   from a table per (k, scale), summed by the same kernel, where |x| <= 4/9
+   (|N+1 +- u| >= 3/2 for N >= 1, and >= |Im u| >= 2.45 for N = 0).  This
+   route is also the test oracle of the other two.
 6. Strip remainder (_strip_sums): Euler-Maclaurin over the whole line
    leaves eps_k(x+iy) = R_m, |R_m| <= 8 |B_2m| / (2m)! (k)_2m |y|^(1-k-2m);
    from y* on the pass returns the zero ball with that radius at the
@@ -86,7 +93,7 @@ from typing import Sequence
 
 from .errors import (InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError)
-from .fixedpoint import (ball_mul, cpow, floor_abs, fraction_bits, nearest, to_ball,
+from .fixedpoint import (ball_mul, cpow, floor_abs, fraction_bits, nearest, series, to_ball,
                          to_fixed, to_mp, tshift, units)
 from .precision import TERM_CAP, BoundedValue, PrecisionContext
 from .zetasums import (KERNEL_GUARD_BITS, MAX_ORDER, bernoulli_even, em_tails, zeta_table,
@@ -208,12 +215,13 @@ def _explicit_sums(exponents, ur: int, ui: int, N: int, P: int) -> list[tuple[in
             m = dr * dr + ui2
             rr, ri = (dr << two_p) // m if dr >= 0 else -((-dr << two_p) // m), y // m
             pr, pi = (rr - ri) * (rr + ri), 2 * rr * ri
-            if k0 > 2:
-                if k0 == 4:
-                    pr, pi = (pr - pi) * (pr + pi), 2 * pr * pi
-                else:
-                    for _ in range(k0 - 2):
-                        pr, pi = pr * rr - pi * ri, pr * ri + pi * rr
+            if k0 == 3:
+                pr, pi = pr * rr - pi * ri, pr * ri + pi * rr
+            elif k0 == 4:
+                pr, pi = (pr - pi) * (pr + pi), 2 * pr * pi
+            elif k0 > 4:
+                for _ in range(k0 - 2):
+                    pr, pi = pr * rr - pi * ri, pr * ri + pi * rr
             sr += pr
             si += pi
             for acc in more:
@@ -526,15 +534,9 @@ def _laurent_sums(exponents, ur: int, ui: int, P: int, i: int, degrees, tails):
       eps_k(u) = sum_{|n| < L} (u - n)^-k
                  + L^-k 2 (-1)^k sum_{j = k mod 2} C(k+j-1, j) Z_i(k+j) w^j,
     L = 2^i, w = u / L (the same integers at scale 2^-(P+i)), |w| <= rho: the
-    pairs by _explicit_sums; degrees[i] terms of the sum S by Horner in v = w^2
-    (exact at 2^-2(P+i)) at the scale 2^-Q of zetasums.zeta_table, each
-    coefficient the exact product C Z_i, then 2 S L^-k (times -w for odd k)
-    truncated to 2^-P, and the tail bound 2^tails[i] L^(1-k).  Each Horner step
-    truncates toward zero once and adds one unit of 2^-Q; with |v| < 1 every
-    error reaches S at most once.  Table entries within e units of 2^-Q add to
-    S at most e sum_j C(k+j-1, j) rho^(j - k mod 2) <= e (1 - rho)^-k = e
-    (8/3)^k units (the sum over even or odd j of the series of (1 - x)^-k,
-    over x for odd k, increases with x)."""
+    pairs by _explicit_sums; degrees[i] terms of the sum S by _laurent_row,
+    then 2 S L^-k (times -w for odd k) truncated to 2^-P, and the tail bound
+    2^tails[i] L^(1-k)."""
     q, zetas, zerr = zeta_table(P, _table_count(exponents, tails), i)
     d, shift = q - P, 2 * (P + i)
     vr, vi = ur * ur - ui * ui, 2 * ur * ui
@@ -542,19 +544,9 @@ def _laurent_sums(exponents, ur: int, ui: int, P: int, i: int, degrees, tails):
     out = []
     for k, D, e, (hr, hi, herr) in zip(exponents, degrees, tails,
                                        _explicit_sums(exponents, ur, ui, (1 << i) - 1, P)):
-        sr = si = 0
-        terms = _horner_row(i, k, zetas)[D - 1::-1]
-        if ui:
-            for c in terms:
-                xr, xi = sr * vr - si * vi, sr * vi + si * vr
-                sr = (xr >> shift if xr >= 0 else -(-xr >> shift)) + c
-                si = xi >> shift if xi >= 0 else -(-xi >> shift)
-        else:  # every term is positive
-            for c in terms:
-                sr = (sr * vr >> shift) + c
-        # 2 S L^-k within 2 (D ec + zerr (8/3)^k) L^-k units of 2^-Q, one more truncation
-        err = (-(-(2 * D * ec * 3**k + 2 * zerr * 8**k) // (3**k << d + k * i)) + ec + herr
-               + (1 << P + e - (k - 1) * i))
+        sr, si, h = _laurent_row(i, q, k, zetas, zerr, D, vr, vi, shift)
+        # 2 S L^-k within 2 h L^-k units of 2^-Q, one more truncation
+        err = -(-2 * h >> d + k * i) + ec + herr + (1 << P + e - (k - 1) * i)
         if k % 2:  # -2 S w L^-k at 2^-(Q+P+i+ki)
             xr, xi, s = -2 * (sr * ur - si * ui), -2 * (sr * ui + si * ur), q + i + k * i
         else:
@@ -564,21 +556,36 @@ def _laurent_sums(exponents, ur: int, ui: int, P: int, i: int, degrees, tails):
     return out
 
 
-#: (i, k) -> (values, row), about _ROWS_HELD at most: a get, a set and a clear are
-#: each atomic under the GIL, and a row serves only the tuple it was built from
+def _laurent_row(i: int, q: int, k: int, zetas: tuple, zerr: int, D: int, vr: int, vi: int,
+                 shift: int):
+    """(re, im, err): the first D terms of S = sum_{j = k mod 2} C(k+j-1, j)
+    Z_i(k+j) v^((j - k mod 2)/2) at v = (vr + i vi) 2^-shift, |v| <= rho^2,
+    from the Z_i values zetas at scale 2^-q, each within zerr units, by
+    fixedpoint.series: (re + i im) 2^-q within err units.  With |v| <= rho^2
+    < 1/2 the kernel counts 2 units (real v) or 4 (complex); table entries
+    within e units of 2^-q add to S at most e sum_j C(k+j-1, j) rho^(j - k
+    mod 2) <= e (1 - rho)^-k = e (8/3)^k units (the sum over even or odd j
+    of the series of (1 - x)^-k, over x for odd k, increases with x)."""
+    re, im, h = series(_horner_row(i, q, k, zetas), D, vr, vi, shift)
+    return re, im, h - (-zerr * 8**k // 3**k)
+
+
+#: (i, q, k) -> (values, row), about _ROWS_HELD at most: a get, a set and a clear
+#: are each atomic under the GIL, and a row serves only the tuple it was built from
 _rows: dict = {}
-_ROWS_HELD = 32
+_ROWS_HELD = 64
 
 
-def _horner_row(i: int, k: int, zetas: tuple) -> list:
-    """[C(k+j-1, j) Z_i(k+j) for j = k mod 2, k mod 2 + 2, ...] from the values zetas."""
-    held = _rows.get((i, k))
+def _horner_row(i: int, q: int, k: int, zetas: tuple) -> list:
+    """[C(k+j-1, j) Z_i(k+j) for j = k mod 2, k mod 2 + 2, ...] from the values
+    zetas of the Z_i table at scale 2^-q."""
+    held = _rows.get((i, q, k))
     if held is not None and held[0] is zetas:
         return held[1]
     row = [comb(k + j - 1, j) * zetas[(k + j) // 2 - 1] for j in range(k % 2, 2 * len(zetas) - k + 1, 2)]
     if len(_rows) >= _ROWS_HELD:
         _rows.clear()
-    _rows[i, k] = zetas, row
+    _rows[i, q, k] = zetas, row
     return row
 
 

@@ -178,12 +178,16 @@ class PrecisionContext:
         """Convert a point (real-like, complex, mpc, or 're+imi' string) to mpf/mpc.
 
         Real inputs stay real mpf; complex inputs with exactly zero imaginary
-        part are demoted to mpf.  A finite mpf of this context, and a finite
-        mpc of it with a nonzero imaginary part, come back unchanged.
+        part are demoted to mpf.  An int becomes its exact mpf at any size, so
+        that point, exact and ball name one point.  A finite mpf of this
+        context, and a finite mpc of it with a nonzero imaginary part, come
+        back unchanged.
         """
         mp = self._mp
         if (isinstance(z, mp.mpf) or isinstance(z, mp.mpc) and z.imag) and mp.isfinite(z):
             return z
+        if isinstance(z, int):
+            return mp.make_mpf(from_int(z))
         if isinstance(z, str):
             re_s, im_s = split_point_string(z)
             re, im = mp.mpf(re_s), mp.mpf(im_s)

@@ -7,24 +7,28 @@ Three layers, all exact or with explicit bounds:
 * em_tails(exponents, br, bi, P, limits): sum_{n>=0} (b+n)^-s for several s
   by Euler-Maclaurin at the base point b with the DLMF 2.10 remainder bound,
   in Python integers at scale 2^-P with every rounding counted (fixedpoint);
-  the one way a tail is summed.  Its ratio table C_(j+1)/C_j, one integer
-  division of tangent numbers each, sits at a multiple of 64 bits; each call
-  reads it truncated to the multiple of 64 that its own scale sets.  The
-  lattice route calls it at b = N+1 +- u, and zeta_tail(s, N, target) at
-  b = N+1, moving the base point up with head terms summed at the same
-  scale, one counted truncation each.
+  the one way a tail is summed.  Its terms are one polynomial in x = b^-2
+  with the real coefficients c_j = C_j (s)_(2j-1), C_j = B_2j/(2j)!, of a
+  table per (s, Q) (_em_coeffs: one exact quotient of tangent numbers per
+  entry, Q the multiple of 64 that the call's scale sets), summed by
+  fixedpoint.series; the order m is chosen before summing (_em_order,
+  memoised on |b| to 8 bits and the limit's exponent).  The lattice route
+  calls it at b = N+1 +- u, and zeta_tail(s, N, target) at b = N+1, moving
+  the base point up with head terms summed at the same scale, one counted
+  truncation each.
 * zeta_table(P, count, i): Z_i(2m) = sum_{n>=L} (L/n)^2m, L = 2^i, i <= 2,
   m = 1..count (Z_0 = zeta), for the Laurent routes of the lattice pass:
-  one builder, one table per i beside the ratio table, at the highest scale
-  Q asked for so far (a multiple of 64), grown by degree and shared by every
-  exponent.  The first build at a scale sums one head n = L..a-1 and makes
+  one builder, one table per i and scale Q, the multiple of 64 that P sets
+  (the last four scales of each i are held), grown by degree and shared by
+  every exponent, so that a pass reads the table of its own scale alone.
+  The first build at a scale sums one head n = L..a-1 and makes
   one multi-exponent em_tails call at a (_base_point: about 2 L (Q+8) ln 2 /
   2 pi, so that the call ends within MAX_ORDER orders on its first try) for
   every s whose tail L^s a^-s (1 + a/(s-1)) is above one unit, at the scale
   where L^s is a shift; below it that bound is the tail.  Later growth adds
   heads alone, each chain from s = 2, so a value and the err depend on (Q,
-  i, m) alone, never on how the table grew.  It never calls zeta_tail once
-  per m, whose base point would climb 16 terms at a time.
+  i, m) alone, never on how the table grew or on other calls.  It never
+  calls zeta_tail once per m, whose base point would climb 16 terms at a time.
 
 zeta_even(m, ctx) is the tail beyond N = 0, i.e. zeta(2m), checked against
 the context tolerance; coeff_a(d, ctx), a_d = 2(2d+1) zeta(2d+2), is its
@@ -33,12 +37,13 @@ integer ball times 2(2d+1); each is rounded once (fixedpoint.to_ball).
 
 from __future__ import annotations
 
+import functools
 import threading
 from fractions import Fraction
-from math import ceil, inf, isqrt, lgamma, log, pi
+from math import ceil, comb, isqrt, lgamma, log, pi
 
 from .errors import ToleranceUnreachableError
-from .fixedpoint import cpow, tdiv, to_ball, units
+from .fixedpoint import cpow, geometric, series, to_ball, units
 from .precision import BoundedValue, PrecisionContext
 
 # -- Bernoulli numbers --------------------------------------------------------
@@ -88,40 +93,71 @@ MAX_ORDER = 300
 #: scale bits beyond the tightest target's, so that the rounding count stays far below it
 KERNEL_GUARD_BITS = 28
 
-# (Q, [R_1, R_2, ...]): R_j = C_{j+1}/C_j, C_j = B_2j/(2j)!, rounded toward
-# zero at scale 2^-Q; one table at the highest scale asked for so far, Q a
-# multiple of 64, replaced when a caller needs more bits and extended in place,
-# under _ratio_lock, when it needs more orders.  Readers take no lock: the tuple
-# is rebound whole and entries are only appended, each atomically under the GIL
-_em_ratios: tuple = (0, [])
-_ratio_lock = threading.Lock()
+# _em_table(s, Q) is the list [c_1, c_2, ...] at scale 2^-Q for the 256 (s, Q)
+# used last, grown in place under _coeff_lock.  Readers take no lock: lru_cache
+# is thread-safe (two concurrent misses may build two equal lists, each caller
+# keeping its own), and entries are only appended, each atomically under the
+# GIL, so an index below the length a reader saw is always there
+_coeff_lock = threading.Lock()
 
 
-def _ratios(P: int, count: int) -> tuple:
-    """(Q, R) with Q >= P and R[j-1] = C_{j+1}/C_j at scale 2^-Q for j = 1..count,
-    each off by less than one unit.  A scale rise computes the table anew at
-    the new scale with its count; a longer table is extended in place to
-    count (32 at least), so no ratio is computed twice at one scale.  From
-    B_2j = (-1)^(j+1) 2j T_j / (4^j (4^j - 1)),
-      C_{j+1}/C_j = -T_{j+1} (4^j - 1) / (8j (2j+1) T_j (4^(j+1) - 1)),
-    one integer division per ratio."""
-    global _em_ratios
-    q, table = _em_ratios
-    if q < P or len(table) < count:
-        with _ratio_lock:
-            q, table = _em_ratios
-            fresh = q < P
-            if fresh:
-                count, q, table = max(count, len(table)), -(-P // 64) * 64, []
-            if len(table) < count:
-                count = min(MAX_ORDER, max(count, 32))
-                T = _tangents(count + 1)
-                table.extend(tdiv(-T[j + 1] * (4**j - 1) << q,
-                                  8 * j * (2 * j + 1) * T[j] * (4**(j + 1) - 1))
-                             for j in range(len(table) + 1, count + 1))
-            if fresh:
-                _em_ratios = (q, table)
-    return q, table
+@functools.lru_cache(maxsize=256)
+def _em_table(s: int, Q: int) -> list:
+    return []
+
+
+def _em_coeffs(s: int, Q: int, count: int) -> list:
+    """[c_1, ..., c_n], n >= count (at most MAX_ORDER), c_j = C_j (s)_(2j-1) at
+    scale 2^-Q, C_j = B_2j/(2j)!, each one exact quotient of integers from the
+    tangent numbers, truncated toward zero (within one unit):
+      c_j = (-1)^(j+1) T_j binom(s+2j-2, s-1) / (4^j (4^j - 1)),
+    as B_2j = (-1)^(j+1) 2j T_j / (4^j (4^j - 1)) and (s)_(2j-1) / (2j)! =
+    binom(s+2j-2, s-1) / 2j.  The table grows 4 entries at a time at least."""
+    table = _em_table(s, Q)
+    if len(table) < count:
+        with _coeff_lock:
+            top = min(MAX_ORDER, max(count, len(table) + 4))
+            T = _tangents(top)
+            for j in range(len(table) + 1, top + 1):
+                x, d = T[j] * comb(s + 2 * j - 2, s - 1), 4**j - 1
+                c = (x << Q - 2 * j) // d if Q >= 2 * j else x // (d << 2 * j - Q)
+                table.append(c if j % 2 else -c)
+    return table
+
+
+#: the (m, G, D) of the 4096 (s, Q, bm, bx, e, ec) used last; lru_cache is thread-safe
+@functools.lru_cache(maxsize=4096)
+def _em_order(s: int, Q: int, bm: int, bx: int, e: int, ec: int):
+    """(m, G, D) for the tails T_s(b) at every b with |b| >= B = bm 2^-bx, from
+    the coefficients c_j of _em_coeffs(s, Q):
+
+    m is the least order whose bound (|c_m| + 1) 2^-Q B^(1-s-2m) is at most
+    2^e, tested in integers, or, where the bounds stop decreasing first (the
+    floor), the order of the least of them (at most MAX_ORDER).  With X =
+    B^-2 >= |b^-2| and the polynomial p(x) = sum_{j<m-1} c_(j+1) x^j of
+    em_tails, G = geometric(X, m - 1) >= sum_{j<m-1} X^j, the weight of the
+    table's truncations, and for ec = 2 (a complex b)
+    D = sum_{1<=j<m-1} j (|c_(j+1)| + 1) X^(j-1) 2^Q, rounded up term by term,
+    which bounds |p'| on the disc |x| <= X; D = 0 for a real b."""
+    num, den = (1 << 2 * bx, bm * bm) if bx >= 0 else (1, bm * bm << -2 * bx)  # X = num/den
+    pw, prev, c = bm ** (s - 1), 0, ()  # bm^n, n = s - 1 + 2m
+    for m in range(1, MAX_ORDER + 1):
+        if m > len(c):
+            c = _em_coeffs(s, Q, m)
+        mag = abs(c[m - 1]) + 1
+        if prev and mag * num >= prev * den:
+            m -= 1
+            break
+        pw *= bm * bm
+        E = e + Q - bx * (s - 1 + 2 * m)  # the test mag <= bm^n 2^E
+        if (mag <= pw << E) if E >= 0 else (mag << -E <= pw):
+            break
+        prev = mag
+    G, D = geometric(num, den, m - 1), 0
+    if ec == 2:
+        for j in range(m - 2, 0, -1):
+            D = j * (abs(c[j]) + 1) - (-D * num // den)
+    return m, G, D
 
 
 def em_tails(exponents, br: int, bi: int, P: int, limits):
@@ -132,30 +168,43 @@ def em_tails(exponents, br: int, bi: int, P: int, limits):
 
     DLMF 2.10.1 at the base point b:
       T_s(b) = b^(1-s)/(s-1) + b^-s/2 + sum_{1<=j<m} v_j + R_m,
-      v_j = C_j (s)_{2j-1} b^(1-s-2j),  C_j = B_2j/(2j)!,
-      |R_m| <= 2|C_m| (s)_{2m} int_0^inf |b+x|^(-s-2m) dx <= 2 (|b|/Re b) |v_m|,
-    because |b+x| lies above its tangent |b| + x Re b/|b| at 0.  For a
-    complex b the two head terms and v_1 come from the exact powers of
-    w = 1/b truncated once at 2^-P (off by less than sqrt 2 units): with
-    M >= |1/b| in units, w^j errs by less than ec j M^(j-1) units of 2^-jP
-    (as the pairs of lattice._explicit_sums), charged divided by what the
-    power is divided by; the two heads are summed exactly and truncated
-    once, and v_1 once.  For a real b = a 2^t they are exact quotients of
+      v_j = c_j b^(1-s-2j),  c_j = C_j (s)_{2j-1},  C_j = B_2j/(2j)!,
+      |R_m| <= 2|C_m| (s)_{2m} int_0^inf |b+x|^(-s-2m) dx <= 2 (|b|/Re b) |c_m| |b|^(1-s-2m),
+    because |b+x| lies above its tangent |b| + x Re b/|b| at 0.
+    m is decided before summing (_em_order, memoised on |b| >= bm 2^-bx, bm
+    its 8 leading bits, and on the exponent e of the limit over 2 |b|/Re b),
+    and the bound is then computed at b itself from |b| to 16 bits: None if
+    it is above limits[i] (the floor, near e^(-2 pi |b|), is above it).
+    The terms form one polynomial in x = b^-2 with the real coefficients of
+    the table _em_coeffs(s, Q), each within one unit of 2^-Q, Q the multiple
+    of 64 that P sets:
+      sum_{1<=j<m} v_j = b^(-1-s) p(x),  p(x) = sum_{j<m-1} c_(j+1) x^j,
+    summed by fixedpoint.series at 2^-Q.  Its count, in units of 2^-Q: the
+    kernel's own err; ec G for the table (each entry's error reaches S times
+    |x|^j, sqrt 2 more in l1); and for a complex b, whose x is b^-2 truncated
+    once per component at 2^-P (|x - x'| < sqrt 2 units, |x'| <= |x|),
+    ec D 2^-P, since |p(x) - p(x')| <= |x - x'| max |p'| on the disc |x| <= X.
+    For a complex b the heads and the factor b^(-1-s) come from the exact
+    powers of w = 1/b truncated once at 2^-P (off by less than sqrt 2 units):
+    with M >= |1/b| in units, w^j errs by less than ec j M^(j-1) units of
+    2^-jP (as the pairs of lattice._explicit_sums), charged divided by what
+    the power is divided by; the two heads are summed exactly and truncated
+    once, and w^(s+1) S once, its count
+      ec (s+1) M^s (|S| + E) + |w^(s+1)| E  units of 2^-(sP+Q), plus ec,
+    E the count of S.  For a real b = a 2^t the heads are exact quotients of
     powers of the integer a, 2^t folded into the shifts, one truncating
-    division each.
-    v_(j+1) = v_j b^-2 z_j takes one truncating shift, z_j =
-    (C_(j+1)/C_j)(s+2j-1)(s+2j) from the ratio table read at 2^-Q, Q the
-    multiple of 64 that P sets (truncating a table at a higher scale gives
-    the same integers, so no result depends on the table's scale); each
-    step adds the propagated error of all three factors and one rounding
-    to the count.  m is the first order whose bound is at most limits[i] units;
-    None if the bounds stop decreasing first (the floor, near e^(-2 pi |b|),
-    is above it).
+    division each, x = 4^-t / a^2 is exact (Horner by division) and
+    b^(-1-s) S one more division.
     """
     d1 = br * br + bi * bi
-    root = isqrt(d1)
+    root = isqrt(d1)  # |b| 2^P >= root
     twice_b = 2 * (root + (root * root < d1))  # 2|b| 2^P rounded up
     ec = 2 if bi else 1  # l1 units of one rounding of a pair
+    Q = -(-P // 64) * 64  # the coefficients' scale
+    cs = root.bit_length() - 8
+    bm, bx = (root >> cs if cs >= 0 else root << -cs), P - cs  # |b| >= bm 2^-bx
+    rs = max(0, root.bit_length() - 16)
+    rb = root >> rs  # |b| >= rb 2^(rs-P)
     if bi:
         # 1/b = conj(b) 2^(2P) / |b|^2, within sqrt 2 units, and b^-2 =
         # conj(b^2) 2^(3P) / |b|^4, each component truncated once (br > 0)
@@ -168,61 +217,55 @@ def em_tails(exponents, br: int, bi: int, P: int, limits):
     else:  # b = a 2^t: the powers of the integer a, 2^t folded into the shifts
         t = min(P, (br & -br).bit_length() - 1)
         a = br >> t
-        w2r, w2i = (1 << 3 * P - 2 * t) // (a * a), 0
-    lw = abs(w2r) + abs(w2i)
-    Q = -(-P // 64) * 64  # the ratios' scale, whatever scale the table holds
-    q, ratios = _ratios(P, 1)
-    shift, lwe = P + Q, lw + ec
     out = []
     for s, limit in zip(exponents, limits):
+        # the bound 2 (|b|/Re b) |c_m| |b|^(1-s-2m) 2^P fits the limit if
+        # |c_m| |b|^(1-s-2m) <= 2^e <= limit br / (twice_b 2^P)
+        room = limit * br // twice_b
+        e = (room.bit_length() - 1 if room else -(twice_b // max(1, limit * br)).bit_length()) - P
+        m, G, D = _em_order(s, Q, bm, bx, e, ec)
+        coeffs = _em_coeffs(s, Q, m)
+        # the bound at b itself, from |b| >= rb 2^(rs-P); above the limit at the floor
+        n = s - 1 + 2 * m
+        x, y, k = twice_b * (abs(coeffs[m - 1]) + 1), br * rb**n, (P - rs) * n + P - Q
+        bound = -(-(x << k) // y) if k >= 0 else -(-x // (y << -k))
+        if bound > limit:
+            return None
         if bi:
             # w^(s-1), w^s and w^(s+1) exact at 2^-jP; the two heads
             # b^(1-s)/(s-1) + b^-s/2 = (2 w^(s-1) 2^P + (s-1) w^s) / (2 (s-1) 2^((s-1)P))
-            # summed exactly and truncated once, v_1 = s w^(s+1) / 12 once
+            # summed exactly and truncated once
             pr, pi = cpow(wr, wi, s - 1)
             qr, qi = pr * wr - pi * wi, pr * wi + pi * wr
             sh = (s - 1) * P
             x, y, d = (2 * pr << P) + (s - 1) * qr, (2 * pi << P) + (s - 1) * qi, 2 * (s - 1) << sh
             accr = x // d if x >= 0 else -(-x // d)
             acci = y // d if y >= 0 else -(-y // d)
-            x, y, d = s * (qr * wr - qi * wi), s * (qr * wi + qi * wr), 12 << sh + P
-            tr = x // d if x >= 0 else -(-x // d)
-            ti = y // d if y >= 0 else -(-y // d)
             Ms = M ** (s - 2)
             acc_err = -(-ec * ((2 * Ms << P) + s * Ms * M) >> sh + 1) + ec
-            err = -(-s * (s + 1) * ec * Ms * M * M // (12 << sh + P)) + ec
         else:
             v = a ** (s - 1)
             accr = ((1 << P * s - t * (s - 1)) // (v * (s - 1))  # b^(1-s)/(s-1)
                     + (1 << P * (s + 1) - t * s) // (2 * v * a))  # + b^-s/2
-            tr = (s << P * (s + 2) - t * (s + 1)) // (12 * v * a * a)  # v_1 = (1/12) s b^(-1-s)
-            acci = ti = 0
-            acc_err, err = 2 * ec, ec
-        prev, fits, nr = inf, limit * br, len(ratios)
-        d, c = q - Q, s + 2  # k = (s + 2j - 1)(s + 2j) = (c - 1) c
-        for j in range(1, MAX_ORDER + 1):
-            mag = abs(tr) + abs(ti) + err  # |v_j| 2^P rounded up
-            if twice_b * mag <= fits:  # the bound 2 (|b|/Re b) |v_j| fits
-                out.append((accr, acci, acc_err, -(-twice_b * mag // br), j))
-                break
-            if mag >= prev:
-                return None
-            accr, acci, acc_err, prev = accr + tr, acci + ti, acc_err + err, mag
-            if j > nr:
-                q, ratios = _ratios(P, j)
-                d, nr = q - Q, len(ratios)
-            k = (c - 1) * c
-            c += 2
-            # the ratios are negative: -z >= 0, off by less than k units of 2^-Q
-            az = (-ratios[j - 1] >> d) * k
-            # |v w z - v' w' z'| <= (|v'| + e_v)(|w'| + e_w)(|z'| + e_z) - |v'||w'||z'|
-            err = -(-(mag * (ec * az + lwe * k) + err * lw * az) >> shift) + ec
-            fr, fi = w2r * az, w2i * az
-            xr, xi = ti * fi - tr * fr, -tr * fi - ti * fr
-            tr = xr >> shift if xr >= 0 else -(-xr >> shift)
-            ti = xi >> shift if xi >= 0 else -(-xi >> shift)
-        else:
-            return None
+            acci, acc_err = 0, 2 * ec
+        tr = ti = 0
+        if m > 1:
+            if bi:  # w^(s+1) S at 2^-((s+1)P + Q), truncated to 2^-P
+                Sr, Si, E = series(coeffs, m - 1, w2r, w2i, P)
+                E += ec * G - (-ec * D >> P)
+                Wr, Wi = qr * wr - qi * wi, qr * wi + qi * wr
+                x, y, d = Wr * Sr - Wi * Si, Wr * Si + Wi * Sr, s * P + Q
+                tr = x >> d if x >= 0 else -(-x >> d)
+                ti = y >> d if y >= 0 else -(-y >> d)
+                acc_err += -(-(ec * (s + 1) * Ms * M * M * (abs(Sr) + abs(Si) + E)
+                               + (abs(Wr) + abs(Wi)) * E) >> d) + ec
+            else:  # b^(-1-s) S = S 2^((P-t)(s+1)) / a^(s+1), and 2^(P-Q)
+                S, _, E = series(coeffs, m - 1, 1 << 2 * (P - t), 0, 0, a * a)
+                E += G
+                u, d = (P - t) * (s + 1), v * a * a << Q - P
+                tr = (S << u) // d if S >= 0 else -((-S << u) // d)
+                acc_err += -(-(E << u) // d) + 1
+        out.append((accr + tr, acci + ti, acc_err, bound, m))
     return out
 
 
@@ -249,13 +292,15 @@ def zeta_tail(s: int, N: int, target):
     return P, head + re, err + bound + a - N - 1
 
 
-# _zeta_tables[i] = (Q, values, err): values[m-1] = Z_i(2m) at scale 2^-Q for
-# m = 1..len(values), each within err units; per i one table at the highest
-# scale asked for so far, Q a multiple of 64, grown by degree and rebuilt, with
-# its count, when a caller needs more bits.  Under _table_lock, a table replaces
-# only one of lower scale or, at its scale, fewer values
-_zeta_tables: list = [(0, (), 0)] * 3
+# _zeta_tables[i, Q] = (Q, values, err): values[m-1] = Z_i(2m) at scale 2^-Q for
+# m = 1..len(values), each within err units; one table per i and scale Q (a
+# multiple of 64), grown by degree, for the last _SCALES_HELD scales of each i.
+# Readers take no lock: a get is atomic under the GIL and a stored tuple never
+# changes.  Under _table_lock a table replaces only one of its own (i, Q) with
+# fewer values, and storing a new scale drops the oldest of that i beyond the cap
+_zeta_tables: dict = {}
 _table_lock = threading.Lock()
+_SCALES_HELD = 4
 
 #: ln 2 / 2 pi: a0 = (Q + 8) _LN2_2PI + 2 puts the Euler-Maclaurin floor
 #: e^(-2 pi a0) below 2^-(Q+8)
@@ -263,19 +308,24 @@ _LN2_2PI = 0.11031780007
 
 
 def zeta_table(P: int, count: int, i: int) -> tuple:
-    """(Q, values, err) with Q >= P and values[m-1] = Z_i(2m) 2^Q within err
-    units for m = 1..count at least, Z_i(s) = sum_{n>=L} (L/n)^s, L = 2^i
-    (Z_0 = zeta): the coefficients of the Laurent routes."""
-    q, values, err = table = _zeta_tables[i]
-    if q < P or len(values) < count:
-        if q < P:
-            count, q, values, err = max(count, len(values)), -(-P // 64) * 64, (), 0
+    """(Q, values, err), Q the multiple of 64 that P sets, values[m-1] = Z_i(2m)
+    2^Q within err units for m = 1..count at least, Z_i(s) = sum_{n>=L}
+    (L/n)^s, L = 2^i (Z_0 = zeta): the coefficients of the Laurent routes.
+    A table depends on (i, Q) alone, never on what other calls asked for."""
+    q = -(-P // 64) * 64
+    table = _zeta_tables.get((i, q))
+    if table is None or len(table[1]) < count:
+        values, err = table[1:] if table else ((), 0)
         more, e = _zeta_values(q, len(values) + 1, count, i)
         table = (q, values + more, max(err, e))
         with _table_lock:
-            held = _zeta_tables[i]
-            if (held[0], len(held[1])) < (q, len(table[1])):
-                _zeta_tables[i] = table
+            held = _zeta_tables.get((i, q))
+            if held is None:
+                scales = [key for key in _zeta_tables if key[0] == i]
+                for key in scales[:max(0, len(scales) + 1 - _SCALES_HELD)]:
+                    del _zeta_tables[key]
+            if held is None or len(held[1]) < len(table[1]):
+                _zeta_tables[i, q] = table
     return table
 
 

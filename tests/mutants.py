@@ -35,12 +35,26 @@ GOLDEN = "tests/test_verify.py::test_default_report_matches_its_golden_file"
 
 #: name -> [(file under src/eistrig, text, replacement)]
 MUTANTS = {
-    # the Horner and table counts of the Laurent route halved, and its last
-    # truncation unit dropped
+    # the kernel and table counts of a Laurent row halved
     "laurent_counts_halved": [(
         "lattice.py",
-        "err = (-(-(2 * D * ec * 3**k + 2 * zerr * 8**k) // (3**k << d + k * i)) + ec + herr",
-        "err = (-(-(D * ec * 3**k + zerr * 8**k) // (3**k << d + k * i)) + herr")],
+        "return re, im, h - (-zerr * 8**k // 3**k)",
+        "return re, im, (h - (-zerr * 8**k // 3**k)) // 2")],
+    # the rounding count of the series kernel halved: Horner's rule for a real
+    # x, the two-multiply recurrence for a complex x
+    "horner_count_halved": [(
+        "fixedpoint.py",
+        "return s, 0, geometric(abs(xr), div << shift, n - 1)",
+        "return s, 0, geometric(abs(xr), div << shift, n - 1) // 2")],
+    "recurrence_count_halved": [(
+        "fixedpoint.py",
+        "return re, z >> shift if z >= 0 else -(-z >> shift), 2 * G",
+        "return re, z >> shift if z >= 0 else -(-z >> shift), G")],
+    # the bound 2 of a geometric sum with ratio at most 1/2 taken as 1
+    "geometric_bound_halved": [(
+        "fixedpoint.py",
+        "        return 2\n",
+        "        return 1\n")],
     # every Horner row coefficient read one table entry off: Z_i(k+j+2) for Z_i(k+j)
     "horner_row_one_entry_off": [(
         "lattice.py",
@@ -53,8 +67,8 @@ MUTANTS = {
         "if held is not None:")],
     "laurent_tail_bound_dropped": [(
         "lattice.py",
-        "               + (1 << P + e - (k - 1) * i))",
-        "               + 0)")],
+        "err = -(-2 * h >> d + k * i) + ec + herr + (1 << P + e - (k - 1) * i)",
+        "err = -(-2 * h >> d + k * i) + ec + herr")],
     # the charge for moving u to 2^-P divided by 8, without its constant term
     "move_charge_cut": [(
         "lattice.py",
@@ -96,14 +110,46 @@ MUTANTS = {
         "lattice.py",
         "err - (-T * ec * k * M ** (k - 1) >> s) + ec)",
         "err - (-T * ec * k * M ** (k - 1) >> s))")],
-    # the counts of the heads b^(1-s)/(s-1) + b^-s/2 and v_1 from powers of 1/b halved
-    "em_head_counts_halved": [
-        ("zetasums.py",
-         "acc_err = -(-ec * ((2 * Ms << P) + s * Ms * M) >> sh + 1) + ec",
-         "acc_err = (-(-ec * ((2 * Ms << P) + s * Ms * M) >> sh + 1) + ec) // 2"),
-        ("zetasums.py",
-         "err = -(-s * (s + 1) * ec * Ms * M * M // (12 << sh + P)) + ec",
-         "err = (-(-s * (s + 1) * ec * Ms * M * M // (12 << sh + P)) + ec) // 2")],
+    # the count of the heads b^(1-s)/(s-1) + b^-s/2 from powers of 1/b halved
+    "em_head_counts_halved": [(
+        "zetasums.py",
+        "acc_err = -(-ec * ((2 * Ms << P) + s * Ms * M) >> sh + 1) + ec",
+        "acc_err = (-(-ec * ((2 * Ms << P) + s * Ms * M) >> sh + 1) + ec) // 2")],
+    # the Euler-Maclaurin tail polynomial: the count of its table entries
+    # dropped, the count of the truncation of x = b^-2 dropped, the propagated
+    # error of w^(s+1) dropped, and the count of the real tail's division
+    # halved
+    "em_table_count_dropped": [(
+        "zetasums.py",
+        "E += ec * G - (-ec * D >> P)",
+        "E += -(-ec * D >> P)")],
+    "em_slope_count_dropped": [(
+        "zetasums.py",
+        "E += ec * G - (-ec * D >> P)",
+        "E += ec * G")],
+    "em_power_count_dropped": [(
+        "zetasums.py",
+        "ec * (s + 1) * Ms * M * M * (abs(Sr) + abs(Si) + E)",
+        "0 * E")],
+    "em_real_tail_count_halved": [(
+        "zetasums.py",
+        "acc_err += -(-(E << u) // d) + 1",
+        "acc_err += -(-(E << u) // d) // 2")],
+    # the weights j of |p'| and the geometric weight of the table dropped in
+    # the order cell
+    "em_slope_weights_dropped": [(
+        "zetasums.py",
+        "D = j * (abs(c[j]) + 1) - (-D * num // den)",
+        "D = (abs(c[j]) + 1) - (-D * num // den)")],
+    "em_table_weight_dropped": [(
+        "zetasums.py",
+        "G, D = geometric(num, den, m - 1), 0",
+        "G, D = 1, 0")],
+    # every Euler-Maclaurin coefficient c_j read with (s)_(2j) for (s)_(2j-1)
+    "em_coefficients_one_factor_off": [(
+        "zetasums.py",
+        "x, d = T[j] * comb(s + 2 * j - 2, s - 1), 4**j - 1",
+        "x, d = T[j] * comb(s + 2 * j - 1, s - 1), 4**j - 1")],
 }
 
 

@@ -14,12 +14,13 @@ balls.
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eistrig import InconclusiveNonvanishingError
-from eistrig.fixedpoint import ball_mul, ball_quotient, to_ball
+from eistrig.fixedpoint import ball_mul, ball_quotient, series, to_ball
 from eistrig.lattice import _explicit_sums
 from eistrig.precision import mp_context
 from eistrig.sympoly import SymbolPoly
@@ -126,6 +127,120 @@ def test_a_tail_is_within_its_count_of_the_exact_euler_maclaurin_sum(point, N, s
             term = cpow(b, 1 - s - 2 * j)
             exact = [exact[0] + coef * term[0], exact[1] + coef * term[1]]
         assert l1_units(exact, re, im, P) <= err
+
+
+@st.composite
+def series_inputs(draw):
+    """(coeffs, n, xr, xi, shift): n integer coefficients of up to 40 bits, all
+    positive or of alternating sign, and x = (xr + i xi) 2^-shift, shift =
+    24..40, real or complex, |x| up to 1/2, near 1/2, or up to 1."""
+    shift = draw(st.integers(24, 40))
+    n = draw(st.integers(1, 30))
+    sign = draw(st.sampled_from([1, -1]))
+    coeffs = [draw(st.integers(0, 1 << 40)) * (sign ** j) for j in range(n)]
+    kind = draw(st.sampled_from(["small", "edge", "large"]))
+    reach = {"small": 1 << shift - 1, "edge": 1 << shift - 1, "large": 1 << shift}[kind]
+    if draw(st.booleans()):
+        xr, xi = draw(st.integers(-reach, reach)), 0
+        if kind == "edge":
+            xr = (reach - draw(st.integers(0, 1 << 8))) * draw(st.sampled_from([1, -1]))
+    else:
+        xr, xi = draw(st.integers(-reach, reach)), draw(st.integers(-reach, reach))
+        assume(xi)
+        if kind == "edge":  # |x| just below 1/2
+            xr = math.isqrt(max(0, reach * reach - xi * xi)) * draw(st.sampled_from([1, -1]))
+    assume(xr * xr + xi * xi <= 1 << 2 * shift)
+    return coeffs, n, xr, xi, shift
+
+
+@settings(max_examples=500)
+@given(series_inputs())
+def test_the_series_kernel_is_within_its_count_of_the_exact_sum(inputs):
+    # Horner's rule for a real x, the two-multiply recurrence for a complex x
+    coeffs, n, xr, xi, shift = inputs
+    x = (Fraction(xr, 2 ** shift), Fraction(xi, 2 ** shift))
+    exact, power = [Fraction(0), Fraction(0)], (Fraction(1), Fraction(0))
+    for c in coeffs[:n]:
+        exact = [exact[0] + c * power[0], exact[1] + c * power[1]]
+        power = cmul(power, x)
+    re, im, err = series(coeffs, n, xr, xi, shift)
+    assert l1_units(exact, re, im, 0) <= err
+    if xr * xr + xi * xi << 2 <= 1 << 2 * shift:
+        assert err == (4 if xi else 2) or n < 3 and err <= 4
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 40), st.integers(1, 1 << 12), st.integers(0, 6), st.sampled_from([1, -1]))
+def test_horner_by_division_is_within_its_count_of_the_exact_sum(n, a, t, sign):
+    # the real tails of the zeta sums: x = 4^t / a^2 exact, one division per term
+    coeffs = [sign ** j * ((j * 7919 + 3) << 30) for j in range(n)]
+    x = Fraction(4 ** t, a * a)
+    exact = sum(c * x ** j for j, c in enumerate(coeffs))
+    re, im, err = series(coeffs, n, 1 << 2 * t, 0, 0, a * a)
+    assert im == 0 and abs(exact - re) <= err
+
+
+@settings(max_examples=300)
+@given(st.data(), st.integers(24, 40), st.sampled_from([0, 1, 2]), st.integers(2, 4),
+       st.integers(1, 30))
+def test_a_laurent_row_is_within_its_count_of_the_exact_series(data, P, i, k, D):
+    # eps_k on the Laurent route of i with D terms, its Z_i entries exact
+    # inputs at scale 2^-P (so its Horner count is in units of 2^-P) and its
+    # tail bound one unit: within err of the same truncated series, exactly
+    from eistrig import lattice
+    L = 1 << i
+    zetas = tuple((1 << P) + data.draw(st.integers(0, L << P)) for _ in range(D + 2))
+    reach = 5 * L << P - 3  # |u| <= rho L
+    ur = data.draw(st.integers(-min(reach, 1 << P - 1), min(reach, 1 << P - 1)))
+    ui = data.draw(st.sampled_from([0, data.draw(st.integers(-reach, reach))]))
+    assume(ur * ur + ui * ui <= reach * reach and (ur or ui) and (i == 0 or abs(ur) > 0 or ui))
+    assume(max(abs(ur), abs(ui)) > 1 << 8)
+    with mock.patch.object(lattice, "zeta_table", lambda *_: (P, zetas, 0)):
+        (re, im, err), = lattice._laurent_sums((k,), ur, ui, P, i, (D,), ((k - 1) * i - P,))
+    u = (Fraction(ur, 2 ** P), Fraction(ui, 2 ** P))
+    exact = [Fraction(0), Fraction(0)]
+    for n in range(1 - L, L):
+        term = cpow((u[0] - n, u[1]), -k)
+        exact = [exact[0] + term[0], exact[1] + term[1]]
+    w = (u[0] / L, u[1] / L)
+    for t in range(D):
+        j = k % 2 + 2 * t
+        c = Fraction(2 * (-1) ** k * math.comb(k + j - 1, j) * zetas[(k + j) // 2 - 1], 2 ** P * L ** k)
+        term = cpow(w, j)
+        exact = [exact[0] + c * term[0], exact[1] + c * term[1]]
+    assert l1_units(exact, re, im, P) <= err
+
+
+@settings(max_examples=500)
+@given(st.data(), st.integers(24, 40), st.sampled_from([0, 1, 2]), st.integers(2, 4),
+       st.integers(1, 40), st.sampled_from(["real", "complex"]), st.booleans())
+def test_a_laurent_row_sum_is_within_its_count(data, P, i, k, D, kind, edge):
+    # the two-multiply recurrence (or Horner's rule) on the row C(k+j-1, j)
+    # Z_i(k+j) at v = w^2, |w| <= rho, exact at 2^-2(P+i), the Z_i entries at
+    # scale 2^-P taken as exact values within zerr units: the row sum lies
+    # within its count of the exact sum of every such table
+    from eistrig import lattice
+    L = 1 << i
+    zerr = data.draw(st.sampled_from([0, 0, 1, 3]))
+    zetas = tuple((1 << P) + data.draw(st.integers(0, L << P)) for _ in range(D + 3))
+    shifts = [data.draw(st.integers(-zerr, zerr)) for _ in zetas]  # the exact table
+    reach = 5 << P + i - 3  # |w| <= 5/8 at 2^-(P+i)
+    if kind == "real":
+        wr, wi = data.draw(st.integers(reach - (1 << 12), reach) if edge else st.integers(1, reach)), 0
+    else:
+        wi = data.draw(st.integers(1, reach))
+        wr = math.isqrt(reach * reach - wi * wi) if edge else data.draw(st.integers(-reach, reach))
+        assume(wr * wr + wi * wi <= reach * reach)
+    shift = 2 * (P + i)
+    re, im, err = lattice._laurent_row(i, P, k, zetas, zerr, D, wr * wr - wi * wi, 2 * wr * wi, shift)
+    v = (Fraction(wr * wr - wi * wi, 2 ** shift), Fraction(2 * wr * wi, 2 ** shift))
+    exact, power = [Fraction(0), Fraction(0)], (Fraction(1), Fraction(0))
+    for t in range(D):
+        j = k % 2 + 2 * t
+        c = math.comb(k + j - 1, j) * (zetas[(k + j) // 2 - 1] + shifts[(k + j) // 2 - 1])
+        exact = [exact[0] + c * power[0], exact[1] + c * power[1]]
+        power = cmul(power, v)
+    assert l1_units(exact, re, im, 0) <= err
 
 
 # -- the ball helpers of the g jet ----------------------------------------------

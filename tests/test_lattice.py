@@ -296,7 +296,8 @@ def test_module_tables_do_not_grow_with_the_number_of_points(monkeypatch):
     # Z_0, Z_1 and Z_2 tables, whose sizes depend on the scales and targets
     # alone, and the strip remainder caches one order per exponent and target;
     # the Horner rows (in _table_sizes, each with the values tuple it serves)
-    # stay one per table and exponent, and the D memo within its lru bound
+    # stay one per table and exponent, the Euler-Maclaurin coefficient tables
+    # keep their keys and lengths, and the D and order memos their lru bounds
     import random
     from eistrig import precision
     rng = random.Random(7)
@@ -311,19 +312,32 @@ def test_module_tables_do_not_grow_with_the_number_of_points(monkeypatch):
             if i % 100 == 0:
                 strip_decay(heights, Fraction(1, 2), ctx)
 
+    from eistrig import zetasums
     monkeypatch.setattr(lattice, "_rows", {})  # no rows of other tests' exponents
+    monkeypatch.setattr(zetasums, "_zeta_tables", {})
+    zetasums._em_table.cache_clear()
+    tables, real_coeffs = {}, zetasums._em_coeffs
+
+    def coeffs(s, Q, count):  # the coefficient tables in use, by (s, Q)
+        tables[s, Q] = real_coeffs(s, Q, count)
+        return tables[s, Q]
+
+    monkeypatch.setattr(zetasums, "_em_coeffs", coeffs)
     misses = contexts().misses
     evaluate(100)
-    caches = (lattice._strip_order, lattice._table_count)
-    after_100 = _table_sizes(), [c.cache_info().currsize for c in caches]
-    from eistrig import zetasums
-    assert all(len(values) > 3 for _, values, _ in zetasums._zeta_tables)
-    assert sorted(lattice._rows) == [(i, k) for i in range(3) for k in (2, 3, 4)]
+    caches = (lattice._strip_order, lattice._table_count, zetasums._em_table)
+    sizes = (_table_sizes, lambda: [c.cache_info().currsize for c in caches],
+             lambda: {key: len(table) for key, table in tables.items()})
+    after_100 = [size() for size in sizes]
+    assert all(len(values) > 3 for _, values, _ in zetasums._zeta_tables.values())
+    assert {i for i, _ in zetasums._zeta_tables} == {0, 1, 2}
+    assert {(i, k) for i, _, k in lattice._rows} == {(i, k) for i in range(3) for k in (2, 3, 4)}
     evaluate(200)
-    assert (_table_sizes(), [c.cache_info().currsize for c in caches]) == after_100
-    assert all(values is zetasums._zeta_tables[i][1] for (i, _), (values, _) in lattice._rows.items())
-    terms = lattice._laurent_terms.cache_info()
-    assert terms.maxsize == 4096 and terms.currsize <= terms.maxsize
+    assert [size() for size in sizes] == after_100
+    assert all(values is zetasums._zeta_tables[i, q][1] for (i, q, _), (values, _) in lattice._rows.items())
+    for memo in (lattice._laurent_terms, zetasums._em_order):
+        info = memo.cache_info()
+        assert info.maxsize == 4096 and info.currsize <= info.maxsize
     assert contexts().misses == misses
 
 
@@ -351,33 +365,26 @@ def test_widening_refuses_a_disc_that_reaches_an_integer(ctx):
         fixed_jet(u, ctx, (ctx.mp.mag(ctx.tolerance) - 1,), units(ctx.mp.mpf("0.3"), u[2]))
 
 
-def test_the_ratio_table_is_rebuilt_once_per_64_bits_of_scale(monkeypatch):
+def test_the_coefficient_table_is_built_once_per_64_bits_of_scale(monkeypatch):
     # 100 jets beyond 4 rho (the lattice route) at ever tighter targets: the
-    # Euler-Maclaurin ratio table, emptied first, is rebuilt only when the
-    # kernel scale passes its own
+    # Euler-Maclaurin coefficient tables, emptied first, are built once per
+    # multiple of 64 that the kernel scales reach, and never again
     from eistrig import lattice, zetasums
-    monkeypatch.setattr(zetasums, "_em_ratios", (0, ()))
-    scales, rebuilds = [], []
-    real_ratios, real_tails = zetasums._ratios, lattice.em_tails
-
-    def ratios(P, count):
-        before = zetasums._em_ratios
-        got = real_ratios(P, count)
-        rebuilds.append(zetasums._em_ratios is not before)
-        return got
+    zetasums._em_table.cache_clear()
+    scales, real_tails = [], lattice.em_tails
 
     def tails(exponents, br, bi, P, limits):
         scales.append(P)
         return real_tails(exponents, br, bi, P, limits)
 
-    monkeypatch.setattr(zetasums, "_ratios", ratios)
     monkeypatch.setattr(lattice, "em_tails", tails)
     ctx = PrecisionContext(192, "1e-30")
     z = ctx.point("3.3+3.5i")
     for j in range(4, 104):
         f_jet(z, ctx, (ctx.mp.ldexp(ctx.tolerance, -3 * j),))
+    built = zetasums._em_table.cache_info()
     assert len(scales) >= 200
-    assert 1 <= sum(rebuilds) <= -(-(max(scales) - min(scales)) // 64) + 1
+    assert built.misses == len({-(-P // 64) for P in scales}) <= -(-(max(scales) - min(scales)) // 64) + 1
 
 
 def test_the_zeta_table_is_rebuilt_once_per_64_bits_of_scale(monkeypatch):
@@ -385,7 +392,7 @@ def test_the_zeta_table_is_rebuilt_once_per_64_bits_of_scale(monkeypatch):
     # table, emptied first, takes a new scale only when the kernel scale
     # passes its own
     from eistrig import lattice, zetasums
-    monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+    monkeypatch.setattr(zetasums, "_zeta_tables", {})
     scales, table_scales = [], []
     real = lattice.zeta_table
 
@@ -429,3 +436,19 @@ def test_a_tiny_part_of_the_point_does_not_set_the_kernel_scale(point, ctx, monk
             for bv in balls:
                 assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius
     assert len(scales) == 6 and max(scales) <= 2 * ctx.precision
+
+
+def test_balls_do_not_depend_on_what_earlier_calls_asked_for(monkeypatch):
+    # eps_k at 192 bits on every route, before and after one eps_2 call at
+    # 1,100 bits on each Laurent route: the same balls, bit for bit
+    import random
+    from eistrig import zetasums
+    monkeypatch.setattr(zetasums, "_zeta_tables", {})
+    monkeypatch.setattr(lattice, "_rows", {})
+    rng = random.Random(11)
+    ctx, fine = PrecisionContext(192, "1e-30"), PrecisionContext(1100, "1e-300")
+    points = [complex(rng.uniform(-0.5, 0.5), rng.uniform(-y, y)) for y in (0.6, 1.2, 2.4, 6) for _ in range(5)]
+    before = [eisenstein_k(k, z, ctx) for k in (2, 3, 4) for z in points]
+    for z in (0.3, complex(0.2, 0.9), complex(-0.4, 1.8)):  # i = 0, 1, 2
+        eisenstein_k(2, z, fine)
+    assert [eisenstein_k(k, z, ctx) for k in (2, 3, 4) for z in points] == before

@@ -122,3 +122,13 @@ def test_exactness_of_dyadic_inputs_survives_parsing():
     assert int(wide.value) == 2**200 + 1 and wide.radius == 0
     with pytest.raises(TypeError):
         ctx.ball(Fraction(27, 5))  # would need a rounding
+
+
+def test_an_int_beyond_the_precision_is_one_point_for_every_entry():
+    # point, exact and ball take 2^130 + 1 exactly at 128 bits, so the checks
+    # that read their point through point name the point cosine evaluates
+    from eistrig.fixedpoint import to_mp
+    ctx = PrecisionContext(128, "1e-12")
+    for n in (2**130 + 1, -(2**200) - 3):
+        assert int(ctx.point(n)) == n
+        assert ctx.point(n) == ctx.ball(n).value == to_mp(*ctx.exact(n), ctx.mp)

@@ -5,6 +5,7 @@ Frozen decimal literals were produced once by an independent implementation
 them.  Tail-bound validity is checked against brute-force partial sums.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -40,23 +41,57 @@ def test_bernoulli_numbers_match_the_table():
         assert bernoulli_even(two_j) == value
 
 
-def test_the_tables_grow_in_place_and_match_bernoulli(monkeypatch):
-    # a longer ratio table extends the one in use: the same list, its earlier
-    # ratios untouched, each ratio C_(j+1)/C_j within one unit of the exact
-    # Bernoulli quotient; the tangent numbers extend one column at a time
+def test_the_tables_grow_in_place_and_match_bernoulli():
+    # a longer coefficient table extends the one in use: the same list, its
+    # earlier entries untouched, each c_j = B_2j/(2j)! (s)_(2j-1) within one
+    # unit of the exact quotient from an independent Bernoulli table, at a
+    # scale below 2j and above it; the tangent numbers extend one column at a time
     from math import factorial
     from eistrig import zetasums
-    monkeypatch.setattr(zetasums, "_em_ratios", (0, ()))
-    q, table = zetasums._ratios(100, 40)
-    head = list(table)
-    assert zetasums._ratios(100, 70)[1] is table and table[:len(head)] == head
-    assert len(table) >= 70 and q == 128
+    zetasums._em_table.cache_clear()
     bern = [Fraction(*mpmath.bernfrac(2 * j)) for j in range(72)]  # an independent table
-    for j in range(1, 71):
-        ratio = bern[j + 1] / factorial(2 * j + 2) * factorial(2 * j) / bern[j]
-        assert abs(table[j - 1] - ratio * 2 ** q) < 1
+    for s, Q in ((2, 128), (3, 64), (4, 1088), (17, 192)):
+        table = zetasums._em_coeffs(s, Q, 40)
+        head = list(table)
+        assert zetasums._em_coeffs(s, Q, 70) is table and table[:len(head)] == head
+        assert len(table) >= 70
+        for j in range(1, 71):
+            exact = bern[j] / factorial(2 * j) * math.prod(range(s, s + 2 * j - 1))
+            assert abs(table[j - 1] - exact * 2 ** Q) < 1
     T = zetasums._tangents(71)
     assert all(T[j] == abs(bern[j]) * 4**j * (4**j - 1) / (2 * j) for j in range(1, 72))
+
+
+def test_the_coefficient_tables_reach_the_order_cap():
+    # the strip decay's y = 100 pass needs orders far beyond 80
+    from eistrig import zetasums
+    table = zetasums._em_coeffs(2, 1088, zetasums.MAX_ORDER)
+    assert len(table) == zetasums.MAX_ORDER
+    assert table[-1] == zetasums._em_coeffs(2, 1088, 1)[-1]
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 9])
+@pytest.mark.parametrize("bm, bx, e", [(192, 4, -104), (131, 2, -70), (255, 7, -40), (200, -4, -300),
+                                       (150, 6, -20)])
+def test_the_order_cell_bounds_its_counts_and_its_remainder(s, bm, bx, e):
+    # at every b with |b| >= B = bm 2^-bx: the order m meets 2^e unless the
+    # bounds stopped decreasing first (then m is the least of them), and G
+    # and D bound the exact sums they stand for at X = B^-2
+    from eistrig import zetasums
+    Q = 128
+    m, G, D = zetasums._em_order(s, Q, bm, bx, e, 2)
+    assert zetasums._em_order(s, Q, bm, bx, e, 1) == (m, G, 0)
+    B = Fraction(bm) / Fraction(2) ** bx
+    X = 1 / B ** 2
+    c = [bernoulli_even(2 * j) / math.factorial(2 * j) * math.prod(range(s, s + 2 * j - 1))
+         for j in range(1, m + 2)]  # c_1..c_(m+1), exact
+    bound = [abs(cj) * B ** (1 - s - 2 * j) for j, cj in enumerate(c, start=1)]
+    if bound[m - 1] > Fraction(2) ** e:
+        assert m == zetasums.MAX_ORDER or bound[m] >= bound[m - 1] * (1 - Fraction(1, 1 << 40))
+    else:
+        assert all(b > Fraction(2) ** e * (1 - Fraction(1, 1 << 40)) for b in bound[:m - 1])
+    assert G >= sum(X ** j for j in range(m - 1))
+    assert D >= sum(j * abs(c[j]) * X ** (j - 1) for j in range(1, m - 1)) * 2 ** Q
 
 
 def test_zeta_even_matches_frozen_values(ctx):
@@ -190,7 +225,7 @@ def test_scaled_zeta_tables_hold_the_exact_partial_sum_and_its_tail(i, monkeypat
     # of the exact sum over n = L..M plus the integral bounds of the rest:
     # int_(M+1)^inf (L/t)^s dt <= sum_{n>M} (L/n)^s <= int_M^inf (L/t)^s dt
     from eistrig import zetasums
-    monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+    monkeypatch.setattr(zetasums, "_zeta_tables", {})
     q, values, err = zetasums.zeta_table(128, 24, i)
     L, M = 1 << i, 256
     for m, value in enumerate(values, start=1):
@@ -204,60 +239,84 @@ def test_scaled_zeta_tables_hold_the_exact_partial_sum_and_its_tail(i, monkeypat
 def test_a_concurrent_store_does_not_change_the_table_a_caller_gets(monkeypatch):
     # another caller's 128-bit store lands right after this caller's 1,088-bit one
     from eistrig import zetasums
-    monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+    monkeypatch.setattr(zetasums, "_zeta_tables", {})
     low = zetasums.zeta_table(128, 50, 0)
 
-    class Interleaved(list):
-        def __setitem__(self, i, table):
-            super().__setitem__(i, table)
-            super().__setitem__(i, low)
+    class Interleaved(dict):
+        def __setitem__(self, key, table):
+            super().__setitem__(key, table)
+            super().__setitem__((0, 128), low)
 
-    monkeypatch.setattr(zetasums, "_zeta_tables", Interleaved([(0, (), 0)] * 3))
+    monkeypatch.setattr(zetasums, "_zeta_tables", Interleaved())
     q, values, _ = zetasums.zeta_table(1088, 50, 0)
-    assert q >= 1088 and len(values) >= 50
+    assert q == 1088 and len(values) >= 50
+    assert zetasums._zeta_tables[0, 1088][0] == 1088
 
 
 def test_a_table_never_replaces_one_of_higher_scale(monkeypatch):
-    # another caller stores a 1,088-bit table while this one builds at 128 bits
+    # another caller stores a 1,088-bit table while this one builds at 128
+    # bits: each scale keeps its own table
     from eistrig import zetasums
-    monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+    monkeypatch.setattr(zetasums, "_zeta_tables", {})
     high = zetasums.zeta_table(1088, 8, 0)
-    monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+    monkeypatch.setattr(zetasums, "_zeta_tables", {})
     real = zetasums._zeta_values
 
     def values(*args):
-        zetasums._zeta_tables[0] = high
+        zetasums._zeta_tables[0, 1088] = high
         return real(*args)
 
     monkeypatch.setattr(zetasums, "_zeta_values", values)
     q, _, _ = zetasums.zeta_table(128, 8, 0)
-    assert q == 128 and zetasums._zeta_tables[0] is high
+    assert q == 128 and zetasums._zeta_tables[0, 1088] is high
+    assert zetasums._zeta_tables[0, 128][0] == 128
+
+
+def test_each_table_keeps_its_own_scale_and_only_the_last_four_are_held(monkeypatch):
+    # a pass reads the table of its own multiple of 64, never a finer one
+    # that an earlier call left; per i at most four scales stay
+    from eistrig import zetasums
+    monkeypatch.setattr(zetasums, "_zeta_tables", {})
+    for P in (1088, 100, 128, 129, 300, 500, 700):
+        q, values, err = zetasums.zeta_table(P, 12, 1)
+        assert q == -(-P // 64) * 64
+    assert sorted(zetasums._zeta_tables) == [(1, 192), (1, 320), (1, 512), (1, 704)]
+    again = zetasums.zeta_table(1088, 12, 1)
+    monkeypatch.setattr(zetasums, "_zeta_tables", {})
+    assert zetasums.zeta_table(1088, 12, 1) == again
 
 
 def test_threads_at_different_scales_each_get_a_table_of_their_own_scale(monkeypatch):
-    # for each table i, 4 threads ask for tables at three scales with a short
-    # switch interval; every table holds at least what its caller asked for,
-    # and its values and err are those of a serial build at its scale.  The
-    # threads also take the Horner rows of those tables and evaluate eps_k on
-    # the Laurent routes at two contexts, which build rows from the tables as
-    # they grow: every row is that of its own tuple, every ball holds the value
+    # 4 threads, with a short switch interval, ask for the Z_i tables and the
+    # Euler-Maclaurin coefficient tables at mixed scales: every table holds at
+    # least what its caller asked for, and its values and err are those of a
+    # serial build at its scale.  The threads also take the Horner rows of
+    # those tables and evaluate eps_k on the Laurent routes and on the lattice
+    # route at two contexts, which build rows and tables as they grow: every
+    # row is that of its own tuple, every ball is the one a serial call gave
     import sys
     import threading
     from math import comb
     from eistrig import lattice, zetasums
     from eistrig.lattice import eisenstein_k
     scales = (128, 256, 384)
-    serial = {}
+    serial, coeffs = {}, {}
     for i in range(3):
         for P in scales:
-            monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+            monkeypatch.setattr(zetasums, "_zeta_tables", {})
             q, values, err = zetasums.zeta_table(P, 40, i)
             serial[i, q] = values, err
+    for s in (2, 3, 4):
+        for Q in scales:
+            zetasums._em_table.cache_clear()
+            coeffs[s, Q] = list(zetasums._em_coeffs(s, Q, 80))
     contexts = (PrecisionContext(128, "1e-12"), PrecisionContext(192, "1e-30"))
-    points = (0.3, complex(0.2, 0.9), complex(-0.4, 1.8))  # i = 0, 1, 2
+    points = (0.3, complex(0.2, 0.9), complex(-0.4, 1.8), complex(0.3, 4.2))  # i = 0, 1, 2, lattice
     alone = {(k, z, ctx): eisenstein_k(k, z, ctx) for k in (2, 3) for z in points for ctx in contexts}
-    monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+    monkeypatch.setattr(zetasums, "_zeta_tables", {})
     monkeypatch.setattr(lattice, "_rows", {})
+    zetasums._em_table.cache_clear()
+    zetasums._em_order.cache_clear()
     problems = []
 
     def work(offset):
@@ -266,15 +325,18 @@ def test_threads_at_different_scales_each_get_a_table_of_their_own_scale(monkeyp
                 i, P, count = j % 3, scales[(j + offset) % 3], 10 + j
                 q, values, err = zetasums.zeta_table(P, count, i)
                 want, want_err = serial[i, q]
-                if q < P or len(values) < count or values[:count] != want[:count] or err != want_err:
+                if q != P or len(values) < count or values[:count] != want[:count] or err != want_err:
                     problems.append((i, P, count, q, len(values)))
                 k = 2 + j % 2
-                row = lattice._horner_row(i, k, values)
+                row = lattice._horner_row(i, q, k, values)
                 if row[:5] != [comb(k + t - 1, t) * want[(k + t) // 2 - 1] for t in range(k % 2, 10, 2)]:
                     problems.append(("row", i, k, q))
-                ctx, z = contexts[(j + offset) % 2], points[i]
-                bv, ref = eisenstein_k(k, z, ctx), alone[k, z, ctx]
-                if abs(bv.value - ref.value) > bv.radius + ref.radius:  # two balls of one value
+                s = 2 + (j + offset) % 3
+                table = zetasums._em_coeffs(s, P, 20 + 2 * j)
+                if len(table) < 20 + 2 * j or table[:20 + 2 * j] != coeffs[s, P][:20 + 2 * j]:
+                    problems.append(("coefficients", s, P, len(table)))
+                ctx, z = contexts[(j + offset) % 2], points[(j + offset) % 4]
+                if eisenstein_k(k, z, ctx) != alone[k, z, ctx]:
                     problems.append(("ball", k, z, ctx.precision))
         except Exception as exc:  # a thread's exception would otherwise go unseen
             problems.append(exc)
@@ -299,10 +361,10 @@ def test_a_grown_table_equals_a_table_built_in_one_step(i, monkeypatch):
     # grown one entry at a time from 10 to 40 equals one built at 40 at once
     from eistrig import zetasums
     for q in (384, 1088):
-        monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+        monkeypatch.setattr(zetasums, "_zeta_tables", {})
         for count in range(10, 41):
             grown = zetasums.zeta_table(q, count, i)
-        monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+        monkeypatch.setattr(zetasums, "_zeta_tables", {})
         once = zetasums.zeta_table(q, 40, i)
         assert grown[0] == once[0] and grown[2] == once[2]
         assert grown[1][:40] == once[1][:40]
@@ -322,7 +384,7 @@ def test_every_zeta_table_ends_on_one_euler_maclaurin_call(monkeypatch):
     monkeypatch.setattr(zetasums, "em_tails", tails)
     for i in range(3):
         for P, count in ((128, 40), (384, 260), (1088, 757)):
-            monkeypatch.setattr(zetasums, "_zeta_tables", [(0, (), 0)] * 3)
+            monkeypatch.setattr(zetasums, "_zeta_tables", {})
             calls.clear()
             zetasums.zeta_table(P, count, i)
             assert calls == [True]

@@ -125,22 +125,23 @@ def _em_coeffs(s: int, Q: int, count: int) -> list:
     return table
 
 
-#: the (m, G, D) of the 4096 (s, Q, bm, bx, e, ec) used last; lru_cache is thread-safe
+#: the (m, G, D) of the 4096 (s, Q, bm, bx, e) used last; lru_cache is thread-safe
 @functools.lru_cache(maxsize=4096)
-def _em_order(s: int, Q: int, bm: int, bx: int, e: int, ec: int):
+def _em_order(s: int, Q: int, bm: int, bx: int, e: int):
     """(m, G, D) for the tails T_s(b) at every b with |b| >= B = bm 2^-bx, from
-    the coefficients c_j of _em_coeffs(s, Q):
+    the coefficients c_j of _em_coeffs(s, Q), |c_j| < mag_j = |c'_j| + 1 units:
 
-    m is the least order whose bound (|c_m| + 1) 2^-Q B^(1-s-2m) is at most
-    2^e, tested in integers, or, where the bounds stop decreasing first (the
-    floor), the order of the least of them (at most MAX_ORDER).  With X =
-    B^-2 >= |b^-2| and the polynomial p(x) = sum_{j<m-1} c_(j+1) x^j of
-    em_tails, G = geometric(X, m - 1) >= sum_{j<m-1} X^j, the weight of the
-    table's truncations, and for ec = 2 (a complex b)
-    D = sum_{1<=j<m-1} j (|c_(j+1)| + 1) X^(j-1) 2^Q, rounded up term by term,
-    which bounds |p'| on the disc |x| <= X; D = 0 for a real b."""
+    m is the least order whose bound mag_m 2^-Q B^(1-s-2m) is at most 2^e,
+    tested in integers, or, where the bounds stop decreasing first (the
+    floor), the order of the least of them (at most MAX_ORDER).  Up to m the
+    bounds decrease, mag_(j+1) X < mag_j with X = B^-2 >= |b^-2|.  For the
+    polynomial p(x) = sum_{j<m-1} c_(j+1) x^j of em_tails, G = geometric(X,
+    m - 1) >= sum_{j<m-1} X^j weighs the table's truncations, and D bounds
+    |p'| on the disc |x| <= X in units of 2^-Q: sum_{1<=j<m-1} j mag_(j+1)
+    X^(j-1) <= mag_2 (m-1)(m-2)/2 = D, as mag_(j+1) X^(j-1) < mag_2."""
     num, den = (1 << 2 * bx, bm * bm) if bx >= 0 else (1, bm * bm << -2 * bx)  # X = num/den
-    pw, prev, c = bm ** (s - 1), 0, ()  # bm^n, n = s - 1 + 2m
+    # the test mag <= bm^n 2^E, n = s - 1 + 2m and E = e + Q - bx n
+    bb, pw, E, prev, c = bm * bm, bm ** (s - 1), e + Q - bx * (s - 1), 0, ()
     for m in range(1, MAX_ORDER + 1):
         if m > len(c):
             c = _em_coeffs(s, Q, m)
@@ -148,16 +149,11 @@ def _em_order(s: int, Q: int, bm: int, bx: int, e: int, ec: int):
         if prev and mag * num >= prev * den:
             m -= 1
             break
-        pw *= bm * bm
-        E = e + Q - bx * (s - 1 + 2 * m)  # the test mag <= bm^n 2^E
+        pw, E = pw * bb, E - 2 * bx
         if (mag <= pw << E) if E >= 0 else (mag << -E <= pw):
             break
         prev = mag
-    G, D = geometric(num, den, m - 1), 0
-    if ec == 2:
-        for j in range(m - 2, 0, -1):
-            D = j * (abs(c[j]) + 1) - (-D * num // den)
-    return m, G, D
+    return m, geometric(num, den, m - 1), (abs(c[1]) + 1) * (m - 1) * (m - 2) // 2 if m > 2 else 0
 
 
 def em_tails(exponents, br: int, bi: int, P: int, limits):
@@ -223,7 +219,7 @@ def em_tails(exponents, br: int, bi: int, P: int, limits):
         # |c_m| |b|^(1-s-2m) <= 2^e <= limit br / (twice_b 2^P)
         room = limit * br // twice_b
         e = (room.bit_length() - 1 if room else -(twice_b // max(1, limit * br)).bit_length()) - P
-        m, G, D = _em_order(s, Q, bm, bx, e, ec)
+        m, G, D = _em_order(s, Q, bm, bx, e)
         coeffs = _em_coeffs(s, Q, m)
         # the bound at b itself, from |b| >= rb 2^(rs-P); above the limit at the floor
         n = s - 1 + 2 * m

@@ -139,12 +139,12 @@ MUTANTS = {
     # the order cell
     "em_slope_weights_dropped": [(
         "zetasums.py",
-        "D = j * (abs(c[j]) + 1) - (-D * num // den)",
-        "D = (abs(c[j]) + 1) - (-D * num // den)")],
+        "(abs(c[1]) + 1) * (m - 1) * (m - 2) // 2 if m > 2 else 0",
+        "abs(c[1]) + 1 if m > 2 else 0")],
     "em_table_weight_dropped": [(
         "zetasums.py",
-        "G, D = geometric(num, den, m - 1), 0",
-        "G, D = 1, 0")],
+        "return m, geometric(num, den, m - 1), ",
+        "return m, 1, ")],
     # every Euler-Maclaurin coefficient c_j read with (s)_(2j) for (s)_(2j-1)
     "em_coefficients_one_factor_off": [(
         "zetasums.py",

@@ -183,7 +183,7 @@ def test_horner_by_division_is_within_its_count_of_the_exact_sum(n, a, t, sign):
 @settings(max_examples=300)
 @given(st.data(), st.integers(24, 40), st.sampled_from([0, 1, 2]), st.integers(2, 4),
        st.integers(1, 30))
-def test_a_laurent_row_is_within_its_count_of_the_exact_series(data, P, i, k, D):
+def test_a_laurent_pass_is_within_its_count_of_the_exact_series(data, P, i, k, D):
     # eps_k on the Laurent route of i with D terms, its Z_i entries exact
     # inputs at scale 2^-P (so its Horner count is in units of 2^-P) and its
     # tail bound one unit: within err of the same truncated series, exactly

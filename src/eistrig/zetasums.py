@@ -74,15 +74,23 @@ def _tangents(upto: int) -> list[int]:
         return _TANGENT
 
 
+#: B_2j / 2j for the 512 j used last; lru_cache is thread-safe
+@functools.lru_cache(maxsize=512)
+def _bernoulli_over(j: int) -> tuple[int, int]:
+    """(n, d) with B_2j / 2j = n / d in lowest terms, j >= 1, from
+    B_2j = (-1)^(j+1) 2j T_j / (4^j (4^j - 1)); d is small (64 bits at j = 300)."""
+    val = Fraction(_tangents(j)[j], 4**j * (4**j - 1))
+    return (val.numerator if j % 2 else -val.numerator), val.denominator
+
+
 def bernoulli_even(two_j: int) -> Fraction:
     """Exact B_{2j} from 2n*T_n / (4^n (4^n - 1)) with alternating sign."""
     if two_j < 0 or two_j % 2:
         raise ValueError("bernoulli_even expects a nonnegative even index")
     if two_j == 0:
         return Fraction(1)
-    j = two_j // 2
-    val = Fraction(2 * j * _tangents(j)[j], 4**j * (4**j - 1))
-    return val if j % 2 else -val
+    n, d = _bernoulli_over(two_j // 2)
+    return Fraction(two_j * n, d)
 
 
 # -- Euler-Maclaurin tails -----------------------------------------------------
@@ -108,20 +116,19 @@ def _em_table(s: int, Q: int) -> list:
 
 def _em_coeffs(s: int, Q: int, count: int) -> list:
     """[c_1, ..., c_n], n >= count (at most MAX_ORDER), c_j = C_j (s)_(2j-1) at
-    scale 2^-Q, C_j = B_2j/(2j)!, each one exact quotient of integers from the
-    tangent numbers, truncated toward zero (within one unit):
-      c_j = (-1)^(j+1) T_j binom(s+2j-2, s-1) / (4^j (4^j - 1)),
-    as B_2j = (-1)^(j+1) 2j T_j / (4^j (4^j - 1)) and (s)_(2j-1) / (2j)! =
-    binom(s+2j-2, s-1) / 2j.  The table grows 4 entries at a time at least."""
+    scale 2^-Q, C_j = B_2j/(2j)!, each one exact quotient of integers,
+    truncated toward zero (within one unit):
+      c_j = (B_2j / 2j) binom(s+2j-2, s-1),
+    as (s)_(2j-1) / (2j)! = binom(s+2j-2, s-1) / 2j, with B_2j / 2j in lowest
+    terms (_bernoulli_over), whose small denominator makes the division
+    cheap.  The table grows 4 entries at a time at least."""
     table = _em_table(s, Q)
     if len(table) < count:
         with _coeff_lock:
-            top = min(MAX_ORDER, max(count, len(table) + 4))
-            T = _tangents(top)
-            for j in range(len(table) + 1, top + 1):
-                x, d = T[j] * comb(s + 2 * j - 2, s - 1), 4**j - 1
-                c = (x << Q - 2 * j) // d if Q >= 2 * j else x // (d << 2 * j - Q)
-                table.append(c if j % 2 else -c)
+            for j in range(len(table) + 1, min(MAX_ORDER, max(count, len(table) + 4)) + 1):
+                n, d = _bernoulli_over(j)
+                c = (abs(n) * comb(s + 2 * j - 2, s - 1) << Q) // d
+                table.append(c if n > 0 else -c)
     return table
 
 

@@ -148,8 +148,8 @@ MUTANTS = {
     # every Euler-Maclaurin coefficient c_j read with (s)_(2j) for (s)_(2j-1)
     "em_coefficients_one_factor_off": [(
         "zetasums.py",
-        "x, d = T[j] * comb(s + 2 * j - 2, s - 1), 4**j - 1",
-        "x, d = T[j] * comb(s + 2 * j - 1, s - 1), 4**j - 1")],
+        "c = (abs(n) * comb(s + 2 * j - 2, s - 1) << Q) // d",
+        "c = (abs(n) * comb(s + 2 * j - 1, s - 1) << Q) // d")],
 }
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import threading
 from fractions import Fraction
-from math import ceil, comb, isqrt, lgamma, log, pi
+from math import ceil, comb, isqrt, lgamma, log, log2, pi
 
 from .errors import ToleranceUnreachableError
 from .fixedpoint import cpow, geometric, series, to_ball, units
@@ -132,34 +132,53 @@ def _em_coeffs(s: int, Q: int, count: int) -> list:
     return table
 
 
+#: log2(2 pi), for the order estimate of _em_order
+_LOG2_2PI = 2.651496129472319
+
+
 #: the (m, G, D) of the 4096 (s, Q, bm, bx, e) used last; lru_cache is thread-safe
 @functools.lru_cache(maxsize=4096)
 def _em_order(s: int, Q: int, bm: int, bx: int, e: int):
     """(m, G, D) for the tails T_s(b) at every b with |b| >= B = bm 2^-bx, from
-    the coefficients c_j of _em_coeffs(s, Q), |c_j| < mag_j = |c'_j| + 1 units:
+    the coefficients c_j of _em_coeffs(s, Q), |c_j| < mag_j = |c'_j| + 1 units.
 
-    m is the least order whose bound mag_m 2^-Q B^(1-s-2m) is at most 2^e,
-    tested in integers, or, where the bounds stop decreasing first (the
-    floor), the order of the least of them (at most MAX_ORDER).  Up to m the
-    bounds decrease, mag_(j+1) X < mag_j with X = B^-2 >= |b^-2|.  For the
+    The ratios |c_(j+1)/c_j| = zeta(2j+2)/zeta(2j) (s+2j-1)(s+2j) / (2 pi)^2
+    increase with j (log zeta is convex), so the bounds |c_j| B^(1-s-2j)
+    fall up to the floor and rise after it.  m is the least order whose bound
+    mag_m 2^-Q B^(1-s-2m) is at most 2^e, or the floor's order where none
+    before it is (below MAX_ORDER): a float estimate (|B_2j|/(2j)! ~ 2/(2 pi)^2j) gives a
+    start, and integer tests settle it, the last that |c_(m-1)| X < |c_(m-2)|
+    with X = B^-2 >= |b^-2|, so that every bound up to m - 1 falls.  For the
     polynomial p(x) = sum_{j<m-1} c_(j+1) x^j of em_tails, G = geometric(X,
     m - 1) >= sum_{j<m-1} X^j weighs the table's truncations, and D bounds
-    |p'| on the disc |x| <= X in units of 2^-Q: sum_{1<=j<m-1} j mag_(j+1)
-    X^(j-1) <= mag_2 (m-1)(m-2)/2 = D, as mag_(j+1) X^(j-1) < mag_2."""
+    |p'| on the disc |x| <= X in units of 2^-Q: sum_{1<=j<m-1} j |c_(j+1)|
+    X^(j-1) 2^Q <= mag_2 (m-1)(m-2)/2 = D, as |c_(j+1)| X^(j-1) <= |c_2|."""
     num, den = (1 << 2 * bx, bm * bm) if bx >= 0 else (1, bm * bm << -2 * bx)  # X = num/den
-    # the test mag <= bm^n 2^E, n = s - 1 + 2m and E = e + Q - bx n
-    bb, pw, E, prev, c = bm * bm, bm ** (s - 1), e + Q - bx * (s - 1), 0, ()
-    for m in range(1, MAX_ORDER + 1):
-        if m > len(c):
-            c = _em_coeffs(s, Q, m)
-        mag = abs(c[m - 1]) + 1
-        if prev and mag * num >= prev * den:
-            m -= 1
-            break
-        pw, E = pw * bb, E - 2 * bx
-        if (mag <= pw << E) if E >= 0 else (mag << -E <= pw):
-            break
-        prev = mag
+    lb = log2(bm) - bx  # log2 B
+
+    def estimate(j):  # about log2 |c_j| B^(1-s-2j)
+        return 1 + (lgamma(s + 2 * j - 1) - lgamma(s)) / log(2) - 2 * j * _LOG2_2PI - (s - 1 + 2 * j) * lb
+
+    def fits(j):  # mag_j <= bm^n 2^E, n = s - 1 + 2j, E = e + Q - bx n
+        n = s - 1 + 2 * j
+        mag, pw, E = abs(c[j - 1]) + 1, bm**n, e + Q - bx * n
+        return mag <= pw << E if E >= 0 else mag << -E <= pw
+
+    def falls(j):  # |c_(j+1)| X < |c_j|
+        return (abs(c[j]) + 1) * num < (abs(c[j - 1]) - 1) * den
+
+    lo, hi = 1, max(1, min(MAX_ORDER - 1, int(pi * 2.0**lb - s / 2) + 1))  # about the floor
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if estimate(mid) <= e else (mid + 1, hi)
+    m, c = lo, _em_coeffs(s, Q, lo + 1)
+    while m < MAX_ORDER - 1 and not fits(m) and falls(m):
+        m += 1
+        c = _em_coeffs(s, Q, m + 1)
+    while m > 1 and fits(m - 1):
+        m -= 1
+    while m > 2 and not falls(m - 2):
+        m -= 1
     return m, geometric(num, den, m - 1), (abs(c[1]) + 1) * (m - 1) * (m - 2) // 2 if m > 2 else 0
 
 

@@ -73,11 +73,12 @@ def test_the_coefficient_tables_reach_the_order_cap():
 
 @pytest.mark.parametrize("s", [2, 3, 4, 9])
 @pytest.mark.parametrize("bm, bx, e", [(192, 4, -104), (131, 2, -70), (255, 7, -40), (200, -4, -300),
-                                       (150, 6, -20)])
+                                       (150, 6, -20), (150, 6, -60), (129, 3, -160)])
 def test_the_order_cell_bounds_its_counts_and_its_remainder(s, bm, bx, e):
     # at every b with |b| >= B = bm 2^-bx: the order m meets 2^e unless the
-    # bounds stopped decreasing first (then m is the least of them), and G
-    # and D bound the exact sums they stand for at X = B^-2
+    # bounds stopped decreasing first (then m is the least of them; the last
+    # two cases reach that floor), and G and D bound the exact sums they
+    # stand for at X = B^-2
     from eistrig import zetasums
     Q = 128
     m, G, D = zetasums._em_order(s, Q, bm, bx, e)

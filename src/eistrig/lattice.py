@@ -96,8 +96,7 @@ from .errors import (InconclusiveNonvanishingError, PoleProximityError,
 from .fixedpoint import (ball_mul, cpow, floor_abs, fraction_bits, nearest, series, to_ball,
                          to_fixed, to_mp, tshift, units)
 from .precision import TERM_CAP, BoundedValue, PrecisionContext
-from .zetasums import (KERNEL_GUARD_BITS, MAX_ORDER, bernoulli_even, em_tails, zeta_table,
-                       zeta_tail)
+from .zetasums import KERNEL_GUARD_BITS, MAX_ORDER, bernoulli_even, em_tails, zeta_fixed, zeta_table
 
 #: pole guard: reject z within 10 ulp (at working precision) of an integer
 POLE_GUARD_ULPS = 10
@@ -636,23 +635,24 @@ def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0) -> BoundedVa
     """f''(z) - 6 f(z)^2 + 12 a0 f(z), consistent with zero within its radius.
 
     a0_shift adds an exact perturbation to a0 (a test-of-the-test: the
-    residual then sits near 12 * shift * f(z) instead of zero).  f, f'' and
-    a0 go to tolerance / (4 (24 |f| + 53)), f and f'' from one fixed_jet pass
-    (f' loose); exact products at scale 2^-2P, rounded once.
+    residual then sits near 12 * shift * f(z) instead of zero).  f and f''
+    go to tolerance / (4 (24 |f| + 53)), from one fixed_jet pass (f' loose),
+    and a0 is read at the pass's scale; exact products at scale 2^-2P,
+    rounded once.
     """
     mp = ctx.mp
     mf = eps_bound(2, guarded_distance(z, ctx)) + 1
     t = ctx.tolerance / (4 * (24 * mf + 53))
     P, (f, _, f2) = fixed_jet(reduce_point(z, ctx), ctx,
                               [mp.mag(x) - 1 for x in (t, max(t, mp.mpf("1e-5")), t / 6)])
-    a0 = _a0_fixed(P, t / 2, ctx.real(a0_shift) if a0_shift else 0)
+    a0 = _a0_fixed(P, ctx.real(a0_shift) if a0_shift else 0)
     return to_ball(*_combination(2 * P, ((1, f2, P), (-6, ball_mul(f, f), 2 * P),
                                          (12, ball_mul(a0, f), 2 * P))), 2 * P, ctx.mp)
 
 
 def first_order_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
     """(f'(z))^2 - 4 f(z)^3 + 12 a0 f(z)^2, consistent with zero, as above:
-    f, f' and a0 to tolerance / (4 (2 |f'| + 24 |f|^2 + 96 |f| + 1)), 2^-3P."""
+    f and f' to tolerance / (4 (2 |f'| + 24 |f|^2 + 96 |f| + 1)), 2^-3P."""
     dist = guarded_distance(z, ctx)
     mf = eps_bound(2, dist) + 1
     mfp = 2 * eps_bound(3, dist) + 1
@@ -661,16 +661,15 @@ def first_order_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
     f_sq = ball_mul(f, f)
     return to_ball(*_combination(3 * P, (
         (1, ball_mul(fp, fp), 2 * P), (-4, ball_mul(f_sq, f), 3 * P),
-        (12, ball_mul(_a0_fixed(P, t / 2), f_sq), 3 * P))), 3 * P, ctx.mp)
+        (12, ball_mul(_a0_fixed(P), f_sq), 3 * P))), 3 * P, ctx.mp)
 
 
-def _a0_fixed(P: int, target, shift=0):
-    """The ball a0 + shift at scale 2^-P: a0 = 2 zeta(2), zeta(2) to target,
-    whose zeta_tail scale is at most P (target no tighter than the pass's
-    tightest); the mpf shift truncated at 2^-P, within one unit."""
-    S, value, err = zeta_tail(2, 0, target)
-    re, err = 2 * value << P - S, 2 * err << P - S
-    return (re + to_fixed(shift, P)[0], 0, err + 1) if shift else (re, 0, err)
+def _a0_fixed(P: int, shift=0):
+    """The ball a0 + shift at the pass's scale 2^-P: a0 = 2 zeta(2), zeta(2)
+    read from the Z_0 table (zetasums.zeta_fixed, a few units); the mpf shift
+    truncated at 2^-P, within one unit."""
+    value, err = zeta_fixed(1, P)
+    return (2 * value + to_fixed(shift, P)[0], 0, 2 * err + 1) if shift else (2 * value, 0, 2 * err)
 
 
 def _combination(S: int, terms):

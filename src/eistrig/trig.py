@@ -45,7 +45,7 @@ from .fixedpoint import ball_mul, ball_quotient, floor_abs, tdiv, to_ball, to_mp
 from .precision import BoundedValue, PrecisionContext
 from .lattice import (fixed_jet, guarded_distance, in_pole_guard, magnitude, reduce_point,
                       reduced, to_float)
-from .zetasums import KERNEL_GUARD_BITS, zeta_tail
+from .zetasums import KERNEL_GUARD_BITS, zeta_fixed
 
 PI_PROVENANCE = "sqrt(6·ζ(2))"
 
@@ -65,10 +65,12 @@ def compute_pi(ctx: PrecisionContext) -> PiValue:
 
 class TrigEvaluator:
     """pi^2, pi-hat and (2 pi-hat)^-1 for one context as integer balls
-    (re, im, err) at one scale 2^-P, from one zeta(2) ball to eps 2^-129:
-    pi^2 = 6 zeta(2) = 3 a0 exactly, pi-hat = sqrt(pi^2) by isqrt and
-    (2 pi-hat)^-1 by one counted division, each within eps 2^-128 or less.
-    pi, a0 and pi^2 are also kept rounded once to the context's precision.
+    (re, im, err) at one scale 2^-P, P = KERNEL_GUARD_BITS + precision + 127,
+    from one zeta(2) ball read from the Z_0 table (zetasums.zeta_fixed, a
+    few units of 2^-P): pi^2 = 6 zeta(2) = 3 a0 exactly, pi-hat = sqrt(pi^2)
+    by isqrt and (2 pi-hat)^-1 by one counted division, each within a few
+    units.  pi, a0 and pi^2 are also kept rounded once to the context's
+    precision.
 
     Immutable after construction; safe for concurrent use.
     """
@@ -76,7 +78,8 @@ class TrigEvaluator:
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
         mp, tol = ctx.mp, ctx.tolerance
-        P, z2, err = zeta_tail(2, 0, mp.ldexp(1, -ctx.precision - 128))
+        P = KERNEL_GUARD_BITS + ctx.precision + 127
+        z2, err = zeta_fixed(1, P)
         self.scale = P
         self.pi_sq_fixed = (6 * z2, 0, 6 * err)
         # pi^2 > 9 within its error: |sqrt(x) - sqrt(x')| <= |x - x'| / 6, plus the isqrt floor

@@ -1,6 +1,6 @@
 """Rigorously bounded zeta tails and even zeta values.
 
-Three layers, all exact or with explicit bounds:
+Four layers, all exact or with explicit bounds:
 
 * bernoulli_even(2j): exact Fractions via the integer-only tangent-number
   triangle (cached, grown on demand).
@@ -13,9 +13,8 @@ Three layers, all exact or with explicit bounds:
   entry, Q the multiple of 64 that the call's scale sets), summed by
   fixedpoint.series; the order m is chosen before summing (_em_order,
   memoised on |b| to 8 bits and the limit's exponent).  The lattice route
-  calls it at b = N+1 +- u, and zeta_tail(s, N, target) at b = N+1, moving
-  the base point up with head terms summed at the same scale, one counted
-  truncation each.
+  calls it at b = N+1 +- u (real when bi = 0), and zeta_table at its integer
+  base point.
 * zeta_table(P, count, i): Z_i(2m) = sum_{n>=L} (L/n)^2m, L = 2^i, i <= 2,
   m = 1..count (Z_0 = zeta), for the Laurent routes of the lattice pass:
   one builder, one table per i and scale Q, the multiple of 64 that P sets
@@ -27,12 +26,14 @@ Three layers, all exact or with explicit bounds:
   every s whose tail L^s a^-s (1 + a/(s-1)) is above one unit, at the scale
   where L^s is a shift; below it that bound is the tail.  Later growth adds
   heads alone, each chain from s = 2, so a value and the err depend on (Q,
-  i, m) alone, never on how the table grew or on other calls.  It never
-  calls zeta_tail once per m, whose base point would climb 16 terms at a time.
+  i, m) alone, never on how the table grew or on other calls.
+* zeta_fixed(m, P): zeta(2m) at scale 2^-P, read from the Z_0 table, the one
+  source of every even zeta value: pi, pi^2 and (2 pi)^-1 of the trig
+  evaluator, a0 = 2 zeta(2) of the ODE residuals, zeta_even and coeff_a.
 
-zeta_even(m, ctx) is the tail beyond N = 0, i.e. zeta(2m), checked against
-the context tolerance; coeff_a(d, ctx), a_d = 2(2d+1) zeta(2d+2), is its
-integer ball times 2(2d+1); each is rounded once (fixedpoint.to_ball).
+zeta_even(m, ctx) is zeta(2m), checked against the context tolerance;
+coeff_a(d, ctx), a_d = 2(2d+1) zeta(2d+2), is its integer ball times
+2(2d+1); each is rounded once (fixedpoint.to_ball).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from fractions import Fraction
 from math import ceil, comb, isqrt, lgamma, log, log2, pi
 
 from .errors import ToleranceUnreachableError
-from .fixedpoint import cpow, geometric, series, to_ball, units
+from .fixedpoint import cpow, geometric, series, to_ball
 from .precision import BoundedValue, PrecisionContext
 
 # -- Bernoulli numbers --------------------------------------------------------
@@ -213,7 +214,8 @@ def em_tails(exponents, br: int, bi: int, P: int, limits):
     the power is divided by; the two heads are summed exactly and truncated
     once, and w^(s+1) S once, its count
       ec (s+1) M^s (|S| + E) + |w^(s+1)| E  units of 2^-(sP+Q), plus ec,
-    E the count of S.  For a real b = a 2^t the heads are exact quotients of
+    E the count of S.  For a real b = a 2^t (zeta_table's integer base, and
+    the lattice route's N+1 +- u at a real u) the heads are exact quotients of
     powers of the integer a, 2^t folded into the shifts, one truncating
     division each, x = 4^-t / a^2 is exact (Horner by division) and
     b^(-1-s) S one more division.
@@ -289,29 +291,6 @@ def em_tails(exponents, br: int, bi: int, P: int, limits):
                 acc_err += -(-(E << u) // d) + 1
         out.append((accr + tr, acci + ti, acc_err, bound, m))
     return out
-
-
-def zeta_tail(s: int, N: int, target):
-    """(P, value, err): sum_{n>N} n^-s is within err units of value 2^-P, err
-    at most target 2^P plus the counted rounding, for the mpf target > 0.
-
-    em_tails at the base point N+1, at the scale 2^-P, P = -mag(target) +
-    KERNEL_GUARD_BITS (at least KERNEL_GUARD_BITS); while its floor is above
-    target, head terms n^-s, each one truncating division, move the base
-    point up, 16 at a time.  err is the truncation bound plus every counted
-    rounding.
-    """
-    if s < 2:
-        raise ValueError("zeta_tail expects s >= 2")
-    P = max(KERNEL_GUARD_BITS, KERNEL_GUARD_BITS - target.context.mag(target))
-    limit = units(target, P)
-    head, a = 0, N + 1
-    while (got := em_tails((s,), a << P, 0, P, (limit,))) is None:
-        head += sum((1 << P) // n ** s for n in range(a, a + 16))
-        a += 16
-    (re, _, err, bound, _), = got
-    # each head term errs by less than one unit
-    return P, head + re, err + bound + a - N - 1
 
 
 # _zeta_tables[i, Q] = (Q, values, err): values[m-1] = Z_i(2m) at scale 2^-Q for
@@ -409,15 +388,30 @@ def _zeta_values(q: int, first: int, last: int, i: int) -> tuple:
 # -- even zeta values ----------------------------------------------------------
 
 
+def zeta_fixed(m: int, P: int) -> tuple:
+    """(value, err): zeta(2m) within err units of value 2^-P, m >= 1, P >= 3.
+
+    Read from zeta_table(P, m, 0) at Q, the multiple of 64 that P sets, and
+    truncated once to 2^-P: err = ceil(err_Q / 2^(Q-P)) + 1.  For 2m > P the
+    table is not grown: zeta(2m) - 1 = sum_{n>=2} n^-2m <= 2^-2m +
+    int_2^inf t^-2m dt = 2^-2m (1 + 2/(2m-1)), at most 2^-(P+1) (1 + 2/P),
+    below one unit of 2^-P (0.54 for P >= 28), so (2^P, 1) holds it."""
+    if 2 * m > P:
+        return 1 << P, 1
+    q, values, err = zeta_table(P, m, 0)
+    return values[m - 1] >> q - P, -(-err >> q - P) + 1
+
+
 def zeta_even(m: int, ctx: PrecisionContext) -> BoundedValue:
     """sum_{n>=1} n^-2m with error radius <= the context tolerance.
 
-    This is the whole tail beyond N = 0, summed by zeta_tail to half the
-    tolerance so that its roundings fit in the other half.
+    zeta_fixed at KERNEL_GUARD_BITS below 2^e <= tolerance, e =
+    ctx.tolerance_exponent, so that its count and the rounding fit in it.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"zeta_even expects an integer m >= 1, got {m!r}")
-    P, value, err = zeta_tail(2 * m, 0, ctx.tolerance / 2)
+    P = max(KERNEL_GUARD_BITS, KERNEL_GUARD_BITS - ctx.tolerance_exponent)
+    value, err = zeta_fixed(m, P)
     bv = to_ball(value, 0, err, P, ctx.mp)
     if not bv.radius <= ctx.tolerance:
         raise ToleranceUnreachableError(
@@ -430,5 +424,6 @@ def coeff_a(d: int, ctx: PrecisionContext) -> BoundedValue:
     if not isinstance(d, int) or d < 0:
         raise ValueError(f"coeff_a expects an integer d >= 0, got {d!r}")
     factor = 2 * (2 * d + 1)
-    P, value, err = zeta_tail(2 * d + 2, 0, ctx.tolerance / (4 * factor))
+    P = max(KERNEL_GUARD_BITS, KERNEL_GUARD_BITS + 2 + factor.bit_length() - ctx.tolerance_exponent)
+    value, err = zeta_fixed(d + 1, P)
     return to_ball(factor * value, 0, factor * err, P, ctx.mp)

@@ -110,6 +110,16 @@ MUTANTS = {
         "lattice.py",
         "err - (-T * ec * k * M ** (k - 1) >> s) + ec)",
         "err - (-T * ec * k * M ** (k - 1) >> s))")],
+    # the unit of zeta_fixed's truncation from the table's scale to 2^-P
+    # dropped, and the unit that holds zeta(2m) - 1 for 2m > P
+    "zeta_fixed_unit_dropped": [(
+        "zetasums.py",
+        "return values[m - 1] >> q - P, -(-err >> q - P) + 1",
+        "return values[m - 1] >> q - P, -(-err >> q - P)")],
+    "zeta_fixed_far_unit_dropped": [(
+        "zetasums.py",
+        "        return 1 << P, 1\n",
+        "        return 1 << P, 0\n")],
     # the count of the heads b^(1-s)/(s-1) + b^-s/2 from powers of 1/b halved
     "em_head_counts_halved": [(
         "zetasums.py",

@@ -8,7 +8,8 @@ against the Hurwitz zeta values in test_zetasums), each term of the Taylor
 route to cos, and a polynomial in the a_d substituted at balls.  The ball
 helpers of the g jet are checked the same way: a product, a quotient and the
 final rounding must hold the exact result at every point of their input
-balls.
+balls.  zeta_fixed's count is checked against zeta(2m) bracketed in
+Fractions, on the real Z_0 table and on the worst table its count admits.
 """
 
 import math
@@ -16,16 +17,17 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from eistrig import InconclusiveNonvanishingError
-from eistrig.fixedpoint import ball_mul, ball_quotient, series, to_ball
+from eistrig import InconclusiveNonvanishingError, zetasums
+from eistrig.fixedpoint import ball_mul, ball_quotient, series, to_ball, to_fixed
 from eistrig.lattice import _explicit_sums
 from eistrig.precision import mp_context
 from eistrig.sympoly import SymbolPoly
 from eistrig.trig import _cos_terms
-from eistrig.zetasums import bernoulli_even, em_tails
+from eistrig.zetasums import bernoulli_even, em_tails, zeta_fixed
 
 
 def cmul(a, b):
@@ -389,3 +391,40 @@ def test_substitution_is_within_its_count_of_the_exact_value(data, P, poly):
     re, im, err, S = poly.substitute_fixed(bs, P)
     assert S == P * poly.total_degree()
     assert l1_units(value, re, im, S) <= err
+
+
+def zeta_bounds(m):
+    """Fractions lo < zeta(2m) < hi from zeta(2m) = |B_2m| (2 pi)^2m / (2 (2m)!),
+    B_2m from mpmath's table and pi bracketed to 2^-300 by mpmath's value."""
+    t = to_fixed(mp_context(320).pi, 300)[0]
+    c = abs(Fraction(*mpmath.bernfrac(2 * m))) / (2 * math.factorial(2 * m))
+    return tuple(c * (2 * Fraction(p, 2**300)) ** (2 * m) for p in (t - 1, t + 1))
+
+
+@pytest.mark.parametrize("P", range(24, 41))
+def test_zeta_fixed_holds_zeta_within_its_count(P, monkeypatch):
+    # from the Z_0 table at Q = 64, and for 2m > P without it
+    monkeypatch.setattr(zetasums, "_zeta_tables", {})
+    for m in range(1, P // 2 + 4):
+        value, err = zeta_fixed(m, P)
+        lo, hi = zeta_bounds(m)
+        assert Fraction(value - err, 2**P) <= lo and hi <= Fraction(value + err, 2**P)
+    assert list(zetasums._zeta_tables) == [(0, 64)]
+
+
+@pytest.mark.parametrize("P", range(24, 41))
+def test_zeta_fixed_count_holds_on_the_worst_table_it_admits(P, monkeypatch):
+    # a table value v' whose low Q - P bits are all ones, below zeta(2m) 2^Q
+    # by less than its count err_Q: the truncation to 2^-P then drops
+    # almost one unit on top of the table's error
+    Q = 64
+    for m in (1, 2, 5, 9):
+        lo, hi = zeta_bounds(m)
+        v = math.floor(lo * 2**Q)
+        assert v == math.floor(hi * 2**Q)
+        worst = (v >> Q - P << Q - P) - 1
+        table = [0] * m
+        table[m - 1] = worst
+        monkeypatch.setattr(zetasums, "zeta_table", lambda *_: (Q, table, v - worst + 1))
+        value, err = zeta_fixed(m, P)
+        assert Fraction(value - err, 2**P) <= lo and hi <= Fraction(value + err, 2**P)

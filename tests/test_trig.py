@@ -370,15 +370,17 @@ def test_ivp_residual_and_initial_data(ctx):
 
 
 @pytest.mark.parametrize("tolerance, point", [("1e-12", "0.5+10i"), ("1e-12", "0.5+15i"),
-                                              ("1e-12", "0.3+25i"), ("1e-33", "0.5+3i")])
+                                              ("1e-12", "0.3+25i"), ("1e-12", "0.3+27i"),
+                                              ("1e-33", "0.5+3i")])
 def test_the_jet_residuals_keep_the_tolerance_contract(tolerance, point):
     # the reciprocal residual is one exact combination of the integer g jet,
-    # rounded once, so a large |g| costs no ulp of it; at 0.3+25i the error of
-    # pi^2 times |g| ~ 4e66 alone exceeds the tolerance, and it raises;
+    # rounded once, so a large |g| costs no ulp of it; pi^2, 12 units of
+    # 2^-283, times |g| ~ 4e66 at 0.3+25i stays below the tolerance, but at
+    # 0.3+27i, the first integer y at which it raises, |g| ~ 1e72 takes it above;
     # ivp_residual takes g at z / 2 pi, far smaller, and meets the tolerance
     ctx = PrecisionContext(128, tolerance)
     z = ctx.point(point)
-    if point != "0.3+25i":
+    if point != "0.3+27i":
         r = reciprocal_ode_residual(z, ctx)
         assert r.consistent_with_zero() and r.radius <= ctx.tolerance
     else:
@@ -475,6 +477,7 @@ def test_the_evaluator_constants_hold_pi_at_600_bits(precision, tolerance):
             radius = mpmath.ldexp(err, -P)
             assert abs(mpmath.ldexp(re, -P) - exact) <= radius
             assert radius <= mpmath.ldexp(1, -precision - 126)  # eps 2^-127
+            assert err <= 12  # from zeta(2) within 2 units of 2^-P
     assert P >= precision + 128
 
 

@@ -15,7 +15,7 @@ from eistrig import PrecisionContext, coeff_a, zeta_even
 from eistrig.fixedpoint import fraction_bits, to_fixed, to_mp, units
 from eistrig.precision import mp_context
 from eistrig.sympoly import SymbolPoly
-from eistrig.zetasums import KERNEL_GUARD_BITS, bernoulli_even, em_tails, zeta_tail
+from eistrig.zetasums import KERNEL_GUARD_BITS, bernoulli_even, em_tails
 
 ZETA2 = "1.6449340668482264364724151666460251892189499"
 ZETA4 = "1.08232323371113819151600369654116790277475095"
@@ -121,37 +121,6 @@ def test_zeta_even_within_radius_of_mpmath_zeta(m, precision, tolerance):
         assert err <= mpmath.mpf(bv.radius)
 
 
-def test_zeta_tail_direct_brute_force_where_feasible():
-    # s = 12 converges fast enough that the truncated brute sum is exact to
-    # ~1e-38, well below the claimed bound
-    wide = PrecisionContext(256, "1e-40")
-    target = wide.mp.mpf("1e-30")
-    P, value, err = zeta_tail(12, 4, target)
-    tail, bound = to_mp(value, 0, P, wide.mp), to_mp(err, 0, P, wide.mp)
-    brute = sum(wide.mp.mpf(k) ** -12 for k in range(5, 2000))
-    assert bound <= target
-    assert abs(tail - brute) <= bound + wide.mp.mpf("1e-37")
-
-
-def test_zeta_tail_two_bases_are_consistent():
-    # tail(N) - tail(10N) must equal the exact finite sum over (N, 10N]
-    wide = PrecisionContext(256, "1e-40")
-    target = wide.mp.mpf("1e-30")
-    mp = wide.mp
-
-    def tail(s, n):
-        P, value, err = zeta_tail(s, n, target)
-        return to_mp(value, 0, P, mp), to_mp(err, 0, P, mp)
-
-    for s, n in ((2, 8), (4, 8), (6, 16)):
-        near, near_bound = tail(s, n)
-        far, far_bound = tail(s, 10 * n)
-        mid = sum(wide.mp.mpf(k) ** -s for k in range(n + 1, 10 * n + 1))
-        slack = wide.mp.mpf("1e-70")  # mid-sum rounding at 256 bits
-        assert abs(near - (mid + far)) <= near_bound + far_bound + slack
-        assert near_bound <= target and far_bound <= target
-
-
 def test_coeff_a_matches_frozen_values(ctx):
     for d, literal in ((0, A0), (1, A1), (2, A2)):
         bv = coeff_a(d, ctx)
@@ -213,6 +182,29 @@ def test_shifted_tail_bound_holds_and_is_within_1e3_of_the_true_remainder(k, c, 
     assert err <= bound <= 1000 * err
 
 
+@pytest.mark.parametrize("a, target", [(5, "1e-12"), (12, "1e-30")])
+def test_em_tails_at_an_integer_base_match_brute_force_where_feasible(a, target):
+    # s = 12 converges fast enough that the truncated brute sum is exact to
+    # ~1e-38, well below the claimed bound; an integer base takes the real
+    # path (12 = 3 2^2 folds its power of 2 into the shifts), each to near
+    # its Euler-Maclaurin floor
+    wide = PrecisionContext(256, "1e-40")
+    target = wide.mp.mpf(target)
+    tail, bound = shifted_tail(12, a, wide.mp.mpf(0), wide.mp, target)
+    brute = sum(wide.mp.mpf(k) ** -12 for k in range(a, 2000))
+    assert bound <= target
+    assert abs(tail - brute) <= bound + wide.mp.mpf("1e-37")
+
+
+def test_zeta_even_at_a_large_m_leaves_the_tables_alone(ctx):
+    # 2m above the scale: zeta(2m) is 1 within one unit, and no table grows
+    from eistrig import zetasums
+    before = dict(zetasums._zeta_tables)
+    bv = zeta_even(200_000, ctx)
+    assert bv.radius <= ctx.tolerance and abs(bv.value - 1) <= bv.radius
+    assert zetasums._zeta_tables == before
+
+
 def test_shifted_tail_reports_a_floor_above_the_target():
     # at the base point 21 the asymptotic series bottoms out near e^(-2 pi 20.5)
     mp = mp_context(512)
@@ -220,7 +212,7 @@ def test_shifted_tail_reports_a_floor_above_the_target():
     assert shifted_tail(3, 21, mp.mpf(-0.5), mp, mp.mpf("1e-50")) is not None
 
 
-@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("i", [0, 1, 2])
 def test_scaled_zeta_tables_hold_the_exact_partial_sum_and_its_tail(i, monkeypatch):
     # Z_i(s) = sum_{n>=L} (L/n)^s, L = 2^i, lies within the table's error count
     # of the exact sum over n = L..M plus the integral bounds of the rest:

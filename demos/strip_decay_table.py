@@ -6,10 +6,11 @@ each term with its distance to the nearest integer:
 
     |f(x + iy)|  <=  3/y^2 + 2 sum_(n>=1) 1/(n^2 + y^2)
 
-The majorant is itself a convergent lattice-style sum; its first 4,096
-terms are summed directly in integers at scale 2^-P, each truncation
-counted in units of 2^-P, and the rest is bounded by 1/4096, which
-brackets it in a certified interval.  The table
+The majorant is itself a convergent lattice-style sum; its first
+M = min(64 + 4 ceil(y), 4096) terms are summed directly in integers at
+scale 2^-P, each truncation counted in units of 2^-P, and the rest lies
+between M / (M(M+1) + y^2) and 1/M, which brackets it in a certified
+interval.  The table
 prints |f| and the majorant side by side for increasing y: the function
 decays to zero exponentially fast (it is, after all, pi^2/sin^2(pi z)
 in disguise, though this package never uses that closed form), while

@@ -70,11 +70,11 @@ consecutive k at one point, each to its own target (all bounds explicit):
 
 eisenstein_k is the one-exponent pass; fixed_jet, the pass for [f, f', f'']
 in integers, holds its balls over a disc about the point (its radius a
-count of units of 2^-W) and serves the g jet of the trig evaluators, the
-cosec check and the ODE residuals, which form their polynomials from its
-integer balls; f_jet rounds it.  Where f must exclude zero, _resolved_f is
-the one refine-until-nonzero loop: integer passes at ever tighter targets
-that return their integer ball.
+count of units of 2^-W), serves the g jet of the trig evaluators and, as
+check_jet (one per point, at the tightest target of its readers), the ODE
+residuals, the nonvanishing scan and the cosec check; f_jet rounds it.
+Where f must exclude zero, _resolved_f is the one refine-until-nonzero loop:
+integer passes at ever tighter targets that return their integer ball.
 pass_size reports the route, its pairs summed term by term and its size (D,
 m or N), as eistrig eval prints them.  Plain symmetric truncation with its
 closed-form bound 2 (N-1/2)^(1-k)/(k-1) (symmetric_tail_bound,
@@ -133,16 +133,6 @@ def in_pole_guard(u, precision: int, R: int = 0) -> bool:
     ur, ui, W = u
     m = max(abs(ur), abs(ui))
     return m <= 2 * R or m << precision - 1 <= POLE_GUARD_ULPS << W
-
-
-def guarded_distance(z, ctx: PrecisionContext):
-    """|u| for the reduced point u of z, or PoleProximityError within the pole
-    guard."""
-    u = reduce_point(z, ctx)
-    if in_pole_guard(u, ctx.precision):
-        raise PoleProximityError(f"z = {ctx.mp.nstr(ctx.point(z), 12)} is within the pole guard "
-                                 f"({POLE_GUARD_ULPS} ulp) of an integer")
-    return abs(to_mp(*u, ctx.mp))
 
 
 def truncation_n(u, e: int) -> int:
@@ -631,33 +621,57 @@ def eps_bound(k: int, dist):
 # -- ODE residuals -------------------------------------------------------------
 
 
-def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0) -> BoundedValue:
+def check_jet(z, ctx: PrecisionContext):
+    """fixed_jet's (P, [f, f', f'']) at z from one pass, each order to the
+    tightest target of the grid checks that read it: f to t1 (t1 < t2), the
+    tolerance (nonvanishing_scan) and cosec_f_target(f_floor); f' to t1 / 2;
+    f'' to t2 / 6, t1 and t2 those of the ODE residuals from eps_bound at |u|;
+    PoleProximityError within the pole guard."""
+    mp, u = ctx.mp, reduce_point(z, ctx)
+    if in_pole_guard(u, ctx.precision):
+        raise PoleProximityError(f"z = {mp.nstr(ctx.point(z), 12)} is within the pole guard "
+                                 f"({POLE_GUARD_ULPS} ulp) of an integer")
+    dist = abs(to_mp(*u, mp))
+    mf, mfp = eps_bound(2, dist) + 1, 2 * eps_bound(3, dist) + 1
+    t1 = ctx.tolerance / (4 * (1 + 2 * mfp + 24 * mf * mf + 96 * mf))
+    t2 = ctx.tolerance / (4 * (24 * mf + 53))
+    e = min(mp.mag(t1) - 1, ctx.tolerance_exponent, cosec_f_target(f_floor(u, ctx), ctx))
+    return fixed_jet(u, ctx, (e, mp.mag(t1 / 2) - 1, mp.mag(t2 / 6) - 1))
+
+
+def f_floor(u, ctx: PrecisionContext):
+    """A first guess at a lower bound of |f| at the reduced point u: the least
+    of |u|^-2 and 2^(4 - int(9.07 |Im u|)) (|f| ~ 4 pi^2 e^(-2 pi |Im u|)),
+    and not below 2^(-4 precision), where the refine loop takes over."""
+    decay = max(4 - int(9.07 * min(to_float(u[1], u[2]), 1e6)), -4 * ctx.precision)
+    return min(abs(to_mp(*u, ctx.mp)) ** -2, ctx.mp.ldexp(1, decay))
+
+
+def cosec_f_target(lf, ctx: PrecisionContext) -> int:
+    """e of the cosec check's f target 2^e where |f| >= lf: tolerance / (8 ms^2),
+    ms = 4 / sqrt(lf) + 1 >= |s(pi z)| = pi / sqrt|f|."""
+    return ctx.mp.mag(ctx.tolerance * lf / (8 * (4 + ctx.mp.sqrt(lf)) ** 2)) - 1
+
+
+def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0, jet=None) -> BoundedValue:
     """f''(z) - 6 f(z)^2 + 12 a0 f(z), consistent with zero within its radius.
 
     a0_shift adds an exact perturbation to a0 (a test-of-the-test: the
     residual then sits near 12 * shift * f(z) instead of zero).  f and f''
-    go to tolerance / (4 (24 |f| + 53)), from one fixed_jet pass (f' loose),
-    and a0 is read at the pass's scale; exact products at scale 2^-2P,
-    rounded once.
+    come from jet, check_jet(z, ctx) when none is given: f and f'' to t2 =
+    tolerance / (4 (24 |f| + 53)) or tighter; a0 is read at the jet's
+    scale; exact products at scale 2^-2P, rounded once.
     """
-    mp = ctx.mp
-    mf = eps_bound(2, guarded_distance(z, ctx)) + 1
-    t = ctx.tolerance / (4 * (24 * mf + 53))
-    P, (f, _, f2) = fixed_jet(reduce_point(z, ctx), ctx,
-                              [mp.mag(x) - 1 for x in (t, max(t, mp.mpf("1e-5")), t / 6)])
+    P, (f, _, f2) = jet or check_jet(z, ctx)
     a0 = _a0_fixed(P, ctx.real(a0_shift) if a0_shift else 0)
     return to_ball(*_combination(2 * P, ((1, f2, P), (-6, ball_mul(f, f), 2 * P),
                                          (12, ball_mul(a0, f), 2 * P))), 2 * P, ctx.mp)
 
 
-def first_order_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
+def first_order_ode_residual(z, ctx: PrecisionContext, jet=None) -> BoundedValue:
     """(f'(z))^2 - 4 f(z)^3 + 12 a0 f(z)^2, consistent with zero, as above:
-    f and f' to tolerance / (4 (2 |f'| + 24 |f|^2 + 96 |f| + 1)), 2^-3P."""
-    dist = guarded_distance(z, ctx)
-    mf = eps_bound(2, dist) + 1
-    mfp = 2 * eps_bound(3, dist) + 1
-    t = ctx.tolerance / (4 * (1 + 2 * mfp + 24 * mf * mf + 96 * mf))
-    P, (f, fp) = fixed_jet(reduce_point(z, ctx), ctx, (ctx.mp.mag(t) - 1, ctx.mp.mag(t / 2) - 1))
+    f and f' to t1 = tolerance / (4 (2 |f'| + 24 |f|^2 + 96 |f| + 1)), 2^-3P."""
+    P, (f, fp, _) = jet or check_jet(z, ctx)
     f_sq = ball_mul(f, f)
     return to_ball(*_combination(3 * P, (
         (1, ball_mul(fp, fp), 2 * P), (-4, ball_mul(f_sq, f), 3 * P),
@@ -696,14 +710,12 @@ class NonvanishingReport:
     min_point: object
 
 
-def nonvanishing_scan(grid: Sequence, ctx: PrecisionContext) -> NonvanishingReport:
-    """Prove |f(z)| > 0 at each grid point by refining until |value| > radius.
-
-    Raises InconclusiveNonvanishingError if some point cannot be resolved.
-    """
+def nonvanishing_scan(grid: Sequence, ctx: PrecisionContext, jets=None) -> NonvanishingReport:
+    """Prove |f(z)| > 0 at each grid point from the f of its check_jet (in
+    jets, or computed here), which fixed_jet refines until |value| > radius;
+    InconclusiveNonvanishingError if some point cannot be resolved."""
     points = tuple(ctx.point(z) for z in grid)
-    e = ctx.tolerance_exponent
-    balls = [_resolved_f(reduce_point(zp, ctx), ctx, e) for zp in points]
+    balls = [(*f, P) for P, (f, *_) in jets or [check_jet(zp, ctx) for zp in points]]
     values = tuple(to_ball(*b, ctx.mp) for b in balls)
     least = min(range(len(points)), key=lambda i: values[i].lower())
     return NonvanishingReport(points, values, _modulus(*balls[least], ctx.mp), points[least])
@@ -724,8 +736,8 @@ class StripBoundReport:
 
     decay_bound is a certified upper value for the majorant; decay_bound_low
     a certified lower value (a partial sum in fixed point, every truncation
-    counted, and its 1/M tail bound bracket it).  Domination is asserted on
-    the safe side: |f| upper end vs the majorant's lower end.
+    counted, plus the upper or the lower end of its tail).  Domination is
+    asserted on the safe side: |f| upper end vs the majorant's lower end.
     """
 
     y: object
@@ -766,25 +778,28 @@ def strip_decay(y_values: Sequence, x, ctx: PrecisionContext) -> list[StripBound
     return reports
 
 
+#: the most terms the strip majorant sums, reached from y > 1008 on
 _MAJORANT_TERMS = 4096
 
 
 def _majorant(y, ctx: PrecisionContext):
     """Certified bracket [low, high] for 3/y^2 + 2 sum_{n>=1} 1/(n^2 + y^2),
-    as exact mpf.
-
-    The terms n <= M are summed in Python integers at scale 2^-P, P =
-    max(ctx.precision, the bits of y below the binary point), so y is exact;
-    3/y^2 and each term take one division that truncates toward zero, so low
-    lies below the partial sum n <= M by less than 2M + 1 units of 2^-P, and
-    sum_{n>M} 1/(n^2+y^2) <= 1/M gives the upper end.
-    """
+    as exact mpf: the terms n <= M = min(64 + 4 ceil|y|, 4096) summed in
+    integers at scale 2^-P, P = max(ctx.precision, the bits of y below the
+    binary point), so y is exact, 3/y^2 and each term by one division
+    truncating toward zero (less than 2M + 1 units in all), and the tail in
+    [M / (M(M+1) + y^2), 1/M]: for n > M, n^2 + y^2 <= n(n+1) (1 + y^2 /
+    (M(M+1))), and sum_{n>M} 1/(n(n+1)) = 1/(M+1).  low adds the lower end
+    truncated, high the upper end rounded up; high - low < 2/4096 + 2M + 4
+    units for every |y| >= 1."""
     P = max(ctx.precision, fraction_bits(y))
-    y2 = to_fixed(y, P)[0] ** 2  # y^2 at scale 2^-2P
+    yf = abs(to_fixed(y, P)[0])
+    y2 = yf * yf  # y^2 at scale 2^-2P
     one = 1 << 3 * P  # 2^P units over a denominator at scale 2^-2P
-    M = _MAJORANT_TERMS
+    M = min(64 + 4 * -(-yf >> P), _MAJORANT_TERMS)
     low = 3 * one // y2 + 2 * sum(one // ((n * n << 2 * P) + y2) for n in range(1, M + 1))
     high = low + 2 * M + 1 + -(-(2 << P) // M)  # the truncations, then 2/M rounded up
+    low += 2 * (M * one // ((M * (M + 1) << 2 * P) + y2))
     return to_mp(low, 0, P, ctx.mp), to_mp(high, 0, P, ctx.mp)
 
 

@@ -43,8 +43,8 @@ from math import isqrt
 from .errors import PoleProximityError, ToleranceUnreachableError
 from .fixedpoint import ball_mul, ball_quotient, floor_abs, tdiv, to_ball, to_mp, tshift, units
 from .precision import BoundedValue, PrecisionContext
-from .lattice import (fixed_jet, guarded_distance, in_pole_guard, magnitude, reduce_point,
-                      reduced, to_float)
+from .lattice import (check_jet, cosec_f_target, f_floor, fixed_jet, in_pole_guard, magnitude,
+                      reduce_point, reduced, to_float)
 from .zetasums import KERNEL_GUARD_BITS, zeta_fixed
 
 PI_PROVENANCE = "sqrt(6·ζ(2))"
@@ -371,31 +371,24 @@ def ivp_initial_data(ctx: PrecisionContext):
 # -- identity checks ---------------------------------------------------------------
 
 
-def cosec_identity_check(z, ctx: PrecisionContext) -> BoundedValue:
+def cosec_identity_check(z, ctx: PrecisionContext, jet=None) -> BoundedValue:
     """f(z) s(pi z)^2 - pi^2, consistent with zero for noninteger z.
 
     s(pi z) = pi g'(z / 2), from one g jet at the exact point z / 2 (no disc).
-    |s(pi z)| = pi / sqrt|f(z)| <= ms = 4 / sqrt(lf) + 1 for |f| >= lf (first
-    _g_jet's first steer, the smaller of the Laurent term |u|^-2 and
-    2^(4 - int(9.07 |Im u|)), then f's own ball), so f goes to tolerance /
-    (8 ms^2) and g' to tolerance / (64 |f| ms); a bad estimate only costs
-    sharpness or a pass.  The identity is one exact product of the integer
-    balls, rounded once.
+    |s(pi z)| = pi / sqrt|f(z)| <= ms = 4 / sqrt(low) + 1 for |f| >= low, so f
+    goes to tolerance / (8 ms^2) and g' to tolerance / (64 |f| ms).  f is the
+    jet's (lattice.check_jet), that sharp for the first steer lf of |f|
+    (lattice.f_floor); where its lower end low is below lf, one more pass
+    takes f to the target at low.  The identity is one exact product of the
+    integer balls, rounded once.
     """
-    mp = ctx.mp
-    zp = ctx.point(z)
-    tol = ctx.tolerance
-    # the decay steer floored at 2^(-4 precision): farther off the axis f goes
-    # through the refine loop rather than one pass at an unbounded scale
-    decay = max(4 - int(9.07 * min(abs(float(mp.im(zp))), 1e6)), -4 * ctx.precision)
-    lf = min(guarded_distance(zp, ctx) ** -2, mp.ldexp(1, decay))
+    mp, zp, tol = ctx.mp, ctx.point(z), ctx.tolerance
+    P, (f, *_) = jet or check_jet(zp, ctx)
     u = reduce_point(zp, ctx)
-    for _ in range(2):
-        P, (f,) = fixed_jet(u, ctx, (mp.mag(tol * lf / (8 * (4 + mp.sqrt(lf)) ** 2)) - 1,))
+    low = to_mp(floor_abs(f[0], f[1]) - f[2], 0, P, mp)
+    if low < f_floor(u, ctx):
+        P, (f,) = fixed_jet(u, ctx, (cosec_f_target(low, ctx),))
         low = to_mp(floor_abs(f[0], f[1]) - f[2], 0, P, mp)
-        if low >= lf:
-            break
-        lf = low
     ms = 4 / mp.sqrt(low) + 1
     high = to_mp(floor_abs(f[0], f[1]) + 1 + f[2], 0, P, mp)
     Q, (_, g1) = _g_jet(reduce_point(zp / 2, ctx), ctx, 0, (None, tol / (64 * high * ms)))

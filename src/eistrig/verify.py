@@ -8,9 +8,10 @@ Each check produces one report item:
                  evaluation itself could not settle the question
 
 For grid checks the reported pair belongs to the worst-margin point (the one
-maximizing residual - bound), so a passing report shows the tightest call
-made.  Margin-style checks (strip decay, route agreement) report a signed
-margin against a zero bound; negative means passing with room.
+maximizing residual - bound, compared on the exact balls), so a passing report
+shows the tightest call made; the four that read f share one check_jet per
+grid point.  Margin-style checks (strip decay, route agreement) report a
+signed margin against a zero bound; negative means passing with room.
 
 Every check runs on every invocation; a check that raises is recorded as
 inconclusive, never dropped.  The single check that consults a stored
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -35,8 +37,8 @@ from typing import Callable, Mapping, Sequence
 from mpmath.libmp import from_man_exp
 
 from .errors import ConfigurationError, EistrigError
-from .fixedpoint import fixed_balls, fraction_bits, to_ball, to_fixed
-from .lattice import (eisenstein_k, first_order_ode_residual, naive_symmetric_value,
+from .fixedpoint import fixed_balls, floor_abs, fraction_bits, to_ball, to_fixed
+from .lattice import (check_jet, eisenstein_k, first_order_ode_residual, naive_symmetric_value,
                       nonvanishing_scan, second_order_ode_residual, strip_decay,
                       symmetric_tail_bound)
 from .laurent import (combination_first_order, combination_second_order,
@@ -156,16 +158,13 @@ def _fmt_point(zp, ctx: PrecisionContext) -> str:
 def _ball_item(check_id: str, identity: str, parameters: dict,
                labeled: Sequence[tuple[str, BoundedValue]],
                ctx: PrecisionContext) -> ReportItem:
-    """Worst-margin item over labeled balls: pass iff every |value| <= radius."""
-    worst_label, worst_bv, worst_margin = None, None, None
-    for label, bv in labeled:
-        margin = bv.magnitude() - bv.radius
-        if worst_margin is None or margin > worst_margin:
-            worst_label, worst_bv, worst_margin = label, bv, margin
-    params = dict(parameters)
-    params["points"] = len(labeled)
-    params["worst_at"] = worst_label
-    status = "pass" if worst_bv.consistent_with_zero() else "fail"
+    """Worst-margin item over labeled balls: pass iff every |value| <= radius,
+    margins floor|value| - radius and verdict from the exact balls at one scale."""
+    _, balls = fixed_balls([bv for _, bv in labeled])
+    worst = max(range(len(balls)), key=lambda i: floor_abs(*balls[i][:2]) - balls[i][2])
+    worst_label, worst_bv = labeled[worst]
+    params = dict(parameters, points=len(labeled), worst_at=worst_label)
+    status = "pass" if all(re * re + im * im <= err * err for re, im, err in balls) else "fail"
     return ReportItem(check_id, identity, params,
                       residual=format_real(worst_bv.magnitude(), ctx),
                       bound=format_real(worst_bv.radius, ctx), status=status)
@@ -175,13 +174,8 @@ def _margin_item(check_id: str, identity: str, parameters: dict,
                  labeled: Sequence[tuple[str, object]],
                  ctx: PrecisionContext) -> ReportItem:
     """Worst signed margin against a zero bound: pass iff every margin <= 0."""
-    worst_label, worst = None, None
-    for label, margin in labeled:
-        if worst is None or margin > worst:
-            worst_label, worst = label, margin
-    params = dict(parameters)
-    params["cases"] = len(labeled)
-    params["worst_at"] = worst_label
+    worst_label, worst = max(labeled, key=lambda item: item[1])
+    params = dict(parameters, cases=len(labeled), worst_at=worst_label)
     status = "pass" if worst <= 0 else "fail"
     return ReportItem(check_id, identity, params,
                       residual=format_real(worst, ctx), bound="0", status=status)
@@ -265,29 +259,25 @@ def _check_strip_decay(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
 
 
 def _check_ode_second_order(config: RunConfig, ctx: PrecisionContext,
-                            grid: Sequence) -> ReportItem:
+                            grid: Sequence, jet: Callable) -> ReportItem:
     shift = ctx.real(config.perturb_a0) if config.perturb_a0 is not None else 0
-    labeled = [(_fmt_point(zp, ctx), second_order_ode_residual(zp, ctx, a0_shift=shift))
+    labeled = [(_fmt_point(zp, ctx), second_order_ode_residual(zp, ctx, shift, jet(zp)))
                for zp in grid]
-    params = {}
-    if config.perturb_a0 is not None:
-        params["perturb_a0"] = config.perturb_a0
-    return _ball_item(
-        "ode_second_order", "f'' - 6 f^2 + 12 a0 f = 0 on the grid",
-        params, labeled, ctx)
+    params = {} if config.perturb_a0 is None else {"perturb_a0": config.perturb_a0}
+    return _ball_item("ode_second_order", "f'' - 6 f^2 + 12 a0 f = 0 on the grid",
+                      params, labeled, ctx)
 
 
 def _check_ode_first_order(config: RunConfig, ctx: PrecisionContext,
-                           grid: Sequence) -> ReportItem:
-    labeled = [(_fmt_point(zp, ctx), first_order_ode_residual(zp, ctx)) for zp in grid]
-    return _ball_item(
-        "ode_first_order", "(f')^2 - 4 f^3 + 12 a0 f^2 = 0 on the grid",
-        {}, labeled, ctx)
+                           grid: Sequence, jet: Callable) -> ReportItem:
+    labeled = [(_fmt_point(zp, ctx), first_order_ode_residual(zp, ctx, jet(zp))) for zp in grid]
+    return _ball_item("ode_first_order", "(f')^2 - 4 f^3 + 12 a0 f^2 = 0 on the grid",
+                      {}, labeled, ctx)
 
 
 def _check_nonvanishing(config: RunConfig, ctx: PrecisionContext,
-                        grid: Sequence) -> ReportItem:
-    report = nonvanishing_scan(grid, ctx)
+                        grid: Sequence, jet: Callable) -> ReportItem:
+    report = nonvanishing_scan(grid, ctx, [jet(zp) for zp in grid])
     return ReportItem(
         "nonvanishing", "|f| exceeds its own error radius everywhere on the grid",
         {"points": len(report.points),
@@ -350,10 +340,9 @@ def _check_pythagoras(config: RunConfig, ctx: PrecisionContext,
 
 
 def _check_cosec_identity(config: RunConfig, ctx: PrecisionContext,
-                          grid: Sequence) -> ReportItem:
-    labeled = [(_fmt_point(zp, ctx), cosec_identity_check(zp, ctx)) for zp in grid]
-    return _ball_item(
-        "cosec_identity", "f(z) s(pi z)^2 = pi^2 on the grid", {}, labeled, ctx)
+                          grid: Sequence, jet: Callable) -> ReportItem:
+    labeled = [(_fmt_point(zp, ctx), cosec_identity_check(zp, ctx, jet(zp))) for zp in grid]
+    return _ball_item("cosec_identity", "f(z) s(pi z)^2 = pi^2 on the grid", {}, labeled, ctx)
 
 
 def _check_pi_reference(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
@@ -376,25 +365,28 @@ def _check_pi_reference(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
 
 
 def run_verification(config: RunConfig | None = None) -> VerificationReport:
-    """Run every check and collect the report; never raises past config errors."""
+    """Run every check and collect the report; never raises past config errors.
+    The four checks that read f share one check_jet per grid point, memoised
+    for this run (an exception is not held: it recurs in each such check)."""
     config = config or RunConfig()
     ctx = config.context()
     grid = [ctx.from_fraction(q) for q in config.real_grid()]
     grid += [ctx.mp.mpc(ctx.from_fraction(re), ctx.from_fraction(im))
              for re, im in config.complex_grid()]
+    jet = functools.cache(lambda zp: check_jet(zp, ctx))
 
     checks: list[tuple[str, Callable[[], ReportItem]]] = [
         ("pole_cancellation", lambda: _check_pole_cancellation(config, ctx)),
         ("implied_identities", lambda: _check_implied_identities(config, ctx)),
         ("strip_decay", lambda: _check_strip_decay(config, ctx)),
-        ("ode_second_order", lambda: _check_ode_second_order(config, ctx, grid)),
-        ("ode_first_order", lambda: _check_ode_first_order(config, ctx, grid)),
-        ("nonvanishing", lambda: _check_nonvanishing(config, ctx, grid)),
+        ("ode_second_order", lambda: _check_ode_second_order(config, ctx, grid, jet)),
+        ("ode_first_order", lambda: _check_ode_first_order(config, ctx, grid, jet)),
+        ("nonvanishing", lambda: _check_nonvanishing(config, ctx, grid, jet)),
         ("reciprocal_ode", lambda: _check_reciprocal_ode(config, ctx)),
         ("ivp", lambda: _check_ivp(config, ctx)),
         ("route_agreement", lambda: _check_route_agreement(config, ctx)),
         ("pythagoras", lambda: _check_pythagoras(config, ctx, grid)),
-        ("cosec_identity", lambda: _check_cosec_identity(config, ctx, grid)),
+        ("cosec_identity", lambda: _check_cosec_identity(config, ctx, grid, jet)),
     ]
     if not config.self_contained:
         checks.append(("pi_reference", lambda: _check_pi_reference(config, ctx)))

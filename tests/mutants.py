@@ -155,6 +155,11 @@ MUTANTS = {
         "zetasums.py",
         "return m, geometric(num, den, m - 1), ",
         "return m, 1, ")],
+    # the lower end M / (M(M+1) + y^2) of the strip majorant's tail rounded up
+    "majorant_tail_low_rounded_up": [(
+        "lattice.py",
+        "low += 2 * (M * one // ((M * (M + 1) << 2 * P) + y2))",
+        "low += 2 * -(-M * one // ((M * (M + 1) << 2 * P) + y2))")],
     # every Euler-Maclaurin coefficient c_j read with (s)_(2j) for (s)_(2j-1)
     "em_coefficients_one_factor_off": [(
         "zetasums.py",

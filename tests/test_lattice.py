@@ -5,6 +5,7 @@ Frozen decimal literals come from an independent closed-form implementation
 lattice summation.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -216,20 +217,33 @@ def exact(x) -> Fraction:
     return Fraction(int(x.man)) * Fraction(2) ** int(x.exp) if x else Fraction(0)
 
 
-def test_majorant_brackets_the_exact_partial_sum(ctx, monkeypatch):
-    # with M = 16 the partial sum 3/y^2 + 2 sum_{n<=16} 1/(n^2+y^2) is an exact
-    # Fraction; [low, high] holds it and its 2/M tail, and is no wider than the
-    # 2M + 1 counted truncations
-    M = 16
-    monkeypatch.setattr(lattice, "_MAJORANT_TERMS", M)
+def test_majorant_brackets_the_exact_partial_sum(ctx):
+    # the partial sum 3/y^2 + 2 sum_{n<=M} 1/(n^2+y^2), M = 64 + 4 ceil(y), is
+    # an exact Fraction; low holds it plus the tail's lower end 2M / (M(M+1)
+    # + y^2), less the 2M + 3 counted truncations at most; high holds it plus
+    # the tail's upper end 2/M; and [low, high] is no wider than the 2/4096
+    # tail and 8,194 truncation units of a 4096-term sum
+    unit = Fraction(1, 2 ** ctx.precision)
     for h in MAJORANT_HEIGHTS:
         y = ctx.real(h)
         y2 = exact(y) ** 2
+        M = 64 + 4 * math.ceil(exact(y))
         partial = 3 / y2 + 2 * sum(1 / (n * n + y2) for n in range(1, M + 1))
+        tail_low = Fraction(2 * M) / (M * (M + 1) + y2)
         low, high = (exact(v) for v in lattice._majorant(y, ctx))
-        assert low <= partial
+        assert partial + tail_low - (2 * M + 3) * unit < low <= partial + tail_low
         assert partial + Fraction(2, M) <= high
-        assert high - low <= Fraction(2, M) + Fraction(2 * M + 2, 2 ** ctx.precision)
+        assert high - low <= Fraction(2, 4096) + (2 * 4096 + 2) * unit
+
+
+def test_majorant_truncates_the_tail_lower_end_down(ctx, monkeypatch):
+    # at y = 1 with one term the partial sum 3/1 + 2/(1 + 1) = 4 is exact at
+    # 2^-P, so low is 4 plus the tail's lower end 2 M / (M(M+1) + y^2) = 2/3
+    # truncated: within 2 units below, never above
+    monkeypatch.setattr(lattice, "_MAJORANT_TERMS", 1)
+    low, high = (exact(v) for v in lattice._majorant(ctx.real(1), ctx))
+    assert 4 + Fraction(2, 3) - Fraction(2, 2 ** ctx.precision) < low <= 4 + Fraction(2, 3)
+    assert 6 <= high
 
 
 def test_majorant_brackets_the_closed_form(ctx):

@@ -109,30 +109,31 @@ def test_cosec_identity_close_to_an_integer_meets_the_tolerance(point, ctx):
 
 
 def test_cosec_identity_makes_one_f_pass_per_grid_point(ctx, monkeypatch):
-    # the first steer for |f| follows its e^(-2 pi |Im z|) decay off the axis,
-    # so f's ball clears its lower estimate at once and never straddles zero
+    # the grid jet's f is at least as sharp as cosec's first steer asks, and
+    # off the axis that steer follows |f|'s e^(-2 pi |Im z|) decay, so f's ball
+    # clears it at once: given the jet, cosec makes no f pass of its own (only
+    # the g' jet at z / 2 runs), and alone only check_jet's one
     from eistrig.verify import RunConfig
     config = RunConfig()
     grid = [ctx.from_fraction(q) for q in config.real_grid()]
     grid += [ctx.mp.mpc(ctx.from_fraction(re), ctx.from_fraction(im))
              for re, im in config.complex_grid()]
-    f_passes, refines, inside = [], [], []
-    real_pass, real_jet, real_resolved = lattice._lattice_pass, trig.fixed_jet, lattice._resolved_f
+    points = grid + [ctx.point("0.3+20i"), ctx.point("0.3+40i")]
+    jets = [lattice.check_jet(z, ctx) for z in points]
+    f_passes, refines, inside_g = [], [], []
+    real_pass, real_g_jet, real_resolved = lattice._lattice_pass, trig._g_jet, lattice._resolved_f
 
     def counted_pass(*args):
-        if inside:
+        if not inside_g:
             f_passes[-1] += 1
         return real_pass(*args)
 
-    def counted_f_jet(u, ctx, targets, R=0):
-        if len(targets) > 1:  # the g' jet at z / 2
-            return real_jet(u, ctx, targets, R)
-        f_passes.append(0)
-        inside.append(True)
+    def counted_g_jet(*args):
+        inside_g.append(True)
         try:
-            return real_jet(u, ctx, targets, R)
+            return real_g_jet(*args)
         finally:
-            inside.pop()
+            inside_g.pop()
 
     def counted_resolved(*args):
         refines.append(args[0])
@@ -140,10 +141,16 @@ def test_cosec_identity_makes_one_f_pass_per_grid_point(ctx, monkeypatch):
 
     monkeypatch.setattr(lattice, "_lattice_pass", counted_pass)
     monkeypatch.setattr(lattice, "_resolved_f", counted_resolved)
-    monkeypatch.setattr(trig, "fixed_jet", counted_f_jet)
-    for z in grid + [ctx.point("0.3+20i"), ctx.point("0.3+40i")]:
+    monkeypatch.setattr(trig, "_g_jet", counted_g_jet)
+    for z, jet in zip(points, jets):
+        f_passes.append(0)
+        assert cosec_identity_check(z, ctx, jet).consistent_with_zero()
+    assert f_passes == [0] * len(points)
+    f_passes.clear()
+    for z in points:
+        f_passes.append(0)
         assert cosec_identity_check(z, ctx).consistent_with_zero()
-    assert f_passes == [1] * (len(grid) + 2)
+    assert f_passes == [1] * len(points)
     assert refines == []
 
 

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from eistrig import ConfigurationError
+from eistrig import ConfigurationError, PoleProximityError, lattice, verify
+from eistrig.lattice import (check_jet, first_order_ode_residual, nonvanishing_scan,
+                             second_order_ode_residual)
+from eistrig.trig import cosec_identity_check
 from eistrig.verify import (RunConfig, _check_ivp, _check_reciprocal_ode,
                             convergence_table, render_json, render_text, report_to_dict,
                             route_error_table, run_verification, strip_decay_table)
@@ -84,6 +87,58 @@ def test_perturbed_constant_fails_exactly_the_second_order_check():
     assert statuses["ode_second_order"] == "fail"
     failing = [cid for cid, status in statuses.items() if status != "pass"]
     assert failing == ["ode_second_order"]
+
+
+#: the checks that read f, f' and f'' from the one jet per grid point
+JET_CHECKS = {"ode_second_order", "ode_first_order", "nonvanishing", "cosec_identity"}
+
+
+def test_a_default_verify_makes_one_jet_pass_per_grid_point(monkeypatch):
+    # 80 grid points take one check_jet pass each, and the cosec g' jet and
+    # pythagoras one more each: 240 of at most 295 (535 with a pass for each
+    # of the four jet checks at each point)
+    passes = []
+    real = lattice._lattice_pass
+    monkeypatch.setattr(lattice, "_lattice_pass", lambda *args: passes.append(1) or real(*args))
+    assert run_verification(RunConfig()).passed()
+    assert len(passes) <= 295
+
+
+def test_the_jet_checks_read_the_jet_they_compute_alone(monkeypatch):
+    # verify computes check_jet once per grid point and hands it to the four
+    # checks; each of them, called alone, computes the same jet and so
+    # returns the same ball
+    supplied = []
+
+    def recording(zp, ctx):
+        supplied.append((zp, check_jet(zp, ctx)))
+        return supplied[-1][1]
+    monkeypatch.setattr(verify, "check_jet", recording)
+    assert run_verification(SMALL).passed()
+    ctx = SMALL.context()
+    grid = [zp for zp, _ in supplied]
+    assert len(grid) == len(set(grid)) == SMALL.real_points + SMALL.complex_points
+    for zp, jet in supplied:
+        assert second_order_ode_residual(zp, ctx) == second_order_ode_residual(zp, ctx, 0, jet)
+        assert first_order_ode_residual(zp, ctx) == first_order_ode_residual(zp, ctx, jet)
+        assert cosec_identity_check(zp, ctx) == cosec_identity_check(zp, ctx, jet)
+    assert nonvanishing_scan(grid, ctx) == nonvanishing_scan(grid, ctx, [j for _, j in supplied])
+
+
+def test_a_jet_that_raises_leaves_exactly_its_four_checks_inconclusive(monkeypatch):
+    ctx = SMALL.context()
+    bad = ctx.from_fraction(SMALL.real_grid()[2])
+
+    def failing(zp, ctx):
+        if zp == bad:
+            raise PoleProximityError("a jet that cannot be formed")
+        return check_jet(zp, ctx)
+    monkeypatch.setattr(verify, "check_jet", failing)
+    report = run_verification(SMALL)
+    statuses = {item.check_id: item.status for item in report.items}
+    assert len(statuses) == 12
+    assert {cid for cid, status in statuses.items() if status != "pass"} == JET_CHECKS
+    assert all(statuses[cid] == "inconclusive" for cid in JET_CHECKS)
 
 
 def test_json_rendering_is_deterministic_apart_from_timestamp():

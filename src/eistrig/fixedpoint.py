@@ -142,6 +142,13 @@ def to_fixed(x, P: int) -> tuple[int, int]:
     return out[0], out[1]
 
 
+def fixed_reals(values) -> tuple[int, list[int]]:
+    """(P, [x 2^P]): the real mpf values at the least scale 2^-P at which
+    each is exact, converted exactly."""
+    P = max(fraction_bits(x) for x in values)
+    return P, [to_fixed(x, P)[0] for x in values]
+
+
 def fixed_balls(values) -> tuple[int, list]:
     """(P, [(re, im, err), ...]): the BoundedValues at the least scale 2^-P at
     which every centre and radius (dyadic mpf) is exact, converted exactly."""

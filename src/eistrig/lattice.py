@@ -73,6 +73,8 @@ in integers, holds its balls over a disc about the point (its radius a
 count of units of 2^-W), serves the g jet of the trig evaluators and, as
 check_jet (one per point, at the tightest target of its readers), the ODE
 residuals, the nonvanishing scan and the cosec check; f_jet rounds it.
+jet_bounds steers each such pass: integer exponents for |f| and its first
+guess, |f'| and |f''| from |eps_k(u)| <= |u|^-k + 2^(k+2).
 Where f must exclude zero, _resolved_f is the one refine-until-nonzero loop:
 integer passes at ever tighter targets that return their integer ball.
 pass_size reports the route, its pairs summed term by term and its size (D,
@@ -93,8 +95,8 @@ from typing import Sequence
 
 from .errors import (InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError)
-from .fixedpoint import (ball_mul, cpow, floor_abs, fraction_bits, nearest, series, to_ball,
-                         to_fixed, to_mp, tshift, units)
+from .fixedpoint import (ball_mul, cpow, fixed_reals, floor_abs, fraction_bits, nearest, series,
+                         to_ball, to_fixed, to_mp, tshift, units)
 from .precision import TERM_CAP, BoundedValue, PrecisionContext
 from .zetasums import KERNEL_GUARD_BITS, MAX_ORDER, bernoulli_even, em_tails, zeta_fixed, zeta_table
 
@@ -272,9 +274,10 @@ def fixed_jet(u, ctx: PrecisionContext, targets, R: int = 0):
     An f ball that does not exclude zero is replaced by _resolved_f's, from
     2^-60 tighter on, at the larger of the two scales.  For R > 0 each order
     holds at every point of the disc of radius R units of 2^-W about u: there
-    f^(i) moves by at most (i+2)! eps_bound(i+3, D) r, D a lower bound of
-    |u| - r; the widening is counted in units, and PoleProximityError is
-    raised when the disc reaches an integer.
+    f^(i) moves by at most (i+2)! (D^-k + 2^(k+2)) r, k = i+3, D a lower bound
+    of |u| - r (|eps_k| <= |u|^-k + 2^(k+2), jet_bounds); the widening is
+    counted in units, and PoleProximityError is raised when the disc reaches
+    an integer.
     """
     P, sums = _lattice_pass(range(2, 2 + len(targets)), u, ctx, targets)
     jet = [(c * re, c * im, abs(c) * err) for c, (re, im, err) in zip(_JET_FACTORS, sums)]
@@ -298,7 +301,7 @@ def fixed_jet(u, ctx: PrecisionContext, targets, R: int = 0):
     out = []
     for i, (re, im, err) in enumerate(jet):
         k, c = i + 3, math.factorial(i + 2) * R
-        # c (2^(Pk) / D^k + 2^(k+2)) units: (i+2)! eps_bound(k, D 2^-P) r 2^P, rounded up
+        # c (2^(Pk) / D^k + 2^(k+2)) units: (i+2)! ((D 2^-P)^-k + 2^(k+2)) r 2^P, rounded up
         out.append((re, im, err - (-(c << P * k) // D ** k) + (c << k + 2)))
     return P, out
 
@@ -591,7 +594,8 @@ def _move_charge(k: int, ur: int, ui: int, P: int) -> int:
     truncated at 2^-P: u is within 2 units of u', so every point of the segment
     from u to u' lies D = floor|u'| - 4 units or more from 0 (and, with
     |Re u| <= 1/2, from every integer; _kernel_scale keeps D near |u|), and
-    |eps_k(u) - eps_k(u')| <= 2k eps_bound(k+1, D 2^-P) units."""
+    |eps_k(u) - eps_k(u')| <= 2k ((D 2^-P)^-(k+1) + 2^(k+3)) units, from
+    |eps_(k+1)| <= |u|^-(k+1) + 2^(k+3) (jet_bounds)."""
     D = floor_abs(ur, ui) - 4
     return -(-(2 * k << P * (k + 1)) // D ** (k + 1)) + (2 * k << k + 3)
 
@@ -611,11 +615,20 @@ def _resolved_f(u, ctx: PrecisionContext, e: int):
         f"target 2^{e}")
 
 
-def eps_bound(k: int, dist):
-    """|eps_k(u)| <= dist^-k + 2 sum_{n>=1} (n - 1/2)^-k < dist^-k + 2^(k+2) for
-    |u| = dist, |Re u| <= 1/2: sizes the residuals' precision without a
-    lattice pass."""
-    return dist ** -k + 2 ** (k + 2)
+def jet_bounds(u, floor: int):
+    """(lf, F0, F1, F2), binary exponents that steer a pass for [f, f', f'']
+    at the reduced point u = (ur, ui, W), from |u| < 2^m and |Im u| alone.
+    2^lf is the first steer for a lower end of |f|: the smaller of the
+    Laurent term |u|^-2 > 2^-2m and 2^(4 - int(9.07 |Im u|)) (|f| = pi^2 /
+    |sin(pi u)|^2 ~ 4 pi^2 e^(-2 pi |Im u|) off the axis, 2 pi / ln 2 < 9.07),
+    the latter not below 2^floor.  2^F0 >= |f| + 1, 2^F1 >= |f'| + 1 and
+    2^F2 >= |f''|, from |eps_k(u)| <= |u|^-k + 2 sum_{n>=1} (n - 1/2)^-k <
+    |u|^-k + 2^(k+2) (|Re u| <= 1/2) at |u| >= 2^lo."""
+    ur, ui, W = u
+    m = magnitude(ur, ui, W)
+    lo = m - (2 if ui else 1)
+    decay = max(4 - int(9.07 * min(to_float(ui, W), 1e6)), floor)
+    return min(-2 * m, decay), max(-2 * lo, 5) + 1, max(-3 * lo, 5) + 2, max(-4 * lo, 6) + 4
 
 
 # -- ODE residuals -------------------------------------------------------------
@@ -623,34 +636,17 @@ def eps_bound(k: int, dist):
 
 def check_jet(z, ctx: PrecisionContext):
     """fixed_jet's (P, [f, f', f'']) at z from one pass, each order to the
-    tightest target of the grid checks that read it: f to t1 (t1 < t2), the
-    tolerance (nonvanishing_scan) and cosec_f_target(f_floor); f' to t1 / 2;
-    f'' to t2 / 6, t1 and t2 those of the ODE residuals from eps_bound at |u|;
-    PoleProximityError within the pole guard."""
-    mp, u = ctx.mp, reduce_point(z, ctx)
-    if in_pole_guard(u, ctx.precision):
-        raise PoleProximityError(f"z = {mp.nstr(ctx.point(z), 12)} is within the pole guard "
-                                 f"({POLE_GUARD_ULPS} ulp) of an integer")
-    dist = abs(to_mp(*u, mp))
-    mf, mfp = eps_bound(2, dist) + 1, 2 * eps_bound(3, dist) + 1
-    t1 = ctx.tolerance / (4 * (1 + 2 * mfp + 24 * mf * mf + 96 * mf))
-    t2 = ctx.tolerance / (4 * (24 * mf + 53))
-    e = min(mp.mag(t1) - 1, ctx.tolerance_exponent, cosec_f_target(f_floor(u, ctx), ctx))
-    return fixed_jet(u, ctx, (e, mp.mag(t1 / 2) - 1, mp.mag(t2 / 6) - 1))
-
-
-def f_floor(u, ctx: PrecisionContext):
-    """A first guess at a lower bound of |f| at the reduced point u: the least
-    of |u|^-2 and 2^(4 - int(9.07 |Im u|)) (|f| ~ 4 pi^2 e^(-2 pi |Im u|)),
-    and not below 2^(-4 precision), where the refine loop takes over."""
-    decay = max(4 - int(9.07 * min(to_float(u[1], u[2]), 1e6)), -4 * ctx.precision)
-    return min(abs(to_mp(*u, ctx.mp)) ** -2, ctx.mp.ldexp(1, decay))
-
-
-def cosec_f_target(lf, ctx: PrecisionContext) -> int:
-    """e of the cosec check's f target 2^e where |f| >= lf: tolerance / (8 ms^2),
-    ms = 4 / sqrt(lf) + 1 >= |s(pi z)| = pi / sqrt|f|."""
-    return ctx.mp.mag(ctx.tolerance * lf / (8 * (4 + ctx.mp.sqrt(lf)) ** 2)) - 1
+    tightest target of the grid checks that read it, in integers from
+    jet_bounds at the floor 2^(-4 precision): f to t1 and to the cosec
+    check's target at 2^lf, f' to t1 / 2 and f'' to t2 / 6, where t1 =
+    tolerance / (4 (1 + 2 |f'| + 24 |f|^2 + 96 |f|)) < tolerance and t2 =
+    tolerance / (4 (24 |f| + 53)) are the ODE residuals', |f| + 1 <= 2^F0
+    and |f'| + 1 <= 2^F1."""
+    u, T = reduce_point(z, ctx), ctx.tolerance_exponent
+    lf, F0, F1, _ = jet_bounds(u, -4 * ctx.precision)
+    e1 = T - (4 + (8 << F1) + (96 << 2 * F0) + (384 << F0)).bit_length()
+    e2 = T - ((96 << F0) + 212).bit_length()
+    return fixed_jet(u, ctx, (min(e1, T - 1 - max(8 - lf, 4)), e1 - 1, e2 - 3))
 
 
 def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0, jet=None) -> BoundedValue:
@@ -717,7 +713,8 @@ def nonvanishing_scan(grid: Sequence, ctx: PrecisionContext, jets=None) -> Nonva
     points = tuple(ctx.point(z) for z in grid)
     balls = [(*f, P) for P, (f, *_) in jets or [check_jet(zp, ctx) for zp in points]]
     values = tuple(to_ball(*b, ctx.mp) for b in balls)
-    least = min(range(len(points)), key=lambda i: values[i].lower())
+    S = max(P for *_, P in balls)  # the least lower end floor|f| - err, exact at 2^-S
+    least = min(range(len(points)), key=lambda i: (floor_abs(*balls[i][:2]) - balls[i][2]) << S - balls[i][3])
     return NonvanishingReport(points, values, _modulus(*balls[least], ctx.mp), points[least])
 
 
@@ -737,7 +734,8 @@ class StripBoundReport:
     decay_bound is a certified upper value for the majorant; decay_bound_low
     a certified lower value (a partial sum in fixed point, every truncation
     counted, plus the upper or the lower end of its tail).  Domination is
-    asserted on the safe side: |f| upper end vs the majorant's lower end.
+    decided on the safe side and exactly: the upper end of f_magnitude,
+    value + radius, against decay_bound_low, both at one scale.
     """
 
     y: object
@@ -759,7 +757,7 @@ def strip_decay(y_values: Sequence, x, ctx: PrecisionContext) -> list[StripBound
     if abs(xr) > 1:
         raise ValueError(f"strip offset x must satisfy |x| <= 1, got {mp.nstr(xr, 8)}")
     reports: list[StripBoundReport] = []
-    resolved: list[tuple[float, int]] = []  # (y, mag bits of |f|)
+    resolved: list[tuple[float, int]] = []  # (y, b): floor|f| 2^P has b + P bits
     for y in y_values:
         yr = ctx.real(y)
         if abs(yr) < 1:
@@ -770,11 +768,12 @@ def strip_decay(y_values: Sequence, x, ctx: PrecisionContext) -> list[StripBound
             slope = (b2 - b1) / (y2 - y1)
             predicted = b2 + slope * (float(yr) - y2)
             e = min(e, int(predicted) - 24)
-        mag = _modulus(*_resolved_f(reduce_point(mp.mpc(xr, yr), ctx), ctx, e), mp)
+        re, im, err, P = _resolved_f(reduce_point(mp.mpc(xr, yr), ctx), ctx, e)
+        mag = _modulus(re, im, err, P, mp)
         low, high = _majorant(yr, ctx)
-        reports.append(StripBoundReport(yr, mag, high, low,
-                                        dominated=bool(mag.upper() <= low)))
-        resolved.append((float(yr), int(mp.mag(mag.value))))
+        _, (value, radius, low_s) = fixed_reals((mag.value, mag.radius, low))
+        reports.append(StripBoundReport(yr, mag, high, low, dominated=value + radius <= low_s))
+        resolved.append((float(yr), floor_abs(re, im).bit_length() - P))
     return reports
 
 

@@ -43,8 +43,7 @@ from math import isqrt
 from .errors import PoleProximityError, ToleranceUnreachableError
 from .fixedpoint import ball_mul, ball_quotient, floor_abs, tdiv, to_ball, to_mp, tshift, units
 from .precision import BoundedValue, PrecisionContext
-from .lattice import (check_jet, cosec_f_target, f_floor, fixed_jet, in_pole_guard, magnitude,
-                      reduce_point, reduced, to_float)
+from .lattice import check_jet, fixed_jet, in_pole_guard, jet_bounds, reduce_point, reduced
 from .zetasums import KERNEL_GUARD_BITS, zeta_fixed
 
 PI_PROVENANCE = "sqrt(6·ζ(2))"
@@ -129,11 +128,11 @@ def _g_jet(u, work: PrecisionContext, R: int, tols, rounded: bool = False):
     f^(j) goes to min over i >= j of tols[i] / (2 (i+1) S_ij), S_ij the
     first-order sensitivity of g^(i) to f^(j) at |f| >= lf, |f'| <= mfp and
     |f''| <= mf2, and f to at most lf/4, which keeps its ball off zero; each
-    target is snapped down to a power of 2^8.  The first try takes lf from
-    the smaller of the Laurent term |u|^-2 and 2^(4 - int(9.07 |Im u|))
-    (|f| decays like 4 pi^2 e^(-2 pi |Im u|)), the latter not below eps/4t
-    for the tightest tolerance t, and mfp and mf2 from eps_bound; the next
-    try takes them from the last try's balls, the third 2^-6 tighter;
+    target is snapped down to a power of 2^8.  The first try takes lf, mfp
+    and mf2 from lattice.jet_bounds, at the floor eps/4t for the tightest
+    tolerance t (|f| decays like 4 pi^2 e^(-2 pi |Im u|), and mfp and mf2
+    follow |eps_k(u)| <= |u|^-k + 2^(k+2)); the next try takes them from the
+    last try's balls, the third 2^-6 tighter;
     ToleranceUnreachableError after three.
     Within the pole guard g and g' are zero-centred balls at Q = 2W,
     |g| <= 1.5 |u|^2 and |g'| = |sin(2 pi u)| / pi <= 3 |u| there (|u| at
@@ -160,17 +159,12 @@ def _g_jet(u, work: PrecisionContext, R: int, tols, rounded: bool = False):
         if fits(jet):
             return Q, jet
     else:
-        # binary exponents: 2^te[i] <= tols[i], |u| < 2^m, |u| >= 2^lo
+        # binary exponents: 2^te[i] <= tols[i]
         te = [None if t is None else mp.mag(t) - 1 for t in tols]
         tmin = min(e for e in te if e is not None)
-        m = magnitude(ur, ui, W)
-        lo = m - (2 if ui else 1)
-        # |f(u)| = pi^2/|sin(pi u)|^2 ~ 4 pi^2 e^(-2 pi |Im u|) off the axis, and
-        # 2 pi/ln 2 < 9.07: the first steer for |f| takes the smaller estimate,
-        # but not below eps/4t, where one ulp of |g| exceeds the tolerance t
-        decay = max(4 - int(9.07 * min(to_float(ui, W), 1e6)), -prec - 2 - tmin)
-        # log2 of lf and of the eps_bound estimates 2 eps_bound(3) and 6 eps_bound(4)
-        bounds = [min(-2 * m, decay), max(-3 * lo, 5) + 2, max(-4 * lo, 6) + 4]
+        # the first steer for |f| not below eps/4t: one ulp of |g| exceeds t there
+        lf, _, mfp, mf2 = jet_bounds(u, -prec - 2 - tmin)
+        bounds = [lf, mfp, mf2]
         Q = KERNEL_GUARD_BITS - min(0, tmin)
         for attempt in range(3):
             lf, mfp, mf2 = bounds
@@ -375,23 +369,28 @@ def cosec_identity_check(z, ctx: PrecisionContext, jet=None) -> BoundedValue:
     """f(z) s(pi z)^2 - pi^2, consistent with zero for noninteger z.
 
     s(pi z) = pi g'(z / 2), from one g jet at the exact point z / 2 (no disc).
-    |s(pi z)| = pi / sqrt|f(z)| <= ms = 4 / sqrt(low) + 1 for |f| >= low, so f
-    goes to tolerance / (8 ms^2) and g' to tolerance / (64 |f| ms).  f is the
-    jet's (lattice.check_jet), that sharp for the first steer lf of |f|
-    (lattice.f_floor); where its lower end low is below lf, one more pass
-    takes f to the target at low.  The identity is one exact product of the
-    integer balls, rounded once.
+    |s(pi z)| = pi / sqrt|f(z)| <= ms = 4 2^(-low/2) + 1 for |f| >= 2^low, so f
+    goes to tolerance / (8 ms^2) >= 2^(te - 1 - max(8 - low, 4)), 2^te <=
+    tolerance, and g' to tolerance / (64 |f| ms), each a binary exponent from
+    the bit lengths of the integer f ball.  f is the jet's (lattice.check_jet),
+    that sharp for the first steer 2^lf of |f| (lattice.jet_bounds); where
+    its lower end is below 2^lf, one more pass takes f to the target at that
+    lower end.  The identity is one exact product of the integer balls,
+    rounded once.
     """
-    mp, zp, tol = ctx.mp, ctx.point(z), ctx.tolerance
+    mp, zp, te = ctx.mp, ctx.point(z), ctx.tolerance_exponent
     P, (f, *_) = jet or check_jet(zp, ctx)
-    u = reduce_point(zp, ctx)
-    low = to_mp(floor_abs(f[0], f[1]) - f[2], 0, P, mp)
-    if low < f_floor(u, ctx):
-        P, (f,) = fixed_jet(u, ctx, (cosec_f_target(low, ctx),))
-        low = to_mp(floor_abs(f[0], f[1]) - f[2], 0, P, mp)
-    ms = 4 / mp.sqrt(low) + 1
-    high = to_mp(floor_abs(f[0], f[1]) + 1 + f[2], 0, P, mp)
-    Q, (_, g1) = _g_jet(reduce_point(zp / 2, ctx), ctx, 0, (None, tol / (64 * high * ms)))
+    zr, zi, Z = ctx.exact(zp)
+    u = reduced(zr, zi, Z)
+    # 2^low <= the lower end of |f|, the ball excludes zero (fixed_jet)
+    low = (floor_abs(f[0], f[1]) - f[2]).bit_length() - 1 - P
+    if low < jet_bounds(u, -4 * ctx.precision)[0]:
+        P, (f,) = fixed_jet(u, ctx, (te - 1 - max(8 - low, 4),))
+        low = (floor_abs(f[0], f[1]) - f[2]).bit_length() - 1 - P
+    # |f| < 2^h and ms <= 4 2^-(low // 2) + 1 <= 2^(max(2 - low // 2, 0) + 1)
+    h = (floor_abs(f[0], f[1]) + 1 + f[2]).bit_length() - P
+    e = te - 7 - h - max(2 - low // 2, 0)
+    Q, (_, g1) = _g_jet(reduced(zr, zi, Z + 1), ctx, 0, (None, mp.ldexp(1, e)))
     ev = evaluator(ctx)
     *s, S = _sin_fixed(ev, g1, Q)
     re, im, err = ball_mul(f, ball_mul(s, s))

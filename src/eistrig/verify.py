@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 from mpmath.libmp import from_man_exp
 
 from .errors import ConfigurationError, EistrigError
-from .fixedpoint import fixed_balls, floor_abs, fraction_bits, to_ball, to_fixed
+from .fixedpoint import fixed_balls, fixed_reals, floor_abs, to_ball
 from .lattice import (check_jet, eisenstein_k, first_order_ode_residual, naive_symmetric_value,
                       nonvanishing_scan, second_order_ode_residual, strip_decay,
                       symmetric_tail_bound)
@@ -228,13 +228,6 @@ def _check_implied_identities(config: RunConfig, ctx: PrecisionContext) -> Repor
         {"order": config.symbolic_order}, labeled, ctx)
 
 
-def _exact(values) -> tuple[int, list[int]]:
-    """(P, [x 2^P]): the real mpf values at the least scale 2^-P at which
-    each is exact, converted exactly."""
-    P = max(fraction_bits(x) for x in values)
-    return P, [to_fixed(x, P)[0] for x in values]
-
-
 def _rounded(x: int, P: int, ctx: PrecisionContext, rnd: str):
     """x 2^-P rounded once to ctx's precision, up ("c") or down ("f")."""
     return ctx.mp.make_mpf(from_man_exp(x, -P, ctx.precision, rnd))
@@ -243,8 +236,8 @@ def _rounded(x: int, P: int, ctx: PrecisionContext, rnd: str):
 def _check_strip_decay(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
     reports = strip_decay(config.y_values, Fraction(1, 2), ctx)
     # each margin exact from the dyadic |f| balls and majorant ends, rounded up once
-    P, xs = _exact([x for rep in reports for x in (rep.f_magnitude.value, rep.f_magnitude.radius,
-                                                    rep.decay_bound_low)])
+    P, xs = fixed_reals([x for rep in reports
+                         for x in (rep.f_magnitude.value, rep.f_magnitude.radius, rep.decay_bound_low)])
     upper = [v + r for v, r in zip(xs[0::3], xs[1::3])]
     lower = [max(v - r, 0) for v, r in zip(xs[0::3], xs[1::3])]
     margins = [(f"domination at y={rep.y}", up - low)
@@ -348,7 +341,7 @@ def _check_cosec_identity(config: RunConfig, ctx: PrecisionContext,
 def _check_pi_reference(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
     pi = evaluator(ctx).pi.value
     # |pi-hat - reference| and its bound exact, each rounded once, outward
-    P, (centre, radius, reference, eps) = _exact(
+    P, (centre, radius, reference, eps) = fixed_reals(
         [pi.value, pi.radius, ctx.mp.mpf(PI_REFERENCE_DECIMAL), ctx.eps])
     residual, bound = abs(centre - reference), radius + 4 * eps
     return ReportItem(

@@ -91,6 +91,11 @@ MUTANTS = {
         "trig.py",
         "R = -(-(abs(zr) + abs(zi)) * eh >> Z) + (2 if zi else 1)",
         "R = -(-(abs(zr) + abs(zi)) * eh >> Z)")],
+    # the steering bound 2^F0 >= |f| + 1 of lattice.jet_bounds one bit too small
+    "jet_f_bound_lowered": [(
+        "lattice.py",
+        "return min(-2 * m, decay), max(-2 * lo, 5) + 1, ",
+        "return min(-2 * m, decay), max(-2 * lo, 5), ")],
     # the final round-up of a rounded g jet radius dropped
     "g_jet_round_up_dropped": [(
         "trig.py",

@@ -15,7 +15,7 @@ from eistrig import lattice
 from eistrig import (InconclusiveNonvanishingError, PoleProximityError,
                      PrecisionContext, ToleranceUnreachableError, eisenstein_k,
                      naive_symmetric_value, strip_decay, symmetric_tail_bound)
-from eistrig.fixedpoint import to_ball, units
+from eistrig.fixedpoint import to_ball, to_mp, units
 from eistrig.lattice import (f_jet, first_order_ode_residual, fixed_jet, nonvanishing_scan,
                              reduce_point, second_order_ode_residual)
 from test_properties import lattice_closed_form
@@ -132,7 +132,8 @@ def test_first_order_residual_close_to_an_integer_meets_the_tolerance(point, ctx
 @pytest.mark.parametrize("point", [3, "0", "2+0i"])
 @pytest.mark.parametrize("residual", [second_order_ode_residual, first_order_ode_residual])
 def test_ode_residuals_at_an_integer_raise_the_pole_guard_error(residual, point, ctx):
-    # the precision sizing divides by |u|; the guard must come first
+    # the targets are sized from |u| < 2^m, which holds at u = 0 too; the
+    # pass itself raises the guard's error
     with pytest.raises(PoleProximityError):
         residual(point, ctx)
 
@@ -143,6 +144,93 @@ def test_ode_residual_detects_a_wrong_constant(ctx):
     assert not r.consistent_with_zero()
     expected = 12 * ctx.mp.mpf("1e-6") * ctx.mp.mpf(F_03)
     assert abs(abs(r.value) - expected) < expected / 100
+
+
+# -- the steering of a pass for [f, f', f''] -----------------------------------
+
+#: the default verify grid and five points that stress the steering: high in
+#: the strip (0.5+60i is below 2^(-4 precision) at 128 bits) and near 0 and 3
+STEERING_EXTRA = ("0.3+20i", "0.3+40i", "0.5+60i", "3.00000001", "1e-20")
+
+
+def steering_points(ctx):
+    from eistrig.verify import RunConfig
+    config = RunConfig()
+    grid = [ctx.from_fraction(q) for q in config.real_grid()]
+    grid += [ctx.mp.mpc(ctx.from_fraction(re), ctx.from_fraction(im))
+             for re, im in config.complex_grid()]
+    return grid + [ctx.point(z) for z in STEERING_EXTRA]
+
+
+def mpf_f_floor(u, ctx):
+    """The mpf first guess at a lower end of |f| that the integer steering
+    replaced: min(|u|^-2, 2^(4 - int(9.07 |Im u|))), not below 2^(-4 precision)."""
+    mp = ctx.mp
+    y = float(abs(to_mp(u[1], 0, u[2], mp)))
+    decay = max(4 - int(9.07 * min(y, 1e6)), -4 * ctx.precision)
+    return min(abs(to_mp(*u, mp)) ** -2, mp.ldexp(1, decay))
+
+
+def mpf_cosec_f_target(lf, ctx):
+    """e of the cosec check's f target in mpf: tolerance / (8 (4 / sqrt(lf) + 1)^2)."""
+    mp = ctx.mp
+    return mp.mag(ctx.tolerance * lf / (8 * (4 + mp.sqrt(lf)) ** 2)) - 1
+
+
+def mpf_check_targets(u, ctx):
+    """The targets of a check jet in mpf, from |eps_k| <= |u|^-k + 2^(k+2):
+    f to min(t1, tolerance, the cosec target at mpf_f_floor), f' to t1 / 2
+    and f'' to t2 / 6."""
+    mp = ctx.mp
+    dist = abs(to_mp(*u, mp))
+    mf, mfp = dist ** -2 + 17, 2 * (dist ** -3 + 32) + 1
+    t1 = ctx.tolerance / (4 * (1 + 2 * mfp + 24 * mf * mf + 96 * mf))
+    t2 = ctx.tolerance / (4 * (24 * mf + 53))
+    cosec = mpf_cosec_f_target(mpf_f_floor(u, ctx), ctx)
+    return (min(mp.mag(t1) - 1, ctx.tolerance_exponent, cosec), mp.mag(t1 / 2) - 1,
+            mp.mag(t2 / 6) - 1)
+
+
+@pytest.mark.parametrize("precision, tolerance", [(128, "1e-12"), (192, "1e-30")])
+def test_check_jet_targets_are_the_mpf_ones_or_at_most_12_bits_tighter(precision, tolerance,
+                                                                       monkeypatch):
+    ctx = PrecisionContext(precision, tolerance)
+    asked = []
+    monkeypatch.setattr(lattice, "fixed_jet", lambda u, ctx, targets: asked.append(targets))
+    for zp in steering_points(ctx):
+        lattice.check_jet(zp, ctx)
+        for e, ref in zip(asked.pop(), mpf_check_targets(reduce_point(zp, ctx), ctx)):
+            assert ref - 12 <= e <= ref, zp
+
+
+JET_BOUND_POINTS = ([Fraction(1, 2 ** j) for j in range(1, 30)]
+                 + [Fraction(3, 2 ** j) for j in range(2, 30)]
+                 + ["0.25+0.25i", "0.5+0.125i", "0.0625i", "0.5+2i", "0.3+9i", "0.05", "0.95"])
+
+
+def test_jet_bounds_hold_the_eps_k_bound_and_the_jet(ctx):
+    # 2^F0 >= |u|^-2 + 17, 2^F1 >= 2 (|u|^-3 + 32) + 1 and 2^F2 >= 6 (|u|^-4 +
+    # 64), exactly (at |u| = 2^lo, a real dyadic u, the bound is tight), each
+    # within 6 bits of it; 2^lf at most the mpf first guess and within 5 bits
+    # of it; and the jet itself, from the closed form, within 2^F0, 2^F1, 2^F2
+    for z in JET_BOUND_POINTS:
+        u = reduce_point(z, ctx)
+        lf, F0, F1, F2 = lattice.jet_bounds(u, -4 * ctx.precision)
+        ur, ui, W = u
+        d2 = Fraction(ur * ur + ui * ui, 4 ** W)  # |u|^2
+        assert 1 / d2 + 17 <= 2 ** F0, z
+        assert 2 ** F1 > 65 and 1 / d2 ** 3 <= Fraction(2 ** F1 - 65, 2) ** 2, z
+        assert 6 / d2 ** 2 + 384 <= 2 ** F2, z
+        d = math.sqrt(d2)
+        for F, bound in ((F0, d ** -2 + 17), (F1, 2 * d ** -3 + 65), (F2, 6 * d ** -4 + 384)):
+            assert F < math.log2(bound) + 6, z
+        floor = mpmath.mpf(mpf_f_floor(u, ctx))
+        assert mpmath.ldexp(1, lf) <= floor <= mpmath.ldexp(1, lf + 5), z
+        with mpmath.workprec(2 * ctx.precision):
+            w = to_mp(*u, mpmath.mp)
+            f, f1, f2 = (abs(c * lattice_closed_form(k, w)) for c, k in ((1, 2), (2, 3), (6, 4)))
+            assert f + 1 <= mpmath.ldexp(1, F0) and f1 + 1 <= mpmath.ldexp(1, F1), z
+            assert f2 <= mpmath.ldexp(1, F2), z
 
 
 def test_naive_truncation_bound_is_valid_and_not_lax(ctx):
@@ -172,6 +260,28 @@ def test_strip_decay_reaches_extreme_heights(ctx):
     assert rep.dominated
     assert rep.f_magnitude.upper() < ctx.mp.mpf("1e-200")
     assert rep.f_magnitude.lower() > 0  # resolved, not just bounded
+
+
+def test_strip_domination_is_the_exact_comparison(ctx):
+    # dominated iff the upper end of the reported |f| ball, value + radius,
+    # is at most the majorant's lower end, compared as exact Fractions
+    for rep in strip_decay((1, 2, 5, 10, 50, 100, Fraction(7, 3)), Fraction(1, 2), ctx):
+        upper = exact(rep.f_magnitude.value) + exact(rep.f_magnitude.radius)
+        assert rep.dominated == (upper <= exact(rep.decay_bound_low)), rep.y
+
+
+def test_strip_domination_is_not_rounded_at_a_tie(ctx, monkeypatch):
+    # an |f| ball whose value + radius takes about 180 bits: a lower end equal
+    # to that upper end dominates and one 2^-(P+300) below it does not, where
+    # the sum rounded to the context's 128 bits falls on one side of both
+    monkeypatch.setattr(lattice, "_resolved_f", lambda u, ctx, e: (3 ** 120, 0, 5 ** 60, 200))
+    rep = strip_decay((2,), Fraction(1, 2), ctx)[0]
+    upper = exact(rep.f_magnitude.value) + exact(rep.f_magnitude.radius)
+    S = ctx.precision + 300
+    for low, dominated in ((upper, True), (upper - Fraction(1, 2 ** S), False)):
+        low = to_mp(int(low * 2 ** S), 0, S, ctx.mp)
+        monkeypatch.setattr(lattice, "_majorant", lambda y, ctx: (low, rep.decay_bound))
+        assert strip_decay((2,), Fraction(1, 2), ctx)[0].dominated is dominated
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -265,6 +375,14 @@ def test_nonvanishing_scan_reports_the_minimum(ctx):
     assert not report.min_modulus.consistent_with_zero()
     # |f| is smallest at the highest point of the strip
     assert report.min_point == grid[-1]
+
+
+def test_nonvanishing_scan_picks_the_least_lower_end_exactly(ctx):
+    # lower ends 1 + 2^-200 and 1 round to the same 128-bit value; the exact
+    # integer balls tell the second point's from the first's
+    points = [ctx.point("0.3"), ctx.point("0.4")]
+    jets = [(200, [((1 << 200) + 1, 0, 0)]), (201, [(1 << 201, 0, 0)])]
+    assert nonvanishing_scan(points, ctx, jets).min_point == points[1]
 
 
 def test_nonvanishing_scan_refines_until_f_excludes_zero(ctx):

@@ -13,12 +13,13 @@ from eistrig import (EistrigError, PoleProximityError, PrecisionContext,
                      ToleranceUnreachableError, compute_pi, cosine, eisenstein_k,
                      evaluator, pythagoras_residual, sine, taylor_cosine)
 from eistrig import precision, trig
-from eistrig.fixedpoint import to_ball
+from eistrig.fixedpoint import floor_abs, to_ball, to_mp
 from eistrig.lattice import (f_jet, first_order_ode_residual, reduce_point,
                              second_order_ode_residual)
 from eistrig.sympoly import SymbolPoly
 from eistrig.trig import (cosec_identity_check, g_eval, ivp_initial_data, ivp_residual,
                           reciprocal_ode_residual)
+from test_lattice import mpf_cosec_f_target, steering_points
 
 PI50 = "3.1415926535897932384626433832795028841971693993751"
 INV_PISQ = "0.101321183642337771443879463209727638904358775"
@@ -152,6 +153,50 @@ def test_cosec_identity_makes_one_f_pass_per_grid_point(ctx, monkeypatch):
         assert cosec_identity_check(z, ctx).consistent_with_zero()
     assert f_passes == [1] * len(points)
     assert refines == []
+
+
+@pytest.mark.parametrize("precision, tolerance", [(128, "1e-12"), (192, "1e-30")])
+def test_the_cosec_steering_is_the_mpf_one_or_at_most_12_bits_tighter(precision, tolerance,
+                                                                      monkeypatch):
+    # the fallback f target and the g' tolerance from the f ball the check
+    # uses, against the mpf formulas tolerance / (8 ms^2) and tolerance /
+    # (64 |f| ms), ms = 4 / sqrt(low) + 1; 0.5+60i falls back at 128 bits
+    ctx = PrecisionContext(precision, tolerance)
+    mp = ctx.mp
+    fallbacks, g_tols, inside_g = [], [], []
+    real_fixed_jet, real_g_jet = trig.fixed_jet, trig._g_jet
+
+    def recorded_fixed_jet(u, ctx, targets, R=0):
+        jet = real_fixed_jet(u, ctx, targets, R)
+        if not inside_g:
+            fallbacks.append((targets[0], jet))
+        return jet
+
+    def recorded_g_jet(u, work, R, tols):
+        g_tols.append(tols[1])
+        inside_g.append(True)
+        try:
+            return real_g_jet(u, work, R, tols)
+        finally:
+            inside_g.pop()
+
+    monkeypatch.setattr(trig, "fixed_jet", recorded_fixed_jet)
+    monkeypatch.setattr(trig, "_g_jet", recorded_g_jet)
+    fell_back = []
+    for zp in steering_points(ctx):
+        P, (f, *_) = lattice.check_jet(zp, ctx)
+        cosec_identity_check(zp, ctx, (P, [f]))
+        low = to_mp(floor_abs(*f[:2]) - f[2], 0, P, mp)
+        if fallbacks:
+            e, (P, (f,)) = fallbacks.pop()
+            ref = mpf_cosec_f_target(low, ctx)
+            assert ref - 12 <= e <= ref, zp
+            low = to_mp(floor_abs(*f[:2]) - f[2], 0, P, mp)
+            fell_back.append(zp)
+        high = to_mp(floor_abs(*f[:2]) + 1 + f[2], 0, P, mp)
+        ref = mp.mag(ctx.tolerance / (64 * high * (4 / mp.sqrt(low) + 1))) - 1
+        assert ref - 12 <= mp.mag(g_tols.pop()) - 1 <= ref, zp
+    assert fell_back == ([ctx.point("0.5+60i")] if precision == 128 else [])
 
 
 @pytest.fixture
@@ -492,13 +537,25 @@ def test_the_evaluator_constants_hold_pi_at_600_bits(precision, tolerance):
        st.integers(min_value=-72 * 64, max_value=72 * 64))
 @settings(max_examples=60, deadline=None)
 def test_the_reduced_w_ball_holds_z_over_2_pi(re64, im64):
+    assert_the_reduced_w_ball_holds(complex(re64 / 64, im64 / 64))
+
+
+def test_the_reduced_w_ball_holds_small_complex_z():
+    # at |z| <= 1 the error of (2 pi-hat)^-1 carried to z, |z| eh, is a few
+    # units, so the 1-2 units of the product's truncation are much of R
+    for k in range(-40, 41):
+        for l in range(1, 41):
+            assert_the_reduced_w_ball_holds(complex(k / 64, l / 64))
+
+
+def assert_the_reduced_w_ball_holds(z):
+    """The true z / 2 pi lies within R units of reduced_w's u, at 600 bits."""
     ctx = PrecisionContext()
-    z = ctx.point(complex(re64 / 64, im64 / 64))
     (ur, ui, W), R = evaluator(ctx).reduced_w(ctx.exact(z))
     assert W == evaluator(ctx).scale and abs(ur) <= 1 << W - 1
     with mpmath.workprec(600):
         gap = mpmath.mpmathify(z) / (2 * mpmath.pi) - mpmath.mpc(ur, ui) * mpmath.ldexp(1, -W)
-        assert abs(gap - mpmath.nint(gap.real)) <= mpmath.ldexp(R, -W)
+        assert abs(gap - mpmath.nint(gap.real)) <= mpmath.ldexp(R, -W), z
 
 
 @pytest.mark.parametrize("k", [2, -2, 6, -6])

@@ -623,7 +623,7 @@ def jet_bounds(u, floor: int):
     |sin(pi u)|^2 ~ 4 pi^2 e^(-2 pi |Im u|) off the axis, 2 pi / ln 2 < 9.07),
     the latter not below 2^floor.  2^F0 >= |f| + 1, 2^F1 >= |f'| + 1 and
     2^F2 >= |f''|, from |eps_k(u)| <= |u|^-k + 2 sum_{n>=1} (n - 1/2)^-k <
-    |u|^-k + 2^(k+2) (|Re u| <= 1/2) at |u| >= 2^lo."""
+    |u|^-k + 2^(k+2) (|Re u| <= 1/2) at |u| >= 2^lo, lo = m - 1 (m - 2 if Im u != 0)."""
     ur, ui, W = u
     m = magnitude(ur, ui, W)
     lo = m - (2 if ui else 1)

@@ -204,14 +204,25 @@ def ball_quotient(a, f, k: int, shift: int):
     return qr, qi, -(-num // ((L - ef) ** k * Lk)) + (2 if ai or fi else 1)
 
 
+def rounding_allowance(re: int, im: int, prec: int) -> int:
+    """(|re| + |im|) 2^(1-prec) rounded up: the units by which to_ball's rounding
+    of (re, im) to prec bits moves it in all (an exact zero stays exact)."""
+    return -(-(abs(re) + abs(im)) >> prec - 1)
+
+
+def rounded_count(re: int, im: int, err: int, prec: int) -> int:
+    """Units that hold to_ball's radius for the ball (re, im, err) at prec bits:
+    err plus the allowance, rounded up to prec bits (< 2^(1-prec) of it more)."""
+    err += rounding_allowance(re, im, prec)
+    return err - (-err >> prec - 1)
+
+
 def to_ball(re: int, im: int, err: int, P: int, mp) -> BoundedValue:
     """The ball (re + i im) 2^-P within err units as a BoundedValue of mp, each
-    component rounded once toward zero to mp's precision p, which errs by
-    less than (|re| + |im|) 2^(1-p) units in all (charged rounded up, so an
-    exact zero stays exact), and the radius rounded up; an mpf when im == 0."""
+    component rounded once toward zero to mp's precision p, err charged the
+    rounding allowance, and the radius rounded up; an mpf when im == 0."""
     prec = mp.prec
-    err -= -(abs(re) + abs(im)) >> (prec - 1)
-    radius = mp.make_mpf(from_man_exp(err, -P, prec, "u"))
+    radius = mp.make_mpf(from_man_exp(err + rounding_allowance(re, im, prec), -P, prec, "u"))
     if not im:
         return BoundedValue(mp.make_mpf(from_man_exp(re, -P, prec, "d")), radius)
     return BoundedValue(mp.make_mpc((from_man_exp(re, -P, prec, "d"),

@@ -72,9 +72,10 @@ eisenstein_k is the one-exponent pass; fixed_jet, the pass for [f, f', f'']
 in integers, holds its balls over a disc about the point (its radius a
 count of units of 2^-W), serves the g jet of the trig evaluators and, as
 check_jet (one per point, at the tightest target of its readers), the ODE
-residuals, the nonvanishing scan and the cosec check; f_jet rounds it.
-jet_bounds steers each such pass: integer exponents for |f| and its first
-guess, |f'| and |f''| from |eps_k(u)| <= |u|^-k + 2^(k+2).
+residuals, the nonvanishing scan and the cosec check.  jet_bounds steers
+every pass for f, the strip heights of strip_decay included: integer
+exponents for |f| and its first guess, |f'| and |f''| from |eps_k(u)| <=
+|u|^-k + 2^(k+2).
 Where f must exclude zero, _resolved_f is the one refine-until-nonzero loop:
 integer passes at ever tighter targets that return their integer ball.
 pass_size reports the route, its pairs summed term by term and its size (D,
@@ -253,17 +254,6 @@ def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
 
 #: f^(i) = (-1)^i (i+1)! eps_(i+2)
 _JET_FACTORS = (1, -2, 6)
-
-
-def f_jet(z, ctx: PrecisionContext, tolerances) -> list[BoundedValue]:
-    """[f, f', f''][:n] = [eps_2, -2 eps_3, 6 eps_4][:n] at z from one lattice
-    pass, n = len(tolerances) <= 3, order i to tolerances[i] and rounded once
-    to ctx's precision, where near an integer one ulp may exceed it."""
-    mp = ctx.mp
-    # eps_k to t / (2|c| - 1): the scaled ball keeps room for its rounding
-    P, jet = fixed_jet(reduce_point(z, ctx), ctx,
-                       [mp.mag(t / (2 * abs(c) - 1)) - 1 for t, c in zip(tolerances, _JET_FACTORS)])
-    return [to_ball(*b, P, mp) for b in jet]
 
 
 def fixed_jet(u, ctx: PrecisionContext, targets, R: int = 0):
@@ -748,32 +738,29 @@ class StripBoundReport:
 def strip_decay(y_values: Sequence, x, ctx: PrecisionContext) -> list[StripBoundReport]:
     """Evaluate |f(x+iy)| and the strip majorant for each y (|y| >= 1, |x| <= 1).
 
-    The per-y evaluation tolerance is steered by log-linear extrapolation of
-    the magnitudes already resolved (|f| decays like e^(-2 pi y)), so even
-    y = 100 with |f| ~ 1e-271 resolves; steering never touches the bounds.
+    Each height is steered alone, from jet_bounds: _resolved_f starts at
+    the target 2^min(T, lf - 24), 2^T <= tolerance and 2^lf <= 2^(4 -
+    int(9.07 |y|)) the first steer for |f|, which lies below pi^2 /
+    cosh^2(pi y) <= |f| for |y| >= 1; so one pass resolves every height
+    above the floor, y = 100 with |f| ~ 1e-271 included.  lf is floored at
+    T - 2160, where the refine loop's eight tightenings would stop, so a
+    huge height ends in InconclusiveNonvanishingError after passes to at
+    most 2^(T - 4344).  Steering never touches the bounds.
     """
-    mp = ctx.mp
+    mp, T = ctx.mp, ctx.tolerance_exponent
     xr = ctx.real(x)
     if abs(xr) > 1:
         raise ValueError(f"strip offset x must satisfy |x| <= 1, got {mp.nstr(xr, 8)}")
     reports: list[StripBoundReport] = []
-    resolved: list[tuple[float, int]] = []  # (y, b): floor|f| 2^P has b + P bits
     for y in y_values:
         yr = ctx.real(y)
         if abs(yr) < 1:
             raise ValueError(f"strip requires |y| >= 1, got {mp.nstr(yr, 8)}")
-        e = ctx.tolerance_exponent
-        if len(resolved) >= 2:
-            (y1, b1), (y2, b2) = resolved[-2], resolved[-1]
-            slope = (b2 - b1) / (y2 - y1)
-            predicted = b2 + slope * (float(yr) - y2)
-            e = min(e, int(predicted) - 24)
-        re, im, err, P = _resolved_f(reduce_point(mp.mpc(xr, yr), ctx), ctx, e)
-        mag = _modulus(re, im, err, P, mp)
+        u = reduce_point(mp.mpc(xr, yr), ctx)
+        mag = _modulus(*_resolved_f(u, ctx, min(T, jet_bounds(u, T - 2160)[0] - 24)), mp)
         low, high = _majorant(yr, ctx)
         _, (value, radius, low_s) = fixed_reals((mag.value, mag.radius, low))
         reports.append(StripBoundReport(yr, mag, high, low, dominated=value + radius <= low_s))
-        resolved.append((float(yr), floor_abs(re, im).bit_length() - P))
     return reports
 
 

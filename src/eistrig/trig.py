@@ -18,8 +18,8 @@ lattice/zeta evaluators.  Platform references appear solely in tests.
 Because c and s run through f, which reduces its argument by the nearest
 integer exactly, both inherit exact periodicity in the computed period
 2 pi-hat.  One steered jet serves every evaluator here: _g_jet gives
-[g, g', g''] from one lattice pass for [f, f', f''] per try, steered in
-integer binary exponents.
+[g, g', g''] from one lattice pass for [f, f', f''] per try, each order to
+a binary exponent and steered in integers.
 
 A call runs in integers from the point to the returned ball.  Each
 context's evaluator keeps pi^2, pi-hat and (2 pi-hat)^-1 as integer balls
@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import PoleProximityError, ToleranceUnreachableError
-from .fixedpoint import ball_mul, ball_quotient, floor_abs, tdiv, to_ball, to_mp, tshift, units
+from .fixedpoint import (ball_mul, ball_quotient, floor_abs, rounded_count, tdiv, to_ball, to_mp,
+                         tshift, units)
 from .precision import BoundedValue, PrecisionContext
 from .lattice import check_jet, fixed_jet, in_pole_guard, jet_bounds, reduce_point, reduced
 from .zetasums import KERNEL_GUARD_BITS, zeta_fixed
@@ -69,14 +70,15 @@ class TrigEvaluator:
     few units of 2^-P): pi^2 = 6 zeta(2) = 3 a0 exactly, pi-hat = sqrt(pi^2)
     by isqrt and (2 pi-hat)^-1 by one counted division, each within a few
     units.  pi, a0 and pi^2 are also kept rounded once to the context's
-    precision.
+    precision, and g_exp, the binary exponent 2^g_exp <= tolerance/160 to
+    which cosine, the reciprocal and ivp residuals and pythagoras take g.
 
     Immutable after construction; safe for concurrent use.
     """
 
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
-        mp, tol = ctx.mp, ctx.tolerance
+        mp = ctx.mp
         P = KERNEL_GUARD_BITS + ctx.precision + 127
         z2, err = zeta_fixed(1, P)
         self.scale = P
@@ -87,7 +89,7 @@ class TrigEvaluator:
         self.a0 = to_ball(2 * z2, 0, 2 * err, P, mp)
         self.pi_sq = to_ball(*self.pi_sq_fixed, P, mp)
         self.pi = PiValue(to_ball(*self.pi_fixed, P, mp))
-        self.cos_tols, self.sin_tols = (tol / 160,), (None, tol / 4)
+        self.g_exp = mp.mag(ctx.tolerance / 160) - 1
 
     def reduced_w(self, z):
         """(u, R) for the exact pair z = (zr, zi, Z) (ctx.exact): w = z (2 pi-hat)^-1,
@@ -113,24 +115,24 @@ def evaluator(ctx: PrecisionContext) -> TrigEvaluator:
 # -- the g jet -------------------------------------------------------------------
 
 
-def _g_jet(u, work: PrecisionContext, R: int, tols, rounded: bool = False):
+def _g_jet(u, work: PrecisionContext, R: int, exps, rounded: bool = False):
     """(Q, [g, g', g''][:n]) at every point of the disc of radius R units of
-    2^-W about the reduced point u = (ur, ui, W), n = len(tols): order i is the
-    ball (re, im, err) at scale 2^-Q, within tols[i] (None: only as tight as
-    the higher orders need), and with rounded, also once rounded to work's
-    precision; from one lattice.fixed_jet pass per try.  g = 1/f,
-    g' = -f'/f^2 and g'' = (2 f'^2 - f f'')/f^3 are formed from the pass's
-    integer balls, Q the tightest tolerance's bits plus KERNEL_GUARD_BITS,
-    each by exact products and one division charged over the whole f ball
-    (fixedpoint.ball_quotient).
+    2^-W about the reduced point u = (ur, ui, W), n = len(exps): order i is the
+    ball (re, im, err) at scale 2^-Q within 2^exps[i], a binary exponent (None:
+    only as tight as the higher orders need), and with rounded, also once
+    rounded to work's precision (fixedpoint.rounded_count); from one
+    lattice.fixed_jet pass per try.  g = 1/f, g' = -f'/f^2 and g'' = (2 f'^2
+    - f f'')/f^3 are formed from the pass's integer balls, Q the tightest
+    exponent's bits plus KERNEL_GUARD_BITS, each by exact products and one
+    division charged over the whole f ball (fixedpoint.ball_quotient).
 
     The steering only picks the pass's targets, in integer binary exponents.
-    f^(j) goes to min over i >= j of tols[i] / (2 (i+1) S_ij), S_ij the
+    f^(j) goes to min over i >= j of 2^exps[i] / (2 (i+1) S_ij), S_ij the
     first-order sensitivity of g^(i) to f^(j) at |f| >= lf, |f'| <= mfp and
     |f''| <= mf2, and f to at most lf/4, which keeps its ball off zero; each
     target is snapped down to a power of 2^8.  The first try takes lf, mfp
     and mf2 from lattice.jet_bounds, at the floor eps/4t for the tightest
-    tolerance t (|f| decays like 4 pi^2 e^(-2 pi |Im u|), and mfp and mf2
+    target t (|f| decays like 4 pi^2 e^(-2 pi |Im u|), and mfp and mf2
     follow |eps_k(u)| <= |u|^-k + 2^(k+2)); the next try takes them from the
     last try's balls, the third 2^-6 tighter;
     ToleranceUnreachableError after three.
@@ -138,17 +140,14 @@ def _g_jet(u, work: PrecisionContext, R: int, tols, rounded: bool = False):
     |g| <= 1.5 |u|^2 and |g'| = |sin(2 pi u)| / pi <= 3 |u| there (|u| at
     most |ur| + |ui| + R units), and g'' raises PoleProximityError.
     """
-    mp, n, prec = work.mp, len(tols), work.precision
+    mp, n, prec = work.mp, len(exps), work.precision
     ur, ui, W = u
 
     def charged(re, im, err):
-        if rounded:  # the allowance of to_ball, then the radius rounded up
-            err -= -(abs(re) + abs(im)) >> prec - 1
-            err -= -err >> prec - 1
-        return err
+        return rounded_count(re, im, err, prec) if rounded else err
 
     def fits(jet):
-        return all(t is None or charged(*b) <= units(t, Q) for b, t in zip(jet, tols))
+        return all(t is None or charged(*b) <= tshift(1, t + Q) for b, t in zip(jet, exps))
 
     if in_pole_guard(u, prec, R):
         if n > 2:
@@ -159,9 +158,7 @@ def _g_jet(u, work: PrecisionContext, R: int, tols, rounded: bool = False):
         if fits(jet):
             return Q, jet
     else:
-        # binary exponents: 2^te[i] <= tols[i]
-        te = [None if t is None else mp.mag(t) - 1 for t in tols]
-        tmin = min(e for e in te if e is not None)
+        tmin = min(e for e in exps if e is not None)
         # the first steer for |f| not below eps/4t: one ulp of |g| exceeds t there
         lf, _, mfp, mf2 = jet_bounds(u, -prec - 2 - tmin)
         bounds = [lf, mfp, mf2]
@@ -171,7 +168,7 @@ def _g_jet(u, work: PrecisionContext, R: int, tols, rounded: bool = False):
             sens = ((-2 * lf,),
                     (1 + mfp - 3 * lf, -2 * lf),
                     (1 + max(3 + 2 * mfp - 4 * lf, 1 + mf2 - 3 * lf), 2 + mfp - 3 * lf, -2 * lf))
-            ts = [min(te[i] - (1, 2, 3)[i] - sens[i][j] for i in range(j, n) if te[i] is not None)
+            ts = [min(exps[i] - (1, 2, 3)[i] - sens[i][j] for i in range(j, n) if exps[i] is not None)
                   for j in range(n)]
             ts[0] = min(ts[0], lf - 2)
             # snapped to a power of 2^8, then over |c| <= 2^(0, 1, 3) for eps_(j+2)
@@ -194,7 +191,7 @@ def _g_jet(u, work: PrecisionContext, R: int, tols, rounded: bool = False):
     raise ToleranceUnreachableError(
         f"the g jet at {mp.nstr(to_mp(*u, mp), 8)} keeps radii {', '.join(radii)} "
         f"at {work.precision} bits, above tolerances "
-        f"{', '.join('-' if t is None else mp.nstr(t, 3) for t in tols)}")
+        f"{', '.join('-' if t is None else f'2^{t}' for t in exps)}")
 
 
 def g_eval(z, ctx: PrecisionContext) -> BoundedValue:
@@ -207,7 +204,7 @@ def g_eval(z, ctx: PrecisionContext) -> BoundedValue:
     ball, rounded, meets the context tolerance, or ToleranceUnreachableError
     is raised.
     """
-    Q, (g,) = _g_jet(reduce_point(z, ctx), ctx, 0, (ctx.tolerance,), rounded=True)
+    Q, (g,) = _g_jet(reduce_point(z, ctx), ctx, 0, (ctx.tolerance_exponent,), rounded=True)
     return to_ball(*g, Q, ctx.mp)
 
 
@@ -226,15 +223,15 @@ def _sin_fixed(ev: TrigEvaluator, g1, Q: int):
     return (*ball_mul(ev.pi_fixed, g1), ev.scale + Q)
 
 
-def _at_w(name, z, ctx: PrecisionContext, tols, form) -> BoundedValue:
-    """form(ev, the jet's highest order, Q) rounded once, the g jet to tols
+def _at_w(name, z, ctx: PrecisionContext, exps, form) -> BoundedValue:
+    """form(ev, the jet's highest order, Q) rounded once, the g jet to 2^exps
     over the disc of w = z / 2 pi (ev.reduced_w, z an exact pair), within the
     tolerance, or ToleranceUnreachableError naming name(z), chained from it."""
     mp, tol, ev = ctx.mp, ctx.tolerance, evaluator(ctx)
     cause = None
     try:
         u, R = ev.reduced_w(z)
-        Q, jet = _g_jet(u, ctx, R, tols)
+        Q, jet = _g_jet(u, ctx, R, exps)
         bv = to_ball(*form(ev, jet[-1], Q), mp)
         if bv.radius <= tol:
             return bv
@@ -247,12 +244,12 @@ def _at_w(name, z, ctx: PrecisionContext, tols, form) -> BoundedValue:
 
 def cosine(z, ctx: PrecisionContext) -> BoundedValue:
     """c(z) = 1 - 2 pi^2 g(z / 2 pi); c(0) = 1 exactly; g to tolerance/160
-    over the disc of z / 2 pi.  ToleranceUnreachableError where the radius
-    cannot meet the tolerance."""
+    (the evaluator's g_exp) over the disc of z / 2 pi.
+    ToleranceUnreachableError where the radius cannot meet the tolerance."""
     z = ctx.exact(z)
     if not (z[0] or z[1]):
         return ctx.ball(1)
-    return _at_w("cos", z, ctx, evaluator(ctx).cos_tols, _cos_fixed)
+    return _at_w("cos", z, ctx, (evaluator(ctx).g_exp,), _cos_fixed)
 
 
 def sine(z, ctx: PrecisionContext) -> BoundedValue:
@@ -266,7 +263,7 @@ def sine(z, ctx: PrecisionContext) -> BoundedValue:
     z = ctx.exact(z)
     if not (z[0] or z[1]):
         return ctx.ball(0)
-    return _at_w("sin", z, ctx, evaluator(ctx).sin_tols, _sin_fixed)
+    return _at_w("sin", z, ctx, (None, ctx.tolerance_exponent - 2), _sin_fixed)
 
 
 # -- Taylor route ----------------------------------------------------------------
@@ -325,18 +322,23 @@ def taylor_cosine(z, ctx: PrecisionContext) -> BoundedValue:
 # -- jet residuals -----------------------------------------------------------------
 
 
+def _reciprocal_fixed(ev: TrigEvaluator, u, R: int, ctx: PrecisionContext):
+    """(re, im, err, S): g''(w) + 4 pi^2 g(w) - 2 (4 pi^2 = 12 a0) over the
+    disc of radius R units about the reduced point u, g to tolerance/160 and
+    g'' to tolerance/4 from one jet; exact products at 2^-S, S = P + Q."""
+    Q, (g, _, g2) = _g_jet(u, ctx, R, (ev.g_exp, None, ctx.tolerance_exponent - 2))
+    P = ev.scale
+    re, im, err = ball_mul(ev.pi_sq_fixed, g)
+    return (g2[0] << P) + 4 * re - (2 << P + Q), (g2[1] << P) + 4 * im, (g2[2] << P) + 4 * err, P + Q
+
+
 def reciprocal_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
-    """g''(z) + 12 a0 g(z) - 2 with g to tolerance/160 and g'' to tolerance/4
-    from one jet at z; 12 a0 = 4 pi^2, exact products at 2^-(P+Q), rounded
+    """g''(z) + 12 a0 g(z) - 2 from one jet at z (_reciprocal_fixed), rounded
     once.  ToleranceUnreachableError where the error of pi^2 times |g| alone
     exceeds the tolerance (far off the axis, where |g| grows like
     e^(2 pi |Im z|))."""
     ev, mp, tol = evaluator(ctx), ctx.mp, ctx.tolerance
-    Q, (g, _, g2) = _g_jet(reduce_point(z, ctx), ctx, 0, (tol / 160, None, tol / 4))
-    P = ev.scale
-    re, im, err = ball_mul(ev.pi_sq_fixed, g)
-    bv = to_ball((g2[0] << P) + 4 * re - (2 << P + Q), (g2[1] << P) + 4 * im,
-                 (g2[2] << P) + 4 * err, P + Q, mp)
+    bv = to_ball(*_reciprocal_fixed(ev, reduce_point(z, ctx), 0, ctx), mp)
     if bv.radius > tol:
         raise ToleranceUnreachableError(
             f"the reciprocal ODE residual at {mp.nstr(ctx.point(z), 8)} keeps radius "
@@ -345,15 +347,12 @@ def reciprocal_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
 
 
 def ivp_residual(z, ctx: PrecisionContext) -> BoundedValue:
-    """c''(z) + c(z) with c(z) = 1 - 2 pi^2 g(w) and c''(z) = -g''(w)/2 from
-    one jet held over the disc of w = z / 2 pi; exact at 2^-(P+Q+1)."""
+    """c''(z) + c(z) with c(z) = 1 - 2 pi^2 g(w) and c''(z) = -g''(w)/2, that
+    is -(g''(w) + 4 pi^2 g(w) - 2)/2: the reciprocal residual's integers over
+    the disc of w = z / 2 pi, negated, exact at 2^-(S+1)."""
     ev = evaluator(ctx)
-    u, R = ev.reduced_w(ctx.exact(z))
-    Q, (g, _, g2) = _g_jet(u, ctx, R, (ctx.tolerance / 160, None, ctx.tolerance / 4))
-    cr, ci, ec, S = _cos_fixed(ev, g, Q)
-    P = ev.scale
-    return to_ball(2 * cr - (g2[0] << P), 2 * ci - (g2[1] << P), 2 * ec + (g2[2] << P),
-                   S + 1, ctx.mp)
+    re, im, err, S = _reciprocal_fixed(ev, *ev.reduced_w(ctx.exact(z)), ctx)
+    return to_ball(-re, -im, err, S + 1, ctx.mp)
 
 
 def ivp_initial_data(ctx: PrecisionContext):
@@ -390,7 +389,7 @@ def cosec_identity_check(z, ctx: PrecisionContext, jet=None) -> BoundedValue:
     # |f| < 2^h and ms <= 4 2^-(low // 2) + 1 <= 2^(max(2 - low // 2, 0) + 1)
     h = (floor_abs(f[0], f[1]) + 1 + f[2]).bit_length() - P
     e = te - 7 - h - max(2 - low // 2, 0)
-    Q, (_, g1) = _g_jet(reduced(zr, zi, Z + 1), ctx, 0, (None, mp.ldexp(1, e)))
+    Q, (_, g1) = _g_jet(reduced(zr, zi, Z + 1), ctx, 0, (None, e))
     ev = evaluator(ctx)
     *s, S = _sin_fixed(ev, g1, Q)
     re, im, err = ball_mul(f, ball_mul(s, s))
@@ -401,16 +400,15 @@ def cosec_identity_check(z, ctx: PrecisionContext, jet=None) -> BoundedValue:
 
 def pythagoras_residual(z, ctx: PrecisionContext) -> BoundedValue:
     """s(z)^2 + c(z)^2 - 1, consistent with zero everywhere; c = 1 - 2 pi^2 g(w)
-    and s = pi g'(w) from one [g, g'] jet at w = z / 2 pi, g to tolerance/(160 m)
-    and g' to tolerance/(32 m); m = 2^(int(1.45 |Im z|) + 1) > e^|Im z| >= |c|, |s|
-    (1.45 > log2 e), so the radius stays near tolerance/2.  Exact at 2^-2S,
-    rounded once."""
-    zp, mp = ctx.point(z), ctx.mp
-    ev, tol = evaluator(ctx), ctx.tolerance
-    m = mp.ldexp(1, int(1.45 * abs(mp.im(zp))) + 1)
+    and s = pi g'(w) from one [g, g'] jet at w = z / 2 pi, g to tolerance/(160 2^m)
+    and g' to tolerance/(32 2^m); 2^m > e^|Im z| >= |c|, |s| for m = int(1.45
+    |Im z|) + 1 (1.45 > log2 e), so the radius stays near tolerance/2.  Exact
+    at 2^-2S, rounded once."""
+    zp, ev = ctx.point(z), evaluator(ctx)
+    m = int(1.45 * abs(ctx.mp.im(zp))) + 1
     u, R = ev.reduced_w(ctx.exact(zp))
-    Q, (g, g1) = _g_jet(u, ctx, R, (tol / (160 * m), tol / (32 * m)))
+    Q, (g, g1) = _g_jet(u, ctx, R, (ev.g_exp - m, ctx.tolerance_exponent - 5 - m))
     *c, S = _cos_fixed(ev, g, Q)
     *s, _ = _sin_fixed(ev, g1, Q)
     (ar, ai, ea), (br, bi, eb) = ball_mul(s, s), ball_mul(c, c)
-    return to_ball(ar + br - (1 << 2 * S), ai + bi, ea + eb, 2 * S, mp)
+    return to_ball(ar + br - (1 << 2 * S), ai + bi, ea + eb, 2 * S, ctx.mp)

@@ -96,11 +96,12 @@ MUTANTS = {
         "lattice.py",
         "return min(-2 * m, decay), max(-2 * lo, 5) + 1, ",
         "return min(-2 * m, decay), max(-2 * lo, 5), ")],
-    # the final round-up of a rounded g jet radius dropped
+    # the round-up of the radius dropped from the count that holds a ball
+    # rounded by to_ball (the g jet's test of g_eval's ball)
     "g_jet_round_up_dropped": [(
-        "trig.py",
-        "            err -= -err >> prec - 1\n",
-        "")],
+        "fixedpoint.py",
+        "    return err - (-err >> prec - 1)\n",
+        "    return err\n")],
     "g2_numerator_count_cut": [(
         "trig.py",
         "numerators.append((2 * ar - br, 2 * ai - bi, 2 * ea + eb))",

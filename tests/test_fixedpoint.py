@@ -8,7 +8,9 @@ against the Hurwitz zeta values in test_zetasums), each term of the Taylor
 route to cos, and a polynomial in the a_d substituted at balls.  The ball
 helpers of the g jet are checked the same way: a product, a quotient and the
 final rounding must hold the exact result at every point of their input
-balls.  zeta_fixed's count is checked against zeta(2m) bracketed in
+balls, and the count that the g jet tests a rounded ball by must hold the
+radius to_ball returns.  The charge for moving a point to 2^-P is checked
+against the closed forms of eps_2, eps_3 and eps_4.  zeta_fixed's count is checked against zeta(2m) bracketed in
 Fractions, on the real Z_0 table and on the worst table its count admits.
 """
 
@@ -22,12 +24,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eistrig import InconclusiveNonvanishingError, zetasums
-from eistrig.fixedpoint import ball_mul, ball_quotient, series, to_ball, to_fixed
-from eistrig.lattice import _explicit_sums
+from eistrig.fixedpoint import (ball_mul, ball_quotient, rounded_count, rounding_allowance, series,
+                                to_ball, to_fixed)
+from eistrig.lattice import _explicit_sums, _move_charge
 from eistrig.precision import mp_context
 from eistrig.sympoly import SymbolPoly
 from eistrig.trig import _cos_terms
 from eistrig.zetasums import bernoulli_even, em_tails, zeta_fixed
+from test_properties import lattice_closed_form
 
 
 def cmul(a, b):
@@ -325,6 +329,53 @@ def test_rounding_once_holds_the_ball_and_truncates_toward_zero(data, P, prec):
     # the ball about the rounded value holds the whole ball about the center
     slack = exact(bv.radius) - Fraction(err, 2 ** P)
     assert slack >= 0 and slack ** 2 >= (got[0] - center[0]) ** 2 + (got[1] - center[1]) ** 2
+
+
+@settings(max_examples=300)
+@given(st.data(), st.integers(24, 40), st.integers(24, 40))
+def test_the_rounded_count_holds_the_rounded_radius(data, P, prec):
+    # at prec bits of precision, with centres and radii of up to prec + 16
+    # bits, where both the centre and the radius round: the radius to_ball
+    # returns is at most rounded_count units of 2^-P (the g jet's test of a
+    # rounded ball), and the centre moves by at most the rounding allowance
+    top = P + prec + 16
+    re = data.draw(st.integers(-(1 << top), 1 << top))
+    im = data.draw(st.sampled_from([0, data.draw(st.integers(-(1 << top), 1 << top))]))
+    err = data.draw(st.integers(0, 1 << prec + 16))
+    bv = to_ball(re, im, err, P, mp_context(prec))
+    assert exact(bv.radius) * 2 ** P <= rounded_count(re, im, err, prec)
+    got = [exact(bv.value.real), exact(bv.value.imag)] if im else [exact(bv.value), 0]
+    moved = abs(got[0] * 2 ** P - re) + abs(got[1] * 2 ** P - im)
+    assert moved <= rounding_allowance(re, im, prec)
+
+
+@settings(max_examples=300)
+@given(st.data(), st.integers(24, 40), st.integers(2, 4), st.sampled_from(["real", "complex"]))
+def test_the_move_charge_holds_the_closed_form_change(data, P, k, kind):
+    # u exact at F = P + s bits, which the kernel truncates toward zero to u'
+    # at 2^-P, each part by close to one unit: |eps_k(u) - eps_k(u')| from the
+    # closed form at 4P bits is within _move_charge units of 2^-P
+    s = data.draw(st.integers(4, 12))
+    half = 1 << P - 1
+
+    def part(limit):
+        size = 1 << data.draw(st.integers(3, limit.bit_length() - 1))
+        return data.draw(st.integers(-size, size))
+
+    ur = part(half - 1)
+    ui = part(2 << P) if kind == "complex" else 0
+    assume(math.isqrt(ur * ur + ui * ui) > 8)
+
+    def moved(x):  # x 2^s plus a fraction of a unit close to 1, away from zero
+        d = (1 << s) - 1 - data.draw(st.integers(0, 3))
+        return (x << s) + (d if x > 0 or (x == 0 and data.draw(st.booleans())) else -d)
+
+    u = (moved(ur), moved(ui) if ui else 0)
+    with mpmath.workprec(4 * P):
+        at = [mpmath.mpc(mpmath.ldexp(a, -e), mpmath.ldexp(b, -e))
+              for a, b, e in ((*u, P + s), (ur, ui, P))]
+        change = abs(lattice_closed_form(k, at[0]) - lattice_closed_form(k, at[1]))
+        assert mpmath.ldexp(change, P) <= _move_charge(k, ur, ui, P)
 
 
 # -- the Taylor route and substitution --------------------------------------------

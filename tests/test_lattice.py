@@ -12,13 +12,13 @@ import mpmath
 import pytest
 
 from eistrig import lattice
-from eistrig import (InconclusiveNonvanishingError, PoleProximityError,
+from eistrig import (EistrigError, InconclusiveNonvanishingError, PoleProximityError,
                      PrecisionContext, ToleranceUnreachableError, eisenstein_k,
                      naive_symmetric_value, strip_decay, symmetric_tail_bound)
 from eistrig.fixedpoint import to_ball, to_mp, units
-from eistrig.lattice import (f_jet, first_order_ode_residual, fixed_jet, nonvanishing_scan,
+from eistrig.lattice import (first_order_ode_residual, fixed_jet, nonvanishing_scan,
                              reduce_point, second_order_ode_residual)
-from test_properties import lattice_closed_form
+from test_properties import f_jet, lattice_closed_form
 
 F_HALF = "9.86960440108935861883449099987615113531369941"      # f(1/2) = pi^2
 F_QUARTER = "19.7392088021787172376689819997523022706273988"    # f(1/4) = 2 pi^2
@@ -262,6 +262,66 @@ def test_strip_decay_reaches_extreme_heights(ctx):
     assert rep.f_magnitude.lower() > 0  # resolved, not just bounded
 
 
+DEFAULT_HEIGHTS = (1, 2, 5, 10, 50, 100)
+
+
+@pytest.mark.parametrize("precision, tolerance", [(128, "1e-12"), (192, "1e-30")])
+def test_each_strip_height_is_its_own_report(precision, tolerance):
+    # each height is steered from jet_bounds alone: its report among the
+    # default heights is the one it gets alone
+    ctx = PrecisionContext(precision, tolerance)
+    together = strip_decay(DEFAULT_HEIGHTS, Fraction(1, 2), ctx)
+    for y, rep in zip(DEFAULT_HEIGHTS, together):
+        assert strip_decay((y,), Fraction(1, 2), ctx)[0] == rep
+
+
+@pytest.mark.parametrize("precision, tolerance", [(64, "1e-3"), (128, "1e-12"), (192, "1e-30")])
+def test_each_default_strip_height_takes_one_pass(precision, tolerance, monkeypatch):
+    # the first steer 2^(4 - int(9.07 y)) lies below |f| >= pi^2 / cosh^2(pi y),
+    # so the pass 2^-24 below it excludes zero at once
+    ctx = PrecisionContext(precision, tolerance)
+    targets, real_pass = [], lattice._lattice_pass
+
+    def counted(exponents, u, ctx, t):
+        targets.append(t)
+        return real_pass(exponents, u, ctx, t)
+
+    monkeypatch.setattr(lattice, "_lattice_pass", counted)
+    strip_decay(DEFAULT_HEIGHTS, Fraction(1, 2), ctx)
+    assert len(targets) == len(DEFAULT_HEIGHTS)
+
+
+def test_a_huge_strip_height_stops_where_the_refine_loop_stops(ctx, monkeypatch):
+    # |f(1/2 + 1e5 i)| ~ 2^-906000: the first steer is floored 2160 bits below
+    # the tolerance, 24 more for the pass, and the refine loop's eight
+    # tightenings take 2160 bits more, so no pass asks for less than
+    # 2^(T - 4344) and the call ends in a documented error
+    import time
+    targets, real_pass = [], lattice._lattice_pass
+
+    def recorded(exponents, u, ctx, t):
+        targets.append(min(t))
+        return real_pass(exponents, u, ctx, t)
+
+    monkeypatch.setattr(lattice, "_lattice_pass", recorded)
+    start = time.perf_counter()
+    with pytest.raises(EistrigError):
+        strip_decay((1, 2, 100000), Fraction(1, 2), ctx)
+    assert time.perf_counter() - start < 1
+    assert min(targets) == ctx.tolerance_exponent - 4344
+
+
+@pytest.mark.parametrize("precision, tolerance", [(128, "1e-12"), (192, "1e-30")])
+def test_each_strip_magnitude_holds_the_closed_form(precision, tolerance):
+    # |f(1/2 + iy)| = pi^2 / |sin(pi (1/2 + iy))|^2 = pi^2 / cosh^2(pi y)
+    ctx = PrecisionContext(precision, tolerance)
+    with mpmath.workprec(2 * precision + 64):
+        for rep in strip_decay(DEFAULT_HEIGHTS + (Fraction(7, 3),), Fraction(1, 2), ctx):
+            y = mpmath.mpf(rep.y)
+            exact = mpmath.pi ** 2 / mpmath.cosh(mpmath.pi * y) ** 2
+            assert abs(mpmath.mpf(rep.f_magnitude.value) - exact) <= rep.f_magnitude.radius, rep.y
+
+
 def test_strip_domination_is_the_exact_comparison(ctx):
     # dominated iff the upper end of the reported |f| ball, value + radius,
     # is at most the majorant's lower end, compared as exact Fractions
@@ -422,8 +482,8 @@ def test_module_tables_do_not_grow_with_the_number_of_points(monkeypatch):
     # the same mix as a long-lived process evaluating at ever new points:
     # real, near-axis and high-strip, k = 2, 3, 4, at 192 bits, and the strip
     # decay at rising heights, where |f| falls below the tolerance and each
-    # height from the third on takes a new target and kernel scale (78 of
-    # them) but opens no new working precision, once per 100 points; the
+    # height takes its own target (its first steer for |f|) and kernel scale
+    # but opens no new working precision, once per 100 points; the
     # points within 4 rho of an integer take the Laurent routes and their
     # Z_0, Z_1 and Z_2 tables, whose sizes depend on the scales and targets
     # alone, and the strip remainder caches one order per exponent and target;

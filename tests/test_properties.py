@@ -17,12 +17,23 @@ from eistrig import (EistrigError, PrecisionContext, coeff_a, cosine, eisenstein
                      implied_identities, naive_symmetric_value, pythagoras_residual, sine,
                      symmetric_tail_bound, taylor_cosine)
 from eistrig import lattice
-from eistrig.fixedpoint import cdiv, cpow, fraction_bits, to_fixed
-from eistrig.lattice import f_jet
+from eistrig.fixedpoint import cdiv, cpow, fraction_bits, to_ball, to_fixed
+from eistrig.lattice import fixed_jet, reduce_point
 from eistrig.sympoly import SymbolPoly
 from eistrig.trig import g_eval
 
 DEFAULT = PrecisionContext()
+
+
+def f_jet(z, ctx, tolerances):
+    """[f, f', f''][:n] at z as BoundedValues from one lattice.fixed_jet pass,
+    n = len(tolerances), order i to the mpf tolerances[i] and rounded once:
+    eps_(i+2) to t / (2 |c| - 1) for f^(i) = c eps_(i+2), which keeps room
+    for the rounding."""
+    mp = ctx.mp
+    P, jet = fixed_jet(reduce_point(z, ctx), ctx,
+                       [mp.mag(t / (2 * abs(c) - 1)) - 1 for t, c in zip(tolerances, (1, -2, 6))])
+    return [to_ball(*b, P, mp) for b in jet]
 
 
 def dyadic(min_value: float, max_value: float, denominator: int = 4096):

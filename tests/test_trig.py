@@ -14,12 +14,12 @@ from eistrig import (EistrigError, PoleProximityError, PrecisionContext,
                      evaluator, pythagoras_residual, sine, taylor_cosine)
 from eistrig import precision, trig
 from eistrig.fixedpoint import floor_abs, to_ball, to_mp
-from eistrig.lattice import (f_jet, first_order_ode_residual, reduce_point,
-                             second_order_ode_residual)
+from eistrig.lattice import first_order_ode_residual, reduce_point, second_order_ode_residual
 from eistrig.sympoly import SymbolPoly
 from eistrig.trig import (cosec_identity_check, g_eval, ivp_initial_data, ivp_residual,
                           reciprocal_ode_residual)
 from test_lattice import mpf_cosec_f_target, steering_points
+from test_properties import f_jet
 
 PI50 = "3.1415926535897932384626433832795028841971693993751"
 INV_PISQ = "0.101321183642337771443879463209727638904358775"
@@ -163,7 +163,7 @@ def test_the_cosec_steering_is_the_mpf_one_or_at_most_12_bits_tighter(precision,
     # (64 |f| ms), ms = 4 / sqrt(low) + 1; 0.5+60i falls back at 128 bits
     ctx = PrecisionContext(precision, tolerance)
     mp = ctx.mp
-    fallbacks, g_tols, inside_g = [], [], []
+    fallbacks, g_exps, inside_g = [], [], []
     real_fixed_jet, real_g_jet = trig.fixed_jet, trig._g_jet
 
     def recorded_fixed_jet(u, ctx, targets, R=0):
@@ -172,11 +172,11 @@ def test_the_cosec_steering_is_the_mpf_one_or_at_most_12_bits_tighter(precision,
             fallbacks.append((targets[0], jet))
         return jet
 
-    def recorded_g_jet(u, work, R, tols):
-        g_tols.append(tols[1])
+    def recorded_g_jet(u, work, R, exps):
+        g_exps.append(exps[1])
         inside_g.append(True)
         try:
-            return real_g_jet(u, work, R, tols)
+            return real_g_jet(u, work, R, exps)
         finally:
             inside_g.pop()
 
@@ -195,7 +195,7 @@ def test_the_cosec_steering_is_the_mpf_one_or_at_most_12_bits_tighter(precision,
             fell_back.append(zp)
         high = to_mp(floor_abs(*f[:2]) + 1 + f[2], 0, P, mp)
         ref = mp.mag(ctx.tolerance / (64 * high * (4 / mp.sqrt(low) + 1))) - 1
-        assert ref - 12 <= mp.mag(g_tols.pop()) - 1 <= ref, zp
+        assert ref - 12 <= g_exps.pop() <= ref, zp
     assert fell_back == ([ctx.point("0.5+60i")] if precision == 128 else [])
 
 
@@ -281,39 +281,41 @@ def _g_closed_forms(z):
 @pytest.mark.parametrize("precision, tolerance", [(128, "1e-12"), (192, "1e-30")])
 def test_the_g_jet_meets_each_order_tolerance_around_the_closed_forms(precision, tolerance,
                                                                     passes):
-    # sine's shape (g' only) and every order; on the real axis the first
-    # try's steer bounds |f| from below and |f'|, |f''| from above, so one
-    # pass suffices; off it the steer may overshoot |f|
+    # sine's shape (g' only) and every order, each within 2^t for its
+    # binary exponent t; on the real axis the first try's steer bounds |f|
+    # from below and |f'|, |f''| from above, so one pass suffices; off it the
+    # steer may overshoot |f|
     import random
     rng = random.Random(10)
     ctx = PrecisionContext(precision, tolerance)
-    tol = ctx.tolerance
+    T = ctx.tolerance_exponent
     points = [rng.uniform(-6, 6) for _ in range(4)]
     points += [complex(rng.uniform(-6, 6), rng.uniform(-4, 4)) for _ in range(4)]
     for z in points:
         x = ctx.point(z)
-        for tols in ((None, tol), (tol, tol / 16, tol * 4)):
+        for exps in ((None, T), (T, T - 4, T + 2)):
             passes["passes"] = 0
-            Q, jet = trig._g_jet(reduce_point(x, ctx), ctx, 0, tols)
+            Q, jet = trig._g_jet(reduce_point(x, ctx), ctx, 0, exps)
             jet = [to_ball(*b, Q, ctx.mp) for b in jet]
             assert passes["passes"] <= (1 if isinstance(z, float) else 3)
             with mpmath.workprec(2 * precision + 64):
-                for bv, t, exact in zip(jet, tols, _g_closed_forms(x)):
-                    assert t is None or bv.radius <= t
+                for bv, t, exact in zip(jet, exps, _g_closed_forms(x)):
+                    assert t is None or bv.radius <= ctx.mp.ldexp(1, t)
                     assert abs(mpmath.mpmathify(bv.value) - exact) <= bv.radius
 
 
 def test_the_g_jet_guard_holds_g_prime(ctx):
     # 3 ulp from an integer the jet returns zero-centred g and g' balls
     x = ctx.mp.mpf(2) + 3 * ctx.eps
-    Q, jet = trig._g_jet(reduce_point(x, ctx), ctx, 0, (ctx.tolerance, ctx.tolerance))
+    T = ctx.tolerance_exponent
+    Q, jet = trig._g_jet(reduce_point(x, ctx), ctx, 0, (T, T))
     jet = [to_ball(*b, Q, ctx.mp) for b in jet]
     assert all(bv.value == 0 and 0 < bv.radius < ctx.mp.mpf("1e-35") for bv in jet)
     with mpmath.workprec(300):
         for bv, exact in zip(jet, _g_closed_forms(x)):
             assert abs(exact) <= mpmath.mpf(str(bv.radius))
     with pytest.raises(PoleProximityError):
-        trig._g_jet(reduce_point(x, ctx), ctx, 0, (ctx.tolerance, None, ctx.tolerance))
+        trig._g_jet(reduce_point(x, ctx), ctx, 0, (T, None, T))
 
 
 def test_the_evaluator_table_stays_bounded():

@@ -24,21 +24,10 @@ import sys
 
 from .errors import (ConfigurationError, InconclusiveNonvanishingError,
                      PoleProximityError, ToleranceUnreachableError)
-from .lattice import eisenstein_k, pass_size, reduce_point
-from .laurent import (combination_first_order, combination_second_order,
-                      derivative_polynomials, series_f)
-from .precision import PrecisionContext
-from .trig import cosine, evaluator, g_eval, sine
-from .verify import (RunConfig, convergence_table, format_real, render_json,
-                     render_text, route_error_table, run_verification,
-                     strip_decay_table)
-from .zetasums import zeta_even
+from .precision import PrecisionContext, _digits, format_real
 
-_TABLE_BUILDERS = {
-    "strip_decay": strip_decay_table,
-    "convergence": convergence_table,
-    "route_error": route_error_table,
-}
+#: each kind of table, built by verify.<kind>_table
+_TABLE_KINDS = ("strip_decay", "convergence", "route_error")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -55,11 +44,13 @@ def _context(args) -> PrecisionContext:
 
 def _fmt_value(value, ctx: PrecisionContext) -> str:
     if hasattr(value, "imag") and value.imag != 0:
-        return ctx.mp.nstr(value, max(17, int(ctx.precision * 0.30103) + 2))
+        return ctx.mp.nstr(value, _digits(ctx))
     return format_real(value.real if hasattr(value, "imag") else value, ctx)
 
 
+# each command imports the layers it runs, so that a process loads only those
 def _cmd_verify(args) -> int:
+    from .verify import RunConfig, render_json, render_text, run_verification
     config = RunConfig(
         precision_bits=args.precision,
         tolerance=args.tolerance,
@@ -74,6 +65,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .lattice import eisenstein_k, pass_size, reduce_point
+    from .trig import cosine, evaluator, g_eval, sine
+    from .zetasums import zeta_even
     ctx = _context(args)
     name = args.function
     detail = f"precision = {ctx.precision} bits, tolerance = {args.tolerance}"
@@ -105,6 +99,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from .laurent import (combination_first_order, combination_second_order,
+                          derivative_polynomials, series_f)
     target, order = args.target, args.order
     if target == "qpolys":
         if not 1 <= order <= 16:
@@ -130,8 +126,9 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    config = RunConfig(precision_bits=args.precision, tolerance=args.tolerance)
-    _emit(_TABLE_BUILDERS[args.kind](config), args.out)
+    from . import verify
+    config = verify.RunConfig(precision_bits=args.precision, tolerance=args.tolerance)
+    _emit(getattr(verify, f"{args.kind}_table")(config), args.out)
     return 0
 
 
@@ -174,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("table", help="emit one CSV diagnostic table")
-    p.add_argument("kind", choices=tuple(_TABLE_BUILDERS))
+    p.add_argument("kind", choices=_TABLE_KINDS)
     _add_precision_options(p)
     p.add_argument("--out", default=None, help="write the table to this path")
     p.set_defaults(func=_cmd_table)

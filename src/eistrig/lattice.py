@@ -91,14 +91,13 @@ import functools
 import math
 from itertools import chain
 from math import comb, isqrt
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError)
 from .fixedpoint import (ball_mul, cpow, fixed_reals, floor_abs, fraction_bits, nearest, series,
                          to_ball, to_fixed, to_mp, tshift, units)
-from .precision import TERM_CAP, BoundedValue, PrecisionContext
+from .precision import TERM_CAP, BoundedValue, PrecisionContext, Record
 from .zetasums import KERNEL_GUARD_BITS, MAX_ORDER, bernoulli_even, em_tails, zeta_fixed, zeta_table
 
 #: pole guard: reject z within 10 ulp (at working precision) of an integer
@@ -686,14 +685,13 @@ def _combination(S: int, terms):
 # -- nonvanishing --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonvanishingReport:
+class NonvanishingReport(Record):
     """Outcome of a grid scan proving f != 0 at every point."""
 
-    points: tuple
-    values: tuple
-    min_modulus: BoundedValue
-    min_point: object
+    __slots__ = ("points", "values", "min_modulus", "min_point")
+
+    def __init__(self, points: tuple, values: tuple, min_modulus: BoundedValue, min_point):
+        self._set(points, values, min_modulus, min_point)
 
 
 def nonvanishing_scan(grid: Sequence, ctx: PrecisionContext, jets=None) -> NonvanishingReport:
@@ -717,8 +715,7 @@ def _modulus(re: int, im: int, err: int, P: int, mp) -> BoundedValue:
 # -- strip decay ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StripBoundReport:
+class StripBoundReport(Record):
     """|f(x+iy)| against the analytic strip majorant 3/y^2 + 2 sum 1/(n^2+y^2).
 
     decay_bound is a certified upper value for the majorant; decay_bound_low
@@ -728,11 +725,11 @@ class StripBoundReport:
     value + radius, against decay_bound_low, both at one scale.
     """
 
-    y: object
-    f_magnitude: BoundedValue
-    decay_bound: object
-    decay_bound_low: object
-    dominated: bool
+    __slots__ = ("y", "f_magnitude", "decay_bound", "decay_bound_low", "dominated")
+
+    def __init__(self, y, f_magnitude: BoundedValue, decay_bound, decay_bound_low,
+                 dominated: bool):
+        self._set(y, f_magnitude, decay_bound, decay_bound_low, dominated)
 
 
 def strip_decay(y_values: Sequence, x, ctx: PrecisionContext) -> list[StripBoundReport]:

@@ -19,13 +19,18 @@ its context's precision (fixedpoint.to_ball), the one way a ball is demoted.
 mpmath contexts are cached per precision (the 64 used last) and never
 mutated afterwards, so evaluations at different precisions can run
 concurrently without touching mpmath's global state.
+
+BoundedValue and the package's other result records (trig.PiValue, the
+lattice and verify reports, verify.RunConfig) are plain Record classes:
+immutable, slotted, equal and hashed by value, built without dataclasses,
+which would cost every process its import.  format_real prints a real the
+way every report, table and `eistrig eval` line does.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Union
 
@@ -60,16 +65,53 @@ def mp_context(precision: int) -> MPContext:
     return _cached_mp_context(precision)
 
 
-@dataclass(frozen=True)
-class BoundedValue:
+class Record:
+    """An immutable record: its fields are its __slots__, in order, set once
+    by the subclass's __init__ (through _set).  Records compare and hash by
+    value, their repr names the class and the fields, and assigning or
+    deleting a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class BoundedValue(Record):
     """A numeric center plus a rigorous absolute-error radius.
 
     `value` is an mpf or mpc at the owning context's precision; `radius`
     is a nonnegative mpf such that |true - value| <= radius.
     """
 
-    value: Any
-    radius: Any
+    __slots__ = ("value", "radius")
+
+    def __init__(self, value: Any, radius: Any):
+        # set directly, not through _set: every evaluation ends by building one
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "radius", radius)
 
     def magnitude(self):
         """|value| (a nonnegative mpf)."""
@@ -266,6 +308,17 @@ def split_point_string(text: str) -> tuple[str, str]:
     elif im_part == "-":
         im_part = "-1"
     return (re_part or "0"), im_part
+
+
+def _digits(ctx: PrecisionContext) -> int:
+    """Significant decimal digits that show a number at ctx's precision."""
+    return max(17, int(ctx.precision * 0.30103) + 2)
+
+
+def format_real(x, ctx: PrecisionContext) -> str:
+    """The real x as a decimal string of _digits(ctx) digits, trailing zeros
+    stripped: how reports, tables and the CLI print a real."""
+    return ctx.mp.nstr(ctx.mp.mpf(x), _digits(ctx), strip_zeros=True)
 
 
 def _to_mpf(mp: MPContext, x):

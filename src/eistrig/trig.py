@@ -37,25 +37,25 @@ tolerance.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import isqrt
 
 from .errors import PoleProximityError, ToleranceUnreachableError
 from .fixedpoint import (ball_mul, ball_quotient, floor_abs, rounded_count, tdiv, to_ball, to_mp,
                          tshift, units)
-from .precision import BoundedValue, PrecisionContext
+from .precision import BoundedValue, PrecisionContext, Record
 from .lattice import check_jet, fixed_jet, in_pole_guard, jet_bounds, reduce_point, reduced
 from .zetasums import KERNEL_GUARD_BITS, zeta_fixed
 
 PI_PROVENANCE = "sqrt(6·ζ(2))"
 
 
-@dataclass(frozen=True)
-class PiValue:
+class PiValue(Record):
     """The computed pi with its provenance tag."""
 
-    value: BoundedValue
-    provenance: str = PI_PROVENANCE
+    __slots__ = ("value", "provenance")
+
+    def __init__(self, value: BoundedValue, provenance: str = PI_PROVENANCE):
+        self._set(value, provenance)
 
 
 def compute_pi(ctx: PrecisionContext) -> PiValue:

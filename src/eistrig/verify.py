@@ -25,12 +25,10 @@ reals are rendered as decimal strings.
 
 from __future__ import annotations
 
-import csv
 import datetime
 import functools
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -43,7 +41,7 @@ from .lattice import (check_jet, eisenstein_k, first_order_ode_residual, naive_s
                       symmetric_tail_bound)
 from .laurent import (combination_first_order, combination_second_order,
                       implied_identities)
-from .precision import BoundedValue, PrecisionContext
+from .precision import BoundedValue, PrecisionContext, Record, format_real
 from .sympoly import SymbolPoly, render_poly
 from .trig import (cosec_identity_check, cosine, evaluator, ivp_initial_data,
                    ivp_residual, pythagoras_residual, reciprocal_ode_residual,
@@ -60,19 +58,18 @@ PI_REFERENCE_DECIMAL = (
 _REPORT_SCHEMA = 1
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Configuration of one verification run (also echoed into the report)."""
 
-    precision_bits: int = 128
-    tolerance: str = "1e-12"
-    symbolic_order: int = 8
-    real_points: int = 64
-    complex_points: int = 16
-    y_values: tuple = (1, 2, 5, 10, 50, 100)
-    route_points: int = 41
-    self_contained: bool = False
-    perturb_a0: str | None = None
+    __slots__ = ("precision_bits", "tolerance", "symbolic_order", "real_points",
+                 "complex_points", "y_values", "route_points", "self_contained", "perturb_a0")
+
+    def __init__(self, precision_bits: int = 128, tolerance: str = "1e-12",
+                 symbolic_order: int = 8, real_points: int = 64, complex_points: int = 16,
+                 y_values: tuple = (1, 2, 5, 10, 50, 100), route_points: int = 41,
+                 self_contained: bool = False, perturb_a0: str | None = None):
+        self._set(precision_bits, tolerance, symbolic_order, real_points, complex_points,
+                  y_values, route_points, self_contained, perturb_a0)
 
     def context(self) -> PrecisionContext:
         if self.symbolic_order % 2 or not 6 <= self.symbolic_order <= 16:
@@ -108,47 +105,27 @@ class RunConfig:
         return pts[:n]
 
     def echo(self) -> dict:
-        return {
-            "precision_bits": self.precision_bits,
-            "tolerance": self.tolerance,
-            "symbolic_order": self.symbolic_order,
-            "real_points": self.real_points,
-            "complex_points": self.complex_points,
-            "y_values": list(self.y_values),
-            "route_points": self.route_points,
-            "self_contained": self.self_contained,
-            "perturb_a0": self.perturb_a0,
-        }
+        """The fields in order, as the report echoes them."""
+        return dict(zip(self.__slots__, self._fields()), y_values=list(self.y_values))
 
 
-@dataclass(frozen=True)
-class ReportItem:
-    check_id: str
-    identity: str
-    parameters: Mapping[str, object]
-    residual: str
-    bound: str
-    status: str  # "pass" | "fail" | "inconclusive"
+class ReportItem(Record):
+    __slots__ = ("check_id", "identity", "parameters", "residual", "bound", "status")
+
+    def __init__(self, check_id: str, identity: str, parameters: Mapping[str, object],
+                 residual: str, bound: str, status: str):  # "pass" | "fail" | "inconclusive"
+        self._set(check_id, identity, parameters, residual, bound, status)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    schema: int
-    generated_at: str
-    config: Mapping[str, object]
-    items: tuple
-    suite_status: str
+class VerificationReport(Record):
+    __slots__ = ("schema", "generated_at", "config", "items", "suite_status")
+
+    def __init__(self, schema: int, generated_at: str, config: Mapping[str, object],
+                 items: tuple, suite_status: str):
+        self._set(schema, generated_at, config, items, suite_status)
 
     def passed(self) -> bool:
         return self.suite_status == "pass"
-
-
-def _digits(ctx: PrecisionContext) -> int:
-    return max(17, int(ctx.precision * 0.30103) + 2)
-
-
-def format_real(x, ctx: PrecisionContext) -> str:
-    return ctx.mp.nstr(ctx.mp.mpf(x), _digits(ctx), strip_zeros=True)
 
 
 def _fmt_point(zp, ctx: PrecisionContext) -> str:
@@ -444,6 +421,7 @@ def render_text(report: VerificationReport) -> str:
 
 
 def _csv(rows: Sequence[Sequence[str]]) -> str:
+    import csv  # only the tables write CSV
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)

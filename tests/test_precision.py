@@ -132,3 +132,50 @@ def test_an_int_beyond_the_precision_is_one_point_for_every_entry():
     for n in (2**130 + 1, -(2**200) - 3):
         assert int(ctx.point(n)) == n
         assert ctx.point(n) == ctx.ball(n).value == to_mp(*ctx.exact(n), ctx.mp)
+
+
+# -- the immutable records ------------------------------------------------------
+
+
+def _records():
+    """(class, positional fields) for each record of the package."""
+    from eistrig.lattice import NonvanishingReport, StripBoundReport
+    from eistrig.trig import PiValue
+    from eistrig.verify import ReportItem, RunConfig, VerificationReport
+    mp = PrecisionContext().mp
+    ball = BoundedValue(mp.mpf("0.5"), mp.mpf("1e-20"))
+    return [
+        (BoundedValue, (mp.mpf("0.5"), mp.mpf("1e-20"))),
+        (PiValue, (ball, "test provenance")),
+        (NonvanishingReport, ((mp.mpf("0.25"),), (ball,), ball, mp.mpf("0.25"))),
+        (StripBoundReport, (mp.mpf(2), ball, mp.mpf(3), mp.mpf(1), True)),
+        (RunConfig, (192, "1e-30", 10, 8, 4, (1, 2), 5, True, "1e-9")),
+        (ReportItem, ("ivp", "c'' + c = 0", (("points", 4),), "1e-30", "1e-25", "pass")),
+        (VerificationReport, (1, "2026-01-01T00:00:00+00:00", (("precision_bits", 128),),
+                              (), "pass")),
+    ]
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_a_record_is_a_value(index):
+    cls, args = _records()[index]
+    record = cls(*args)
+    assert cls(**dict(zip(cls.__slots__, args))) == record
+    assert hash(cls(*args)) == hash(record)
+    for i in range(len(args)):
+        assert cls(*args[:i], "changed", *args[i + 1:]) != record
+    assert repr(record).startswith(f"{cls.__name__}({cls.__slots__[0]}=")
+    with pytest.raises(AttributeError):
+        setattr(record, cls.__slots__[0], args[0])
+    with pytest.raises(AttributeError):
+        delattr(record, cls.__slots__[-1])
+    assert record._fields() == args
+
+
+def test_record_defaults():
+    from eistrig.trig import PI_PROVENANCE, PiValue
+    from eistrig.verify import RunConfig
+    assert RunConfig()._fields() == (128, "1e-12", 8, 64, 16, (1, 2, 5, 10, 50, 100), 41,
+                                     False, None)
+    assert RunConfig(tolerance="1e-30") == RunConfig(128, "1e-30")
+    assert PiValue(BoundedValue(1, 0)).provenance == PI_PROVENANCE

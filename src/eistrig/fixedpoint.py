@@ -12,17 +12,19 @@ that, see there).  Error counts are kept in units of the l1 norm
 x' = x + dx and y' = y + dy errs by at most |x'| |dy| + |y'| |dx| + |dx| |dy|
 before it is rounded.  A ball is a triple (re, im, err) whose err bounds the
 modulus of its error in units; every l1 count does.  A ball is rounded to a
-context's precision once, by to_ball, when it leaves the kernel.
+context's precision once, by to_ball, when it leaves the kernel: in integers,
+to the dyadic tuples of a BoundedValue (precision.dyadic), so that no
+evaluation imports mpmath.  mpmath enters only through to_mp, which builds an
+mpf or mpc of the caller's context from a pair, for the text of an error or a
+layer that prints.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
-from mpmath.libmp import from_man_exp
-
 from .errors import InconclusiveNonvanishingError
-from .precision import BoundedValue
+from .precision import ZERO, BoundedValue, dyadic
 
 
 def tdiv(x: int, y: int) -> int:
@@ -125,21 +127,35 @@ def series(coeffs, n: int, xr: int, xi: int, shift: int, div: int = 1) -> tuple[
     return re, z >> shift if z >= 0 else -(-z >> shift), 2 * G
 
 
+def _parts(x) -> tuple:
+    """The tuples (re, im) of the mpf or mpc x."""
+    return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, ZERO)
+
+
+def _bits(parts) -> int:
+    """Bits below the binary point of the tuples: the least P >= 0 at which
+    each is exact."""
+    return max([0] + [-exp for _, man, exp, _ in parts if man])
+
+
+def _at(part, P: int) -> int:
+    """The tuple at scale 2^-P, rounded toward zero."""
+    sign, man, exp, _ = part
+    m = man << (exp + P) if exp + P >= 0 else man >> -(exp + P)
+    return -m if sign else m
+
+
 def fraction_bits(x) -> int:
     """Bits of the mpf or mpc x below the binary point: the least P >= 0 at
     which x is exact."""
-    parts = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_,)
-    return max([0] + [-exp for _, man, exp, _ in parts if man])
+    return _bits(_parts(x))
 
 
 def to_fixed(x, P: int) -> tuple[int, int]:
     """The mpf or mpc x as a pair at scale 2^-P, each component rounded toward
     zero (exact when P >= fraction_bits(x))."""
-    out = []
-    for sign, man, exp, _ in x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, (0, 0, 0, 0)):
-        m = man << (exp + P) if exp + P >= 0 else man >> -(exp + P)
-        out.append(-m if sign else m)
-    return out[0], out[1]
+    re, im = _parts(x)
+    return _at(re, P), _at(im, P)
 
 
 def fixed_reals(values) -> tuple[int, list[int]]:
@@ -151,23 +167,23 @@ def fixed_reals(values) -> tuple[int, list[int]]:
 
 def fixed_balls(values) -> tuple[int, list]:
     """(P, [(re, im, err), ...]): the BoundedValues at the least scale 2^-P at
-    which every centre and radius (dyadic mpf) is exact, converted exactly."""
-    P = max((fraction_bits(x) for bv in values for x in (bv.value, bv.radius)), default=0)
-    return P, [(*to_fixed(bv.value, P), to_fixed(bv.radius, P)[0]) for bv in values]
+    which every centre and radius is exact, converted exactly from their
+    dyadic tuples."""
+    balls = [(bv.re, bv.im or ZERO, bv.rad) for bv in values]
+    P = _bits([part for ball in balls for part in ball])
+    return P, [tuple(_at(part, P) for part in ball) for ball in balls]
 
 
 def to_mp(re: int, im: int, P: int, mp):
     """The pair at scale 2^-P as an exact mpf (im == 0) or mpc of mp."""
     if not im:
-        return mp.make_mpf(from_man_exp(re, -P))
-    return mp.make_mpc((from_man_exp(re, -P), from_man_exp(im, -P)))
+        return mp.make_mpf(dyadic(re, -P))
+    return mp.make_mpc((dyadic(re, -P), dyadic(im, -P)))
 
 
 def units(t, P: int) -> int:
     """floor(t 2^P) for the mpf t >= 0."""
-    sign, man, exp, _ = t._mpf_
-    exp += P
-    return man << exp if exp >= 0 else man >> -exp
+    return _at(t._mpf_, P)
 
 
 # -- balls (re, im, err) -----------------------------------------------------
@@ -217,13 +233,10 @@ def rounded_count(re: int, im: int, err: int, prec: int) -> int:
     return err - (-err >> prec - 1)
 
 
-def to_ball(re: int, im: int, err: int, P: int, mp) -> BoundedValue:
-    """The ball (re + i im) 2^-P within err units as a BoundedValue of mp, each
-    component rounded once toward zero to mp's precision p, err charged the
-    rounding allowance, and the radius rounded up; an mpf when im == 0."""
-    prec = mp.prec
-    radius = mp.make_mpf(from_man_exp(err + rounding_allowance(re, im, prec), -P, prec, "u"))
-    if not im:
-        return BoundedValue(mp.make_mpf(from_man_exp(re, -P, prec, "d")), radius)
-    return BoundedValue(mp.make_mpc((from_man_exp(re, -P, prec, "d"),
-                                     from_man_exp(im, -P, prec, "d"))), radius)
+def to_ball(re: int, im: int, err: int, P: int, prec: int) -> BoundedValue:
+    """The ball (re + i im) 2^-P within err units as a BoundedValue at prec
+    bits, each component rounded once toward zero to prec bits, err charged
+    the rounding allowance, and the radius rounded up; real when im == 0.
+    The tuples are mpmath's from_man_exp(x, -P, prec, "d") and "u"."""
+    radius = dyadic(err + rounding_allowance(re, im, prec), -P, prec, "u")
+    return BoundedValue.of(dyadic(re, -P, prec), dyadic(im, -P, prec) if im else None, radius, prec)

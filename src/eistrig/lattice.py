@@ -21,7 +21,7 @@ consecutive k at one point, each to its own target (all bounds explicit):
    in integers: the reduced point u as the pair (ur, ui, W), (ur + i ui)
    2^-W, exact for a point given in binary floating point (reduce_point,
    from PrecisionContext.exact, which builds no mpf for a float, complex,
-   int or mpf) and at the trig evaluator's scale for w = z / 2 pi, and each
+   int, string or mpf) and at the trig evaluator's scale for w = z / 2 pi, and each
    target as a binary exponent e, 2^e <= t (ctx.tolerance_exponent for the
    context's tolerance, computed once per context).  P is the tightest
    target's bits plus KERNEL_GUARD_BITS, raised until u is exact where that
@@ -241,10 +241,10 @@ def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
     ToleranceUnreachableError (near an integer one ulp of |value| exceeds it)."""
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"eisenstein_k expects an integer k >= 2, got {k!r}")
-    mp = ctx.mp
     P, (sums,) = _lattice_pass((k,), reduce_point(z, ctx), ctx, (ctx.tolerance_exponent,))
-    out = to_ball(*sums, P, mp)
-    if out.radius > ctx.tolerance:
+    out = to_ball(*sums, P, ctx.precision)
+    if not ctx.meets(out):
+        mp = ctx.mp
         raise ToleranceUnreachableError(
             f"eisenstein_k(k={k}) rounds to radius {mp.nstr(out.radius, 3)} "
             f"at {ctx.precision} bits, above tolerance {mp.nstr(ctx.tolerance, 5)}")
@@ -650,7 +650,7 @@ def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0, jet=None) ->
     P, (f, _, f2) = jet or check_jet(z, ctx)
     a0 = _a0_fixed(P, ctx.real(a0_shift) if a0_shift else 0)
     return to_ball(*_combination(2 * P, ((1, f2, P), (-6, ball_mul(f, f), 2 * P),
-                                         (12, ball_mul(a0, f), 2 * P))), 2 * P, ctx.mp)
+                                         (12, ball_mul(a0, f), 2 * P))), 2 * P, ctx.precision)
 
 
 def first_order_ode_residual(z, ctx: PrecisionContext, jet=None) -> BoundedValue:
@@ -660,7 +660,7 @@ def first_order_ode_residual(z, ctx: PrecisionContext, jet=None) -> BoundedValue
     f_sq = ball_mul(f, f)
     return to_ball(*_combination(3 * P, (
         (1, ball_mul(fp, fp), 2 * P), (-4, ball_mul(f_sq, f), 3 * P),
-        (12, ball_mul(_a0_fixed(P), f_sq), 3 * P))), 3 * P, ctx.mp)
+        (12, ball_mul(_a0_fixed(P), f_sq), 3 * P))), 3 * P, ctx.precision)
 
 
 def _a0_fixed(P: int, shift=0):
@@ -700,16 +700,16 @@ def nonvanishing_scan(grid: Sequence, ctx: PrecisionContext, jets=None) -> Nonva
     InconclusiveNonvanishingError if some point cannot be resolved."""
     points = tuple(ctx.point(z) for z in grid)
     balls = [(*f, P) for P, (f, *_) in jets or [check_jet(zp, ctx) for zp in points]]
-    values = tuple(to_ball(*b, ctx.mp) for b in balls)
+    values = tuple(to_ball(*b, ctx.precision) for b in balls)
     S = max(P for *_, P in balls)  # the least lower end floor|f| - err, exact at 2^-S
     least = min(range(len(points)), key=lambda i: (floor_abs(*balls[i][:2]) - balls[i][2]) << S - balls[i][3])
-    return NonvanishingReport(points, values, _modulus(*balls[least], ctx.mp), points[least])
+    return NonvanishingReport(points, values, _modulus(*balls[least], ctx.precision), points[least])
 
 
-def _modulus(re: int, im: int, err: int, P: int, mp) -> BoundedValue:
+def _modulus(re: int, im: int, err: int, P: int, prec: int) -> BoundedValue:
     """|f| for the ball (re, im, err) at 2^-P: floor|re + i im| within
     err + 1 units (err when im == 0, where it is exact), rounded once."""
-    return to_ball(floor_abs(re, im), 0, err + (1 if im else 0), P, mp)
+    return to_ball(floor_abs(re, im), 0, err + (1 if im else 0), P, prec)
 
 
 # -- strip decay ---------------------------------------------------------------
@@ -754,7 +754,7 @@ def strip_decay(y_values: Sequence, x, ctx: PrecisionContext) -> list[StripBound
         if abs(yr) < 1:
             raise ValueError(f"strip requires |y| >= 1, got {mp.nstr(yr, 8)}")
         u = reduce_point(mp.mpc(xr, yr), ctx)
-        mag = _modulus(*_resolved_f(u, ctx, min(T, jet_bounds(u, T - 2160)[0] - 24)), mp)
+        mag = _modulus(*_resolved_f(u, ctx, min(T, jet_bounds(u, T - 2160)[0] - 24)), ctx.precision)
         low, high = _majorant(yr, ctx)
         _, (value, radius, low_s) = fixed_reals((mag.value, mag.radius, low))
         reports.append(StripBoundReport(yr, mag, high, low, dominated=value + radius <= low_s))
@@ -803,7 +803,7 @@ def naive_symmetric_value(k: int, z, N: int, ctx: PrecisionContext) -> BoundedVa
 
     Kept for convergence tables; the corrected evaluator is sharper.
     """
-    u, mp = reduce_point(z, ctx), ctx.mp
+    u = reduce_point(z, ctx)
     if in_pole_guard(u, ctx.precision):
         raise PoleProximityError("point is within the pole guard of an integer")
     F = _fraction_bits(u)
@@ -812,4 +812,4 @@ def naive_symmetric_value(k: int, z, N: int, ctx: PrecisionContext) -> BoundedVa
     (re, im, err), = _explicit_sums((k,), ur, ui, N, P)
     if F > P:
         err += _move_charge(k, ur, ui, P)
-    return to_ball(re, im, err + units(symmetric_tail_bound(k, N, ctx), P) + 1, P, mp)
+    return to_ball(re, im, err + units(symmetric_tail_bound(k, N, ctx), P) + 1, P, ctx.precision)

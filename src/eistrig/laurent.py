@@ -221,7 +221,7 @@ def combination_first_order(order: int) -> LaurentSeries:
     return fp * fp - (f2 * f).scale(4) + f2.scale(a0 * 12)
 
 
-def implied_identities(order: int) -> list[SymbolPoly]:
+def implied_identities(order: int, second=None, first=None) -> list[SymbolPoly]:
     """Polynomial relations among the a_d forced by the two combinations.
 
     Both combinations vanish identically, so each nonzero coefficient within
@@ -230,12 +230,14 @@ def implied_identities(order: int) -> list[SymbolPoly]:
     the z^d coefficient weighs d+4 for the second-order combination and d+6
     for the first-order one, second-order first at a tie) and reduced by the
     relations already found; only new relations are kept.  No completeness
-    claim is made beyond the truncation order.
+    claim is made beyond the truncation order.  second and first, when
+    given, are the two combinations at this order, formed once by a caller
+    that reads them too.
     """
     if order < 6 or order % 2:
         raise ValueError(f"order must be an even integer >= 6, got {order!r}")
-    c2 = combination_second_order(order)
-    c1 = combination_first_order(order)
+    c2 = combination_second_order(order) if second is None else second
+    c1 = combination_first_order(order) if first is None else first
     candidates: list[tuple[int, SymbolPoly]] = []
     for d in range(c2.min_degree, c2.max_degree + 1):
         poly = c2.coefficient(d)

@@ -192,7 +192,7 @@ class SymbolPoly:
         if need >= len(values):
             raise ValueError(f"substitution needs a{need} but only {len(values)} values given")
         P, balls = fixed_balls(values[:need + 1])
-        return to_ball(*self.substitute_fixed(balls, P), ctx.mp)
+        return to_ball(*self.substitute_fixed(balls, P), ctx.precision)
 
     def substitute_fixed(self, balls: Sequence, P: int) -> tuple:
         """(re, im, err, S): the value at the balls a_i = (re, im, err) at

@@ -78,18 +78,18 @@ class TrigEvaluator:
 
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
-        mp = ctx.mp
-        P = KERNEL_GUARD_BITS + ctx.precision + 127
+        prec = ctx.precision
+        P = KERNEL_GUARD_BITS + prec + 127
         z2, err = zeta_fixed(1, P)
         self.scale = P
         self.pi_sq_fixed = (6 * z2, 0, 6 * err)
         # pi^2 > 9 within its error: |sqrt(x) - sqrt(x')| <= |x - x'| / 6, plus the isqrt floor
         self.pi_fixed = (isqrt(6 * z2 << P), 0, err + 1)
         self.half_inv_pi = ball_quotient((1, 0, 0), tuple(2 * x for x in self.pi_fixed), 1, 2 * P)
-        self.a0 = to_ball(2 * z2, 0, 2 * err, P, mp)
-        self.pi_sq = to_ball(*self.pi_sq_fixed, P, mp)
-        self.pi = PiValue(to_ball(*self.pi_fixed, P, mp))
-        self.g_exp = mp.mag(ctx.tolerance / 160) - 1
+        self.a0 = to_ball(2 * z2, 0, 2 * err, P, prec)
+        self.pi_sq = to_ball(*self.pi_sq_fixed, P, prec)
+        self.pi = PiValue(to_ball(*self.pi_fixed, P, prec))
+        self.g_exp = ctx.exponent_below(160)
 
     def reduced_w(self, z):
         """(u, R) for the exact pair z = (zr, zi, Z) (ctx.exact): w = z (2 pi-hat)^-1,
@@ -140,7 +140,7 @@ def _g_jet(u, work: PrecisionContext, R: int, exps, rounded: bool = False):
     |g| <= 1.5 |u|^2 and |g'| = |sin(2 pi u)| / pi <= 3 |u| there (|u| at
     most |ur| + |ui| + R units), and g'' raises PoleProximityError.
     """
-    mp, n, prec = work.mp, len(exps), work.precision
+    n, prec = len(exps), work.precision
     ur, ui, W = u
 
     def charged(re, im, err):
@@ -151,6 +151,7 @@ def _g_jet(u, work: PrecisionContext, R: int, exps, rounded: bool = False):
 
     if in_pole_guard(u, prec, R):
         if n > 2:
+            mp = work.mp
             raise PoleProximityError(
                 f"g'' at {mp.nstr(to_mp(*u, mp), 8)} is within the pole guard of an integer")
         near, Q = R + abs(ur) + abs(ui), 2 * W
@@ -187,6 +188,7 @@ def _g_jet(u, work: PrecisionContext, R: int, exps, rounded: bool = False):
                 return Q, jet
             bounds[0] = (floor_abs(*f[:2]) - f[2]).bit_length() - 1 - S
             bounds[1:n] = [(abs(re) + abs(im) + err).bit_length() - S for re, im, err in fd]
+    mp = work.mp
     radii = (mp.nstr(to_mp(charged(*b), 0, Q, mp), 3) for b in jet)
     raise ToleranceUnreachableError(
         f"the g jet at {mp.nstr(to_mp(*u, mp), 8)} keeps radii {', '.join(radii)} "
@@ -205,7 +207,7 @@ def g_eval(z, ctx: PrecisionContext) -> BoundedValue:
     is raised.
     """
     Q, (g,) = _g_jet(reduce_point(z, ctx), ctx, 0, (ctx.tolerance_exponent,), rounded=True)
-    return to_ball(*g, Q, ctx.mp)
+    return to_ball(*g, Q, ctx.precision)
 
 
 # -- cosine and sine ---------------------------------------------------------------
@@ -227,16 +229,17 @@ def _at_w(name, z, ctx: PrecisionContext, exps, form) -> BoundedValue:
     """form(ev, the jet's highest order, Q) rounded once, the g jet to 2^exps
     over the disc of w = z / 2 pi (ev.reduced_w, z an exact pair), within the
     tolerance, or ToleranceUnreachableError naming name(z), chained from it."""
-    mp, tol, ev = ctx.mp, ctx.tolerance, evaluator(ctx)
+    ev = evaluator(ctx)
     cause = None
     try:
         u, R = ev.reduced_w(z)
         Q, jet = _g_jet(u, ctx, R, exps)
-        bv = to_ball(*form(ev, jet[-1], Q), mp)
-        if bv.radius <= tol:
+        bv = to_ball(*form(ev, jet[-1], Q), ctx.precision)
+        if ctx.meets(bv):
             return bv
     except ToleranceUnreachableError as exc:
         cause = exc
+    mp, tol = ctx.mp, ctx.tolerance
     raise ToleranceUnreachableError(
         f"{name}({mp.nstr(to_mp(*z, mp), 8).strip('()')}) cannot be certified to tolerance {mp.nstr(tol, 5)} "
         f"at {ctx.precision} bits") from cause
@@ -311,7 +314,7 @@ def taylor_cosine(z, ctx: PrecisionContext) -> BoundedValue:
         if abs(tr) + abs(ti) <= quarter and 2 * az2 <= (2 * m + 1) * (2 * m + 2) << 2 * Z:
             break
         re, im, err = re + tr, im + ti, err + e
-    bv = to_ball(re, im, err + 2 * (abs(tr) + abs(ti) + e), W, mp)
+    bv = to_ball(re, im, err + 2 * (abs(tr) + abs(ti) + e), W, ctx.precision)
     if bv.radius > tol:
         raise ToleranceUnreachableError(
             f"taylor_cosine({mp.nstr(zp, 8)}) keeps radius {mp.nstr(bv.radius, 3)} "
@@ -337,9 +340,10 @@ def reciprocal_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
     once.  ToleranceUnreachableError where the error of pi^2 times |g| alone
     exceeds the tolerance (far off the axis, where |g| grows like
     e^(2 pi |Im z|))."""
-    ev, mp, tol = evaluator(ctx), ctx.mp, ctx.tolerance
-    bv = to_ball(*_reciprocal_fixed(ev, reduce_point(z, ctx), 0, ctx), mp)
-    if bv.radius > tol:
+    ev = evaluator(ctx)
+    bv = to_ball(*_reciprocal_fixed(ev, reduce_point(z, ctx), 0, ctx), ctx.precision)
+    if not ctx.meets(bv):
+        mp, tol = ctx.mp, ctx.tolerance
         raise ToleranceUnreachableError(
             f"the reciprocal ODE residual at {mp.nstr(ctx.point(z), 8)} keeps radius "
             f"{mp.nstr(bv.radius, 3)}, above tolerance {mp.nstr(tol, 5)}")
@@ -352,7 +356,7 @@ def ivp_residual(z, ctx: PrecisionContext) -> BoundedValue:
     the disc of w = z / 2 pi, negated, exact at 2^-(S+1)."""
     ev = evaluator(ctx)
     re, im, err, S = _reciprocal_fixed(ev, *ev.reduced_w(ctx.exact(z)), ctx)
-    return to_ball(-re, -im, err, S + 1, ctx.mp)
+    return to_ball(-re, -im, err, S + 1, ctx.precision)
 
 
 def ivp_initial_data(ctx: PrecisionContext):
@@ -377,7 +381,7 @@ def cosec_identity_check(z, ctx: PrecisionContext, jet=None) -> BoundedValue:
     lower end.  The identity is one exact product of the integer balls,
     rounded once.
     """
-    mp, zp, te = ctx.mp, ctx.point(z), ctx.tolerance_exponent
+    zp, te = ctx.point(z), ctx.tolerance_exponent
     P, (f, *_) = jet or check_jet(zp, ctx)
     zr, zi, Z = ctx.exact(zp)
     u = reduced(zr, zi, Z)
@@ -395,7 +399,7 @@ def cosec_identity_check(z, ctx: PrecisionContext, jet=None) -> BoundedValue:
     re, im, err = ball_mul(f, ball_mul(s, s))
     T = P + 2 * S
     pr, _, ep = ev.pi_sq_fixed
-    return to_ball(re - (pr << T - ev.scale), im, err + (ep << T - ev.scale), T, mp)
+    return to_ball(re - (pr << T - ev.scale), im, err + (ep << T - ev.scale), T, ctx.precision)
 
 
 def pythagoras_residual(z, ctx: PrecisionContext) -> BoundedValue:
@@ -411,4 +415,4 @@ def pythagoras_residual(z, ctx: PrecisionContext) -> BoundedValue:
     *c, S = _cos_fixed(ev, g, Q)
     *s, _ = _sin_fixed(ev, g1, Q)
     (ar, ai, ea), (br, bi, eb) = ball_mul(s, s), ball_mul(c, c)
-    return to_ball(ar + br - (1 << 2 * S), ai + bi, ea + eb, 2 * S, ctx.mp)
+    return to_ball(ar + br - (1 << 2 * S), ai + bi, ea + eb, 2 * S, ctx.precision)

@@ -161,11 +161,10 @@ def _margin_item(check_id: str, identity: str, parameters: dict,
 # -- individual checks ------------------------------------------------------------
 
 
-def _check_pole_cancellation(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
+def _check_pole_cancellation(config: RunConfig, ctx: PrecisionContext, combinations) -> ReportItem:
     order = config.symbolic_order
     a0, a1, a2 = (SymbolPoly.symbol(i) for i in range(3))
-    c2 = combination_second_order(order)
-    c1 = combination_first_order(order)
+    c2, c1 = combinations
     mismatches = []
     for d in range(-4, 0):
         if not c2.coefficient(d).is_zero():
@@ -193,8 +192,8 @@ def _check_pole_cancellation(config: RunConfig, ctx: PrecisionContext) -> Report
         status="pass" if not mismatches else "fail")
 
 
-def _check_implied_identities(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
-    relations = implied_identities(config.symbolic_order)
+def _check_implied_identities(config: RunConfig, ctx: PrecisionContext, combinations) -> ReportItem:
+    relations = implied_identities(config.symbolic_order, *combinations)
     max_symbol = max(r.max_symbol() for r in relations)
     sub = ctx.refined(ctx.tolerance / 4096)
     a_values = [coeff_a(d, sub) for d in range(max_symbol + 1)]
@@ -290,7 +289,7 @@ def _gap(a: BoundedValue, b: BoundedValue, ctx: PrecisionContext) -> BoundedValu
     """a - b within r_a + r_b, from the exact dyadic centres and radii,
     rounded once (fixedpoint.to_ball)."""
     P, ((ar, ai, ea), (br, bi, eb)) = fixed_balls((a, b))
-    return to_ball(ar - br, ai - bi, ea + eb, P, ctx.mp)
+    return to_ball(ar - br, ai - bi, ea + eb, P, ctx.precision)
 
 
 def _check_route_agreement(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
@@ -337,17 +336,20 @@ def _check_pi_reference(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
 def run_verification(config: RunConfig | None = None) -> VerificationReport:
     """Run every check and collect the report; never raises past config errors.
     The four checks that read f share one check_jet per grid point, memoised
-    for this run (an exception is not held: it recurs in each such check)."""
+    for this run (an exception is not held: it recurs in each such check),
+    and the two symbolic checks one pair of combination series."""
     config = config or RunConfig()
     ctx = config.context()
+    order = config.symbolic_order
+    combinations = (combination_second_order(order), combination_first_order(order))
     grid = [ctx.from_fraction(q) for q in config.real_grid()]
     grid += [ctx.mp.mpc(ctx.from_fraction(re), ctx.from_fraction(im))
              for re, im in config.complex_grid()]
     jet = functools.cache(lambda zp: check_jet(zp, ctx))
 
     checks: list[tuple[str, Callable[[], ReportItem]]] = [
-        ("pole_cancellation", lambda: _check_pole_cancellation(config, ctx)),
-        ("implied_identities", lambda: _check_implied_identities(config, ctx)),
+        ("pole_cancellation", lambda: _check_pole_cancellation(config, ctx, combinations)),
+        ("implied_identities", lambda: _check_implied_identities(config, ctx, combinations)),
         ("strip_decay", lambda: _check_strip_decay(config, ctx)),
         ("ode_second_order", lambda: _check_ode_second_order(config, ctx, grid, jet)),
         ("ode_first_order", lambda: _check_ode_first_order(config, ctx, grid, jet)),

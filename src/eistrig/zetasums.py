@@ -412,8 +412,8 @@ def zeta_even(m: int, ctx: PrecisionContext) -> BoundedValue:
         raise ValueError(f"zeta_even expects an integer m >= 1, got {m!r}")
     P = max(KERNEL_GUARD_BITS, KERNEL_GUARD_BITS - ctx.tolerance_exponent)
     value, err = zeta_fixed(m, P)
-    bv = to_ball(value, 0, err, P, ctx.mp)
-    if not bv.radius <= ctx.tolerance:
+    bv = to_ball(value, 0, err, P, ctx.precision)
+    if not ctx.meets(bv):
         raise ToleranceUnreachableError(
             f"zeta_even(m={m}) achieved radius {ctx.mp.nstr(bv.radius, 5)} > tolerance")
     return bv
@@ -426,4 +426,4 @@ def coeff_a(d: int, ctx: PrecisionContext) -> BoundedValue:
     factor = 2 * (2 * d + 1)
     P = max(KERNEL_GUARD_BITS, KERNEL_GUARD_BITS + 2 + factor.bit_length() - ctx.tolerance_exponent)
     value, err = zeta_fixed(d + 1, P)
-    return to_ball(factor * value, 0, factor * err, P, ctx.mp)
+    return to_ball(factor * value, 0, factor * err, P, ctx.precision)

@@ -1,13 +1,14 @@
 """Mutation check of the counted rounding allowances.
 
 Each mutant makes one or two textual edits to src/eistrig that shrink an
-error count: a rounding unit dropped, a propagated term or a bound cut.  For
+error count (a rounding unit dropped, a propagated term or a bound cut) or
+turn a rounding the wrong way.  For
 each mutant the script copies src/ and tests/ into a temporary directory,
 applies the edits there, runs the tier-1 suite on the copy (stopping at the
 first failure), and prints whether some test fails (caught) or every test
-passes (survived).  The golden-report tests are left out: a golden file
-tells any change of a digit from the committed one, so it cannot tell a
-count that is too small from one that is sound.  The checkout itself is
+passes (survived).  The golden tests are left out: a golden file tells
+any change of a digit from the committed one, so it cannot tell a count
+that is too small from one that is sound.  The checkout itself is
 never changed.
 
 Run from the root of a checkout, for every mutant or for some by name:
@@ -30,8 +31,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: the golden-report tests, which every changed digit fails
-GOLDEN = "tests/test_verify.py::test_default_report_matches_its_golden_file"
+#: the golden tests, which every changed digit fails: the verify reports, the
+#: `eistrig eval` lines and the reprs of two balls
+GOLDEN = ("tests/test_verify.py::test_default_report_matches_its_golden_file",
+          "tests/test_cli.py::test_eval_prints_its_golden_file",
+          "tests/test_api.py::test_reading_a_ball_loads_mpmath_and_gives_the_mpf_of_its_tuples")
 
 #: name -> [(file under src/eistrig, text, replacement)]
 MUTANTS = {
@@ -171,6 +175,17 @@ MUTANTS = {
         "zetasums.py",
         "c = (abs(n) * comb(s + 2 * j - 2, s - 1) << Q) // d",
         "c = (abs(n) * comb(s + 2 * j - 1, s - 1) << Q) // d")],
+    # the radius of a ball leaving the kernel rounded down (toward zero) to
+    # the precision, not up
+    "ball_radius_rounded_down": [(
+        "fixedpoint.py",
+        'radius = dyadic(err + rounding_allowance(re, im, prec), -P, prec, "u")',
+        'radius = dyadic(err + rounding_allowance(re, im, prec), -P, prec, "d")')],
+    # the decimal reader's half-way case rounded away from zero, not to even
+    "reader_ties_away_from_even": [(
+        "precision.py",
+        "if low > half or low == half and x & 1:",
+        "if low >= half:")],
 }
 
 
@@ -189,7 +204,7 @@ def run(name: str) -> str | None:
             path.write_text(source.replace(text, replacement))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                               "--deselect", GOLDEN, "tests"],
+                               *(f"--deselect={test}" for test in GOLDEN), "tests"],
                               cwd=copy, env=env, capture_output=True, text=True)
         if done.returncode == 0:
             return None

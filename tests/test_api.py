@@ -78,3 +78,47 @@ def test_the_lazy_package_serves_every_name_and_submodule():
     assert out == "eistrig.lattice\n"
     with pytest.raises(AttributeError):
         eistrig.no_such_name
+
+
+# -- no mpmath on the evaluation path -------------------------------------------
+
+_LATTICE_CALLS = """\
+from eistrig import PrecisionContext
+from eistrig.lattice import eisenstein_k
+ctx = PrecisionContext(192, "1e-30")
+balls = [eisenstein_k(k, z, ctx) for k in (2, 3, 4) for z in (0.37, 0.3+0.9j, -12.6+17.5j)]
+"""
+
+_TRIG_CALLS = """\
+from eistrig import PrecisionContext
+from eistrig.trig import cosine, evaluator, g_eval, sine
+ctx = PrecisionContext(128, "1e-12")
+evaluator(ctx)
+balls = [f(z, ctx) for f in (cosine, sine, g_eval) for z in (1.0, -3.25+0.5j, 0)]
+"""
+
+
+@pytest.mark.parametrize("calls", [_LATTICE_CALLS, _TRIG_CALLS], ids=["lattice", "trig"])
+def test_an_evaluation_loads_no_mpmath(calls):
+    loaded = _loaded_by(calls)
+    assert "eistrig.fixedpoint" in loaded
+    assert not {m for m in loaded if m.startswith("mpmath")}
+
+
+def test_reading_a_ball_loads_mpmath_and_gives_the_mpf_of_its_tuples():
+    # the reprs are those of the balls that mpmath's from_man_exp rounded
+    out = _fresh(_LATTICE_CALLS + _TRIG_CALLS.replace("balls =", "trig_balls =") + """\
+import sys
+assert not any(m.startswith("mpmath") for m in sys.modules)
+for bv in (balls[4], trig_balls[3]):
+    print(repr(bv.value))
+    print(repr(bv.radius))
+assert "mpmath" in sys.modules
+""")
+    assert out.splitlines() == [
+        "mpc(real='-0.409293068896741708353085458888630430252597518017141898236582', "
+        "imag='-0.139036364203562245546472630281575834150826805179336155968403')",
+        "mpf('1.97218940867401549781457322528154179714643515760415150989138e-31')",
+        "mpf('0.84147098480789654252510231123701249755265')",
+        "mpf('4.2222868533899508065969628603312640328349e-16')",
+    ]

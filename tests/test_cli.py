@@ -5,6 +5,7 @@ the expensive verify paths run in-process through main().
 """
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -35,6 +36,29 @@ def test_eval_f_prints_value_radius_and_parameters():
         radius = mpmath.mpf(radius_text)
         assert radius <= mpmath.mpf("1e-12")
         assert abs(mpmath.mpf(value_text) - pi_squared) <= radius
+
+
+#: the `eistrig eval` lines of CI's installed-entry-point step, whose output
+#: tests/data/eval_golden.txt holds byte for byte
+EVAL_GOLDEN_LINES = [
+    ["cos", "0.37"],
+    ["cos", "3+50i"],
+    ["sin", "0.37", "--precision", "400", "--tolerance", "1e-100"],
+    ["f", "0.3+1.8i", "--precision", "192", "--tolerance", "1e-30"],
+    ["f", "0.5+20i", "--precision", "192", "--tolerance", "1e-30"],
+    ["f", "0.3+4i", "--precision", "192", "--tolerance", "1e-30"],
+    ["f", "0.45+6i", "--precision", "400", "--tolerance", "1e-100"],
+    ["f", "0.3+9i", "--precision", "1100", "--tolerance", "1e-300"],
+    ["g", "0.3"],
+    ["zeta", "4"],
+]
+
+
+def test_eval_prints_its_golden_file(capsys):
+    for args in EVAL_GOLDEN_LINES:
+        assert main(["eval", *args]) == 0
+    golden = pathlib.Path(__file__).resolve().parent / "data" / "eval_golden.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_eval_cos_zero_is_exact():

@@ -321,7 +321,7 @@ def exact(x):
 @given(st.data(), st.integers(24, 40), st.sampled_from([53, 64, 128]))
 def test_rounding_once_holds_the_ball_and_truncates_toward_zero(data, P, prec):
     re, im, err = data.draw(balls(P + prec))
-    bv = to_ball(re, im, err, P, mp_context(prec))
+    bv = to_ball(re, im, err, P, prec)
     got = [exact(bv.value.real), exact(bv.value.imag)] if im else [exact(bv.value), 0]
     center = Fraction(re, 2 ** P), Fraction(im, 2 ** P)
     for c, v in zip(center, got):
@@ -342,7 +342,7 @@ def test_the_rounded_count_holds_the_rounded_radius(data, P, prec):
     re = data.draw(st.integers(-(1 << top), 1 << top))
     im = data.draw(st.sampled_from([0, data.draw(st.integers(-(1 << top), 1 << top))]))
     err = data.draw(st.integers(0, 1 << prec + 16))
-    bv = to_ball(re, im, err, P, mp_context(prec))
+    bv = to_ball(re, im, err, P, prec)
     assert exact(bv.radius) * 2 ** P <= rounded_count(re, im, err, prec)
     got = [exact(bv.value.real), exact(bv.value.imag)] if im else [exact(bv.value), 0]
     moved = abs(got[0] * 2 ** P - re) + abs(got[1] * 2 ** P - im)

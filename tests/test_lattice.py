@@ -545,7 +545,7 @@ def test_disc_widening_holds_the_jet_over_the_disc():
         w = ctx.point(complex(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5) if i % 2 else 0))
         u = reduce_point(w, ctx)  # exact at 2^-W; the disc as R >= r 2^W units
         P, fixed = fixed_jet(u, ctx, (mp.mag(ctx.tolerance) - 1,) * 3, units(r, u[2]) + 1)
-        held = [to_ball(*b, P, mp) for b in fixed]
+        held = [to_ball(*b, P, ctx.precision) for b in fixed]
         for j in range(8):
             for inner, outer in zip(f_jet(w + r * mp.expjpi(mp.mpf(j) / 4), ctx, tols), held):
                 assert abs(inner.value - outer.value) + inner.radius <= outer.radius

@@ -33,7 +33,7 @@ def f_jet(z, ctx, tolerances):
     mp = ctx.mp
     P, jet = fixed_jet(reduce_point(z, ctx), ctx,
                        [mp.mag(t / (2 * abs(c) - 1)) - 1 for t, c in zip(tolerances, (1, -2, 6))])
-    return [to_ball(*b, P, mp) for b in jet]
+    return [to_ball(*b, P, ctx.precision) for b in jet]
 
 
 def dyadic(min_value: float, max_value: float, denominator: int = 4096):

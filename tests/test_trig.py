@@ -296,7 +296,7 @@ def test_the_g_jet_meets_each_order_tolerance_around_the_closed_forms(precision,
         for exps in ((None, T), (T, T - 4, T + 2)):
             passes["passes"] = 0
             Q, jet = trig._g_jet(reduce_point(x, ctx), ctx, 0, exps)
-            jet = [to_ball(*b, Q, ctx.mp) for b in jet]
+            jet = [to_ball(*b, Q, ctx.precision) for b in jet]
             assert passes["passes"] <= (1 if isinstance(z, float) else 3)
             with mpmath.workprec(2 * precision + 64):
                 for bv, t, exact in zip(jet, exps, _g_closed_forms(x)):
@@ -309,7 +309,7 @@ def test_the_g_jet_guard_holds_g_prime(ctx):
     x = ctx.mp.mpf(2) + 3 * ctx.eps
     T = ctx.tolerance_exponent
     Q, jet = trig._g_jet(reduce_point(x, ctx), ctx, 0, (T, T))
-    jet = [to_ball(*b, Q, ctx.mp) for b in jet]
+    jet = [to_ball(*b, Q, ctx.precision) for b in jet]
     assert all(bv.value == 0 and 0 < bv.radius < ctx.mp.mpf("1e-35") for bv in jet)
     with mpmath.workprec(300):
         for bv, exact in zip(jet, _g_closed_forms(x)):

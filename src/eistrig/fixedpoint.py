@@ -14,9 +14,10 @@ before it is rounded.  A ball is a triple (re, im, err) whose err bounds the
 modulus of its error in units; every l1 count does.  A ball is rounded to a
 context's precision once, by to_ball, when it leaves the kernel: in integers,
 to the dyadic tuples of a BoundedValue (precision.dyadic), so that no
-evaluation imports mpmath.  mpmath enters only through to_mp, which builds an
-mpf or mpc of the caller's context from a pair, for the text of an error or a
-layer that prints.
+evaluation imports mpmath.  This module neither reads nor builds an mpmath
+object: a point comes in as an exact pair (PrecisionContext.exact), a ball
+as its tuples (fixed_balls), and precision.to_mp builds an mpf or mpc from a
+pair for a layer that prints.
 """
 
 from __future__ import annotations
@@ -127,17 +128,6 @@ def series(coeffs, n: int, xr: int, xi: int, shift: int, div: int = 1) -> tuple[
     return re, z >> shift if z >= 0 else -(-z >> shift), 2 * G
 
 
-def _parts(x) -> tuple:
-    """The tuples (re, im) of the mpf or mpc x."""
-    return x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, ZERO)
-
-
-def _bits(parts) -> int:
-    """Bits below the binary point of the tuples: the least P >= 0 at which
-    each is exact."""
-    return max([0] + [-exp for _, man, exp, _ in parts if man])
-
-
 def _at(part, P: int) -> int:
     """The tuple at scale 2^-P, rounded toward zero."""
     sign, man, exp, _ = part
@@ -145,45 +135,13 @@ def _at(part, P: int) -> int:
     return -m if sign else m
 
 
-def fraction_bits(x) -> int:
-    """Bits of the mpf or mpc x below the binary point: the least P >= 0 at
-    which x is exact."""
-    return _bits(_parts(x))
-
-
-def to_fixed(x, P: int) -> tuple[int, int]:
-    """The mpf or mpc x as a pair at scale 2^-P, each component rounded toward
-    zero (exact when P >= fraction_bits(x))."""
-    re, im = _parts(x)
-    return _at(re, P), _at(im, P)
-
-
-def fixed_reals(values) -> tuple[int, list[int]]:
-    """(P, [x 2^P]): the real mpf values at the least scale 2^-P at which
-    each is exact, converted exactly."""
-    P = max(fraction_bits(x) for x in values)
-    return P, [to_fixed(x, P)[0] for x in values]
-
-
 def fixed_balls(values) -> tuple[int, list]:
     """(P, [(re, im, err), ...]): the BoundedValues at the least scale 2^-P at
     which every centre and radius is exact, converted exactly from their
     dyadic tuples."""
     balls = [(bv.re, bv.im or ZERO, bv.rad) for bv in values]
-    P = _bits([part for ball in balls for part in ball])
+    P = max([0] + [-exp for ball in balls for _, man, exp, _ in ball if man])
     return P, [tuple(_at(part, P) for part in ball) for ball in balls]
-
-
-def to_mp(re: int, im: int, P: int, mp):
-    """The pair at scale 2^-P as an exact mpf (im == 0) or mpc of mp."""
-    if not im:
-        return mp.make_mpf(dyadic(re, -P))
-    return mp.make_mpc((dyadic(re, -P), dyadic(im, -P)))
-
-
-def units(t, P: int) -> int:
-    """floor(t 2^P) for the mpf t >= 0."""
-    return _at(t._mpf_, P)
 
 
 # -- balls (re, im, err) -----------------------------------------------------
@@ -237,6 +195,7 @@ def to_ball(re: int, im: int, err: int, P: int, prec: int) -> BoundedValue:
     """The ball (re + i im) 2^-P within err units as a BoundedValue at prec
     bits, each component rounded once toward zero to prec bits, err charged
     the rounding allowance, and the radius rounded up; real when im == 0.
-    The tuples are mpmath's from_man_exp(x, -P, prec, "d") and "u"."""
+    The tuples are those mpmath builds from the mantissa x and exponent -P at
+    prec bits, rounding "d" and "u" (precision.dyadic)."""
     radius = dyadic(err + rounding_allowance(re, im, prec), -P, prec, "u")
     return BoundedValue.of(dyadic(re, -P, prec), dyadic(im, -P, prec) if im else None, radius, prec)

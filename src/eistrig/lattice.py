@@ -20,9 +20,9 @@ consecutive k at one point, each to its own target (all bounds explicit):
    rounding truncating toward zero and counted.  The pass has one entry,
    in integers: the reduced point u as the pair (ur, ui, W), (ur + i ui)
    2^-W, exact for a point given in binary floating point (reduce_point,
-   from PrecisionContext.exact, which builds no mpf for a float, complex,
-   int, string or mpf) and at the trig evaluator's scale for w = z / 2 pi, and each
-   target as a binary exponent e, 2^e <= t (ctx.tolerance_exponent for the
+   from PrecisionContext.exact, which builds no mpf for any point) and at
+   the trig evaluator's scale for w = z / 2 pi, and each target as a
+   binary exponent e, 2^e <= t (ctx.tolerance_exponent for the
    context's tolerance, computed once per context).  P is the tightest
    target's bits plus KERNEL_GUARD_BITS, raised until u is exact where that
    costs at most (k+1) log2(1/|u|) + 8 more bits; otherwise u is truncated
@@ -95,10 +95,11 @@ from typing import Sequence
 
 from .errors import (InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError)
-from .fixedpoint import (ball_mul, cpow, fixed_reals, floor_abs, fraction_bits, nearest, series,
-                         to_ball, to_fixed, to_mp, tshift, units)
-from .precision import TERM_CAP, BoundedValue, PrecisionContext, Record
-from .zetasums import KERNEL_GUARD_BITS, MAX_ORDER, bernoulli_even, em_tails, zeta_fixed, zeta_table
+from .fixedpoint import (ball_mul, cpow, fixed_balls, floor_abs, nearest, series, to_ball,
+                         tshift)
+from .precision import TERM_CAP, BoundedValue, PrecisionContext, Record, to_mp
+from .zetasums import (KERNEL_GUARD_BITS, MAX_ORDER, _bernoulli_over, em_tails, zeta_fixed,
+                       zeta_table)
 
 #: pole guard: reject z within 10 ulp (at working precision) of an integer
 POLE_GUARD_ULPS = 10
@@ -311,7 +312,7 @@ def _lattice_pass(exponents, u, ctx: PrecisionContext, targets):
         raise ToleranceUnreachableError(
             f"symmetric truncation needs {2 * size + 1} terms, above the cap {TERM_CAP}")
     # the scale: the rounding count far below the tightest target, so e + P >= 27
-    F = _fraction_bits(u)
+    F = _exact_scale(u)
     P = _kernel_scale(u, F, KERNEL_GUARD_BITS + max(0, -1 - min(targets)), exponents[-1])
     if route == "strip":
         return P, _strip_sums(exponents, u, P, plan)
@@ -335,7 +336,7 @@ def _lattice_pass(exponents, u, ctx: PrecisionContext, targets):
                                     f"reach targets {[f'2^{e}' for e in targets]}")
 
 
-def _fraction_bits(u) -> int:
+def _exact_scale(u) -> int:
     """The least scale at which the pair u = (ur, ui, W) is exact."""
     ur, ui, W = u
     low = ur | ui
@@ -405,9 +406,9 @@ def _strip_order(k: int, e: int):
     k >= 2, leaves eps_k(x + iy) = R_m: the boundary terms vanish, and so does
     the integral of F.  With |B~_2m(t) - B_2m| <= 2 |B_2m| and the integral of
     |u - t|^(-k-2m) at most pi |y|^(1-k-2m) ((1 + s^2)^-a <= (1 + s^2)^-1),
-    |eps_k| <= 8 |C_m| (k)_2m |y|^(1-k-2m), C_m = B_2m / (2m)!, B_2m exact
-    from the tangent numbers (zetasums.bernoulli_even): num / den is that
-    coefficient in lowest terms.
+    |eps_k| <= 8 |C_m| (k)_2m |y|^(1-k-2m), C_m = B_2m / (2m)!, B_2m = 2m b / d
+    exact from the tangent numbers (zetasums._bernoulli_over): num / den is
+    that coefficient, 16 m |b| (k)_2m / (d (2m)!).
     """
     # log2 of the height where order m reaches 2^e, |C_m| ~ 2 / (2 pi)^2m
     best = None
@@ -422,8 +423,8 @@ def _strip_order(k: int, e: int):
         return None
     m = best[1]
     n = k + 2 * m - 1
-    c = 8 * abs(bernoulli_even(2 * m)) * math.perm(n, 2 * m) / math.factorial(2 * m)
-    num, den = c.numerator, c.denominator
+    b, d = _bernoulli_over(m)
+    num, den = 16 * m * abs(b) * math.perm(n, 2 * m), d * math.factorial(2 * m)
     Y = max(1, int(2 ** (best[0] + 8)) - 1)
     # num (Y 2^-8)^-n <= 2^e, in integers
     while num << max(0, 8 * n - e) > den * Y**n << max(0, e - 8 * n):
@@ -641,14 +642,14 @@ def check_jet(z, ctx: PrecisionContext):
 def second_order_ode_residual(z, ctx: PrecisionContext, a0_shift=0, jet=None) -> BoundedValue:
     """f''(z) - 6 f(z)^2 + 12 a0 f(z), consistent with zero within its radius.
 
-    a0_shift adds an exact perturbation to a0 (a test-of-the-test: the
-    residual then sits near 12 * shift * f(z) instead of zero).  f and f''
-    come from jet, check_jet(z, ctx) when none is given: f and f'' to t2 =
-    tolerance / (4 (24 |f| + 53)) or tighter; a0 is read at the jet's
-    scale; exact products at scale 2^-2P, rounded once.
+    a0_shift adds a real perturbation to a0, read as ctx.exact reads it (a
+    test-of-the-test: the residual then sits near 12 * shift * f(z) instead
+    of zero).  f and f'' come from jet, check_jet(z, ctx) when none is
+    given: f and f'' to t2 = tolerance / (4 (24 |f| + 53)) or tighter; a0 is
+    read at the jet's scale; exact products at scale 2^-2P, rounded once.
     """
     P, (f, _, f2) = jet or check_jet(z, ctx)
-    a0 = _a0_fixed(P, ctx.real(a0_shift) if a0_shift else 0)
+    a0 = _a0_fixed(P, ctx.exact(a0_shift))
     return to_ball(*_combination(2 * P, ((1, f2, P), (-6, ball_mul(f, f), 2 * P),
                                          (12, ball_mul(a0, f), 2 * P))), 2 * P, ctx.precision)
 
@@ -663,12 +664,13 @@ def first_order_ode_residual(z, ctx: PrecisionContext, jet=None) -> BoundedValue
         (12, ball_mul(_a0_fixed(P), f_sq), 3 * P))), 3 * P, ctx.precision)
 
 
-def _a0_fixed(P: int, shift=0):
+def _a0_fixed(P: int, shift=(0, 0, 0)):
     """The ball a0 + shift at the pass's scale 2^-P: a0 = 2 zeta(2), zeta(2)
-    read from the Z_0 table (zetasums.zeta_fixed, a few units); the mpf shift
-    truncated at 2^-P, within one unit."""
+    read from the Z_0 table (zetasums.zeta_fixed, a few units); the real
+    shift, an exact pair (re, 0, W), truncated at 2^-P, within one unit."""
     value, err = zeta_fixed(1, P)
-    return (2 * value + to_fixed(shift, P)[0], 0, 2 * err + 1) if shift else (2 * value, 0, 2 * err)
+    sr, _, W = shift
+    return (2 * value + tshift(sr, P - W), 0, 2 * err + 1) if sr else (2 * value, 0, 2 * err)
 
 
 def _combination(S: int, terms):
@@ -755,9 +757,12 @@ def strip_decay(y_values: Sequence, x, ctx: PrecisionContext) -> list[StripBound
             raise ValueError(f"strip requires |y| >= 1, got {mp.nstr(yr, 8)}")
         u = reduce_point(mp.mpc(xr, yr), ctx)
         mag = _modulus(*_resolved_f(u, ctx, min(T, jet_bounds(u, T - 2160)[0] - 24)), ctx.precision)
-        low, high = _majorant(yr, ctx)
-        _, (value, radius, low_s) = fixed_reals((mag.value, mag.radius, low))
-        reports.append(StripBoundReport(yr, mag, high, low, dominated=value + radius <= low_s))
+        low, high, P = _majorant(ctx.exact(yr), ctx)
+        S, ((value, _, radius),) = fixed_balls((mag,))
+        # value + radius <= low 2^-P, at the finer of the two scales
+        dominated = value + radius << max(P - S, 0) <= low << max(S - P, 0)
+        reports.append(StripBoundReport(yr, mag, to_mp(high, 0, P, mp), to_mp(low, 0, P, mp),
+                                        dominated))
     return reports
 
 
@@ -766,24 +771,25 @@ _MAJORANT_TERMS = 4096
 
 
 def _majorant(y, ctx: PrecisionContext):
-    """Certified bracket [low, high] for 3/y^2 + 2 sum_{n>=1} 1/(n^2 + y^2),
-    as exact mpf: the terms n <= M = min(64 + 4 ceil|y|, 4096) summed in
-    integers at scale 2^-P, P = max(ctx.precision, the bits of y below the
-    binary point), so y is exact, 3/y^2 and each term by one division
-    truncating toward zero (less than 2M + 1 units in all), and the tail in
+    """(low, high, P): a certified bracket [low 2^-P, high 2^-P] for 3/y^2 +
+    2 sum_{n>=1} 1/(n^2 + y^2), y the exact pair (yr, 0, W) of a real: the
+    terms n <= M = min(64 + 4 ceil|y|, 4096) summed in integers at scale
+    2^-P, P = max(ctx.precision, W), so y is exact, 3/y^2 and each term by
+    one division truncating toward zero (less than 2M + 1 units in all), and the tail in
     [M / (M(M+1) + y^2), 1/M]: for n > M, n^2 + y^2 <= n(n+1) (1 + y^2 /
     (M(M+1))), and sum_{n>M} 1/(n(n+1)) = 1/(M+1).  low adds the lower end
     truncated, high the upper end rounded up; high - low < 2/4096 + 2M + 4
     units for every |y| >= 1."""
-    P = max(ctx.precision, fraction_bits(y))
-    yf = abs(to_fixed(y, P)[0])
+    yr, _, W = y
+    P = max(ctx.precision, W)
+    yf = abs(yr) << P - W
     y2 = yf * yf  # y^2 at scale 2^-2P
     one = 1 << 3 * P  # 2^P units over a denominator at scale 2^-2P
     M = min(64 + 4 * -(-yf >> P), _MAJORANT_TERMS)
     low = 3 * one // y2 + 2 * sum(one // ((n * n << 2 * P) + y2) for n in range(1, M + 1))
     high = low + 2 * M + 1 + -(-(2 << P) // M)  # the truncations, then 2/M rounded up
     low += 2 * (M * one // ((M * (M + 1) << 2 * P) + y2))
-    return to_mp(low, 0, P, ctx.mp), to_mp(high, 0, P, ctx.mp)
+    return low, high, P
 
 
 # -- naive truncation (tables and tail-validity tests) --------------------------
@@ -799,17 +805,24 @@ def symmetric_tail_bound(k: int, N: int, ctx: PrecisionContext):
 
 
 def naive_symmetric_value(k: int, z, N: int, ctx: PrecisionContext) -> BoundedValue:
-    """Plain symmetric truncation at N with the closed-form tail bound.
+    """Plain symmetric truncation at N with the closed-form tail bound,
+    counted in integers (_symmetric_tail_units).
 
     Kept for convergence tables; the corrected evaluator is sharper.
     """
     u = reduce_point(z, ctx)
     if in_pole_guard(u, ctx.precision):
         raise PoleProximityError("point is within the pole guard of an integer")
-    F = _fraction_bits(u)
+    F = _exact_scale(u)
     P = _kernel_scale(u, F, ctx.precision, k)
     ur, ui = tshift(u[0], P - u[2]), tshift(u[1], P - u[2])
     (re, im, err), = _explicit_sums((k,), ur, ui, N, P)
     if F > P:
         err += _move_charge(k, ur, ui, P)
-    return to_ball(re, im, err + units(symmetric_tail_bound(k, N, ctx), P) + 1, P, ctx.precision)
+    return to_ball(re, im, err + _symmetric_tail_units(k, N, P), P, ctx.precision)
+
+
+def _symmetric_tail_units(k: int, N: int, P: int) -> int:
+    """symmetric_tail_bound(k, N) in units of 2^-P, rounded up, in integers:
+    2 (N - 1/2)^(1-k) / (k-1) = 2^k / ((2N - 1)^(k-1) (k-1))."""
+    return -(-(1 << P + k) // ((2 * N - 1) ** (k - 1) * (k - 1)))

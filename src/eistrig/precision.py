@@ -22,11 +22,15 @@ value man 2^exp with man odd and bc its bit length (dyadic builds them, with
 mpmath's roundings), and the tolerance is read by one decimal reader
 (read_real) that rounds as mpmath's mpf does.  So an evaluation compares its
 radius with the tolerance in integers (PrecisionContext.meets), and a
-process that only evaluates never imports mpmath.  It is imported where an
-mpmath object is read or built: BoundedValue.value and .radius, the
-context's tolerance, eps and mp, its real and point, the text of an error,
-format_real, a form the decimal reader leaves to mpmath's parser, and the
-layers that keep mpmath (verify, taylor_cosine, the CLI's printing).
+process that only evaluates never imports mpmath.
+
+This module is the one crossing between mpmath and the integers: an mpf or
+mpc is read into integers here alone, by PrecisionContext.exact (every
+point, with no mpf built) and by BoundedValue(value, radius) (once, when
+built); to_mp and a ball's value and radius build mpmath objects back.
+mpmath is imported for those, the context's tolerance, eps, mp and point, a
+form read_real leaves to mpmath's parser, the text of an error,
+format_real, and the layers that keep it (verify, the CLI's printing).
 
 mpmath contexts are cached per precision (the 64 used last) and never
 mutated afterwards, so evaluations at different precisions can run
@@ -43,15 +47,17 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Union
+from typing import TYPE_CHECKING, Any
 
 from .errors import ConfigurationError
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+    from typing import Union
+
     from mpmath.ctx_mp import MPContext
 
-Real = Union[int, float, str, Fraction]
+    Real = Union[int, float, str, Fraction]
 
 #: extra mantissa bits beyond what the tolerance implies (the guard margin)
 GUARD_BITS = 16
@@ -88,7 +94,8 @@ def dyadic(x: int, e: int, prec: int = 0, rnd: str = "d") -> tuple:
     """mpmath's normalised tuple (sign, man, exp, bc) of x 2^e, man odd and bc
     its bit length: exact for prec 0, else rounded to prec bits toward zero
     ("d"), away from zero ("u") or to nearest with ties to even ("n"), as
-    mpmath.libmp.from_man_exp(x, e, prec, rnd) gives it."""
+    mpmath builds it from the mantissa x and the exponent e (libmp's
+    normalisation)."""
     if not x:
         return ZERO
     sign = 0
@@ -156,9 +163,11 @@ def read_real(x, prec: int) -> tuple:
             return dyadic(man * 10**exp, 0, prec, "n") if exp >= 0 else _quotient(man, 10**-exp, prec)
     elif isinstance(x, int):
         return dyadic(x, 0, prec, "n")
-    elif isinstance(x, Fraction):
-        sign, man, exp, _ = dyadic(x.numerator, 0, prec, "n")  # exp >= 0
-        return _quotient((-man if sign else man) << exp, x.denominator, prec)
+    else:
+        from fractions import Fraction  # not before a Fraction may come
+        if isinstance(x, Fraction):
+            sign, man, exp, _ = dyadic(x.numerator, 0, prec, "n")  # exp >= 0
+            return _quotient((-man if sign else man) << exp, x.denominator, prec)
     return mp_context(prec).mpf(x)._mpf_
 
 
@@ -210,25 +219,57 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def _parts(x) -> tuple:
+    """(re, im, prec) for an mpf, mpc or int x: the tuples of its parts, im
+    None for a zero imaginary part, and the precision of its context (None
+    for an int, taken exactly)."""
+    if isinstance(x, int):
+        return dyadic(x, 0), None, None
+    if hasattr(x, "_mpc_"):
+        re, im = x._mpc_
+        return re, None if im == ZERO else im, x.context.prec
+    if hasattr(x, "_mpf_"):
+        return x._mpf_, None, x.context.prec
+    raise TypeError(f"a ball holds an mpf, mpc or int, got {type(x).__name__}")
+
+
+def _nearest(part: tuple, prec: int) -> tuple:
+    """The finite tuple rounded to nearest at prec bits, ties to even, as
+    mp.mpf rounds it; a non-finite one as it is."""
+    sign, man, exp, _ = part
+    return dyadic(-man if sign else man, exp, prec, "n") if man else part
+
+
+def to_mp(re: int, im: int, P: int, mp):
+    """The pair at scale 2^-P as an exact mpf (im == 0) or mpc of mp."""
+    if not im:
+        return mp.make_mpf(dyadic(re, -P))
+    return mp.make_mpc((dyadic(re, -P), dyadic(im, -P)))
+
+
 class BoundedValue(Record):
     """A numeric center plus a rigorous absolute-error radius.
 
     `value` is an mpf or mpc at the owning context's precision; `radius`
     is a nonnegative mpf such that |true - value| <= radius.
 
-    A ball holds two forms of its fields, each built from the other at its
-    first read and then kept: value and radius, and the dyadic tuples re,
-    im (None for a real ball) and rad with the precision prec.  A ball that
-    fixedpoint.to_ball rounds is made of the tuples alone (BoundedValue.of),
-    and value and radius are built in mp_context(prec) when read; one made
-    from an mpf or mpc (BoundedValue(value, radius)) gets its tuples when
-    they are read.  Balls compare, hash and print by value and radius.
+    A ball holds its dyadic tuples alone: re, im (None for a real ball) and
+    rad, with the precision prec.  fixedpoint.to_ball makes one of the tuples
+    (BoundedValue.of); BoundedValue(value, radius) reads the tuples of an
+    mpf, mpc or int once, with prec from the value's context (else the
+    radius's, else 53).  value and radius are built from the tuples in
+    mp_context(prec) at their first read and then kept.  Balls compare and
+    hash by (re, im, rad), so that comparing them imports nothing, and print
+    by value and radius.
     """
 
     __slots__ = ("value", "radius", "re", "im", "rad", "prec")
 
     def __init__(self, value: Any, radius: Any):
-        self._set(value, radius)
+        re, im, prec = _parts(value)
+        rad, _, rprec = _parts(radius)
+        for name, x in zip(self.__slots__[2:], (re, im, rad, prec or rprec or 53)):
+            object.__setattr__(self, name, x)
 
     @classmethod
     def of(cls, re: tuple, im, rad: tuple, prec: int) -> "BoundedValue":
@@ -243,18 +284,12 @@ class BoundedValue(Record):
         return bv
 
     def __getattr__(self, name):
-        # only a field that is not set yet comes here
+        # only a field that is not set yet comes here: value or radius
         if name == "value":
             mp = mp_context(self.prec)
             x = mp.make_mpf(self.re) if self.im is None else mp.make_mpc((self.re, self.im))
         elif name == "radius":
             x = mp_context(self.prec).make_mpf(self.rad)
-        elif name in ("re", "im"):
-            v = self.value
-            re, im = v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, None)
-            x = im if name == "im" else re
-        elif name == "rad":
-            x = self.radius._mpf_
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         object.__setattr__(self, name, x)
@@ -262,6 +297,14 @@ class BoundedValue(Record):
 
     def _fields(self) -> tuple:
         return self.value, self.radius
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.re, self.im, self.rad) == (other.re, other.im, other.rad)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im, self.rad))
 
     def __repr__(self) -> str:
         return f"BoundedValue(value={self.value!r}, radius={self.radius!r})"
@@ -387,48 +430,23 @@ class PrecisionContext:
             raise ValueError(f"non-finite real input: {x!r}")
         return self.mp.make_mpf(v)
 
-    def _read_point(self, text: str) -> tuple:
-        """The tuples (re, im) of a point string (split_point_string), each
-        part read by read_real; ValueError for a non-finite part."""
-        parts = tuple(read_real(s, self.precision) for s in split_point_string(text))
-        if any(not man and exp for _, man, exp, _ in parts):
-            raise ValueError(f"non-finite point: {text!r}")
-        return parts
-
     def point(self, z):
-        """Convert a point (real-like, complex, mpc, or 're+imi' string) to mpf/mpc.
-
-        Real inputs stay real mpf; complex inputs with exactly zero imaginary
-        part are demoted to mpf.  An int becomes its exact mpf at any size, so
-        that point, exact and ball name one point.  A finite mpf of this
-        context, and a finite mpc of it with a nonzero imaginary part, come
-        back unchanged.
-        """
+        """The mpf (a zero imaginary part) or mpc of the exact pair of z;
+        a finite mpf of this context, and a finite mpc of it with a nonzero
+        imaginary part, come back unchanged."""
         mp = self.mp
         if (isinstance(z, mp.mpf) or isinstance(z, mp.mpc) and z.imag) and mp.isfinite(z):
             return z
-        if isinstance(z, int):
-            return mp.make_mpf(dyadic(z, 0))
-        if isinstance(z, str):
-            re, im = self._read_point(z)
-            return mp.make_mpf(re) if im == ZERO else mp.make_mpc((re, im))
-        if hasattr(z, "imag") and not isinstance(z, (int, float, Fraction)):
-            re, im = mp.mpf(z.real) if not isinstance(z.real, Fraction) else self.real(z.real), mp.mpf(z.imag)
-        else:
-            return self.real(z)
-        if not (mp.isfinite(re) and mp.isfinite(im)):
-            raise ValueError(f"non-finite point: {z!r}")
-        if im == 0:
-            return re
-        return mp.mpc(re, im)
+        return to_mp(*self.exact(z), mp)
 
     def exact(self, z) -> tuple[int, int, int]:
         """The point z as the exact pair (re, im, W): (re + i im) 2^-W, W the
-        least scale >= 0 at which it is exact; no mpf is built for a float, a
-        complex (read by float.as_integer_ratio), an int (taken as it is), a
-        string (read by read_real, as point reads it) or an mpf or mpc of
-        this context (its own mantissa and exponent).  Any other input is
-        read by point first."""
+        least scale >= 0 at which it is exact, with no mpf built.  A float,
+        a complex and an int are exact; a string 're+imi' (each part), a
+        Fraction or another real are read by read_real; an mpf or mpc gives
+        its tuples, rounded to nearest at this precision, as mp.mpf rounds
+        them, unless point returns it unchanged.  ValueError for a
+        non-finite point."""
         if isinstance(z, (float, complex)):
             re, im = (z, 0.0) if isinstance(z, float) else (z.real, z.imag)
             if not (math.isfinite(re) and math.isfinite(im)):
@@ -439,10 +457,17 @@ class PrecisionContext:
         if isinstance(z, int):
             return z, 0, 0
         if isinstance(z, str):
-            parts = self._read_point(z)
+            parts = tuple(read_real(s, self.precision) for s in split_point_string(z))
+        elif hasattr(z, "_mpf_") or hasattr(z, "_mpc_"):
+            re, im, _ = _parts(z)
+            parts = re, im or ZERO
+            mp = self.mp
+            if not (isinstance(z, mp.mpf) or isinstance(z, mp.mpc) and im):
+                parts = tuple(_nearest(part, self.precision) for part in parts)
         else:
-            zp = self.point(z)  # its parts read here: fixedpoint builds on this module
-            parts = zp._mpc_ if hasattr(zp, "_mpc_") else (zp._mpf_, ZERO)
+            parts = read_real(z, self.precision), ZERO
+        if any(not man and exp for _, man, exp, _ in parts):
+            raise ValueError(f"non-finite point: {z!r}")
         W = max([0] + [-exp for _, man, exp, _ in parts if man])
         re, im = ((-man if sign else man) << exp + W for sign, man, exp, _ in parts)
         return re, im, W
@@ -452,16 +477,11 @@ class PrecisionContext:
         return self.mp.make_mpf(read_real(q, self.precision))
 
     def ball(self, value, radius=0) -> BoundedValue:
-        """The exact value (an int, or an mpf or mpc of this context) within
-        radius; TypeError for anything that would need a rounding.  An int
-        value makes a ball of tuples, without mpmath."""
-        if isinstance(value, int):
-            return BoundedValue.of(dyadic(value, 0), None, read_real(radius, self.precision),
-                                   self.precision)
-        mp = self.mp
-        if not isinstance(value, (mp.mpf, mp.mpc)):
-            raise TypeError(f"ball takes an exact int, mpf or mpc, got {type(value).__name__}")
-        return BoundedValue(value, mp.make_mpf(read_real(radius, self.precision)))
+        """The exact value (an int, mpf or mpc) within radius, the ball of
+        their tuples at this precision; TypeError for anything that would
+        need a rounding.  An int value makes a ball without mpmath."""
+        re, im, _ = _parts(value)
+        return BoundedValue.of(re, im, read_real(radius, self.precision), self.precision)
 
 
 def split_point_string(text: str) -> tuple[str, str]:

@@ -40,9 +40,8 @@ import functools
 from math import isqrt
 
 from .errors import PoleProximityError, ToleranceUnreachableError
-from .fixedpoint import (ball_mul, ball_quotient, floor_abs, rounded_count, tdiv, to_ball, to_mp,
-                         tshift, units)
-from .precision import BoundedValue, PrecisionContext, Record
+from .fixedpoint import ball_mul, ball_quotient, floor_abs, rounded_count, tdiv, to_ball, tshift
+from .precision import BoundedValue, PrecisionContext, Record, to_mp
 from .lattice import check_jet, fixed_jet, in_pole_guard, jet_bounds, reduce_point, reduced
 from .zetasums import KERNEL_GUARD_BITS, zeta_fixed
 
@@ -297,28 +296,30 @@ def taylor_cosine(z, ctx: PrecisionContext) -> BoundedValue:
     rounded once.  The sum stops before the first t_m with |t_m|_1 <=
     tolerance/4 and |z|^2 <= (2m+1)(2m+2)/2, where each later term is at most
     half the last: the tail is at most 2 (|t_m|_1 + e_m) units.  Enforced
-    domain |z| <= 4, where the terms decay factorially, so the loop ends.
+    domain |z| <= 4, where the terms decay factorially, so the loop ends;
+    the domain and the zero test are decided on the exact pair of z.
     ToleranceUnreachableError when the radius exceeds the tolerance.
     """
-    mp = ctx.mp
-    zp = ctx.point(z)
-    if abs(zp) > 4:
+    zr, zi, Z = ctx.exact(z)
+    az2 = zr * zr + zi * zi
+    if az2 > 16 << 2 * Z:
         raise ValueError(f"taylor_cosine is restricted to |z| <= 4, got |z| = "
-                         f"{mp.nstr(abs(zp), 6)}")
-    if zp == 0:
+                         f"{ctx.mp.nstr(abs(ctx.point(z)), 6)}")
+    if not az2:
         return ctx.ball(1)
-    tol, W, (zr, zi, Z) = ctx.tolerance, ctx.precision + 32, ctx.exact(zp)
-    az2, quarter = zr * zr + zi * zi, units(tol, W) >> 2
+    W, (_, man, exp, _) = ctx.precision + 32, ctx._tol
+    quarter = tshift(man, exp + W) >> 2  # floor(tolerance 2^W) / 4
     re, im, err = 1 << W, 0, 0
     for m, (tr, ti, e) in enumerate(_cos_terms(zr, zi, Z, W), 1):
         if abs(tr) + abs(ti) <= quarter and 2 * az2 <= (2 * m + 1) * (2 * m + 2) << 2 * Z:
             break
         re, im, err = re + tr, im + ti, err + e
     bv = to_ball(re, im, err + 2 * (abs(tr) + abs(ti) + e), W, ctx.precision)
-    if bv.radius > tol:
+    if not ctx.meets(bv):
+        mp = ctx.mp
         raise ToleranceUnreachableError(
-            f"taylor_cosine({mp.nstr(zp, 8)}) keeps radius {mp.nstr(bv.radius, 3)} "
-            f"at {ctx.precision} bits, above tolerance {mp.nstr(tol, 5)}")
+            f"taylor_cosine({mp.nstr(ctx.point(z), 8)}) keeps radius {mp.nstr(bv.radius, 3)} "
+            f"at {ctx.precision} bits, above tolerance {mp.nstr(ctx.tolerance, 5)}")
     return bv
 
 

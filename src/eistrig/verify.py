@@ -32,16 +32,14 @@ import json
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from mpmath.libmp import from_man_exp
-
 from .errors import ConfigurationError, EistrigError
-from .fixedpoint import fixed_balls, fixed_reals, floor_abs, to_ball
+from .fixedpoint import fixed_balls, floor_abs, to_ball
 from .lattice import (check_jet, eisenstein_k, first_order_ode_residual, naive_symmetric_value,
                       nonvanishing_scan, second_order_ode_residual, strip_decay,
                       symmetric_tail_bound)
 from .laurent import (combination_first_order, combination_second_order,
                       implied_identities)
-from .precision import BoundedValue, PrecisionContext, Record, format_real
+from .precision import BoundedValue, PrecisionContext, Record, dyadic, format_real
 from .sympoly import SymbolPoly, render_poly
 from .trig import (cosec_identity_check, cosine, evaluator, ivp_initial_data,
                    ivp_residual, pythagoras_residual, reciprocal_ode_residual,
@@ -204,23 +202,23 @@ def _check_implied_identities(config: RunConfig, ctx: PrecisionContext, combinat
         {"order": config.symbolic_order}, labeled, ctx)
 
 
-def _rounded(x: int, P: int, ctx: PrecisionContext, rnd: str):
-    """x 2^-P rounded once to ctx's precision, up ("c") or down ("f")."""
-    return ctx.mp.make_mpf(from_man_exp(x, -P, ctx.precision, rnd))
+def _rounded(x: int, P: int, ctx: PrecisionContext, up: bool):
+    """x 2^-P rounded once to ctx's precision, up (toward +inf) or down."""
+    return ctx.mp.make_mpf(dyadic(x, -P, ctx.precision, "u" if (x > 0) == up else "d"))
 
 
 def _check_strip_decay(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
     reports = strip_decay(config.y_values, Fraction(1, 2), ctx)
     # each margin exact from the dyadic |f| balls and majorant ends, rounded up once
-    P, xs = fixed_reals([x for rep in reports
-                         for x in (rep.f_magnitude.value, rep.f_magnitude.radius, rep.decay_bound_low)])
-    upper = [v + r for v, r in zip(xs[0::3], xs[1::3])]
-    lower = [max(v - r, 0) for v, r in zip(xs[0::3], xs[1::3])]
+    P, balls = fixed_balls([ball for rep in reports
+                            for ball in (rep.f_magnitude, ctx.ball(rep.decay_bound_low))])
+    upper = [v + r for v, _, r in balls[0::2]]
+    lower = [max(v - r, 0) for v, _, r in balls[0::2]]
     margins = [(f"domination at y={rep.y}", up - low)
-               for rep, up, low in zip(reports, upper, xs[2::3])]
+               for rep, up, (low, _, _) in zip(reports, upper, balls[1::2])]
     margins += [(f"decrease y={low_rep.y} -> y={rep.y}", up - low)
                 for rep, low_rep, up, low in zip(reports[1:], reports, upper[1:], lower)]
-    labeled = [(label, _rounded(m, P, ctx, "c")) for label, m in margins]
+    labeled = [(label, _rounded(m, P, ctx, True)) for label, m in margins]
     return _margin_item(
         "strip_decay",
         "|f(1/2 + iy)| is dominated by the explicit lattice majorant and decreasing in y",
@@ -317,16 +315,16 @@ def _check_cosec_identity(config: RunConfig, ctx: PrecisionContext,
 def _check_pi_reference(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
     pi = evaluator(ctx).pi.value
     # |pi-hat - reference| and its bound exact, each rounded once, outward
-    P, (centre, radius, reference, eps) = fixed_reals(
-        [pi.value, pi.radius, ctx.mp.mpf(PI_REFERENCE_DECIMAL), ctx.eps])
+    P, ((centre, _, radius), (reference, _, _), (eps, _, _)) = fixed_balls(
+        (pi, ctx.ball(ctx.mp.mpf(PI_REFERENCE_DECIMAL)), ctx.ball(ctx.eps)))
     residual, bound = abs(centre - reference), radius + 4 * eps
     return ReportItem(
         "pi_reference",
         "computed pi matches a stored platform-derived constant "
         "(the only check that consults one)",
         {"computed": format_real(pi.value, ctx), "provenance": evaluator(ctx).pi.provenance},
-        residual=format_real(_rounded(residual, P, ctx, "c"), ctx),
-        bound=format_real(_rounded(bound, P, ctx, "f"), ctx),
+        residual=format_real(_rounded(residual, P, ctx, True), ctx),
+        bound=format_real(_rounded(bound, P, ctx, False), ctx),
         status="pass" if residual <= bound else "fail")
 
 

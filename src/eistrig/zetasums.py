@@ -40,12 +40,15 @@ from __future__ import annotations
 
 import functools
 import threading
-from fractions import Fraction
-from math import ceil, comb, isqrt, lgamma, log, log2, pi
+from math import ceil, comb, gcd, isqrt, lgamma, log, log2, pi
+from typing import TYPE_CHECKING
 
 from .errors import ToleranceUnreachableError
 from .fixedpoint import cpow, geometric, series, to_ball
 from .precision import BoundedValue, PrecisionContext
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # -- Bernoulli numbers --------------------------------------------------------
 
@@ -80,12 +83,14 @@ def _tangents(upto: int) -> list[int]:
 def _bernoulli_over(j: int) -> tuple[int, int]:
     """(n, d) with B_2j / 2j = n / d in lowest terms, j >= 1, from
     B_2j = (-1)^(j+1) 2j T_j / (4^j (4^j - 1)); d is small (64 bits at j = 300)."""
-    val = Fraction(_tangents(j)[j], 4**j * (4**j - 1))
-    return (val.numerator if j % 2 else -val.numerator), val.denominator
+    n, d = _tangents(j)[j], 4**j * (4**j - 1)
+    g = gcd(n, d)
+    return (n if j % 2 else -n) // g, d // g
 
 
 def bernoulli_even(two_j: int) -> Fraction:
     """Exact B_{2j} from 2n*T_n / (4^n (4^n - 1)) with alternating sign."""
+    from fractions import Fraction  # not at import: no evaluation reads one
     if two_j < 0 or two_j % 2:
         raise ValueError("bernoulli_even expects a nonnegative even index")
     if two_j == 0:

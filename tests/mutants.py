@@ -32,9 +32,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 #: the golden tests, which every changed digit fails: the verify reports, the
-#: `eistrig eval` lines and the reprs of two balls
+#: `eistrig eval` lines, the three tables and the reprs of two balls
 GOLDEN = ("tests/test_verify.py::test_default_report_matches_its_golden_file",
           "tests/test_cli.py::test_eval_prints_its_golden_file",
+          "tests/test_cli.py::test_tables_print_their_golden_files",
           "tests/test_api.py::test_reading_a_ball_loads_mpmath_and_gives_the_mpf_of_its_tuples")
 
 #: name -> [(file under src/eistrig, text, replacement)]
@@ -181,6 +182,11 @@ MUTANTS = {
         "fixedpoint.py",
         'radius = dyadic(err + rounding_allowance(re, im, prec), -P, prec, "u")',
         'radius = dyadic(err + rounding_allowance(re, im, prec), -P, prec, "d")')],
+    # the closed-form tail of plain symmetric truncation counted rounded down
+    "naive_tail_count_floored": [(
+        "lattice.py",
+        "return -(-(1 << P + k) // ((2 * N - 1) ** (k - 1) * (k - 1)))",
+        "return (1 << P + k) // ((2 * N - 1) ** (k - 1) * (k - 1))")],
     # the decimal reader's half-way case rounded away from zero, not to even
     "reader_ties_away_from_even": [(
         "precision.py",

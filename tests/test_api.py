@@ -97,12 +97,32 @@ evaluator(ctx)
 balls = [f(z, ctx) for f in (cosine, sine, g_eval) for z in (1.0, -3.25+0.5j, 0)]
 """
 
+_TAYLOR_CALLS = """\
+from eistrig import PrecisionContext
+from eistrig.trig import taylor_cosine
+ctx = PrecisionContext(128, "1e-12")
+balls = [taylor_cosine(z, ctx) for z in (0.5, -3.75+1j, 0, "2.5")]
+"""
 
-@pytest.mark.parametrize("calls", [_LATTICE_CALLS, _TRIG_CALLS], ids=["lattice", "trig"])
+
+@pytest.mark.parametrize("calls", [_LATTICE_CALLS, _TRIG_CALLS, _TAYLOR_CALLS],
+                         ids=["lattice", "trig", "taylor"])
 def test_an_evaluation_loads_no_mpmath(calls):
+    # nor fractions: the strip route's coefficients are formed in integers
     loaded = _loaded_by(calls)
     assert "eistrig.fixedpoint" in loaded
     assert not {m for m in loaded if m.startswith("mpmath")}
+    assert "fractions" not in loaded
+
+
+def test_the_exact_pair_of_a_fraction_or_a_string_loads_no_mpmath():
+    out = _fresh("import sys\n"
+                 "from fractions import Fraction\n"
+                 "from eistrig import PrecisionContext\n"
+                 "ctx = PrecisionContext()\n"
+                 "print(ctx.exact(Fraction(3, 8)), ctx.exact('0.375-2i'))\n"
+                 "print(any(m.startswith('mpmath') for m in sys.modules))")
+    assert out == "(3, 0, 3) (3, -16, 3)\nFalse\n"
 
 
 def test_reading_a_ball_loads_mpmath_and_gives_the_mpf_of_its_tuples():

@@ -201,6 +201,15 @@ def test_table_writes_csv_and_reports_io_failures(tmp_path):
                    str(tmp_path / "nodir" / "x.csv")).returncode == 4
 
 
+def test_tables_print_their_golden_files(capsys):
+    # tests/data/table_<kind>.csv holds `eistrig table <kind>` byte for byte
+    data = pathlib.Path(__file__).resolve().parent / "data"
+    for kind in ("strip_decay", "convergence", "route_error"):
+        assert main(["table", kind]) == 0
+        golden = data / f"table_{kind}.csv"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8"), kind
+
+
 def test_table_is_deterministic():
     a = run_cli("table", "convergence").stdout
     b = run_cli("table", "convergence").stdout

@@ -25,13 +25,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from eistrig import InconclusiveNonvanishingError, zetasums
 from eistrig.fixedpoint import (ball_mul, ball_quotient, rounded_count, rounding_allowance, series,
-                                to_ball, to_fixed)
+                                to_ball)
 from eistrig.lattice import _explicit_sums, _move_charge
 from eistrig.precision import mp_context
 from eistrig.sympoly import SymbolPoly
 from eistrig.trig import _cos_terms
 from eistrig.zetasums import bernoulli_even, em_tails, zeta_fixed
-from test_properties import lattice_closed_form
+from test_properties import lattice_closed_form, mp_fixed
 
 
 def cmul(a, b):
@@ -447,7 +447,7 @@ def test_substitution_is_within_its_count_of_the_exact_value(data, P, poly):
 def zeta_bounds(m):
     """Fractions lo < zeta(2m) < hi from zeta(2m) = |B_2m| (2 pi)^2m / (2 (2m)!),
     B_2m from mpmath's table and pi bracketed to 2^-300 by mpmath's value."""
-    t = to_fixed(mp_context(320).pi, 300)[0]
+    t = mp_fixed(mp_context(320).pi, 300)[0]
     c = abs(Fraction(*mpmath.bernfrac(2 * m))) / (2 * math.factorial(2 * m))
     return tuple(c * (2 * Fraction(p, 2**300)) ** (2 * m) for p in (t - 1, t + 1))
 

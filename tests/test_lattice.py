@@ -15,10 +15,11 @@ from eistrig import lattice
 from eistrig import (EistrigError, InconclusiveNonvanishingError, PoleProximityError,
                      PrecisionContext, ToleranceUnreachableError, eisenstein_k,
                      naive_symmetric_value, strip_decay, symmetric_tail_bound)
-from eistrig.fixedpoint import to_ball, to_mp, units
+from eistrig.fixedpoint import to_ball
+from eistrig.precision import to_mp
 from eistrig.lattice import (first_order_ode_residual, fixed_jet, nonvanishing_scan,
                              reduce_point, second_order_ode_residual)
-from test_properties import f_jet, lattice_closed_form
+from test_properties import f_jet, lattice_closed_form, mp_fixed
 
 F_HALF = "9.86960440108935861883449099987615113531369941"      # f(1/2) = pi^2
 F_QUARTER = "19.7392088021787172376689819997523022706273988"    # f(1/4) = 2 pi^2
@@ -245,6 +246,19 @@ def test_naive_truncation_bound_is_valid_and_not_lax(ctx):
         assert true_err >= bound / 3  # the closed-form bound is within 3x of truth
 
 
+def test_the_naive_tail_count_is_the_closed_form_bound_rounded_up(ctx):
+    # the tail naive_symmetric_value charges, 2 (N - 1/2)^(1-k) / (k-1) in
+    # units of 2^-P, is at least the exact bound and within one unit of it
+    # at every scale from the precision to 80 bits above it (_kernel_scale
+    # raises P above the precision for a point close to 0)
+    for k in (2, 3, 4):
+        for N in range(1, 1001):
+            bound = 2 * Fraction(2 * N - 1, 2) ** (1 - k) / (k - 1)
+            for P in range(ctx.precision, ctx.precision + 81):
+                count = lattice._symmetric_tail_units(k, N, P)
+                assert count - 1 < bound * 2**P <= count, (k, N, P)
+
+
 def test_strip_decay_dominates_and_decreases(ctx):
     reports = strip_decay((1, 2, 5, 10), Fraction(1, 2), ctx)
     assert [r.y for r in reports] == [1, 2, 5, 10]
@@ -339,8 +353,8 @@ def test_strip_domination_is_not_rounded_at_a_tie(ctx, monkeypatch):
     upper = exact(rep.f_magnitude.value) + exact(rep.f_magnitude.radius)
     S = ctx.precision + 300
     for low, dominated in ((upper, True), (upper - Fraction(1, 2 ** S), False)):
-        low = to_mp(int(low * 2 ** S), 0, S, ctx.mp)
-        monkeypatch.setattr(lattice, "_majorant", lambda y, ctx: (low, rep.decay_bound))
+        low = int(low * 2 ** S)
+        monkeypatch.setattr(lattice, "_majorant", lambda y, ctx: (low, low, S))
         assert strip_decay((2,), Fraction(1, 2), ctx)[0].dominated is dominated
 
 
@@ -387,6 +401,12 @@ def exact(x) -> Fraction:
     return Fraction(int(x.man)) * Fraction(2) ** int(x.exp) if x else Fraction(0)
 
 
+def majorant(y, ctx):
+    """_majorant's bracket [low, high] at the real mpf y, as exact mpf."""
+    low, high, P = lattice._majorant(ctx.exact(y), ctx)
+    return to_mp(low, 0, P, ctx.mp), to_mp(high, 0, P, ctx.mp)
+
+
 def test_majorant_brackets_the_exact_partial_sum(ctx):
     # the partial sum 3/y^2 + 2 sum_{n<=M} 1/(n^2+y^2), M = 64 + 4 ceil(y), is
     # an exact Fraction; low holds it plus the tail's lower end 2M / (M(M+1)
@@ -400,7 +420,7 @@ def test_majorant_brackets_the_exact_partial_sum(ctx):
         M = 64 + 4 * math.ceil(exact(y))
         partial = 3 / y2 + 2 * sum(1 / (n * n + y2) for n in range(1, M + 1))
         tail_low = Fraction(2 * M) / (M * (M + 1) + y2)
-        low, high = (exact(v) for v in lattice._majorant(y, ctx))
+        low, high = (exact(v) for v in majorant(y, ctx))
         assert partial + tail_low - (2 * M + 3) * unit < low <= partial + tail_low
         assert partial + Fraction(2, M) <= high
         assert high - low <= Fraction(2, 4096) + (2 * 4096 + 2) * unit
@@ -411,7 +431,7 @@ def test_majorant_truncates_the_tail_lower_end_down(ctx, monkeypatch):
     # 2^-P, so low is 4 plus the tail's lower end 2 M / (M(M+1) + y^2) = 2/3
     # truncated: within 2 units below, never above
     monkeypatch.setattr(lattice, "_MAJORANT_TERMS", 1)
-    low, high = (exact(v) for v in lattice._majorant(ctx.real(1), ctx))
+    low, high = (exact(v) for v in majorant(ctx.real(1), ctx))
     assert 4 + Fraction(2, 3) - Fraction(2, 2 ** ctx.precision) < low <= 4 + Fraction(2, 3)
     assert 6 <= high
 
@@ -420,7 +440,7 @@ def test_majorant_brackets_the_closed_form(ctx):
     # sum_{n>=1} 1/(n^2+y^2) = (pi y coth(pi y) - 1)/(2 y^2); platform pi here only
     for h in MAJORANT_HEIGHTS:
         y = ctx.real(h)
-        low, high = lattice._majorant(y, ctx)
+        low, high = majorant(y, ctx)
         with mpmath.workprec(4 * ctx.precision):
             yy = mpmath.mpmathify(y)
             closed = 3 / yy ** 2 + (mpmath.pi * yy * mpmath.coth(mpmath.pi * yy) - 1) / yy ** 2
@@ -544,7 +564,7 @@ def test_disc_widening_holds_the_jet_over_the_disc():
     for i in range(6):
         w = ctx.point(complex(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5) if i % 2 else 0))
         u = reduce_point(w, ctx)  # exact at 2^-W; the disc as R >= r 2^W units
-        P, fixed = fixed_jet(u, ctx, (mp.mag(ctx.tolerance) - 1,) * 3, units(r, u[2]) + 1)
+        P, fixed = fixed_jet(u, ctx, (mp.mag(ctx.tolerance) - 1,) * 3, mp_fixed(r, u[2])[0] + 1)
         held = [to_ball(*b, P, ctx.precision) for b in fixed]
         for j in range(8):
             for inner, outer in zip(f_jet(w + r * mp.expjpi(mp.mpf(j) / 4), ctx, tols), held):
@@ -554,7 +574,7 @@ def test_disc_widening_holds_the_jet_over_the_disc():
 def test_widening_refuses_a_disc_that_reaches_an_integer(ctx):
     with pytest.raises(PoleProximityError):
         u = reduce_point("0.25", ctx)
-        fixed_jet(u, ctx, (ctx.mp.mag(ctx.tolerance) - 1,), units(ctx.mp.mpf("0.3"), u[2]))
+        fixed_jet(u, ctx, (ctx.mp.mag(ctx.tolerance) - 1,), mp_fixed(ctx.mp.mpf("0.3"), u[2])[0])
 
 
 def test_the_coefficient_table_is_built_once_per_64_bits_of_scale(monkeypatch):

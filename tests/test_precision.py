@@ -127,7 +127,7 @@ def test_exactness_of_dyadic_inputs_survives_parsing():
 def test_an_int_beyond_the_precision_is_one_point_for_every_entry():
     # point, exact and ball take 2^130 + 1 exactly at 128 bits, so the checks
     # that read their point through point name the point cosine evaluates
-    from eistrig.fixedpoint import to_mp
+    from eistrig.precision import to_mp
     ctx = PrecisionContext(128, "1e-12")
     for n in (2**130 + 1, -(2**200) - 3):
         assert int(ctx.point(n)) == n
@@ -156,6 +156,12 @@ def _records():
     ]
 
 
+def _changed(field):
+    """Another value for the field: three times an mpf (a ball holds the
+    tuples of numbers alone), else a string."""
+    return 3 * field if hasattr(field, "_mpf_") else "changed"
+
+
 @pytest.mark.parametrize("index", range(7))
 def test_a_record_is_a_value(index):
     cls, args = _records()[index]
@@ -163,7 +169,7 @@ def test_a_record_is_a_value(index):
     assert cls(**dict(zip(cls.__slots__, args))) == record
     assert hash(cls(*args)) == hash(record)
     for i in range(len(args)):
-        assert cls(*args[:i], "changed", *args[i + 1:]) != record
+        assert cls(*args[:i], _changed(args[i]), *args[i + 1:]) != record
     assert repr(record).startswith(f"{cls.__name__}({cls.__slots__[0]}=")
     with pytest.raises(AttributeError):
         setattr(record, cls.__slots__[0], args[0])

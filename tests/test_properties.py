@@ -17,7 +17,7 @@ from eistrig import (EistrigError, PrecisionContext, coeff_a, cosine, eisenstein
                      implied_identities, naive_symmetric_value, pythagoras_residual, sine,
                      symmetric_tail_bound, taylor_cosine)
 from eistrig import lattice
-from eistrig.fixedpoint import cdiv, cpow, fraction_bits, to_ball, to_fixed
+from eistrig.fixedpoint import cdiv, cpow, to_ball
 from eistrig.lattice import fixed_jet, reduce_point
 from eistrig.sympoly import SymbolPoly
 from eistrig.trig import g_eval
@@ -34,6 +34,18 @@ def f_jet(z, ctx, tolerances):
     P, jet = fixed_jet(reduce_point(z, ctx), ctx,
                        [mp.mag(t / (2 * abs(c) - 1)) - 1 for t, c in zip(tolerances, (1, -2, 6))])
     return [to_ball(*b, P, ctx.precision) for b in jet]
+
+
+def mp_bits(x) -> int:
+    """The least P >= 0 at which the mpf or mpc x is exact, from mpmath's own
+    exponents: an oracle for PrecisionContext.exact, which reads the tuples."""
+    return max([0] + [-part.exp for part in (x.real, x.imag) if part])
+
+
+def mp_fixed(x, P: int) -> tuple:
+    """The parts of the mpf or mpc x at scale 2^-P, each truncated toward
+    zero by mpmath's own ldexp and int: an oracle for PrecisionContext.exact."""
+    return tuple(int(part.context.ldexp(part, P)) for part in (x.real, x.imag))
 
 
 def dyadic(min_value: float, max_value: float, denominator: int = 4096):
@@ -430,8 +442,8 @@ def test_the_exact_entry_reads_a_float_as_the_mpf_path_does(z):
     # the same balls, or raises the same error, for z and for its mpf or mpc
     ctx = DEFAULT
     zp = ctx.point(z)
-    W = fraction_bits(zp)
-    assert ctx.exact(z) == (*to_fixed(zp, W), W)
+    W = mp_bits(zp)
+    assert ctx.exact(z) == (*mp_fixed(zp, W), W)
     mp_z = ctx.mp.mpf(z) if isinstance(z, float) else ctx.mp.mpc(z)
     assert ctx.exact(mp_z) == ctx.exact(z)
     for name, fn in EXACT_ENTRY.items():

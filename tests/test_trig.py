@@ -13,7 +13,8 @@ from eistrig import (EistrigError, PoleProximityError, PrecisionContext,
                      ToleranceUnreachableError, compute_pi, cosine, eisenstein_k,
                      evaluator, pythagoras_residual, sine, taylor_cosine)
 from eistrig import precision, trig
-from eistrig.fixedpoint import floor_abs, to_ball, to_mp
+from eistrig.fixedpoint import floor_abs, to_ball
+from eistrig.precision import to_mp
 from eistrig.lattice import first_order_ode_residual, reduce_point, second_order_ode_residual
 from eistrig.sympoly import SymbolPoly
 from eistrig.trig import (cosec_identity_check, g_eval, ivp_initial_data, ivp_residual,
@@ -397,6 +398,30 @@ def test_taylor_route_values_and_domain(ctx):
     assert b.radius <= deep.tolerance
     oracle = deep.mp.cos(4)
     assert abs(b.value - oracle) <= b.radius + deep.eps * 4
+
+
+def test_taylor_route_decides_its_domain_and_zero_on_the_exact_point(ctx):
+    # |4 + 2^-100 i| is 4 + 2^-203 or so, which abs rounds to 4 at 128 bits:
+    # the exact pair puts it outside |z| <= 4, and 4i and -4 on its edge
+    mp = ctx.mp
+    edge = mp.mpc(4, mp.ldexp(1, -100))
+    assert abs(edge) == 4
+    with pytest.raises(ValueError):
+        taylor_cosine(edge, ctx)
+    for z in (4j, -4, "0-4i"):
+        assert ctx.meets(taylor_cosine(z, ctx))
+    # every form of zero gives the exact one; 2^-300 does not, by one term's count
+    for zero in (0, 0.0, 0j, "0", "0+0i", mp.mpf(0), mp.mpc(0, 0)):
+        assert taylor_cosine(zero, ctx) == ctx.ball(1)
+    tiny = taylor_cosine(mp.ldexp(1, -300), ctx)
+    assert tiny.value == 1 and 0 < tiny.radius <= ctx.tolerance
+
+
+def test_taylor_route_compares_its_radius_by_ctx_meets(ctx, monkeypatch):
+    # the one radius check, on the tuples: a radius it refuses raises, named
+    monkeypatch.setattr(PrecisionContext, "meets", lambda self, bv: False)
+    with pytest.raises(ToleranceUnreachableError, match=r"taylor_cosine\(1\.0\) keeps radius"):
+        taylor_cosine("1", ctx)
 
 
 def test_routes_agree_within_summed_bounds(ctx):

@@ -12,10 +12,10 @@ import mpmath
 import pytest
 
 from eistrig import PrecisionContext, coeff_a, zeta_even
-from eistrig.fixedpoint import fraction_bits, to_fixed, to_mp, units
-from eistrig.precision import mp_context
+from eistrig.precision import mp_context, to_mp
 from eistrig.sympoly import SymbolPoly
 from eistrig.zetasums import KERNEL_GUARD_BITS, bernoulli_even, em_tails
+from test_properties import mp_bits, mp_fixed
 
 ZETA2 = "1.6449340668482264364724151666460251892189499"
 ZETA4 = "1.08232323371113819151600369654116790277475095"
@@ -151,9 +151,9 @@ def shifted_tail(k, a, c, mp, target):
     em_tails, or None at the floor: the sum runs at the scale 2^-P that makes c exact and leaves
     KERNEL_GUARD_BITS below the target; value and bound come back as exact
     mpf/mpc, the bound the truncation bound plus the counted rounding."""
-    P = max(fraction_bits(c), KERNEL_GUARD_BITS, KERNEL_GUARD_BITS - mp.mag(target))
-    cr, ci = to_fixed(c, P)
-    got = em_tails((k,), (a << P) + cr, ci, P, (units(target, P),))
+    P = max(mp_bits(c), KERNEL_GUARD_BITS, KERNEL_GUARD_BITS - mp.mag(target))
+    cr, ci = mp_fixed(c, P)
+    got = em_tails((k,), (a << P) + cr, ci, P, (mp_fixed(target, P)[0],))
     if got is None:
         return None
     (re, im, err, bound, _), = got

@@ -47,7 +47,7 @@ _HOMES = {
 }
 
 _SUBMODULES = ("cli", "errors", "fixedpoint", "lattice", "laurent", "precision",
-               "sympoly", "trig", "verify", "zetasums")
+               "printing", "sympoly", "trig", "verify", "zetasums")
 
 
 def __getattr__(name: str):

@@ -15,6 +15,11 @@ Exit codes
 3  evaluation point within the pole guard of an integer
 4  output could not be written
 5  requested tolerance or zero-separation could not be reached
+
+Each command imports the layers it runs.  eval reads its point once as an
+exact pair and prints the value and the radius from the ball's dyadic
+tuples (the printing module, the digits mpmath's nstr prints), so neither
+eval nor verify imports mpmath.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ import sys
 
 from .errors import (ConfigurationError, InconclusiveNonvanishingError,
                      PoleProximityError, ToleranceUnreachableError)
-from .precision import PrecisionContext, _digits, format_real
+from .precision import PrecisionContext
+from .printing import _digits, format_real, format_value
 
 #: each kind of table, built by verify.<kind>_table
 _TABLE_KINDS = ("strip_decay", "convergence", "route_error")
@@ -40,12 +46,6 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _context(args) -> PrecisionContext:
     return PrecisionContext(args.precision, args.tolerance)
-
-
-def _fmt_value(value, ctx: PrecisionContext) -> str:
-    if hasattr(value, "imag") and value.imag != 0:
-        return ctx.mp.nstr(value, _digits(ctx))
-    return format_real(value.real if hasattr(value, "imag") else value, ctx)
 
 
 # each command imports the layers it runs, so that a process loads only those
@@ -82,18 +82,19 @@ def _cmd_eval(args) -> int:
                 "the series-based zeta covers even integers s >= 2 only")
         bv = zeta_even(s // 2, ctx)
     else:
-        zp = ctx.point(args.point)
+        z = ctx.exact(args.point)
         if name in ("f", "g"):
-            bv = eisenstein_k(2, zp, ctx) if name == "f" else g_eval(zp, ctx)
-            u = reduce_point(zp, ctx)
+            bv = eisenstein_k(2, z, ctx) if name == "f" else g_eval(z, ctx)
+            u = reduce_point(z, ctx)
         else:
-            bv = cosine(zp, ctx) if name == "cos" else sine(zp, ctx)
-            u = evaluator(ctx).reduced_w(ctx.exact(zp))[0]
+            bv = cosine(z, ctx) if name == "cos" else sine(z, ctx)
+            u = evaluator(ctx).reduced_w(z)[0]
         route, pairs, size = pass_size(u, ctx.tolerance_exponent)
         detail = {"Laurent": f"Laurent route, {pairs} explicit pairs, D = {size}",
                   "strip": f"strip remainder, m = {size}",
                   "lattice": f"lattice route, N = {size}"}[route] + f", {detail}"
-    print(f"{name}({args.point}) = {_fmt_value(bv.value, ctx)} +/- {format_real(bv.radius, ctx)}")
+    value = format_value(bv.re, bv.im, _digits(ctx))
+    print(f"{name}({args.point}) = {value} +/- {format_real(bv.rad, ctx)}")
     print(f"parameters: {detail}")
     return 0
 

@@ -16,8 +16,8 @@ context's precision once, by to_ball, when it leaves the kernel: in integers,
 to the dyadic tuples of a BoundedValue (precision.dyadic), so that no
 evaluation imports mpmath.  This module neither reads nor builds an mpmath
 object: a point comes in as an exact pair (PrecisionContext.exact), a ball
-as its tuples (fixed_balls), and precision.to_mp builds an mpf or mpc from a
-pair for a layer that prints.
+as its tuples (fixed_balls); precision.to_mp builds an mpf or mpc from a
+pair for the text of an error.
 """
 
 from __future__ import annotations

@@ -97,7 +97,8 @@ from .errors import (InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError)
 from .fixedpoint import (ball_mul, cpow, fixed_balls, floor_abs, nearest, series, to_ball,
                          tshift)
-from .precision import TERM_CAP, BoundedValue, PrecisionContext, Record, to_mp
+from .precision import (TERM_CAP, BoundedValue, PrecisionContext, Record, _le, mp_context,
+                        read_real, to_mp, to_pair)
 from .zetasums import (KERNEL_GUARD_BITS, MAX_ORDER, _bernoulli_over, em_tails, zeta_fixed,
                        zeta_table)
 
@@ -699,8 +700,9 @@ class NonvanishingReport(Record):
 def nonvanishing_scan(grid: Sequence, ctx: PrecisionContext, jets=None) -> NonvanishingReport:
     """Prove |f(z)| > 0 at each grid point from the f of its check_jet (in
     jets, or computed here), which fixed_jet refines until |value| > radius;
-    InconclusiveNonvanishingError if some point cannot be resolved."""
-    points = tuple(ctx.point(z) for z in grid)
+    InconclusiveNonvanishingError if some point cannot be resolved.  The
+    report keeps each point as given."""
+    points = tuple(grid)
     balls = [(*f, P) for P, (f, *_) in jets or [check_jet(zp, ctx) for zp in points]]
     values = tuple(to_ball(*b, ctx.precision) for b in balls)
     S = max(P for *_, P in balls)  # the least lower end floor|f| - err, exact at 2^-S
@@ -720,18 +722,32 @@ def _modulus(re: int, im: int, err: int, P: int, prec: int) -> BoundedValue:
 class StripBoundReport(Record):
     """|f(x+iy)| against the analytic strip majorant 3/y^2 + 2 sum 1/(n^2+y^2).
 
-    decay_bound is a certified upper value for the majorant; decay_bound_low
-    a certified lower value (a partial sum in fixed point, every truncation
-    counted, plus the upper or the lower end of its tail).  Domination is
+    The report holds integers: height, the tuple of y at prec bits, and
+    majorant, (low, high, P), a certified bracket [low 2^-P, high 2^-P] of
+    the majorant (_majorant: a partial sum in fixed point, every truncation
+    counted, plus the lower or the upper end of its tail); y, decay_bound
+    and decay_bound_low are their exact mpf, built when read.  Domination is
     decided on the safe side and exactly: the upper end of f_magnitude,
-    value + radius, against decay_bound_low, both at one scale.
+    value + radius, against low, both at one scale.
     """
 
-    __slots__ = ("y", "f_magnitude", "decay_bound", "decay_bound_low", "dominated")
+    __slots__ = ("height", "f_magnitude", "majorant", "dominated", "prec")
 
-    def __init__(self, y, f_magnitude: BoundedValue, decay_bound, decay_bound_low,
-                 dominated: bool):
-        self._set(y, f_magnitude, decay_bound, decay_bound_low, dominated)
+    def __init__(self, height: tuple, f_magnitude: BoundedValue, majorant: tuple,
+                 dominated: bool, prec: int):
+        self._set(height, f_magnitude, majorant, dominated, prec)
+
+    @property
+    def y(self):
+        return mp_context(self.prec).make_mpf(self.height)
+
+    @property
+    def decay_bound(self):
+        return to_mp(self.majorant[1], 0, self.majorant[2], mp_context(self.prec))
+
+    @property
+    def decay_bound_low(self):
+        return to_mp(self.majorant[0], 0, self.majorant[2], mp_context(self.prec))
 
 
 def strip_decay(y_values: Sequence, x, ctx: PrecisionContext) -> list[StripBoundReport]:
@@ -746,23 +762,22 @@ def strip_decay(y_values: Sequence, x, ctx: PrecisionContext) -> list[StripBound
     huge height ends in InconclusiveNonvanishingError after passes to at
     most 2^(T - 4344).  Steering never touches the bounds.
     """
-    mp, T = ctx.mp, ctx.tolerance_exponent
-    xr = ctx.real(x)
-    if abs(xr) > 1:
-        raise ValueError(f"strip offset x must satisfy |x| <= 1, got {mp.nstr(xr, 8)}")
+    T, prec = ctx.tolerance_exponent, ctx.precision
+    one, xt = (0, 1, 0, 1), read_real(x, prec)
+    if not _le((0, *xt[1:]), one):
+        raise ValueError(f"strip offset x must satisfy |x| <= 1, got {x!r}")
     reports: list[StripBoundReport] = []
     for y in y_values:
-        yr = ctx.real(y)
-        if abs(yr) < 1:
-            raise ValueError(f"strip requires |y| >= 1, got {mp.nstr(yr, 8)}")
-        u = reduce_point(mp.mpc(xr, yr), ctx)
-        mag = _modulus(*_resolved_f(u, ctx, min(T, jet_bounds(u, T - 2160)[0] - 24)), ctx.precision)
-        low, high, P = _majorant(ctx.exact(yr), ctx)
+        yt = read_real(y, prec)
+        if not _le(one, (0, *yt[1:])):
+            raise ValueError(f"strip requires finite |y| >= 1, got {y!r}")
+        u = reduced(*to_pair(xt, yt))
+        mag = _modulus(*_resolved_f(u, ctx, min(T, jet_bounds(u, T - 2160)[0] - 24)), prec)
+        low, high, P = _majorant(to_pair(yt), ctx)
         S, ((value, _, radius),) = fixed_balls((mag,))
         # value + radius <= low 2^-P, at the finer of the two scales
         dominated = value + radius << max(P - S, 0) <= low << max(S - P, 0)
-        reports.append(StripBoundReport(yr, mag, to_mp(high, 0, P, mp), to_mp(low, 0, P, mp),
-                                        dominated))
+        reports.append(StripBoundReport(yt, mag, (low, high, P), dominated, prec))
     return reports
 
 

@@ -29,8 +29,9 @@ mpc is read into integers here alone, by PrecisionContext.exact (every
 point, with no mpf built) and by BoundedValue(value, radius) (once, when
 built); to_mp and a ball's value and radius build mpmath objects back.
 mpmath is imported for those, the context's tolerance, eps, mp and point, a
-form read_real leaves to mpmath's parser, the text of an error,
-format_real, and the layers that keep it (verify, the CLI's printing).
+form read_real leaves to mpmath's parser and the text of an error; the
+printing module prints every decimal of a report or an `eistrig eval` line
+from the tuples, so neither imports it.
 
 mpmath contexts are cached per precision (the 64 used last) and never
 mutated afterwards, so evaluations at different precisions can run
@@ -39,8 +40,7 @@ concurrently without touching mpmath's global state.
 BoundedValue and the package's other result records (trig.PiValue, the
 lattice and verify reports, verify.RunConfig) are plain Record classes:
 immutable, slotted, equal and hashed by value, built without dataclasses,
-which would cost every process its import.  format_real prints a real the
-way every report, table and `eistrig eval` line does.
+which would cost every process its import.
 """
 
 from __future__ import annotations
@@ -151,7 +151,8 @@ def _plain_decimal(text: str):
 
 def read_real(x, prec: int) -> tuple:
     """The tuple of mp.mpf(x) at prec bits (mp.mpf(numerator) / denominator
-    for a Fraction), read in integers for a str, an int or a Fraction: a
+    for a Fraction), read in integers for a str, an int, a Fraction or a
+    tuple (sign, man, exp, bc), which is rounded to nearest, ties to even; a
     plain decimal man 10^exp (_plain_decimal) rounded to nearest, ties to
     even, as mpmath's parser rounds it.  Any other form (a ratio 'p/q',
     'inf', '1_000', a huge exponent) or type (a float, an mpf) goes to
@@ -163,6 +164,8 @@ def read_real(x, prec: int) -> tuple:
             return dyadic(man * 10**exp, 0, prec, "n") if exp >= 0 else _quotient(man, 10**-exp, prec)
     elif isinstance(x, int):
         return dyadic(x, 0, prec, "n")
+    elif isinstance(x, tuple):
+        return _nearest(x, prec)
     else:
         from fractions import Fraction  # not before a Fraction may come
         if isinstance(x, Fraction):
@@ -309,10 +312,6 @@ class BoundedValue(Record):
     def __repr__(self) -> str:
         return f"BoundedValue(value={self.value!r}, radius={self.radius!r})"
 
-    def magnitude(self):
-        """|value| (a nonnegative mpf)."""
-        return abs(self.value)
-
     def upper(self):
         """Upper bound on |true|: |value| + radius."""
         return abs(self.value) + self.radius
@@ -419,7 +418,7 @@ class PrecisionContext:
         if sign or not man:
             raise ConfigurationError("refined tolerance must be positive")
         precision = max(self.precision, GUARD_BITS + 8 - (exp + bc))
-        return PrecisionContext(precision, self.mp.make_mpf(tol))
+        return PrecisionContext(precision, tol)
 
     # -- conversions -----------------------------------------------------
 
@@ -441,8 +440,9 @@ class PrecisionContext:
 
     def exact(self, z) -> tuple[int, int, int]:
         """The point z as the exact pair (re, im, W): (re + i im) 2^-W, W the
-        least scale >= 0 at which it is exact, with no mpf built.  A float,
-        a complex and an int are exact; a string 're+imi' (each part), a
+        least scale >= 0 at which it is exact, with no mpf built.  A tuple is
+        taken as such a pair and comes back as it is.  A float, a complex
+        and an int are exact; a string 're+imi' (each part), a
         Fraction or another real are read by read_real; an mpf or mpc gives
         its tuples, rounded to nearest at this precision, as mp.mpf rounds
         them, unless point returns it unchanged.  ValueError for a
@@ -456,6 +456,8 @@ class PrecisionContext:
             return a * (m // b), c * (m // d), m.bit_length() - 1
         if isinstance(z, int):
             return z, 0, 0
+        if isinstance(z, tuple):
+            return z
         if isinstance(z, str):
             parts = tuple(read_real(s, self.precision) for s in split_point_string(z))
         elif hasattr(z, "_mpf_") or hasattr(z, "_mpc_"):
@@ -468,9 +470,7 @@ class PrecisionContext:
             parts = read_real(z, self.precision), ZERO
         if any(not man and exp for _, man, exp, _ in parts):
             raise ValueError(f"non-finite point: {z!r}")
-        W = max([0] + [-exp for _, man, exp, _ in parts if man])
-        re, im = ((-man if sign else man) << exp + W for sign, man, exp, _ in parts)
-        return re, im, W
+        return to_pair(*parts)
 
     def from_fraction(self, q: Fraction):
         """mpf nearest to an exact Fraction (two roundings at most)."""
@@ -482,6 +482,15 @@ class PrecisionContext:
         need a rounding.  An int value makes a ball without mpmath."""
         re, im, _ = _parts(value)
         return BoundedValue.of(re, im, read_real(radius, self.precision), self.precision)
+
+
+def to_pair(re: tuple, im: tuple = ZERO) -> tuple[int, int, int]:
+    """The exact pair (re, im, W) of the finite tuples re and im: (re + i im)
+    2^-W, W the least scale >= 0 at which both are exact."""
+    parts = re, im
+    W = max([0] + [-exp for _, man, exp, _ in parts if man])
+    re, im = ((-man if sign else man) << exp + W for sign, man, exp, _ in parts)
+    return re, im, W
 
 
 def split_point_string(text: str) -> tuple[str, str]:
@@ -511,14 +520,3 @@ def split_point_string(text: str) -> tuple[str, str]:
     elif im_part == "-":
         im_part = "-1"
     return (re_part or "0"), im_part
-
-
-def _digits(ctx: PrecisionContext) -> int:
-    """Significant decimal digits that show a number at ctx's precision."""
-    return max(17, int(ctx.precision * 0.30103) + 2)
-
-
-def format_real(x, ctx: PrecisionContext) -> str:
-    """The real x as a decimal string of _digits(ctx) digits, trailing zeros
-    stripped: how reports, tables and the CLI print a real."""
-    return ctx.mp.nstr(ctx.mp.mpf(x), _digits(ctx), strip_zeros=True)

@@ -41,7 +41,7 @@ from math import isqrt
 
 from .errors import PoleProximityError, ToleranceUnreachableError
 from .fixedpoint import ball_mul, ball_quotient, floor_abs, rounded_count, tdiv, to_ball, tshift
-from .precision import BoundedValue, PrecisionContext, Record, to_mp
+from .precision import BoundedValue, PrecisionContext, Record, dyadic, to_mp
 from .lattice import check_jet, fixed_jet, in_pole_guard, jet_bounds, reduce_point, reduced
 from .zetasums import KERNEL_GUARD_BITS, zeta_fixed
 
@@ -361,9 +361,9 @@ def ivp_residual(z, ctx: PrecisionContext) -> BoundedValue:
 
 
 def ivp_initial_data(ctx: PrecisionContext):
-    """(c(0), c'(0)) = (cosine(0), -sine(0)): both exact, because f is even."""
-    s = sine(0, ctx)
-    return cosine(0, ctx), BoundedValue(-s.value, s.radius)
+    """(c(0), c'(0)) = (cosine(0), -sine(0)): both exact, because f is even;
+    sine(0) is the exact zero ball, its own negative."""
+    return cosine(0, ctx), sine(0, ctx)
 
 
 # -- identity checks ---------------------------------------------------------------
@@ -382,9 +382,9 @@ def cosec_identity_check(z, ctx: PrecisionContext, jet=None) -> BoundedValue:
     lower end.  The identity is one exact product of the integer balls,
     rounded once.
     """
-    zp, te = ctx.point(z), ctx.tolerance_exponent
-    P, (f, *_) = jet or check_jet(zp, ctx)
-    zr, zi, Z = ctx.exact(zp)
+    zr, zi, Z = z = ctx.exact(z)
+    te = ctx.tolerance_exponent
+    P, (f, *_) = jet or check_jet(z, ctx)
     u = reduced(zr, zi, Z)
     # 2^low <= the lower end of |f|, the ball excludes zero (fixed_jet)
     low = (floor_abs(f[0], f[1]) - f[2]).bit_length() - 1 - P
@@ -407,11 +407,15 @@ def pythagoras_residual(z, ctx: PrecisionContext) -> BoundedValue:
     """s(z)^2 + c(z)^2 - 1, consistent with zero everywhere; c = 1 - 2 pi^2 g(w)
     and s = pi g'(w) from one [g, g'] jet at w = z / 2 pi, g to tolerance/(160 2^m)
     and g' to tolerance/(32 2^m); 2^m > e^|Im z| >= |c|, |s| for m = int(1.45
-    |Im z|) + 1 (1.45 > log2 e), so the radius stays near tolerance/2.  Exact
-    at 2^-2S, rounded once."""
-    zp, ev = ctx.point(z), evaluator(ctx)
-    m = int(1.45 * abs(ctx.mp.im(zp))) + 1
-    u, R = ev.reduced_w(ctx.exact(zp))
+    |Im z|) + 1 (1.45 > log2 e; the product rounded to the precision, as an
+    mpf product rounds it), so the radius stays near tolerance/2.  Exact at
+    2^-2S, rounded once."""
+    zr, zi, Z = z = ctx.exact(z)
+    ev = evaluator(ctx)
+    # the float 1.45 is 6530219459687219 2^-52
+    _, man, exp, _ = dyadic(6530219459687219 * abs(zi), -Z - 52, ctx.precision, "n")
+    m = tshift(man, exp) + 1
+    u, R = ev.reduced_w(z)
     Q, (g, g1) = _g_jet(u, ctx, R, (ev.g_exp - m, ctx.tolerance_exponent - 5 - m))
     *c, S = _cos_fixed(ev, g, Q)
     *s, _ = _sin_fixed(ev, g1, Q)

@@ -21,6 +21,13 @@ platform-derived constant (`pi_reference`) is omitted when
 Report serialization is deterministic: identical configurations produce
 byte-identical JSON and text apart from the ``generated_at`` field, and all
 reals are rendered as decimal strings.
+
+A run imports no mpmath: each check takes the grid as exact pairs (re, im,
+W), formed once from the rational grid, and the printing module prints
+every decimal from the dyadic tuples of the balls, with the digits that
+mpmath's nstr prints; only the worst item's point is formatted.  Of the
+tables, the convergence table alone, which compares with mpmath's
+arithmetic, imports it.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ from .lattice import (check_jet, eisenstein_k, first_order_ode_residual, naive_s
                       symmetric_tail_bound)
 from .laurent import (combination_first_order, combination_second_order,
                       implied_identities)
-from .precision import BoundedValue, PrecisionContext, Record, dyadic, format_real
+from .precision import ZERO, BoundedValue, PrecisionContext, Record, dyadic, read_real, to_pair
+from .printing import _digits, format_point, format_real, modulus, str_real
 from .sympoly import SymbolPoly, render_poly
 from .trig import (cosec_identity_check, cosine, evaluator, ivp_initial_data,
                    ivp_residual, pythagoras_residual, reciprocal_ode_residual,
@@ -79,7 +87,9 @@ class RunConfig(Record):
             raise ConfigurationError("strip heights must be >= 1")
         if self.perturb_a0 is not None:
             try:
-                PrecisionContext().real(self.perturb_a0)
+                _, man, exp, _ = read_real(self.perturb_a0, 128)
+                if exp and not man:
+                    raise ValueError("a non-finite perturbation")
             except (ValueError, TypeError) as exc:
                 raise ConfigurationError(
                     f"perturbation not parseable as a real number: {self.perturb_a0!r}") from exc
@@ -126,34 +136,35 @@ class VerificationReport(Record):
         return self.suite_status == "pass"
 
 
-def _fmt_point(zp, ctx: PrecisionContext) -> str:
-    return ctx.mp.nstr(zp, 12)
-
-
 def _ball_item(check_id: str, identity: str, parameters: dict,
-               labeled: Sequence[tuple[str, BoundedValue]],
+               labeled: Sequence[tuple[object, BoundedValue]],
                ctx: PrecisionContext) -> ReportItem:
-    """Worst-margin item over labeled balls: pass iff every |value| <= radius,
-    margins floor|value| - radius and verdict from the exact balls at one scale."""
+    """Worst-margin item over balls labeled by a string or a grid point (an
+    exact pair, printed for the worst item alone): pass iff every |value| <=
+    radius, margins floor|value| - radius and verdict from the exact balls at
+    one scale."""
     _, balls = fixed_balls([bv for _, bv in labeled])
     worst = max(range(len(balls)), key=lambda i: floor_abs(*balls[i][:2]) - balls[i][2])
     worst_label, worst_bv = labeled[worst]
-    params = dict(parameters, points=len(labeled), worst_at=worst_label)
+    params = dict(parameters, points=len(labeled),
+                  worst_at=worst_label if isinstance(worst_label, str) else format_point(worst_label))
     status = "pass" if all(re * re + im * im <= err * err for re, im, err in balls) else "fail"
     return ReportItem(check_id, identity, params,
-                      residual=format_real(worst_bv.magnitude(), ctx),
-                      bound=format_real(worst_bv.radius, ctx), status=status)
+                      residual=format_real(modulus(worst_bv.re, worst_bv.im, worst_bv.prec), ctx),
+                      bound=format_real(worst_bv.rad, ctx), status=status)
 
 
 def _margin_item(check_id: str, identity: str, parameters: dict,
-                 labeled: Sequence[tuple[str, object]],
+                 labeled: Sequence[tuple[str, int]], P: int,
                  ctx: PrecisionContext) -> ReportItem:
-    """Worst signed margin against a zero bound: pass iff every margin <= 0."""
-    worst_label, worst = max(labeled, key=lambda item: item[1])
+    """Worst signed margin against a zero bound, the exact margins m 2^-P
+    each rounded up once to the precision: pass iff every margin <= 0."""
+    worst_label, worst = max(((label, _rounded(m, ctx.precision, True)) for label, m in labeled),
+                             key=lambda item: item[1])
     params = dict(parameters, cases=len(labeled), worst_at=worst_label)
     status = "pass" if worst <= 0 else "fail"
     return ReportItem(check_id, identity, params,
-                      residual=format_real(worst, ctx), bound="0", status=status)
+                      residual=format_real(dyadic(worst, -P), ctx), bound="0", status=status)
 
 
 # -- individual checks ------------------------------------------------------------
@@ -193,7 +204,8 @@ def _check_pole_cancellation(config: RunConfig, ctx: PrecisionContext, combinati
 def _check_implied_identities(config: RunConfig, ctx: PrecisionContext, combinations) -> ReportItem:
     relations = implied_identities(config.symbolic_order, *combinations)
     max_symbol = max(r.max_symbol() for r in relations)
-    sub = ctx.refined(ctx.tolerance / 4096)
+    sign, man, exp, bc = ctx._tol
+    sub = ctx.refined((sign, man, exp - 12, bc))  # tolerance / 4096
     a_values = [coeff_a(d, sub) for d in range(max_symbol + 1)]
     labeled = [(render_poly(r), r.substitute(a_values, ctx)) for r in relations]
     return _ball_item(
@@ -202,34 +214,36 @@ def _check_implied_identities(config: RunConfig, ctx: PrecisionContext, combinat
         {"order": config.symbolic_order}, labeled, ctx)
 
 
-def _rounded(x: int, P: int, ctx: PrecisionContext, up: bool):
-    """x 2^-P rounded once to ctx's precision, up (toward +inf) or down."""
-    return ctx.mp.make_mpf(dyadic(x, -P, ctx.precision, "u" if (x > 0) == up else "d"))
+def _rounded(x: int, prec: int, up: bool) -> int:
+    """x rounded once to prec bits, up (toward +inf) or down, at its scale."""
+    n = abs(x).bit_length() - prec
+    if n <= 0:
+        return x
+    return -(-x >> n) << n if up else x >> n << n
 
 
 def _check_strip_decay(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
     reports = strip_decay(config.y_values, Fraction(1, 2), ctx)
-    # each margin exact from the dyadic |f| balls and majorant ends, rounded up once
-    P, balls = fixed_balls([ball for rep in reports
-                            for ball in (rep.f_magnitude, ctx.ball(rep.decay_bound_low))])
-    upper = [v + r for v, _, r in balls[0::2]]
-    lower = [max(v - r, 0) for v, _, r in balls[0::2]]
-    margins = [(f"domination at y={rep.y}", up - low)
-               for rep, up, (low, _, _) in zip(reports, upper, balls[1::2])]
-    margins += [(f"decrease y={low_rep.y} -> y={rep.y}", up - low)
-                for rep, low_rep, up, low in zip(reports[1:], reports, upper[1:], lower)]
-    labeled = [(label, _rounded(m, P, ctx, True)) for label, m in margins]
+    # each margin exact, at one scale, from the dyadic |f| balls and the majorants' lower ends
+    S, balls = fixed_balls([rep.f_magnitude for rep in reports])
+    P = max([S] + [rep.majorant[2] for rep in reports])
+    upper = [v + r << P - S for v, _, r in balls]
+    lower = [max(v - r, 0) << P - S for v, _, r in balls]
+    ys = [str_real(rep.height, rep.prec) for rep in reports]
+    margins = [(f"domination at y={y}", up - (low << P - Q))
+               for y, up, (low, _, Q) in zip(ys, upper, (rep.majorant for rep in reports))]
+    margins += [(f"decrease y={y0} -> y={y1}", up - low)
+                for y1, y0, up, low in zip(ys[1:], ys, upper[1:], lower)]
     return _margin_item(
         "strip_decay",
         "|f(1/2 + iy)| is dominated by the explicit lattice majorant and decreasing in y",
-        {"y_values": ",".join(str(y) for y in config.y_values)}, labeled, ctx)
+        {"y_values": ",".join(str(y) for y in config.y_values)}, margins, P, ctx)
 
 
 def _check_ode_second_order(config: RunConfig, ctx: PrecisionContext,
                             grid: Sequence, jet: Callable) -> ReportItem:
-    shift = ctx.real(config.perturb_a0) if config.perturb_a0 is not None else 0
-    labeled = [(_fmt_point(zp, ctx), second_order_ode_residual(zp, ctx, shift, jet(zp)))
-               for zp in grid]
+    shift = ctx.exact(config.perturb_a0) if config.perturb_a0 is not None else 0
+    labeled = [(zp, second_order_ode_residual(zp, ctx, shift, jet(zp))) for zp in grid]
     params = {} if config.perturb_a0 is None else {"perturb_a0": config.perturb_a0}
     return _ball_item("ode_second_order", "f'' - 6 f^2 + 12 a0 f = 0 on the grid",
                       params, labeled, ctx)
@@ -237,7 +251,7 @@ def _check_ode_second_order(config: RunConfig, ctx: PrecisionContext,
 
 def _check_ode_first_order(config: RunConfig, ctx: PrecisionContext,
                            grid: Sequence, jet: Callable) -> ReportItem:
-    labeled = [(_fmt_point(zp, ctx), first_order_ode_residual(zp, ctx, jet(zp))) for zp in grid]
+    labeled = [(zp, first_order_ode_residual(zp, ctx, jet(zp))) for zp in grid]
     return _ball_item("ode_first_order", "(f')^2 - 4 f^3 + 12 a0 f^2 = 0 on the grid",
                       {}, labeled, ctx)
 
@@ -245,14 +259,14 @@ def _check_ode_first_order(config: RunConfig, ctx: PrecisionContext,
 def _check_nonvanishing(config: RunConfig, ctx: PrecisionContext,
                         grid: Sequence, jet: Callable) -> ReportItem:
     report = nonvanishing_scan(grid, ctx, [jet(zp) for zp in grid])
+    least = report.min_modulus
+    magnitude = format_real(modulus(least.re, least.im, least.prec), ctx)
     return ReportItem(
         "nonvanishing", "|f| exceeds its own error radius everywhere on the grid",
-        {"points": len(report.points),
-         "min_at": _fmt_point(report.min_point, ctx),
-         "min_modulus": format_real(report.min_modulus.magnitude(), ctx)},
-        residual=format_real(report.min_modulus.radius, ctx),
-        bound=format_real(report.min_modulus.magnitude(), ctx),
-        status="pass" if not report.min_modulus.consistent_with_zero() else "fail")
+        {"points": len(report.points), "min_at": format_point(report.min_point),
+         "min_modulus": magnitude},
+        residual=format_real(least.rad, ctx), bound=magnitude,
+        status="pass" if not least.consistent_with_zero() else "fail")
 
 
 _RECIPROCAL_POINTS = ("0.15", "0.3", "0.5", "0.7", "0.85")
@@ -268,7 +282,7 @@ def _check_reciprocal_ode(config: RunConfig, ctx: PrecisionContext) -> ReportIte
 def _check_ivp(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
     labeled = [(p, ivp_residual(p, ctx)) for p in _IVP_POINTS]
     c0, cp0 = ivp_initial_data(ctx)
-    labeled.append(("c(0) - 1", BoundedValue(c0.value - 1, c0.radius)))
+    labeled.append(("c(0) - 1", _gap(c0, ctx.ball(1), ctx)))
     labeled.append(("c'(0)", cp0))
     return _ball_item(
         "ivp", "c'' + c = 0 with c(0) = 1 and c'(0) = 0", {}, labeled, ctx)
@@ -276,10 +290,10 @@ def _check_ivp(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
 
 def _cosine_routes(config: RunConfig, ctx: PrecisionContext):
     """(z, lattice-route ball, Taylor-route ball) at config.route_points
-    evenly spaced points of [-1, 1]."""
+    evenly spaced points of [-1, 1], z the exact pair of each."""
     n = config.route_points
     for i in range(n):
-        zp = ctx.from_fraction(Fraction(-1) + 2 * Fraction(i, n - 1))
+        zp = ctx.exact(Fraction(-1) + 2 * Fraction(i, n - 1))
         yield zp, cosine(zp, ctx), taylor_cosine(zp, ctx)
 
 
@@ -291,7 +305,7 @@ def _gap(a: BoundedValue, b: BoundedValue, ctx: PrecisionContext) -> BoundedValu
 
 
 def _check_route_agreement(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
-    labeled = [(_fmt_point(zp, ctx), _gap(lattice_route, series_route, ctx))
+    labeled = [(zp, _gap(lattice_route, series_route, ctx))
                for zp, lattice_route, series_route in _cosine_routes(config, ctx)]
     return _ball_item(
         "route_agreement",
@@ -301,30 +315,32 @@ def _check_route_agreement(config: RunConfig, ctx: PrecisionContext) -> ReportIt
 
 def _check_pythagoras(config: RunConfig, ctx: PrecisionContext,
                       grid: Sequence) -> ReportItem:
-    labeled = [(_fmt_point(zp, ctx), pythagoras_residual(zp, ctx)) for zp in grid]
+    labeled = [(zp, pythagoras_residual(zp, ctx)) for zp in grid]
     return _ball_item(
         "pythagoras", "s(z)^2 + c(z)^2 = 1 on the grid", {}, labeled, ctx)
 
 
 def _check_cosec_identity(config: RunConfig, ctx: PrecisionContext,
                           grid: Sequence, jet: Callable) -> ReportItem:
-    labeled = [(_fmt_point(zp, ctx), cosec_identity_check(zp, ctx, jet(zp))) for zp in grid]
+    labeled = [(zp, cosec_identity_check(zp, ctx, jet(zp))) for zp in grid]
     return _ball_item("cosec_identity", "f(z) s(pi z)^2 = pi^2 on the grid", {}, labeled, ctx)
 
 
 def _check_pi_reference(config: RunConfig, ctx: PrecisionContext) -> ReportItem:
-    pi = evaluator(ctx).pi.value
-    # |pi-hat - reference| and its bound exact, each rounded once, outward
-    P, ((centre, _, radius), (reference, _, _), (eps, _, _)) = fixed_balls(
-        (pi, ctx.ball(ctx.mp.mpf(PI_REFERENCE_DECIMAL)), ctx.ball(ctx.eps)))
+    pi, prec = evaluator(ctx).pi.value, ctx.precision
+    # |pi-hat - reference| and its bound exact, each rounded once, outward;
+    # the reference and eps = 2^(1-precision) as exact balls
+    exact = [BoundedValue.of(t, None, ZERO, prec)
+             for t in (read_real(PI_REFERENCE_DECIMAL, prec), (0, 1, 1 - prec, 1))]
+    P, ((centre, _, radius), (reference, _, _), (eps, _, _)) = fixed_balls((pi, *exact))
     residual, bound = abs(centre - reference), radius + 4 * eps
     return ReportItem(
         "pi_reference",
         "computed pi matches a stored platform-derived constant "
         "(the only check that consults one)",
-        {"computed": format_real(pi.value, ctx), "provenance": evaluator(ctx).pi.provenance},
-        residual=format_real(_rounded(residual, P, ctx, True), ctx),
-        bound=format_real(_rounded(bound, P, ctx, False), ctx),
+        {"computed": format_real(pi.re, ctx), "provenance": evaluator(ctx).pi.provenance},
+        residual=format_real(dyadic(_rounded(residual, prec, True), -P), ctx),
+        bound=format_real(dyadic(_rounded(bound, prec, False), -P), ctx),
         status="pass" if residual <= bound else "fail")
 
 
@@ -340,9 +356,9 @@ def run_verification(config: RunConfig | None = None) -> VerificationReport:
     ctx = config.context()
     order = config.symbolic_order
     combinations = (combination_second_order(order), combination_first_order(order))
-    grid = [ctx.from_fraction(q) for q in config.real_grid()]
-    grid += [ctx.mp.mpc(ctx.from_fraction(re), ctx.from_fraction(im))
-             for re, im in config.complex_grid()]
+    prec = ctx.precision
+    grid = [ctx.exact(q) for q in config.real_grid()]
+    grid += [to_pair(read_real(re, prec), read_real(im, prec)) for re, im in config.complex_grid()]
     jet = functools.cache(lambda zp: check_jet(zp, ctx))
 
     checks: list[tuple[str, Callable[[], ReportItem]]] = [
@@ -434,8 +450,9 @@ def strip_decay_table(config: RunConfig | None = None) -> str:
     ctx = config.context()
     rows = [("y", "f_abs", "f_err", "decay_bound")]
     for rep in strip_decay(config.y_values, Fraction(1, 2), ctx):
-        rows.append((str(rep.y), format_real(rep.f_magnitude.value, ctx),
-                     format_real(rep.f_magnitude.radius, ctx), format_real(rep.decay_bound, ctx)))
+        _, high, P = rep.majorant
+        rows.append((str_real(rep.height, rep.prec), format_real(rep.f_magnitude.re, ctx),
+                     format_real(rep.f_magnitude.rad, ctx), format_real(dyadic(high, -P), ctx)))
     return _csv(rows)
 
 
@@ -464,7 +481,7 @@ def route_error_table(config: RunConfig | None = None) -> str:
     rows = [("z", "eisenstein_route", "taylor_route", "abs_diff", "summed_bounds")]
     for zp, lattice_route, series_route in _cosine_routes(config, ctx):
         gap = _gap(lattice_route, series_route, ctx)
-        rows.append((format_real(zp, ctx),
-                     format_real(lattice_route.value, ctx), format_real(series_route.value, ctx),
-                     format_real(gap.magnitude(), ctx), format_real(gap.radius, ctx)))
+        rows.append((format_point(zp, _digits(ctx)),
+                     format_real(lattice_route.re, ctx), format_real(series_route.re, ctx),
+                     format_real(modulus(gap.re, gap.im, gap.prec), ctx), format_real(gap.rad, ctx)))
     return _csv(rows)

@@ -1,8 +1,9 @@
-"""Mutation check of the counted rounding allowances.
+"""Mutation check of the counted rounding allowances and the printer.
 
 Each mutant makes one or two textual edits to src/eistrig that shrink an
 error count (a rounding unit dropped, a propagated term or a bound cut) or
-turn a rounding the wrong way.  For
+turn a rounding the wrong way, in a count or in the decimals the printing
+module prints.  For
 each mutant the script copies src/ and tests/ into a temporary directory,
 applies the edits there, runs the tier-1 suite on the copy (stopping at the
 first failure), and prints whether some test fails (caught) or every test
@@ -192,6 +193,16 @@ MUTANTS = {
         "precision.py",
         "if low > half or low == half and x & 1:",
         "if low >= half:")],
+    # the printer's round-up at the last digit missing its half-way case, 5
+    "printer_ties_rounded_down": [(
+        "printing.py",
+        'if len(digits) > dps and digits[dps] in "56789":',
+        'if len(digits) > dps and digits[dps] in "6789":')],
+    # the sum of squares under the modulus of a complex ball rounded up, not down
+    "modulus_sum_rounded_up": [(
+        "printing.py",
+        '2 * (ae if far else be), prec + 4, "d")',
+        '2 * (ae if far else be), prec + 4, "u")')],
 }
 
 

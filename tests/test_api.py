@@ -69,6 +69,19 @@ def test_a_default_verify_loads_no_dataclasses():
     assert "dataclasses" not in loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--format", "json"], ["verify", "--format", "text"],
+    ["verify", "--precision", "192", "--tolerance", "1e-30"], ["verify", "--self-contained"],
+    ["verify", "--perturb-a0", "1e-6"],
+    ["eval", "cos", "0.37"], ["eval", "f", "0.3+4i", "--precision", "192", "--tolerance", "1e-30"],
+], ids=" ".join)
+def test_verify_and_eval_print_every_decimal_without_mpmath(argv):
+    # the printing module prints from the dyadic tuples, and the checks take exact pairs
+    loaded = _loaded_by(f"from eistrig.cli import main\nmain({argv!r})")
+    assert "eistrig.printing" in loaded
+    assert not {m for m in loaded if m.startswith("mpmath")}
+
+
 def test_the_lazy_package_serves_every_name_and_submodule():
     out = _fresh("from eistrig import *\n"
                  "import eistrig\n"

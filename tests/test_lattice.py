@@ -397,8 +397,16 @@ MAJORANT_HEIGHTS = (1, 2.5, Fraction(7, 3), 100)
 
 
 def exact(x) -> Fraction:
-    """The mpf x as an exact Fraction."""
-    return Fraction(int(x.man)) * Fraction(2) ** int(x.exp) if x else Fraction(0)
+    """The mpf x as an exact Fraction: man_exp holds |x| (mpmath's mantissa
+    is unsigned), and the sign is x's."""
+    man, exp = x.man_exp
+    return (-1 if x < 0 else 1) * Fraction(int(man)) * Fraction(2) ** int(exp) if x else Fraction(0)
+
+
+def test_the_exact_fraction_of_an_mpf_keeps_its_sign():
+    assert exact(mpmath.mpf(-0.375)) == Fraction(-3, 8)
+    assert exact(mpmath.mpf(0.375)) == Fraction(3, 8)
+    assert exact(mpmath.mpf(0)) == 0
 
 
 def majorant(y, ctx):

@@ -148,7 +148,7 @@ def _records():
         (BoundedValue, (mp.mpf("0.5"), mp.mpf("1e-20"))),
         (PiValue, (ball, "test provenance")),
         (NonvanishingReport, ((mp.mpf("0.25"),), (ball,), ball, mp.mpf("0.25"))),
-        (StripBoundReport, (mp.mpf(2), ball, mp.mpf(3), mp.mpf(1), True)),
+        (StripBoundReport, ((0, 1, 1, 1), ball, (1, 3, 0), True, 128)),
         (RunConfig, (192, "1e-30", 10, 8, 4, (1, 2), 5, True, "1e-9")),
         (ReportItem, ("ivp", "c'' + c = 0", (("points", 4),), "1e-30", "1e-25", "pass")),
         (VerificationReport, (1, "2026-01-01T00:00:00+00:00", (("precision_bits", 128),),
@@ -185,3 +185,89 @@ def test_record_defaults():
                                      False, None)
     assert RunConfig(tolerance="1e-30") == RunConfig(128, "1e-30")
     assert PiValue(BoundedValue(1, 0)).provenance == PI_PROVENANCE
+
+
+# -- the integer printer ----------------------------------------------------------
+
+
+def _printer_cases():
+    """(tuple, dps) over seeded tuples at 64 to 1,100 bits: zero, both signs,
+    a 5 followed by zeros at the rounding digit (a tie), runs of nines that
+    roll over, decimal exponents at the edges of the fixed notation, and
+    |exp + bc| at 3500 (printed in integers) and 3501 (by mpmath)."""
+    import random
+    from eistrig.precision import dyadic, read_real
+    rng = random.Random(2016)
+    cases = [((0, 0, 0, 0), 1), ((0, 0, 0, 0), 40)]
+    for _ in range(400):
+        prec = rng.randint(64, 1100)
+        x = rng.getrandbits(prec) | 1
+        cases.append((dyadic(rng.choice((-x, x)), rng.randint(-prec - 200, 200), prec), rng.randint(1, 333)))
+    for j in range(2, 60):  # N 2^-j has j decimals, the last a 5: a tie at dps = its digits - 1
+        n = rng.getrandbits(j) | 1
+        t = dyadic(n, -j)
+        digits = len(str(n * 5**j).rstrip("0"))
+        cases += [(t, digits - 1), (dyadic(-n, -j), digits - 1)]
+    for j in range(8, 400, 7):  # 1 - 2^-j and 10 - 2^-j: nines that roll over
+        for top in (1, 10):
+            cases += [(dyadic((top << j) - 1, -j), dps) for dps in (1, j // 4, j // 4 + 1)]
+    for dps in (1, 5, 12, 17, 40, 333):  # the fixed notation lies in min_fixed < e < dps
+        lo = min(-(dps // 3), -5)
+        for e in (lo - 1, lo, lo + 1, dps - 1, dps, dps + 1):
+            cases += [(read_real(f"{sign}1.2345678901234567890123{d}e{e}", 1100), dps)
+                      for sign in ("", "-") for d in range(3)]
+    for edge in (3500, 3501):  # |exp + bc| in integers, and mpmath's own route above it
+        for sign in (1, -1):
+            x = rng.getrandbits(200) | 1
+            cases += [(dyadic(x, sign * edge - x.bit_length()), dps) for dps in (3, 17, 40)]
+    return cases
+
+
+def test_the_printer_prints_every_digit_mpmath_prints():
+    from mpmath.libmp import to_str as mp_to_str
+    from eistrig.printing import to_str
+    mismatches = [(t, dps) for t, dps in _printer_cases() if to_str(t, dps) != mp_to_str(t, dps)]
+    assert not mismatches
+
+
+def test_the_printer_prints_points_and_heights_as_mpmath_does():
+    # nstr of an mpf and an mpc to 12 digits, the point labels of a report,
+    # nstr to a context's digits (format_real), and str of an mpf
+    import random
+    from eistrig.precision import dyadic
+    from eistrig.printing import _digits, format_point, format_real, format_value, str_real
+    rng = random.Random(35)
+    for prec in (64, 128, 192, 400, 1100):
+        ctx = PrecisionContext(prec, "1e-12")
+        mp = ctx.mp
+        for _ in range(40):
+            re, im = (mp.mpf(rng.uniform(-1, 1)) * mp.mpf(2) ** rng.randint(-80, 80) for _ in "ri")
+            zr, zi, W = ctx.exact(mp.mpc(re, im))
+            assert format_point((zr, zi, W)) == mp.nstr(mp.mpc(re, im), 12)
+            assert format_point((zr, 0, W)) == mp.nstr(re, 12)
+            assert format_value(re._mpf_, im._mpf_, _digits(ctx)) == mp.nstr(mp.mpc(re, im), _digits(ctx))
+            assert format_real(re._mpf_, ctx) == mp.nstr(re, _digits(ctx), strip_zeros=True)
+            assert str_real(re._mpf_, prec) == str(re)
+        for y in (1, 2, 5, 10, 50, 100):  # the default strip heights
+            assert str_real(dyadic(y, 0), prec) == str(mp.mpf(y))
+
+
+def test_the_modulus_of_a_complex_ball_is_mpmaths_abs():
+    # abs of an mpc: the sum of squares rounded down at prec + 4 bits (with
+    # mpf_add's shortcut for parts far apart), its square root to nearest
+    import random
+    from eistrig.precision import dyadic, mp_context
+    from eistrig.printing import modulus
+    rng = random.Random(1611)
+    for _ in range(600):
+        prec = rng.randint(64, 1100)
+        mp = mp_context(prec)
+        parts = [dyadic(rng.choice((-1, 1)) * (rng.getrandbits(rng.randint(1, prec)) | 1),
+                        rng.randint(-prec - 300, 100), prec) for _ in "ri"]
+        if rng.random() < 0.3:  # the exponents more than 100 apart
+            parts[1] = dyadic(rng.getrandbits(prec) | 1, parts[0][2] - rng.randint(60, 2 * prec), prec)
+        if rng.random() < 0.05:
+            parts[rng.randint(0, 1)] = (0, 0, 0, 0)
+        re, im = parts
+        assert modulus(re, im, prec) == abs(mp.make_mpc((re, im)))._mpf_
+        assert modulus(re, None, prec) == abs(mp.make_mpf(re))._mpf_

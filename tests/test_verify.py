@@ -127,7 +127,7 @@ def test_the_jet_checks_read_the_jet_they_compute_alone(monkeypatch):
 
 def test_a_jet_that_raises_leaves_exactly_its_four_checks_inconclusive(monkeypatch):
     ctx = SMALL.context()
-    bad = ctx.from_fraction(SMALL.real_grid()[2])
+    bad = ctx.exact(SMALL.real_grid()[2])  # the grid's exact pair
 
     def failing(zp, ctx):
         if zp == bad:

@@ -37,7 +37,7 @@ def main():
           f"  {'|diff|':>9}")
     worst_diff = worst_sum = mp.mpf(0)
     for i in range(9):
-        z = ctx.from_fraction(Fraction(i - 4, 4))
+        z = ctx.point(Fraction(i - 4, 4))
         a = cosine(z, ctx)
         b = taylor_cosine(z, ctx)
         diff = abs(a.value - b.value)
@@ -77,7 +77,7 @@ def main():
     print("periodicity: shifting by 2 pi^ k displaces the input by at most")
     print("2k times the pi^ radius, a few ulps of pi^ each, so the allowed")
     print("drift stays at the returned radii up to k = 10^6:")
-    base = ctx.real("0.7")
+    base = ctx.point("0.7")
     c_base = cosine(base, ctx)
     for k in (1, 1000, 10**6):
         shifted = cosine(base + 2 * k * pi_hat.value, ctx)
@@ -90,7 +90,7 @@ def main():
 
     print("pythagorean residual c^2 + s^2 - 1 (s from the derivative route):")
     for label in ("0.3", "1.1", "2.9"):
-        z = ctx.real(label)
+        z = ctx.point(label)
         res = pythagoras_residual(z, ctx)
         s = sine(z, ctx)
         print(f"  z = {label}:  s = {mp.nstr(s.value, 12):>15}"

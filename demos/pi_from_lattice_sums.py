@@ -73,7 +73,7 @@ def main():
     print("why acceleration matters: f(0.3) by plain symmetric truncation")
     print("=" * 72)
     ctx = PrecisionContext()
-    z = ctx.real("0.3")
+    z = ctx.point("0.3")
     accelerated = eisenstein_k(2, z, ctx)
     print(f"  accelerated value: {ctx.mp.nstr(accelerated.value, 30)}"
           f" +/- {ctx.mp.nstr(accelerated.radius, 3)}\n")

@@ -27,6 +27,7 @@ Run:  python3 demos/strip_decay_table.py
 from fractions import Fraction
 
 from eistrig import PrecisionContext, strip_decay
+from eistrig.precision import to_mp
 
 Y_VALUES = (1, 2, 3, 5, 8, 12, 20, 50, 100)
 
@@ -39,10 +40,11 @@ def main():
         print("=" * 72)
         print(f"  {'y':>4}  {'|f|':>12}  {'majorant >=':>12}  dominated")
         reports = strip_decay(Y_VALUES, x, ctx)
-        for rep in reports:
+        for y, rep in zip(Y_VALUES, reports):
             mag = rep.f_magnitude
-            print(f"  {str(rep.y):>4}  {ctx.mp.nstr(mag.upper(), 4):>12}"
-                  f"  {ctx.mp.nstr(rep.decay_bound_low, 4):>12}"
+            low, _, P = rep.majorant
+            print(f"  {str(y):>4}  {ctx.mp.nstr(mag.upper(), 4):>12}"
+                  f"  {ctx.mp.nstr(to_mp(low, 0, P, ctx.mp), 4):>12}"
                   f"  {'yes' if rep.dominated else 'NO'}")
         decreasing = all(cur.f_magnitude.upper() < prev.f_magnitude.lower()
                          for prev, cur in zip(reports, reports[1:]))

@@ -16,10 +16,10 @@ Exit codes
 4  output could not be written
 5  requested tolerance or zero-separation could not be reached
 
-Each command imports the layers it runs.  eval reads its point once as an
-exact pair and prints the value and the radius from the ball's dyadic
-tuples (the printing module, the digits mpmath's nstr prints), so neither
-eval nor verify imports mpmath.
+Each command imports the layers it runs, and none imports mpmath.  eval
+reads its point once as an exact pair and prints the value and the radius
+from the ball's dyadic tuples (the printing module, the digits mpmath's
+nstr prints).
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def main(argv=None) -> int:
     except (ToleranceUnreachableError, InconclusiveNonvanishingError) as exc:
         print(f"eistrig: {exc}", file=sys.stderr)
         return 5
-    except (ConfigurationError, ValueError) as exc:
+    except (ConfigurationError, ValueError, ZeroDivisionError) as exc:
         print(f"eistrig: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

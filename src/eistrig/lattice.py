@@ -97,8 +97,8 @@ from .errors import (InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError)
 from .fixedpoint import (ball_mul, cpow, fixed_balls, floor_abs, nearest, series, to_ball,
                          tshift)
-from .precision import (TERM_CAP, BoundedValue, PrecisionContext, Record, _le, mp_context,
-                        read_real, to_mp, to_pair)
+from .precision import (TERM_CAP, BoundedValue, PrecisionContext, Record, _le, dyadic,
+                        read_real, to_pair)
 from .zetasums import (KERNEL_GUARD_BITS, MAX_ORDER, _bernoulli_over, em_tails, zeta_fixed,
                        zeta_table)
 
@@ -245,12 +245,8 @@ def eisenstein_k(k: int, z, ctx: PrecisionContext) -> BoundedValue:
         raise ValueError(f"eisenstein_k expects an integer k >= 2, got {k!r}")
     P, (sums,) = _lattice_pass((k,), reduce_point(z, ctx), ctx, (ctx.tolerance_exponent,))
     out = to_ball(*sums, P, ctx.precision)
-    if not ctx.meets(out):
-        mp = ctx.mp
-        raise ToleranceUnreachableError(
-            f"eisenstein_k(k={k}) rounds to radius {mp.nstr(out.radius, 3)} "
-            f"at {ctx.precision} bits, above tolerance {mp.nstr(ctx.tolerance, 5)}")
-    return out
+    return ctx.certified(out, lambda nstr: f"eisenstein_k(k={k}) rounds to radius {nstr(out.rad, 3)} "
+                         f"at {ctx.precision} bits, above tolerance {nstr(ctx._tol, 5)}")
 
 
 #: f^(i) = (-1)^i (i+1)! eps_(i+2)
@@ -286,9 +282,9 @@ def fixed_jet(u, ctx: PrecisionContext, targets, R: int = 0):
     R = R << P - W if P >= W else -(-R >> W - P)
     D = floor_abs(tshift(ur, P - W), tshift(ui, P - W)) - 2 - R
     if D <= 0:
-        mp = ctx.mp
-        raise PoleProximityError(f"the disc of radius {mp.nstr(to_mp(R, 0, P, mp), 3)} about "
-                                 f"{mp.nstr(to_mp(*u, mp), 12)} reaches an integer")
+        from .printing import nstr
+        raise PoleProximityError(f"the disc of radius {nstr(dyadic(R, -P), 3)} about "
+                                 f"{nstr(u, 12)} reaches an integer")
     out = []
     for i, (re, im, err) in enumerate(jet):
         k, c = i + 3, math.factorial(i + 2) * R
@@ -304,10 +300,10 @@ def _lattice_pass(exponents, u, ctx: PrecisionContext, targets):
     ur0, ui0, W = u
     # within the guard (10 ulp < 2^-59, as precision >= 64) u truncates to 0 at 2^-32
     if not (tshift(ur0, 32 - W) or tshift(ui0, 32 - W)) and in_pole_guard(u, ctx.precision):
-        mp = ctx.mp
+        from .printing import nstr
         raise PoleProximityError(
-            f"the reduced point {mp.nstr(to_mp(*u, mp), 12)} is within the pole guard "
-            f"({POLE_GUARD_ULPS} ulp = {mp.nstr(POLE_GUARD_ULPS * ctx.eps, 3)}) of an integer")
+            f"the reduced point {nstr(u, 12)} is within the pole guard ({POLE_GUARD_ULPS} "
+            f"ulp = {nstr(dyadic(POLE_GUARD_ULPS, 1 - ctx.precision), 3)}) of an integer")
     route, size, plan = _route(u, exponents, targets)
     if route == "lattice" and 2 * size + 1 > TERM_CAP:
         raise ToleranceUnreachableError(
@@ -601,9 +597,9 @@ def _resolved_f(u, ctx: PrecisionContext, e: int):
         P, ((re, im, err),) = _lattice_pass((2,), u, ctx, (e,))
         if floor_abs(re, im) > err:
             return re, im, err, P
+    from .printing import nstr
     raise InconclusiveNonvanishingError(
-        f"|f({ctx.mp.nstr(to_mp(*u, ctx.mp), 8)})| stayed within its radius down to "
-        f"target 2^{e}")
+        f"|f({nstr(u, 8)})| stayed within its radius down to target 2^{e}")
 
 
 def jet_bounds(u, floor: int):
@@ -725,8 +721,7 @@ class StripBoundReport(Record):
     The report holds integers: height, the tuple of y at prec bits, and
     majorant, (low, high, P), a certified bracket [low 2^-P, high 2^-P] of
     the majorant (_majorant: a partial sum in fixed point, every truncation
-    counted, plus the lower or the upper end of its tail); y, decay_bound
-    and decay_bound_low are their exact mpf, built when read.  Domination is
+    counted, plus the lower or the upper end of its tail).  Domination is
     decided on the safe side and exactly: the upper end of f_magnitude,
     value + radius, against low, both at one scale.
     """
@@ -736,18 +731,6 @@ class StripBoundReport(Record):
     def __init__(self, height: tuple, f_magnitude: BoundedValue, majorant: tuple,
                  dominated: bool, prec: int):
         self._set(height, f_magnitude, majorant, dominated, prec)
-
-    @property
-    def y(self):
-        return mp_context(self.prec).make_mpf(self.height)
-
-    @property
-    def decay_bound(self):
-        return to_mp(self.majorant[1], 0, self.majorant[2], mp_context(self.prec))
-
-    @property
-    def decay_bound_low(self):
-        return to_mp(self.majorant[0], 0, self.majorant[2], mp_context(self.prec))
 
 
 def strip_decay(y_values: Sequence, x, ctx: PrecisionContext) -> list[StripBoundReport]:

@@ -19,19 +19,13 @@ its context's precision (fixedpoint.to_ball), the one way a ball is demoted.
 A ball and a context are dyadic: the centre's parts, the radius and the
 tolerance are held as mpmath's normalised tuples (sign, man, exp, bc), the
 value man 2^exp with man odd and bc its bit length (dyadic builds them, with
-mpmath's roundings), and the tolerance is read by one decimal reader
-(read_real) that rounds as mpmath's mpf does.  So an evaluation compares its
-radius with the tolerance in integers (PrecisionContext.meets), and a
-process that only evaluates never imports mpmath.
-
-This module is the one crossing between mpmath and the integers: an mpf or
-mpc is read into integers here alone, by PrecisionContext.exact (every
-point, with no mpf built) and by BoundedValue(value, radius) (once, when
-built); to_mp and a ball's value and radius build mpmath objects back.
-mpmath is imported for those, the context's tolerance, eps, mp and point, a
-form read_real leaves to mpmath's parser and the text of an error; the
-printing module prints every decimal of a report or an `eistrig eval` line
-from the tuples, so neither imports it.
+mpmath's roundings).  read_real is the one reader of a real (a decimal or a
+ratio exactly rounded at every exponent, Clinger, PLDI 1990) and
+printing.to_str the one printer, so no command and no error text imports
+mpmath.  It is an optional dependency (the `mpmath` extra), imported by
+mp_context alone, for the mpf views of the API: a ball's value and radius,
+BoundedValue(value, radius), the context's tolerance, eps, mp and point,
+and lattice.symmetric_tail_bound.
 
 mpmath contexts are cached per precision (the 64 used last) and never
 mutated afterwards, so evaluations at different precisions can run
@@ -49,7 +43,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, Any
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ToleranceUnreachableError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -70,7 +64,10 @@ ZERO = (0, 0, 0, 0)
 
 
 def _new_mp_context(precision: int) -> MPContext:
-    from mpmath.ctx_mp import MPContext
+    try:
+        from mpmath.ctx_mp import MPContext
+    except ImportError as exc:
+        raise ImportError("eistrig's mpf views need mpmath: pip install 'eistrig[mpmath]'") from exc
     ctx = MPContext()
     ctx.prec = precision
     return ctx
@@ -118,60 +115,90 @@ def dyadic(x: int, e: int, prec: int = 0, rnd: str = "d") -> tuple:
     return sign, x, e + t, x.bit_length()
 
 
-def _quotient(p: int, q: int, prec: int) -> tuple:
-    """p / q (q > 0) rounded to nearest at prec bits, ties to even (as
-    mpmath's division): the quotient to at least prec + 2 bits, then one
-    sticky bit for a nonzero remainder, below the half of the last place."""
+def _quotient(p: int, q: int, prec: int, e: int = 0, rnd: str = "n") -> tuple:
+    """p / q 2^e (q > 0) rounded at prec bits as dyadic rounds it (by default
+    to nearest, ties to even, as mpmath's division): the quotient to at least
+    prec + 2 bits, then a sticky bit for a nonzero remainder."""
     s = max(0, prec + 2 + q.bit_length() - abs(p).bit_length())
     x, r = divmod(abs(p) << s, q)
     x = x << 1 | (r != 0)
-    return dyadic(-x if p < 0 else x, -s - 1, prec, "n")
+    return dyadic(-x if p < 0 else x, e - s - 1, prec, rnd)
 
 
-def _plain_decimal(text: str):
-    """(man, exp) with text = man 10^exp for a plain decimal: an optional
-    sign, ASCII digits with at most one point, an optional exponent
-    e[+-]digits, surrounding whitespace, and |exp| <= 400 once the fraction's
-    digits are folded in; None for any other form."""
-    s = text.strip().lower()
-    signed = s[:1] in ("+", "-")
-    mantissa, e, exponent = s[signed:].partition("e")
-    whole, _, frac = mantissa.partition(".")
-    frac = frac.rstrip("0")
-    if not (s.isascii() and (whole + frac).isdigit()):
-        return None
-    if e and not exponent[exponent[:1] in ("+", "-"):].isdigit():
-        return None
-    exp = (int(exponent) if e else 0) - len(frac)
-    if abs(exp) > 400:  # mpmath rounds these another way
-        return None
-    man = int(whole + frac)
-    return (-man if s[0] == "-" else man), exp
+def _pow5(n: int, w: int) -> tuple:
+    """(x, s, c) with x 2^s <= 5^n <= (x + c) 2^s: 5^n by squaring, each
+    product truncated to w bits with its error counted in c, so c = 0 (5^n
+    exact) while 5^n has at most w bits."""
+    x, s, c = 1, 0, 0
+    for bit in bin(n)[2:]:
+        x, s, c = x * x, 2 * s, (2 * x + c) * c
+        if bit == "1":
+            x, c = 5 * x, 5 * c
+        t = x.bit_length() - w
+        if t > 0:
+            x, s, c = x >> t, s + t, (c >> t) + 2
+    return x, s, c
+
+
+def _scaled(man: int, e: int, n: int, prec: int, rnd: str = "n") -> tuple:
+    """man 2^e 10^n rounded exactly at prec bits as dyadic rounds it, at any
+    n: 5^|n| bracketed ever tighter (_pow5) until both ends of the bracket
+    round alike, at the latest where 5^|n| is exact."""
+    w = prec + abs(n).bit_length() + 32
+    while True:
+        x, s, c = _pow5(abs(n), w)
+        if n >= 0:
+            ends = {dyadic(man * y, e + n + s, prec, rnd) for y in {x, x + c}}
+        else:
+            ends = {_quotient(man, y, prec, e + n - s, rnd) for y in {x, x + c}}
+        if len(ends) == 1:
+            return ends.pop()
+        w *= 2
+
+
+#: mpmath's tuples of the strings it reads as special values
+SPECIAL = {"inf": (0, 0, -456, -2), "+inf": (0, 0, -456, -2), "-inf": (1, 0, -789, -3),
+           "nan": (0, 0, -123, -1)}
 
 
 def read_real(x, prec: int) -> tuple:
     """The tuple of mp.mpf(x) at prec bits (mp.mpf(numerator) / denominator
-    for a Fraction), read in integers for a str, an int, a Fraction or a
-    tuple (sign, man, exp, bc), which is rounded to nearest, ties to even; a
-    plain decimal man 10^exp (_plain_decimal) rounded to nearest, ties to
-    even, as mpmath's parser rounds it.  Any other form (a ratio 'p/q',
-    'inf', '1_000', a huge exponent) or type (a float, an mpf) goes to
-    mp.mpf, imported here, with its value or its exception."""
+    for a Fraction), in integers, rounded to nearest with ties to even at
+    every exponent: an int, a float (its special tuple if not finite), a
+    tuple (sign, man, exp, bc), an mpf, a Fraction, or a str as mpmath's
+    from_str reads it: a special string; a ratio 'p/q' of two ints; else a
+    decimal man 10^exp, whose syntax float() checks, a trailing 'l'
+    stripped, split at 'e' and '.' and read by int().  TypeError for any
+    other type, as mp.mpf raises."""
     if isinstance(x, str):
-        parts = _plain_decimal(x)
-        if parts is not None:
-            man, exp = parts
-            return dyadic(man * 10**exp, 0, prec, "n") if exp >= 0 else _quotient(man, 10**-exp, prec)
-    elif isinstance(x, int):
+        x = x.lower().strip()
+        if x in SPECIAL:
+            return SPECIAL[x]
+        if "/" in x:
+            p, q = (int(part.rstrip("l")) for part in x.split("/"))
+            return _quotient(-p if q < 0 else p, abs(q), prec)  # ZeroDivisionError for q = 0
+        x = x.rstrip("l")
+        float(x)
+        mantissa, _, exponent = x.partition("e")
+        whole, _, frac = mantissa.partition(".")
+        frac = frac.rstrip("0")
+        return _scaled(int(whole + frac), 0, (int(exponent) if exponent else 0) - len(frac), prec)
+    if isinstance(x, int):
         return dyadic(x, 0, prec, "n")
-    elif isinstance(x, tuple):
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            return SPECIAL[repr(x)]
+        p, q = x.as_integer_ratio()  # q is a power of 2
+        return dyadic(p, 1 - q.bit_length(), prec, "n")
+    if isinstance(x, tuple):
         return _nearest(x, prec)
-    else:
-        from fractions import Fraction  # not before a Fraction may come
-        if isinstance(x, Fraction):
-            sign, man, exp, _ = dyadic(x.numerator, 0, prec, "n")  # exp >= 0
-            return _quotient((-man if sign else man) << exp, x.denominator, prec)
-    return mp_context(prec).mpf(x)._mpf_
+    if hasattr(x, "_mpf_"):
+        return _nearest(x._mpf_, prec)
+    from fractions import Fraction  # not before a Fraction may come
+    if isinstance(x, Fraction):
+        sign, man, exp, _ = dyadic(x.numerator, 0, prec, "n")  # exp >= 0
+        return _quotient((-man if sign else man) << exp, x.denominator, prec)
+    raise TypeError(f"cannot create mpf from {x!r}")
 
 
 def _le(a: tuple, b: tuple) -> bool:
@@ -340,8 +367,8 @@ class PrecisionContext:
     Construction fails fast on contradictory settings, and computes once,
     in integers from the tolerance's tuple (read_real), the hash and
     tolerance_exponent, e = mag(tolerance) - 1 (2^e <= tolerance), the
-    target of a lattice pass to the tolerance.  tolerance, eps and mp are
-    mpmath objects, built when read.
+    target of a lattice pass to the tolerance.  tolerance, eps, mp and point
+    are mpmath views, built when read.
     """
 
     __slots__ = ("precision", "tolerance_exponent", "_tol", "_hash")
@@ -351,7 +378,7 @@ class PrecisionContext:
             raise ConfigurationError(f"working precision must be an integer >= 64 bits, got {precision!r}")
         try:
             tol = read_real(tolerance, precision)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigurationError(f"tolerance not parseable as a real number: {tolerance!r}") from exc
         sign, man, exp, bc = tol
         if sign or not man:
@@ -370,8 +397,8 @@ class PrecisionContext:
         raise AttributeError("PrecisionContext is immutable")
 
     def __repr__(self) -> str:
-        return (f"PrecisionContext(precision={self.precision}, "
-                f"tolerance={self.mp.nstr(self.tolerance, 8)})")
+        from .printing import to_str
+        return f"PrecisionContext(precision={self.precision}, tolerance={to_str(self._tol, 8)})"
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PrecisionContext)
@@ -386,6 +413,15 @@ class PrecisionContext:
     def meets(self, bv: BoundedValue) -> bool:
         """bv.radius <= tolerance, decided in integers from the tuples."""
         return _le(bv.rad, self._tol)
+
+    def certified(self, bv, message, cause=None) -> BoundedValue:
+        """bv when it is a ball whose radius meets the tolerance, else
+        ToleranceUnreachableError(message(nstr)) chained from cause, its text
+        printed by printing.nstr, which only this path imports."""
+        if bv is not None and self.meets(bv):
+            return bv
+        from .printing import nstr
+        raise ToleranceUnreachableError(message(nstr)) from cause
 
     def exponent_below(self, divisor: int) -> int:
         """mag(tolerance / divisor) - 1, the quotient rounded to the
@@ -422,13 +458,6 @@ class PrecisionContext:
 
     # -- conversions -----------------------------------------------------
 
-    def real(self, x):
-        """Convert a real-like (int, float, str, Fraction, mpf) to this context's mpf."""
-        sign, man, exp, bc = v = read_real(x, self.precision)
-        if not man and exp:
-            raise ValueError(f"non-finite real input: {x!r}")
-        return self.mp.make_mpf(v)
-
     def point(self, z):
         """The mpf (a zero imaginary part) or mpc of the exact pair of z;
         a finite mpf of this context, and a finite mpc of it with a nonzero
@@ -442,11 +471,10 @@ class PrecisionContext:
         """The point z as the exact pair (re, im, W): (re + i im) 2^-W, W the
         least scale >= 0 at which it is exact, with no mpf built.  A tuple is
         taken as such a pair and comes back as it is.  A float, a complex
-        and an int are exact; a string 're+imi' (each part), a
-        Fraction or another real are read by read_real; an mpf or mpc gives
-        its tuples, rounded to nearest at this precision, as mp.mpf rounds
-        them, unless point returns it unchanged.  ValueError for a
-        non-finite point."""
+        and an int are exact; a string 're+imi' (each part) and another real
+        are read by read_real; an mpc gives its tuples rounded to nearest at
+        this precision, as read_real rounds an mpf's (which leaves one of
+        this context as it is).  ValueError for a non-finite point."""
         if isinstance(z, (float, complex)):
             re, im = (z, 0.0) if isinstance(z, float) else (z.real, z.imag)
             if not (math.isfinite(re) and math.isfinite(im)):
@@ -460,21 +488,13 @@ class PrecisionContext:
             return z
         if isinstance(z, str):
             parts = tuple(read_real(s, self.precision) for s in split_point_string(z))
-        elif hasattr(z, "_mpf_") or hasattr(z, "_mpc_"):
-            re, im, _ = _parts(z)
-            parts = re, im or ZERO
-            mp = self.mp
-            if not (isinstance(z, mp.mpf) or isinstance(z, mp.mpc) and im):
-                parts = tuple(_nearest(part, self.precision) for part in parts)
+        elif hasattr(z, "_mpc_"):
+            parts = tuple(_nearest(part, self.precision) for part in z._mpc_)
         else:
             parts = read_real(z, self.precision), ZERO
         if any(not man and exp for _, man, exp, _ in parts):
             raise ValueError(f"non-finite point: {z!r}")
         return to_pair(*parts)
-
-    def from_fraction(self, q: Fraction):
-        """mpf nearest to an exact Fraction (two roundings at most)."""
-        return self.mp.make_mpf(read_real(q, self.precision))
 
     def ball(self, value, radius=0) -> BoundedValue:
         """The exact value (an int, mpf or mpc) within radius, the ball of

@@ -1,21 +1,24 @@
 """Decimal printing in integers: the strings mpmath prints, from dyadic tuples.
 
-Only the printing layers (verify and the CLI) import this module; an
-evaluation never does.  to_str is a port of mpmath's libmp.to_str with its
-default arguments (to_digits_exp included) on a normalised tuple (sign, man,
-exp, bc): the digits truncated at dps + 3, then rounded half up once at dps,
-in fixed notation where the decimal exponent lies strictly between
-min(-(dps // 3), -5) and dps, trailing zeros stripped.  From |exp + bc| >
-3500 on, where mpmath finds the decimal exponent through ln 2 / ln 10, and
-for a non-finite tuple, it calls mpmath's own to_str.  On top of it:
+The printing layers (verify and the CLI) import this module, and an error
+text when it is raised; an evaluation that succeeds never does.  to_str is
+the package's one decimal printer (Steele and White, PLDI 1990), a port of
+mpmath's libmp.to_str with its default arguments (to_digits_exp included)
+on a normalised tuple (sign, man, exp, bc): the digits truncated at dps + 3,
+then rounded half up once at dps, in fixed notation where the decimal
+exponent lies strictly between min(-(dps // 3), -5) and dps, trailing zeros
+stripped.  From |exp + bc| > 3500 on, the tuple is first divided by 10^b, b
+= trunc(exp log10 2) as mpmath takes it, exactly and truncated to the
+digits' bits.  On top of it:
 
     format_real   a real as every report, table and `eistrig eval` line
                   prints it (mpmath's nstr of the mpf at the context's
                   precision, _digits(ctx) digits);
     format_value  a real, or a complex as "(re + imj)" / "(re - imj)"
                   (mpmath's nstr of an mpc);
-    format_point  an exact pair (re, im, W), 12 digits: the label of a grid
-                  point in a report;
+    nstr          a real tuple or an exact pair (re, im, W), 12 digits by
+                  default: the label of a grid point in a report, and the
+                  numbers of an error text;
     str_real      str of an mpf at a precision (a strip height, "50.0");
     modulus       the tuple of |re + i im| as mpmath's abs rounds it.
 """
@@ -24,48 +27,54 @@ from __future__ import annotations
 
 import math
 
-from .precision import PrecisionContext, _nearest, dyadic
+from .precision import SPECIAL, ZERO, PrecisionContext, _nearest, _scaled, dyadic, read_real
 
 #: mpmath's log2(10), as to_digits_exp computes it
 _LOG2_10 = math.log(10, 2)
+
+#: log10(2) 2^128, truncated
+_LOG10_2 = 0x4D104D427DE7FBCC47C4ACD605BE48BC
+
+#: how mpmath prints zero and the special values ("+inf" replaces "inf")
+_NAMES = {ZERO: "0.0", **{t: name for name, t in SPECIAL.items()}}
 
 
 def to_str(t: tuple, dps: int) -> str:
     """The tuple t as mpmath's to_str(t, dps) prints it, dps >= 1."""
     sign, man, exp, bc = t
     if not man:
-        if not exp:
-            return "0.0"
-    elif abs(exp + bc) <= 3500:
-        # to_digits_exp at dps + 3: |t| to fixprec bits, then to fixdps decimals, truncated
-        bitprec = int((dps + 3) * _LOG2_10) + 10
-        fixprec = max(bitprec - exp - bc, 0)
-        fixdps = int(fixprec / _LOG2_10 + 0.5)
-        shift = exp + fixprec
-        digits = str((man << shift if shift >= 0 else man >> -shift) * 10**fixdps >> fixprec)
-        exponent = len(digits) - fixdps - 1
-        if len(digits) > dps and digits[dps] in "56789":
-            digits = str(int(digits[:dps]) + 1)
-            if len(digits) > dps:  # the nines rolled over
-                digits, exponent = digits[:dps], exponent + 1
+        return _NAMES[t]
+    # to_digits_exp at dps + 3: |t| / 10^b to fixprec bits, then to fixdps decimals, truncated
+    bitprec = int((dps + 3) * _LOG2_10) + 10
+    b = 0
+    if abs(exp + bc) > 3500:
+        b = (abs(exp) * _LOG10_2 >> 128) * (-1 if exp < 0 else 1)
+        _, man, exp, bc = _scaled(man, exp, -b, bitprec, "d")
+    fixprec = max(bitprec - exp - bc, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec
+    digits = str((man << shift if shift >= 0 else man >> -shift) * 10**fixdps >> fixprec)
+    exponent = b + len(digits) - fixdps - 1
+    if len(digits) > dps and digits[dps] in "56789":
+        digits = str(int(digits[:dps]) + 1)
+        if len(digits) > dps:  # the nines rolled over
+            digits, exponent = digits[:dps], exponent + 1
+    else:
+        digits = digits[:dps]
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
         else:
-            digits = digits[:dps]
-        split = 1
-        if min(-(dps // 3), -5) < exponent < dps:
-            if exponent < 0:
-                digits = "0" * -exponent + digits
-            else:
-                split = exponent + 1
-            exponent = 0
-        digits = (digits[:split] + "." + digits[split:]).rstrip("0")
-        if digits[-1] == ".":
-            digits += "0"
-        digits = "-" + digits if sign else digits
-        if not exponent:
-            return digits
-        return f"{digits}e{'+' if exponent > 0 else ''}{exponent}"
-    from mpmath.libmp import to_str as mp_to_str
-    return mp_to_str(t, dps)
+            split = exponent + 1
+        exponent = 0
+    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if digits[-1] == ".":
+        digits += "0"
+    digits = "-" + digits if sign else digits
+    if not exponent:
+        return digits
+    return f"{digits}e{'+' if exponent > 0 else ''}{exponent}"
 
 
 def _digits(ctx: PrecisionContext) -> int:
@@ -74,11 +83,10 @@ def _digits(ctx: PrecisionContext) -> int:
 
 
 def format_real(x, ctx: PrecisionContext) -> str:
-    """The real x, a tuple or anything mp.mpf reads, rounded to nearest at
+    """The real x, a tuple or anything read_real reads, rounded to nearest at
     ctx's precision, as a decimal string of _digits(ctx) digits, trailing
     zeros stripped: how reports, tables and the CLI print a real."""
-    t = _nearest(x, ctx.precision) if isinstance(x, tuple) else ctx.mp.mpf(x)._mpf_
-    return to_str(t, _digits(ctx))
+    return to_str(read_real(x, ctx.precision), _digits(ctx))
 
 
 def format_value(re: tuple, im, dps: int) -> str:
@@ -90,10 +98,12 @@ def format_value(re: tuple, im, dps: int) -> str:
     return f"({to_str(re, dps)} {'-' if sign else '+'} {to_str((0, man, exp, bc), dps)}j)"
 
 
-def format_point(z: tuple, dps: int = 12) -> str:
-    """The exact pair z = (re, im, W), (re + i im) 2^-W, as mpmath's nstr
-    prints its mpf (im == 0) or mpc to dps digits."""
-    re, im, W = z
+def nstr(x: tuple, dps: int = 12) -> str:
+    """A real tuple (sign, man, exp, bc) or an exact pair (re, im, W) as
+    mpmath's nstr prints its mpf (im == 0) or mpc to dps digits."""
+    if len(x) == 4:
+        return to_str(x, dps)
+    re, im, W = x
     return format_value(dyadic(re, -W), dyadic(im, -W) if im else None, dps)
 
 

@@ -39,9 +39,9 @@ from __future__ import annotations
 import functools
 from math import isqrt
 
-from .errors import PoleProximityError, ToleranceUnreachableError
+from .errors import InconclusiveNonvanishingError, PoleProximityError, ToleranceUnreachableError
 from .fixedpoint import ball_mul, ball_quotient, floor_abs, rounded_count, tdiv, to_ball, tshift
-from .precision import BoundedValue, PrecisionContext, Record, dyadic, to_mp
+from .precision import BoundedValue, PrecisionContext, Record, dyadic
 from .lattice import check_jet, fixed_jet, in_pole_guard, jet_bounds, reduce_point, reduced
 from .zetasums import KERNEL_GUARD_BITS, zeta_fixed
 
@@ -150,9 +150,8 @@ def _g_jet(u, work: PrecisionContext, R: int, exps, rounded: bool = False):
 
     if in_pole_guard(u, prec, R):
         if n > 2:
-            mp = work.mp
-            raise PoleProximityError(
-                f"g'' at {mp.nstr(to_mp(*u, mp), 8)} is within the pole guard of an integer")
+            from .printing import nstr
+            raise PoleProximityError(f"g'' at {nstr(u, 8)} is within the pole guard of an integer")
         near, Q = R + abs(ur) + abs(ui), 2 * W
         jet = [(0, 0, (3 * near * near + 1) // 2), (0, 0, 3 * near << W)][:n]
         if fits(jet):
@@ -187,10 +186,10 @@ def _g_jet(u, work: PrecisionContext, R: int, exps, rounded: bool = False):
                 return Q, jet
             bounds[0] = (floor_abs(*f[:2]) - f[2]).bit_length() - 1 - S
             bounds[1:n] = [(abs(re) + abs(im) + err).bit_length() - S for re, im, err in fd]
-    mp = work.mp
-    radii = (mp.nstr(to_mp(charged(*b), 0, Q, mp), 3) for b in jet)
+    from .printing import nstr
+    radii = (nstr(dyadic(charged(*b), -Q), 3) for b in jet)
     raise ToleranceUnreachableError(
-        f"the g jet at {mp.nstr(to_mp(*u, mp), 8)} keeps radii {', '.join(radii)} "
+        f"the g jet at {nstr(u, 8)} keeps radii {', '.join(radii)} "
         f"at {work.precision} bits, above tolerances "
         f"{', '.join('-' if t is None else f'2^{t}' for t in exps)}")
 
@@ -227,21 +226,18 @@ def _sin_fixed(ev: TrigEvaluator, g1, Q: int):
 def _at_w(name, z, ctx: PrecisionContext, exps, form) -> BoundedValue:
     """form(ev, the jet's highest order, Q) rounded once, the g jet to 2^exps
     over the disc of w = z / 2 pi (ev.reduced_w, z an exact pair), within the
-    tolerance, or ToleranceUnreachableError naming name(z), chained from it."""
+    tolerance, or ToleranceUnreachableError naming name(z), chained from the
+    error of a jet whose radii or reciprocal cannot be certified."""
     ev = evaluator(ctx)
-    cause = None
+    bv = cause = None
     try:
         u, R = ev.reduced_w(z)
         Q, jet = _g_jet(u, ctx, R, exps)
         bv = to_ball(*form(ev, jet[-1], Q), ctx.precision)
-        if ctx.meets(bv):
-            return bv
-    except ToleranceUnreachableError as exc:
+    except (ToleranceUnreachableError, InconclusiveNonvanishingError) as exc:
         cause = exc
-    mp, tol = ctx.mp, ctx.tolerance
-    raise ToleranceUnreachableError(
-        f"{name}({mp.nstr(to_mp(*z, mp), 8).strip('()')}) cannot be certified to tolerance {mp.nstr(tol, 5)} "
-        f"at {ctx.precision} bits") from cause
+    return ctx.certified(bv, lambda nstr: f"{name}({nstr(z, 8).strip('()')}) cannot be certified "
+                         f"to tolerance {nstr(ctx._tol, 5)} at {ctx.precision} bits", cause)
 
 
 def cosine(z, ctx: PrecisionContext) -> BoundedValue:
@@ -303,8 +299,9 @@ def taylor_cosine(z, ctx: PrecisionContext) -> BoundedValue:
     zr, zi, Z = ctx.exact(z)
     az2 = zr * zr + zi * zi
     if az2 > 16 << 2 * Z:
-        raise ValueError(f"taylor_cosine is restricted to |z| <= 4, got |z| = "
-                         f"{ctx.mp.nstr(abs(ctx.point(z)), 6)}")
+        from .printing import modulus, nstr
+        r = modulus(dyadic(zr, -Z), dyadic(zi, -Z) if zi else None, ctx.precision)
+        raise ValueError(f"taylor_cosine is restricted to |z| <= 4, got |z| = {nstr(r, 6)}")
     if not az2:
         return ctx.ball(1)
     W, (_, man, exp, _) = ctx.precision + 32, ctx._tol
@@ -315,12 +312,8 @@ def taylor_cosine(z, ctx: PrecisionContext) -> BoundedValue:
             break
         re, im, err = re + tr, im + ti, err + e
     bv = to_ball(re, im, err + 2 * (abs(tr) + abs(ti) + e), W, ctx.precision)
-    if not ctx.meets(bv):
-        mp = ctx.mp
-        raise ToleranceUnreachableError(
-            f"taylor_cosine({mp.nstr(ctx.point(z), 8)}) keeps radius {mp.nstr(bv.radius, 3)} "
-            f"at {ctx.precision} bits, above tolerance {mp.nstr(ctx.tolerance, 5)}")
-    return bv
+    return ctx.certified(bv, lambda nstr: f"taylor_cosine({nstr((zr, zi, Z), 8)}) keeps radius "
+                         f"{nstr(bv.rad, 3)} at {ctx.precision} bits, above tolerance {nstr(ctx._tol, 5)}")
 
 
 # -- jet residuals -----------------------------------------------------------------
@@ -341,14 +334,10 @@ def reciprocal_ode_residual(z, ctx: PrecisionContext) -> BoundedValue:
     once.  ToleranceUnreachableError where the error of pi^2 times |g| alone
     exceeds the tolerance (far off the axis, where |g| grows like
     e^(2 pi |Im z|))."""
-    ev = evaluator(ctx)
-    bv = to_ball(*_reciprocal_fixed(ev, reduce_point(z, ctx), 0, ctx), ctx.precision)
-    if not ctx.meets(bv):
-        mp, tol = ctx.mp, ctx.tolerance
-        raise ToleranceUnreachableError(
-            f"the reciprocal ODE residual at {mp.nstr(ctx.point(z), 8)} keeps radius "
-            f"{mp.nstr(bv.radius, 3)}, above tolerance {mp.nstr(tol, 5)}")
-    return bv
+    ev, z = evaluator(ctx), ctx.exact(z)
+    bv = to_ball(*_reciprocal_fixed(ev, reduced(*z), 0, ctx), ctx.precision)
+    return ctx.certified(bv, lambda nstr: f"the reciprocal ODE residual at {nstr(z, 8)} keeps radius "
+                         f"{nstr(bv.rad, 3)}, above tolerance {nstr(ctx._tol, 5)}")
 
 
 def ivp_residual(z, ctx: PrecisionContext) -> BoundedValue:

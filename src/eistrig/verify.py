@@ -22,12 +22,10 @@ Report serialization is deterministic: identical configurations produce
 byte-identical JSON and text apart from the ``generated_at`` field, and all
 reals are rendered as decimal strings.
 
-A run imports no mpmath: each check takes the grid as exact pairs (re, im,
-W), formed once from the rational grid, and the printing module prints
-every decimal from the dyadic tuples of the balls, with the digits that
-mpmath's nstr prints; only the worst item's point is formatted.  Of the
-tables, the convergence table alone, which compares with mpmath's
-arithmetic, imports it.
+A run and every table import no mpmath: each check takes the grid as exact
+pairs (re, im, W), formed once from the rational grid, and the printing
+module prints every decimal from the dyadic tuples of the balls, with the
+digits that mpmath's nstr prints; only the worst item's point is formatted.
 """
 
 from __future__ import annotations
@@ -42,12 +40,12 @@ from typing import Callable, Mapping, Sequence
 from .errors import ConfigurationError, EistrigError
 from .fixedpoint import fixed_balls, floor_abs, to_ball
 from .lattice import (check_jet, eisenstein_k, first_order_ode_residual, naive_symmetric_value,
-                      nonvanishing_scan, second_order_ode_residual, strip_decay,
-                      symmetric_tail_bound)
+                      nonvanishing_scan, second_order_ode_residual, strip_decay)
 from .laurent import (combination_first_order, combination_second_order,
                       implied_identities)
-from .precision import ZERO, BoundedValue, PrecisionContext, Record, dyadic, read_real, to_pair
-from .printing import _digits, format_point, format_real, modulus, str_real
+from .precision import (ZERO, BoundedValue, PrecisionContext, Record, _quotient, dyadic, read_real,
+                        to_pair)
+from .printing import _digits, format_real, modulus, nstr, str_real
 from .sympoly import SymbolPoly, render_poly
 from .trig import (cosec_identity_check, cosine, evaluator, ivp_initial_data,
                    ivp_residual, pythagoras_residual, reciprocal_ode_residual,
@@ -147,7 +145,7 @@ def _ball_item(check_id: str, identity: str, parameters: dict,
     worst = max(range(len(balls)), key=lambda i: floor_abs(*balls[i][:2]) - balls[i][2])
     worst_label, worst_bv = labeled[worst]
     params = dict(parameters, points=len(labeled),
-                  worst_at=worst_label if isinstance(worst_label, str) else format_point(worst_label))
+                  worst_at=worst_label if isinstance(worst_label, str) else nstr(worst_label))
     status = "pass" if all(re * re + im * im <= err * err for re, im, err in balls) else "fail"
     return ReportItem(check_id, identity, params,
                       residual=format_real(modulus(worst_bv.re, worst_bv.im, worst_bv.prec), ctx),
@@ -263,7 +261,7 @@ def _check_nonvanishing(config: RunConfig, ctx: PrecisionContext,
     magnitude = format_real(modulus(least.re, least.im, least.prec), ctx)
     return ReportItem(
         "nonvanishing", "|f| exceeds its own error radius everywhere on the grid",
-        {"points": len(report.points), "min_at": format_point(report.min_point),
+        {"points": len(report.points), "min_at": nstr(report.min_point),
          "min_modulus": magnitude},
         residual=format_real(least.rad, ctx), bound=magnitude,
         status="pass" if not least.consistent_with_zero() else "fail")
@@ -460,16 +458,19 @@ def convergence_table(config: RunConfig | None = None, z="0.3") -> str:
     """CSV N,value,tail_bound,abs_error_vs_ref for plain symmetric truncation."""
     config = config or RunConfig()
     ctx = config.context()
-    ref_ctx = ctx.refined(ctx.mp.mpf("1e-30"))
-    zp = ctx.point(z)
+    ref_ctx = ctx.refined("1e-30")
+    zp = ctx.exact(z)
     reference = eisenstein_k(2, zp, ref_ctx)
     rows = [("N", "value", "tail_bound", "abs_error_vs_ref")]
     n = 4
     while n <= 1024:
         approx = naive_symmetric_value(2, zp, n, ctx)
-        err = abs(ref_ctx.mp.mpf(approx.value) - reference.value)
-        rows.append((str(n), format_real(approx.value, ctx),
-                     format_real(symmetric_tail_bound(2, n, ctx), ctx), format_real(err, ctx)))
+        # the tail 2 (N - 1/2)^-1 = 4/(2N - 1) (symmetric_tail_bound) rounded once; the
+        # difference from the reference rounded to nearest at its precision, then at ctx's
+        a, r, W = to_pair(approx.re, reference.re)
+        err = dyadic(abs(a - r), -W, ref_ctx.precision, "n")
+        rows.append((str(n), format_real(approx.re, ctx),
+                     format_real(_quotient(4, 2 * n - 1, ctx.precision), ctx), format_real(err, ctx)))
         n *= 2
     return _csv(rows)
 
@@ -481,7 +482,7 @@ def route_error_table(config: RunConfig | None = None) -> str:
     rows = [("z", "eisenstein_route", "taylor_route", "abs_diff", "summed_bounds")]
     for zp, lattice_route, series_route in _cosine_routes(config, ctx):
         gap = _gap(lattice_route, series_route, ctx)
-        rows.append((format_point(zp, _digits(ctx)),
+        rows.append((nstr(zp, _digits(ctx)),
                      format_real(lattice_route.re, ctx), format_real(series_route.re, ctx),
                      format_real(modulus(gap.re, gap.im, gap.prec), ctx), format_real(gap.rad, ctx)))
     return _csv(rows)

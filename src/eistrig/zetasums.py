@@ -418,10 +418,7 @@ def zeta_even(m: int, ctx: PrecisionContext) -> BoundedValue:
     P = max(KERNEL_GUARD_BITS, KERNEL_GUARD_BITS - ctx.tolerance_exponent)
     value, err = zeta_fixed(m, P)
     bv = to_ball(value, 0, err, P, ctx.precision)
-    if not ctx.meets(bv):
-        raise ToleranceUnreachableError(
-            f"zeta_even(m={m}) achieved radius {ctx.mp.nstr(bv.radius, 5)} > tolerance")
-    return bv
+    return ctx.certified(bv, lambda nstr: f"zeta_even(m={m}) achieved radius {nstr(bv.rad, 5)} > tolerance")
 
 
 def coeff_a(d: int, ctx: PrecisionContext) -> BoundedValue:

@@ -33,11 +33,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 #: the golden tests, which every changed digit fails: the verify reports, the
-#: `eistrig eval` lines, the three tables and the reprs of two balls
+#: `eistrig eval` lines, the three tables, the reprs of two balls, and the
+#: same outputs and the error texts with mpmath blocked
 GOLDEN = ("tests/test_verify.py::test_default_report_matches_its_golden_file",
           "tests/test_cli.py::test_eval_prints_its_golden_file",
           "tests/test_cli.py::test_tables_print_their_golden_files",
-          "tests/test_api.py::test_reading_a_ball_loads_mpmath_and_gives_the_mpf_of_its_tuples")
+          "tests/test_api.py::test_reading_a_ball_loads_mpmath_and_gives_the_mpf_of_its_tuples",
+          "tests/test_without_mpmath.py::test_the_ci_eval_lines_print_their_golden_lines",
+          "tests/test_without_mpmath.py::test_the_tables_print_their_golden_files",
+          "tests/test_without_mpmath.py::test_the_verify_reports_are_their_golden_files",
+          "tests/test_without_mpmath.py::test_a_failing_command_prints_its_error_without_mpmath",
+          "tests/test_without_mpmath.py::test_every_error_text_is_printed_without_mpmath")
 
 #: name -> [(file under src/eistrig, text, replacement)]
 MUTANTS = {
@@ -198,6 +204,16 @@ MUTANTS = {
         "printing.py",
         'if len(digits) > dps and digits[dps] in "56789":',
         'if len(digits) > dps and digits[dps] in "6789":')],
+    # a ratio 'p/q' read rounded toward zero, not to nearest
+    "reader_ratio_rounded_down": [(
+        "precision.py",
+        "return _quotient(-p if q < 0 else p, abs(q), prec)",
+        'return _quotient(-p if q < 0 else p, abs(q), prec, 0, "d")')],
+    # above |exp + bc| = 3500 the printer divides by one power of ten too few
+    "printer_big_exponent_off_by_one": [(
+        "printing.py",
+        '_, man, exp, bc = _scaled(man, exp, -b, bitprec, "d")',
+        '_, man, exp, bc = _scaled(man, exp, 1 - b, bitprec, "d")')],
     # the sum of squares under the modulus of a complex ball rounded up, not down
     "modulus_sum_rounded_up": [(
         "printing.py",

@@ -21,6 +21,7 @@ from eistrig import (PrecisionContext, coeff_a, combination_first_order,
                      derivative_polynomials, eisenstein_k, implied_identities,
                      render_poly, strip_decay, taylor_cosine, zeta_even)
 from eistrig.lattice import first_order_ode_residual, second_order_ode_residual
+from eistrig.precision import to_mp
 from eistrig.sympoly import SymbolPoly
 from eistrig.trig import (cosec_identity_check, g_eval, ivp_residual,
                           reciprocal_ode_residual)
@@ -36,11 +37,11 @@ def fmt(x) -> str:
 
 
 def complex_point(re: Fraction, im: Fraction):
-    return CTX.mp.mpc(CTX.from_fraction(re), CTX.from_fraction(im))
+    return CTX.mp.mpc(CTX.point(re), CTX.point(im))
 
 
 def default_grid() -> list:
-    points = [CTX.from_fraction(x) for x in CONFIG.real_grid()]
+    points = [CTX.point(x) for x in CONFIG.real_grid()]
     points += [complex_point(re, im) for re, im in CONFIG.complex_grid()]
     return points
 
@@ -133,12 +134,12 @@ def test_a07_cosec_identity_bounded_on_default_grid():
 def test_a08_imaginary_axis_decay_dominated_and_monotone():
     y_values = (1, 2, 5, 10, 50, 100)
     reports = strip_decay(y_values, Fraction(0), CTX)
-    for rep in reports:
-        assert rep.dominated, f"y = {rep.y}"
-        assert rep.f_magnitude.upper() <= rep.decay_bound_low, f"y = {rep.y}"
-    for prev, cur in zip(reports, reports[1:]):
-        assert cur.f_magnitude.upper() < prev.f_magnitude.lower(), \
-            f"decrease between y = {prev.y} and y = {cur.y}"
+    for y, rep in zip(y_values, reports):
+        low, _, P = rep.majorant
+        assert rep.dominated, f"y = {y}"
+        assert rep.f_magnitude.upper() <= to_mp(low, 0, P, CTX.mp), f"y = {y}"
+    for y, prev, cur in zip(y_values[1:], reports, reports[1:]):
+        assert cur.f_magnitude.upper() < prev.f_magnitude.lower(), f"decrease up to y = {y}"
     assert reports[-1].f_magnitude.upper() <= CTX.mp.mpf("1e-3")
     print("\na08: |f(iy)| below the explicit majorant and strictly"
           f" decreasing for y in {y_values};"
@@ -163,7 +164,7 @@ def test_a10_finite_difference_residuals_and_exact_initial_values():
     bound = CTX.tolerance
     worst = CTX.mp.mpf(0)
     for x in CONFIG.real_grid():
-        z = CTX.from_fraction(x)
+        z = CTX.point(x)
         for res in (reciprocal_ode_residual(z, CTX),
                     ivp_residual(z, CTX)):
             outer = abs(res.value) + res.radius
@@ -180,7 +181,7 @@ def test_a10_finite_difference_residuals_and_exact_initial_values():
 def test_a11_cosine_routes_agree_within_summed_radii():
     worst_diff = worst_sum = CTX.mp.mpf(0)
     for i in range(41):
-        z = CTX.from_fraction(Fraction(i - 20, 20))
+        z = CTX.point(Fraction(i - 20, 20))
         lattice_route = cosine(z, CTX)
         series_route = taylor_cosine(z, CTX)
         diff = abs(lattice_route.value - series_route.value)
@@ -199,7 +200,7 @@ def test_a12_platform_reference_comparison():
         pi_ref = +mpmath.pi
         worst_rel = mpmath.mpf(0)
         for x in CONFIG.real_grid():
-            fx = eisenstein_k(2, CTX.from_fraction(x), CTX)
+            fx = eisenstein_k(2, CTX.point(x), CTX)
             exact_x = mpmath.mpf(x.numerator) / x.denominator
             oracle = (pi_ref / mpmath.sin(pi_ref * exact_x)) ** 2
             rel = abs(mpmath.mpf(fx.value) - oracle) / oracle

@@ -88,20 +88,25 @@ def test_eval_cos_high_in_the_strip_exits_5():
     assert "tolerance" in proc.stderr
 
 
-@pytest.mark.parametrize("function", ["sin", "cos"])
-def test_eval_trig_off_the_axis_exits_5(function):
+@pytest.mark.parametrize("function, point, printed", [
+    ("sin", "3+70i", "3.0 + 70.0j"), ("cos", "3+70i", "3.0 + 70.0j"),
+    ("cos", "0.5+400i", "0.5 + 400.0j"), ("cos", "3+200i", "3.0 + 200.0j"),
+], ids=["sin", "cos", "cos-0.5+400i", "cos-3+200i"])
+def test_eval_trig_off_the_axis_exits_5(function, point, printed):
     # at Im z = 70, past the rounding limit of 128 bits, the call cannot meet
-    # the tolerance; the message names the call, its point and its tolerance
-    proc = run_cli("eval", function, "3+70i")
+    # the tolerance, and higher up the reciprocal of f cannot be taken; the
+    # message names the call, its point and its tolerance
+    proc = run_cli("eval", function, point)
     assert proc.returncode == 5
-    assert f"{function}(3.0 + 70.0j)" in proc.stderr
-    assert "tolerance 1.0e-12" in proc.stderr
+    assert f"{function}({printed}) cannot be certified to tolerance 1.0e-12" in proc.stderr
 
 
 def test_eval_rejects_garbage_with_exit_2():
     assert run_cli("eval", "f", "spam").returncode == 2
     assert run_cli("eval", "zeta", "3").returncode == 2
     assert run_cli("eval", "nosuch", "1").returncode == 2
+    assert run_cli("eval", "f", "1/0").returncode == 2
+    assert run_cli("eval", "f", "0.3", "--tolerance", "1/0").returncode == 2
 
 
 @pytest.mark.parametrize("point", ["inf", "Infinity", "1+nani"])

@@ -7,13 +7,20 @@ against the mpmath routine it stands for: to_ball's centre and radius
 against from_man_exp(x, -P, prec, "d") and "u", the reader against
 mp.mpf(text) (its value, or the type of its exception), and the binary
 exponents of a context against mp.mag.
+
+Past a decimal exponent of 400 mpmath's reader rounds 10^exp before the
+product (its from_str says so), while read_real rounds exactly at every
+exponent; there the oracle is the exact rounding of man 10^exp by
+from_int or from_rational, and mp.mpf is held within one ulp of it.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_int, from_man_exp, from_rational
+from mpmath.libmp.libmpf import str_to_man_exp
 
 from eistrig import BoundedValue, PrecisionContext
 from eistrig.fixedpoint import rounding_allowance, to_ball
@@ -75,7 +82,9 @@ CORPUS = ["1e-12", "1E-30", ".5e-3", "5.", "+2.5e-7", "-0", "1/3", "1_000", " 2 
           "nan", "1e", "e5", "0x10", "1e-300", "1e-100", "0.000", ".000", ".", "", "-",
           "+-1", "1.2.3", "1e5e3", "1 000", "\t7.25e+01\n", "0.1", "3.14159265358979323846264338",
           "1e-401", "1e400", "123456789e-405", "5e-324", "-1.5E+3", "١٢", "1l", "infinity",
-          "-inf", "+0.0e-0"]
+          "-inf", "+0.0e-0", "1e-5000", "-3/7", "3/-7", "1/0", "0/0", "0/5", "22/7", "2/3",
+          " 5 / 2 ", "1/3/4", "1.5/2", "7l/3l", "1e-500", "1e-600", "1e-640", "1e-1300", "1e-2600",
+          "-4.75e+2048", "123456789012345678901234567890e-2000"]
 
 
 def _ties(prec):
@@ -90,11 +99,41 @@ def _ties(prec):
     return out
 
 
+def within_one_ulp(a: tuple, b: tuple, prec: int) -> bool:
+    """|a - b| <= one ulp of b at prec bits, for finite nonzero tuples,
+    compared at the scale of the least exponent among them and that ulp."""
+    e = min(a[2], b[2], b[2] + b[3] - prec)
+    ints = [(-1) ** sign * man << exp - e for sign, man, exp, _ in (a, b)]
+    return abs(ints[0] - ints[1]) <= 1 << b[2] + b[3] - prec - e
+
+
+def oracle(text: str, prec: int):
+    """What read_real must give for text, a tuple or the type of an
+    exception: mp.mpf(text), or past |exp| = 400 the exact rounding of man
+    10^exp, with mp.mpf within one ulp of it."""
+    want = outcome(lambda: mp_context(prec).mpf(text)._mpf_)
+    try:
+        man, exp = str_to_man_exp(text.lower().strip())
+    except ValueError:  # a special string or a ratio, which mpmath reads exactly
+        return want
+    if abs(exp) <= 400:
+        return want
+    exact = from_int(man * 10**exp, prec, "n") if exp > 0 else from_rational(man, 10**-exp, prec, "n")
+    assert not man or within_one_ulp(want, exact, prec), text
+    return exact
+
+
 @pytest.mark.parametrize("prec", PRECISIONS)
 def test_the_reader_gives_what_mp_mpf_gives_on_the_corpus(prec):
-    mp = mp_context(prec)
     for text in CORPUS + _ties(prec):
-        assert outcome(lambda: read_real(text, prec)) == outcome(lambda: mp.mpf(text)._mpf_), text
+        assert outcome(lambda: read_real(text, prec)) == oracle(text, prec), text
+
+
+@pytest.mark.parametrize("text", ["1e-100000000", "7e1000000", "-3.25e-999999", "1e1" + "0" * 60])
+def test_the_reader_rounds_a_huge_exponent_within_one_ulp_of_mpmath(text):
+    # 5^|exp| is bracketed, never formed; mp.mpf rounds 10^exp at prec + 10 bits first
+    prec = 128
+    assert within_one_ulp(mp_context(prec).mpf(text)._mpf_, read_real(text, prec), prec)
 
 
 @st.composite
@@ -103,7 +142,7 @@ def decimals(draw):
     whole = draw(st.text("0123456789", max_size=40))
     frac = draw(st.text("0123456789", max_size=40))
     point = draw(st.booleans()) or not whole
-    exponent = draw(st.one_of(st.none(), st.integers(-420, 420)))
+    exponent = draw(st.one_of(st.none(), st.integers(-420, 420), st.integers(-3000, 3000)))
     text = sign + whole + ("." + frac if point else "")
     if exponent is not None:
         text += draw(st.sampled_from("eE")) + (f"{exponent:+d}" if draw(st.booleans()) else str(exponent))
@@ -113,8 +152,7 @@ def decimals(draw):
 @settings(max_examples=500)
 @given(decimals(), st.sampled_from(PRECISIONS))
 def test_the_reader_gives_what_mp_mpf_gives_on_drawn_decimals(text, prec):
-    mp = mp_context(prec)
-    assert outcome(lambda: read_real(text, prec)) == outcome(lambda: mp.mpf(text)._mpf_)
+    assert outcome(lambda: read_real(text, prec)) == oracle(text, prec)
 
 
 @settings(max_examples=300)
@@ -126,6 +164,12 @@ def test_the_reader_gives_what_the_mpf_path_gives_on_numbers(x, prec):
     assert read_real(x, prec) == want._mpf_
     wider = mp_context(2 * prec).mpf(want) / 3  # an mpf of another context, rounded again
     assert read_real(wider, prec) == mp.mpf(wider)._mpf_
+
+
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan"), -0.0, None, 1j, [1],
+                               Decimal("1.5")])
+def test_the_reader_takes_a_special_float_and_refuses_other_types_as_mp_mpf_does(x):
+    assert outcome(lambda: read_real(x, 128)) == outcome(lambda: mp_context(128).mpf(x)._mpf_)
 
 
 def _tolerances(prec):

@@ -157,8 +157,8 @@ STEERING_EXTRA = ("0.3+20i", "0.3+40i", "0.5+60i", "3.00000001", "1e-20")
 def steering_points(ctx):
     from eistrig.verify import RunConfig
     config = RunConfig()
-    grid = [ctx.from_fraction(q) for q in config.real_grid()]
-    grid += [ctx.mp.mpc(ctx.from_fraction(re), ctx.from_fraction(im))
+    grid = [ctx.point(q) for q in config.real_grid()]
+    grid += [ctx.mp.mpc(ctx.point(re), ctx.point(im))
              for re, im in config.complex_grid()]
     return grid + [ctx.point(z) for z in STEERING_EXTRA]
 
@@ -261,10 +261,11 @@ def test_the_naive_tail_count_is_the_closed_form_bound_rounded_up(ctx):
 
 def test_strip_decay_dominates_and_decreases(ctx):
     reports = strip_decay((1, 2, 5, 10), Fraction(1, 2), ctx)
-    assert [r.y for r in reports] == [1, 2, 5, 10]
+    assert [ctx.mp.make_mpf(r.height) for r in reports] == [1, 2, 5, 10]
     for rep in reports:
+        low, high, P = rep.majorant
         assert rep.dominated
-        assert rep.f_magnitude.upper() <= rep.decay_bound
+        assert rep.f_magnitude.upper() <= to_mp(high, 0, P, ctx.mp)
     for taller, shorter in zip(reports[1:], reports):
         assert taller.f_magnitude.upper() < shorter.f_magnitude.lower()
 
@@ -331,9 +332,9 @@ def test_each_strip_magnitude_holds_the_closed_form(precision, tolerance):
     ctx = PrecisionContext(precision, tolerance)
     with mpmath.workprec(2 * precision + 64):
         for rep in strip_decay(DEFAULT_HEIGHTS + (Fraction(7, 3),), Fraction(1, 2), ctx):
-            y = mpmath.mpf(rep.y)
+            y = mpmath.mpf(rep.height)
             exact = mpmath.pi ** 2 / mpmath.cosh(mpmath.pi * y) ** 2
-            assert abs(mpmath.mpf(rep.f_magnitude.value) - exact) <= rep.f_magnitude.radius, rep.y
+            assert abs(mpmath.mpf(rep.f_magnitude.value) - exact) <= rep.f_magnitude.radius, y
 
 
 def test_strip_domination_is_the_exact_comparison(ctx):
@@ -341,7 +342,8 @@ def test_strip_domination_is_the_exact_comparison(ctx):
     # is at most the majorant's lower end, compared as exact Fractions
     for rep in strip_decay((1, 2, 5, 10, 50, 100, Fraction(7, 3)), Fraction(1, 2), ctx):
         upper = exact(rep.f_magnitude.value) + exact(rep.f_magnitude.radius)
-        assert rep.dominated == (upper <= exact(rep.decay_bound_low)), rep.y
+        low, _, P = rep.majorant
+        assert rep.dominated == (upper <= Fraction(low, 2**P)), rep.height
 
 
 def test_strip_domination_is_not_rounded_at_a_tie(ctx, monkeypatch):
@@ -423,7 +425,7 @@ def test_majorant_brackets_the_exact_partial_sum(ctx):
     # tail and 8,194 truncation units of a 4096-term sum
     unit = Fraction(1, 2 ** ctx.precision)
     for h in MAJORANT_HEIGHTS:
-        y = ctx.real(h)
+        y = ctx.point(h)
         y2 = exact(y) ** 2
         M = 64 + 4 * math.ceil(exact(y))
         partial = 3 / y2 + 2 * sum(1 / (n * n + y2) for n in range(1, M + 1))
@@ -439,7 +441,7 @@ def test_majorant_truncates_the_tail_lower_end_down(ctx, monkeypatch):
     # 2^-P, so low is 4 plus the tail's lower end 2 M / (M(M+1) + y^2) = 2/3
     # truncated: within 2 units below, never above
     monkeypatch.setattr(lattice, "_MAJORANT_TERMS", 1)
-    low, high = (exact(v) for v in majorant(ctx.real(1), ctx))
+    low, high = (exact(v) for v in majorant(ctx.point(1), ctx))
     assert 4 + Fraction(2, 3) - Fraction(2, 2 ** ctx.precision) < low <= 4 + Fraction(2, 3)
     assert 6 <= high
 
@@ -447,7 +449,7 @@ def test_majorant_truncates_the_tail_lower_end_down(ctx, monkeypatch):
 def test_majorant_brackets_the_closed_form(ctx):
     # sum_{n>=1} 1/(n^2+y^2) = (pi y coth(pi y) - 1)/(2 y^2); platform pi here only
     for h in MAJORANT_HEIGHTS:
-        y = ctx.real(h)
+        y = ctx.point(h)
         low, high = majorant(y, ctx)
         with mpmath.workprec(4 * ctx.precision):
             yy = mpmath.mpmathify(y)

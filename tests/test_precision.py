@@ -79,14 +79,6 @@ def test_point_returns_finite_values_of_its_context_unchanged():
         ctx.point(mp.mpc(1, mp.nan))
 
 
-def test_from_fraction_is_correctly_rounded_to_one_ulp():
-    ctx = PrecisionContext()
-    q = Fraction(1, 3)
-    v = ctx.from_fraction(q)
-    err = abs(Fraction(str(ctx.mp.nstr(v, 50))) - q)
-    assert err < Fraction(1, 2 ** (ctx.precision - 2))
-
-
 def test_ball_ops_carry_enclosures():
     ctx = PrecisionContext()
     mp = ctx.mp
@@ -193,8 +185,10 @@ def test_record_defaults():
 def _printer_cases():
     """(tuple, dps) over seeded tuples at 64 to 1,100 bits: zero, both signs,
     a 5 followed by zeros at the rounding digit (a tie), runs of nines that
-    roll over, decimal exponents at the edges of the fixed notation, and
-    |exp + bc| at 3500 (printed in integers) and 3501 (by mpmath)."""
+    roll over, decimal exponents at the edges of the fixed notation,
+    |exp + bc| at 3500 and 3501 (where the tuple is first divided by 10^b),
+    and |exp + bc| in (3500, 40000] at 64 to 8,800 bits and up to 2,651
+    digits."""
     import random
     from eistrig.precision import dyadic, read_real
     rng = random.Random(2016)
@@ -216,10 +210,15 @@ def _printer_cases():
         for e in (lo - 1, lo, lo + 1, dps - 1, dps, dps + 1):
             cases += [(read_real(f"{sign}1.2345678901234567890123{d}e{e}", 1100), dps)
                       for sign in ("", "-") for d in range(3)]
-    for edge in (3500, 3501):  # |exp + bc| in integers, and mpmath's own route above it
+    for edge in (3500, 3501):  # |exp + bc| as it is, and divided by 10^b above it
         for sign in (1, -1):
             x = rng.getrandbits(200) | 1
             cases += [(dyadic(x, sign * edge - x.bit_length()), dps) for dps in (3, 17, 40)]
+    for _ in range(300):
+        bits = rng.choice((64, 128, 192, 1100, 1800, 4400, 8800))
+        x = rng.getrandbits(bits) | 1 << bits - 1 | 1
+        top = rng.choice((1, -1)) * rng.randint(3501, 40000)
+        cases.append((dyadic(rng.choice((-x, x)), top - bits), rng.choice((3, 5, 8, 17, 40, 333, 2651))))
     return cases
 
 
@@ -235,7 +234,7 @@ def test_the_printer_prints_points_and_heights_as_mpmath_does():
     # nstr to a context's digits (format_real), and str of an mpf
     import random
     from eistrig.precision import dyadic
-    from eistrig.printing import _digits, format_point, format_real, format_value, str_real
+    from eistrig.printing import _digits, format_real, format_value, nstr, str_real
     rng = random.Random(35)
     for prec in (64, 128, 192, 400, 1100):
         ctx = PrecisionContext(prec, "1e-12")
@@ -243,8 +242,8 @@ def test_the_printer_prints_points_and_heights_as_mpmath_does():
         for _ in range(40):
             re, im = (mp.mpf(rng.uniform(-1, 1)) * mp.mpf(2) ** rng.randint(-80, 80) for _ in "ri")
             zr, zi, W = ctx.exact(mp.mpc(re, im))
-            assert format_point((zr, zi, W)) == mp.nstr(mp.mpc(re, im), 12)
-            assert format_point((zr, 0, W)) == mp.nstr(re, 12)
+            assert nstr((zr, zi, W)) == mp.nstr(mp.mpc(re, im), 12)
+            assert nstr((zr, 0, W)) == mp.nstr(re, 12)
             assert format_value(re._mpf_, im._mpf_, _digits(ctx)) == mp.nstr(mp.mpc(re, im), _digits(ctx))
             assert format_real(re._mpf_, ctx) == mp.nstr(re, _digits(ctx), strip_zeros=True)
             assert str_real(re._mpf_, prec) == str(re)

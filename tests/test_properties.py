@@ -52,7 +52,7 @@ def dyadic(min_value: float, max_value: float, denominator: int = 4096):
     lo = int(min_value * denominator)
     hi = int(max_value * denominator)
     return st.integers(min_value=lo, max_value=hi).map(
-        lambda m: DEFAULT.from_fraction(Fraction(m, denominator)))
+        lambda m: DEFAULT.point(Fraction(m, denominator)))
 
 
 def away_from_integers(x) -> bool:
@@ -322,7 +322,7 @@ def test_pythagoras_holds_within_allowance(x):
 def test_taylor_cosine_balls_contain_the_closed_form(precision, tolerance):
     # the route_agreement grid, both ends of the domain, complex points and a tiny one
     ctx = PrecisionContext(precision, tolerance)
-    points = [ctx.from_fraction(Fraction(i - 20, 20)) for i in range(41)]
+    points = [ctx.point(Fraction(i - 20, 20)) for i in range(41)]
     points += [ctx.point(p) for p in ("4", "-4", "0.5+2i", "2i", "2.5-1.5i", "1e-30")]
     with mpmath.workprec(2 * precision + 64):
         for z in points:

@@ -59,7 +59,7 @@ def test_substitute_evaluates_with_carried_bounds():
     a0 = ctx.ball(3)
     # 27/5 rounded, within an exact Fraction bound on that rounding: 6*9 - 10*27/5 = 0
     q = Fraction(27, 5)
-    v = ctx.from_fraction(q)
+    v = ctx.point(q)
     a1 = BoundedValue(v, ctx.eps)
     man, exp = v.man_exp
     assert abs(Fraction(man) * Fraction(2) ** exp - q) <= Fraction(2) ** (1 - ctx.precision)

@@ -117,8 +117,8 @@ def test_cosec_identity_makes_one_f_pass_per_grid_point(ctx, monkeypatch):
     # the g' jet at z / 2 runs), and alone only check_jet's one
     from eistrig.verify import RunConfig
     config = RunConfig()
-    grid = [ctx.from_fraction(q) for q in config.real_grid()]
-    grid += [ctx.mp.mpc(ctx.from_fraction(re), ctx.from_fraction(im))
+    grid = [ctx.point(q) for q in config.real_grid()]
+    grid += [ctx.mp.mpc(ctx.point(re), ctx.point(im))
              for re, im in config.complex_grid()]
     points = grid + [ctx.point("0.3+20i"), ctx.point("0.3+40i")]
     jets = [lattice.check_jet(z, ctx) for z in points]

@@ -67,7 +67,7 @@ def test_default_jet_residual_items_meet_the_tolerance():
     for item in (_check_reciprocal_ode(cfg, ctx), _check_ivp(cfg, ctx)):
         assert item.status == "pass"
         assert "h" not in item.parameters
-        assert ctx.real(item.bound) <= ctx.tolerance
+        assert ctx.point(item.bound) <= ctx.tolerance
 
 
 def test_self_contained_mode_omits_the_stored_constant_check():

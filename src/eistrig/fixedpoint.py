@@ -69,7 +69,7 @@ def cpow(br: int, bi: int, k: int) -> tuple[int, int]:
 
 def cdiv(nr: int, ni: int, dr: int, di: int, shift: int, divisor: int = 1) -> tuple[int, int]:
     """(n / d) 2^shift / divisor, each component rounded toward zero once."""
-    if not di:
+    if not di:  # the integers below at di = 0, cheaper (with _explicit_sums' real n = 0, ~2.5% of trig)
         d = dr * divisor
         return tdiv(nr << shift, d), tdiv(ni << shift, d)
     d = (dr * dr + di * di) * divisor

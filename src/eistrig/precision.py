@@ -63,7 +63,10 @@ TERM_CAP = 10**8
 ZERO = (0, 0, 0, 0)
 
 
-def _new_mp_context(precision: int) -> MPContext:
+@functools.lru_cache(maxsize=64)
+def mp_context(precision: int) -> MPContext:
+    """Shared immutable MPContext with the given mantissa precision, one for
+    each of the 64 precisions used last.  The first call imports mpmath."""
     try:
         from mpmath.ctx_mp import MPContext
     except ImportError as exc:
@@ -71,17 +74,6 @@ def _new_mp_context(precision: int) -> MPContext:
     ctx = MPContext()
     ctx.prec = precision
     return ctx
-
-
-#: the MPContexts of the 64 precisions used last
-_cached_mp_context = functools.lru_cache(maxsize=64)(_new_mp_context)
-
-
-def mp_context(precision: int) -> MPContext:
-    """Shared immutable MPContext with the given mantissa precision, from the
-    bounded cache; a plain function, so that profilers which wrap the public
-    functions see its calls.  The first call imports mpmath."""
-    return _cached_mp_context(precision)
 
 
 # -- dyadic numbers ----------------------------------------------------------

@@ -9,7 +9,8 @@ then rounded half up once at dps, in fixed notation where the decimal
 exponent lies strictly between min(-(dps // 3), -5) and dps, trailing zeros
 stripped.  From |exp + bc| > 3500 on, the tuple is first divided by 10^b, b
 = trunc(exp log10 2) as mpmath takes it, exactly and truncated to the
-digits' bits.  On top of it:
+digits' bits.  Of a wide result only the leading digits are converted
+(mpmath converts them all, and fails past 4300 digits).  On top of it:
 
     format_real   a real as every report, table and `eistrig eval` line
                   prints it (mpmath's nstr of the mpf at the context's
@@ -53,8 +54,11 @@ def to_str(t: tuple, dps: int) -> str:
     fixprec = max(bitprec - exp - bc, 0)
     fixdps = int(fixprec / _LOG2_10 + 0.5)
     shift = exp + fixprec
-    digits = str((man << shift if shift >= 0 else man >> -shift) * 10**fixdps >> fixprec)
-    exponent = b + len(digits) - fixdps - 1
+    n = (man << shift if shift >= 0 else man >> -shift) * 10**fixdps >> fixprec
+    # only the leading dps + 1 digits and their count are read (str stops at 4300)
+    cut = max(0, int(n.bit_length() / _LOG2_10) - dps - 4)
+    digits = str(n // 10**cut)
+    exponent = b + cut + len(digits) - fixdps - 1
     if len(digits) > dps and digits[dps] in "56789":
         digits = str(int(digits[:dps]) + 1)
         if len(digits) > dps:  # the nines rolled over

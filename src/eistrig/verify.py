@@ -454,12 +454,12 @@ def strip_decay_table(config: RunConfig | None = None) -> str:
     return _csv(rows)
 
 
-def convergence_table(config: RunConfig | None = None, z="0.3") -> str:
-    """CSV N,value,tail_bound,abs_error_vs_ref for plain symmetric truncation."""
+def convergence_table(config: RunConfig | None = None) -> str:
+    """CSV N,value,tail_bound,abs_error_vs_ref for plain symmetric truncation at 0.3."""
     config = config or RunConfig()
     ctx = config.context()
     ref_ctx = ctx.refined("1e-30")
-    zp = ctx.exact(z)
+    zp = ctx.exact("0.3")
     reference = eisenstein_k(2, zp, ref_ctx)
     rows = [("N", "value", "tail_bound", "abs_error_vs_ref")]
     n = 4

@@ -2,8 +2,9 @@
 
 Four layers, all exact or with explicit bounds:
 
-* bernoulli_even(2j): exact Fractions via the integer-only tangent-number
-  triangle (cached, grown on demand).
+* _bernoulli_over(j): B_2j / 2j exactly, as a pair of integers in lowest
+  terms, from the integer-only tangent-number triangle (cached, grown on
+  demand).
 * em_tails(exponents, br, bi, P, limits): sum_{n>=0} (b+n)^-s for several s
   by Euler-Maclaurin at the base point b with the DLMF 2.10 remainder bound,
   in Python integers at scale 2^-P with every rounding counted (fixedpoint);
@@ -13,7 +14,7 @@ Four layers, all exact or with explicit bounds:
   entry, Q the multiple of 64 that the call's scale sets), summed by
   fixedpoint.series; the order m is chosen before summing (_em_order,
   memoised on |b| to 8 bits and the limit's exponent).  The lattice route
-  calls it at b = N+1 +- u (real when bi = 0), and zeta_table at its integer
+  calls it at the complex b = N+1 +- u, and zeta_table at its real integer
   base point.
 * zeta_table(P, count, i): Z_i(2m) = sum_{n>=L} (L/n)^2m, L = 2^i, i <= 2,
   m = 1..count (Z_0 = zeta), for the Laurent routes of the lattice pass:
@@ -41,14 +42,10 @@ from __future__ import annotations
 import functools
 import threading
 from math import ceil, comb, gcd, isqrt, lgamma, log, log2, pi
-from typing import TYPE_CHECKING
 
 from .errors import ToleranceUnreachableError
 from .fixedpoint import cpow, geometric, series, to_ball
 from .precision import BoundedValue, PrecisionContext
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # -- Bernoulli numbers --------------------------------------------------------
 
@@ -86,17 +83,6 @@ def _bernoulli_over(j: int) -> tuple[int, int]:
     n, d = _tangents(j)[j], 4**j * (4**j - 1)
     g = gcd(n, d)
     return (n if j % 2 else -n) // g, d // g
-
-
-def bernoulli_even(two_j: int) -> Fraction:
-    """Exact B_{2j} from 2n*T_n / (4^n (4^n - 1)) with alternating sign."""
-    from fractions import Fraction  # not at import: no evaluation reads one
-    if two_j < 0 or two_j % 2:
-        raise ValueError("bernoulli_even expects a nonnegative even index")
-    if two_j == 0:
-        return Fraction(1)
-    n, d = _bernoulli_over(two_j // 2)
-    return Fraction(two_j * n, d)
 
 
 # -- Euler-Maclaurin tails -----------------------------------------------------
@@ -173,7 +159,8 @@ def _em_order(s: int, Q: int, bm: int, bx: int, e: int):
     def falls(j):  # |c_(j+1)| X < |c_j|
         return (abs(c[j]) + 1) * num < (abs(c[j - 1]) - 1) * den
 
-    lo, hi = 1, max(1, min(MAX_ORDER - 1, int(pi * 2.0**lb - s / 2) + 1))  # about the floor
+    # about the floor, from lb <= 16 (far above MAX_ORDER; 2.0**lb overflows past 2^1024)
+    lo, hi = 1, max(1, min(MAX_ORDER - 1, int(pi * 2.0**min(lb, 16) - s / 2) + 1))
     while lo < hi:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if estimate(mid) <= e else (mid + 1, hi)
@@ -219,8 +206,8 @@ def em_tails(exponents, br: int, bi: int, P: int, limits):
     the power is divided by; the two heads are summed exactly and truncated
     once, and w^(s+1) S once, its count
       ec (s+1) M^s (|S| + E) + |w^(s+1)| E  units of 2^-(sP+Q), plus ec,
-    E the count of S.  For a real b = a 2^t (zeta_table's integer base, and
-    the lattice route's N+1 +- u at a real u) the heads are exact quotients of
+    E the count of S.  For a real b = a 2^t (zeta_table's integer base; the
+    lattice route's b has Im b = +-Im u != 0) the heads are exact quotients of
     powers of the integer a, 2^t folded into the shifts, one truncating
     division each, x = 4^-t / a^2 is exact (Horner by division) and
     b^(-1-s) S one more division.

@@ -1,9 +1,9 @@
 """Mutation check of the counted rounding allowances and the printer.
 
 Each mutant makes one or two textual edits to src/eistrig that shrink an
-error count (a rounding unit dropped, a propagated term or a bound cut) or
+error count (a rounding unit dropped, a propagated term or a bound cut),
 turn a rounding the wrong way, in a count or in the decimals the printing
-module prints.  For
+module prints, or drop a guard that keeps a huge argument from failing.  For
 each mutant the script copies src/ and tests/ into a temporary directory,
 applies the edits there, runs the tier-1 suite on the copy (stopping at the
 first failure), and prints whether some test fails (caught) or every test
@@ -219,6 +219,16 @@ MUTANTS = {
         "printing.py",
         '2 * (ae if far else be), prec + 4, "d")',
         '2 * (ae if far else be), prec + 4, "u")')],
+    # every digit of a wide mantissa converted, past str's limit of 4300
+    "printer_wide_mantissa_kept": [(
+        "printing.py",
+        "cut = max(0, int(n.bit_length() / _LOG2_10) - dps - 4)",
+        "cut = 0")],
+    # the order estimate's 2^log2|b| in floats, which overflows beyond 2^1024
+    "em_order_lb_unclamped": [(
+        "zetasums.py",
+        "int(pi * 2.0**min(lb, 16) - s / 2)",
+        "int(pi * 2.0**lb - s / 2)")],
 }
 
 

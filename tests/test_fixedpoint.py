@@ -30,8 +30,9 @@ from eistrig.lattice import _explicit_sums, _move_charge
 from eistrig.precision import mp_context
 from eistrig.sympoly import SymbolPoly
 from eistrig.trig import _cos_terms
-from eistrig.zetasums import bernoulli_even, em_tails, zeta_fixed
+from eistrig.zetasums import em_tails, zeta_fixed
 from test_properties import lattice_closed_form, mp_fixed
+from test_zetasums import bernoulli_even
 
 
 def cmul(a, b):

@@ -95,6 +95,24 @@ def test_pole_guard_rejects_near_integer_points(ctx):
     assert eisenstein_k(2, ctx.mp.mpf(3) + ctx.mp.ldexp(1, -24), ctx).radius <= ctx.tolerance
 
 
+def test_a_pass_that_misses_its_target_raises_after_one_attempt(monkeypatch):
+    # at 2,200 bits and 1e-640 the two tails of eps_2(0.3+4i) need an order
+    # above MAX_ORDER; a finer scale would ask them the same question, so the
+    # lattice sums run once and the pass raises
+    from eistrig import lattice
+    scales, real_sums = [], lattice._lattice_sums
+
+    def sums(exponents, ur, ui, N, P, limits):
+        scales.append(P)
+        return real_sums(exponents, ur, ui, N, P, limits)
+
+    monkeypatch.setattr(lattice, "_lattice_sums", sums)
+    with pytest.raises(ToleranceUnreachableError) as raised:
+        eisenstein_k(2, "0.3+4i", PrecisionContext(2200, "1e-640"))
+    assert str(raised.value) == "the lattice sums k = [2] could not reach targets ['2^-2127']"
+    assert len(scales) == 1
+
+
 def test_reduce_point_subtracts_the_nearest_integer(ctx):
     assert reduce_point(ctx.point("7.25"), ctx) == (1, 0, 2)  # 0.25
     assert reduce_point(ctx.point("-2.875"), ctx) == (1, 0, 3)  # 0.125
@@ -367,7 +385,7 @@ def test_the_strip_remainder_is_within_a_thousand_of_eps(k, e):
     # |eps_k(x+iy)| from above and stays within 10^3 of it for y* <= y <= 4 y*;
     # the cached order's coefficient is that formula, and it meets 2^e at y*
     import math
-    from eistrig.zetasums import bernoulli_even
+    from test_zetasums import bernoulli_even
     Y, order, num, den = lattice._strip_order(k, e)
 
     def coefficient(m):
@@ -525,7 +543,7 @@ def test_module_tables_do_not_grow_with_the_number_of_points(monkeypatch):
     rng = random.Random(7)
     ctx = PrecisionContext(192, "1e-30")
     heights = [Fraction(q, 4) for q in range(68, 148)]
-    contexts = precision._cached_mp_context.cache_info
+    contexts = precision.mp_context.cache_info
 
     def evaluate(count):
         for i in range(count):

@@ -188,7 +188,8 @@ def _printer_cases():
     roll over, decimal exponents at the edges of the fixed notation,
     |exp + bc| at 3500 and 3501 (where the tuple is first divided by 10^b),
     and |exp + bc| in (3500, 40000] at 64 to 8,800 bits and up to 2,651
-    digits."""
+    digits; mantissas of up to 20,000 bits, whose digits run past str's 4300,
+    and ties below 3500 that only the bits past the digits' decide."""
     import random
     from eistrig.precision import dyadic, read_real
     rng = random.Random(2016)
@@ -219,14 +220,34 @@ def _printer_cases():
         x = rng.getrandbits(bits) | 1 << bits - 1 | 1
         top = rng.choice((1, -1)) * rng.randint(3501, 40000)
         cases.append((dyadic(rng.choice((-x, x)), top - bits), rng.choice((3, 5, 8, 17, 40, 333, 2651))))
+    for _ in range(200):
+        bits = rng.choice((200, 1100, 4400, 14000, 20000))
+        x = rng.getrandbits(bits) | 1 << bits - 1 | 1
+        top = rng.randint(-40000, 40000)
+        cases.append((dyadic(rng.choice((-x, x)), top - bits), rng.choice((1, 3, 12, 17, 40))))
+    for dps in (3, 12, 17):
+        for zeros in (20, 300):
+            n = rng.randrange(10 ** (dps - 1), 10**dps) * 10 + 5
+            cases += [(dyadic(n * 10**zeros + tail, 0), dps) for tail in (-1, 1)]
     return cases
 
 
 def test_the_printer_prints_every_digit_mpmath_prints():
+    # mpmath's to_str converts every digit, and so reads a wide mantissa only
+    # with str's limit of 4300 digits lifted; the printer needs no lift
+    import sys
     from mpmath.libmp import to_str as mp_to_str
+    from eistrig.precision import dyadic
     from eistrig.printing import to_str
-    mismatches = [(t, dps) for t, dps in _printer_cases() if to_str(t, dps) != mp_to_str(t, dps)]
+    cases, limit = _printer_cases(), sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [mp_to_str(t, dps) for t, dps in cases]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    mismatches = [(t, dps) for (t, dps), want in zip(cases, expected) if to_str(t, dps) != want]
     assert not mismatches
+    assert to_str(dyadic((1 << 20000) + 1, -8000), 3) == "2.29e+3612"
 
 
 def test_the_printer_prints_points_and_heights_as_mpmath_does():

@@ -507,7 +507,7 @@ def test_cosec_identity_meets_the_tolerance_far_off_the_axis(point, precision_bi
 def test_the_identity_checks_open_no_new_precision_near_an_integer(ctx):
     # each check works in integers at its own kernel scale and rounds once to
     # ctx's precision, however close to 3 the point and however large |f|
-    contexts = precision._cached_mp_context.cache_info
+    contexts = precision.mp_context.cache_info
     misses = contexts().misses
     for j in range(4, 41, 4):
         z = 3 + ctx.mp.ldexp(1, -j)

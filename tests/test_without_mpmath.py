@@ -100,6 +100,7 @@ def test_the_other_commands_print_what_they_print_with_mpmath(command, code):
 
 @pytest.mark.parametrize("command, code, message", [
     ("eval cos 1e80", 5, "cos(1.0e+80) cannot be certified to tolerance 1.0e-12 at 128 bits"),
+    ("eval cos 1e5000", 5, "cos(1.0e+5000) cannot be certified to tolerance 1.0e-12 at 128 bits"),
     ("eval f 1e-40", 3,
      "the reduced point 1.0e-40 is within the pole guard (10 ulp = 5.88e-38) of an integer"),
 ])

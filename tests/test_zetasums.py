@@ -14,7 +14,7 @@ import pytest
 from eistrig import PrecisionContext, coeff_a, zeta_even
 from eistrig.precision import mp_context, to_mp
 from eistrig.sympoly import SymbolPoly
-from eistrig.zetasums import KERNEL_GUARD_BITS, bernoulli_even, em_tails
+from eistrig.zetasums import KERNEL_GUARD_BITS, _bernoulli_over, em_tails
 from test_properties import mp_bits, mp_fixed
 
 ZETA2 = "1.6449340668482264364724151666460251892189499"
@@ -28,6 +28,15 @@ A2 = "10.1734306198444913971451792979092052790181749"
 # Bernoulli numbers B_2..B_12, from any standard table
 BERNOULLI = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42),
              8: Fraction(-1, 30), 10: Fraction(5, 66), 12: Fraction(-691, 2730)}
+
+
+def bernoulli_even(two_j: int) -> Fraction:
+    """Exact B_2j, j >= 0, from the tangent numbers behind the coefficient
+    tables: 2j T_j / (4^j (4^j - 1)) with alternating sign."""
+    if two_j == 0:
+        return Fraction(1)
+    n, d = _bernoulli_over(two_j // 2)
+    return Fraction(two_j * n, d)
 
 
 def check_against(bv, literal, ctx, slack="1e-40"):
@@ -93,6 +102,13 @@ def test_the_order_cell_bounds_its_counts_and_its_remainder(s, bm, bx, e):
         assert all(b > Fraction(2) ** e * (1 - Fraction(1, 1 << 40)) for b in bound[:m - 1])
     assert G >= sum(X ** j for j in range(m - 1))
     assert D >= sum(j * abs(c[j]) * X ** (j - 1) for j in range(1, m - 1)) * 2 ** Q
+
+
+def test_a_tail_at_a_base_beyond_two_to_the_1024_closes_at_order_one():
+    # |b| ~ 2^1100, whose 2^log2|b| overflows a float: T_2(b) ~ 1/b lies far
+    # below a unit of 2^-128, and the first order meets the limit
+    (re, im, err, bound, m), = em_tails((2,), 1 << 128, 1 << 1228, 128, [1 << 88])
+    assert m == 1 and bound <= 1 << 88 and abs(re) + abs(im) <= err + bound
 
 
 def test_zeta_even_matches_frozen_values(ctx):

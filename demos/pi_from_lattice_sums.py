@@ -89,7 +89,7 @@ def main():
     print()
     print("The tail bound shrinks like 1/N, so plain truncation would need")
     print("N ~ 1e12 terms for twelve digits; the evaluation above summed")
-    route, pairs, size = pass_size(reduce_point(z, ctx), ctx.tolerance_exponent)
+    route, pairs, size, _ = pass_size(reduce_point(z, ctx), ctx.tolerance_exponent)
     if route == "Laurent":
         after = f" after {pairs} explicit pairs" if pairs else ""
         print(f"{size} terms of the Laurent series{after} and bounded its tail.")

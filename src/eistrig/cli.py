@@ -66,7 +66,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .lattice import eisenstein_k, pass_size, reduce_point
-    from .trig import cosine, evaluator, g_eval, sine
     from .zetasums import zeta_even
     ctx = _context(args)
     name = args.function
@@ -83,16 +82,21 @@ def _cmd_eval(args) -> int:
         bv = zeta_even(s // 2, ctx)
     else:
         z = ctx.exact(args.point)
-        if name in ("f", "g"):
-            bv = eisenstein_k(2, z, ctx) if name == "f" else g_eval(z, ctx)
-            u = reduce_point(z, ctx)
-        else:
-            bv = cosine(z, ctx) if name == "cos" else sine(z, ctx)
-            u = evaluator(ctx).reduced_w(z)[0]
-        route, pairs, size = pass_size(u, ctx.tolerance_exponent)
+        if name == "f":
+            bv, u = eisenstein_k(2, z, ctx), reduce_point(z, ctx)
+        else:  # the trig layer, which eval f does without
+            from .trig import cosine, evaluator, g_eval, sine
+            if name == "g":
+                bv, u = g_eval(z, ctx), reduce_point(z, ctx)
+            else:
+                bv = cosine(z, ctx) if name == "cos" else sine(z, ctx)
+                u = evaluator(ctx).reduced_w(z)[0]
+        route, pairs, size, halvings = pass_size(u, ctx.tolerance_exponent)
         detail = {"Laurent": f"Laurent route, {pairs} explicit pairs, D = {size}",
                   "strip": f"strip remainder, m = {size}",
                   "lattice": f"lattice route, N = {size}"}[route] + f", {detail}"
+        if halvings:
+            detail = f"halving route, {halvings} halving{'s' * (halvings > 1)}, then {detail}"
     value = format_value(bv.re, bv.im, _digits(ctx))
     print(f"{name}({args.point}) = {value} +/- {format_real(bv.rad, ctx)}")
     print(f"parameters: {detail}")

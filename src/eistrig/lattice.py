@@ -13,9 +13,10 @@ consecutive k at one point, each to its own target (all bounds explicit):
    applies: the strip remainder where |Im u| >= y*(k, e) for every k
    (_strip_order); the Laurent route of the least i <= 2 with |u| <= rho 2^i,
    rho = 5/8 (_laurent_bound, which bounds |u| from above in integers); else
-   the lattice route.  rho and the cap i <= 2 are constants: every trig point
-   reduces to |u| <= 0.6, near rho 2^i the series needs about twice the
-   terms it needs at 2^i / 4, and i = 3 is no faster.
+   the lattice route, which for f alone may halve u first (step 7).  rho
+   and the cap i <= 2 are constants: every trig point reduces to |u| <= 0.6,
+   near rho 2^i the series needs about twice the terms it needs at 2^i / 4,
+   and i = 3 is no faster.
 3. The sums run in Python integers at scale 2^-P (fixedpoint), every
    rounding truncating toward zero and counted.  The pass has one entry,
    in integers: the reduced point u as the pair (ur, ui, W), (ur + i ui)
@@ -68,6 +69,26 @@ consecutive k at one point, each to its own target (all bounds explicit):
    from y* on the pass returns the zero ball with that radius at the
    point's own height, rounded up in units.
 
+7. Halving route (_halving, _doubled), for f alone where step 2
+   picks the lattice route.  The two differential equations f'' = 6 f^2 -
+   12 a0 f and f'^2 = 4 f^3 - 12 a0 f^2 give (f''/f')^2 = 9 (f - 2 a0)^2 /
+   (f - 3 a0), so the duplication formula f(2v) = (f''/f')^2 / 4 - 2f + 3 a0
+   becomes f(2v) = f(v)^2 / (4 (f(v) - 3 a0)), 3 a0 = pi^2.  The first form
+   loses about 9 bits per unit of height to cancellation; the second none
+   off the axis, where |f(v)| << pi^2: its relative error only doubles.  So
+   f(u) comes from v = u / 2, the exact pair (ur, ui, W+1) minus its
+   nearest integer, resolved to a looser target 2^ev, ev = e + 2 - X with
+   |f(v)| < 2^X from |Im v| alone, by a pass that may halve again; 3 a0 =
+   6 zeta(2) from zeta_fixed at the coarsest scale whose error, damped by
+   |f(v)|^2 / |f(v) - 3 a0|^2, still fits; and one counted product and
+   quotient.  Cost picks it, from u and e alone: it halves while the pass
+   at v, counted as pairs times bits (truncation_n(v, ev) |ev|) plus a
+   fixed 1024 for the halving itself, costs at most half the pass at u.
+   High in the strip N grows with the height, and halving pays: at
+   128/1e-12 strip_decay's heights 50 and 100 halve two and three times.
+   Where the target sets N (eval's 400- and 1,100-bit points), or N |e| is
+   small (any pass to 2^-100, the 192-bit context's tolerance), it does not.
+
 eisenstein_k is the one-exponent pass; fixed_jet, the pass for [f, f', f'']
 in integers, holds its balls over a disc about the point (its radius a
 count of units of 2^-W), serves the g jet of the trig evaluators and, as
@@ -77,12 +98,13 @@ every pass for f, the strip heights of strip_decay included: integer
 exponents for |f| and its first guess, |f'| and |f''| from |eps_k(u)| <=
 |u|^-k + 2^(k+2).
 Where f must exclude zero, _resolved_f is the one refine-until-nonzero loop:
-integer passes at ever tighter targets that return their integer ball.
-pass_size reports the route, its pairs summed term by term and its size (D,
-m or N), as eistrig eval prints them.  Plain symmetric truncation with its
-closed-form bound 2 (N-1/2)^(1-k)/(k-1) (symmetric_tail_bound,
-naive_symmetric_value) is kept for convergence tables and tail-validity
-tests; it shares the explicit sum of step 5.
+integer passes at ever tighter targets that return their integer ball; it
+refuses before any pass where |f| lies below its last target (_refused).
+pass_size reports the route, its pairs summed term by term, its size (D, m
+or N) and the halvings before it, as eistrig eval prints them.  Plain
+symmetric truncation with its closed-form bound 2 (N-1/2)^(1-k)/(k-1)
+(symmetric_tail_bound, naive_symmetric_value) is kept for convergence
+tables and tail-validity tests; it shares the explicit sum of step 5.
 """
 
 from __future__ import annotations
@@ -95,8 +117,8 @@ from typing import Sequence
 
 from .errors import (InconclusiveNonvanishingError, PoleProximityError,
                      ToleranceUnreachableError)
-from .fixedpoint import (ball_mul, cpow, fixed_balls, floor_abs, nearest, series, to_ball,
-                         tshift)
+from .fixedpoint import (ball_mul, ball_quotient, cpow, fixed_balls, floor_abs, nearest, series,
+                         to_ball, tshift)
 from .precision import (TERM_CAP, BoundedValue, PrecisionContext, Record, _le, dyadic,
                         read_real, to_pair)
 from .zetasums import (KERNEL_GUARD_BITS, MAX_ORDER, _bernoulli_over, em_tails, zeta_fixed,
@@ -252,13 +274,16 @@ def fixed_jet(u, ctx: PrecisionContext, targets, R: int = 0):
     the ball (re, im, err), (re + i im) 2^-P within err units of 2^-P.
 
     An f ball that does not exclude zero is replaced by _resolved_f's, from
-    2^-60 tighter on, at the larger of the two scales.  For R > 0 each order
-    holds at every point of the disc of radius R units of 2^-W about u: there
+    2^-60 tighter on, at the larger of the two scales; where _refused refuses
+    that loop, it does so before the pass.  For R > 0 each order holds at
+    every point of the disc of radius R units of 2^-W about u: there
     f^(i) moves by at most (i+2)! (D^-k + 2^(k+2)) r, k = i+3, D a lower bound
     of |u| - r (|eps_k| <= |u|^-k + 2^(k+2), jet_bounds); the widening is
     counted in units, and PoleProximityError is raised when the disc reaches
     an integer.
     """
+    if u[1].bit_length() - u[2] >= 8:  # below |Im u| = 2^7 _refused never refuses
+        _refused(u, targets[0] - 60)
     P, sums = _lattice_pass(range(2, 2 + len(targets)), u, ctx, targets)
     jet = [(c * re, c * im, abs(c) * err) for c, (re, im, err) in zip(_JET_FACTORS, sums)]
     fr, fi, ef = jet[0]
@@ -298,20 +323,34 @@ def _lattice_pass(exponents, u, ctx: PrecisionContext, targets):
         raise PoleProximityError(
             f"the reduced point {nstr(u, 12)} is within the pole guard ({POLE_GUARD_ULPS} "
             f"ulp = {nstr(dyadic(POLE_GUARD_ULPS, 1 - ctx.precision), 3)}) of an integer")
+    return _pass(exponents, u, ctx, targets)
+
+
+def _pass(exponents, u, ctx: PrecisionContext, targets):
+    """_lattice_pass past the pole guard, where the halving route's inner
+    passes enter."""
     route, size, plan = _route(u, exponents, targets)
-    if route == "lattice" and 2 * size + 1 > TERM_CAP:
-        raise ToleranceUnreachableError(
-            f"symmetric truncation needs {2 * size + 1} terms, above the cap {TERM_CAP}")
     # the scale: the rounding count far below the tightest target, so e + P >= 27
     F = _exact_scale(u)
     P = _kernel_scale(u, F, KERNEL_GUARD_BITS + max(0, -1 - min(targets)), exponents[-1])
     if route == "strip":
         return P, _strip_sums(exponents, u, P, plan)
+    ur0, ui0, W = u
     ur, ui = tshift(ur0, P - W), tshift(ui0, P - W)
-    if route == "lattice":
-        sums = _lattice_sums(exponents, ur, ui, size, P, [1 << e + P - 2 for e in targets])
-    else:
+    if route == "Laurent":
         sums = _laurent_sums(exponents, ur, ui, P, *plan)
+    elif exponents[-1] == 2 and (half := _halving(u, targets[0], size)):  # f alone
+        v, ev, X = half
+        S, (x,) = _pass((2,), v, ctx, (ev,))
+        Pc = max(65, 2 * X - targets[0] + 9)
+        c, g = zeta_fixed(1, Pc)
+        F, P = 0, max(P, S + 2, Pc + 2)  # v = u / 2 is exact: no move charge
+        sums = [_doubled(x, S, (6 * c, 6 * g), Pc, P)]
+    elif 2 * size + 1 > TERM_CAP:
+        raise ToleranceUnreachableError(
+            f"symmetric truncation needs {2 * size + 1} terms, above the cap {TERM_CAP}")
+    else:
+        sums = _lattice_sums(exponents, ur, ui, size, P, [1 << e + P - 2 for e in targets])
     if sums is not None:
         out = []
         for k, e, (re, im, err) in zip(exponents, targets, sums):
@@ -325,6 +364,53 @@ def _lattice_pass(exponents, u, ctx: PrecisionContext, targets):
                                     f"reach targets {[f'2^{e}' for e in targets]}")
 
 
+#: the work of one halving beside its pass, in pairs times bits: about 13 us
+#: at 128 bits, where a lattice pass costs about 38 us plus 0.015 us per unit
+_HALVING_COST = 1024
+
+
+def _halving(u, e: int, N: int):
+    """(v, ev, X) where the lattice route for f at u to 2^e, N pairs, costs
+    at least twice what halving costs, counting pairs times bits: (N' |ev| +
+    _HALVING_COST) 2 <= N |e|, N' = truncation_n(v, ev), at v = u / 2
+    reduced; else None.  The rule reads u and e alone.
+
+    |Im v| >= 1, so x = f(v) has |x| (l1 norm) <= sqrt 2 pi^2 / sinh^2(pi
+    |Im v|) < 2^X, X = 6 - int(9.06 |Im v|) (2 pi / ln 2 > 9.06), and |x -
+    3 a0| > 9.8 (3 a0 = pi^2).  So an error d of x reaches f(u) = x^2 / (4
+    (x - 3 a0)) (_doubled) as less than 2 2^X d / (4 9.8) <= 2^(X-4) d, at
+    most 2^(e-2) for d <= 2^ev, ev = e + 2 - X; an error g of 3 a0 as less
+    than 2^(2X) g / (4 9.8^2) <= 2^(2X-8) g, at most 2^(e-3) for g <= 6 2
+    2^-Pc (zeta_fixed's count is 2 units below its table's scale), Pc >=
+    2X - e + 9.  _pass reads 3 a0 at Pc >= 65, the coarsest table a pass to
+    2^-38 or tighter reads, so that a common tolerance builds none for it."""
+    if N * -e < 2 * _HALVING_COST:
+        return None
+    ur, ui, W = u
+    y = to_float(ui, W + 1)
+    if y < 1:
+        return None
+    X = 6 - int(9.06 * y)
+    v, ev = reduced(ur, ui, W + 1), e + 2 - X
+    return (v, ev, X) if 2 * (truncation_n(v, ev) * -ev + _HALVING_COST) <= N * -e else None
+
+
+def _doubled(x, S: int, c, Pc: int, T: int):
+    """(re, im, err): f(2v) = x^2 / (4 (x - c)) at 2^-T, T >= max(S, Pc) + 2,
+    from the ball x = (re, im, err) of f(v) at 2^-S and the real ball c =
+    (value, err) of 3 a0 at 2^-Pc: from f'' = 6 f^2 - 12 a0 f and f'^2 = 4
+    f^3 - 12 a0 f^2 the duplication f(2v) = (f''/f')^2 / 4 - 2f + 3 a0 takes
+    this form.  x^2 is one exact product (fixedpoint.ball_mul), and the
+    quotient over x - c one division charged over the whole ball
+    (fixedpoint.ball_quotient), which folds in the 1/4."""
+    (xr, xi, d), (cv, g) = x, c
+    if Pc > S:
+        xr, xi, d, S = xr << Pc - S, xi << Pc - S, d << Pc - S, Pc
+    x = xr, xi, d
+    # x^2 at 2^-2S over x - c at 2^-S gives 4 f(2v) at 2^-(S + shift), f(2v) at 2^-T
+    return ball_quotient(ball_mul(x, x), (xr - (cv << S - Pc), xi, d + (g << S - Pc)), 1, T - S - 2)
+
+
 def _exact_scale(u) -> int:
     """The least scale at which the pair u = (ur, ui, W) is exact."""
     ur, ui, W = u
@@ -332,14 +418,23 @@ def _exact_scale(u) -> int:
     return max(0, W - (low & -low).bit_length() + 1) if low else 0
 
 
-def pass_size(u, e: int) -> tuple[str, int, int]:
+def pass_size(u, e: int) -> tuple[str, int, int, int]:
     """The route of a pass for f = eps_2 at the reduced point u to the target
-    2^e, the pairs it sums term by term and its size: ("Laurent", 2^i - 1, D terms
-    of the series), ("strip", 0, the order m) or ("lattice", N, N)."""
-    route, size, plan = _route(u, (2,), (e,))
+    2^e, the pairs it sums term by term, its size and the halvings before it:
+    ("Laurent", 2^i - 1, D terms of the series, h), ("strip", 0, the order m,
+    h) or ("lattice", N, N, h), the route of the pass at u / 2^h after h
+    halvings (_halving, as _pass takes them)."""
+    h = 0
+    while True:
+        route, size, plan = _route(u, (2,), (e,))
+        half = route == "lattice" and _halving(u, e, size)
+        if not half:
+            break
+        u, e, _ = half
+        h += 1
     if route == "Laurent":
-        return route, (1 << plan[0]) - 1, size
-    return route, 0 if route == "strip" else size, size
+        return route, (1 << plan[0]) - 1, size, h
+    return route, 0 if route == "strip" else size, size, h
 
 
 def _route(u, exponents, targets):
@@ -583,7 +678,8 @@ def _resolved_f(u, ctx: PrecisionContext, e: int):
     """(re, im, err, P): f at the reduced point u from a pass to the target
     2^e, tightened by 2^(-60 tries) at the tries-th retry, until the ball
     excludes zero (f is nowhere zero); InconclusiveNonvanishingError after 8
-    tightenings."""
+    tightenings, and before any pass where _refused says so."""
+    _refused(u, e)
     for tries in range(9):
         e -= 60 * tries
         P, ((re, im, err),) = _lattice_pass((2,), u, ctx, (e,))
@@ -592,6 +688,19 @@ def _resolved_f(u, ctx: PrecisionContext, e: int):
     from .printing import nstr
     raise InconclusiveNonvanishingError(
         f"|f({nstr(u, 8)})| stayed within its radius down to target 2^{e}")
+
+
+def _refused(u, e: int) -> None:
+    """InconclusiveNonvanishingError where |f| < 2^X lies below 2^(e - 2160),
+    the last target of _resolved_f from 2^e: no target the loop tries is sure
+    to tell f from zero.  X = 6 - int(9.06 |Im u|), from |f| <= pi^2 /
+    sinh^2(pi |Im u|) (_halving); below |Im u| = 2^7 it never refuses a
+    target e <= 1000."""
+    last, X = e - 2160, 6 - int(9.06 * min(to_float(u[1], u[2]), 1e6))
+    if X < last:
+        from .printing import nstr
+        raise InconclusiveNonvanishingError(
+            f"|f({nstr(u, 8)})| < 2^{X} lies below the refine loop's last target 2^{last}")
 
 
 def jet_bounds(u, floor: int):
@@ -732,10 +841,11 @@ def strip_decay(y_values: Sequence, x, ctx: PrecisionContext) -> list[StripBound
     the target 2^min(T, lf - 24), 2^T <= tolerance and 2^lf <= 2^(4 -
     int(9.07 |y|)) the first steer for |f|, which lies below pi^2 /
     cosh^2(pi y) <= |f| for |y| >= 1; so one pass resolves every height
-    above the floor, y = 100 with |f| ~ 1e-271 included.  lf is floored at
-    T - 2160, where the refine loop's eight tightenings would stop, so a
-    huge height ends in InconclusiveNonvanishingError after passes to at
-    most 2^(T - 4344).  Steering never touches the bounds.
+    above the floor, y = 100 with |f| ~ 1e-271 included (by the halving
+    route).  lf is floored at T - 2160, so that the refine loop's last
+    target is 2^(T - 4344); a huge height, |f| below it, ends in
+    InconclusiveNonvanishingError before any pass (_refused).  Steering
+    never touches the bounds.
     """
     T, prec = ctx.tolerance_exponent, ctx.precision
     one, xt = (0, 1, 0, 1), read_real(x, prec)

@@ -8,9 +8,11 @@ on a normalised tuple (sign, man, exp, bc): the digits truncated at dps + 3,
 then rounded half up once at dps, in fixed notation where the decimal
 exponent lies strictly between min(-(dps // 3), -5) and dps, trailing zeros
 stripped.  From |exp + bc| > 3500 on, the tuple is first divided by 10^b, b
-= trunc(exp log10 2) as mpmath takes it, exactly and truncated to the
-digits' bits.  Of a wide result only the leading digits are converted
-(mpmath converts them all, and fails past 4300 digits).  On top of it:
+= trunc(exp ln 2 / ln 10) at |exp|'s bits + 5, as mpmath divides: by 10^b
+rounded down to the digits' bits (_pow10, a port of mpf_pow_int), the
+quotient rounded down to them too, so that decimal ties fall where mpmath's
+fall.  Of a wide result only the leading digits are converted (mpmath
+converts them all, and fails past 4300 digits).  On top of it:
 
     format_real   a real as every report, table and `eistrig eval` line
                   prints it (mpmath's nstr of the mpf at the context's
@@ -28,13 +30,14 @@ from __future__ import annotations
 
 import math
 
-from .precision import SPECIAL, ZERO, PrecisionContext, _nearest, _scaled, dyadic, read_real
+from .precision import SPECIAL, ZERO, PrecisionContext, _nearest, _quotient, dyadic, read_real
 
 #: mpmath's log2(10), as to_digits_exp computes it
 _LOG2_10 = math.log(10, 2)
 
-#: log10(2) 2^128, truncated
-_LOG10_2 = 0x4D104D427DE7FBCC47C4ACD605BE48BC
+#: ln 2 2^128 and ln 10 2^126, truncated
+_LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF
+_LN10 = 0x935D8DDDAAA8AC16EA56D62B82D30A28
 
 #: how mpmath prints zero and the special values ("+inf" replaces "inf")
 _NAMES = {ZERO: "0.0", **{t: name for name, t in SPECIAL.items()}}
@@ -49,8 +52,13 @@ def to_str(t: tuple, dps: int) -> str:
     bitprec = int((dps + 3) * _LOG2_10) + 10
     b = 0
     if abs(exp + bc) > 3500:
-        b = (abs(exp) * _LOG10_2 >> 128) * (-1 if exp < 0 else 1)
-        _, man, exp, bc = _scaled(man, exp, -b, bitprec, "d")
+        # b = trunc(exp ln 2 / ln 10), the logarithms and the quotient at |exp|'s bits + 5
+        prec = abs(exp).bit_length() + 5
+        (_, l2, e2, _), (_, l10, e10, _) = dyadic(_LN2, -128, prec), dyadic(_LN10, -126, prec)
+        _, q, e, _ = _quotient(abs(exp) * l2, l10, prec, e2 - e10, "d")
+        b = (q << e if e >= 0 else q >> -e) * (-1 if exp < 0 else 1)
+        _, tman, texp, _ = _pow10(b, bitprec, "d")
+        _, man, exp, bc = _quotient(man, tman, bitprec, exp - texp, "d")
     fixprec = max(bitprec - exp - bc, 0)
     fixdps = int(fixprec / _LOG2_10 + 0.5)
     shift = exp + fixprec
@@ -79,6 +87,27 @@ def to_str(t: tuple, dps: int) -> str:
     if not exponent:
         return digits
     return f"{digits}e{'+' if exponent > 0 else ''}{exponent}"
+
+
+def _pow10(n: int, prec: int, rnd: str) -> tuple:
+    """10^n at prec bits as mpmath's mpf_pow_int(ften, n, prec, rnd) rounds
+    it, rnd "d" or "u": exact up to n = 333, then by squaring with every
+    product cut to prec + 4 bitcount(n) + 4 bits in the direction of rnd;
+    for n < 0 the reciprocal of 10^-n (at prec + 5 bits, rounded the other
+    way), rounded once."""
+    if n < 0:
+        _, man, exp, _ = _pow10(-n, prec + 5, "u" if rnd == "d" else "d")
+        return _quotient(1, man, prec, -exp, rnd)
+    if n < 334:
+        return dyadic(5**n, n, prec, rnd)
+    work, pm, man = prec + 4 * n.bit_length() + 4, (0, 1, 0, 1), (0, 5, 1, 3)
+    while n:  # each product cut to work bits (the tuples' normalising moves no bit of it)
+        if n & 1:
+            pm = dyadic(pm[1] * man[1], pm[2] + man[2], work, rnd)
+        n >>= 1
+        if n:
+            man = dyadic(man[1] * man[1], 2 * man[2], work, rnd)
+    return dyadic(pm[1], pm[2], prec, rnd)
 
 
 def _digits(ctx: PrecisionContext) -> int:

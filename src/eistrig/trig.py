@@ -42,7 +42,7 @@ from math import isqrt
 from .errors import InconclusiveNonvanishingError, PoleProximityError, ToleranceUnreachableError
 from .fixedpoint import ball_mul, ball_quotient, floor_abs, rounded_count, tdiv, to_ball, tshift
 from .precision import BoundedValue, PrecisionContext, Record, dyadic
-from .lattice import check_jet, fixed_jet, in_pole_guard, jet_bounds, reduce_point, reduced
+from .lattice import check_jet, fixed_jet, in_pole_guard, jet_bounds, reduced
 from .zetasums import KERNEL_GUARD_BITS, zeta_fixed
 
 PI_PROVENANCE = "sqrt(6·ζ(2))"
@@ -202,9 +202,14 @@ def g_eval(z, ctx: PrecisionContext) -> BoundedValue:
     explicit series bound), so a zero-centered ball with that radius is
     returned.  Elsewhere f is evaluated tightly enough that the reciprocal
     ball, rounded, meets the context tolerance, or ToleranceUnreachableError
-    is raised.
+    is raised: the g jet's, or one naming g(z) where f cannot be told from
+    zero (chained from that InconclusiveNonvanishingError).
     """
-    Q, (g,) = _g_jet(reduce_point(z, ctx), ctx, 0, (ctx.tolerance_exponent,), rounded=True)
+    z = ctx.exact(z)
+    try:
+        Q, (g,) = _g_jet(reduced(*z), ctx, 0, (ctx.tolerance_exponent,), rounded=True)
+    except InconclusiveNonvanishingError as exc:
+        return ctx.certified(None, _uncertified("g", z, ctx), exc)
     return to_ball(*g, Q, ctx.precision)
 
 
@@ -236,8 +241,14 @@ def _at_w(name, z, ctx: PrecisionContext, exps, form) -> BoundedValue:
         bv = to_ball(*form(ev, jet[-1], Q), ctx.precision)
     except (ToleranceUnreachableError, InconclusiveNonvanishingError) as exc:
         cause = exc
-    return ctx.certified(bv, lambda nstr: f"{name}({nstr(z, 8).strip('()')}) cannot be certified "
-                         f"to tolerance {nstr(ctx._tol, 5)} at {ctx.precision} bits", cause)
+    return ctx.certified(bv, _uncertified(name, z, ctx), cause)
+
+
+def _uncertified(name, z, ctx: PrecisionContext):
+    """The text of the ToleranceUnreachableError that names name(z), z an
+    exact pair, as ctx.certified prints it."""
+    return lambda nstr: (f"{name}({nstr(z, 8).strip('()')}) cannot be certified "
+                         f"to tolerance {nstr(ctx._tol, 5)} at {ctx.precision} bits")
 
 
 def cosine(z, ctx: PrecisionContext) -> BoundedValue:

@@ -212,8 +212,8 @@ MUTANTS = {
     # above |exp + bc| = 3500 the printer divides by one power of ten too few
     "printer_big_exponent_off_by_one": [(
         "printing.py",
-        '_, man, exp, bc = _scaled(man, exp, -b, bitprec, "d")',
-        '_, man, exp, bc = _scaled(man, exp, 1 - b, bitprec, "d")')],
+        '_, tman, texp, _ = _pow10(b, bitprec, "d")',
+        '_, tman, texp, _ = _pow10(b - 1, bitprec, "d")')],
     # the sum of squares under the modulus of a complex ball rounded up, not down
     "modulus_sum_rounded_up": [(
         "printing.py",
@@ -229,6 +229,16 @@ MUTANTS = {
         "zetasums.py",
         "int(pi * 2.0**min(lb, 16) - s / 2)",
         "int(pi * 2.0**lb - s / 2)")],
+    # the halving route's f(2v) = x^2 / (4 (x - 3 a0)): the error of 3 a0
+    # dropped from the denominator ball, and the error of x^2 from the numerator
+    "halving_a0_error_dropped": [(
+        "lattice.py",
+        "(xr - (cv << S - Pc), xi, d + (g << S - Pc))",
+        "(xr - (cv << S - Pc), xi, d)")],
+    "halving_square_error_dropped": [(
+        "lattice.py",
+        "return ball_quotient(ball_mul(x, x), ",
+        "return ball_quotient((*ball_mul(x, x)[:2], 0), ")],
 }
 
 

@@ -49,6 +49,7 @@ EVAL_GOLDEN_LINES = [
     ["f", "0.3+4i", "--precision", "192", "--tolerance", "1e-30"],
     ["f", "0.45+6i", "--precision", "400", "--tolerance", "1e-100"],
     ["f", "0.3+9i", "--precision", "1100", "--tolerance", "1e-300"],
+    ["f", "0.2+30i", "--precision", "400", "--tolerance", "1e-100"],
     ["g", "0.3"],
     ["zeta", "4"],
 ]
@@ -157,12 +158,29 @@ def test_eval_prints_the_truncation_the_lattice_sum_uses(point, expected, capsys
     monkeypatch.setattr(lattice, "_strip_sums", strip)
     assert main(["eval", "f", point]) == 0
     ctx = PrecisionContext()
-    route, pairs, size = pass_size(reduce_point(point, ctx), ctx.mp.mag(ctx.tolerance) - 1)
-    assert ran == [(route, pairs, size)]
+    route, pairs, size, halvings = pass_size(reduce_point(point, ctx), ctx.tolerance_exponent)
+    assert ran == [(route, pairs, size)] and not halvings
     out = capsys.readouterr().out
     assert f"parameters: {expected}" in out
     label = {"Laurent": "D", "strip": "m", "lattice": "N"}[route]
     assert f"{label} = {size}," in out
+
+
+@pytest.mark.parametrize("function, point", [
+    ("cos", "1e-5000+1e5000i"), ("sin", "1e-5000+1e5000i"), ("g", "1e-300+1e5000i")])
+def test_eval_refuses_a_value_beyond_the_refine_loop_before_any_pass(function, point, capsys,
+                                                                     monkeypatch):
+    # |f| ~ e^(-2 pi 1e5000) lies far below the last target the refine loop
+    # would try, so the call exits 5 without a pass (the loop used to run
+    # nine passes at ever larger scales, for seconds); g names its call
+    from eistrig import lattice
+    passes, real = [], lattice._pass
+    monkeypatch.setattr(lattice, "_pass", lambda *args: passes.append(1) or real(*args))
+    assert main(["eval", function, point]) == 5
+    assert passes == []
+    head = {"cos": "cos(1.0e-5000", "sin": "sin(1.0e-5000", "g": "g(1.0e-300"}[function]
+    assert capsys.readouterr().err == (f"eistrig: {head} + 1.0e+5000j) cannot be certified to "
+                                       "tolerance 1.0e-12 at 128 bits\n")
 
 
 def test_eval_f_far_up_the_strip_returns_the_zero_ball():

@@ -12,7 +12,7 @@ import mpmath
 import pytest
 
 from eistrig import lattice
-from eistrig import (EistrigError, InconclusiveNonvanishingError, PoleProximityError,
+from eistrig import (InconclusiveNonvanishingError, PoleProximityError,
                      PrecisionContext, ToleranceUnreachableError, eisenstein_k,
                      naive_symmetric_value, strip_decay, symmetric_tail_bound)
 from eistrig.fixedpoint import to_ball
@@ -327,8 +327,9 @@ def test_each_default_strip_height_takes_one_pass(precision, tolerance, monkeypa
 def test_a_huge_strip_height_stops_where_the_refine_loop_stops(ctx, monkeypatch):
     # |f(1/2 + 1e5 i)| ~ 2^-906000: the first steer is floored 2160 bits below
     # the tolerance, 24 more for the pass, and the refine loop's eight
-    # tightenings take 2160 bits more, so no pass asks for less than
-    # 2^(T - 4344) and the call ends in a documented error
+    # tightenings would take 2160 bits more; |f| < 2^-905994 lies below that
+    # last target 2^(T - 4344), so the loop refuses before any pass and the
+    # call ends in a documented error after the passes of heights 1 and 2
     import time
     targets, real_pass = [], lattice._lattice_pass
 
@@ -338,10 +339,11 @@ def test_a_huge_strip_height_stops_where_the_refine_loop_stops(ctx, monkeypatch)
 
     monkeypatch.setattr(lattice, "_lattice_pass", recorded)
     start = time.perf_counter()
-    with pytest.raises(EistrigError):
+    last = ctx.tolerance_exponent - 4344
+    with pytest.raises(InconclusiveNonvanishingError, match=f"last target 2\\^{last}$"):
         strip_decay((1, 2, 100000), Fraction(1, 2), ctx)
     assert time.perf_counter() - start < 1
-    assert min(targets) == ctx.tolerance_exponent - 4344
+    assert len(targets) == 2
 
 
 @pytest.mark.parametrize("precision, tolerance", [(128, "1e-12"), (192, "1e-30")])
@@ -692,3 +694,112 @@ def test_balls_do_not_depend_on_what_earlier_calls_asked_for(monkeypatch):
     for z in (0.3, complex(0.2, 0.9), complex(-0.4, 1.8)):  # i = 0, 1, 2
         eisenstein_k(2, z, fine)
     assert [eisenstein_k(k, z, ctx) for k in (2, 3, 4) for z in points] == before
+
+
+# -- the halving route ---------------------------------------------------------
+
+
+def _strip_target(u, ctx):
+    """The target of strip_decay's first pass at the reduced point u."""
+    T = ctx.tolerance_exponent
+    return min(T, lattice.jet_bounds(u, T - 2160)[0] - 24)
+
+
+def _halving_cases():
+    """(ctx, u, e, halvings): strip heights 50 and 100 at strip_decay's targets
+    at 128 and 192 bits, at x = 1/2 and x = 0.3, and one 400-bit point at the
+    context's target."""
+    cases = []
+    for precision, tolerance in ((128, "1e-12"), (192, "1e-30")):
+        ctx = PrecisionContext(precision, tolerance)
+        for x in ("0.5", "0.3"):
+            for y, halvings in ((50, 2), (100, 3)):
+                u = reduce_point(f"{x}+{y}i", ctx)
+                cases.append((ctx, u, _strip_target(u, ctx), halvings))
+    ctx = PrecisionContext(400, "1e-100")
+    cases.append((ctx, reduce_point("0.2+30i", ctx), ctx.tolerance_exponent, 1))
+    return cases
+
+
+@pytest.mark.parametrize("ctx, u, e, halvings", _halving_cases())
+def test_a_halved_ball_overlaps_the_lattice_ball_and_holds_f(ctx, u, e, halvings, monkeypatch):
+    # the halving route's ball and the lattice route's at the same point and
+    # target (the oracle) overlap, and each holds mpmath's f at 2p + 64 bits
+    route, _, _, h = lattice.pass_size(u, e)
+    assert (route, h) == ("lattice", halvings)
+    taken, real = [], lattice._doubled
+    monkeypatch.setattr(lattice, "_doubled", lambda *args: taken.append(1) or real(*args))
+    balls = [lattice._lattice_pass((2,), u, ctx, (e,))]
+    assert len(taken) == halvings
+    monkeypatch.setattr(lattice, "_halving", lambda u, e, N: None)
+    balls.append(lattice._lattice_pass((2,), u, ctx, (e,)))
+    assert len(taken) == halvings
+    with mpmath.workprec(2 * ctx.precision + 64):
+        z = mpmath.mpc(u[0], u[1]) / mpmath.mpf(2) ** u[2]
+        f = lattice_closed_form(2, z)
+        ref = (exact(f.real), exact(f.imag))
+    centres = []
+    for P, ((re, im, err),) in balls:
+        assert err <= 1 << e + P
+        centre, radius = (Fraction(re, 1 << P), Fraction(im, 1 << P)), Fraction(err, 1 << P)
+        assert (centre[0] - ref[0]) ** 2 + (centre[1] - ref[1]) ** 2 <= radius ** 2
+        centres.append((centre, radius))
+    (a, ra), (b, rb) = centres
+    assert (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 <= (ra + rb) ** 2
+    assert ra < rb  # the halved ball is the tighter
+
+
+def test_the_halving_rule_leaves_low_heights_and_target_bound_points_alone():
+    # heights 5 and 10 at strip_decay's targets, and the 192-, 400- and
+    # 1,100-bit eval points, whose N the target sets, take no halving
+    ctx = PrecisionContext(128, "1e-12")
+    for y in (5, 10):
+        u = reduce_point(f"0.5+{y}i", ctx)
+        assert lattice.pass_size(u, _strip_target(u, ctx))[3] == 0
+    for point, precision, tolerance in (("0.3+4i", 192, "1e-30"), ("0.45+6i", 400, "1e-100"),
+                                        ("0.3+9i", 1100, "1e-300")):
+        ctx = PrecisionContext(precision, tolerance)
+        u, e = reduce_point(point, ctx), ctx.tolerance_exponent
+        N = lattice.truncation_n(u, e)
+        assert lattice.pass_size(u, e) == ("lattice", N, N, 0)
+
+
+def _doubled_cases():
+    """(x, S, c, Pc, T): balls x of f(v) at 2^-S near f at 2 <= Im v <= 6,
+    with an error of 0 or up to 2^40 units, and balls c of 3 a0 = pi^2 at
+    2^-Pc with an error of 0 or up to 2^40 units (one of the two exact)."""
+    import random
+    rng = random.Random(2)
+    cases = []
+    for _ in range(60):
+        S, Pc = rng.randint(60, 160), rng.randint(40, 160)
+        y = rng.uniform(2, 6)
+        x = mpmath.pi ** 2 / mpmath.sin(mpmath.pi * mpmath.mpc(rng.uniform(-0.5, 0.5), y)) ** 2
+        xr, xi = (int(mpmath.floor(part * 2 ** S)) for part in (x.real, x.imag))
+        c = int(mpmath.floor(mpmath.pi ** 2 * 2 ** Pc))
+        d, g = rng.choice(((rng.randint(1, 1 << 40), 0), (0, rng.randint(1, 1 << 40))))
+        cases.append(((xr, xi, d), S, (c, g), Pc, max(S, Pc) + rng.randint(2, 80)))
+    return cases
+
+
+def test_the_doubling_count_holds_every_corner_of_its_input_balls():
+    # exact oracle of lattice._doubled: F(x, c) = x^2 / (4 (x - c)) at x on
+    # the circle of radius d about the x ball's centre (eight directions) and
+    # at c -/+ g lies within the output ball, as exact Fractions; one of the
+    # two input errors is zero, so the other's charge is the larger part of
+    # the count and neither can be dropped
+    directions = [(1, 0), (-1, 0), (0, 1), (0, -1), (Fraction(3, 5), Fraction(4, 5)),
+                  (Fraction(-3, 5), Fraction(4, 5)), (Fraction(4, 5), Fraction(-3, 5)),
+                  (Fraction(-4, 5), Fraction(-3, 5))]
+    for (xr, xi, d), S, (c, g), Pc, T in _doubled_cases():
+        re, im, err = lattice._doubled((xr, xi, d), S, (c, g), Pc, T)
+        centre = Fraction(re, 1 << T), Fraction(im, 1 << T)
+        radius = Fraction(err, 1 << T)
+        for wr, wi in directions:
+            a, b = Fraction(xr + wr * d, 1 << S), Fraction(xi + wi * d, 1 << S)
+            for cc in (Fraction(c - g, 1 << Pc), Fraction(c + g, 1 << Pc)):
+                # x^2 / (4 (x - c)) = (a^2 - b^2 + 2abi) (a - cc - bi) / (4 ((a - cc)^2 + b^2))
+                nr, ni, dr = a * a - b * b, 2 * a * b, a - cc
+                m = 4 * (dr * dr + b * b)
+                fr, fi = (nr * dr + ni * b) / m, (ni * dr - nr * b) / m
+                assert (fr - centre[0]) ** 2 + (fi - centre[1]) ** 2 <= radius ** 2

@@ -250,6 +250,35 @@ def test_the_printer_prints_every_digit_mpmath_prints():
     assert to_str(dyadic((1 << 20000) + 1, -8000), 3) == "2.29e+3612"
 
 
+def test_the_printer_rounds_a_decimal_tie_above_3500_as_mpmath_does():
+    # above |exp + bc| = 3500 mpmath divides by 10^b rounded to the digits'
+    # bits, so an exact tie base 10^k, base ending in 5, can land on either
+    # side: 4815 10^1060 prints 4.82e+1063 and the exact quotient 4.81e+1063
+    import random
+    import sys
+    from mpmath.libmp import to_str as mp_to_str
+    from eistrig.precision import dyadic, read_real
+    from eistrig.printing import to_str
+    rng = random.Random(1063)
+    cases = [(dyadic(4815 * 10**1060, 0), 3)]
+    for _ in range(300):
+        base = rng.randrange(1, 10 ** rng.randint(1, 30)) * 10 + 5
+        k = rng.randint(1100, 12000)
+        digits = len(str(base)) - 1  # the 5 is the first digit dropped
+        cases.append((dyadic(base * 10**k, 0), digits))
+        # and base 10^-k at 4,000 bits, the nearest tuple to the tie
+        cases.append((read_real(f"{base}e-{k}", 4000), digits))
+    assert all(abs(t[2] + t[3]) > 3500 for t, _ in cases)
+    limit = sys.get_int_max_str_digits()  # mpmath converts every digit of 10^(0.7 k)
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [mp_to_str(t, dps) for t, dps in cases]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [to_str(t, dps) for t, dps in cases] == expected
+    assert to_str(cases[0][0], 3) == "4.82e+1063"
+
+
 def test_the_printer_prints_points_and_heights_as_mpmath_does():
     # nstr of an mpf and an mpc to 12 digits, the point labels of a report,
     # nstr to a context's digits (format_real), and str of an mpf

@@ -222,8 +222,8 @@ def test_the_jet_check_catches_a_scaled_table_without_a_head_term(point, i, monk
     for precision, tolerance in CONTEXTS:
         ctx = PrecisionContext(precision, tolerance)
         z = ctx.point(point)
-        route, pairs, _ = lattice.pass_size(lattice.reduce_point(z, ctx),
-                                            ctx.mp.mag(ctx.tolerance) - 1)
+        route, pairs, _, _ = lattice.pass_size(lattice.reduce_point(z, ctx),
+                                               ctx.mp.mag(ctx.tolerance) - 1)
         assert (route, pairs) == ("Laurent", (1 << i) - 1)
         assert jet_misses(ctx, z) == [0, 1, 2]
 
